@@ -12,6 +12,11 @@ pub trait App: Any + Send {
     /// Deliver one committed message. Called exactly once per header, in
     /// header order.
     fn deliver(&mut self, hdr: MsgHdr, payload: &Bytes);
+
+    /// The delivery record the §2.2 checkers read, when this app keeps one.
+    fn delivery_log(&self) -> Option<&DeliveryLog> {
+        None
+    }
 }
 
 /// Downcast helper for inspecting a node's application after a run.
@@ -30,6 +35,10 @@ pub struct DeliveryLog {
 impl App for DeliveryLog {
     fn deliver(&mut self, hdr: MsgHdr, payload: &Bytes) {
         self.entries.push((hdr, payload.clone()));
+    }
+
+    fn delivery_log(&self) -> Option<&DeliveryLog> {
+        Some(self)
     }
 }
 

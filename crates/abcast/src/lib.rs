@@ -16,6 +16,8 @@
 //!   feeds from its poll/commit path;
 //! * [`stats`]: log-bucketed latency histograms, per-stage commit-latency
 //!   anatomy ([`StageHist`]), and run summaries;
+//! * [`replica`]: the [`Replica`] trait — the one adapter a protocol supplies
+//!   so the protocol-agnostic harness can build, drive and check it;
 //! * [`spans`]: assembly of recorded lifecycle span marks into per-message
 //!   lifecycles (`submit → … → client_resp`);
 //! * [`workload`]: payload generators, including the YCSB-load zipfian
@@ -25,6 +27,7 @@ pub mod app;
 pub mod check;
 pub mod client;
 pub mod forensics;
+pub mod replica;
 pub mod spans;
 pub mod stats;
 pub mod types;
@@ -34,6 +37,7 @@ pub use app::{App, DeliveryLog};
 pub use check::{check_histories, AuditReport, Auditor, DurabilityAuditor, Violation};
 pub use client::{ClientPort, ClientReq, ClientResp, OpenLoopClient, WindowClient};
 pub use forensics::{blame, Blame, BlameCause};
+pub use replica::{check_cluster, cluster_with_client, histories, Replica};
 pub use spans::{hdr_span, Lifecycle};
 pub use stats::{LatencyHist, RunResult, StageClass, StageHist};
 pub use types::{Epoch, MsgHdr, Vote};

@@ -3,10 +3,9 @@
 
 use crate::config::AcuerdoConfig;
 use crate::node::{AcWire, AcuerdoNode, Role};
-use abcast::{MsgHdr, Violation, WindowClient};
+use abcast::{App, MsgHdr, Replica, WindowClient};
 use bytes::Bytes;
 use simnet::{NetParams, NodeId, Sim};
-use std::time::Duration;
 
 /// Build `cfg.n` replicas (they take simulation ids `0..n`, as the region
 /// plan requires) and return their ids.
@@ -40,44 +39,38 @@ pub fn enable_restarts(sim: &mut Sim<AcWire>, cfg: &AcuerdoConfig, ids: &[NodeId
     }
 }
 
-/// Create a simulation over the RDMA network preset with an Acuerdo cluster
-/// plus a closed-loop window client aimed at replica 0.
-///
-/// Returns `(sim, replica_ids, client_id)`. The cluster boots directly into
-/// epoch (1, 0) unless `cfg.initial_epoch` says otherwise.
-pub fn cluster_with_client(
-    seed: u64,
-    cfg: &AcuerdoConfig,
-    window: usize,
-    payload: usize,
-    warmup: Duration,
-) -> (Sim<AcWire>, Vec<NodeId>, NodeId) {
-    let mut sim = Sim::new(seed, NetParams::rdma());
-    let ids = build_cluster(&mut sim, cfg);
-    let leader = cfg.initial_epoch.map(|e| e.ldr as usize).unwrap_or(0);
-    let client = sim.add_node(Box::new(WindowClient::<AcWire>::new(
-        leader, window, payload, warmup,
-    )));
-    (sim, ids, client)
+impl Replica for AcuerdoNode {
+    type Wire = AcWire;
+    type Config = AcuerdoConfig;
+
+    fn net() -> NetParams {
+        NetParams::rdma()
+    }
+
+    fn build_cluster(sim: &mut Sim<AcWire>, cfg: &AcuerdoConfig) -> Vec<NodeId> {
+        build_cluster(sim, cfg)
+    }
+
+    /// The cluster boots directly into `cfg.initial_epoch` when one is set,
+    /// so the client starts at that epoch's leader.
+    fn aim_client(cfg: &AcuerdoConfig, _ids: &[NodeId], client: &mut WindowClient<AcWire>) {
+        if let Some(e) = cfg.initial_epoch {
+            client.targets = vec![e.ldr as usize];
+        }
+    }
+
+    fn app(&self) -> &dyn App {
+        self.app.as_ref()
+    }
+
+    fn app_mut(&mut self) -> &mut Box<dyn App> {
+        &mut self.app
+    }
 }
 
 /// Delivery histories of every non-crashed replica (for the §2.2 checkers).
 pub fn histories(sim: &Sim<AcWire>, ids: &[NodeId]) -> Vec<Vec<(MsgHdr, Bytes)>> {
-    ids.iter()
-        .filter(|&&id| !sim.is_crashed(id))
-        .map(|&id| {
-            sim.node::<AcuerdoNode>(id)
-                .delivery_log()
-                .expect("DeliveryLog app")
-                .entries
-                .clone()
-        })
-        .collect()
-}
-
-/// Check the §2.2 properties across all live replicas.
-pub fn check_cluster(sim: &Sim<AcWire>, ids: &[NodeId]) -> Result<(), Violation> {
-    abcast::check_histories(&histories(sim, ids), None)
+    abcast::histories::<AcuerdoNode>(sim, ids)
 }
 
 /// The id of the current leader, if exactly one live replica is leading.

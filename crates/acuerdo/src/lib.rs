@@ -28,16 +28,14 @@ mod config;
 pub mod msg;
 mod node;
 
-pub use cluster::{
-    build_cluster, check_cluster, cluster_with_client, current_leader, enable_restarts, histories,
-};
+pub use cluster::{build_cluster, current_leader, enable_restarts, histories};
 pub use config::{AcuerdoConfig, DisseminationMode};
 pub use node::{AcWire, AcuerdoNode, Role};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abcast::{ClientPort, WindowClient};
+    use abcast::{check_cluster, ClientPort, WindowClient};
     use simnet::{NetParams, Sim, SimTime};
     use std::time::Duration;
 
@@ -45,7 +43,7 @@ mod tests {
     fn boots_into_stable_epoch_and_commits() {
         let cfg = AcuerdoConfig::stable(3);
         let (mut sim, ids, client) =
-            cluster_with_client(7, &cfg, 4, 10, Duration::from_micros(200));
+            abcast::cluster_with_client::<AcuerdoNode>(7, &cfg, 4, 10, Duration::from_micros(200));
         sim.run_until(SimTime::from_millis(5));
         let c = sim.node::<WindowClient<AcWire>>(client);
         let r = c.result();
@@ -57,7 +55,7 @@ mod tests {
             "mean latency {}us",
             r.latency.mean_us()
         );
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
         // All replicas delivered (followers may lag by a push interval).
         for &id in &ids {
             let n = sim.node::<AcuerdoNode>(id);
@@ -82,7 +80,7 @@ mod tests {
         for &id in &ids {
             assert_eq!(sim.node::<AcuerdoNode>(id).epoch(), e, "node {id}");
         }
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
     }
 
     #[test]
@@ -92,7 +90,7 @@ mod tests {
             ..AcuerdoConfig::stable(3)
         };
         let (mut sim, ids, _client) =
-            cluster_with_client(11, &cfg, 4, 32, Duration::from_micros(100));
+            abcast::cluster_with_client::<AcuerdoNode>(11, &cfg, 4, 32, Duration::from_micros(100));
         enable_restarts(&mut sim, &cfg, &ids);
         // Let traffic flow, then reboot follower 2 mid-stream.
         sim.crash_at(2, SimTime::from_millis(2));
@@ -106,7 +104,7 @@ mod tests {
             "rejoined node delivered nothing"
         );
         assert_eq!(rejoined.epoch(), survivor.epoch());
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
         // The rejoiner's history must cover the whole committed prefix from
         // the very first entry, not just a post-reboot tail: it was
         // re-seeded from the leader's retained log.
@@ -131,7 +129,7 @@ mod tests {
             ..AcuerdoConfig::stable(3)
         };
         let (mut sim, ids, _client) =
-            cluster_with_client(13, &cfg, 4, 32, Duration::from_micros(100));
+            abcast::cluster_with_client::<AcuerdoNode>(13, &cfg, 4, 32, Duration::from_micros(100));
         enable_restarts(&mut sim, &cfg, &ids);
         sim.crash_at(0, SimTime::from_millis(2));
         sim.restart_at(0, SimTime::from_millis(4));
@@ -142,7 +140,7 @@ mod tests {
         assert!(!rejoined.is_resyncing(), "node 0 still resyncing");
         assert_eq!(rejoined.epoch(), sim.node::<AcuerdoNode>(leader).epoch());
         assert!(rejoined.delivered_count > 0);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
     }
 
     #[test]

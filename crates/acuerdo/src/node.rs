@@ -449,11 +449,6 @@ impl AcuerdoNode {
         self.ep.writes_posted
     }
 
-    /// The delivery log, when the default [`DeliveryLog`] app is installed.
-    pub fn delivery_log(&self) -> Option<&DeliveryLog> {
-        abcast::app::app_as::<DeliveryLog>(self.app.as_ref())
-    }
-
     // ---- broadcasting (Figure 4) -------------------------------------------
 
     fn on_client_request(&mut self, ctx: &mut Ctx<AcWire>, from: NodeId, req: ClientReq) {

@@ -5,19 +5,17 @@
 //! ~300 k msgs/s for 3 nodes / 10-byte messages, and failover behaviour.
 //! Run with `--nocapture` to see the measured numbers.
 
-use abcast::WindowClient;
-use acuerdo::{
-    check_cluster, cluster_with_client, current_leader, AcWire, AcuerdoConfig, AcuerdoNode,
-};
+use abcast::{check_cluster, cluster_with_client, WindowClient};
+use acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
 use simnet::SimTime;
 use std::time::Duration;
 
 fn run_point(n: usize, window: usize, payload: usize, ms: u64) -> (f64, f64) {
     let cfg = AcuerdoConfig::stable(n);
     let (mut sim, ids, client) =
-        cluster_with_client(42, &cfg, window, payload, Duration::from_millis(2));
+        cluster_with_client::<AcuerdoNode>(42, &cfg, window, payload, Duration::from_millis(2));
     sim.run_until(SimTime::from_millis(ms));
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
     let r = sim.node::<WindowClient<AcWire>>(client).result();
     (r.msgs_per_sec(), r.latency.mean_us())
 }
@@ -67,7 +65,7 @@ fn leader_crash_triggers_election_and_no_divergence() {
         fail_timeout: Duration::from_micros(300),
         ..AcuerdoConfig::stable(3)
     };
-    let (mut sim, ids, client) = cluster_with_client(5, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) = cluster_with_client::<AcuerdoNode>(5, &cfg, 8, 10, Duration::ZERO);
     // Give the client a retransmit path so progress resumes post-failover.
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     sim.run_until(SimTime::from_millis(3));
@@ -83,7 +81,7 @@ fn leader_crash_triggers_election_and_no_divergence() {
     let after = sim.node::<AcuerdoNode>(leader).delivered_count;
     println!("delivered before crash: {before}, after failover: {after}");
     assert!(after > before, "no progress after failover");
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
     let spans = &sim.node::<AcuerdoNode>(leader).election_spans;
     assert_eq!(spans.len(), 1);
     let dur = spans[0].1.saturating_since(spans[0].0);
@@ -97,7 +95,8 @@ fn slow_follower_does_not_slow_the_quorum() {
     // descheduled follower must not hurt client latency.
     let mk = |slow: bool| {
         let cfg = AcuerdoConfig::stable(3);
-        let (mut sim, ids, client) = cluster_with_client(11, &cfg, 8, 10, Duration::from_millis(2));
+        let (mut sim, ids, client) =
+            cluster_with_client::<AcuerdoNode>(11, &cfg, 8, 10, Duration::from_millis(2));
         if slow {
             sim.set_desched(
                 2,
@@ -109,7 +108,7 @@ fn slow_follower_does_not_slow_the_quorum() {
             );
         }
         sim.run_until(SimTime::from_millis(15));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
         sim.node::<WindowClient<AcWire>>(client).result()
     };
     let fast = mk(false);

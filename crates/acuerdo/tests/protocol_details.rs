@@ -2,17 +2,16 @@
 //! the real recovery path, backlogged-ring flush, the implicit cumulative
 //! acknowledgment, and commit-push heartbeats.
 
-use abcast::WindowClient;
-use acuerdo::{
-    check_cluster, cluster_with_client, current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role,
-};
+use abcast::{check_cluster, cluster_with_client, WindowClient};
+use acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role};
 use simnet::SimTime;
 use std::time::Duration;
 
 #[test]
 fn log_is_garbage_collected_under_steady_load() {
     let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, ids, _client) = cluster_with_client(101, &cfg, 32, 10, Duration::ZERO);
+    let (mut sim, ids, _client) =
+        cluster_with_client::<AcuerdoNode>(101, &cfg, 32, 10, Duration::ZERO);
     sim.run_until(SimTime::from_millis(20));
     // ~4000+ messages committed; the logs must stay bounded near the
     // in-flight window plus a few push intervals, nowhere near the total.
@@ -31,7 +30,8 @@ fn log_is_garbage_collected_under_steady_load() {
 #[test]
 fn gc_stalls_while_a_replica_is_descheduled_then_resumes() {
     let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, _ids, _client) = cluster_with_client(102, &cfg, 32, 10, Duration::ZERO);
+    let (mut sim, _ids, _client) =
+        cluster_with_client::<AcuerdoNode>(102, &cfg, 32, 10, Duration::ZERO);
     sim.run_until(SimTime::from_millis(2));
     sim.pause_at(2, SimTime::from_millis(2), Duration::from_millis(4));
     sim.run_until(SimTime::from_micros(5_900));
@@ -57,7 +57,8 @@ fn multi_part_diff_recovers_a_far_behind_follower() {
         max_diff_part: 2 << 10, // force many parts
         ..AcuerdoConfig::stable(3)
     };
-    let (mut sim, ids, client) = cluster_with_client(103, &cfg, 32, 100, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(103, &cfg, 32, 100, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(3));
     // Follower 2 sleeps while ~thousands of 100-byte messages commit.
     sim.pause_at(2, SimTime::from_millis(1), Duration::from_millis(6));
@@ -77,7 +78,7 @@ fn multi_part_diff_recovers_a_far_behind_follower() {
         "lagger only delivered {}",
         lagger.delivered_count
     );
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -89,7 +90,8 @@ fn implicit_cumulative_ack_collapses_catch_up_traffic() {
     // backlog build, and compare its post count against the messages it
     // accepted across the episode.
     let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, _ids, client) = cluster_with_client(104, &cfg, 64, 10, Duration::from_millis(1));
+    let (mut sim, _ids, client) =
+        cluster_with_client::<AcuerdoNode>(104, &cfg, 64, 10, Duration::from_millis(1));
     sim.run_until(SimTime::from_millis(3));
     let before_posts = sim.node::<AcuerdoNode>(1).ep_writes_posted();
     let before_delivered = sim.node::<AcuerdoNode>(1).delivered_count;
@@ -121,7 +123,7 @@ fn per_message_acks_post_at_least_as_many_writes() {
             ..AcuerdoConfig::stable(3)
         };
         let (mut sim, _ids, _client) =
-            cluster_with_client(105, &cfg, 256, 10, Duration::from_millis(1));
+            cluster_with_client::<AcuerdoNode>(105, &cfg, 256, 10, Duration::from_millis(1));
         sim.run_until(SimTime::from_millis(10));
         let n = sim.node::<AcuerdoNode>(1);
         (n.delivered_count, n.ep_writes_posted())
@@ -167,7 +169,8 @@ fn follower_rejects_stale_epoch_frames() {
         fail_timeout: Duration::from_micros(400),
         ..AcuerdoConfig::stable(3)
     };
-    let (mut sim, ids, client) = cluster_with_client(107, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(107, &cfg, 8, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     sim.run_until(SimTime::from_millis(2));
     // Delay the old leader's link to follower 2 so its last frames arrive
@@ -178,7 +181,7 @@ fn follower_rejects_stale_epoch_frames() {
     let leader = current_leader(&sim, &ids).expect("new leader");
     sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
     sim.run_until(SimTime::from_millis(45));
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -188,7 +191,8 @@ fn seven_replica_cluster_commits_with_three_crashes() {
         fail_timeout: Duration::from_micros(400),
         ..AcuerdoConfig::stable(7)
     };
-    let (mut sim, ids, client) = cluster_with_client(108, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(108, &cfg, 8, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     for (i, at) in [(6usize, 2u64), (5, 8), (0, 14)] {
         sim.crash_at(i, SimTime::from_millis(at));
@@ -199,5 +203,5 @@ fn seven_replica_cluster_commits_with_three_crashes() {
     let before = sim.node::<AcuerdoNode>(leader).delivered_count;
     sim.run_until(SimTime::from_millis(60));
     assert!(sim.node::<AcuerdoNode>(leader).delivered_count > before);
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }

@@ -16,7 +16,7 @@
 //! timeout so most cases actually engage the fallback/resume path rather
 //! than testing the fault-free chain over and over.
 
-use abcast::MsgHdr;
+use abcast::{check_cluster, cluster_with_client, MsgHdr};
 use acuerdo::{AcuerdoConfig, DisseminationMode};
 use proptest::prelude::*;
 use simnet::{Counter, SimTime};
@@ -84,7 +84,7 @@ proptest! {
             ..AcuerdoConfig::stable(n)
         };
         let (mut sim, ids, _client) =
-            acuerdo::cluster_with_client(seed, &cfg, 4, payload, Duration::ZERO);
+            cluster_with_client::<acuerdo::AcuerdoNode>(seed, &cfg, 4, payload, Duration::ZERO);
         if restart {
             acuerdo::enable_restarts(&mut sim, &cfg, &ids);
         }
@@ -101,7 +101,7 @@ proptest! {
         let case = format!(
             "seed {seed} n={n} payload={payload} depth={depth} victim={victim} restart={restart}"
         );
-        acuerdo::check_cluster(&sim, &ids)
+        check_cluster::<acuerdo::AcuerdoNode>(&sim, &ids)
             .unwrap_or_else(|e| panic!("{case}: cluster check failed: {e:?}"));
         let hs = acuerdo::histories(&sim, &ids);
         let longest = hs.iter().map(Vec::len).max().unwrap_or(0);

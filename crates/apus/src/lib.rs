@@ -25,7 +25,7 @@
 //! (see DESIGN.md).
 
 use abcast::client::RESP_WIRE;
-use abcast::{App, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Violation, WindowClient};
+use abcast::{App, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rdma_prims::{RingMode, RingReceiver, RingSender, Sst};
 use rdma_sim::{Endpoint, QpConfig, RdmaPkt, RegionId};
@@ -273,11 +273,6 @@ impl ApusNode {
         self.cfg.n / 2 + 1
     }
 
-    /// The delivery log, when the default app is installed.
-    pub fn delivery_log(&self) -> Option<&DeliveryLog> {
-        abcast::app::app_as::<DeliveryLog>(self.app.as_ref())
-    }
-
     // ---- leader ---------------------------------------------------------------
 
     fn on_client_request(&mut self, ctx: &mut Ctx<ApWire>, from: NodeId, req: ClientReq) {
@@ -485,47 +480,37 @@ pub fn build_cluster(sim: &mut Sim<ApWire>, cfg: &ApusConfig) -> Vec<NodeId> {
     ids
 }
 
-/// Cluster plus a window client aimed at the leader (replica 0).
-pub fn cluster_with_client(
-    seed: u64,
-    cfg: &ApusConfig,
-    window: usize,
-    payload: usize,
-    warmup: Duration,
-) -> (Sim<ApWire>, Vec<NodeId>, NodeId) {
-    let mut sim = Sim::new(seed, NetParams::rdma());
-    let ids = build_cluster(&mut sim, cfg);
-    let client = sim.add_node(Box::new(WindowClient::<ApWire>::new(
-        0, window, payload, warmup,
-    )));
-    (sim, ids, client)
-}
+impl Replica for ApusNode {
+    type Wire = ApWire;
+    type Config = ApusConfig;
 
-/// Check the §2.2 properties across live replicas.
-pub fn check_cluster(sim: &Sim<ApWire>, ids: &[NodeId]) -> Result<(), Violation> {
-    let hs: Vec<_> = ids
-        .iter()
-        .filter(|&&id| !sim.is_crashed(id))
-        .map(|&id| {
-            sim.node::<ApusNode>(id)
-                .delivery_log()
-                .expect("DeliveryLog app")
-                .entries
-                .clone()
-        })
-        .collect();
-    abcast::check_histories(&hs, None)
+    fn net() -> NetParams {
+        NetParams::rdma()
+    }
+
+    fn build_cluster(sim: &mut Sim<ApWire>, cfg: &ApusConfig) -> Vec<NodeId> {
+        build_cluster(sim, cfg)
+    }
+
+    fn app(&self) -> &dyn App {
+        self.app.as_ref()
+    }
+
+    fn app_mut(&mut self) -> &mut Box<dyn App> {
+        &mut self.app
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abcast::{check_cluster, cluster_with_client, WindowClient};
     use simnet::SimTime;
 
     fn run(window: usize, ms: u64) -> (Sim<ApWire>, Vec<NodeId>, NodeId) {
         let cfg = ApusConfig::default();
         let (mut sim, ids, client) =
-            cluster_with_client(13, &cfg, window, 10, Duration::from_millis(2));
+            cluster_with_client::<ApusNode>(13, &cfg, window, 10, Duration::from_millis(2));
         sim.run_until(SimTime::from_millis(ms));
         (sim, ids, client)
     }
@@ -533,7 +518,7 @@ mod tests {
     #[test]
     fn commits_and_totally_orders() {
         let (sim, ids, client) = run(8, 10);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ApusNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<ApWire>>(client).result();
         assert!(r.completed > 100);
         for &id in &ids {
@@ -546,7 +531,7 @@ mod tests {
         // With window 1 every message is its own batch: throughput is gated
         // by a full round trip per message.
         let (sim, ids, client) = run(1, 10);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ApusNode>(&sim, &ids).unwrap();
         let n0 = sim.node::<ApusNode>(ids[0]);
         let r = sim.node::<WindowClient<ApWire>>(client).result();
         assert!(
@@ -562,7 +547,7 @@ mod tests {
     #[test]
     fn latency_is_worse_than_acuerdo_shape() {
         let (sim, ids, client) = run(1, 10);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ApusNode>(&sim, &ids).unwrap();
         let lat = sim
             .node::<WindowClient<ApWire>>(client)
             .result()
@@ -580,7 +565,7 @@ mod tests {
         // (total system stall on one delayed message, §4.1).
         let cfg = ApusConfig::default();
         let (mut sim, ids, client) =
-            cluster_with_client(14, &cfg, 16, 10, Duration::from_millis(1));
+            cluster_with_client::<ApusNode>(14, &cfg, 16, 10, Duration::from_millis(1));
         sim.run_until(SimTime::from_millis(4));
         let before = sim.node::<WindowClient<ApWire>>(client).result().completed;
         assert!(before > 0);
@@ -597,7 +582,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(12));
         let after = sim.node::<WindowClient<ApWire>>(client).result().completed;
         assert!(after > during + 100, "no recovery after stall");
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ApusNode>(&sim, &ids).unwrap();
     }
 
     #[test]
@@ -606,11 +591,12 @@ mod tests {
             n: 5,
             ..ApusConfig::default()
         };
-        let (mut sim, ids, client) = cluster_with_client(15, &cfg, 8, 10, Duration::from_millis(1));
+        let (mut sim, ids, client) =
+            cluster_with_client::<ApusNode>(15, &cfg, 8, 10, Duration::from_millis(1));
         // One permanently slow follower: quorum 3 of 5 still commits.
         sim.pause_at(ids[4], SimTime::ZERO, Duration::from_secs(10));
         sim.run_until(SimTime::from_millis(10));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ApusNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<ApWire>>(client).result();
         assert!(r.completed > 100, "quorum should commit: {}", r.completed);
     }

@@ -12,14 +12,14 @@ fn bench_election(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(election_experiment(3, 2, seed))
+            black_box(election_experiment(3, 2, seed, false).stats)
         })
     });
     g.bench_function("elect_5_nodes", |b| {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(election_experiment(5, 2, seed))
+            black_box(election_experiment(5, 2, seed, false).stats)
         })
     });
     g.finish();

@@ -3,7 +3,7 @@
 //! `fig8` binary; this keeps every panel's code path exercised by
 //! `cargo bench` and tracks the simulator's wall-clock cost per panel.
 
-use bench::{run_broadcast, RunSpec, System};
+use bench::{run, Run, RunSpec, System};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -13,10 +13,10 @@ fn bench_fig8(c: &mut Criterion) {
     for system in System::all() {
         let spec = RunSpec::quick(system);
         g.bench_function(format!("{}_w1", system.name()), |b| {
-            b.iter(|| black_box(run_broadcast(system, 3, 10, 1, 42, spec)))
+            b.iter(|| black_box(run(&Run::new(system, 3, 10, 1, 42, spec)).point))
         });
         g.bench_function(format!("{}_w256", system.name()), |b| {
-            b.iter(|| black_box(run_broadcast(system, 3, 10, 256, 42, spec)))
+            b.iter(|| black_box(run(&Run::new(system, 3, 10, 256, 42, spec)).point))
         });
     }
     g.finish();

@@ -14,10 +14,8 @@
 //! * throughput with one periodically descheduled follower and small rings
 //!   (where the slot-reuse rule binds — §4.1's Derecho comparison).
 
-use bench::{
-    ablation_point, ablation_point_metrics, run_record_json, write_metrics_file, Ablation, RunSpec,
-    System,
-};
+use bench::cli::{parsed, value};
+use bench::{ablation_point, run_record_json, write_metrics_file, Ablation, Run, RunSpec, System};
 
 fn usage() {
     eprintln!(
@@ -28,26 +26,16 @@ fn usage() {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut n = 3usize;
     let mut size = 10usize;
     let mut full = false;
     let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--nodes" => {
-                i += 1;
-                n = argv[i].parse().expect("--nodes N");
-            }
-            "--size" => {
-                i += 1;
-                size = argv[i].parse().expect("--size BYTES");
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = Some(argv.get(i).expect("--metrics-out PATH").clone());
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--nodes" => n = parsed(&mut args, "--nodes", "replica count"),
+            "--size" => size = parsed(&mut args, "--size", "byte count"),
+            "--metrics-out" => metrics_out = Some(value(&mut args, "--metrics-out", "path")),
             "--full" => full = true,
             "--help" | "-h" => {
                 usage();
@@ -59,7 +47,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
     let spec = if full {
         RunSpec::for_system(System::Acuerdo)
@@ -75,26 +62,19 @@ fn main() {
     );
     let mut records: Vec<String> = Vec::new();
     for ab in Ablation::all() {
-        let low = ablation_point(ab, n, size, 1, 42, spec, false);
-        let (sat, sat_metrics) = ablation_point_metrics(ab, n, size, 256, 42, spec, false);
+        let at = |window, spec| Run::new(System::Acuerdo, n, size, window, 42, spec);
+        let (low, _) = ablation_point(ab, &at(1, spec), false);
+        let sat_run = at(256, spec);
+        let (sat, sat_metrics) = ablation_point(ab, &sat_run, false);
         if metrics_out.is_some() {
-            records.push(run_record_json(
-                ab.name(),
-                "acuerdo",
-                n,
-                size,
-                42,
-                spec,
-                &sat.point,
-                &sat_metrics,
-                None,
-            ));
+            let (p, m) = (&sat.point, &sat_metrics);
+            records.push(run_record_json(ab.name(), &sat_run, p, m, None));
         }
         let slow_spec = RunSpec {
             warmup: std::time::Duration::from_millis(2),
             measure: std::time::Duration::from_millis(25),
         };
-        let slow = ablation_point(ab, n, size, 512, 42, slow_spec, true);
+        let (slow, _) = ablation_point(ab, &at(512, slow_spec), true);
         println!(
             "{:<28} {:>11.2} {:>12.0} {:>10.2} {:>14.0}",
             ab.name(),

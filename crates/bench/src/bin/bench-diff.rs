@@ -41,16 +41,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--eps" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--eps needs a value");
-                    exit(2);
-                });
-                opts.rel_eps = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--eps needs a number");
-                    exit(2);
-                });
-            }
+            "--eps" => opts.rel_eps = bench::cli::parsed(&mut args, "--eps", "number"),
             "--json" => json_out = true,
             "--help" | "-h" => {
                 usage();

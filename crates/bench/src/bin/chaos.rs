@@ -14,7 +14,8 @@
 //! rejoin path may safely stall and are merely reported).
 
 use acuerdo::DisseminationMode;
-use bench::chaos::{run_chaos_opts, ChaosOpts, Proto, Tier, CHAOS_N};
+use bench::chaos::{run_chaos, ChaosOpts, ChaosRun, Proto, Tier, CHAOS_N};
+use bench::cli::{parsed, value};
 use bench::{write_flightrec, write_metrics_file};
 use simnet::{DurabilityMode, SchedKind, SimTime};
 use std::process::exit;
@@ -64,16 +65,10 @@ fn parse_args() -> Args {
         trace_out: None,
     };
     let mut args = std::env::args().skip(1);
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            exit(2);
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--proto" => {
-                let v = need(&mut args, "--proto");
+                let v = value(&mut args, "--proto", "protocol name");
                 out.protos = if v == "all" {
                     Proto::all().to_vec()
                 } else {
@@ -86,46 +81,46 @@ fn parse_args() -> Args {
                     }
                 };
             }
-            "--seed" => out.seed = Some(parse_num(&need(&mut args, "--seed"))),
-            "--seeds" => out.seeds = parse_num(&need(&mut args, "--seeds")),
+            "--seed" => out.seed = Some(parsed(&mut args, "--seed", "number")),
+            "--seeds" => out.seeds = parsed(&mut args, "--seeds", "number"),
             "--nodes" => {
-                out.nodes = parse_num(&need(&mut args, "--nodes")) as usize;
+                out.nodes = parsed(&mut args, "--nodes", "replica count");
                 if out.nodes < 3 {
                     eprintln!("--nodes needs a cluster of at least 3");
                     exit(2);
                 }
             }
-            "--max-time-ms" => out.max_time_ms = parse_num(&need(&mut args, "--max-time-ms")),
+            "--max-time-ms" => out.max_time_ms = parsed(&mut args, "--max-time-ms", "number"),
             "--tier" => {
-                let v = need(&mut args, "--tier");
+                let v = value(&mut args, "--tier", "tier name");
                 out.tier = Tier::parse(&v).unwrap_or_else(|| {
                     eprintln!("unknown tier {v}");
                     exit(2);
                 });
             }
             "--durability" => {
-                let v = need(&mut args, "--durability");
+                let v = value(&mut args, "--durability", "mode");
                 out.durability = DurabilityMode::parse(&v).unwrap_or_else(|| {
                     eprintln!("unknown durability mode {v}");
                     exit(2);
                 });
             }
             "--dissemination" => {
-                let v = need(&mut args, "--dissemination");
+                let v = value(&mut args, "--dissemination", "mode");
                 out.dissemination = DisseminationMode::parse(&v).unwrap_or_else(|| {
                     eprintln!("unknown dissemination mode {v}");
                     exit(2);
                 });
             }
             "--sched" => {
-                let v = need(&mut args, "--sched");
+                let v = value(&mut args, "--sched", "scheduler kind");
                 out.sched = SchedKind::parse(&v).unwrap_or_else(|| {
                     eprintln!("unknown scheduler {v}");
                     exit(2);
                 });
             }
-            "--metrics-out" => out.metrics_out = Some(need(&mut args, "--metrics-out")),
-            "--trace-out" => out.trace_out = Some(need(&mut args, "--trace-out")),
+            "--metrics-out" => out.metrics_out = Some(value(&mut args, "--metrics-out", "path")),
+            "--trace-out" => out.trace_out = Some(value(&mut args, "--trace-out", "path")),
             "--help" | "-h" => {
                 usage();
                 exit(0);
@@ -138,13 +133,6 @@ fn parse_args() -> Args {
         }
     }
     out
-}
-
-fn parse_num(s: &str) -> u64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad number {s}");
-        exit(2);
-    })
 }
 
 fn main() {
@@ -187,7 +175,11 @@ fn main() {
                 traced: args.trace_out.is_some(),
                 ..ChaosOpts::new(proto, seed, horizon)
             };
-            let (r, events, flight) = run_chaos_opts(&opts);
+            let ChaosRun {
+                report: r,
+                trace: events,
+                flight,
+            } = run_chaos(&opts);
             if let Some(path) = &args.trace_out {
                 std::fs::write(path, simnet::chrome_trace_json(&events)).unwrap_or_else(|e| {
                     eprintln!("cannot write {path}: {e}");

@@ -11,9 +11,9 @@
 //! ```
 
 use abcast::spans;
+use bench::cli::{parsed, value};
 use bench::{
-    record_path, run_broadcast_metrics, run_broadcast_traced, run_record_json, sweep,
-    write_metrics_file, RunSpec, System,
+    record_path, run, run_record_json, sweep, write_metrics_file, Observe, Run, RunSpec, System,
 };
 
 struct Args {
@@ -45,30 +45,14 @@ fn parse() -> Args {
         metrics_out: None,
         trace_out: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--nodes" => {
-                i += 1;
-                a.nodes = vec![argv[i].parse().expect("--nodes N")];
-            }
-            "--size" => {
-                i += 1;
-                a.sizes = vec![argv[i].parse().expect("--size BYTES")];
-            }
-            "--seed" => {
-                i += 1;
-                a.seed = argv[i].parse().expect("--seed N");
-            }
-            "--metrics-out" => {
-                i += 1;
-                a.metrics_out = Some(argv.get(i).expect("--metrics-out PATH").clone());
-            }
-            "--trace-out" => {
-                i += 1;
-                a.trace_out = Some(argv.get(i).expect("--trace-out PATH").clone());
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--nodes" => a.nodes = vec![parsed(&mut args, "--nodes", "replica count")],
+            "--size" => a.sizes = vec![parsed(&mut args, "--size", "byte count")],
+            "--seed" => a.seed = parsed(&mut args, "--seed", "number"),
+            "--metrics-out" => a.metrics_out = Some(value(&mut args, "--metrics-out", "path")),
+            "--trace-out" => a.trace_out = Some(value(&mut args, "--trace-out", "path")),
             "--full" => a.full = true,
             "--csv" => a.csv = true,
             "--help" | "-h" => {
@@ -81,7 +65,6 @@ fn parse() -> Args {
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
     a
 }
@@ -112,40 +95,31 @@ fn main() {
                     // tracing never perturbs scheduling).
                     let w = pts.last().map_or(1, |p| p.window);
                     let label = format!("{panel}_{}", system.name());
-                    let (p, m, stages) = if args.trace_out.is_some() {
-                        let (p, m, events, gauges) =
-                            run_broadcast_traced(system, n, size, w, args.seed, spec);
-                        let hist = spans::stage_hist(&spans::collect(&events));
-                        if let Some(base) = &args.trace_out {
-                            let path = record_path(base, &label);
-                            std::fs::write(&path, simnet::chrome_trace_json_full(&events, &gauges))
-                                .expect("write trace file");
-                            eprintln!(
-                                "wrote {path} ({} events, {} gauge samples)",
-                                events.len(),
-                                gauges.len()
-                            );
-                        }
+                    let obs = if args.trace_out.is_some() {
+                        Observe::traced()
+                    } else {
+                        Observe::default()
+                    };
+                    let r = Run::new(system, n, size, w, args.seed, spec).observe(obs);
+                    let out = run(&r);
+                    let stages = args.trace_out.as_ref().map(|base| {
+                        let path = record_path(base, &label);
+                        let doc = simnet::chrome_trace_json_full(&out.events, &out.gauges);
+                        std::fs::write(&path, doc).expect("write trace file");
+                        eprintln!(
+                            "wrote {path} ({} events, {} gauge samples)",
+                            out.events.len(),
+                            out.gauges.len()
+                        );
+                        let hist = spans::stage_hist(&spans::collect(&out.events));
                         if !args.csv {
                             print!("\n{}", hist.table(&label));
                         }
-                        (p, m, Some(hist))
-                    } else {
-                        let (p, m) = run_broadcast_metrics(system, n, size, w, args.seed, spec);
-                        (p, m, None)
-                    };
+                        hist
+                    });
                     if args.metrics_out.is_some() {
-                        records.push(run_record_json(
-                            &panel,
-                            system.name(),
-                            n,
-                            size,
-                            args.seed,
-                            spec,
-                            &p,
-                            &m,
-                            stages.as_ref(),
-                        ));
+                        let (p, m) = (&out.point, &out.metrics);
+                        records.push(run_record_json(&panel, &r, p, m, stages.as_ref()));
                     }
                 }
                 if args.csv {

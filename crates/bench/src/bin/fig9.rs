@@ -9,8 +9,9 @@
 //! ```
 
 use abcast::spans;
+use bench::cli::{parsed, value};
 use bench::{
-    record_path, write_metrics_file, ycsb_point_metrics, ycsb_point_traced, RunSpec, System,
+    record_path, run, run_record_json, write_metrics_file, Observe, Run, RunSpec, FIG9_SYSTEMS,
 };
 
 fn usage() {
@@ -26,23 +27,13 @@ fn main() {
     let mut seed = 42u64;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--full" => full = true,
-            "--seed" => {
-                i += 1;
-                seed = argv.get(i).expect("--seed N").parse().expect("--seed N");
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = Some(argv.get(i).expect("--metrics-out PATH").clone());
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(argv.get(i).expect("--trace-out PATH").clone());
-            }
+            "--seed" => seed = parsed(&mut args, "--seed", "number"),
+            "--metrics-out" => metrics_out = Some(value(&mut args, "--metrics-out", "path")),
+            "--trace-out" => trace_out = Some(value(&mut args, "--trace-out", "path")),
             "--help" | "-h" => {
                 usage();
                 std::process::exit(0);
@@ -53,9 +44,7 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
-    let systems = [System::Acuerdo, System::Etcd, System::Zookeeper];
     let mut records: Vec<String> = Vec::new();
     println!("Figure 9: YCSB-load throughput (ops/sec) vs node count");
     println!("paper shape: acuerdo ~10x zookeeper, ~50x etcd, log-scale axis\n");
@@ -65,7 +54,7 @@ fn main() {
     );
     for n in [3usize, 5, 7, 9] {
         let mut vals = Vec::new();
-        for s in systems {
+        for s in FIG9_SYSTEMS {
             let spec = if s.is_rdma() {
                 if full {
                     RunSpec::for_system(s)
@@ -81,45 +70,27 @@ fn main() {
                 }
             };
             let label = format!("{}_n{n}", s.name());
-            let (ops, metrics, stages) = if trace_out.is_some() {
-                let (ops, metrics, events) = ycsb_point_traced(s, n, seed, spec);
-                let hist = spans::stage_hist(&spans::collect(&events));
-                if let Some(base) = &trace_out {
-                    let path = record_path(base, &label);
-                    std::fs::write(&path, simnet::chrome_trace_json(&events))
-                        .expect("write trace file");
-                    eprintln!("wrote {path} ({} events)", events.len());
-                }
-                (ops, metrics, Some(hist))
+            let obs = if trace_out.is_some() {
+                Observe::traced()
             } else {
-                let (ops, metrics) = ycsb_point_metrics(s, n, seed, spec);
-                (ops, metrics, None)
+                Observe::default()
             };
+            let r = Run::ycsb(s, n, seed, spec)
+                .expect("a figure 9 system")
+                .observe(obs);
+            let out = run(&r);
+            let stages = trace_out.as_ref().map(|base| {
+                let path = record_path(base, &label);
+                let doc = simnet::chrome_trace_json_full(&out.events, &out.gauges);
+                std::fs::write(&path, doc).expect("write trace file");
+                eprintln!("wrote {path} ({} events)", out.events.len());
+                spans::stage_hist(&spans::collect(&out.events))
+            });
             if metrics_out.is_some() {
-                // ycsb points are ops/s of zero-payload commands; reuse the
-                // throughput field of the record for ops/s.
-                let point = bench::Point {
-                    window: if s == System::Etcd { 64 } else { 256 },
-                    mbps: 0.0,
-                    msgs_per_sec: ops,
-                    mean_us: 0.0,
-                    p50_us: 0.0,
-                    p99_us: 0.0,
-                    p999_us: 0.0,
-                };
-                records.push(bench::run_record_json(
-                    &label,
-                    s.name(),
-                    n,
-                    0,
-                    seed,
-                    spec,
-                    &point,
-                    &metrics,
-                    stages.as_ref(),
-                ));
+                let (p, m) = (&out.point, &out.metrics);
+                records.push(run_record_json(&label, &r, p, m, stages.as_ref()));
             }
-            vals.push(ops);
+            vals.push(out.point.msgs_per_sec);
         }
         let (ac, et, zk) = (vals[0], vals[1], vals[2]);
         println!(

@@ -9,7 +9,7 @@
 //! paper's axes) and `fig9.svg` (YCSB ops/s vs node count, log-y).
 
 use bench::plot::{line_chart, Scale, Series};
-use bench::{sweep, ycsb_point, RunSpec, System};
+use bench::{run, sweep, Run, RunSpec, System, FIG9_SYSTEMS};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -90,20 +90,19 @@ fn main() {
         },
     ];
     for n in [3usize, 5, 7, 9] {
-        for (i, sys) in [System::Acuerdo, System::Etcd, System::Zookeeper]
-            .iter()
-            .enumerate()
-        {
+        for (i, sys) in FIG9_SYSTEMS.into_iter().enumerate() {
             let spec = if sys.is_rdma() {
-                RunSpec::quick(*sys)
+                RunSpec::quick(sys)
             } else {
                 RunSpec {
                     warmup: Duration::from_millis(30),
                     measure: Duration::from_millis(if full { 1_500 } else { 400 }),
                 }
             };
-            let ops = ycsb_point(*sys, n, 42, spec);
-            series[i].points.push((n as f64, ops));
+            let r = Run::ycsb(sys, n, 42, spec).expect("a figure 9 system");
+            series[i]
+                .points
+                .push((n as f64, run(&r).point.msgs_per_sec));
         }
         eprintln!("fig9: {n} nodes done");
     }

@@ -5,7 +5,7 @@
 //! cargo run --release -p bench --bin related
 //! ```
 
-use bench::{run_broadcast, run_dare, RunSpec, System};
+use bench::{run, Run, RunSpec, System};
 
 fn usage() {
     eprintln!("usage: related   (no flags; prints the §5 lineage table)");
@@ -27,36 +27,20 @@ fn main() {
         "{:<16} {:>12} {:>14}   notes",
         "system", "lat_us(w=1)", "sat msg/s"
     );
-    let rows: Vec<(&str, bench::Point, bench::Point, &str)> = vec![
-        (
-            "dare",
-            run_dare(3, 10, 1, 42, spec),
-            run_dare(3, 10, 512, 42, spec),
-            "per-write completions; vote-once elections",
-        ),
-        (
-            "apus",
-            run_broadcast(System::Apus, 3, 10, 1, 42, spec),
-            run_broadcast(System::Apus, 3, 10, 512, 42, spec),
-            "batch acks; single pending batch",
-        ),
-        (
-            "derecho-leader",
-            run_broadcast(System::DerechoLeader, 3, 10, 1, 42, spec),
-            run_broadcast(System::DerechoLeader, 3, 10, 512, 42, spec),
-            "virtual synchrony; 2 writes/msg",
-        ),
-        (
-            "acuerdo",
-            run_broadcast(System::Acuerdo, 3, 10, 1, 42, spec),
-            run_broadcast(System::Acuerdo, 3, 10, 512, 42, spec),
-            "implicit cumulative acks; quorum speed",
-        ),
+    let rows = [
+        (System::Dare, "per-write completions; vote-once elections"),
+        (System::Apus, "batch acks; single pending batch"),
+        (System::DerechoLeader, "virtual synchrony; 2 writes/msg"),
+        (System::Acuerdo, "implicit cumulative acks; quorum speed"),
     ];
-    for (name, low, sat, note) in rows {
+    for (system, note) in rows {
+        let point = |window| run(&Run::new(system, 3, 10, window, 42, spec)).point;
         println!(
             "{:<16} {:>12.2} {:>14.0}   {}",
-            name, low.mean_us, sat.msgs_per_sec, note
+            system.name(),
+            point(1).mean_us,
+            point(512).msgs_per_sec,
+            note
         );
     }
     println!("\n(Mu is discussed in §5 but could not run on the paper's RoCE cluster either.)");

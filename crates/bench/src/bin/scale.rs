@@ -14,8 +14,9 @@
 //! Exit status: 0 on a written document, 2 on usage or I/O errors.
 
 use abcast::spans;
+use bench::cli::{parsed, value};
 use bench::scale::{run_scale, ScaleConfig};
-use bench::{record_path, run_broadcast_observed, run_record_json, Observe, RunSpec};
+use bench::{record_path, run, run_record_json, Observe, Run, RunSpec};
 use simnet::SchedKind;
 use std::process::exit;
 
@@ -49,26 +50,15 @@ fn main() {
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            exit(2);
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--full" => full = true,
-            "--out" => out_dir = need(&mut args, "--out"),
-            "--label" => label = Some(need(&mut args, "--label")),
-            "--seed" => {
-                seed = Some(need(&mut args, "--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed needs a number");
-                    exit(2);
-                }))
-            }
+            "--out" => out_dir = value(&mut args, "--out", "directory"),
+            "--label" => label = Some(value(&mut args, "--label", "name")),
+            "--seed" => seed = Some(parsed(&mut args, "--seed", "number")),
             "--sizes" => {
-                let raw = need(&mut args, "--sizes");
+                let raw = value(&mut args, "--sizes", "list of cluster sizes");
                 let parsed: Result<Vec<usize>, _> =
                     raw.split(',').map(|s| s.trim().parse()).collect();
                 match parsed {
@@ -80,22 +70,22 @@ fn main() {
                 }
             }
             "--sched" => {
-                let v = need(&mut args, "--sched");
+                let v = value(&mut args, "--sched", "scheduler kind");
                 sched = SchedKind::parse(&v).unwrap_or_else(|| {
                     eprintln!("--sched needs 'heap' or 'calendar', got '{v}'");
                     exit(2);
                 });
             }
             "--dissemination" => {
-                let v = need(&mut args, "--dissemination");
+                let v = value(&mut args, "--dissemination", "mode");
                 if !matches!(v.as_str(), "star" | "ring" | "both") {
                     eprintln!("--dissemination needs 'star', 'ring' or 'both', got '{v}'");
                     exit(2);
                 }
                 dissemination = v;
             }
-            "--metrics-out" => metrics_out = Some(need(&mut args, "--metrics-out")),
-            "--trace-out" => trace_out = Some(need(&mut args, "--trace-out")),
+            "--metrics-out" => metrics_out = Some(value(&mut args, "--metrics-out", "path")),
+            "--trace-out" => trace_out = Some(value(&mut args, "--trace-out", "path")),
             "--help" | "-h" => {
                 usage();
                 exit(0);
@@ -156,47 +146,31 @@ fn main() {
             for &n in &cfg.sizes {
                 let trace_this = trace_out.is_some() && Some(&n) == cfg.sizes.iter().min();
                 let label = format!("{}-n{}", system.name(), n);
-                let (p, m, events, gauges) = run_broadcast_observed(
-                    system,
-                    n,
-                    cfg.payload,
-                    cfg.window,
-                    cfg.seed,
-                    spec,
-                    Observe {
+                let r =
+                    Run::new(system, n, cfg.payload, cfg.window, cfg.seed, spec).observe(Observe {
                         traced: trace_this,
                         sample_every: Some(cfg.sample_every),
-                        cpu_scale: None,
                         scheduler: cfg.scheduler,
                         ..Observe::default()
-                    },
-                );
-                let stages = trace_this.then(|| spans::stage_hist(&spans::collect(&events)));
+                    });
+                let out = run(&r);
+                let stages = trace_this.then(|| spans::stage_hist(&spans::collect(&out.events)));
                 if trace_this {
                     let base = trace_out.as_deref().expect("trace_this implies trace_out");
                     let path = record_path(base, &label);
-                    std::fs::write(&path, simnet::chrome_trace_json_full(&events, &gauges))
-                        .unwrap_or_else(|e| {
-                            eprintln!("cannot write {path}: {e}");
-                            exit(2);
-                        });
+                    let doc = simnet::chrome_trace_json_full(&out.events, &out.gauges);
+                    std::fs::write(&path, doc).unwrap_or_else(|e| {
+                        eprintln!("cannot write {path}: {e}");
+                        exit(2);
+                    });
                     eprintln!(
                         "wrote {path} ({} events, {} gauge samples)",
-                        events.len(),
-                        gauges.len()
+                        out.events.len(),
+                        out.gauges.len()
                     );
                 }
-                records.push(run_record_json(
-                    &label,
-                    system.name(),
-                    n,
-                    cfg.payload,
-                    cfg.seed,
-                    spec,
-                    &p,
-                    &m,
-                    stages.as_ref(),
-                ));
+                let (p, m) = (&out.point, &out.metrics);
+                records.push(run_record_json(&label, &r, p, m, stages.as_ref()));
             }
         }
         if let Some(path) = &metrics_out {

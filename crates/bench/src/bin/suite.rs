@@ -12,6 +12,7 @@
 //!
 //! Exit status: 0 on a written document, 2 on usage or I/O errors.
 
+use bench::cli::{parsed, value};
 use bench::suite::{run_suite, SuiteConfig};
 use simnet::SchedKind;
 use std::process::exit;
@@ -39,28 +40,14 @@ fn main() {
     let mut label: Option<String> = None;
     let mut ring = false;
     let mut args = std::env::args().skip(1);
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            exit(2);
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => out_dir = need(&mut args, "--out"),
-            "--label" => label = Some(need(&mut args, "--label")),
-            "--seed" => {
-                cfg.seed = need(&mut args, "--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed needs a number");
-                    exit(2);
-                })
-            }
+            "--out" => out_dir = value(&mut args, "--out", "directory"),
+            "--label" => label = Some(value(&mut args, "--label", "name")),
+            "--seed" => cfg.seed = parsed(&mut args, "--seed", "number"),
             "--slow" => {
-                let v: f64 = need(&mut args, "--slow").parse().unwrap_or_else(|_| {
-                    eprintln!("--slow needs a scale factor");
-                    exit(2);
-                });
+                let v: f64 = parsed(&mut args, "--slow", "scale factor");
                 if !(v.is_finite() && v > 0.0) {
                     eprintln!("--slow needs a positive scale factor");
                     exit(2);
@@ -68,14 +55,14 @@ fn main() {
                 cfg.cpu_scale = Some(v);
             }
             "--sched" => {
-                let v = need(&mut args, "--sched");
+                let v = value(&mut args, "--sched", "scheduler kind");
                 cfg.scheduler = SchedKind::parse(&v).unwrap_or_else(|| {
                     eprintln!("--sched needs 'heap' or 'calendar', got '{v}'");
                     exit(2);
                 });
             }
             "--dissemination" => {
-                ring = match need(&mut args, "--dissemination").as_str() {
+                ring = match value(&mut args, "--dissemination", "mode").as_str() {
                     "star" => false,
                     "ring" => true,
                     other => {

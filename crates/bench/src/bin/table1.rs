@@ -11,10 +11,8 @@
 //! ```
 
 use abcast::spans;
-use bench::{
-    election_experiment_metrics, election_experiment_traced, long_latency_count, record_path,
-    write_metrics_file,
-};
+use bench::cli::{parsed, value};
+use bench::{election_experiment, long_latency_count, record_path, write_metrics_file};
 
 fn usage() {
     eprintln!(
@@ -25,30 +23,17 @@ fn usage() {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut elections = 8usize;
     let mut seed = 42u64;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--elections" => {
-                i += 1;
-                elections = argv[i].parse().expect("--elections N");
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv[i].parse().expect("--seed N");
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = Some(argv.get(i).expect("--metrics-out PATH").clone());
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(argv.get(i).expect("--trace-out PATH").clone());
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--elections" => elections = parsed(&mut args, "--elections", "number"),
+            "--seed" => seed = parsed(&mut args, "--seed", "number"),
+            "--metrics-out" => metrics_out = Some(value(&mut args, "--metrics-out", "path")),
+            "--trace-out" => trace_out = Some(value(&mut args, "--trace-out", "path")),
             "--help" | "-h" => {
                 usage();
                 std::process::exit(0);
@@ -59,7 +44,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
     let mut records: Vec<String> = Vec::new();
     let mut stage_tables: Vec<String> = Vec::new();
@@ -71,23 +55,20 @@ fn main() {
         "{:>7} {:>12} {:>10} {:>10} {:>10} {:>12}",
         "nodes", "long-latency", "elections", "mean_ms", "min_ms", "max_ms"
     );
+    let mut short = false;
     for n in [3usize, 5, 7, 9] {
-        let (st, metrics, stages) = if trace_out.is_some() {
-            let (st, metrics, events) = election_experiment_traced(n, elections, seed);
+        let out = election_experiment(n, elections, seed, trace_out.is_some());
+        let st = &out.stats;
+        let stages = trace_out.as_ref().map(|base| {
             let label = format!("n{n}");
-            let hist = spans::stage_hist(&spans::collect(&events));
-            if let Some(base) = &trace_out {
-                let path = record_path(base, &label);
-                std::fs::write(&path, simnet::chrome_trace_json(&events))
-                    .expect("write trace file");
-                eprintln!("wrote {path} ({} events)", events.len());
-            }
+            let path = record_path(base, &label);
+            std::fs::write(&path, simnet::chrome_trace_json(&out.events))
+                .expect("write trace file");
+            eprintln!("wrote {path} ({} events)", out.events.len());
+            let hist = spans::stage_hist(&spans::collect(&out.events));
             stage_tables.push(hist.table(&label));
-            (st, metrics, Some(hist))
-        } else {
-            let (st, metrics) = election_experiment_metrics(n, elections, seed);
-            (st, metrics, None)
-        };
+            hist
+        });
         println!(
             "{:>7} {:>12} {:>10} {:>10.2} {:>10.2} {:>12.2}",
             n,
@@ -97,21 +78,23 @@ fn main() {
             st.min_ms,
             st.max_ms
         );
+        if st.count < elections {
+            eprintln!(
+                "table1: {n} nodes: measured {} of {elections} elections",
+                st.count
+            );
+            short = true;
+        }
         if metrics_out.is_some() {
-            let stages_json = match &stages {
-                Some(h) => format!(",\"stages\":{}", h.to_json()),
-                None => String::new(),
-            };
-            records.push(format!(
-                "{{\"nodes\":{n},\"elections\":{},\"mean_ms\":{:.3},\"min_ms\":{:.3},\
-                 \"max_ms\":{:.3},\"metrics\":{}{}}}",
-                st.count,
-                st.mean_ms,
-                st.min_ms,
-                st.max_ms,
-                metrics.to_json(),
-                stages_json
-            ));
+            // Splice the counters (and stage anatomy) into the stats object.
+            let mut rec = st.to_json();
+            rec.pop();
+            rec.push_str(&format!(",\"metrics\":{}", out.metrics.to_json()));
+            if let Some(h) = &stages {
+                rec.push_str(&format!(",\"stages\":{}", h.to_json()));
+            }
+            rec.push('}');
+            records.push(rec);
         }
     }
     for t in &stage_tables {
@@ -120,5 +103,9 @@ fn main() {
     if let Some(path) = &metrics_out {
         write_metrics_file(path, "table1", seed, &records).expect("write metrics file");
         eprintln!("wrote {path} ({} records)", records.len());
+    }
+    if short {
+        // A mean over fewer elections than asked for is not the table's row.
+        std::process::exit(1);
     }
 }

@@ -106,17 +106,10 @@ fn main() {
     let mut file: Option<String> = None;
     let mut top = 8usize;
     let mut modes: Vec<DocMode> = Vec::new();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--top" => {
-                i += 1;
-                top = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--top needs a number");
-                    exit(2);
-                });
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--top" => top = bench::cli::parsed(&mut args, "--top", "number"),
             "--bottleneck" => modes.push(DocMode::Bottleneck),
             "--forensics" => modes.push(DocMode::Forensics),
             "--whatif" => modes.push(DocMode::Whatif),
@@ -136,7 +129,6 @@ fn main() {
                 }
             }
         }
-        i += 1;
     }
     let Some(file) = file else {
         eprintln!("{USAGE}");

@@ -14,6 +14,7 @@
 //!
 //! Exit status: 0 on a written document, 2 on usage or I/O errors.
 
+use bench::cli::{parsed, value};
 use bench::whatif::{run_whatif, WhatifConfig, CATALOG, WHATIF_SYSTEMS};
 use simnet::SchedKind;
 use std::process::exit;
@@ -47,25 +48,14 @@ fn main() {
     let mut interventions: Option<Vec<String>> = None;
     let mut ring = false;
     let mut args = std::env::args().skip(1);
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            exit(2);
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => out_dir = need(&mut args, "--out"),
-            "--label" => label = need(&mut args, "--label"),
-            "--seed" => {
-                seed = Some(need(&mut args, "--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed needs a number");
-                    exit(2);
-                }))
-            }
+            "--out" => out_dir = value(&mut args, "--out", "directory"),
+            "--label" => label = value(&mut args, "--label", "name"),
+            "--seed" => seed = Some(parsed(&mut args, "--seed", "number")),
             "--sched" => {
-                let v = need(&mut args, "--sched");
+                let v = value(&mut args, "--sched", "scheduler kind");
                 sched = Some(SchedKind::parse(&v).unwrap_or_else(|| {
                     eprintln!("--sched needs 'heap' or 'calendar', got '{v}'");
                     exit(2);
@@ -73,7 +63,7 @@ fn main() {
             }
             "--systems" => {
                 systems = Some(
-                    need(&mut args, "--systems")
+                    value(&mut args, "--systems", "list of systems")
                         .split(',')
                         .map(str::to_string)
                         .collect(),
@@ -81,7 +71,7 @@ fn main() {
             }
             "--sizes" => {
                 sizes = Some(
-                    need(&mut args, "--sizes")
+                    value(&mut args, "--sizes", "list of cluster sizes")
                         .split(',')
                         .map(|s| {
                             s.parse().unwrap_or_else(|_| {
@@ -94,14 +84,14 @@ fn main() {
             }
             "--interventions" => {
                 interventions = Some(
-                    need(&mut args, "--interventions")
+                    value(&mut args, "--interventions", "list of interventions")
                         .split(',')
                         .map(str::to_string)
                         .collect(),
                 )
             }
             "--dissemination" => {
-                ring = match need(&mut args, "--dissemination").as_str() {
+                ring = match value(&mut args, "--dissemination", "mode").as_str() {
                     "star" => false,
                     "ring" => true,
                     other => {

@@ -39,19 +39,18 @@
 //! echoes every knob the run was judged under, including the event-queue
 //! scheduler).
 
-use abcast::{DurabilityAuditor, MsgHdr, Violation, WindowClient};
-use acuerdo::{AcWire, AcuerdoConfig, DisseminationMode};
-use bytes::Bytes;
-use derecho::{DcWire, DerechoConfig, Mode};
-use paxos::{PaxosConfig, PaxosNode, PxWire};
-use raft::{RaftConfig, RaftNode, RfWire};
+use abcast::{cluster_with_client, histories, DurabilityAuditor, Replica, Violation, WindowClient};
+use acuerdo::{AcuerdoConfig, AcuerdoNode, DisseminationMode};
+use derecho::{DerechoConfig, DerechoNode, Mode};
+use paxos::{PaxosConfig, PaxosNode};
+use raft::{RaftConfig, RaftNode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simnet::{
     Counter, DurabilityMode, MetricsSnapshot, NodeId, SchedKind, Sim, SimTime, TraceEvent,
 };
 use std::time::Duration;
-use zab::{ZabConfig, ZabNode, ZkWire};
+use zab::{ZabConfig, ZabNode};
 
 /// Protocols the chaos harness can drive.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -638,90 +637,6 @@ impl ChaosReport {
     }
 }
 
-/// Run the script against an already-built cluster: advance to each fault
-/// time, fire it, then run out the quiescent tail. Returns the pre-fault
-/// commit point, the final live histories, and the durability verdict.
-///
-/// A [`DurabilityAuditor`] rides along: its committed high-water mark is
-/// ratcheted from the live histories right before each fault fires, and the
-/// horizon observation judges whether every committed entry resurfaced.
-/// Mid-run observations never judge — a replica that just rebooted is live
-/// with an empty delivery log and only re-delivers as recovery proceeds, so
-/// a shortfall between a restart and the tail is expected in-flight state.
-type Histories = Vec<Vec<(MsgHdr, Bytes)>>;
-
-fn drive<M: 'static>(
-    sim: &mut Sim<M>,
-    schedule: &Schedule,
-    histories: impl Fn(&Sim<M>) -> Histories,
-) -> (usize, Histories, Option<Violation>) {
-    let mut auditor = DurabilityAuditor::new();
-    sim.run_until(schedule.first_fault_at());
-    let pre = histories(sim).iter().map(Vec::len).max().unwrap_or(0);
-    for tf in &schedule.faults {
-        if tf.at > sim.now() {
-            sim.run_until(tf.at);
-        }
-        let _ = auditor.observe(&histories(sim));
-        apply(sim, schedule.n, tf);
-    }
-    sim.run_until(schedule.horizon);
-    let hs = histories(sim);
-    let durability = auditor.observe(&hs).err();
-    if durability.is_some() {
-        // Book the loss in the run's own metrics so `trace-report` and the
-        // JSON sidecar surface it alongside the protocol counters.
-        sim.bump_counter(0, Counter::AuditCommitLost, 1);
-    }
-    (pre, hs, durability)
-}
-
-fn report(
-    opts: &ChaosOpts,
-    schedule: Schedule,
-    pre: usize,
-    hs: Vec<Vec<(MsgHdr, Bytes)>>,
-    durability_violation: Option<Violation>,
-    metrics: MetricsSnapshot,
-) -> ChaosReport {
-    let safety = abcast::check_histories(&hs, None).err();
-    let final_min = hs.iter().map(Vec::len).min().unwrap_or(0);
-    let final_max = hs.iter().map(Vec::len).max().unwrap_or(0);
-    ChaosReport {
-        proto: opts.proto,
-        seed: schedule.seed,
-        tier: opts.tier,
-        durability: opts.durability,
-        sched: opts.sched,
-        dissemination: opts.dissemination,
-        pre_fault_commits: pre,
-        final_min,
-        final_max,
-        live_nodes: hs.len(),
-        safety,
-        durability_violation,
-        converged: !hs.is_empty() && final_min >= pre,
-        schedule,
-        metrics,
-    }
-}
-
-/// Extract live delivery histories for a baseline node type.
-macro_rules! live_histories {
-    ($sim:expr, $ids:expr, $node:ty) => {
-        $ids.iter()
-            .filter(|&&id| !$sim.is_crashed(id))
-            .map(|&id| {
-                $sim.node::<$node>(id)
-                    .delivery_log()
-                    .expect("DeliveryLog app")
-                    .entries
-                    .clone()
-            })
-            .collect::<Vec<_>>()
-    };
-}
-
 /// Replica count every chaos cluster uses (f = 2: room for a crash *and* a
 /// minority partition in one script).
 pub const CHAOS_N: usize = 5;
@@ -785,105 +700,135 @@ impl ChaosOpts {
     }
 }
 
-/// Run one seeded chaos script against `proto` and judge it.
+/// What one [`run_chaos`] produced.
+#[derive(Clone, Debug)]
+pub struct ChaosRun {
+    /// The judged outcome.
+    pub report: ChaosReport,
+    /// The full fault timeline (empty unless [`ChaosOpts::traced`]).
+    /// Tracing only toggles recording, so the report is bit-identical to
+    /// the untraced run at the same seed.
+    pub trace: Vec<TraceEvent>,
+    /// The flight recorder's contents — the always-on bounded ring of
+    /// last-N events per node — so a failing seed can be dumped to
+    /// `flightrec-<seed>.json` without re-running traced.
+    pub flight: Vec<TraceEvent>,
+}
+
+/// A protocol's `enable_restarts`.
+type Restarts<R> = fn(&mut Sim<<R as Replica>::Wire>, &<R as Replica>::Config, &[NodeId]);
+
+/// The one chaos body: build `R`'s cluster, arm the client's retransmit
+/// timer (and, where replicas reboot, its broadcast fallback), replay the
+/// script, run out the quiescent tail, and judge.
+///
+/// A [`DurabilityAuditor`] rides along: its committed high-water mark is
+/// ratcheted from the live histories right before each fault fires, and the
+/// horizon observation judges whether every committed entry resurfaced.
+/// Mid-run observations never judge — a replica that just rebooted is live
+/// with an empty delivery log and only re-delivers as recovery proceeds, so
+/// a shortfall between a restart and the tail is expected in-flight state.
+fn drive<R: Replica>(
+    opts: &ChaosOpts,
+    cfg: &R::Config,
+    rto: Duration,
+    restarts: Option<Restarts<R>>,
+) -> ChaosRun {
+    let schedule = match opts.tier {
+        Tier::Basic => {
+            Schedule::generate(opts.seed, opts.n, opts.horizon, opts.proto.restartable())
+        }
+        Tier::Correlated => Schedule::generate_correlated(opts.seed, opts.n, opts.horizon),
+    };
+    let warmup = Duration::from_micros(100);
+    let (mut sim, ids, client) = cluster_with_client::<R>(opts.seed, cfg, WINDOW, PAYLOAD, warmup);
+    sim.set_scheduler(opts.sched);
+    sim.set_tracing(opts.traced);
+    let c = sim.node_mut::<WindowClient<R::Wire>>(client);
+    c.retransmit = Some(rto);
+    if let Some(enable) = restarts {
+        // A rebooted cluster's leadership may have moved: let the client
+        // fall back to broadcasting.
+        c.replicas = ids.clone();
+        enable(&mut sim, cfg, &ids);
+    }
+
+    let mut auditor = DurabilityAuditor::new();
+    sim.run_until(schedule.first_fault_at());
+    let pre = histories::<R>(&sim, &ids)
+        .iter()
+        .map(Vec::len)
+        .max()
+        .unwrap_or(0);
+    for tf in &schedule.faults {
+        if tf.at > sim.now() {
+            sim.run_until(tf.at);
+        }
+        let _ = auditor.observe(&histories::<R>(&sim, &ids));
+        apply(&mut sim, schedule.n, tf);
+    }
+    sim.run_until(schedule.horizon);
+    let hs = histories::<R>(&sim, &ids);
+    let durability_violation = auditor.observe(&hs).err();
+    if durability_violation.is_some() {
+        // Book the loss in the run's own metrics so `trace-report` and the
+        // JSON sidecar surface it alongside the protocol counters.
+        sim.bump_counter(0, Counter::AuditCommitLost, 1);
+    }
+
+    let final_min = hs.iter().map(Vec::len).min().unwrap_or(0);
+    let report = ChaosReport {
+        proto: opts.proto,
+        seed: opts.seed,
+        tier: opts.tier,
+        durability: opts.durability,
+        sched: opts.sched,
+        dissemination: opts.dissemination,
+        pre_fault_commits: pre,
+        final_min,
+        final_max: hs.iter().map(Vec::len).max().unwrap_or(0),
+        live_nodes: hs.len(),
+        safety: abcast::check_histories(&hs, None).err(),
+        durability_violation,
+        converged: !hs.is_empty() && final_min >= pre,
+        schedule,
+        metrics: sim.metrics(),
+    };
+    ChaosRun {
+        report,
+        flight: sim.flight_events(),
+        trace: sim.take_trace(),
+    }
+}
+
+/// Run one seeded chaos script and judge it.
 ///
 /// The Acuerdo cluster retains its log and registers restart factories so
 /// rebooted replicas rejoin through the recovery-diff path; its client
 /// retransmits and falls back to broadcasting when the leader dies.
 /// Baselines run their stock configuration (preset leader, no restarts) —
 /// crashed replicas stay down and the run may stall safely.
-pub fn run_chaos(proto: Proto, seed: u64, horizon: SimTime) -> ChaosReport {
-    run_chaos_full(proto, seed, horizon, false).0
-}
-
-/// Like [`run_chaos`] but with event recording on, returning the full fault
-/// timeline (for `--trace-out`). Tracing only toggles recording, so the
-/// report is bit-identical to the untraced run at the same seed.
-pub fn run_chaos_traced(
-    proto: Proto,
-    seed: u64,
-    horizon: SimTime,
-) -> (ChaosReport, Vec<TraceEvent>) {
-    let (rep, trace, _) = run_chaos_full(proto, seed, horizon, true);
-    (rep, trace)
-}
-
-/// Like [`run_chaos`] but also returning the flight recorder's contents —
-/// the always-on bounded ring of last-N events per node — so a failing seed
-/// can be dumped to `flightrec-<seed>.json` without re-running traced.
-pub fn run_chaos_recorded(
-    proto: Proto,
-    seed: u64,
-    horizon: SimTime,
-) -> (ChaosReport, Vec<TraceEvent>) {
-    let (rep, _, flight) = run_chaos_full(proto, seed, horizon, false);
-    (rep, flight)
-}
-
-/// Like [`run_chaos`] but at an explicit cluster size instead of
-/// [`CHAOS_N`] — the chaos-at-scale smoke tests drive 16- and 32-replica
-/// clusters through the same fault scripts ([`Schedule::generate`] already
-/// scales its crash budget to a minority of `n`).
-pub fn run_chaos_at(proto: Proto, seed: u64, horizon: SimTime, n: usize) -> ChaosReport {
-    run_chaos_full_at(proto, seed, horizon, false, n).0
-}
-
-/// The full-fat runner: report, trace timeline (empty unless `traced`), and
-/// the flight recorder's last-N-per-node ring contents.
-pub fn run_chaos_full(
-    proto: Proto,
-    seed: u64,
-    horizon: SimTime,
-    traced: bool,
-) -> (ChaosReport, Vec<TraceEvent>, Vec<TraceEvent>) {
-    run_chaos_full_at(proto, seed, horizon, traced, CHAOS_N)
-}
-
-/// [`run_chaos_full`] at an explicit cluster size.
-pub fn run_chaos_full_at(
-    proto: Proto,
-    seed: u64,
-    horizon: SimTime,
-    traced: bool,
-    n: usize,
-) -> (ChaosReport, Vec<TraceEvent>, Vec<TraceEvent>) {
-    run_chaos_opts(&ChaosOpts {
-        n,
-        traced,
-        ..ChaosOpts::new(proto, seed, horizon)
-    })
-}
-
-/// The fully-parameterised runner every other entry point delegates to.
 ///
 /// The correlated tier requires a [`Proto::correlated_capable`] protocol —
 /// every correlated scenario reboots replicas, and the tier exists to
 /// exercise recovery-from-log (panics otherwise). Under it, Raft and Zab
 /// also get restart factories and their clients the broadcast fallback, so
 /// a rebooted cluster whose leadership moved can still make progress.
-pub fn run_chaos_opts(opts: &ChaosOpts) -> (ChaosReport, Vec<TraceEvent>, Vec<TraceEvent>) {
-    let ChaosOpts {
+pub fn run_chaos(opts: &ChaosOpts) -> ChaosRun {
+    let &ChaosOpts {
         proto,
-        seed,
-        horizon,
         n,
-        tier,
         durability,
-        sched,
         dissemination,
-        traced,
-    } = *opts;
-    let correlated = tier == Tier::Correlated;
+        ..
+    } = opts;
+    let correlated = opts.tier == Tier::Correlated;
     assert!(
         !correlated || proto.correlated_capable(),
         "the correlated tier needs a restart factory and a durable-log mode; {} has neither",
         proto.name()
     );
-    let schedule = match tier {
-        Tier::Basic => Schedule::generate(seed, n, horizon, proto.restartable()),
-        Tier::Correlated => Schedule::generate_correlated(seed, n, horizon),
-    };
-    let warmup = Duration::from_micros(100);
+    let ms = Duration::from_millis;
     match proto {
         Proto::Acuerdo => {
             let cfg = AcuerdoConfig {
@@ -892,18 +837,7 @@ pub fn run_chaos_opts(opts: &ChaosOpts) -> (ChaosReport, Vec<TraceEvent>, Vec<Tr
                 dissemination,
                 ..AcuerdoConfig::stable(n)
             };
-            let (mut sim, ids, client) =
-                acuerdo::cluster_with_client(seed, &cfg, WINDOW, PAYLOAD, warmup);
-            sim.set_scheduler(sched);
-            sim.set_tracing(traced);
-            acuerdo::enable_restarts(&mut sim, &cfg, &ids);
-            let c = sim.node_mut::<WindowClient<AcWire>>(client);
-            c.retransmit = Some(Duration::from_millis(1));
-            c.replicas = ids.clone();
-            let (pre, hs, lost) = drive(&mut sim, &schedule, |s| acuerdo::histories(s, &ids));
-            let rep = report(opts, schedule, pre, hs, lost, sim.metrics());
-            let flight = sim.flight_events();
-            (rep, sim.take_trace(), flight)
+            drive::<AcuerdoNode>(opts, &cfg, ms(1), Some(acuerdo::enable_restarts))
         }
         Proto::Raft => {
             let cfg = RaftConfig {
@@ -911,22 +845,12 @@ pub fn run_chaos_opts(opts: &ChaosOpts) -> (ChaosReport, Vec<TraceEvent>, Vec<Tr
                 durability,
                 ..RaftConfig::default()
             };
-            let (mut sim, ids, client) =
-                raft::cluster_with_client(seed, &cfg, WINDOW, PAYLOAD, warmup);
-            sim.set_scheduler(sched);
-            sim.set_tracing(traced);
-            if correlated {
-                raft::enable_restarts(&mut sim, &cfg, &ids);
-            }
-            let c = sim.node_mut::<WindowClient<RfWire>>(client);
-            c.retransmit = Some(Duration::from_millis(2));
-            if correlated {
-                c.replicas = ids.clone();
-            }
-            let (pre, hs, lost) = drive(&mut sim, &schedule, |s| live_histories!(s, ids, RaftNode));
-            let rep = report(opts, schedule, pre, hs, lost, sim.metrics());
-            let flight = sim.flight_events();
-            (rep, sim.take_trace(), flight)
+            drive::<RaftNode>(
+                opts,
+                &cfg,
+                ms(2),
+                correlated.then_some(raft::enable_restarts),
+            )
         }
         Proto::Zab => {
             let cfg = ZabConfig {
@@ -934,57 +858,26 @@ pub fn run_chaos_opts(opts: &ChaosOpts) -> (ChaosReport, Vec<TraceEvent>, Vec<Tr
                 durability,
                 ..ZabConfig::default()
             };
-            let (mut sim, ids, client) =
-                zab::cluster_with_client(seed, &cfg, WINDOW, PAYLOAD, warmup);
-            sim.set_scheduler(sched);
-            sim.set_tracing(traced);
-            if correlated {
-                zab::enable_restarts(&mut sim, &cfg, &ids);
-            }
-            let c = sim.node_mut::<WindowClient<ZkWire>>(client);
-            c.retransmit = Some(Duration::from_millis(2));
-            if correlated {
-                c.replicas = ids.clone();
-            }
-            let (pre, hs, lost) = drive(&mut sim, &schedule, |s| live_histories!(s, ids, ZabNode));
-            let rep = report(opts, schedule, pre, hs, lost, sim.metrics());
-            let flight = sim.flight_events();
-            (rep, sim.take_trace(), flight)
+            drive::<ZabNode>(
+                opts,
+                &cfg,
+                ms(2),
+                correlated.then_some(zab::enable_restarts),
+            )
         }
         Proto::Paxos => {
             let cfg = PaxosConfig {
                 n,
                 ..PaxosConfig::default()
             };
-            let (mut sim, ids, client) =
-                paxos::cluster_with_client(seed, &cfg, WINDOW, PAYLOAD, warmup);
-            sim.set_scheduler(sched);
-            sim.set_tracing(traced);
-            sim.node_mut::<WindowClient<PxWire>>(client).retransmit =
-                Some(Duration::from_millis(2));
-            let (pre, hs, lost) =
-                drive(&mut sim, &schedule, |s| live_histories!(s, ids, PaxosNode));
-            let rep = report(opts, schedule, pre, hs, lost, sim.metrics());
-            let flight = sim.flight_events();
-            (rep, sim.take_trace(), flight)
+            drive::<PaxosNode>(opts, &cfg, ms(2), None)
         }
+        // `sized` keeps the n=5 chaos geometry bit-identical (1MiB rings
+        // below 17 members) while bounding registered memory for the
+        // chaos-at-scale smoke sizes. Evicted members are outside the
+        // virtual-synchrony contract, so their histories are not judged.
         Proto::Derecho => {
-            // `sized` keeps the n=5 chaos geometry bit-identical (1MiB rings
-            // below 17 members) while bounding registered memory for the
-            // chaos-at-scale smoke sizes.
-            let cfg = DerechoConfig::sized(n, Mode::Leader);
-            let (mut sim, ids, client) =
-                derecho::cluster_with_client(seed, &cfg, WINDOW, PAYLOAD, warmup);
-            sim.set_scheduler(sched);
-            sim.set_tracing(traced);
-            sim.node_mut::<WindowClient<DcWire>>(client).retransmit =
-                Some(Duration::from_millis(2));
-            // Derecho's own histories() additionally excludes evicted
-            // members — they are outside the virtual-synchrony contract.
-            let (pre, hs, lost) = drive(&mut sim, &schedule, |s| derecho::histories(s, &ids));
-            let rep = report(opts, schedule, pre, hs, lost, sim.metrics());
-            let flight = sim.flight_events();
-            (rep, sim.take_trace(), flight)
+            drive::<DerechoNode>(opts, &DerechoConfig::sized(n, Mode::Leader), ms(2), None)
         }
     }
 }
@@ -1028,7 +921,12 @@ mod tests {
     #[test]
     fn acuerdo_survives_a_smoke_batch() {
         for seed in 1..=5 {
-            let r = run_chaos(Proto::Acuerdo, seed, SimTime::from_millis(50));
+            let r = run_chaos(&ChaosOpts::new(
+                Proto::Acuerdo,
+                seed,
+                SimTime::from_millis(50),
+            ))
+            .report;
             assert!(r.safety.is_none(), "seed {seed}: {:?}", r.safety);
             assert!(
                 r.converged,
@@ -1042,7 +940,7 @@ mod tests {
     fn baselines_stay_safe_under_chaos() {
         for proto in [Proto::Raft, Proto::Derecho] {
             for seed in 1..=3 {
-                let r = run_chaos(proto, seed, SimTime::from_millis(50));
+                let r = run_chaos(&ChaosOpts::new(proto, seed, SimTime::from_millis(50))).report;
                 assert!(
                     r.safety.is_none(),
                     "{} seed {seed}: {:?}",
@@ -1055,7 +953,7 @@ mod tests {
 
     #[test]
     fn report_json_is_well_formed_enough() {
-        let r = run_chaos(Proto::Acuerdo, 3, SimTime::from_millis(30));
+        let r = run_chaos(&ChaosOpts::new(Proto::Acuerdo, 3, SimTime::from_millis(30))).report;
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"proto\":\"acuerdo\""));
@@ -1130,7 +1028,7 @@ mod tests {
         for seed in 0..6u64 {
             let opts =
                 ChaosOpts::correlated_durable(Proto::Acuerdo, seed, SimTime::from_millis(50));
-            let (r, _, _) = run_chaos_opts(&opts);
+            let r = run_chaos(&opts).report;
             assert!(r.safety.is_none(), "seed {seed}: {:?}", r.safety);
             assert!(
                 r.durability_violation.is_none(),
@@ -1156,7 +1054,7 @@ mod tests {
             tier: Tier::Correlated,
             ..ChaosOpts::new(Proto::Acuerdo, 3, SimTime::from_millis(50))
         };
-        let (rv, _, _) = run_chaos_opts(&volatile);
+        let rv = run_chaos(&volatile).report;
         assert!(rv.pre_fault_commits > 0, "nothing committed pre-fault");
         assert!(
             matches!(
@@ -1168,12 +1066,13 @@ mod tests {
         );
         assert!(!rv.fatal(), "volatile loss is recorded, not judged");
         assert!(rv.metrics.total(Counter::AuditCommitLost) > 0);
+        assert!(crate::audit_fired(&rv.metrics), "audit_fired missed it");
 
         let durable = ChaosOpts {
             durability: DurabilityMode::Durable,
             ..volatile
         };
-        let (rd, _, _) = run_chaos_opts(&durable);
+        let rd = run_chaos(&durable).report;
         assert!(rd.safety.is_none(), "{:?}", rd.safety);
         assert!(
             rd.durability_violation.is_none(),
@@ -1188,7 +1087,7 @@ mod tests {
             sched: SchedKind::Heap,
             ..ChaosOpts::correlated_durable(Proto::Raft, 7, SimTime::from_millis(600))
         };
-        let (r, _, _) = run_chaos_opts(&opts);
+        let r = run_chaos(&opts).report;
         let repro = r.repro();
         assert!(repro.contains("--proto raft"), "{repro}");
         assert!(repro.contains("--seed 7"), "{repro}");
@@ -1196,7 +1095,9 @@ mod tests {
         assert!(repro.contains("--tier correlated"), "{repro}");
         assert!(repro.contains("--durability durable"), "{repro}");
         // And the basic volatile default stays terse apart from --sched.
-        let basic = run_chaos(Proto::Acuerdo, 1, SimTime::from_millis(30)).repro();
+        let basic = run_chaos(&ChaosOpts::new(Proto::Acuerdo, 1, SimTime::from_millis(30)))
+            .report
+            .repro();
         assert!(basic.contains("--sched calendar"), "{basic}");
         assert!(!basic.contains("--tier"), "{basic}");
         assert!(!basic.contains("--durability"), "{basic}");

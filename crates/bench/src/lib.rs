@@ -1,21 +1,27 @@
 //! # bench — harness regenerating every table and figure of the paper
 //!
-//! One runner per experiment:
+//! One entry point per experiment family, each taking its observability
+//! settings as data and returning one record:
 //!
-//! * [`run_broadcast`] / [`sweep`] — Figure 8 (a–d): latency vs throughput
-//!   under a swept client window for all seven systems;
+//! * [`run`] / [`sweep`] — Figure 8 (a–d): latency vs throughput under a
+//!   swept client window for all seven systems; with [`Run::ycsb`],
+//!   Figure 9: YCSB-load ops/s on the replicated hash table for acuerdo /
+//!   zookeeper / etcd;
 //! * [`election_experiment`] — Table 1: mean Acuerdo election duration
 //!   (detection → new leader's diffs transferred) vs replica count, with
 //!   "long-latency" nodes injected as §4.2 describes;
-//! * [`ycsb_point`] — Figure 9: YCSB-load ops/s on the replicated hash table
-//!   for acuerdo / zookeeper / etcd;
 //! * [`ablation_point`] — the design-choice ablations DESIGN.md calls out
-//!   (ring framing, slot-reuse rule, ack granularity, signaling period).
+//!   (ring framing, slot-reuse rule, ack granularity, signaling period);
+//! * [`chaos::run_chaos`] — seeded fault scripts.
+//!
+//! The drivers behind them are generic over [`abcast::Replica`]: a system
+//! is one `impl Replica` in its crate plus one [`System`] arm here.
 //!
 //! Binaries `fig8`, `table1`, `fig9`, `ablations` print the paper's
 //! rows/series; Criterion benches run scaled-down smoke points.
 
 pub mod chaos;
+pub mod cli;
 pub mod diff;
 pub mod forensics;
 pub mod json;
@@ -26,22 +32,27 @@ pub mod suite;
 pub mod util;
 pub mod whatif;
 
-use abcast::{RunResult, StageHist, WindowClient};
+use abcast::app::app_as;
+use abcast::{
+    check_cluster, cluster_with_client, App, DeliveryLog, MsgHdr, Replica, RunResult, StageHist,
+    WindowClient,
+};
 use acuerdo::{AcWire, AcuerdoConfig, AcuerdoNode, DisseminationMode};
-use apus::{ApWire, ApusConfig};
-use dare::{DareConfig, DareWire};
-use derecho::{DcWire, DerechoConfig, Mode};
+use apus::{ApusConfig, ApusNode};
+use bytes::Bytes;
+use dare::{DareConfig, DareNode};
+use derecho::{DerechoConfig, DerechoNode, Mode};
 use kvstore::{ReplicatedMap, YcsbLoad};
-use paxos::{PaxosConfig, PxWire};
-use raft::{RaftConfig, RaftNode, RfWire};
+use paxos::{PaxosConfig, PaxosNode};
+use raft::{RaftConfig, RaftNode};
 use simnet::{
-    GaugeSample, InterventionSet, MetricsSnapshot, NetParams, SchedKind, Sim, SimTime, TraceEvent,
+    EngineStats, GaugeSample, InterventionSet, MetricsSnapshot, SchedKind, Sim, SimTime, TraceEvent,
 };
 use std::time::Duration;
-use zab::{ZabConfig, ZabNode, ZkWire};
+use zab::{ZabConfig, ZabNode};
 
-/// The seven systems of Figure 8, plus the ring-dissemination variant of
-/// Acuerdo (ROADMAP item 3; not part of the paper's figure legend).
+/// The seven systems of Figure 8, plus two that sit outside the paper's
+/// figure legend: the ring-dissemination variant of Acuerdo and DARE.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum System {
     /// The paper's contribution.
@@ -62,13 +73,17 @@ pub enum System {
     Zookeeper,
     /// etcd (Raft) over TCP.
     Etcd,
+    /// DARE (related work, §5 — useful for the qualitative comparison the
+    /// paper makes: fine-grained completions put DARE below APUS, which sits
+    /// below Acuerdo).
+    Dare,
 }
 
 impl System {
     /// The seven systems of the paper's figure legend, in legend order.
-    /// `AcuerdoRing` is deliberately absent: it is a post-paper variant and
-    /// appears only where a matrix asks for it (the scale study and the
-    /// `--dissemination ring` bench flags).
+    /// `AcuerdoRing` and `Dare` are deliberately absent: they appear only
+    /// where a matrix asks for them (the scale study, the `--dissemination
+    /// ring` bench flags, the `related` bin).
     pub fn all() -> [System; 7] {
         [
             System::Acuerdo,
@@ -92,6 +107,7 @@ impl System {
             System::Libpaxos => "libpaxos",
             System::Zookeeper => "zookeeper",
             System::Etcd => "etcd",
+            System::Dare => "dare",
         }
     }
 
@@ -104,12 +120,13 @@ impl System {
                 | System::DerechoLeader
                 | System::DerechoAll
                 | System::Apus
+                | System::Dare
         )
     }
 }
 
 /// One measured point of Figure 8.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Point {
     /// Client window (outstanding messages).
     pub window: usize,
@@ -183,10 +200,6 @@ impl RunSpec {
     }
 }
 
-fn finish<M: 'static>(sim: &mut Sim<M>, spec: RunSpec) {
-    sim.run_until(SimTime::ZERO + spec.warmup + spec.measure);
-}
-
 /// Observability settings for a benchmark run. Tracing and gauge sampling
 /// are zero-perturbation: whatever combination is enabled, the measured
 /// point and counters are bit-identical to a bare run at the same seed.
@@ -212,7 +225,21 @@ pub struct Observe {
     pub interventions: InterventionSet,
 }
 
+/// Gauge-series sampling cadence used by every traced surface (`--trace-out`
+/// bins and the `suite` matrix): one sample per node per 100 µs of sim time.
+pub const SAMPLE_EVERY: std::time::Duration = std::time::Duration::from_micros(100);
+
 impl Observe {
+    /// Event recording and gauge sampling on, for `--trace-out` (exported
+    /// together via `chrome_trace_json_full`).
+    pub fn traced() -> Observe {
+        Observe {
+            traced: true,
+            sample_every: Some(SAMPLE_EVERY),
+            ..Observe::default()
+        }
+    }
+
     fn apply<M: 'static>(&self, sim: &mut Sim<M>) {
         sim.set_scheduler(self.scheduler);
         sim.set_tracing(self.traced);
@@ -226,200 +253,252 @@ impl Observe {
     }
 }
 
-/// Run one Figure 8 point: `system` on `n` replicas, fixed `payload` bytes,
-/// closed-loop `window`.
-pub fn run_broadcast(
-    system: System,
-    n: usize,
-    payload: usize,
-    window: usize,
-    seed: u64,
-    spec: RunSpec,
-) -> Point {
-    run_broadcast_metrics(system, n, payload, window, seed, spec).0
+/// What the client broadcasts.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Workload {
+    /// Filler messages of a fixed size (Figure 8).
+    Fixed {
+        /// Payload bytes per message.
+        payload: usize,
+    },
+    /// YCSB-load update commands, applied to every replica's copy of the
+    /// replicated hash table (Figure 9).
+    Ycsb,
 }
 
-/// Like [`run_broadcast`] but also returns the cluster-wide counter snapshot
-/// (for `--metrics-out` sidecars). Counters are always on, so this costs
-/// nothing beyond the copy.
-pub fn run_broadcast_metrics(
-    system: System,
-    n: usize,
-    payload: usize,
-    window: usize,
-    seed: u64,
-    spec: RunSpec,
-) -> (Point, MetricsSnapshot) {
-    let (p, m, _, _) =
-        run_broadcast_run(system, n, payload, window, seed, spec, Observe::default());
-    (p, m)
-}
-
-/// Gauge-series sampling cadence used by every traced surface (`--trace-out`
-/// bins and the `suite` matrix): one sample per node per 100 µs of sim time.
-pub const SAMPLE_EVERY: std::time::Duration = std::time::Duration::from_micros(100);
-
-/// Like [`run_broadcast_metrics`] but with event recording and gauge
-/// sampling on, returning the full timeline and gauge series (for
-/// `--trace-out`, exported together via `chrome_trace_json_full`).
-/// Observability only toggles recording, never scheduling, so the point and
-/// counters are bit-identical to the untraced run at the same seed.
-pub fn run_broadcast_traced(
-    system: System,
-    n: usize,
-    payload: usize,
-    window: usize,
-    seed: u64,
-    spec: RunSpec,
-) -> (Point, MetricsSnapshot, Vec<TraceEvent>, Vec<GaugeSample>) {
-    run_broadcast_run(
-        system,
-        n,
-        payload,
-        window,
-        seed,
-        spec,
-        Observe {
-            traced: true,
-            sample_every: Some(SAMPLE_EVERY),
-            ..Observe::default()
-        },
-    )
-}
-
-/// Like [`run_broadcast_traced`] but with full observability control:
-/// tracing, gauge-series sampling, and an injected leader CPU slowdown.
-/// Also returns the sampled gauge series.
-pub fn run_broadcast_observed(
-    system: System,
-    n: usize,
-    payload: usize,
-    window: usize,
-    seed: u64,
-    spec: RunSpec,
-    obs: Observe,
-) -> (Point, MetricsSnapshot, Vec<TraceEvent>, Vec<GaugeSample>) {
-    run_broadcast_run(system, n, payload, window, seed, spec, obs)
-}
-
-fn run_broadcast_run(
-    system: System,
-    n: usize,
-    payload: usize,
-    window: usize,
-    seed: u64,
-    spec: RunSpec,
-    obs: Observe,
-) -> (Point, MetricsSnapshot, Vec<TraceEvent>, Vec<GaugeSample>) {
-    match system {
-        System::Acuerdo | System::AcuerdoRing => {
-            let cfg = AcuerdoConfig {
-                dissemination: if system == System::AcuerdoRing {
-                    DisseminationMode::Ring
-                } else {
-                    DisseminationMode::Star
-                },
-                ..AcuerdoConfig::stable(n)
-            };
-            let (mut sim, ids, client) =
-                acuerdo::cluster_with_client(seed, &cfg, window, payload, spec.warmup);
-            obs.apply(&mut sim);
-            finish(&mut sim, spec);
-            acuerdo::check_cluster(&sim, &ids).expect("acuerdo correctness");
-            let p = Point::from_result(window, &sim.node::<WindowClient<AcWire>>(client).result());
-            let m = sim.metrics();
-            (p, m, sim.take_trace(), sim.take_gauge_samples())
-        }
-        System::DerechoLeader | System::DerechoAll => {
-            let cfg = DerechoConfig::sized(
-                n,
-                if system == System::DerechoLeader {
-                    Mode::Leader
-                } else {
-                    Mode::AllSender
-                },
-            );
-            let (mut sim, ids, client) =
-                derecho::cluster_with_client(seed, &cfg, window, payload, spec.warmup);
-            obs.apply(&mut sim);
-            finish(&mut sim, spec);
-            derecho::check_cluster(&sim, &ids).expect("derecho correctness");
-            let p = Point::from_result(window, &sim.node::<WindowClient<DcWire>>(client).result());
-            let m = sim.metrics();
-            (p, m, sim.take_trace(), sim.take_gauge_samples())
-        }
-        System::Apus => {
-            let cfg = ApusConfig {
-                n,
-                ..ApusConfig::default()
-            };
-            let (mut sim, ids, client) =
-                apus::cluster_with_client(seed, &cfg, window, payload, spec.warmup);
-            obs.apply(&mut sim);
-            finish(&mut sim, spec);
-            apus::check_cluster(&sim, &ids).expect("apus correctness");
-            let p = Point::from_result(window, &sim.node::<WindowClient<ApWire>>(client).result());
-            let m = sim.metrics();
-            (p, m, sim.take_trace(), sim.take_gauge_samples())
-        }
-        System::Libpaxos => {
-            let cfg = PaxosConfig {
-                n,
-                ..PaxosConfig::default()
-            };
-            let (mut sim, ids, client) =
-                paxos::cluster_with_client(seed, &cfg, window, payload, spec.warmup);
-            obs.apply(&mut sim);
-            finish(&mut sim, spec);
-            paxos::check_cluster(&sim, &ids).expect("paxos correctness");
-            let p = Point::from_result(window, &sim.node::<WindowClient<PxWire>>(client).result());
-            let m = sim.metrics();
-            (p, m, sim.take_trace(), sim.take_gauge_samples())
-        }
-        System::Zookeeper => {
-            let cfg = ZabConfig {
-                n,
-                ..ZabConfig::default()
-            };
-            let (mut sim, ids, client) =
-                zab::cluster_with_client(seed, &cfg, window, payload, spec.warmup);
-            obs.apply(&mut sim);
-            finish(&mut sim, spec);
-            zab::check_cluster(&sim, &ids).expect("zab correctness");
-            let p = Point::from_result(window, &sim.node::<WindowClient<ZkWire>>(client).result());
-            let m = sim.metrics();
-            (p, m, sim.take_trace(), sim.take_gauge_samples())
-        }
-        System::Etcd => {
-            let cfg = RaftConfig {
-                n,
-                ..RaftConfig::default()
-            };
-            let (mut sim, ids, client) =
-                raft::cluster_with_client(seed, &cfg, window, payload, spec.warmup);
-            obs.apply(&mut sim);
-            finish(&mut sim, spec);
-            raft::check_cluster(&sim, &ids).expect("raft correctness");
-            let p = Point::from_result(window, &sim.node::<WindowClient<RfWire>>(client).result());
-            let m = sim.metrics();
-            (p, m, sim.take_trace(), sim.take_gauge_samples())
+impl Workload {
+    /// Fixed payload bytes per message; 0 under YCSB, whose commands carry
+    /// their own sizes.
+    fn payload(self) -> usize {
+        match self {
+            Workload::Fixed { payload } => payload,
+            Workload::Ycsb => 0,
         }
     }
 }
 
-/// One point for DARE (related work, §5 — not part of Figure 8, but useful
-/// for the qualitative comparison the paper makes: fine-grained completions
-/// put DARE below APUS, which sits below Acuerdo).
-pub fn run_dare(n: usize, payload: usize, window: usize, seed: u64, spec: RunSpec) -> Point {
-    let cfg = DareConfig {
-        n,
-        ..DareConfig::default()
+/// The three systems of Figure 9.
+pub const FIG9_SYSTEMS: [System; 3] = [System::Acuerdo, System::Etcd, System::Zookeeper];
+
+/// One closed-loop run: `system` on `n` replicas under `workload` with at
+/// most `window` outstanding messages.
+#[derive(Clone, Debug)]
+pub struct Run {
+    /// The system under test.
+    pub system: System,
+    /// Replica count.
+    pub n: usize,
+    /// What the client broadcasts.
+    pub workload: Workload,
+    /// Client window (outstanding messages).
+    pub window: usize,
+    /// Simulation seed.
+    pub seed: u64,
+    /// Warmup and measurement durations.
+    pub spec: RunSpec,
+    /// Observability settings.
+    pub observe: Observe,
+}
+
+impl Run {
+    /// One Figure 8 point: fixed `payload` bytes, unobserved.
+    pub fn new(
+        system: System,
+        n: usize,
+        payload: usize,
+        window: usize,
+        seed: u64,
+        spec: RunSpec,
+    ) -> Run {
+        Run {
+            system,
+            n,
+            workload: Workload::Fixed { payload },
+            window,
+            seed,
+            spec,
+            observe: Observe::default(),
+        }
+    }
+
+    /// One Figure 9 point: YCSB-load at the window the system's clients
+    /// use. The windows are calibrated for [`FIG9_SYSTEMS`] only, so any
+    /// other system is an error.
+    pub fn ycsb(system: System, n: usize, seed: u64, spec: RunSpec) -> Result<Run, String> {
+        if !FIG9_SYSTEMS.contains(&system) {
+            return Err(format!("figure 9 does not include {}", system.name()));
+        }
+        // etcd serialises a WAL fsync per entry; a 256-deep window would
+        // spend tens of milliseconds just filling the pipe, so cap its
+        // concurrency the way etcd clients do.
+        let window = if system == System::Etcd { 64 } else { 256 };
+        Ok(Run {
+            workload: Workload::Ycsb,
+            ..Run::new(system, n, 0, window, seed, spec)
+        })
+    }
+
+    /// The same run under `observe`.
+    pub fn observe(mut self, observe: Observe) -> Run {
+        self.observe = observe;
+        self
+    }
+}
+
+/// What one [`run`] produced. `events` and `gauges` are empty unless the
+/// run's [`Observe`] turned tracing / gauge sampling on.
+#[derive(Clone, Debug)]
+pub struct Record {
+    /// The client-visible point.
+    pub point: Point,
+    /// Cluster-wide counter snapshot (counters are always on).
+    pub metrics: MetricsSnapshot,
+    /// The trace timeline.
+    pub events: Vec<TraceEvent>,
+    /// The sampled gauge series.
+    pub gauges: Vec<GaugeSample>,
+}
+
+/// The Figure 9 application: the replicated table, plus the delivery record
+/// the §2.2 checkers read.
+#[derive(Default)]
+struct CheckedMap {
+    map: ReplicatedMap,
+    log: DeliveryLog,
+}
+
+impl App for CheckedMap {
+    fn deliver(&mut self, hdr: MsgHdr, payload: &Bytes) {
+        self.map.deliver(hdr, payload);
+        self.log.deliver(hdr, payload);
+    }
+
+    fn delivery_log(&self) -> Option<&DeliveryLog> {
+        Some(&self.log)
+    }
+}
+
+/// Everything a driven cluster leaves behind.
+struct Driven {
+    /// Requests completed inside the measurement window.
+    completed: u64,
+    stats: EngineStats,
+    record: Record,
+}
+
+/// The one run body: build `R`'s cluster with its client, apply the
+/// observability settings and `prepare`, run out the spec, check the §2.2
+/// properties (and, under YCSB, that every replica applied the table), and
+/// collect.
+fn drive<R: Replica>(
+    cfg: &R::Config,
+    run: &Run,
+    prepare: impl FnOnce(&mut Sim<R::Wire>),
+) -> Driven {
+    let (mut sim, ids, client) = cluster_with_client::<R>(
+        run.seed,
+        cfg,
+        run.window,
+        run.workload.payload(),
+        run.spec.warmup,
+    );
+    run.observe.apply(&mut sim);
+    if run.workload == Workload::Ycsb {
+        for &id in &ids {
+            *sim.node_mut::<R>(id).app_mut() = Box::<CheckedMap>::default();
+        }
+        sim.node_mut::<WindowClient<R::Wire>>(client).payload_fn =
+            Some(YcsbLoad::new(run.seed).into_payload_fn());
+    }
+    prepare(&mut sim);
+    sim.run_until(SimTime::ZERO + run.spec.warmup + run.spec.measure);
+    let name = run.system.name();
+    if let Err(v) = check_cluster::<R>(&sim, &ids) {
+        panic!("{name} correctness: {v:?}");
+    }
+    if run.workload == Workload::Ycsb {
+        for &id in &ids {
+            let app = app_as::<CheckedMap>(sim.node::<R>(id).app()).expect("installed above");
+            assert!(app.map.applied > 0, "{name}: replica {id} applied nothing");
+        }
+    }
+    let result = sim.node::<WindowClient<R::Wire>>(client).result();
+    Driven {
+        stats: sim.stats(),
+        record: Record {
+            point: Point::from_result(run.window, &result),
+            metrics: sim.metrics(),
+            events: sim.take_trace(),
+            gauges: sim.take_gauge_samples(),
+        },
+        completed: result.completed,
+    }
+}
+
+fn acuerdo_config(n: usize, dissemination: DisseminationMode) -> AcuerdoConfig {
+    AcuerdoConfig {
+        dissemination,
+        ..AcuerdoConfig::stable(n)
+    }
+}
+
+/// Run one point of Figure 8 or Figure 9 (or of the related-work and scale
+/// studies built from the same experiment).
+pub fn run(run: &Run) -> Record {
+    use DisseminationMode::{Ring, Star};
+    fn bare<M>(_: &mut Sim<M>) {}
+    let n = run.n;
+    let driven = match run.system {
+        System::Acuerdo => drive::<AcuerdoNode>(&acuerdo_config(n, Star), run, bare),
+        System::AcuerdoRing => drive::<AcuerdoNode>(&acuerdo_config(n, Ring), run, bare),
+        System::DerechoLeader => {
+            drive::<DerechoNode>(&DerechoConfig::sized(n, Mode::Leader), run, bare)
+        }
+        System::DerechoAll => {
+            drive::<DerechoNode>(&DerechoConfig::sized(n, Mode::AllSender), run, bare)
+        }
+        System::Apus => drive::<ApusNode>(
+            &ApusConfig {
+                n,
+                ..Default::default()
+            },
+            run,
+            bare,
+        ),
+        System::Libpaxos => drive::<PaxosNode>(
+            &PaxosConfig {
+                n,
+                ..Default::default()
+            },
+            run,
+            bare,
+        ),
+        System::Zookeeper => drive::<ZabNode>(
+            &ZabConfig {
+                n,
+                ..Default::default()
+            },
+            run,
+            bare,
+        ),
+        System::Etcd => drive::<RaftNode>(
+            &RaftConfig {
+                n,
+                ..Default::default()
+            },
+            run,
+            bare,
+        ),
+        System::Dare => drive::<DareNode>(
+            &DareConfig {
+                n,
+                ..Default::default()
+            },
+            run,
+            bare,
+        ),
     };
-    let (mut sim, ids, client) =
-        dare::cluster_with_client(seed, &cfg, window, payload, spec.warmup);
-    finish(&mut sim, spec);
-    dare::check_cluster(&sim, &ids).expect("dare correctness");
-    Point::from_result(window, &sim.node::<WindowClient<DareWire>>(client).result())
+    driven.record
 }
 
 /// Sweep the window by powers of two "until reaching the saturation of the
@@ -435,7 +514,7 @@ pub fn sweep(
     let mut out: Vec<Point> = Vec::new();
     let mut flat = 0;
     for w in (0..=max_window_log2).map(|e| 1usize << e) {
-        let p = run_broadcast(system, n, payload, w, seed, spec);
+        let p = run(&Run::new(system, n, payload, w, seed, spec)).point;
         if p.msgs_per_sec < 1.0 {
             // Deep windows can spend the whole (finite) measurement interval
             // filling the pipeline; past saturation that is an artifact, not
@@ -466,37 +545,12 @@ pub fn sweep(
 /// The reported duration runs from the moment the eventual winner suspects
 /// the old leader to the moment its recovery diffs finished transferring
 /// (detection time excluded, diff transfer included — the paper's metric).
-pub fn election_experiment(n: usize, elections: usize, seed: u64) -> ElectionStats {
-    election_experiment_metrics(n, elections, seed).0
-}
-
-/// Like [`election_experiment`] but also returns the counter snapshot, where
-/// the failover path shows up (elections, heartbeat misses, diff applies).
-pub fn election_experiment_metrics(
-    n: usize,
-    elections: usize,
-    seed: u64,
-) -> (ElectionStats, MetricsSnapshot) {
-    let (st, m, _) = election_run(n, elections, seed, false);
-    (st, m)
-}
-
-/// Like [`election_experiment_metrics`] but with event recording on,
-/// returning the failover timeline for `--trace-out`.
-pub fn election_experiment_traced(
-    n: usize,
-    elections: usize,
-    seed: u64,
-) -> (ElectionStats, MetricsSnapshot, Vec<TraceEvent>) {
-    election_run(n, elections, seed, true)
-}
-
-fn election_run(
-    n: usize,
-    elections: usize,
-    seed: u64,
-    traced: bool,
-) -> (ElectionStats, MetricsSnapshot, Vec<TraceEvent>) {
+///
+/// The failover path shows up in the returned counter snapshot (elections,
+/// heartbeat misses, diff applies); `traced` also records its timeline. The
+/// run gives up after `40 * elections` settle attempts without a leader, so
+/// callers that need all `elections` compare `stats.count` against it.
+pub fn election_experiment(n: usize, elections: usize, seed: u64, traced: bool) -> ElectionRun {
     use abcast::OpenLoopClient;
     let cfg = AcuerdoConfig {
         n,
@@ -508,7 +562,7 @@ fn election_run(
         candidate_patience: Duration::from_millis(100),
         ..AcuerdoConfig::default()
     };
-    let mut sim: Sim<AcWire> = Sim::new(seed, NetParams::rdma());
+    let mut sim: Sim<AcWire> = Sim::new(seed, AcuerdoNode::net());
     sim.set_tracing(traced);
     let ids = acuerdo::build_cluster(&mut sim, &cfg);
     let client = sim.add_node(Box::new(OpenLoopClient::<AcWire>::new(
@@ -558,7 +612,7 @@ fn election_run(
         // Let the old leader wake and rejoin before the next round.
         sim.run_for(Duration::from_millis(55));
     }
-    acuerdo::check_cluster(&sim, &ids).expect("acuerdo correctness across elections");
+    check_cluster::<AcuerdoNode>(&sim, &ids).expect("acuerdo correctness across elections");
 
     let mut durations: Vec<f64> = Vec::new();
     for &id in &ids {
@@ -567,12 +621,22 @@ fn election_run(
             durations.push(ready.saturating_since(*start).as_secs_f64() * 1e3);
         }
     }
-    let m = sim.metrics();
-    (
-        ElectionStats::from_durations(n, durations),
-        m,
-        sim.take_trace(),
-    )
+    ElectionRun {
+        stats: ElectionStats::from_durations(n, durations),
+        metrics: sim.metrics(),
+        events: sim.take_trace(),
+    }
+}
+
+/// What one [`election_experiment`] produced.
+#[derive(Clone, Debug)]
+pub struct ElectionRun {
+    /// Election-duration summary.
+    pub stats: ElectionStats,
+    /// Cluster-wide counter snapshot.
+    pub metrics: MetricsSnapshot,
+    /// The failover timeline (empty unless traced).
+    pub events: Vec<TraceEvent>,
 }
 
 /// How many "long-latency" replicas the Table 1 setup injects.
@@ -607,126 +671,19 @@ impl ElectionStats {
             n,
             count,
             mean_ms: mean,
-            min_ms: d.iter().copied().fold(f64::INFINITY, f64::min),
+            min_ms: d.iter().copied().reduce(f64::min).unwrap_or(0.0),
             max_ms: d.iter().copied().fold(0.0, f64::max),
         }
     }
-}
 
-/// Figure 9: YCSB-load ops/s on the replicated hash table.
-///
-/// Update commands flow through the broadcast instance and are applied to
-/// every replica's table copy; the client is acknowledged at commit. Only
-/// the three systems of Figure 9 are supported.
-pub fn ycsb_point(system: System, n: usize, seed: u64, spec: RunSpec) -> f64 {
-    ycsb_run(system, n, seed, spec, false).0
-}
-
-/// Like [`ycsb_point`] but also returns the counter snapshot (for
-/// `--metrics-out` sidecars).
-pub fn ycsb_point_metrics(
-    system: System,
-    n: usize,
-    seed: u64,
-    spec: RunSpec,
-) -> (f64, MetricsSnapshot) {
-    let (ops, m, _) = ycsb_run(system, n, seed, spec, false);
-    (ops, m)
-}
-
-/// Like [`ycsb_point_metrics`] but with event recording on, returning the
-/// timeline for `--trace-out`.
-pub fn ycsb_point_traced(
-    system: System,
-    n: usize,
-    seed: u64,
-    spec: RunSpec,
-) -> (f64, MetricsSnapshot, Vec<TraceEvent>) {
-    ycsb_run(system, n, seed, spec, true)
-}
-
-fn ycsb_run(
-    system: System,
-    n: usize,
-    seed: u64,
-    spec: RunSpec,
-    traced: bool,
-) -> (f64, MetricsSnapshot, Vec<TraceEvent>) {
-    // etcd serialises a WAL fsync per entry; a 256-deep window would spend
-    // tens of milliseconds just filling the pipe, so cap its concurrency the
-    // way etcd clients do.
-    let window = if system == System::Etcd { 64 } else { 256 };
-    match system {
-        System::Acuerdo => {
-            let cfg = AcuerdoConfig::stable(n);
-            let (mut sim, ids, client) =
-                acuerdo::cluster_with_client(seed, &cfg, window, 0, spec.warmup);
-            sim.set_tracing(traced);
-            for &id in &ids {
-                sim.node_mut::<AcuerdoNode>(id).app = Box::<ReplicatedMap>::default();
-            }
-            sim.node_mut::<WindowClient<AcWire>>(client).payload_fn =
-                Some(YcsbLoad::new(seed).into_payload_fn());
-            finish(&mut sim, spec);
-            let applied: Vec<u64> = ids
-                .iter()
-                .map(|&id| {
-                    abcast::app::app_as::<ReplicatedMap>(sim.node::<AcuerdoNode>(id).app.as_ref())
-                        .unwrap()
-                        .applied
-                })
-                .collect();
-            assert!(applied.iter().all(|&a| a > 0), "table not replicated");
-            let ops = sim
-                .node::<WindowClient<AcWire>>(client)
-                .result()
-                .msgs_per_sec();
-            let m = sim.metrics();
-            (ops, m, sim.take_trace())
-        }
-        System::Zookeeper => {
-            let cfg = ZabConfig {
-                n,
-                ..ZabConfig::default()
-            };
-            let (mut sim, ids, client) =
-                zab::cluster_with_client(seed, &cfg, window, 0, spec.warmup);
-            sim.set_tracing(traced);
-            for &id in &ids {
-                sim.node_mut::<ZabNode>(id).app = Box::<ReplicatedMap>::default();
-            }
-            sim.node_mut::<WindowClient<ZkWire>>(client).payload_fn =
-                Some(YcsbLoad::new(seed).into_payload_fn());
-            finish(&mut sim, spec);
-            let ops = sim
-                .node::<WindowClient<ZkWire>>(client)
-                .result()
-                .msgs_per_sec();
-            let m = sim.metrics();
-            (ops, m, sim.take_trace())
-        }
-        System::Etcd => {
-            let cfg = RaftConfig {
-                n,
-                ..RaftConfig::default()
-            };
-            let (mut sim, ids, client) =
-                raft::cluster_with_client(seed, &cfg, window, 0, spec.warmup);
-            sim.set_tracing(traced);
-            for &id in &ids {
-                sim.node_mut::<RaftNode>(id).app = Box::<ReplicatedMap>::default();
-            }
-            sim.node_mut::<WindowClient<RfWire>>(client).payload_fn =
-                Some(YcsbLoad::new(seed).into_payload_fn());
-            finish(&mut sim, spec);
-            let ops = sim
-                .node::<WindowClient<RfWire>>(client)
-                .result()
-                .msgs_per_sec();
-            let m = sim.metrics();
-            (ops, m, sim.take_trace())
-        }
-        other => panic!("figure 9 does not include {other:?}"),
+    /// The summary as one JSON object (zero samples read as all-zero
+    /// durations, never as a non-JSON `inf`).
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"nodes\":{},\"elections\":{},\"mean_ms\":{:.3},\"min_ms\":{:.3},\
+             \"max_ms\":{:.3}}}",
+            self.n, self.count, self.mean_ms, self.min_ms, self.max_ms
+        )
     }
 }
 
@@ -794,64 +751,45 @@ pub struct AblationOutcome {
     pub wire_bytes_per_msg: f64,
 }
 
-/// Run one Acuerdo point with an ablated design choice.
+/// Run one Acuerdo point (`run.system` must be [`System::Acuerdo`]) with an
+/// ablated design choice.
 ///
 /// `slow_follower` deschedules one follower periodically and shrinks the
 /// rings — the §4.1 scenario where the slot-reuse rule binds (Acuerdo's
 /// reuse-on-accept sails through; Derecho's reuse-on-commit-at-all stalls
-/// the sender behind the slow node).
+/// the sender behind the slow node). Also returns the counter snapshot.
 pub fn ablation_point(
     ab: Ablation,
-    n: usize,
-    payload: usize,
-    window: usize,
-    seed: u64,
-    spec: RunSpec,
-    slow_follower: bool,
-) -> AblationOutcome {
-    ablation_point_metrics(ab, n, payload, window, seed, spec, slow_follower).0
-}
-
-/// Like [`ablation_point`] but also returns the counter snapshot.
-#[allow(clippy::too_many_arguments)]
-pub fn ablation_point_metrics(
-    ab: Ablation,
-    n: usize,
-    payload: usize,
-    window: usize,
-    seed: u64,
-    spec: RunSpec,
+    run: &Run,
     slow_follower: bool,
 ) -> (AblationOutcome, MetricsSnapshot) {
+    assert_eq!(run.system, System::Acuerdo, "ablations are Acuerdo's");
+    let n = run.n;
     let mut cfg = ab.apply(AcuerdoConfig::stable(n));
     if slow_follower {
         // Small rings + pauses longer than the ring's drain time: the
         // scenario where reuse-on-accept and reuse-on-commit-at-all differ.
         cfg.ring_bytes = 4 << 10;
     }
-    let (mut sim, ids, client) =
-        acuerdo::cluster_with_client(seed, &cfg, window, payload, spec.warmup);
-    if slow_follower {
-        sim.set_desched(
-            n - 1,
-            simnet::DeschedProfile {
-                mean_interval: Duration::from_millis(10),
-                min_pause: Duration::from_millis(4),
-                max_pause: Duration::from_millis(6),
-            },
-        );
-    }
-    finish(&mut sim, spec);
-    acuerdo::check_cluster(&sim, &ids).expect("ablated acuerdo correctness");
-    let r = sim.node::<WindowClient<AcWire>>(client).result();
-    let stats = sim.stats();
-    let denom = (r.completed as f64).max(1.0);
+    let d = drive::<AcuerdoNode>(&cfg, run, |sim| {
+        if slow_follower {
+            sim.set_desched(
+                n - 1,
+                simnet::DeschedProfile {
+                    mean_interval: Duration::from_millis(10),
+                    min_pause: Duration::from_millis(4),
+                    max_pause: Duration::from_millis(6),
+                },
+            );
+        }
+    });
+    let denom = (d.completed as f64).max(1.0);
     let outcome = AblationOutcome {
-        point: Point::from_result(window, &r),
-        packets_per_msg: stats.packets as f64 / denom,
-        wire_bytes_per_msg: stats.wire_bytes as f64 / denom,
+        point: d.record.point,
+        packets_per_msg: d.stats.packets as f64 / denom,
+        wire_bytes_per_msg: d.stats.wire_bytes as f64 / denom,
     };
-    (outcome, sim.metrics())
+    (outcome, d.record.metrics)
 }
 
 /// One `--metrics-out` record: run metadata, the client-visible point, the
@@ -860,14 +798,9 @@ pub fn ablation_point_metrics(
 /// (DESIGN.md §6 keeps serde out of the tree). When the run was traced,
 /// `stages` adds the per-stage commit-latency anatomy under a `"stages"`
 /// member.
-#[allow(clippy::too_many_arguments)]
 pub fn run_record_json(
     label: &str,
-    system: &str,
-    n: usize,
-    payload: usize,
-    seed: u64,
-    spec: RunSpec,
+    run: &Run,
     point: &Point,
     metrics: &MetricsSnapshot,
     stages: Option<&StageHist>,
@@ -884,12 +817,12 @@ pub fn run_record_json(
          \"metrics\":{},\"util\":{},\
          \"forensics\":{}{}}}",
         simnet::json_escape(label),
-        simnet::json_escape(system),
-        n,
-        payload,
-        seed,
-        spec.warmup.as_secs_f64() * 1e3,
-        spec.measure.as_secs_f64() * 1e3,
+        run.system.name(),
+        run.n,
+        run.workload.payload(),
+        run.seed,
+        run.spec.warmup.as_secs_f64() * 1e3,
+        run.spec.measure.as_secs_f64() * 1e3,
         point.window,
         point.mbps,
         point.msgs_per_sec,
@@ -898,19 +831,21 @@ pub fn run_record_json(
         point.p99_us,
         point.p999_us,
         metrics.to_json(),
-        util::summary_json(&metrics.res, n),
+        util::summary_json(&metrics.res, run.n),
         forensics::summary_json(&metrics.forensics),
         stages_json
     )
 }
 
-/// Whether the online invariant auditor fired at least once during the run
-/// the snapshot describes.
+/// Whether an auditor — the online invariant auditor or the cross-fault
+/// durability auditor — fired at least once during the run the snapshot
+/// describes.
 pub fn audit_fired(m: &MetricsSnapshot) -> bool {
     use simnet::Counter;
     m.total(Counter::AuditEpochRegress) > 0
         || m.total(Counter::AuditCommitRegress) > 0
         || m.total(Counter::AuditCommitAheadAccept) > 0
+        || m.total(Counter::AuditCommitLost) > 0
 }
 
 /// Dump flight-recorder contents (the always-on last-N events per node) as
@@ -971,7 +906,7 @@ mod tests {
     fn every_system_produces_a_sane_point() {
         for s in System::all() {
             let spec = RunSpec::quick(s);
-            let p = run_broadcast(s, 3, 10, 4, 99, spec);
+            let p = run(&Run::new(s, 3, 10, 4, 99, spec)).point;
             assert!(
                 p.msgs_per_sec > 100.0,
                 "{}: {} msgs/s",
@@ -986,7 +921,7 @@ mod tests {
     fn acuerdo_beats_everyone_on_latency() {
         let mut lat = Vec::new();
         for s in System::all() {
-            let p = run_broadcast(s, 3, 10, 1, 7, RunSpec::quick(s));
+            let p = run(&Run::new(s, 3, 10, 1, 7, RunSpec::quick(s))).point;
             lat.push((s, p.mean_us));
         }
         let acuerdo = lat.iter().find(|(s, _)| *s == System::Acuerdo).unwrap().1;
@@ -1003,22 +938,9 @@ mod tests {
 
     #[test]
     fn rdma_systems_beat_tcp_systems_by_10x() {
-        let ac = run_broadcast(
-            System::Acuerdo,
-            3,
-            10,
-            1,
-            7,
-            RunSpec::quick(System::Acuerdo),
-        );
-        let zk = run_broadcast(
-            System::Zookeeper,
-            3,
-            10,
-            1,
-            7,
-            RunSpec::quick(System::Zookeeper),
-        );
+        let point = |s| run(&Run::new(s, 3, 10, 1, 7, RunSpec::quick(s))).point;
+        let ac = point(System::Acuerdo);
+        let zk = point(System::Zookeeper);
         assert!(
             zk.mean_us > ac.mean_us * 10.0,
             "zk {} vs acuerdo {}",
@@ -1045,7 +967,7 @@ mod tests {
 
     #[test]
     fn election_experiment_small_cluster_is_sub_ms() {
-        let st = election_experiment(3, 3, 11);
+        let st = election_experiment(3, 3, 11, false).stats;
         assert!(st.count >= 3, "only {} elections measured", st.count);
         assert!(st.mean_ms < 1.5, "3-node elections took {} ms", st.mean_ms);
     }
@@ -1054,12 +976,28 @@ mod tests {
     fn ycsb_orders_match_figure9() {
         let spec = RunSpec::quick(System::Acuerdo);
         let tcp_spec = RunSpec::quick(System::Zookeeper);
-        let ac = ycsb_point(System::Acuerdo, 3, 3, spec);
-        let zk = ycsb_point(System::Zookeeper, 3, 3, tcp_spec);
-        let et = ycsb_point(System::Etcd, 3, 3, tcp_spec);
+        let ops = |s, spec| run(&Run::ycsb(s, 3, 3, spec).unwrap()).point.msgs_per_sec;
+        let ac = ops(System::Acuerdo, spec);
+        let zk = ops(System::Zookeeper, tcp_spec);
+        let et = ops(System::Etcd, tcp_spec);
         println!("ycsb 3n: acuerdo {ac:.0} zk {zk:.0} etcd {et:.0}");
         assert!(ac > zk * 4.0, "acuerdo {ac} vs zk {zk}");
         assert!(zk > et * 2.0, "zk {zk} vs etcd {et}");
+    }
+
+    #[test]
+    fn ycsb_outside_figure9_is_an_error() {
+        let spec = RunSpec::quick(System::Apus);
+        let err = Run::ycsb(System::Apus, 3, 3, spec).unwrap_err();
+        assert!(err.contains("apus"), "{err}");
+    }
+
+    #[test]
+    fn empty_election_stats_are_valid_json() {
+        let st = ElectionStats::from_durations(3, Vec::new());
+        assert_eq!((st.count, st.min_ms, st.max_ms), (0, 0.0, 0.0));
+        let v = json::parse(&st.to_json()).expect("valid JSON");
+        assert_eq!(v.get("min_ms").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]
@@ -1067,8 +1005,18 @@ mod tests {
         let spec = RunSpec::quick(System::Acuerdo);
         // Window 256: deep enough to saturate, shallow enough that the
         // client's initial burst fits the quick measurement window.
-        let base = ablation_point(Ablation::Baseline, 3, 10, 256, 5, spec, false);
-        let split = ablation_point(Ablation::SplitRing, 3, 10, 256, 5, spec, false);
+        let base = ablation_point(
+            Ablation::Baseline,
+            &Run::new(System::Acuerdo, 3, 10, 256, 5, spec),
+            false,
+        )
+        .0;
+        let split = ablation_point(
+            Ablation::SplitRing,
+            &Run::new(System::Acuerdo, 3, 10, 256, 5, spec),
+            false,
+        )
+        .0;
         // Two writes per message: throughput drops and the wire carries ~2x
         // the packets per message.
         assert!(
@@ -1088,7 +1036,12 @@ mod tests {
         // Per-message acks never push fewer SST updates than batched acks
         // (at this load the busy-poll loop already drains batches of ~1, so
         // the difference only opens up during catch-up).
-        let per_msg = ablation_point(Ablation::PerMessageAcks, 3, 10, 256, 5, spec, false);
+        let per_msg = ablation_point(
+            Ablation::PerMessageAcks,
+            &Run::new(System::Acuerdo, 3, 10, 256, 5, spec),
+            false,
+        )
+        .0;
         assert!(
             per_msg.packets_per_msg >= base.packets_per_msg * 0.99,
             "per-message acks cannot save packets: {} vs {}",
@@ -1101,8 +1054,18 @@ mod tests {
             warmup: Duration::from_millis(2),
             measure: Duration::from_millis(25),
         };
-        let reuse_base = ablation_point(Ablation::Baseline, 3, 10, 512, 5, slow_spec, true);
-        let reuse_all = ablation_point(Ablation::SlotReuseOnCommit, 3, 10, 512, 5, slow_spec, true);
+        let reuse_base = ablation_point(
+            Ablation::Baseline,
+            &Run::new(System::Acuerdo, 3, 10, 512, 5, slow_spec),
+            true,
+        )
+        .0;
+        let reuse_all = ablation_point(
+            Ablation::SlotReuseOnCommit,
+            &Run::new(System::Acuerdo, 3, 10, 512, 5, slow_spec),
+            true,
+        )
+        .0;
         assert!(
             reuse_all.point.msgs_per_sec < reuse_base.point.msgs_per_sec * 0.75,
             "commit-at-all slot reuse should stall behind the slow node: {} vs {}",

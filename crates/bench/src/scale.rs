@@ -15,7 +15,7 @@
 //! The full {3,5,7,9,16,32,64} sweep is the same document at `--full`.
 
 use crate::suite::gauge_series_json;
-use crate::{run_broadcast_observed, run_record_json, Observe, RunSpec, System};
+use crate::{run, run_record_json, Observe, Run, RunSpec, System};
 use simnet::SchedKind;
 use std::time::Duration;
 
@@ -113,36 +113,17 @@ pub fn run_scale(cfg: &ScaleConfig) -> String {
         };
         for &n in &cfg.sizes {
             let label = format!("{}-n{}", system.name(), n);
-            let (point, metrics, _events, samples) = run_broadcast_observed(
-                system,
-                n,
-                cfg.payload,
-                cfg.window,
-                cfg.seed,
-                spec,
-                Observe {
-                    traced: false,
-                    sample_every: Some(cfg.sample_every),
-                    cpu_scale: None,
-                    scheduler: cfg.scheduler,
-                    ..Observe::default()
-                },
-            );
-            let mut rec = run_record_json(
-                &label,
-                system.name(),
-                n,
-                cfg.payload,
-                cfg.seed,
-                spec,
-                &point,
-                &metrics,
-                None,
-            );
+            let r = Run::new(system, n, cfg.payload, cfg.window, cfg.seed, spec).observe(Observe {
+                sample_every: Some(cfg.sample_every),
+                scheduler: cfg.scheduler,
+                ..Observe::default()
+            });
+            let out = run(&r);
+            let mut rec = run_record_json(&label, &r, &out.point, &out.metrics, None);
             rec.pop();
             rec.push_str(&format!(
                 ",\"gauge_series\":{}}}",
-                gauge_series_json(&samples)
+                gauge_series_json(&out.gauges)
             ));
             records.push(rec);
         }

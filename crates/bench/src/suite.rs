@@ -9,7 +9,7 @@
 //! to a formatting-noise epsilon when comparing against the committed
 //! baseline.
 
-use crate::{run_broadcast_observed, run_record_json, Observe, RunSpec, System};
+use crate::{run, run_record_json, Observe, Run, RunSpec, System};
 use abcast::spans;
 use simnet::{Gauge, GaugeSample, SchedKind};
 use std::time::Duration;
@@ -86,38 +86,21 @@ pub fn run_suite(cfg: &SuiteConfig) -> String {
         };
         for &w in &cfg.windows {
             let label = format!("{}-w{}", system.name(), w);
-            let (point, metrics, events, samples) = run_broadcast_observed(
-                system,
-                cfg.n,
-                cfg.payload,
-                w,
-                cfg.seed,
-                spec,
-                Observe {
-                    traced: true,
-                    sample_every: Some(cfg.sample_every),
-                    cpu_scale: cfg.cpu_scale,
-                    scheduler: cfg.scheduler,
-                    ..Observe::default()
-                },
-            );
-            let hist = spans::stage_hist(&spans::collect(&events));
-            let mut rec = run_record_json(
-                &label,
-                system.name(),
-                cfg.n,
-                cfg.payload,
-                cfg.seed,
-                spec,
-                &point,
-                &metrics,
-                Some(&hist),
-            );
+            let r = Run::new(system, cfg.n, cfg.payload, w, cfg.seed, spec).observe(Observe {
+                traced: true,
+                sample_every: Some(cfg.sample_every),
+                cpu_scale: cfg.cpu_scale,
+                scheduler: cfg.scheduler,
+                ..Observe::default()
+            });
+            let out = run(&r);
+            let hist = spans::stage_hist(&spans::collect(&out.events));
+            let mut rec = run_record_json(&label, &r, &out.point, &out.metrics, Some(&hist));
             // Splice the gauge-series summary in as the record's last member.
             rec.pop();
             rec.push_str(&format!(
                 ",\"gauge_series\":{}}}",
-                gauge_series_json(&samples)
+                gauge_series_json(&out.gauges)
             ));
             records.push(rec);
         }

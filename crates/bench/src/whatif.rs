@@ -27,7 +27,7 @@
 //! measurement agrees.
 
 use crate::json::Value;
-use crate::{run_broadcast_observed, run_record_json, Observe, Point, RunSpec, System};
+use crate::{run, run_record_json, Observe, Point, Run, RunSpec, System};
 use abcast::{blame, BlameCause};
 use simnet::{Intervention, InterventionSet, LogDevParams, MetricsSnapshot, SchedKind};
 
@@ -254,33 +254,26 @@ pub fn run_whatif(cfg: &WhatifConfig) -> String {
         };
         for &n in &cfg.sizes {
             let label = format!("{}-n{}", system.name(), n);
-            let observe = |set: InterventionSet| Observe {
-                traced: false,
-                sample_every: None,
-                cpu_scale: None,
-                scheduler: cfg.scheduler,
-                interventions: set,
+            let intervened = |window: usize, set: InterventionSet| {
+                Run::new(system, n, cfg.payload, window, cfg.seed, spec).observe(Observe {
+                    scheduler: cfg.scheduler,
+                    interventions: set,
+                    ..Observe::default()
+                })
             };
             // Baseline: the null intervention, byte-identical to the
             // uninstrumented run (tests/whatif.rs holds the proof).
-            let (base, metrics, _, _) = run_broadcast_observed(
-                system,
-                n,
-                cfg.payload,
-                cfg.window,
-                cfg.seed,
-                spec,
-                observe(InterventionSet::null()),
-            );
-            let leader = leader_of(&metrics, n);
-            let straggler = straggler_of(&metrics, n);
-            let blame_top = tail_blame_top(&metrics);
+            let base_run = intervened(cfg.window, InterventionSet::null());
+            let base_out = run(&base_run);
+            let (base, metrics) = (&base_out.point, &base_out.metrics);
+            let leader = leader_of(metrics, n);
+            let straggler = straggler_of(metrics, n);
+            let blame_top = tail_blame_top(metrics);
 
             let mut rows: Vec<Row> = Vec::new();
             for &name in &cfg.interventions {
                 let (w, set) = build(name, leader, straggler, n, cfg.window);
-                let (p, _, _, _) =
-                    run_broadcast_observed(system, n, cfg.payload, w, cfg.seed, spec, observe(set));
+                let p = run(&intervened(w, set)).point;
                 rows.push(Row {
                     name,
                     gain_pct: delta_pct(p.mbps, base.mbps),
@@ -305,17 +298,7 @@ pub fn run_whatif(cfg: &WhatifConfig) -> String {
                 .unwrap_or("none");
             let agreement = family(measured_top) == predicted;
 
-            let mut rec = run_record_json(
-                &label,
-                system.name(),
-                n,
-                cfg.payload,
-                cfg.seed,
-                spec,
-                &base,
-                &metrics,
-                None,
-            );
+            let mut rec = run_record_json(&label, &base_run, base, metrics, None);
             // Splice the whatif member in as the record's last member.
             rec.pop();
             let mut w = format!(",\"whatif\":{{\"leader\":{leader},\"straggler\":{straggler}");

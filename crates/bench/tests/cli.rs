@@ -1,0 +1,42 @@
+//! Bin-level flag handling: malformed input exits 2 naming the flag, never
+//! a panic (exit 101).
+
+use std::process::Command;
+
+fn stderr_of(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().expect("spawn bin");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_flag_missing_its_value_exits_2_naming_it() {
+    for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_fig8"), "--nodes"),
+        (env!("CARGO_BIN_EXE_fig9"), "--seed"),
+        (env!("CARGO_BIN_EXE_table1"), "--elections"),
+        (env!("CARGO_BIN_EXE_ablations"), "--size"),
+        (env!("CARGO_BIN_EXE_chaos"), "--seeds"),
+        (env!("CARGO_BIN_EXE_trace-report"), "--top"),
+    ] {
+        let (code, err) = stderr_of(bin, &[flag]);
+        assert_eq!(code, Some(2), "{bin} {flag}: {err}");
+        assert!(err.contains(&format!("{flag} needs a ")), "{bin}: {err}");
+    }
+}
+
+#[test]
+fn an_unparsable_value_exits_2_naming_the_flag() {
+    for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_fig8"), "--seed"),
+        (env!("CARGO_BIN_EXE_table1"), "--seed"),
+        (env!("CARGO_BIN_EXE_ablations"), "--nodes"),
+        (env!("CARGO_BIN_EXE_suite"), "--seed"),
+    ] {
+        let (code, err) = stderr_of(bin, &[flag, "x"]);
+        assert_eq!(code, Some(2), "{bin} {flag} x: {err}");
+        assert!(err.contains(&format!("{flag} needs a ")), "{bin}: {err}");
+    }
+}

@@ -25,7 +25,7 @@
 //! only poll the commit pointer to apply entries.
 
 use abcast::client::RESP_WIRE;
-use abcast::{App, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Violation, WindowClient};
+use abcast::{App, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::Rng;
 use rdma_sim::{Endpoint, QpConfig, RdmaPkt, RegionId};
@@ -294,11 +294,6 @@ impl DareNode {
     /// Current term.
     pub fn term(&self) -> u32 {
         self.term
-    }
-
-    /// The delivery log, when the default app is installed.
-    pub fn delivery_log(&self) -> Option<&DeliveryLog> {
-        abcast::app::app_as::<DeliveryLog>(self.app.as_ref())
     }
 
     fn ctrl(&self) -> (u64, u64, u64) {
@@ -661,48 +656,39 @@ pub fn build_cluster(
     ids
 }
 
-/// Cluster over the RDMA preset plus a window client at node 0.
-pub fn cluster_with_client(
-    seed: u64,
-    cfg: &DareConfig,
-    window: usize,
-    payload: usize,
-    warmup: Duration,
-) -> (Sim<DareWire>, Vec<NodeId>, NodeId) {
-    let mut sim = Sim::new(seed, NetParams::rdma());
-    let ids = build_cluster(&mut sim, cfg, true);
-    let client = sim.add_node(Box::new(WindowClient::<DareWire>::new(
-        0, window, payload, warmup,
-    )));
-    (sim, ids, client)
-}
+impl Replica for DareNode {
+    type Wire = DareWire;
+    type Config = DareConfig;
 
-/// Check the §2.2 properties across live replicas.
-pub fn check_cluster(sim: &Sim<DareWire>, ids: &[NodeId]) -> Result<(), Violation> {
-    let hs: Vec<_> = ids
-        .iter()
-        .filter(|&&id| !sim.is_crashed(id))
-        .map(|&id| {
-            sim.node::<DareNode>(id)
-                .delivery_log()
-                .expect("DeliveryLog app")
-                .entries
-                .clone()
-        })
-        .collect();
-    abcast::check_histories(&hs, None)
+    fn net() -> NetParams {
+        NetParams::rdma()
+    }
+
+    fn build_cluster(sim: &mut Sim<DareWire>, cfg: &DareConfig) -> Vec<NodeId> {
+        build_cluster(sim, cfg, true)
+    }
+
+    fn app(&self) -> &dyn App {
+        self.app.as_ref()
+    }
+
+    fn app_mut(&mut self) -> &mut Box<dyn App> {
+        &mut self.app
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abcast::{check_cluster, cluster_with_client, WindowClient};
 
     #[test]
     fn commits_and_totally_orders() {
         let cfg = DareConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(61, &cfg, 8, 10, Duration::from_millis(1));
+        let (mut sim, ids, client) =
+            cluster_with_client::<DareNode>(61, &cfg, 8, 10, Duration::from_millis(1));
         sim.run_until(SimTime::from_millis(10));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<DareNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<DareWire>>(client).result();
         assert!(r.completed > 100, "completed {}", r.completed);
         for &id in &ids {
@@ -715,9 +701,10 @@ mod tests {
         // Two serialized completion waits per entry: latency well above
         // Acuerdo's ~12.6us single-RTT pipeline.
         let cfg = DareConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(62, &cfg, 1, 10, Duration::from_millis(1));
+        let (mut sim, ids, client) =
+            cluster_with_client::<DareNode>(62, &cfg, 1, 10, Duration::from_millis(1));
         sim.run_until(SimTime::from_millis(10));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<DareNode>(&sim, &ids).unwrap();
         let lat = sim
             .node::<WindowClient<DareWire>>(client)
             .result()
@@ -732,7 +719,7 @@ mod tests {
     fn single_entry_pipeline_caps_throughput() {
         let cfg = DareConfig::default();
         let (mut sim, _ids, client) =
-            cluster_with_client(63, &cfg, 256, 10, Duration::from_millis(2));
+            cluster_with_client::<DareNode>(63, &cfg, 256, 10, Duration::from_millis(2));
         sim.run_until(SimTime::from_millis(20));
         let r = sim.node::<WindowClient<DareWire>>(client).result();
         println!("dare saturated: {:.0} msg/s", r.msgs_per_sec());
@@ -745,7 +732,8 @@ mod tests {
     #[test]
     fn leader_crash_elects_replacement() {
         let cfg = DareConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(64, &cfg, 4, 10, Duration::ZERO);
+        let (mut sim, ids, client) =
+            cluster_with_client::<DareNode>(64, &cfg, 4, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<DareWire>>(client).retransmit = Some(Duration::from_millis(5));
         sim.run_until(SimTime::from_millis(5));
         let before = sim.node::<DareNode>(1).delivered_count;
@@ -760,7 +748,7 @@ mod tests {
         sim.node_mut::<WindowClient<DareWire>>(client).targets = vec![new_leader];
         sim.run_until(SimTime::from_millis(80));
         assert!(sim.node::<DareNode>(new_leader).delivered_count > before);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<DareNode>(&sim, &ids).unwrap();
     }
 
     #[test]
@@ -774,7 +762,8 @@ mod tests {
             election_timeout: (Duration::from_millis(1), Duration::from_millis(1)),
             ..DareConfig::default()
         };
-        let (mut sim, ids, _client) = cluster_with_client(65, &cfg, 1, 10, Duration::ZERO);
+        let (mut sim, ids, _client) =
+            cluster_with_client::<DareNode>(65, &cfg, 1, 10, Duration::ZERO);
         sim.run_until(SimTime::from_millis(2));
         sim.crash(0);
         sim.run_until(SimTime::from_millis(80));
@@ -801,7 +790,8 @@ mod tests {
                 election_timeout: (Duration::from_millis(1), Duration::from_millis(3)),
                 ..DareConfig::default()
             };
-            let (mut sim, ids, _client) = cluster_with_client(seed, &cfg, 1, 10, Duration::ZERO);
+            let (mut sim, ids, _client) =
+                cluster_with_client::<DareNode>(seed, &cfg, 1, 10, Duration::ZERO);
             sim.run_until(SimTime::from_millis(2));
             sim.crash(0);
             sim.run_until(SimTime::from_millis(80));
@@ -810,7 +800,7 @@ mod tests {
                 .filter(|&&id| sim.node::<DareNode>(id).role() == DareRole::Leader)
                 .count();
             assert_eq!(leaders, 1, "seed {seed}: no unique leader");
-            check_cluster(&sim, &ids).unwrap();
+            check_cluster::<DareNode>(&sim, &ids).unwrap();
         }
     }
 }

@@ -33,10 +33,9 @@ mod node;
 
 pub use node::{DcWire, DerechoConfig, DerechoNode, Mode};
 
-use abcast::{MsgHdr, Violation, WindowClient};
+use abcast::{App, MsgHdr, Replica, WindowClient};
 use bytes::Bytes;
 use simnet::{NetParams, NodeId, Sim};
-use std::time::Duration;
 
 /// Build `cfg.n` replicas occupying simulation ids `0..n`.
 pub fn build_cluster(sim: &mut Sim<DcWire>, cfg: &DerechoConfig) -> Vec<NodeId> {
@@ -49,51 +48,53 @@ pub fn build_cluster(sim: &mut Sim<DcWire>, cfg: &DerechoConfig) -> Vec<NodeId> 
     ids
 }
 
-/// Cluster plus a window client. In `Leader` mode the client aims at member
-/// 0; in `AllSender` mode it spreads requests round-robin over all members.
-pub fn cluster_with_client(
-    seed: u64,
-    cfg: &DerechoConfig,
-    window: usize,
-    payload: usize,
-    warmup: Duration,
-) -> (Sim<DcWire>, Vec<NodeId>, NodeId) {
-    let mut sim = Sim::new(seed, NetParams::rdma());
-    let ids = build_cluster(&mut sim, cfg);
-    let mut client = WindowClient::<DcWire>::new(0, window, payload, warmup);
-    if cfg.mode == Mode::AllSender {
-        client.targets = ids.clone();
+impl Replica for DerechoNode {
+    type Wire = DcWire;
+    type Config = DerechoConfig;
+
+    fn net() -> NetParams {
+        NetParams::rdma()
     }
-    let cid = sim.add_node(Box::new(client));
-    (sim, ids, cid)
+
+    fn build_cluster(sim: &mut Sim<DcWire>, cfg: &DerechoConfig) -> Vec<NodeId> {
+        build_cluster(sim, cfg)
+    }
+
+    /// In `Leader` mode the client stays at member 0; in `AllSender` mode it
+    /// spreads requests round-robin over all members.
+    fn aim_client(cfg: &DerechoConfig, ids: &[NodeId], client: &mut WindowClient<DcWire>) {
+        if cfg.mode == Mode::AllSender {
+            client.targets = ids.to_vec();
+        }
+    }
+
+    fn app(&self) -> &dyn App {
+        self.app.as_ref()
+    }
+
+    fn app_mut(&mut self) -> &mut Box<dyn App> {
+        &mut self.app
+    }
+
+    /// A member configured out of the view is outside the virtual-synchrony
+    /// contract from the moment of eviction (it must rejoin with a state
+    /// transfer), so its history is not part of the group's order.
+    fn in_group(&self) -> bool {
+        !self.evicted()
+    }
 }
 
-/// Delivery histories of live, non-evicted replicas. A member configured
-/// out of the view is outside the virtual-synchrony contract from the moment
-/// of eviction (it must rejoin with a state transfer), so its history is not
-/// part of the group's order.
+/// Delivery histories of live, non-evicted replicas.
 pub fn histories(sim: &Sim<DcWire>, ids: &[NodeId]) -> Vec<Vec<(MsgHdr, Bytes)>> {
-    ids.iter()
-        .filter(|&&id| !sim.is_crashed(id) && !sim.node::<DerechoNode>(id).evicted())
-        .map(|&id| {
-            sim.node::<DerechoNode>(id)
-                .delivery_log()
-                .expect("DeliveryLog app")
-                .entries
-                .clone()
-        })
-        .collect()
-}
-
-/// Check the §2.2 properties across live replicas.
-pub fn check_cluster(sim: &Sim<DcWire>, ids: &[NodeId]) -> Result<(), Violation> {
-    abcast::check_histories(&histories(sim, ids), None)
+    abcast::histories::<DerechoNode>(sim, ids)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abcast::{check_cluster, cluster_with_client};
     use simnet::SimTime;
+    use std::time::Duration;
 
     fn run(
         mode: Mode,
@@ -108,8 +109,13 @@ mod tests {
             mode,
             ..DerechoConfig::default()
         };
-        let (mut sim, ids, client) =
-            cluster_with_client(seed, &cfg, window, payload, Duration::from_millis(2));
+        let (mut sim, ids, client) = cluster_with_client::<DerechoNode>(
+            seed,
+            &cfg,
+            window,
+            payload,
+            Duration::from_millis(2),
+        );
         sim.run_until(SimTime::from_millis(ms));
         (sim, ids, client)
     }
@@ -117,7 +123,7 @@ mod tests {
     #[test]
     fn leader_mode_commits_and_totally_orders() {
         let (sim, ids, client) = run(Mode::Leader, 3, 8, 10, 10, 3);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<DerechoNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<DcWire>>(client).result();
         assert!(r.completed > 100, "completed {}", r.completed);
         for &id in &ids {
@@ -128,7 +134,7 @@ mod tests {
     #[test]
     fn all_sender_mode_commits_and_totally_orders() {
         let (sim, ids, client) = run(Mode::AllSender, 3, 9, 10, 10, 4);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<DerechoNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<DcWire>>(client).result();
         assert!(r.completed > 100, "completed {}", r.completed);
         // All three replicas actually sent data.
@@ -142,7 +148,7 @@ mod tests {
         // The §4.1 claim: Derecho-leader ≥ ~19us vs Acuerdo ~10us for small
         // messages on 3 nodes.
         let (sim, ids, client) = run(Mode::Leader, 3, 1, 10, 10, 5);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<DerechoNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<DcWire>>(client).result();
         let lat = r.latency.mean_us();
         println!("derecho-leader 3n/10B window 1: {lat:.2} us");
@@ -168,7 +174,8 @@ mod tests {
             view_timeout: Duration::from_micros(500),
             ..DerechoConfig::default()
         };
-        let (mut sim, ids, client) = cluster_with_client(7, &cfg, 8, 10, Duration::ZERO);
+        let (mut sim, ids, client) =
+            cluster_with_client::<DerechoNode>(7, &cfg, 8, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<DcWire>>(client).retransmit = Some(Duration::from_millis(2));
         sim.run_until(SimTime::from_millis(3));
         // Crash a follower: virtual synchrony must reconfigure it out.
@@ -179,7 +186,7 @@ mod tests {
         let after = sim.node::<DerechoNode>(0).delivered_count;
         assert!(after > before, "no progress after view change");
         assert_eq!(sim.node::<DerechoNode>(0).members(), vec![0, 1]);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<DerechoNode>(&sim, &ids).unwrap();
     }
 
     #[test]
@@ -190,7 +197,8 @@ mod tests {
             view_timeout: Duration::from_micros(500),
             ..DerechoConfig::default()
         };
-        let (mut sim, ids, client) = cluster_with_client(8, &cfg, 4, 10, Duration::ZERO);
+        let (mut sim, ids, client) =
+            cluster_with_client::<DerechoNode>(8, &cfg, 4, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<DcWire>>(client).retransmit = Some(Duration::from_millis(2));
         sim.run_until(SimTime::from_millis(3));
         sim.crash(0);
@@ -201,7 +209,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(25));
         let after = sim.node::<DerechoNode>(1).delivered_count;
         assert!(after > before, "new leader made no progress");
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<DerechoNode>(&sim, &ids).unwrap();
     }
 
     #[test]
@@ -217,7 +225,7 @@ mod tests {
                 ..DerechoConfig::default()
             };
             let (mut sim, ids, client) =
-                cluster_with_client(9, &cfg, 8, 10, Duration::from_millis(2));
+                cluster_with_client::<DerechoNode>(9, &cfg, 8, 10, Duration::from_millis(2));
             if slow {
                 sim.set_desched(
                     2,
@@ -229,7 +237,7 @@ mod tests {
                 );
             }
             sim.run_until(SimTime::from_millis(15));
-            check_cluster(&sim, &ids).unwrap();
+            check_cluster::<DerechoNode>(&sim, &ids).unwrap();
             sim.node::<WindowClient<DcWire>>(client).result()
         };
         let fast = mk(false);

@@ -332,11 +332,6 @@ impl DerechoNode {
         self.ep.writes_posted
     }
 
-    /// The delivery log, when the default app is installed.
-    pub fn delivery_log(&self) -> Option<&DeliveryLog> {
-        abcast::app::app_as::<DeliveryLog>(self.app.as_ref())
-    }
-
     /// The member currently allowed to send in `Leader` mode.
     pub fn current_sender(&self) -> usize {
         *self.members.iter().min().expect("empty view")

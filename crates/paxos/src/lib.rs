@@ -17,9 +17,7 @@
 //! failover is modeled; see DESIGN.md).
 
 use abcast::client::RESP_WIRE;
-use abcast::{
-    App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Violation, WindowClient,
-};
+use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
 use bytes::Bytes;
 use simnet::params::cpu;
 use simnet::FastMap;
@@ -145,11 +143,6 @@ impl PaxosNode {
 
     fn quorum(&self) -> usize {
         self.cfg.n / 2 + 1
-    }
-
-    /// The delivery log, when the default app is installed.
-    pub fn delivery_log(&self) -> Option<&DeliveryLog> {
-        abcast::app::app_as::<DeliveryLog>(self.app.as_ref())
     }
 
     fn send(&self, ctx: &mut Ctx<PxWire>, dst: NodeId, wire: u32, msg: PxWire) {
@@ -347,49 +340,40 @@ pub fn build_cluster(sim: &mut Sim<PxWire>, cfg: &PaxosConfig) -> Vec<NodeId> {
     ids
 }
 
-/// Cluster over the TCP network preset plus a window client at node 0.
-pub fn cluster_with_client(
-    seed: u64,
-    cfg: &PaxosConfig,
-    window: usize,
-    payload: usize,
-    warmup: Duration,
-) -> (Sim<PxWire>, Vec<NodeId>, NodeId) {
-    let mut sim = Sim::new(seed, NetParams::tcp());
-    let ids = build_cluster(&mut sim, cfg);
-    let client = sim.add_node(Box::new(WindowClient::<PxWire>::new(
-        0, window, payload, warmup,
-    )));
-    (sim, ids, client)
-}
+impl Replica for PaxosNode {
+    type Wire = PxWire;
+    type Config = PaxosConfig;
 
-/// Check the §2.2 properties across live replicas.
-pub fn check_cluster(sim: &Sim<PxWire>, ids: &[NodeId]) -> Result<(), Violation> {
-    let hs: Vec<_> = ids
-        .iter()
-        .filter(|&&id| !sim.is_crashed(id))
-        .map(|&id| {
-            sim.node::<PaxosNode>(id)
-                .delivery_log()
-                .expect("DeliveryLog app")
-                .entries
-                .clone()
-        })
-        .collect();
-    abcast::check_histories(&hs, None)
+    fn net() -> NetParams {
+        NetParams::tcp()
+    }
+
+    fn build_cluster(sim: &mut Sim<PxWire>, cfg: &PaxosConfig) -> Vec<NodeId> {
+        build_cluster(sim, cfg)
+    }
+
+    fn app(&self) -> &dyn App {
+        self.app.as_ref()
+    }
+
+    fn app_mut(&mut self) -> &mut Box<dyn App> {
+        &mut self.app
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abcast::{check_cluster, cluster_with_client, WindowClient};
     use simnet::SimTime;
 
     #[test]
     fn commits_and_totally_orders() {
         let cfg = PaxosConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(17, &cfg, 8, 10, Duration::from_millis(5));
+        let (mut sim, ids, client) =
+            cluster_with_client::<PaxosNode>(17, &cfg, 8, 10, Duration::from_millis(5));
         sim.run_until(SimTime::from_millis(50));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<PaxosNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<PxWire>>(client).result();
         assert!(r.completed > 100, "completed {}", r.completed);
         for &id in &ids {
@@ -400,9 +384,10 @@ mod tests {
     #[test]
     fn latency_is_an_order_of_magnitude_above_rdma() {
         let cfg = PaxosConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(18, &cfg, 1, 10, Duration::from_millis(5));
+        let (mut sim, ids, client) =
+            cluster_with_client::<PaxosNode>(18, &cfg, 1, 10, Duration::from_millis(5));
         sim.run_until(SimTime::from_millis(50));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<PaxosNode>(&sim, &ids).unwrap();
         let lat = sim
             .node::<WindowClient<PxWire>>(client)
             .result()
@@ -416,10 +401,11 @@ mod tests {
     #[test]
     fn follower_slowness_outside_quorum_is_tolerated() {
         let cfg = PaxosConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(19, &cfg, 8, 10, Duration::from_millis(2));
+        let (mut sim, ids, client) =
+            cluster_with_client::<PaxosNode>(19, &cfg, 8, 10, Duration::from_millis(2));
         sim.pause_at(ids[2], SimTime::ZERO, Duration::from_secs(10));
         sim.run_until(SimTime::from_millis(50));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<PaxosNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<PxWire>>(client).result();
         assert!(r.completed > 50, "quorum must still commit");
     }
@@ -430,10 +416,10 @@ mod tests {
         // delivery order must still be by instance.
         let cfg = PaxosConfig::default();
         let (mut sim, ids, _client) =
-            cluster_with_client(20, &cfg, 16, 10, Duration::from_millis(2));
+            cluster_with_client::<PaxosNode>(20, &cfg, 16, 10, Duration::from_millis(2));
         sim.add_link_latency(0, 1, Duration::from_micros(400), SimTime::from_millis(20));
         sim.run_until(SimTime::from_millis(60));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<PaxosNode>(&sim, &ids).unwrap();
         let log = sim.node::<PaxosNode>(ids[1]).delivery_log().unwrap();
         let hdrs: Vec<u32> = log.entries.iter().map(|(h, _)| h.cnt).collect();
         assert!(hdrs.windows(2).all(|w| w[0] + 1 == w[1]), "gap in delivery");

@@ -15,9 +15,7 @@
 //! Figure 9.
 
 use abcast::client::RESP_WIRE;
-use abcast::{
-    App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Violation, WindowClient,
-};
+use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
 use bytes::Bytes;
 use rand::Rng;
 use simnet::params::cpu;
@@ -278,11 +276,6 @@ impl RaftNode {
     /// Current term.
     pub fn term(&self) -> u32 {
         self.term
-    }
-
-    /// The delivery log, when the default app is installed.
-    pub fn delivery_log(&self) -> Option<&DeliveryLog> {
-        abcast::app::app_as::<DeliveryLog>(self.app.as_ref())
     }
 
     fn last_idx(&self) -> u64 {
@@ -855,49 +848,39 @@ pub fn enable_restarts(sim: &mut Sim<RfWire>, cfg: &RaftConfig, ids: &[NodeId]) 
     }
 }
 
-/// Cluster over the TCP preset plus a window client at node 0.
-pub fn cluster_with_client(
-    seed: u64,
-    cfg: &RaftConfig,
-    window: usize,
-    payload: usize,
-    warmup: Duration,
-) -> (Sim<RfWire>, Vec<NodeId>, NodeId) {
-    let mut sim = Sim::new(seed, NetParams::tcp());
-    let ids = build_cluster(&mut sim, cfg, true);
-    let client = sim.add_node(Box::new(WindowClient::<RfWire>::new(
-        0, window, payload, warmup,
-    )));
-    (sim, ids, client)
-}
+impl Replica for RaftNode {
+    type Wire = RfWire;
+    type Config = RaftConfig;
 
-/// Check the §2.2 properties across live replicas.
-pub fn check_cluster(sim: &Sim<RfWire>, ids: &[NodeId]) -> Result<(), Violation> {
-    let hs: Vec<_> = ids
-        .iter()
-        .filter(|&&id| !sim.is_crashed(id))
-        .map(|&id| {
-            sim.node::<RaftNode>(id)
-                .delivery_log()
-                .expect("DeliveryLog app")
-                .entries
-                .clone()
-        })
-        .collect();
-    abcast::check_histories(&hs, None)
+    fn net() -> NetParams {
+        NetParams::tcp()
+    }
+
+    fn build_cluster(sim: &mut Sim<RfWire>, cfg: &RaftConfig) -> Vec<NodeId> {
+        build_cluster(sim, cfg, true)
+    }
+
+    fn app(&self) -> &dyn App {
+        self.app.as_ref()
+    }
+
+    fn app_mut(&mut self) -> &mut Box<dyn App> {
+        &mut self.app
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abcast::{check_cluster, cluster_with_client, WindowClient};
 
     #[test]
     fn commits_and_totally_orders() {
         let cfg = RaftConfig::default();
         let (mut sim, ids, client) =
-            cluster_with_client(31, &cfg, 8, 10, Duration::from_millis(20));
+            cluster_with_client::<RaftNode>(31, &cfg, 8, 10, Duration::from_millis(20));
         sim.run_until(SimTime::from_millis(200));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<RaftNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<RfWire>>(client).result();
         assert!(r.completed > 50, "completed {}", r.completed);
         for &id in &ids {
@@ -909,9 +892,9 @@ mod tests {
     fn latency_reflects_wal_fsync() {
         let cfg = RaftConfig::default();
         let (mut sim, ids, client) =
-            cluster_with_client(32, &cfg, 1, 10, Duration::from_millis(20));
+            cluster_with_client::<RaftNode>(32, &cfg, 1, 10, Duration::from_millis(20));
         sim.run_until(SimTime::from_millis(300));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<RaftNode>(&sim, &ids).unwrap();
         let lat = sim
             .node::<WindowClient<RfWire>>(client)
             .result()
@@ -938,7 +921,8 @@ mod tests {
     #[test]
     fn leader_crash_elects_replacement_and_preserves_log() {
         let cfg = RaftConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(34, &cfg, 4, 10, Duration::ZERO);
+        let (mut sim, ids, client) =
+            cluster_with_client::<RaftNode>(34, &cfg, 4, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<RfWire>>(client).retransmit = Some(Duration::from_millis(100));
         sim.run_until(SimTime::from_millis(50));
         let before = sim.node::<RaftNode>(1).delivered_count;
@@ -953,14 +937,15 @@ mod tests {
         sim.node_mut::<WindowClient<RfWire>>(client).targets = vec![new_leader];
         sim.run_until(SimTime::from_millis(1_500));
         assert!(sim.node::<RaftNode>(new_leader).delivered_count > before);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<RaftNode>(&sim, &ids).unwrap();
     }
 
     #[test]
     fn split_vote_resolves_via_randomized_timeouts() {
         // Crash the preset leader immediately: both followers race.
         let cfg = RaftConfig::default();
-        let (mut sim, ids, _client) = cluster_with_client(35, &cfg, 1, 10, Duration::ZERO);
+        let (mut sim, ids, _client) =
+            cluster_with_client::<RaftNode>(35, &cfg, 1, 10, Duration::ZERO);
         sim.crash(0);
         sim.run_until(SimTime::from_millis(1_000));
         let leaders: Vec<_> = ids
@@ -978,7 +963,8 @@ mod tests {
             durability: DurabilityMode::Durable,
             ..RaftConfig::default()
         };
-        let (mut sim, ids, client) = cluster_with_client(40, &cfg, 4, 10, Duration::ZERO);
+        let (mut sim, ids, client) =
+            cluster_with_client::<RaftNode>(40, &cfg, 4, 10, Duration::ZERO);
         enable_restarts(&mut sim, &cfg, &ids);
         sim.node_mut::<WindowClient<RfWire>>(client).retransmit = Some(Duration::from_millis(100));
         sim.run_until(SimTime::from_millis(60));
@@ -993,7 +979,7 @@ mod tests {
         );
         // The recovered node re-applies its log and keeps up with the group.
         assert!(sim.node::<RaftNode>(2).delivered_count >= before);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<RaftNode>(&sim, &ids).unwrap();
     }
 
     /// A node recovered from its durable log converges to the same delivered
@@ -1005,14 +991,15 @@ mod tests {
                 durability,
                 ..RaftConfig::default()
             };
-            let (mut sim, ids, client) = cluster_with_client(41, &cfg, 4, 10, Duration::ZERO);
+            let (mut sim, ids, client) =
+                cluster_with_client::<RaftNode>(41, &cfg, 4, 10, Duration::ZERO);
             enable_restarts(&mut sim, &cfg, &ids);
             sim.node_mut::<WindowClient<RfWire>>(client).retransmit =
                 Some(Duration::from_millis(100));
             sim.crash_at(2, SimTime::from_millis(50));
             sim.restart_at(2, SimTime::from_millis(80));
             sim.run_until(SimTime::from_millis(600));
-            check_cluster(&sim, &ids).unwrap();
+            check_cluster::<RaftNode>(&sim, &ids).unwrap();
             let hs: Vec<Vec<(MsgHdr, Bytes)>> = ids
                 .iter()
                 .map(|&id| {
@@ -1050,7 +1037,8 @@ mod tests {
             n: 5,
             ..RaftConfig::default()
         };
-        let (mut sim, ids, client) = cluster_with_client(36, &cfg, 4, 10, Duration::ZERO);
+        let (mut sim, ids, client) =
+            cluster_with_client::<RaftNode>(36, &cfg, 4, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<RfWire>>(client).retransmit = Some(Duration::from_millis(100));
         sim.run_until(SimTime::from_millis(40));
         sim.crash(3);
@@ -1058,6 +1046,6 @@ mod tests {
         sim.run_until(SimTime::from_millis(1_200));
         let r = sim.node::<WindowClient<RfWire>>(client).result();
         assert!(r.completed > 50, "3-of-5 quorum must keep committing");
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<RaftNode>(&sim, &ids).unwrap();
     }
 }

@@ -20,9 +20,7 @@
 //! everything up to zxid").
 
 use abcast::client::RESP_WIRE;
-use abcast::{
-    App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Violation, WindowClient,
-};
+use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
 use bytes::Bytes;
 use simnet::params::cpu;
 use simnet::FastMap;
@@ -272,11 +270,6 @@ impl ZabNode {
     /// Current epoch.
     pub fn epoch(&self) -> u32 {
         self.epoch
-    }
-
-    /// The delivery log, when the default app is installed.
-    pub fn delivery_log(&self) -> Option<&DeliveryLog> {
-        abcast::app::app_as::<DeliveryLog>(self.app.as_ref())
     }
 
     fn last_zxid(&self) -> Zxid {
@@ -778,48 +771,39 @@ pub fn enable_restarts(sim: &mut Sim<ZkWire>, cfg: &ZabConfig, ids: &[NodeId]) {
     }
 }
 
-/// Cluster over the TCP preset plus a window client at node 0.
-pub fn cluster_with_client(
-    seed: u64,
-    cfg: &ZabConfig,
-    window: usize,
-    payload: usize,
-    warmup: Duration,
-) -> (Sim<ZkWire>, Vec<NodeId>, NodeId) {
-    let mut sim = Sim::new(seed, NetParams::tcp());
-    let ids = build_cluster(&mut sim, cfg, true);
-    let client = sim.add_node(Box::new(WindowClient::<ZkWire>::new(
-        0, window, payload, warmup,
-    )));
-    (sim, ids, client)
-}
+impl Replica for ZabNode {
+    type Wire = ZkWire;
+    type Config = ZabConfig;
 
-/// Check the §2.2 properties across live replicas.
-pub fn check_cluster(sim: &Sim<ZkWire>, ids: &[NodeId]) -> Result<(), Violation> {
-    let hs: Vec<_> = ids
-        .iter()
-        .filter(|&&id| !sim.is_crashed(id))
-        .map(|&id| {
-            sim.node::<ZabNode>(id)
-                .delivery_log()
-                .expect("DeliveryLog app")
-                .entries
-                .clone()
-        })
-        .collect();
-    abcast::check_histories(&hs, None)
+    fn net() -> NetParams {
+        NetParams::tcp()
+    }
+
+    fn build_cluster(sim: &mut Sim<ZkWire>, cfg: &ZabConfig) -> Vec<NodeId> {
+        build_cluster(sim, cfg, true)
+    }
+
+    fn app(&self) -> &dyn App {
+        self.app.as_ref()
+    }
+
+    fn app_mut(&mut self) -> &mut Box<dyn App> {
+        &mut self.app
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abcast::{check_cluster, cluster_with_client, WindowClient};
 
     #[test]
     fn commits_and_totally_orders() {
         let cfg = ZabConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(23, &cfg, 8, 10, Duration::from_millis(5));
+        let (mut sim, ids, client) =
+            cluster_with_client::<ZabNode>(23, &cfg, 8, 10, Duration::from_millis(5));
         sim.run_until(SimTime::from_millis(60));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ZabNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<ZkWire>>(client).result();
         assert!(r.completed > 100, "completed {}", r.completed);
         for &id in &ids {
@@ -830,9 +814,10 @@ mod tests {
     #[test]
     fn latency_reflects_kernel_stack_and_pipeline() {
         let cfg = ZabConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(24, &cfg, 1, 10, Duration::from_millis(5));
+        let (mut sim, ids, client) =
+            cluster_with_client::<ZabNode>(24, &cfg, 1, 10, Duration::from_millis(5));
         sim.run_until(SimTime::from_millis(60));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ZabNode>(&sim, &ids).unwrap();
         let lat = sim
             .node::<WindowClient<ZkWire>>(client)
             .result()
@@ -854,7 +839,7 @@ mod tests {
             .filter(|&&id| sim.node::<ZabNode>(id).role() == ZabRole::Leading)
             .collect();
         assert_eq!(leaders.len(), 1, "expected one leader: {leaders:?}");
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ZabNode>(&sim, &ids).unwrap();
     }
 
     #[test]
@@ -863,7 +848,8 @@ mod tests {
             durability: DurabilityMode::Durable,
             ..ZabConfig::default()
         };
-        let (mut sim, ids, client) = cluster_with_client(27, &cfg, 8, 10, Duration::ZERO);
+        let (mut sim, ids, client) =
+            cluster_with_client::<ZabNode>(27, &cfg, 8, 10, Duration::ZERO);
         enable_restarts(&mut sim, &cfg, &ids);
         sim.node_mut::<WindowClient<ZkWire>>(client).retransmit = Some(Duration::from_millis(20));
         sim.run_until(SimTime::from_millis(20));
@@ -877,7 +863,7 @@ mod tests {
             "restart must replay the txn log"
         );
         assert!(sim.node::<ZabNode>(2).delivered_count >= before);
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ZabNode>(&sim, &ids).unwrap();
     }
 
     /// A node recovered from its durable log converges to the same delivered
@@ -889,14 +875,15 @@ mod tests {
                 durability,
                 ..ZabConfig::default()
             };
-            let (mut sim, ids, client) = cluster_with_client(28, &cfg, 8, 10, Duration::ZERO);
+            let (mut sim, ids, client) =
+                cluster_with_client::<ZabNode>(28, &cfg, 8, 10, Duration::ZERO);
             enable_restarts(&mut sim, &cfg, &ids);
             sim.node_mut::<WindowClient<ZkWire>>(client).retransmit =
                 Some(Duration::from_millis(20));
             sim.crash_at(2, SimTime::from_millis(15));
             sim.restart_at(2, SimTime::from_millis(25));
             sim.run_until(SimTime::from_millis(150));
-            check_cluster(&sim, &ids).unwrap();
+            check_cluster::<ZabNode>(&sim, &ids).unwrap();
             let hs: Vec<Vec<(MsgHdr, Bytes)>> = ids
                 .iter()
                 .map(|&id| {
@@ -931,7 +918,8 @@ mod tests {
     #[test]
     fn leader_crash_elects_replacement_and_preserves_commits() {
         let cfg = ZabConfig::default();
-        let (mut sim, ids, client) = cluster_with_client(26, &cfg, 8, 10, Duration::ZERO);
+        let (mut sim, ids, client) =
+            cluster_with_client::<ZabNode>(26, &cfg, 8, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<ZkWire>>(client).retransmit = Some(Duration::from_millis(20));
         sim.run_until(SimTime::from_millis(20));
         let committed_before = sim.node::<ZabNode>(1).delivered_count;
@@ -947,6 +935,6 @@ mod tests {
         sim.run_until(SimTime::from_millis(120));
         let after = sim.node::<ZabNode>(new_leader).delivered_count;
         assert!(after > committed_before, "no post-failover progress");
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<ZabNode>(&sim, &ids).unwrap();
     }
 }

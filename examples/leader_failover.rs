@@ -10,10 +10,8 @@
 //! example prints the measured downtime (suspicion → diffs transferred) and
 //! verifies no committed message was lost.
 
-use acuerdo_repro::abcast::WindowClient;
-use acuerdo_repro::acuerdo::{
-    check_cluster, cluster_with_client, current_leader, AcWire, AcuerdoConfig, AcuerdoNode,
-};
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
+use acuerdo_repro::acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
 use acuerdo_repro::simnet::SimTime;
 use std::time::Duration;
 
@@ -22,7 +20,8 @@ fn main() {
         fail_timeout: Duration::from_micros(400),
         ..AcuerdoConfig::stable(5)
     };
-    let (mut sim, replicas, client) = cluster_with_client(21, &cfg, 16, 10, Duration::ZERO);
+    let (mut sim, replicas, client) =
+        cluster_with_client::<AcuerdoNode>(21, &cfg, 16, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
 
     // Phase 1: normal broadcast.
@@ -62,6 +61,6 @@ fn main() {
     );
 
     // Nothing committed was lost; all live replicas agree on one order.
-    check_cluster(&sim, &replicas).expect("no committed message lost or reordered");
+    check_cluster::<AcuerdoNode>(&sim, &replicas).expect("no committed message lost or reordered");
     println!("verified: every committed message survived the failover in order");
 }

@@ -12,7 +12,7 @@
 //! "sans-IO means it" demonstration and the starting point for porting the
 //! protocol onto a real RDMA transport.
 
-use acuerdo_repro::abcast::{check_histories, WindowClient};
+use acuerdo_repro::abcast::{check_histories, Replica, WindowClient};
 use acuerdo_repro::acuerdo::{AcWire, AcuerdoConfig, AcuerdoNode};
 use acuerdo_repro::simnet::ThreadedRunner;
 use std::time::Duration;

@@ -8,10 +8,8 @@
 //! broadcasts through a closed-loop client, verifies the atomic-broadcast
 //! properties, and prints per-message latency statistics.
 
-use acuerdo_repro::abcast::WindowClient;
-use acuerdo_repro::acuerdo::{
-    check_cluster, cluster_with_client, current_leader, AcWire, AcuerdoConfig, AcuerdoNode,
-};
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
+use acuerdo_repro::acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
 use acuerdo_repro::simnet::SimTime;
 use std::time::Duration;
 
@@ -19,7 +17,7 @@ fn main() {
     // Three replicas (tolerating one crash fault), booted into a stable
     // epoch led by replica 0, plus a window-8 client.
     let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, replicas, client) = cluster_with_client(
+    let (mut sim, replicas, client) = cluster_with_client::<AcuerdoNode>(
         /*seed*/ 1,
         &cfg,
         /*window*/ 8,
@@ -44,7 +42,7 @@ fn main() {
     println!("throughput         : {:.0} msgs/s", result.msgs_per_sec());
 
     // Every replica delivered the same totally-ordered prefix.
-    check_cluster(&sim, &replicas).expect("Integrity, No-Duplication, Total Order");
+    check_cluster::<AcuerdoNode>(&sim, &replicas).expect("Integrity, No-Duplication, Total Order");
     for &r in &replicas {
         let n = sim.node::<AcuerdoNode>(r);
         println!(

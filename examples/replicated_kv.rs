@@ -9,16 +9,21 @@
 //! commit; reads then go directly to any replica, bypassing broadcast — the
 //! RDMA-get path.
 
-use acuerdo_repro::abcast::{app::app_as, WindowClient};
-use acuerdo_repro::acuerdo::{cluster_with_client, AcWire, AcuerdoConfig, AcuerdoNode};
+use acuerdo_repro::abcast::{app::app_as, cluster_with_client, WindowClient};
+use acuerdo_repro::acuerdo::{AcWire, AcuerdoConfig, AcuerdoNode};
 use acuerdo_repro::kvstore::{ReplicatedMap, YcsbLoad};
 use acuerdo_repro::simnet::SimTime;
 use std::time::Duration;
 
 fn main() {
     let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, replicas, client) =
-        cluster_with_client(7, &cfg, /*window*/ 64, 0, Duration::from_millis(1));
+    let (mut sim, replicas, client) = cluster_with_client::<AcuerdoNode>(
+        7,
+        &cfg,
+        /*window*/ 64,
+        0,
+        Duration::from_millis(1),
+    );
 
     // Install the replicated hash table on every replica and the YCSB-load
     // generator on the client.

@@ -10,7 +10,7 @@
 //! Derecho's virtual synchrony commits only when *all* members acknowledged,
 //! so the same slow node drags the whole cluster down.
 
-use acuerdo_repro::abcast::WindowClient;
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig};
 use acuerdo_repro::derecho::{self, DcWire, DerechoConfig, Mode};
 use acuerdo_repro::simnet::{DeschedProfile, SimTime};
@@ -25,12 +25,12 @@ const SLOW: DeschedProfile = DeschedProfile {
 fn acuerdo_run(slow: bool) -> (f64, f64) {
     let cfg = AcuerdoConfig::stable(3);
     let (mut sim, ids, client) =
-        acuerdo::cluster_with_client(3, &cfg, 8, 10, Duration::from_millis(2));
+        cluster_with_client::<acuerdo::AcuerdoNode>(3, &cfg, 8, 10, Duration::from_millis(2));
     if slow {
         sim.set_desched(2, SLOW);
     }
     sim.run_until(SimTime::from_millis(20));
-    acuerdo::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<acuerdo::AcuerdoNode>(&sim, &ids).unwrap();
     let r = sim.node::<WindowClient<AcWire>>(client).result();
     (r.latency.mean_us(), r.msgs_per_sec())
 }
@@ -45,12 +45,12 @@ fn derecho_run(slow: bool) -> (f64, f64) {
         ..DerechoConfig::default()
     };
     let (mut sim, ids, client) =
-        derecho::cluster_with_client(3, &cfg, 8, 10, Duration::from_millis(2));
+        cluster_with_client::<derecho::DerechoNode>(3, &cfg, 8, 10, Duration::from_millis(2));
     if slow {
         sim.set_desched(2, SLOW);
     }
     sim.run_until(SimTime::from_millis(20));
-    derecho::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<derecho::DerechoNode>(&sim, &ids).unwrap();
     let r = sim.node::<WindowClient<DcWire>>(client).result();
     (r.latency.mean_us(), r.msgs_per_sec())
 }

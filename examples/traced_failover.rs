@@ -11,10 +11,8 @@
 //! `chrome://tracing`) to see the heartbeat misses, the election instants,
 //! the new leader's diff transfer, and the NIC/CPU spans underneath them.
 
-use acuerdo_repro::abcast::WindowClient;
-use acuerdo_repro::acuerdo::{
-    check_cluster, cluster_with_client, current_leader, AcWire, AcuerdoConfig, AcuerdoNode,
-};
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
+use acuerdo_repro::acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
 use acuerdo_repro::simnet::{chrome_trace_json, Counter, SimTime};
 use std::time::Duration;
 
@@ -23,7 +21,8 @@ fn main() {
         fail_timeout: Duration::from_micros(400),
         ..AcuerdoConfig::stable(3)
     };
-    let (mut sim, replicas, client) = cluster_with_client(21, &cfg, 16, 10, Duration::ZERO);
+    let (mut sim, replicas, client) =
+        cluster_with_client::<AcuerdoNode>(21, &cfg, 16, 10, Duration::ZERO);
     sim.set_tracing(true);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
 
@@ -60,7 +59,7 @@ fn main() {
     // Repoint the client and let the new epoch make progress.
     sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![new_leader];
     sim.run_for(Duration::from_millis(5));
-    check_cluster(&sim, &replicas).expect("no committed message lost or reordered");
+    check_cluster::<AcuerdoNode>(&sim, &replicas).expect("no committed message lost or reordered");
 
     // What the counters saw.
     for &id in &replicas {

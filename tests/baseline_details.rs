@@ -2,7 +2,7 @@
 //! commit watermark, libpaxos under asymmetric link delays at scale, and
 //! etcd/Raft log convergence after a partitioned-ish leader change.
 
-use acuerdo_repro::abcast::WindowClient;
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo_repro::simnet::SimTime;
 use std::time::Duration;
 
@@ -14,10 +14,10 @@ fn zab_cumulative_commit_survives_delayed_acks() {
     // deliver the full prefix (from buffered proposals + the watermark).
     let cfg = ZabConfig::default();
     let (mut sim, ids, client) =
-        zab::cluster_with_client(301, &cfg, 8, 10, Duration::from_millis(5));
+        cluster_with_client::<zab::ZabNode>(301, &cfg, 8, 10, Duration::from_millis(5));
     sim.add_link_latency(0, 2, Duration::from_millis(2), SimTime::from_millis(30));
     sim.run_until(SimTime::from_millis(80));
-    zab::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<zab::ZabNode>(&sim, &ids).unwrap();
     let r = sim.node::<WindowClient<ZkWire>>(client).result();
     assert!(r.completed > 100, "quorum stalled: {}", r.completed);
     // The delayed follower converges once the transient passes.
@@ -37,9 +37,9 @@ fn zab_five_nodes_totally_order_under_load() {
         ..ZabConfig::default()
     };
     let (mut sim, ids, client) =
-        zab::cluster_with_client(302, &cfg, 16, 100, Duration::from_millis(5));
+        cluster_with_client::<zab::ZabNode>(302, &cfg, 16, 100, Duration::from_millis(5));
     sim.run_until(SimTime::from_millis(80));
-    zab::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<zab::ZabNode>(&sim, &ids).unwrap();
     assert!(sim.node::<WindowClient<ZkWire>>(client).result().completed > 100);
 }
 
@@ -52,9 +52,9 @@ fn libpaxos_scales_down_gracefully_to_single_node() {
         ..PaxosConfig::default()
     };
     let (mut sim, ids, client) =
-        paxos::cluster_with_client(303, &cfg, 4, 10, Duration::from_millis(2));
+        cluster_with_client::<paxos::PaxosNode>(303, &cfg, 4, 10, Duration::from_millis(2));
     sim.run_until(SimTime::from_millis(30));
-    paxos::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<paxos::PaxosNode>(&sim, &ids).unwrap();
     let r = sim.node::<WindowClient<PxWire>>(client).result();
     assert!(r.completed > 50, "single-node paxos stalled");
     assert!(sim.node::<PaxosNode>(0).delivered_count > 50);
@@ -68,12 +68,12 @@ fn libpaxos_seven_acceptors_tolerate_three_slow() {
         ..PaxosConfig::default()
     };
     let (mut sim, ids, client) =
-        paxos::cluster_with_client(304, &cfg, 8, 10, Duration::from_millis(5));
+        cluster_with_client::<paxos::PaxosNode>(304, &cfg, 8, 10, Duration::from_millis(5));
     for slow in [4usize, 5, 6] {
         sim.pause_at(slow, SimTime::ZERO, Duration::from_secs(10));
     }
     sim.run_until(SimTime::from_millis(80));
-    paxos::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<paxos::PaxosNode>(&sim, &ids).unwrap();
     let r = sim.node::<WindowClient<PxWire>>(client).result();
     assert!(r.completed > 100, "4-of-7 quorum must commit");
 }
@@ -85,7 +85,8 @@ fn raft_log_conflict_is_truncated_after_leadership_change() {
     // crash the leader: the new leader's AppendEntries consistency check
     // must walk follower 2 back and re-converge the logs.
     let cfg = RaftConfig::default();
-    let (mut sim, ids, client) = raft::cluster_with_client(305, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<raft::RaftNode>(305, &cfg, 8, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<RfWire>>(client).retransmit = Some(Duration::from_millis(100));
     sim.pause_at(2, SimTime::from_millis(5), Duration::from_millis(60));
     sim.run_until(SimTime::from_millis(40));
@@ -101,7 +102,7 @@ fn raft_log_conflict_is_truncated_after_leadership_change() {
         .expect("new leader");
     sim.node_mut::<WindowClient<RfWire>>(client).targets = vec![new_leader];
     sim.run_until(SimTime::from_millis(2_000));
-    raft::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<raft::RaftNode>(&sim, &ids).unwrap();
     // The lagged follower converged to the new leader's log.
     let dl = sim.node::<RaftNode>(new_leader).delivered_count;
     let d2 = sim.node::<RaftNode>(2).delivered_count;
@@ -116,11 +117,11 @@ fn apus_recovers_after_transient_total_stall() {
     // batch stalls, then the pipeline refills without loss or reorder.
     let cfg = ApusConfig::default();
     let (mut sim, ids, client) =
-        apus::cluster_with_client(306, &cfg, 32, 10, Duration::from_millis(1));
+        cluster_with_client::<apus::ApusNode>(306, &cfg, 32, 10, Duration::from_millis(1));
     sim.add_link_latency(0, 1, Duration::from_millis(1), SimTime::from_millis(6));
     sim.add_link_latency(0, 2, Duration::from_millis(1), SimTime::from_millis(6));
     sim.run_until(SimTime::from_millis(20));
-    apus::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<apus::ApusNode>(&sim, &ids).unwrap();
     let r = sim.node::<WindowClient<ApWire>>(client).result();
     assert!(
         r.completed > 500,

@@ -9,7 +9,7 @@
 
 use acuerdo_repro::acuerdo::DisseminationMode;
 use acuerdo_repro::bench::audit_fired;
-use acuerdo_repro::bench::chaos::{run_chaos_at, run_chaos_opts, ChaosOpts, Fault, Proto, Tier};
+use acuerdo_repro::bench::chaos::{run_chaos, ChaosOpts, Fault, Proto, Tier};
 use acuerdo_repro::simnet::{DurabilityMode, SimTime};
 
 const HORIZON_MS: u64 = 20;
@@ -18,7 +18,11 @@ const HORIZON_MS: u64 = 20;
 /// violation, every live replica covered the pre-fault commit point, and the
 /// online auditor stayed silent.
 fn assert_clean(proto: Proto, seed: u64, n: usize) {
-    let r = run_chaos_at(proto, seed, SimTime::from_millis(HORIZON_MS), n);
+    let opts = ChaosOpts {
+        n,
+        ..ChaosOpts::new(proto, seed, SimTime::from_millis(HORIZON_MS))
+    };
+    let r = run_chaos(&opts).report;
     assert!(
         !r.fatal(),
         "{} seed {seed} n={n}: safety violation {:?} (repro: {})",
@@ -80,7 +84,7 @@ fn assert_clean_ring(
         dissemination: DisseminationMode::Ring,
         ..ChaosOpts::new(Proto::Acuerdo, seed, SimTime::from_millis(HORIZON_MS))
     };
-    let (r, _, _) = run_chaos_opts(&opts);
+    let r = run_chaos(&opts).report;
     assert!(
         !r.fatal(),
         "ring seed {seed} n={n}: violation {:?}/{:?} (repro: {})",

@@ -2,8 +2,15 @@
 //! totally orders, and sits where the paper's Figure 8 puts it relative to
 //! the others.
 
-use acuerdo_repro::abcast::WindowClient;
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, Replica, WindowClient};
+use acuerdo_repro::acuerdo::{AcuerdoConfig, AcuerdoNode};
+use acuerdo_repro::apus::{ApusConfig, ApusNode};
+use acuerdo_repro::dare::{DareConfig, DareNode};
+use acuerdo_repro::derecho::{DerechoConfig, DerechoNode, Mode};
+use acuerdo_repro::paxos::{PaxosConfig, PaxosNode};
+use acuerdo_repro::raft::{RaftConfig, RaftNode};
 use acuerdo_repro::simnet::SimTime;
+use acuerdo_repro::zab::{ZabConfig, ZabNode};
 use std::time::Duration;
 
 struct Measured {
@@ -12,101 +19,47 @@ struct Measured {
     msgs_per_sec: f64,
 }
 
-fn measure_all(seed: u64, window: usize) -> Vec<Measured> {
-    let mut out = Vec::new();
-    let rdma_warm = Duration::from_millis(1);
-    let rdma_end = SimTime::from_millis(8);
-    let tcp_warm = Duration::from_millis(10);
-    let tcp_end = SimTime::from_millis(80);
+/// One system through the generic harness: build, run to `end_ms`, check
+/// the §2.2 properties, read the client.
+fn measure<R: Replica>(
+    name: &'static str,
+    cfg: &R::Config,
+    seed: u64,
+    window: usize,
+    warm_ms: u64,
+    end_ms: u64,
+) -> Measured {
+    let warm = Duration::from_millis(warm_ms);
+    let (mut sim, ids, c) = cluster_with_client::<R>(seed, cfg, window, 10, warm);
+    sim.run_until(SimTime::from_millis(end_ms));
+    check_cluster::<R>(&sim, &ids).unwrap_or_else(|v| panic!("{name}: {v:?}"));
+    let r = sim.node::<WindowClient<R::Wire>>(c).result();
+    Measured {
+        name,
+        mean_us: r.latency.mean_us(),
+        msgs_per_sec: r.msgs_per_sec(),
+    }
+}
 
-    {
-        use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig};
-        let (mut sim, ids, c) =
-            acuerdo::cluster_with_client(seed, &AcuerdoConfig::stable(3), window, 10, rdma_warm);
-        sim.run_until(rdma_end);
-        acuerdo::check_cluster(&sim, &ids).unwrap();
-        let r = sim.node::<WindowClient<AcWire>>(c).result();
-        out.push(Measured {
-            name: "acuerdo",
-            mean_us: r.latency.mean_us(),
-            msgs_per_sec: r.msgs_per_sec(),
-        });
-    }
-    {
-        use acuerdo_repro::derecho::{self, DcWire, DerechoConfig, Mode};
-        for (name, mode) in [
-            ("derecho-leader", Mode::Leader),
-            ("derecho-all", Mode::AllSender),
-        ] {
-            let cfg = DerechoConfig {
-                n: 3,
-                mode,
-                ..DerechoConfig::default()
-            };
-            let (mut sim, ids, c) = derecho::cluster_with_client(seed, &cfg, window, 10, rdma_warm);
-            sim.run_until(rdma_end);
-            derecho::check_cluster(&sim, &ids).unwrap();
-            let r = sim.node::<WindowClient<DcWire>>(c).result();
-            out.push(Measured {
-                name,
-                mean_us: r.latency.mean_us(),
-                msgs_per_sec: r.msgs_per_sec(),
-            });
-        }
-    }
-    {
-        use acuerdo_repro::apus::{self, ApWire, ApusConfig};
-        let (mut sim, ids, c) =
-            apus::cluster_with_client(seed, &ApusConfig::default(), window, 10, rdma_warm);
-        sim.run_until(rdma_end);
-        apus::check_cluster(&sim, &ids).unwrap();
-        let r = sim.node::<WindowClient<ApWire>>(c).result();
-        out.push(Measured {
-            name: "apus",
-            mean_us: r.latency.mean_us(),
-            msgs_per_sec: r.msgs_per_sec(),
-        });
-    }
-    {
-        use acuerdo_repro::paxos::{self, PaxosConfig, PxWire};
-        let (mut sim, ids, c) =
-            paxos::cluster_with_client(seed, &PaxosConfig::default(), window, 10, tcp_warm);
-        sim.run_until(tcp_end);
-        paxos::check_cluster(&sim, &ids).unwrap();
-        let r = sim.node::<WindowClient<PxWire>>(c).result();
-        out.push(Measured {
-            name: "libpaxos",
-            mean_us: r.latency.mean_us(),
-            msgs_per_sec: r.msgs_per_sec(),
-        });
-    }
-    {
-        use acuerdo_repro::zab::{self, ZabConfig, ZkWire};
-        let (mut sim, ids, c) =
-            zab::cluster_with_client(seed, &ZabConfig::default(), window, 10, tcp_warm);
-        sim.run_until(tcp_end);
-        zab::check_cluster(&sim, &ids).unwrap();
-        let r = sim.node::<WindowClient<ZkWire>>(c).result();
-        out.push(Measured {
-            name: "zookeeper",
-            mean_us: r.latency.mean_us(),
-            msgs_per_sec: r.msgs_per_sec(),
-        });
-    }
-    {
-        use acuerdo_repro::raft::{self, RaftConfig, RfWire};
-        let (mut sim, ids, c) =
-            raft::cluster_with_client(seed, &RaftConfig::default(), window, 10, tcp_warm);
-        sim.run_until(SimTime::from_millis(200));
-        raft::check_cluster(&sim, &ids).unwrap();
-        let r = sim.node::<WindowClient<RfWire>>(c).result();
-        out.push(Measured {
-            name: "etcd",
-            mean_us: r.latency.mean_us(),
-            msgs_per_sec: r.msgs_per_sec(),
-        });
-    }
-    out
+/// Every `Replica` impl (Derecho in both modes) on 3 nodes under the same
+/// closed-loop load.
+fn measure_all(seed: u64, window: usize) -> Vec<Measured> {
+    let derecho = |mode| DerechoConfig {
+        n: 3,
+        mode,
+        ..DerechoConfig::default()
+    };
+    let (s, w) = (seed, window);
+    vec![
+        measure::<AcuerdoNode>("acuerdo", &AcuerdoConfig::stable(3), s, w, 1, 8),
+        measure::<DerechoNode>("derecho-leader", &derecho(Mode::Leader), s, w, 1, 8),
+        measure::<DerechoNode>("derecho-all", &derecho(Mode::AllSender), s, w, 1, 8),
+        measure::<ApusNode>("apus", &ApusConfig::default(), s, w, 1, 8),
+        measure::<DareNode>("dare", &DareConfig::default(), s, w, 1, 8),
+        measure::<PaxosNode>("libpaxos", &PaxosConfig::default(), s, w, 10, 80),
+        measure::<ZabNode>("zookeeper", &ZabConfig::default(), s, w, 10, 80),
+        measure::<RaftNode>("etcd", &RaftConfig::default(), s, w, 10, 200),
+    ]
 }
 
 fn get<'a>(ms: &'a [Measured], name: &str) -> &'a Measured {
@@ -114,8 +67,9 @@ fn get<'a>(ms: &'a [Measured], name: &str) -> &'a Measured {
 }
 
 #[test]
-fn all_seven_systems_commit_under_identical_load() {
+fn every_replica_impl_commits_under_identical_load() {
     let ms = measure_all(42, 4);
+    assert_eq!(ms.len(), 8, "seven impls, Derecho in both modes");
     for m in &ms {
         assert!(
             m.msgs_per_sec > 500.0,

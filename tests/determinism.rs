@@ -2,7 +2,7 @@
 //! (delivery histories, stats, epochs), across every system. This is what
 //! makes the reproduced figures stable.
 
-use acuerdo_repro::abcast::{MsgHdr, WindowClient};
+use acuerdo_repro::abcast::{cluster_with_client, MsgHdr, WindowClient};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig};
 use acuerdo_repro::simnet::SimTime;
 use bytes::Bytes;
@@ -13,7 +13,8 @@ fn acuerdo_history(seed: u64, crash: bool) -> (Vec<Vec<(MsgHdr, Bytes)>>, u64) {
         fail_timeout: Duration::from_micros(400),
         ..AcuerdoConfig::stable(3)
     };
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(seed, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<acuerdo::AcuerdoNode>(seed, &cfg, 8, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     if crash {
         sim.crash_at(0, SimTime::from_millis(2));
@@ -58,7 +59,7 @@ fn tcp_systems_are_deterministic_too() {
     let run = |seed| {
         let cfg = RaftConfig::default();
         let (mut sim, ids, client) =
-            raft::cluster_with_client(seed, &cfg, 4, 10, Duration::from_millis(5));
+            cluster_with_client::<raft::RaftNode>(seed, &cfg, 4, 10, Duration::from_millis(5));
         sim.run_until(SimTime::from_millis(80));
         let c = sim.node::<WindowClient<RfWire>>(client).total_completed;
         let d: Vec<u64> = ids
@@ -75,15 +76,16 @@ fn chaos_schedules_and_runs_replay_bit_identically() {
     // The chaos harness is part of the reproducibility story: a failing seed
     // printed as a repro command must replay the exact same execution —
     // schedule, fault timing, delivery histories, and every counter.
-    use acuerdo_repro::bench::chaos::{run_chaos, Proto, Schedule, CHAOS_N};
+    use acuerdo_repro::bench::chaos::{run_chaos, ChaosOpts, Proto, Schedule, CHAOS_N};
     let horizon = SimTime::from_millis(20);
     let s1 = Schedule::generate(42, CHAOS_N, horizon, true);
     let s2 = Schedule::generate(42, CHAOS_N, horizon, true);
     assert_eq!(s1, s2, "schedule generation is not deterministic");
     assert!(!s1.faults.is_empty());
 
-    let r1 = run_chaos(Proto::Acuerdo, 42, horizon);
-    let r2 = run_chaos(Proto::Acuerdo, 42, horizon);
+    let opts = ChaosOpts::new(Proto::Acuerdo, 42, horizon);
+    let r1 = run_chaos(&opts).report;
+    let r2 = run_chaos(&opts).report;
     assert_eq!(
         r1.to_json(),
         r2.to_json(),
@@ -119,24 +121,17 @@ fn calendar_and_heap_schedulers_export_identical_traces() {
     // Byte equality of the exported Chrome trace is a stricter lens than the
     // benchmark document: it pins the exact event timeline (every delivery,
     // span, and gauge sample with its timestamp), not just the aggregates.
-    use acuerdo_repro::bench::{run_broadcast_observed, Observe, RunSpec, System, SAMPLE_EVERY};
+    use acuerdo_repro::bench::{run, Observe, Run, RunSpec, System};
     use acuerdo_repro::simnet::{chrome_trace_json_full, SchedKind};
     let trace = |k: SchedKind| {
-        let (_, _, events, gauges) = run_broadcast_observed(
-            System::Acuerdo,
-            3,
-            64,
-            8,
-            7,
-            RunSpec::quick(System::Acuerdo),
-            Observe {
-                traced: true,
-                sample_every: Some(SAMPLE_EVERY),
+        let spec = RunSpec::quick(System::Acuerdo);
+        let out = run(
+            &Run::new(System::Acuerdo, 3, 64, 8, 7, spec).observe(Observe {
                 scheduler: k,
-                ..Observe::default()
-            },
+                ..Observe::traced()
+            }),
         );
-        chrome_trace_json_full(&events, &gauges)
+        chrome_trace_json_full(&out.events, &out.gauges)
     };
     let calendar = trace(SchedKind::Calendar);
     assert!(

@@ -5,7 +5,9 @@
 //! reported as a committed-entry loss — if this test fails, the auditor is
 //! blind and every green chaos run is meaningless).
 
-use acuerdo_repro::abcast::{DurabilityAuditor, Violation, WindowClient};
+use acuerdo_repro::abcast::{
+    check_cluster, cluster_with_client, DurabilityAuditor, Violation, WindowClient,
+};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig, DisseminationMode};
 use acuerdo_repro::simnet::{Counter, DurabilityMode, SimTime};
 use bytes::Bytes;
@@ -28,7 +30,8 @@ fn crash_restart_run_with(
         dissemination,
         ..AcuerdoConfig::stable(5)
     };
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(7, &cfg, window, 32, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<acuerdo::AcuerdoNode>(7, &cfg, window, 32, Duration::ZERO);
     acuerdo::enable_restarts(&mut sim, &cfg, &ids);
     // Inert retransmit: the leader never crashes in this schedule, so the
     // client's ingest order (and with it the payload sequence) is identical
@@ -37,7 +40,7 @@ fn crash_restart_run_with(
     sim.crash_at(2, SimTime::from_millis(10));
     sim.restart_at(2, SimTime::from_millis(15));
     sim.run_until(SimTime::from_millis(50));
-    acuerdo::check_cluster(&sim, &ids).expect("abcast safety");
+    check_cluster::<acuerdo::AcuerdoNode>(&sim, &ids).expect("abcast safety");
     let hs = acuerdo::histories(&sim, &ids);
     assert_eq!(hs.len(), 5, "everyone is live at the horizon");
     let recovered_len = hs[2].len();
@@ -126,7 +129,8 @@ fn corrupted_log_tail_is_reported_as_committed_entry_loss() {
         durability: DurabilityMode::Durable,
         ..AcuerdoConfig::stable(5)
     };
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(11, &cfg, 8, 32, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<acuerdo::AcuerdoNode>(11, &cfg, 8, 32, Duration::ZERO);
     acuerdo::enable_restarts(&mut sim, &cfg, &ids);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(1));
     sim.run_until(SimTime::from_millis(15));

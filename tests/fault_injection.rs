@@ -2,10 +2,8 @@
 //! failures, transient descheduling, link delays, and the ring-backlog
 //! catch-up path (§3's "efficient catch-up").
 
-use acuerdo_repro::abcast::WindowClient;
-use acuerdo_repro::acuerdo::{
-    self, check_cluster, current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role,
-};
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
+use acuerdo_repro::acuerdo::{self, current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role};
 use acuerdo_repro::simnet::{Counter, DeschedProfile, SimTime};
 use std::time::Duration;
 
@@ -20,7 +18,8 @@ fn fast_failover_cfg(n: usize) -> AcuerdoConfig {
 fn two_sequential_leader_failures_with_five_replicas() {
     // n = 5 tolerates f = 2: kill whoever leads, twice.
     let cfg = fast_failover_cfg(5);
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(77, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(77, &cfg, 8, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
 
     sim.run_until(SimTime::from_millis(3));
@@ -41,7 +40,7 @@ fn two_sequential_leader_failures_with_five_replicas() {
     sim.run_until(SimTime::from_millis(45));
     let after = sim.node::<AcuerdoNode>(l3).delivered_count;
     assert!(after > before, "no progress with 3-of-5 quorum");
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -50,7 +49,8 @@ fn paused_leader_recovers_as_follower() {
     // leader takes over, and the old one rejoins the new epoch when it
     // wakes.
     let cfg = fast_failover_cfg(3);
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(78, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(78, &cfg, 8, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     sim.run_until(SimTime::from_millis(3));
     sim.pause_at(0, SimTime::from_millis(3), Duration::from_millis(10));
@@ -70,7 +70,7 @@ fn paused_leader_recovers_as_follower() {
         sim.node::<AcuerdoNode>(0).delivered_count > delivered_at_rejoin,
         "rejoined follower stopped delivering"
     );
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -79,7 +79,8 @@ fn descheduled_follower_catches_up_from_ring_backlog() {
     // batches and catches up, because the CPU processes messages faster than
     // the network delivers them.
     let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, ids, _client) = acuerdo::cluster_with_client(79, &cfg, 32, 10, Duration::ZERO);
+    let (mut sim, ids, _client) =
+        cluster_with_client::<AcuerdoNode>(79, &cfg, 32, 10, Duration::ZERO);
     sim.run_until(SimTime::from_millis(2));
     sim.pause_at(2, SimTime::from_millis(2), Duration::from_millis(3));
     // Measure just before the wake-up at 5ms.
@@ -102,7 +103,7 @@ fn descheduled_follower_catches_up_from_ring_backlog() {
         leader.saturating_sub(lagger) < lag_at_wake / 4,
         "no catch-up: {leader} vs {lagger} (was {lag_at_wake} behind)"
     );
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -111,7 +112,7 @@ fn transient_link_delay_does_not_stall_quorum() {
     // (leader + follower 1) keeps committing at full speed.
     let cfg = AcuerdoConfig::stable(3);
     let (mut sim, ids, client) =
-        acuerdo::cluster_with_client(80, &cfg, 8, 10, Duration::from_millis(1));
+        cluster_with_client::<AcuerdoNode>(80, &cfg, 8, 10, Duration::from_millis(1));
     sim.add_link_latency(0, 2, Duration::from_micros(200), SimTime::from_millis(10));
     sim.run_until(SimTime::from_millis(15));
     let r = sim.node::<WindowClient<AcWire>>(client).result();
@@ -120,7 +121,7 @@ fn transient_link_delay_does_not_stall_quorum() {
         "transient delay leaked into quorum latency: {}us",
         r.latency.mean_us()
     );
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -128,7 +129,8 @@ fn election_with_all_followers_slow_still_terminates() {
     // Every surviving node is long-latency: the election takes longer but
     // must still converge (the fixed-point argument of §3.3).
     let cfg = fast_failover_cfg(3);
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(81, &cfg, 4, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(81, &cfg, 4, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(5));
     sim.set_timer_jitter(1, Duration::from_millis(1));
     sim.set_timer_jitter(2, Duration::from_millis(1));
@@ -137,7 +139,7 @@ fn election_with_all_followers_slow_still_terminates() {
     sim.run_until(SimTime::from_millis(60));
     let leader = current_leader(&sim, &ids).expect("election must terminate");
     assert_ne!(leader, 0);
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -145,7 +147,8 @@ fn repeated_elections_never_lose_committed_messages() {
     // Churn: pause each successive leader; after every failover, everything
     // committed before must still be in every live replica's history.
     let cfg = fast_failover_cfg(3);
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(82, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(82, &cfg, 8, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     let mut min_committed = 0u64;
     for round in 0..4 {
@@ -162,9 +165,9 @@ fn repeated_elections_never_lose_committed_messages() {
         sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
         sim.pause_at(leader, sim.now(), Duration::from_millis(8));
         sim.run_for(Duration::from_millis(10));
-        check_cluster(&sim, &ids).unwrap();
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
     }
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -176,7 +179,8 @@ fn derecho_view_change_under_load_keeps_total_order() {
         view_timeout: Duration::from_micros(500),
         ..DerechoConfig::default()
     };
-    let (mut sim, ids, client) = derecho::cluster_with_client(83, &cfg, 9, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<derecho::DerechoNode>(83, &cfg, 9, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<DcWire>>(client).retransmit = Some(Duration::from_millis(2));
     sim.run_until(SimTime::from_millis(3));
     sim.crash(1);
@@ -184,7 +188,7 @@ fn derecho_view_change_under_load_keeps_total_order() {
     // Client stops aiming at the dead member.
     sim.node_mut::<WindowClient<DcWire>>(client).targets = vec![0, 2];
     sim.run_until(SimTime::from_millis(20));
-    derecho::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<derecho::DerechoNode>(&sim, &ids).unwrap();
     let n0 = sim.node::<acuerdo_repro::derecho::DerechoNode>(0);
     assert_eq!(n0.members(), vec![0, 2]);
 }
@@ -200,10 +204,10 @@ fn slow_node_descheduling_storm_acuerdo_vs_derecho() {
     // Acuerdo.
     let cfg = AcuerdoConfig::stable(3);
     let (mut sim, ids, client) =
-        acuerdo::cluster_with_client(84, &cfg, 8, 10, Duration::from_millis(1));
+        cluster_with_client::<AcuerdoNode>(84, &cfg, 8, 10, Duration::from_millis(1));
     sim.set_desched(2, profile);
     sim.run_until(SimTime::from_millis(12));
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
     let ac = sim.node::<WindowClient<AcWire>>(client).result();
     // Derecho.
     use acuerdo_repro::derecho::{self as d, DcWire, DerechoConfig, Mode};
@@ -214,10 +218,10 @@ fn slow_node_descheduling_storm_acuerdo_vs_derecho() {
         ..DerechoConfig::default()
     };
     let (mut dsim, dids, dclient) =
-        d::cluster_with_client(84, &dcfg, 8, 10, Duration::from_millis(1));
+        cluster_with_client::<d::DerechoNode>(84, &dcfg, 8, 10, Duration::from_millis(1));
     dsim.set_desched(2, profile);
     dsim.run_until(SimTime::from_millis(12));
-    d::check_cluster(&dsim, &dids).unwrap();
+    check_cluster::<d::DerechoNode>(&dsim, &dids).unwrap();
     let dc = dsim.node::<WindowClient<DcWire>>(dclient).result();
 
     assert!(
@@ -234,7 +238,8 @@ fn minority_partition_then_heal_keeps_total_order_acuerdo() {
     // quorum keep committing, then heal: the minority must catch back up and
     // every live history must still be totally ordered.
     let cfg = fast_failover_cfg(5);
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(90, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(90, &cfg, 8, 10, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     sim.partition(
         vec![vec![3, 4], vec![0, 1, 2, client]],
@@ -260,7 +265,7 @@ fn minority_partition_then_heal_keeps_total_order_acuerdo() {
         .map(|&id| sim.counter(id, Counter::PartitionDrops))
         .sum();
     assert!(drops > 0, "partition dropped nothing");
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -271,7 +276,7 @@ fn minority_partition_then_heal_keeps_total_order_raft() {
         ..RaftConfig::default()
     };
     let (mut sim, ids, client) =
-        raft::cluster_with_client(91, &cfg, 4, 10, Duration::from_millis(5));
+        cluster_with_client::<raft::RaftNode>(91, &cfg, 4, 10, Duration::from_millis(5));
     sim.node_mut::<WindowClient<RfWire>>(client).retransmit = Some(Duration::from_millis(10));
     sim.partition(
         vec![vec![3, 4], vec![0, 1, 2, client]],
@@ -287,7 +292,7 @@ fn minority_partition_then_heal_keeps_total_order_raft() {
             "raft node {id} never caught up past the partition point"
         );
     }
-    raft::check_cluster(&sim, &ids).unwrap();
+    check_cluster::<raft::RaftNode>(&sim, &ids).unwrap();
 }
 
 #[test]
@@ -300,7 +305,8 @@ fn crashed_leader_restarts_and_rejoins_via_multipart_diff() {
         max_diff_part: 256,
         ..fast_failover_cfg(3)
     };
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(92, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(92, &cfg, 8, 10, Duration::ZERO);
     acuerdo::enable_restarts(&mut sim, &cfg, &ids);
     {
         let c = sim.node_mut::<WindowClient<AcWire>>(client);
@@ -338,5 +344,5 @@ fn crashed_leader_restarts_and_rejoins_via_multipart_diff() {
         snap.total(Counter::RejoinDiffBytes),
         cfg.max_diff_part
     );
-    check_cluster(&sim, &ids).unwrap();
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }

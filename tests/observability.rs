@@ -3,7 +3,7 @@
 //! must produce bit-identical delivery histories, client results, and
 //! counters — tracing only *adds* the recorded timeline.
 
-use acuerdo_repro::abcast::{MsgHdr, WindowClient};
+use acuerdo_repro::abcast::{cluster_with_client, MsgHdr, WindowClient};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig};
 use acuerdo_repro::simnet::{chrome_trace_json, SimTime};
 use bytes::Bytes;
@@ -28,7 +28,8 @@ fn run(seed: u64, traced: bool, crash: bool) -> Outcome {
         fail_timeout: Duration::from_micros(400),
         ..AcuerdoConfig::stable(3)
     };
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(seed, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<acuerdo::AcuerdoNode>(seed, &cfg, 8, 10, Duration::ZERO);
     sim.set_tracing(traced);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     if crash {
@@ -116,7 +117,7 @@ fn tracing_does_not_perturb_a_chaos_schedule() {
         };
         let horizon = SimTime::from_millis(15);
         let (mut sim, ids, client) =
-            acuerdo::cluster_with_client(seed, &cfg, 8, 10, Duration::ZERO);
+            cluster_with_client::<acuerdo::AcuerdoNode>(seed, &cfg, 8, 10, Duration::ZERO);
         acuerdo::enable_restarts(&mut sim, &cfg, &ids);
         sim.set_tracing(traced);
         {
@@ -170,7 +171,8 @@ fn committed_messages_get_complete_monotone_lifecycles() {
     use acuerdo_repro::abcast::spans;
 
     let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, _ids, client) = acuerdo::cluster_with_client(21, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, _ids, client) =
+        cluster_with_client::<acuerdo::AcuerdoNode>(21, &cfg, 8, 10, Duration::ZERO);
     sim.set_tracing(true);
     sim.run_until(SimTime::from_millis(10));
     let committed = sim.node::<WindowClient<AcWire>>(client).result().completed;
@@ -191,7 +193,7 @@ fn committed_messages_get_complete_monotone_lifecycles() {
 fn auditor_is_silent_on_clean_runs() {
     // The online invariant auditor runs inside every instrumented protocol;
     // on a fault-free run none of its violation counters may fire.
-    use acuerdo_repro::bench::{run_broadcast_metrics, RunSpec, System};
+    use acuerdo_repro::bench::{self, Run, RunSpec, System};
     use acuerdo_repro::simnet::Counter;
 
     for system in [
@@ -202,7 +204,7 @@ fn auditor_is_silent_on_clean_runs() {
         System::Zookeeper,
         System::Etcd,
     ] {
-        let (_, m) = run_broadcast_metrics(system, 3, 10, 4, 13, RunSpec::quick(system));
+        let m = bench::run(&Run::new(system, 3, 10, 4, 13, RunSpec::quick(system))).metrics;
         for c in [
             Counter::AuditEpochRegress,
             Counter::AuditCommitRegress,
@@ -219,6 +221,42 @@ fn auditor_is_silent_on_clean_runs() {
 }
 
 #[test]
+fn observing_a_benchmark_run_never_changes_it_for_any_system() {
+    // The one `run` entry point under its three observability levels — dark,
+    // traced, traced + gauge-sampled — must yield the same point and the
+    // same per-node counters for every system it can drive. (Gauge *levels*
+    // are left out: the sampler itself writes `nic_egress_depth`.)
+    use acuerdo_repro::bench::{self, Observe, Run, RunSpec, System};
+
+    let systems = System::all()
+        .into_iter()
+        .chain([System::AcuerdoRing, System::Dare]);
+    for system in systems {
+        let observed = |observe: Observe| {
+            let r = Run::new(system, 3, 10, 4, 13, RunSpec::quick(system)).observe(observe);
+            let out = bench::run(&r);
+            (
+                out.point,
+                format!("{:?}", out.metrics.nodes),
+                out.events.len(),
+            )
+        };
+        let dark = observed(Observe::default());
+        let traced = observed(Observe {
+            traced: true,
+            ..Observe::default()
+        });
+        let sampled = observed(Observe::traced());
+        assert_eq!(dark.2, 0, "{system:?}: dark run recorded events");
+        assert!(traced.2 > 0, "{system:?}: traced run recorded nothing");
+        for (what, other) in [("tracing", &traced), ("gauge sampling", &sampled)] {
+            assert_eq!(dark.0, other.0, "{system:?}: {what} moved the point");
+            assert_eq!(dark.1, other.1, "{system:?}: {what} moved the counters");
+        }
+    }
+}
+
+#[test]
 fn gauges_and_flight_recorder_do_not_perturb_the_run() {
     // The full observability stack — gauge sampler ticking every 100µs plus
     // the always-on flight recorder — must be as invisible to the schedule
@@ -230,7 +268,7 @@ fn gauges_and_flight_recorder_do_not_perturb_the_run() {
             ..AcuerdoConfig::stable(3)
         };
         let (mut sim, ids, client) =
-            acuerdo::cluster_with_client(seed, &cfg, 8, 10, Duration::ZERO);
+            cluster_with_client::<acuerdo::AcuerdoNode>(seed, &cfg, 8, 10, Duration::ZERO);
         if observed {
             sim.set_gauge_sampling(Duration::from_micros(100));
         } else {
@@ -376,7 +414,7 @@ fn forensics_is_zero_perturbation_and_deterministic() {
     fn forensics_of(seed: u64, traced: bool) -> ForensicsSnapshot {
         let cfg = AcuerdoConfig::stable(3);
         let (mut sim, _ids, _client) =
-            acuerdo::cluster_with_client(seed, &cfg, 8, 10, Duration::ZERO);
+            cluster_with_client::<acuerdo::AcuerdoNode>(seed, &cfg, 8, 10, Duration::ZERO);
         sim.set_tracing(traced);
         sim.run_until(SimTime::from_millis(10));
         sim.metrics().forensics
@@ -420,7 +458,8 @@ fn outlier_blame_sums_exactly_and_names_stragglers() {
     use acuerdo_repro::abcast::blame;
 
     let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, _ids, _client) = acuerdo::cluster_with_client(21, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, _ids, _client) =
+        cluster_with_client::<acuerdo::AcuerdoNode>(21, &cfg, 8, 10, Duration::ZERO);
     sim.run_until(SimTime::from_millis(10));
     let f = sim.metrics().forensics;
     assert!(!f.outliers.is_empty());
@@ -459,7 +498,8 @@ fn crash_induced_outliers_blame_the_retransmit_rounds() {
         fail_timeout: Duration::from_micros(400),
         ..AcuerdoConfig::stable(3)
     };
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(555, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<acuerdo::AcuerdoNode>(555, &cfg, 8, 10, Duration::ZERO);
     {
         let c = sim.node_mut::<WindowClient<AcWire>>(client);
         c.retransmit = Some(Duration::from_millis(1));
@@ -495,11 +535,16 @@ fn trace_report_agrees_with_the_metrics_sidecar() {
     // The offline pipeline (chrome export → re-parse → trace-report) must
     // account for exactly the stage marks the online counters saw, and the
     // gauge counter tracks must round-trip sample for sample.
-    use acuerdo_repro::bench::{report, run_broadcast_traced, RunSpec, System};
+    use acuerdo_repro::bench::{self, report, Observe, Record, Run, RunSpec, System};
     use acuerdo_repro::simnet::{chrome_trace_json_full, Counter};
 
     let spec = RunSpec::quick(System::Acuerdo);
-    let (_, metrics, events, gauges) = run_broadcast_traced(System::Acuerdo, 3, 10, 8, 5, spec);
+    let Record {
+        metrics,
+        events,
+        gauges,
+        ..
+    } = bench::run(&Run::new(System::Acuerdo, 3, 10, 8, 5, spec).observe(Observe::traced()));
     assert!(!gauges.is_empty(), "traced run sampled no gauges");
     let (parsed, regauged) =
         report::parse_chrome_trace_full(&chrome_trace_json_full(&events, &gauges))

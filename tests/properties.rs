@@ -4,7 +4,7 @@
 //! always the same: every live replica delivers a prefix of one common
 //! total order, with no duplicates and no invented messages.
 
-use acuerdo_repro::abcast::{self, WindowClient};
+use acuerdo_repro::abcast::{self, cluster_with_client, WindowClient};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig};
 use acuerdo_repro::simnet::SimTime;
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ fn run_acuerdo(
         ..AcuerdoConfig::stable(n)
     };
     let (mut sim, ids, client) =
-        acuerdo::cluster_with_client(seed, &cfg, window, payload, Duration::ZERO);
+        cluster_with_client::<acuerdo::AcuerdoNode>(seed, &cfg, window, payload, Duration::ZERO);
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     if let Some((victim, at)) = crash_at_ms {
         sim.crash_at(victim, SimTime::from_millis(at));

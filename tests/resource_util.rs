@@ -95,23 +95,21 @@ fn link_utilization_is_exactly_bytes_times_byte_time_over_elapsed() {
 /// One full metrics record (the suite/sidecar JSON object) for an acuerdo
 /// point at a fixed seed, traced or untraced.
 fn acuerdo_record(traced: bool) -> String {
+    // Event recording on, gauge sampler off: the sampler writes the
+    // sampled NIC-depth *level* into the gauge (a pre-existing, documented
+    // observer artifact), which would make the `gauges` member an unfair
+    // comparison. Resource accounting itself is always-on either way.
+    let run = acuerdo_run().observe(bench::Observe {
+        traced,
+        ..bench::Observe::default()
+    });
+    let out = bench::run(&run);
+    bench::run_record_json("zp", &run, &out.point, &out.metrics, None)
+}
+
+fn acuerdo_run() -> bench::Run {
     let spec = RunSpec::quick(System::Acuerdo);
-    let (point, metrics) = if traced {
-        // Event recording on, gauge sampler off: the sampler writes the
-        // sampled NIC-depth *level* into the gauge (a pre-existing, documented
-        // observer artifact), which would make the `gauges` member an unfair
-        // comparison. Resource accounting itself is always-on either way.
-        let obs = bench::Observe {
-            traced: true,
-            ..bench::Observe::default()
-        };
-        let (p, m, _events, _gauges) =
-            bench::run_broadcast_observed(System::Acuerdo, 3, 64, 8, 42, spec, obs);
-        (p, m)
-    } else {
-        bench::run_broadcast_metrics(System::Acuerdo, 3, 64, 8, 42, spec)
-    };
-    bench::run_record_json("zp", "acuerdo", 3, 64, 42, spec, &point, &metrics, None)
+    bench::Run::new(System::Acuerdo, 3, 64, 8, 42, spec)
 }
 
 #[test]
@@ -126,10 +124,8 @@ fn tracing_does_not_perturb_the_utilization_record() {
 fn gauge_sampling_does_not_perturb_the_util_member() {
     // The fully traced surface (recorder + gauge sampler, what `--trace-out`
     // bins run) must still leave the resource-utilization summary untouched.
-    let spec = RunSpec::quick(System::Acuerdo);
-    let (_, plain) = bench::run_broadcast_metrics(System::Acuerdo, 3, 64, 8, 42, spec);
-    let (_, sampled, _events, _gauges) =
-        bench::run_broadcast_traced(System::Acuerdo, 3, 64, 8, 42, spec);
+    let plain = bench::run(&acuerdo_run()).metrics;
+    let sampled = bench::run(&acuerdo_run().observe(bench::Observe::traced())).metrics;
     assert_eq!(
         util::summary_json(&plain.res, 3),
         util::summary_json(&sampled.res, 3)
@@ -146,7 +142,7 @@ fn utilization_summaries_are_byte_identical_across_runs() {
         measure: std::time::Duration::from_millis(10),
     };
     let run = || {
-        let (_, m) = bench::run_broadcast_metrics(System::Etcd, 3, 64, 8, 9, spec);
+        let m = bench::run(&bench::Run::new(System::Etcd, 3, 64, 8, 9, spec)).metrics;
         util::summary_json(&m.res, 3)
     };
     assert_eq!(run(), run());

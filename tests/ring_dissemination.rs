@@ -13,7 +13,7 @@
 //!   leader sends less than 40% of the star leader's egress bytes while
 //!   committing at least 1.5x as many messages.
 
-use acuerdo_repro::abcast::{blame, WindowClient};
+use acuerdo_repro::abcast::{blame, check_cluster, cluster_with_client, WindowClient};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig, AcuerdoNode, DisseminationMode};
 use acuerdo_repro::simnet::{Counter, MetricsSnapshot, SimTime};
 use std::time::Duration;
@@ -40,10 +40,10 @@ fn ring_run(
     MetricsSnapshot,
 ) {
     let (mut sim, ids, client) =
-        acuerdo::cluster_with_client(seed, &ring_cfg(n), window, payload, Duration::ZERO);
+        cluster_with_client::<AcuerdoNode>(seed, &ring_cfg(n), window, payload, Duration::ZERO);
     sim.set_tracing(traced);
     sim.run_until(SimTime::from_millis(ms));
-    acuerdo::check_cluster(&sim, &ids).expect("ring cluster check");
+    check_cluster::<AcuerdoNode>(&sim, &ids).expect("ring cluster check");
     let completed = sim.node::<WindowClient<AcWire>>(client).total_completed;
     let h = acuerdo::histories(&sim, &ids);
     let m = sim.metrics();
@@ -116,9 +116,9 @@ fn ring_collapses_leader_egress_at_64_nodes() {
             ..AcuerdoConfig::stable(64)
         };
         let (mut sim, ids, client) =
-            acuerdo::cluster_with_client(42, &cfg, 8, 16384, Duration::ZERO);
+            cluster_with_client::<AcuerdoNode>(42, &cfg, 8, 16384, Duration::ZERO);
         sim.run_until(SimTime::from_millis(4));
-        acuerdo::check_cluster(&sim, &ids).expect("cluster check");
+        check_cluster::<AcuerdoNode>(&sim, &ids).expect("cluster check");
         let completed = sim.node::<WindowClient<AcWire>>(client).total_completed;
         let leader_tx = sim.metrics().res.nodes[0].tx.total_bytes();
         (completed, leader_tx)
@@ -145,10 +145,11 @@ fn ring_survives_mid_chain_crash_via_star_fallback() {
         fail_timeout: Duration::from_micros(400),
         ..ring_cfg(5)
     };
-    let (mut sim, ids, client) = acuerdo::cluster_with_client(11, &cfg, 8, 10, Duration::ZERO);
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(11, &cfg, 8, 10, Duration::ZERO);
     sim.crash_at(2, SimTime::from_millis(2));
     sim.run_until(SimTime::from_millis(10));
-    acuerdo::check_cluster(&sim, &ids).expect("cluster check after crash");
+    check_cluster::<AcuerdoNode>(&sim, &ids).expect("cluster check after crash");
     let before = sim.node::<WindowClient<AcWire>>(client).total_completed;
     assert!(before > 0);
     // Fallback lanes engaged for the segment downstream of the dead node.

@@ -4,8 +4,8 @@
 //! mid-election, during catch-up. Every run must satisfy the §2.2
 //! properties.
 
-use acuerdo_repro::abcast::WindowClient;
-use acuerdo_repro::acuerdo::{self, check_cluster, AcWire, AcuerdoConfig, AcuerdoNode};
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
+use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig, AcuerdoNode};
 use acuerdo_repro::simnet::SimTime;
 use std::time::Duration;
 
@@ -25,12 +25,12 @@ fn crash_grid_every_victim_every_phase() {
         for step in 1..=12u64 {
             let at = SimTime::from_nanos(step * 250_000);
             let (mut sim, ids, client) =
-                acuerdo::cluster_with_client(1_000 + step, &cfg3(), 16, 10, Duration::ZERO);
+                cluster_with_client::<AcuerdoNode>(1_000 + step, &cfg3(), 16, 10, Duration::ZERO);
             sim.node_mut::<WindowClient<AcWire>>(client).retransmit =
                 Some(Duration::from_millis(2));
             sim.crash_at(victim, at);
             sim.run_until(SimTime::from_millis(12));
-            check_cluster(&sim, &ids).unwrap_or_else(|v| {
+            check_cluster::<AcuerdoNode>(&sim, &ids).unwrap_or_else(|v| {
                 panic!("victim {victim} at {at}: {v:?}");
             });
             // With a follower crashed the quorum keeps going; with the
@@ -55,11 +55,11 @@ fn pause_grid_leader_during_every_phase() {
     for step in 1..=8u64 {
         let at = SimTime::from_nanos(step * 300_000);
         let (mut sim, ids, client) =
-            acuerdo::cluster_with_client(2_000 + step, &cfg3(), 8, 10, Duration::ZERO);
+            cluster_with_client::<AcuerdoNode>(2_000 + step, &cfg3(), 8, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
         sim.pause_at(0, at, Duration::from_millis(3));
         sim.run_until(SimTime::from_millis(15));
-        check_cluster(&sim, &ids).unwrap_or_else(|v| panic!("pause at {at}: {v:?}"));
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap_or_else(|v| panic!("pause at {at}: {v:?}"));
         let old = sim.node::<AcuerdoNode>(0);
         let e1 = sim.node::<AcuerdoNode>(1).epoch();
         assert_eq!(
@@ -81,8 +81,13 @@ fn double_fault_grid_five_replicas() {
                 fail_timeout: Duration::from_micros(400),
                 ..AcuerdoConfig::stable(5)
             };
-            let (mut sim, ids, client) =
-                acuerdo::cluster_with_client(3_000 + first as u64, &cfg, 8, 10, Duration::ZERO);
+            let (mut sim, ids, client) = cluster_with_client::<AcuerdoNode>(
+                3_000 + first as u64,
+                &cfg,
+                8,
+                10,
+                Duration::ZERO,
+            );
             sim.node_mut::<WindowClient<AcWire>>(client).retransmit =
                 Some(Duration::from_millis(2));
             sim.crash_at(first, SimTime::from_millis(1));
@@ -98,7 +103,7 @@ fn double_fault_grid_five_replicas() {
                 sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
             }
             sim.run_until(SimTime::from_millis(40));
-            check_cluster(&sim, &ids).unwrap_or_else(|v| {
+            check_cluster::<AcuerdoNode>(&sim, &ids).unwrap_or_else(|v| {
                 panic!("first {first}, gap {gap_ms}ms, second {second}: {v:?}")
             });
             let survivor = ids
@@ -122,8 +127,13 @@ fn transient_link_delay_grid() {
     // timeout's effect because SST heartbeats keep flowing).
     for dst in 1..3usize {
         for delay_us in [50u64, 150, 400] {
-            let (mut sim, ids, _client) =
-                acuerdo::cluster_with_client(4_000 + delay_us, &cfg3(), 8, 10, Duration::ZERO);
+            let (mut sim, ids, _client) = cluster_with_client::<AcuerdoNode>(
+                4_000 + delay_us,
+                &cfg3(),
+                8,
+                10,
+                Duration::ZERO,
+            );
             sim.add_link_latency(
                 0,
                 dst,
@@ -131,7 +141,7 @@ fn transient_link_delay_grid() {
                 SimTime::from_millis(6),
             );
             sim.run_until(SimTime::from_millis(12));
-            check_cluster(&sim, &ids)
+            check_cluster::<AcuerdoNode>(&sim, &ids)
                 .unwrap_or_else(|v| panic!("dst {dst}, delay {delay_us}us: {v:?}"));
             for &id in &ids {
                 assert_eq!(

@@ -8,38 +8,19 @@
 //! must move the measured point.
 
 use acuerdo_repro::bench::whatif::WHATIF_SYSTEMS;
-use acuerdo_repro::bench::{run_broadcast_observed, run_record_json, Observe, RunSpec, System};
+use acuerdo_repro::bench::{run, run_record_json, Observe, Run, RunSpec, System};
 use acuerdo_repro::simnet::{Intervention, InterventionSet, SpanStage};
 
 /// One run rendered as the full sidecar record: point, counters, util, and
 /// forensics — integer-exact members included, so string equality is byte
 /// identity over everything the observatory exports.
 fn record(system: System, set: InterventionSet) -> String {
-    let (n, payload, window, seed) = (3, 64, 8, 42);
-    let spec = RunSpec::quick(system);
-    let (p, m, _, _) = run_broadcast_observed(
-        system,
-        n,
-        payload,
-        window,
-        seed,
-        spec,
-        Observe {
-            interventions: set,
-            ..Observe::default()
-        },
-    );
-    run_record_json(
-        "whatif-proof",
-        system.name(),
-        n,
-        payload,
-        seed,
-        spec,
-        &p,
-        &m,
-        None,
-    )
+    let r = Run::new(system, 3, 64, 8, 42, RunSpec::quick(system)).observe(Observe {
+        interventions: set,
+        ..Observe::default()
+    });
+    let out = run(&r);
+    run_record_json("whatif-proof", &r, &out.point, &out.metrics, None)
 }
 
 /// Every intervention kind, all at identity factors, on every replica.
@@ -89,24 +70,17 @@ fn a_real_intervention_moves_the_measured_point() {
 
 #[test]
 fn link_latency_halving_cuts_mean_latency() {
-    let run = |set: InterventionSet| {
+    let point = |set: InterventionSet| {
         let spec = RunSpec::quick(System::Acuerdo);
-        run_broadcast_observed(
-            System::Acuerdo,
-            3,
-            64,
-            8,
-            42,
-            spec,
-            Observe {
-                interventions: set,
-                ..Observe::default()
-            },
-        )
-        .0
+        let r = Run::new(System::Acuerdo, 3, 64, 8, 42, spec).observe(Observe {
+            interventions: set,
+            ..Observe::default()
+        });
+        run(&r).point
     };
-    let base = run(InterventionSet::null());
-    let halved = run(InterventionSet::null().with(Intervention::LinkLatencyScale { factor: 0.5 }));
+    let base = point(InterventionSet::null());
+    let halved =
+        point(InterventionSet::null().with(Intervention::LinkLatencyScale { factor: 0.5 }));
     // The mean is exact (LatencyHist's quantiles are 5%-bucketed, and a
     // propagation-delay cut at this tiny payload can be sub-bucket).
     assert!(
