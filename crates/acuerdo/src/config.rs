@@ -9,22 +9,75 @@ use std::time::Duration;
 ///
 /// `Star` is the paper's topology: the leader writes every payload into
 /// every follower's ring, so leader egress grows as `O(n)` bytes per
-/// message. `Ring` amortizes dissemination around the successor chain
-/// (Ring-Paxos style): the leader writes each payload to its ring successor
-/// only and every follower forwards frames received from its ring
-/// predecessor one hop further, making leader egress `O(1)` per message.
-/// Ack/commit semantics are unchanged — the frame header *is* the origin
-/// slot, so Accept_SST/Commit_SST work exactly as in star mode. Segments
-/// crossing a crashed or partitioned successor fall back to star fan-out
-/// until a rejoin heals the chain.
+/// message. `Ring` amortizes dissemination around the replica-index ring
+/// (after Ring Paxos) along **two arms** ([`ring_route`]): the leader
+/// writes each payload to both of its ring neighbours, the clockwise arm
+/// forwards it `i → i+1` and the counter-clockwise arm `i → i−1`, and the
+/// arms meet on the far side of the ring. Leader egress stays `O(1)` per
+/// message (two frames) and the quorum closes after `⌈⌊n/2⌋/2⌉`
+/// store-and-forward hops — half of what a single chain `o → o+1 → … →
+/// o−1` needs to reach the node `⌊n/2⌋` hops away. Ack/commit semantics are
+/// unchanged — the frame header *is* the origin slot, so
+/// Accept_SST/Commit_SST work exactly as in star mode. An arm segment
+/// behind a crashed or partitioned forwarder falls back to star fan-out
+/// until a rejoin heals the arm.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum DisseminationMode {
     /// Leader writes every payload to every follower (the paper's topology).
     #[default]
     Star,
-    /// Leader writes to its ring successor only; followers forward
-    /// predecessor frames one hop further around the chain.
+    /// Leader writes to its two ring neighbours; followers forward frames
+    /// one hop further along their arm ([`ring_route`]).
     Ring,
+}
+
+/// One node's place in the ring topology of a given origin (proposer).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct RingRoute {
+    /// The node whose lane carries the origin's frames to this node: the
+    /// origin itself for the two arm heads, the previous node of the arm
+    /// otherwise (and for the origin, which receives by loopback).
+    pub upstream: usize,
+    /// The node this one forwards accepted frames to; `None` at the origin
+    /// (it streams to the arm heads, it does not forward) and at the last
+    /// node of each arm.
+    pub downstream: Option<usize>,
+}
+
+/// The ring-dissemination topology: where node `me` receives the frames
+/// originated by `origin` from, and where it forwards them to, in an
+/// `n`-replica ring.
+///
+/// With `d = (me − origin) mod n` and `h = ⌊n/2⌋`, the clockwise arm is
+/// `d ∈ 1..=h` (each node forwards to `me + 1`, the node at `d = h` does
+/// not) and the counter-clockwise arm is `d ∈ h+1..=n−1` walked downwards
+/// from `d = n−1` (each node forwards to `me − 1`, the node at `d = h + 1`
+/// does not). Every follower is on exactly one arm, the arm lengths differ
+/// by at most one, and no node is more than `min(d, n − d) ≤ h` hops from
+/// the origin. For `n ≤ 3` both arms have at most one node, so nothing
+/// forwards and the topology is star.
+pub fn ring_route(n: usize, origin: usize, me: usize) -> RingRoute {
+    debug_assert!(origin < n && me < n, "ring position out of range");
+    let d = (me + n - origin) % n;
+    let h = n / 2;
+    let cw = (me + 1) % n;
+    let ccw = (me + n - 1) % n;
+    if d == 0 {
+        RingRoute {
+            upstream: me,
+            downstream: None,
+        }
+    } else if d <= h {
+        RingRoute {
+            upstream: ccw,
+            downstream: (d < h).then_some(cw),
+        }
+    } else {
+        RingRoute {
+            upstream: cw,
+            downstream: (d > h + 1).then_some(ccw),
+        }
+    }
 }
 
 impl DisseminationMode {
@@ -97,11 +150,11 @@ pub struct AcuerdoConfig {
     /// with empty state.
     pub durability: simnet::DurabilityMode,
     /// Payload dissemination topology: star fan-out (the paper) or the
-    /// successor-chain ring (ROADMAP item 3, after Ring Paxos).
+    /// two-armed ring ([`ring_route`], after Ring Paxos).
     pub dissemination: DisseminationMode,
-    /// Ring mode only: maximum unacked forwarded frames in flight per chain
-    /// hop (the pipeline-depth knob). Bounds how far a fast predecessor can
-    /// outrun its successor's acceptance frontier.
+    /// Ring mode only: maximum unacked frames in flight on a forward lane
+    /// (the pipeline-depth knob). Bounds how far a fast forwarder can
+    /// outrun its downstream node's acceptance frontier.
     pub ring_pipeline_depth: usize,
 }
 
@@ -184,6 +237,53 @@ mod tests {
         assert!(!c.per_message_acks);
         assert_eq!(c.ring_mode, RingMode::Coupled);
         assert_eq!(c.dissemination, DisseminationMode::Star);
+    }
+
+    /// `(upstream, downstream)` of every node, for origin `o`.
+    fn routes(n: usize, o: usize) -> Vec<(usize, Option<usize>)> {
+        (0..n)
+            .map(|i| {
+                let r = ring_route(n, o, i);
+                (r.upstream, r.downstream)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ring_route_walks_two_arms_away_from_the_origin() {
+        // 5 nodes, origin 0: arms 1 → 2 and 4 → 3.
+        assert_eq!(
+            routes(5, 0),
+            [(0, None), (0, Some(2)), (1, None), (4, None), (0, Some(3))]
+        );
+        // The arms turn with the origin: origin 3 streams to 4 and 2.
+        assert_eq!(
+            routes(5, 3),
+            [(4, None), (2, None), (3, Some(1)), (3, None), (3, Some(0))]
+        );
+        // Even n: the clockwise arm takes the extra node (8 vs 7 at n = 16),
+        // and node 8 — a whole chain's quorum point — is its last.
+        let r = routes(16, 0);
+        assert_eq!(r[1], (0, Some(2)));
+        assert_eq!(r[8], (7, None));
+        assert_eq!(r[9], (10, None));
+        assert_eq!(r[15], (0, Some(14)));
+        let forwarders = r.iter().filter(|(_, down)| down.is_some()).count();
+        assert_eq!(forwarders, 13, "all followers but the two arm tails");
+    }
+
+    #[test]
+    fn ring_route_is_star_up_to_three_nodes() {
+        for n in 1..=3 {
+            for o in 0..n {
+                for i in 0..n {
+                    let r = ring_route(n, o, i);
+                    assert_eq!(r.downstream, None, "n={n} o={o} i={i} forwards");
+                    let direct = if i == o { i } else { o };
+                    assert_eq!(r.upstream, direct, "n={n} o={o} i={i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod msg;
 mod node;
 
 pub use cluster::{build_cluster, current_leader, enable_restarts, histories};
-pub use config::{AcuerdoConfig, DisseminationMode};
+pub use config::{ring_route, AcuerdoConfig, DisseminationMode, RingRoute};
 pub use node::{AcWire, AcuerdoNode, Role};
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 //! node abstains from elections so its reset state cannot outbid the live
 //! epoch; if no diff arrives it eventually falls back to a normal election.
 
-use crate::config::{AcuerdoConfig, DisseminationMode};
+use crate::config::{ring_route, AcuerdoConfig, DisseminationMode, RingRoute};
 use crate::msg::{self, Frame};
 use abcast::client::RESP_WIRE;
 use abcast::{hdr_span, App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Vote};
@@ -158,12 +158,12 @@ fn encode_wal_cut(cut: MsgHdr, e: Epoch) -> Vec<u8> {
 /// this many push ticks.
 const FOLLOWER_PUSH_PERIOD: u64 = 10;
 
-/// Extra star-fallback patience the leader grants per chain hop in ring
+/// Extra star-fallback patience the leader grants per arm hop in ring
 /// mode. One store-and-forward hop costs an egress plus an ingress
 /// serialization, a link flight, and a verb post — tens of microseconds for
 /// the scale-study payloads — so the grace is sized to cover a hop with
 /// slack while keeping detection of a genuinely dead segment well under the
-/// election timeout even at the far end of a 64-node chain.
+/// election timeout even at the far end of a 64-node ring's arms.
 const RING_HOP_GRACE: Duration = Duration::from_micros(40);
 
 /// Commit_SST cell: the node's last committed header plus a push sequence
@@ -231,6 +231,9 @@ pub struct AcuerdoNode {
     last_mx: Vote,
     last_mx_change: SimTime,
     election_detected_at: SimTime,
+    /// Leader only: since when a quorum-blocking share of the peers has
+    /// been promised to epochs above ours (`detect_outbid`).
+    outbid_since: Option<SimTime>,
     awaiting_ready: bool,
 
     // Diff reassembly: (epoch, parts collected so far).
@@ -265,20 +268,18 @@ pub struct AcuerdoNode {
     ack_obs_counter: u64,
 
     // Ring dissemination (cfg.dissemination == Ring; inert in star mode).
-    /// Out-of-order chain frames parked until their contiguous turn — star
-    /// fallback and chain copies of a frame can race, and an epoch-opening
+    /// Out-of-order ring frames parked until their contiguous turn — star
+    /// fallback and forwarded copies of a frame can race, and an epoch-opening
     /// diff (leader lane) can lose a cross-lane race against forwarded
     /// frames of its own epoch. Acceptance stays strictly prefix-ordered so
     /// the cumulative Accept_SST acknowledgment stays truthful.
     pending: BTreeMap<MsgHdr, Bytes>,
-    /// Accepted frames queued for the one-hop forward to the ring successor.
+    /// Accepted frames queued for the one-hop forward to this node's
+    /// downstream neighbour on its arm ([`ring_route`]). In-flight forwards
+    /// are tracked in that peer's `out[..].sent`, like any frame on its lane.
     fwd_backlog: VecDeque<(MsgHdr, Bytes)>,
-    /// `(hdr, ring seq)` of in-flight forwards, bounded by
-    /// `ring_pipeline_depth` and reused against the successor's Accept_SST
-    /// cell (which it pushes back to us, its predecessor).
-    fwd_sent: VecDeque<(MsgHdr, u64)>,
     /// Leader-side: peers currently served by star fallback because the
-    /// chain segment covering them stalled (crash / partition downstream).
+    /// arm segment covering them stalled (crash / partition upstream of it).
     fallback: Vec<bool>,
     /// Leader-side: when each peer's visible ack frontier last advanced or
     /// was fully caught up; a stall beyond `fail_timeout` engages fallback.
@@ -371,6 +372,7 @@ impl AcuerdoNode {
             last_mx: Vote::default(),
             last_mx_change: SimTime::ZERO,
             election_detected_at: SimTime::ZERO,
+            outbid_since: None,
             awaiting_ready: false,
             diff_buf: None,
             resyncing: false,
@@ -385,7 +387,6 @@ impl AcuerdoNode {
             ack_obs_counter: 0,
             pending: BTreeMap::new(),
             fwd_backlog: VecDeque::new(),
-            fwd_sent: VecDeque::new(),
             fallback: vec![false; n],
             lag_since: vec![SimTime::ZERO; n],
             audit: Auditor::new(),
@@ -516,13 +517,13 @@ impl AcuerdoNode {
             }
         }
         // Then any log entries of the current epoch this peer hasn't got.
-        // Ring mode streams payloads only along the chain (loopback + ring
-        // successor) or to peers under star fallback; everyone else receives
-        // frames forwarded hop by hop around the chain.
+        // Ring mode streams payloads only to the loopback lane, the two arm
+        // heads and peers under star fallback; everyone else receives
+        // frames forwarded hop by hop along its arm.
         if !self.streams_to(j) {
             return;
         }
-        let fallback_lane = self.ring_on() && j != self.me && j != self.ring_succ();
+        let fallback_lane = self.ring_on() && j != self.me && !self.is_arm_head(j);
         while self.out[j].next_cnt <= self.count {
             let hdr = MsgHdr::new(self.e_new, self.out[j].next_cnt);
             let Some(payload) = self.log.get(&hdr) else {
@@ -551,37 +552,39 @@ impl AcuerdoNode {
 
     // ---- ring dissemination (DisseminationMode::Ring) ------------------------
     //
-    // Ring-Paxos-style chain dissemination (ROADMAP item 3): the leader
-    // writes each payload to its ring successor only and every follower
-    // forwards accepted frames one hop further, so leader egress is O(1)
-    // bytes per message instead of O(n). The chain is replica-index order;
-    // the frame header is the origin slot (epoch.ldr names the proposer),
-    // so ack/commit semantics over the three SSTs are unchanged. A chain
-    // segment crossing a crashed or partitioned node is bridged by star
-    // fallback from the leader until a rejoin heals the chain.
+    // Ring-Paxos-style dissemination over two arms ([`ring_route`]): the
+    // leader writes each payload to its two ring neighbours and every
+    // follower forwards accepted frames one hop further along its arm, so
+    // leader egress is O(1) bytes per message instead of O(n) and the quorum
+    // is ⌈⌊n/2⌋/2⌉ hops away. The frame header is the origin slot
+    // (`epoch.ldr` names the proposer, and with it the route), so
+    // ack/commit semantics over the three SSTs are unchanged. An arm
+    // segment behind a crashed or partitioned forwarder is bridged by star
+    // fallback from the leader until a rejoin heals the arm.
 
     fn ring_on(&self) -> bool {
         self.cfg.dissemination == DisseminationMode::Ring
     }
 
-    /// This node's chain successor (the next replica index, wrapping).
-    fn ring_succ(&self) -> usize {
-        (self.me + 1) % self.cfg.n
+    /// This node's place on the arms of `origin`'s ring.
+    fn route_from(&self, origin: usize) -> RingRoute {
+        ring_route(self.cfg.n, origin, self.me)
     }
 
-    /// This node's chain predecessor (the previous replica index, wrapping).
-    fn ring_pred(&self) -> usize {
-        (self.me + self.cfg.n - 1) % self.cfg.n
+    /// True when peer `j` heads one of the two arms of this node's ring,
+    /// i.e. receives this node's own frames directly.
+    fn is_arm_head(&self, j: usize) -> bool {
+        j != self.me && ring_route(self.cfg.n, self.me, j).upstream == self.me
     }
 
     /// True when this (leader) node streams payload frames directly into
-    /// peer `j`'s ring: always in star mode; in ring mode only along the
-    /// chain (loopback + successor) or while `j` is under star fallback.
+    /// peer `j`'s ring: always in star mode; in ring mode only to itself
+    /// (loopback), the two arm heads, or while `j` is under star fallback.
     fn streams_to(&self, j: usize) -> bool {
-        !self.ring_on() || j == self.me || j == self.ring_succ() || self.fallback[j]
+        !self.ring_on() || j == self.me || self.is_arm_head(j) || self.fallback[j]
     }
 
-    /// The next frame the chain contiguity gate will accept.
+    /// The next frame the ring contiguity gate will accept.
     fn ring_expected(&self) -> MsgHdr {
         if self.accepted.epoch == self.e_cur {
             self.accepted.next()
@@ -593,7 +596,7 @@ impl AcuerdoNode {
     /// Ring-mode Normal-frame ingestion: drop duplicates, park out-of-order
     /// and ahead-of-epoch frames, accept in strict header order and drain
     /// parked successors. The gate is what keeps the cumulative Accept_SST
-    /// acknowledgment truthful when star-fallback and chain copies race.
+    /// acknowledgment truthful when star-fallback and forwarded copies race.
     fn ring_ingest(
         &mut self,
         ctx: &mut Ctx<AcWire>,
@@ -615,7 +618,7 @@ impl AcuerdoNode {
         }
         let expected = self.ring_expected();
         if hdr < expected {
-            // Fallback and chain copies of the same frame race; the loser
+            // Fallback and forwarded copies of the same frame race; the loser
             // is a duplicate of an already-accepted header.
             ctx.count(Counter::RingDupDrops, 1);
             return;
@@ -655,7 +658,7 @@ impl AcuerdoNode {
         }
     }
 
-    /// Accept one in-order chain frame (the ring-mode counterpart of the
+    /// Accept one in-order ring frame (the ring-mode counterpart of the
     /// star acceptance in `accept_frames`) and queue its one-hop forward.
     fn ring_accept(&mut self, ctx: &mut Ctx<AcWire>, lane: usize, hdr: MsgHdr, payload: Bytes) {
         if self.cfg.durability.is_durable() {
@@ -671,45 +674,40 @@ impl AcuerdoNode {
                 .a(u64::from(hdr.epoch.round))
                 .b(u64::from(hdr.cnt)),
         );
-        // Queue the one-hop forward: never at the origin, never back into
-        // the origin (the chain ends at the origin's predecessor).
-        let origin = hdr.epoch.ldr as usize;
-        let succ = self.ring_succ();
-        if self.me != origin && succ != origin && succ != self.me {
+        // Queue the one-hop forward unless this node ends its arm (or is
+        // the origin, which streams to the arm heads instead).
+        if self.route_from(hdr.epoch.ldr as usize).downstream.is_some() {
             self.fwd_backlog.push_back((hdr, payload));
         }
     }
 
-    /// Forward accepted chain frames one hop to the ring successor, bounded
-    /// by `ring_pipeline_depth`, reusing forwarded slots as the successor's
-    /// Accept_SST cell (pushed back to us, its predecessor) advances.
+    /// Forward accepted frames one hop to the downstream neighbour on this
+    /// node's arm, bounded by `ring_pipeline_depth`, reusing the lane's
+    /// slots as the downstream node's Accept_SST cell (pushed back to us,
+    /// its upstream) advances.
     fn flush_forwards(&mut self, ctx: &mut Ctx<AcWire>) {
-        if self.fwd_backlog.is_empty() && self.fwd_sent.is_empty() {
+        if self.fwd_backlog.is_empty() {
             return;
         }
-        let succ = self.ring_succ();
+        // Only frames of the current epoch are forwarded, so its leader is
+        // the origin that fixes the route.
+        let Some(down) = self.route_from(self.e_cur.ldr as usize).downstream else {
+            // The epoch moved on and this node ends its arm now; the queued
+            // frames are all of superseded epochs.
+            self.fwd_backlog.clear();
+            return;
+        };
         // Slot reuse on the forward lane: Acuerdo's rule (§4.1), off the
-        // successor's acceptance frontier.
-        let acc = self.accept_sst.read(&self.ep, succ);
-        let mut max_seq = None;
-        while let Some(&(h, seq)) = self.fwd_sent.front() {
-            if h <= acc {
-                max_seq = Some(seq);
-                self.fwd_sent.pop_front();
-            } else {
-                break;
-            }
-        }
-        if let Some(s) = max_seq {
-            self.out_ring.ack(self.peers[succ], s);
-        }
-        while self.fwd_sent.len() < self.cfg.ring_pipeline_depth {
+        // downstream node's acceptance frontier.
+        let acc = self.accept_sst.read(&self.ep, down);
+        self.ack_lane(down, acc);
+        while self.out[down].sent.len() < self.cfg.ring_pipeline_depth {
             let Some((hdr, payload)) = self.fwd_backlog.front().cloned() else {
                 break;
             };
             if hdr.epoch != self.e_cur {
                 // A diff moved the epoch on while this frame waited; the
-                // successor is re-seeded by the leader's diff instead.
+                // downstream node is re-seeded by the leader's diff instead.
                 self.fwd_backlog.pop_front();
                 continue;
             }
@@ -717,7 +715,7 @@ impl AcuerdoNode {
             match self.out_ring.send_to(
                 ctx,
                 &mut self.ep,
-                self.peers[succ],
+                self.peers[down],
                 &frame,
                 MsgKind::Payload,
             ) {
@@ -726,10 +724,10 @@ impl AcuerdoNode {
                     ctx.span(
                         hdr_span(&hdr),
                         SpanStage::RingWrite,
-                        self.peers[succ] as u64,
+                        self.peers[down] as u64,
                     );
                     ctx.count(Counter::RingForwards, 1);
-                    self.fwd_sent.push_back((hdr, seq));
+                    self.out[down].sent.push_back((hdr, seq));
                     self.fwd_backlog.pop_front();
                 }
                 Err(_) => break,
@@ -737,17 +735,17 @@ impl AcuerdoNode {
         }
     }
 
-    /// Leader-side chain health scan: a peer whose visible ack frontier
-    /// stalled for a whole fail timeout sits behind a dead chain segment —
+    /// Leader-side arm health scan: a peer whose visible ack frontier
+    /// stalled for a whole fail timeout sits behind a dead arm segment —
     /// stream to it directly (star fallback) until it is fully caught up,
-    /// at which point the healed chain takes back over.
+    /// at which point the healed arm takes back over.
     ///
-    /// Patience scales with chain distance: a frame needs `d` store-and-
-    /// forward hops (each an egress + ingress serialization plus a verb
-    /// post) to even reach the peer `d` positions downstream, so a flat
+    /// Patience scales with arm depth: a frame needs `min(d, n − d)` store-
+    /// and-forward hops (each an egress + ingress serialization plus a verb
+    /// post) to even reach the peer `d` positions round the ring, so a flat
     /// timeout would read ordinary tail propagation as a dead segment and
     /// dump the whole backlog star-style — exactly the egress collapse the
-    /// chain exists to avoid.
+    /// ring exists to avoid.
     fn ring_fallback_scan(&mut self, ctx: &mut Ctx<AcWire>) {
         if !self.ring_on() || self.role != Role::Leader {
             return;
@@ -755,13 +753,14 @@ impl AcuerdoNode {
         let now = ctx.now();
         let idle = self.accepted.epoch != self.e_cur || self.accepted == MsgHdr::new(self.e_cur, 0);
         for k in 0..self.cfg.n {
-            if k == self.me || k == self.ring_succ() {
+            if k == self.me || self.is_arm_head(k) {
                 continue;
             }
             let a = self.ack_seen[k];
             let caught_up = idle || (a.epoch == self.accepted.epoch && a >= self.accepted);
-            let dist = (k + self.cfg.n - self.me) % self.cfg.n;
-            let patience = self.cfg.fail_timeout + RING_HOP_GRACE * dist as u32;
+            let d = (k + self.cfg.n - self.me) % self.cfg.n;
+            let depth = d.min(self.cfg.n - d);
+            let patience = self.cfg.fail_timeout + RING_HOP_GRACE * depth as u32;
             if caught_up {
                 self.lag_since[k] = now;
                 if self.fallback[k] {
@@ -772,7 +771,7 @@ impl AcuerdoNode {
                 self.fallback[k] = true;
                 ctx.trace(Event::new("ring_fallback_on").a(k as u64));
                 // Resume the direct stream from the peer's visible frontier;
-                // the receiver's dedup gate absorbs any chain overlap.
+                // the receiver's dedup gate absorbs any overlap with the arm.
                 self.out[k].next_cnt = if a.epoch == self.e_new { a.cnt + 1 } else { 1 };
             }
         }
@@ -862,14 +861,14 @@ impl AcuerdoNode {
                 .push_mine_to(ctx, &mut self.ep, self.peers[ldr]);
         }
         if self.ring_on() {
-            // The chain predecessor reuses its forward-lane slots off our
-            // Accept_SST cell — push it there too (the leader push above
-            // already covers a leader predecessor).
-            let pred = self.ring_pred();
-            if pred != self.me && pred != ldr {
+            // The upstream node on our arm reuses its forward-lane slots off
+            // our Accept_SST cell — push it there too (the leader push above
+            // already covers the arm heads, whose upstream is the leader).
+            let up = self.route_from(ldr).upstream;
+            if up != self.me && up != ldr {
                 let _ = self
                     .accept_sst
-                    .push_mine_to(ctx, &mut self.ep, self.peers[pred]);
+                    .push_mine_to(ctx, &mut self.ep, self.peers[up]);
             }
         }
     }
@@ -948,13 +947,27 @@ impl AcuerdoNode {
         self.accepted = self.accepted.max(hdr);
         if self.ring_on() {
             // Advance the accept frontier over the spliced entries so the
-            // chain contiguity gate expects exactly the next stream frame
+            // ring contiguity gate expects exactly the next stream frame
             // (star mode leaves `accepted` at the diff header; its dense
             // per-peer leader stream re-covers the tip implicitly).
             if let Some(top) = spliced_top {
                 self.accepted = self.accepted.max(top);
             }
             self.pending.retain(|h, _| *h > self.accepted);
+            if e.ldr as usize != self.me {
+                // Frames this node forwarded (or, as a deposed leader,
+                // streamed) in superseded epochs may never be acked here: the
+                // new origin can reverse the arm, and their receivers then
+                // report to another upstream. Stop counting them against
+                // `ring_pipeline_depth`. Their ring space stays reserved until
+                // the lane's next cumulative ack — nothing here proves the
+                // receiver consumed them.
+                for o in &mut self.out {
+                    while o.sent.front().is_some_and(|(h, _)| h.epoch < e) {
+                        o.sent.pop_front();
+                    }
+                }
+            }
         }
         self.next = self.next.max(MsgHdr::new(e, 0));
         self.last_leader_activity = ctx.now();
@@ -987,7 +1000,7 @@ impl AcuerdoNode {
                 self.ack_obs_counter += 1;
                 self.ack_obs_seq[k] = self.ack_obs_counter;
                 if self.ring_on() {
-                    // An advancing frontier means the chain still feeds this
+                    // An advancing frontier means its arm still feeds this
                     // peer; only a stall engages star fallback.
                     self.lag_since[k] = ctx.now();
                 }
@@ -1310,11 +1323,12 @@ impl AcuerdoNode {
 
     fn become_leader(&mut self, ctx: &mut Ctx<AcWire>) {
         self.role = Role::Leader;
+        self.outbid_since = None;
         self.count = 0;
         self.elections_won += 1;
         self.frame_stall = None;
         if self.ring_on() {
-            // A fresh epoch starts with a healthy chain assumption; the
+            // A fresh epoch starts with a healthy-arms assumption; the
             // fallback scan re-marks any segment that is still dead.
             self.fallback = vec![false; self.cfg.n];
             self.lag_since = vec![ctx.now(); self.cfg.n];
@@ -1350,6 +1364,39 @@ impl AcuerdoNode {
             ctx.trace(Event::new("epoch_ready").a(u64::from(self.e_new.round)));
             self.election_spans
                 .push((self.election_detected_at, ctx.now_cpu()));
+        }
+    }
+
+    /// Leader-side escape from a lost quorum, checked at the followers' push
+    /// cadence. A peer whose vote cell names an epoch above ours has promised
+    /// that epoch and refuses our frames; once more than `n − quorum` peers
+    /// have, no quorum of acceptors is left and this leader can never commit
+    /// again — while the outbidders, short of a quorum themselves as long as
+    /// our followers keep following our heartbeat, can never win. (Voters
+    /// whose patience ran out the instant the deciding vote landed split a
+    /// 16-node cluster 8 vs 8 this way.) The electors' own way back to a
+    /// leader that has committed (`detect_desync`) takes one `fail_timeout`;
+    /// if the block outlasts that, abdicate into their election. Promises
+    /// only ever move up here, so this cannot hurt safety.
+    fn detect_outbid(&mut self, ctx: &mut Ctx<AcWire>) {
+        if self.role != Role::Leader {
+            return;
+        }
+        let outbid = (0..self.cfg.n)
+            .filter(|&k| self.vote_sst.read(&self.ep, k).e_new > self.e_new)
+            .count();
+        if outbid <= self.cfg.n - self.cfg.quorum() {
+            self.outbid_since = None;
+            return;
+        }
+        let now = ctx.now();
+        let since = *self.outbid_since.get_or_insert(now);
+        if now.saturating_since(since) > self.cfg.fail_timeout {
+            self.outbid_since = None;
+            ctx.count(Counter::Elections, 1);
+            ctx.trace(Event::new("abdicate").a(u64::from(self.e_new.round)));
+            ctx.trace(Event::new("election_start").a(u64::from(self.e_cur.round)));
+            self.start_election(now);
         }
     }
 
@@ -1403,7 +1450,6 @@ impl AcuerdoNode {
         // receivers' own repair.
         self.pending.clear();
         self.fwd_backlog.clear();
-        self.fwd_sent.clear();
         // Abandon any election this node was running: diffs are only
         // accepted for epochs at or above `e_new`, so a candidacy raised
         // while cut off (e.g. a partitioned minority electing itself) would
@@ -1446,12 +1492,11 @@ impl AcuerdoNode {
         self.ep.reset_connection(self.peers[j]);
         self.out_ring.retarget_lane(self.peers[j], ring);
         self.out[j] = PeerOut::new();
-        if self.ring_on() && j == self.ring_succ() {
-            // The successor tore its ring down: in-flight forwards died with
-            // it, and the retargeted lane restarts sequencing from zero. The
+        if self.ring_on() && self.route_from(self.e_cur.ldr as usize).downstream == Some(j) {
+            // Our downstream node tore its ring down: in-flight forwards
+            // died with it (their lane just restarted from zero above). The
             // leader's rejoin diff covers everything we would have forwarded.
             self.fwd_backlog.clear();
-            self.fwd_sent.clear();
         }
         if reply {
             // Forget everything mirrored from the (possibly rebooted)
@@ -1503,8 +1548,8 @@ impl AcuerdoNode {
         };
         self.out[j].rejoin = true;
         self.hello_from[j] = false;
-        if self.ring_on() && j != self.ring_succ() {
-            // Serve the rejoiner directly until the healed chain catches it
+        if self.ring_on() && !self.is_arm_head(j) {
+            // Serve the rejoiner directly until the healed arm catches it
             // up (the fallback hysteresis clears this once it does).
             self.fallback[j] = true;
             self.lag_since[j] = ctx.now();
@@ -1566,7 +1611,7 @@ impl AcuerdoNode {
             }
             // A follower whose inbound stream broke: the leader's commit
             // notifications keep outrunning the frames for longer than a
-            // whole fail timeout. Chain tails legitimately trail the quorum
+            // whole fail timeout. Arm tails legitimately trail the quorum
             // by many forward hops — and the leader's star fallback repairs
             // a dead segment in one fail timeout — so ring mode waits two
             // timeouts before tearing the connection down.
@@ -1710,6 +1755,9 @@ impl Process<AcWire> for AcuerdoNode {
             }
             TOK_PUSH => {
                 self.push_commit(ctx);
+                if self.push_ticks.is_multiple_of(FOLLOWER_PUSH_PERIOD) {
+                    self.detect_outbid(ctx);
+                }
                 self.gc();
                 ctx.set_timer(self.cfg.commit_push_interval, TOK_PUSH);
             }

@@ -3,21 +3,25 @@
 //! delivery history must show
 //!
 //! * **no double delivery** — a header is delivered at most once, even when
-//!   the chain copy and a star-fallback copy of the same frame race,
+//!   the forwarded copy and a star-fallback copy of the same frame race,
 //! * **no skipped origin-slot sequence** — within an epoch the delivered
 //!   counts are gapless and ascending from 1 (the contiguity gate never
 //!   lets a later slot slip past a missing one),
 //! * **per-origin FIFO across fallback and resume** — frames originated by
 //!   one proposer slot are delivered in origin order even when the leader
-//!   bridges a dead chain segment star-style mid-stream and later hands
-//!   back to the healed chain.
+//!   bridges a dead arm segment star-style mid-stream and later hands
+//!   back to the healed arm.
 //!
-//! The schedules deliberately crash a mid-chain replica with a short fail
-//! timeout so most cases actually engage the fallback/resume path rather
-//! than testing the fault-free chain over and over.
+//! The schedules deliberately crash a forwarder — mid-arm, or the head of
+//! the counter-clockwise arm — with a short fail timeout so most cases
+//! actually engage the fallback/resume path rather than testing the
+//! fault-free ring over and over.
+//!
+//! The topology itself ([`ring_route`]) is checked as a pure function over
+//! every ring size the scale sweep can reach.
 
 use abcast::{check_cluster, cluster_with_client, MsgHdr};
-use acuerdo::{AcuerdoConfig, DisseminationMode};
+use acuerdo::{ring_route, AcuerdoConfig, DisseminationMode};
 use proptest::prelude::*;
 use simnet::{Counter, SimTime};
 use std::collections::BTreeMap;
@@ -68,7 +72,7 @@ proptest! {
         seed in 0u64..1_000_000,
         n in 3usize..=6,
         payload in prop_oneof![Just(8usize), Just(64), Just(512)],
-        crash_frac in 0u64..=2,
+        crash_pick in 0usize..=3,
         restart in any::<bool>(),
         depth in 1usize..=8,
     ) {
@@ -88,9 +92,11 @@ proptest! {
         if restart {
             acuerdo::enable_restarts(&mut sim, &cfg, &ids);
         }
-        // Crash a mid-chain forwarder (never the initial leader): frames can
-        // be mid-forward on both sides of it when it dies.
-        let victim = 1 + (crash_frac as usize) % (n - 1);
+        // Crash a forwarder (never the initial leader): frames can be
+        // mid-forward on both sides of it when it dies. Picks 0..=2 walk the
+        // clockwise arm from its head; pick 3 is the leader's predecessor,
+        // the head of the counter-clockwise arm.
+        let victim = if crash_pick == 3 { n - 1 } else { 1 + crash_pick % (n - 1) };
         let crash_at = SimTime::from_micros(1_500 + 375 * (seed % 4));
         sim.crash_at(victim, crash_at);
         if restart {
@@ -112,14 +118,63 @@ proptest! {
             }
             check_history(&case, i, h);
         }
-        // The schedule is built to exercise the chain: forwards must happen,
-        // and a crashed forwarder must have pushed the leader into fallback.
-        prop_assert!(sim.metrics().total(Counter::RingForwards) > 0, "{}: chain never forwarded", case);
-        prop_assert!(
-            sim.metrics().total(Counter::RingFallbackSends) > 0,
-            "{}: crash of forwarder {} never engaged star fallback",
-            case,
-            victim
-        );
+        // The schedule is built to exercise the arms: forwards must happen
+        // (from four nodes up — at three both arms are one node long and
+        // nothing forwards), and the crash must have pushed the leader into
+        // fallback for every node it left beyond the leader's direct reach:
+        // the victim itself unless it heads an arm, and whoever it fed.
+        if n >= 4 {
+            prop_assert!(sim.metrics().total(Counter::RingForwards) > 0, "{}: ring never forwarded", case);
+        } else {
+            prop_assert_eq!(sim.metrics().total(Counter::RingForwards), 0, "{}: forward at n=3", case);
+        }
+        let route = ring_route(n, 0, victim);
+        if route.upstream != 0 || route.downstream.is_some() {
+            prop_assert!(
+                sim.metrics().total(Counter::RingFallbackSends) > 0,
+                "{}: crash of forwarder {} never engaged star fallback",
+                case,
+                victim
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn ring_route_reaches_every_follower_once_over_two_balanced_arms(
+        n in 2usize..=65,
+        origin_pick in 0usize..65,
+    ) {
+        let origin = origin_pick % n;
+        prop_assert_eq!(ring_route(n, origin, origin).downstream, None);
+        // Walk each arm from its head (a follower whose upstream is the
+        // origin) to its end, counting hops.
+        let heads: Vec<usize> = (0..n)
+            .filter(|&i| i != origin && ring_route(n, origin, i).upstream == origin)
+            .collect();
+        prop_assert_eq!(heads.len(), (n - 1).min(2), "n={} origin={}", n, origin);
+        let mut reached = vec![0u32; n];
+        let mut arm_lens = Vec::new();
+        for &head in &heads {
+            let (mut at, mut depth) = (head, 1usize);
+            reached[at] += 1;
+            while let Some(next) = ring_route(n, origin, at).downstream {
+                prop_assert_eq!(ring_route(n, origin, next).upstream, at, "upstream(downstream({})) at n={}", at, n);
+                prop_assert!(next != origin, "arm runs back into the origin at n={}", n);
+                at = next;
+                depth += 1;
+                reached[at] += 1;
+                prop_assert!(depth < n, "arm does not end at n={}", n);
+            }
+            arm_lens.push(depth);
+        }
+        for (i, &hits) in reached.iter().enumerate() {
+            prop_assert_eq!(hits, u32::from(i != origin), "n={} origin={} node {}", n, origin, i);
+        }
+        let longest = arm_lens.iter().copied().max().unwrap_or(0);
+        let shortest = arm_lens.iter().copied().min().unwrap_or(0);
+        prop_assert!(longest - shortest <= 1, "arms {:?} at n={}", arm_lens, n);
+        prop_assert!(longest <= n / 2, "depth {} over ceil((n-1)/2) at n={}", longest, n);
     }
 }

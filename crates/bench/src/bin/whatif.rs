@@ -22,17 +22,16 @@ use std::process::exit;
 fn usage() {
     eprintln!(
         "usage: whatif [--quick] [--out DIR] [--label NAME] [--seed N] [--sched KIND]\n\
-         \x20             [--dissemination MODE] [--systems A,B] [--sizes N,M] [--interventions X,Y]\n\
+         \x20             [--systems A,B] [--sizes N,M] [--interventions X,Y]\n\
          \x20  --quick              sizes 3,64 (the committed baseline) vs 3,16,64\n\
          \x20  --out DIR            output directory (default .)\n\
          \x20  --label NAME         document name BENCH_<NAME>.json (default whatif)\n\
          \x20  --seed N             override the pinned seed (default 42)\n\
          \x20  --sched KIND         event queue: heap | calendar (default calendar)\n\
-         \x20  --dissemination MODE acuerdo topology: star (default) | ring\n\
-         \x20                       (ring swaps the acuerdo row for acuerdo-ring)\n\
-         \x20  --systems A,B        subset of the five-system matrix by name\n\
+         \x20  --systems A,B        subset of the matrix by name ({})\n\
          \x20  --sizes N,M          subset of cluster sizes\n\
          \x20  --interventions X,Y  subset of the catalog: {}",
+        WHATIF_SYSTEMS.map(|s| s.name()).join(","),
         CATALOG.join(",")
     );
 }
@@ -46,7 +45,6 @@ fn main() {
     let mut systems: Option<Vec<String>> = None;
     let mut sizes: Option<Vec<usize>> = None;
     let mut interventions: Option<Vec<String>> = None;
-    let mut ring = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -89,16 +87,6 @@ fn main() {
                         .map(str::to_string)
                         .collect(),
                 )
-            }
-            "--dissemination" => {
-                ring = match value(&mut args, "--dissemination", "mode").as_str() {
-                    "star" => false,
-                    "ring" => true,
-                    other => {
-                        eprintln!("--dissemination needs 'star' or 'ring', got '{other}'");
-                        exit(2);
-                    }
-                };
             }
             "--help" | "-h" => {
                 usage();
@@ -154,13 +142,6 @@ fn main() {
             .into_iter()
             .filter(|c| names.iter().any(|n| n == c))
             .collect();
-    }
-    if ring {
-        for s in &mut cfg.systems {
-            if *s == bench::System::Acuerdo {
-                *s = bench::System::AcuerdoRing;
-            }
-        }
     }
     let path = format!("{}/BENCH_{label}.json", out_dir.trim_end_matches('/'));
     let doc = run_whatif(&cfg);

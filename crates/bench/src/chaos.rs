@@ -521,7 +521,7 @@ pub struct ChaosReport {
     pub durability: DurabilityMode,
     /// Event-queue scheduler the simulation ran on.
     pub sched: SchedKind,
-    /// Acuerdo payload topology the run used (star fan-out or chain).
+    /// Acuerdo payload topology the run used (star fan-out or ring).
     pub dissemination: DisseminationMode,
     /// The executed script.
     pub schedule: Schedule,
@@ -665,8 +665,8 @@ pub struct ChaosOpts {
     pub durability: DurabilityMode,
     /// Event-queue scheduler for the simulation.
     pub sched: SchedKind,
-    /// Acuerdo payload topology (star fan-out or ring/chain forwarding;
-    /// the baselines have no chain mode and ignore it).
+    /// Acuerdo payload topology (star fan-out or ring forwarding; the
+    /// baselines have no ring mode and ignore it).
     pub dissemination: DisseminationMode,
     /// Whether to record the full trace timeline.
     pub traced: bool,

@@ -57,9 +57,9 @@ use zab::{ZabConfig, ZabNode};
 pub enum System {
     /// The paper's contribution.
     Acuerdo,
-    /// Acuerdo with chain dissemination: the leader streams to its ring
-    /// successor only and followers forward hop by hop (Ring-Paxos style),
-    /// breaking the leader-egress ceiling at large n.
+    /// Acuerdo with ring dissemination: the leader streams to its two ring
+    /// neighbours and followers forward hop by hop along two arms (after
+    /// Ring Paxos), breaking the leader-egress ceiling at large n.
     AcuerdoRing,
     /// Derecho, single-sender mode.
     DerechoLeader,

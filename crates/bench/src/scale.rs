@@ -25,8 +25,8 @@ pub const SCHEMA: &str = "acuerdo-bench-scale-v2";
 
 /// The systems swept: one representative per protocol class, plus the
 /// ring-dissemination variant of Acuerdo so the document carries the
-/// star-vs-ring crossover at every size (v2; v1 swept the five
-/// representatives only).
+/// star-vs-ring crossover at every size the ring differs from the star
+/// ([`swept`]; v2 — v1 swept the five representatives only).
 pub const SCALE_SYSTEMS: [System; 6] = [
     System::Acuerdo,
     System::AcuerdoRing,
@@ -35,6 +35,13 @@ pub const SCALE_SYSTEMS: [System; 6] = [
     System::Zookeeper,
     System::Etcd,
 ];
+
+/// Whether the matrix carries a `(system, n)` row. The ring variant is swept
+/// only above three nodes: up to there `acuerdo::ring_route` has no
+/// forwarding hop, so the run would be the star row's, byte for byte.
+pub fn swept(system: System, n: usize) -> bool {
+    !(system == System::AcuerdoRing && n <= 3)
+}
 
 /// The full sweep's cluster sizes.
 pub const SCALE_SIZES: [usize; 7] = [3, 5, 7, 9, 16, 32, 64];
@@ -111,7 +118,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> String {
         } else {
             RunSpec::for_system(system)
         };
-        for &n in &cfg.sizes {
+        for &n in cfg.sizes.iter().filter(|&&n| swept(system, n)) {
             let label = format!("{}-n{}", system.name(), n);
             let r = Run::new(system, n, cfg.payload, cfg.window, cfg.seed, spec).observe(Observe {
                 sample_every: Some(cfg.sample_every),

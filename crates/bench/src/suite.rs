@@ -52,7 +52,7 @@ pub struct SuiteConfig {
     /// under both and compares bytes.
     pub scheduler: SchedKind,
     /// Systems to run; defaults to [`SUITE_SYSTEMS`]. The `--dissemination
-    /// ring` CLI swap replaces Acuerdo with its chain-topology variant here.
+    /// ring` CLI swap replaces Acuerdo with its ring-topology variant here.
     pub systems: Vec<System>,
 }
 

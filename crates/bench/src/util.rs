@@ -13,7 +13,8 @@
 //!
 //! The verdict grammar is deliberately greppable (CI anchors on the
 //! `bottleneck ` prefix): `bottleneck <system>@<nodes>: <top resource>
-//! <util>% utilized, <share>% of bytes are <kind> — <prescription>`.
+//! <util>% utilized, <share>% of bytes are <kind> — <prescription>;
+//! closed-loop bound window <w> / p50 <t> µs ≈ <bound> msgs/s, <x> measured`.
 
 use simnet::{cpu_slot_name, MsgKind, ResourceSnapshot, CPU_SLOTS};
 
@@ -194,6 +195,48 @@ struct RunUtil {
     system: String,
     nodes: u64,
     util: Value,
+    closed_loop: Option<ClosedLoop>,
+}
+
+/// The closed-loop operating point of a run: a window of `window` requests
+/// cannot complete faster than `window / latency`, however idle every
+/// resource is. Printed beside each utilization verdict, because a busy
+/// resource in a run that sits on this bound is not thereby the wall —
+/// only a counterfactual (`whatif`: the resource ×2 against `window-x2`)
+/// tells a resource-bound run from a latency-bound one.
+#[derive(Copy, Clone, Debug)]
+pub struct ClosedLoop {
+    /// Client window (requests in flight).
+    pub window: u64,
+    /// Median commit latency, microseconds.
+    pub p50_us: f64,
+    /// Measured throughput, messages per second.
+    pub msgs_per_sec: f64,
+}
+
+impl ClosedLoop {
+    /// Read the operating point out of a run record; `None` when the record
+    /// does not carry one (hand-written documents, zero-commit runs).
+    fn of_record(r: &Value) -> Option<ClosedLoop> {
+        let window = r.get("window").and_then(Value::as_u64)?;
+        let p50_us = r.get("p50_us").and_then(Value::as_f64)?;
+        let msgs_per_sec = r.get("msgs_per_sec").and_then(Value::as_f64)?;
+        (window > 0 && p50_us > 0.0).then_some(ClosedLoop {
+            window,
+            p50_us,
+            msgs_per_sec,
+        })
+    }
+
+    fn clause(&self) -> String {
+        format!(
+            "; closed-loop bound window {} / p50 {:.1} µs ≈ {:.0} msgs/s, {:.0} measured",
+            self.window,
+            self.p50_us,
+            self.window as f64 * 1e6 / self.p50_us,
+            self.msgs_per_sec
+        )
+    }
 }
 
 fn num(v: &Value, path: &[&str]) -> f64 {
@@ -232,6 +275,7 @@ fn collect_runs(doc: &Value) -> Vec<RunUtil> {
                     .to_string(),
                 nodes: r.get("nodes").and_then(Value::as_u64).unwrap_or(0),
                 util,
+                closed_loop: ClosedLoop::of_record(r),
             })
         })
         .collect()
@@ -244,12 +288,23 @@ fn collect_runs(doc: &Value) -> Vec<RunUtil> {
 /// wins; the tail clause turns the dominant byte kind into a prescription.
 ///
 /// The prescription grammar is topology-aware: a system already running
-/// chain dissemination (its name carries the `-ring` suffix) must never be
-/// told to *adopt* ring dissemination — a payload-heavy saturated leader
-/// there means the chain degraded to star fallback, and a saturated
-/// follower is the chain's expected steady state (the forwarding hop), not
-/// a spread-out anomaly.
-pub fn verdict_line(system: &str, nodes: u64, util: &Value) -> String {
+/// ring dissemination (its name carries the `-ring` suffix) must never be
+/// told to *adopt* it — a payload-heavy saturated leader there is feeding
+/// its two arm heads (or, beyond two frames per message, star fallback),
+/// and a saturated follower is the ring's expected steady state (the
+/// forwarding hop), not a spread-out anomaly.
+///
+/// Every utilization verdict ends with the run's closed-loop bound when the
+/// record carries one ([`ClosedLoop`]), and the CPU verdict names the
+/// busiest resource without calling the run cpu-bound: utilization cannot
+/// tell that apart from a latency-bound run whose leader fills its idle
+/// time with periodic work.
+pub fn verdict_line(
+    system: &str,
+    nodes: u64,
+    util: &Value,
+    closed_loop: Option<&ClosedLoop>,
+) -> String {
     let ring = system.ends_with("-ring");
     let leader_egress = num(util, &["leader", "egress_util_pct"]);
     let follower_egress = num(util, &["followers", "peak_egress_util_pct"]);
@@ -264,15 +319,15 @@ pub fn verdict_line(system: &str, nodes: u64, util: &Value) -> String {
              peak follower egress {follower_egress:.1}%, leader cpu {leader_cpu:.1}%)"
         );
     }
-    if top == leader_egress {
+    let verdict = if top == leader_egress {
         let total = num(util, &["tx_bytes", "total"]);
         let ack_share = share(num(util, &["tx_bytes", "ack"]) as u64, total as u64);
         if payload_share >= 50.0 {
             if ring {
                 format!(
                     "{head}: leader egress {leader_egress:.1}% utilized, {payload_share:.1}% of \
-                     bytes are payload fan-out — chain degraded to star fallback; check ring \
-                     health (ring_fallback_sends)"
+                     bytes are payload — the leader feeds two arm heads per message; anything \
+                     beyond that is star fallback (ring_fallback_sends)"
                 )
             } else {
                 format!(
@@ -295,8 +350,8 @@ pub fn verdict_line(system: &str, nodes: u64, util: &Value) -> String {
         if ring {
             format!(
                 "{head}: follower egress {follower_egress:.1}% utilized (node {}) — \
-                 chain forwarding hop at line rate; the ceiling is per-hop serialization, \
-                 deepen the pipeline or shard the chain",
+                 arm forwarding hop at line rate; the ceiling is per-hop serialization, \
+                 deepen the pipeline or shard the ring",
                 num(util, &["followers", "peak_node"]) as i64
             )
         } else {
@@ -308,9 +363,13 @@ pub fn verdict_line(system: &str, nodes: u64, util: &Value) -> String {
         }
     } else {
         format!(
-            "{head}: leader cpu {leader_cpu:.1}% utilized — cpu-bound; \
-             batching/elision candidate"
+            "{head}: leader cpu {leader_cpu:.1}% utilized — busiest resource; \
+             batching/elision candidate if whatif leader-cpu-x2 beats window-x2"
         )
+    };
+    match closed_loop {
+        Some(c) => verdict + &c.clause(),
+        None => verdict,
     }
 }
 
@@ -411,7 +470,10 @@ pub fn bottleneck_report(doc: &Value) -> Result<String, String> {
     }
     out.push_str("verdicts:\n");
     for r in &runs {
-        out.push_str(&format!("{}\n", verdict_line(&r.system, r.nodes, &r.util)));
+        out.push_str(&format!(
+            "{}\n",
+            verdict_line(&r.system, r.nodes, &r.util, r.closed_loop.as_ref())
+        ));
     }
     Ok(out)
 }
@@ -477,7 +539,7 @@ mod tests {
     fn verdict_names_leader_egress_payload_fanout() {
         let s = summary_json(&snap(), 2);
         let v = json::parse(&s).unwrap();
-        let line = verdict_line("acuerdo", 2, &v);
+        let line = verdict_line("acuerdo", 2, &v, None);
         assert!(line.starts_with("bottleneck acuerdo@2: leader egress 90.0% utilized"));
         assert!(line.contains("ring dissemination candidate"), "{line}");
     }
@@ -485,11 +547,11 @@ mod tests {
     #[test]
     fn ring_system_is_never_told_to_adopt_ring_dissemination() {
         // Same payload-heavy saturated-leader snapshot, but the system is
-        // already running the chain: the verdict must read it as fallback
-        // degradation, not prescribe the topology it is on.
+        // already running the ring: the verdict must read it as arm-head
+        // feeding or fallback, not prescribe the topology it is on.
         let s = summary_json(&snap(), 2);
         let v = json::parse(&s).unwrap();
-        let line = verdict_line("acuerdo-ring", 2, &v);
+        let line = verdict_line("acuerdo-ring", 2, &v, None);
         assert!(
             line.starts_with("bottleneck acuerdo-ring@2: leader egress 90.0% utilized"),
             "{line}"
@@ -501,18 +563,18 @@ mod tests {
 
     #[test]
     fn ring_system_saturated_follower_is_the_forwarding_hop() {
-        // Make a follower the top talker: in ring mode that is the chain's
+        // Make a follower the top talker: in ring mode that is the ring's
         // steady state and the verdict should name the per-hop ceiling; in
         // star mode the old "already spread" grammar must survive.
         let mut r = snap();
         r.nodes[1].tx.busy_ns = 950_000;
         let v = json::parse(&summary_json(&r, 2)).unwrap();
-        let ring_line = verdict_line("acuerdo-ring", 2, &v);
+        let ring_line = verdict_line("acuerdo-ring", 2, &v, None);
         assert!(
-            ring_line.contains("chain forwarding hop at line rate"),
+            ring_line.contains("arm forwarding hop at line rate"),
             "{ring_line}"
         );
-        let star_line = verdict_line("acuerdo", 2, &v);
+        let star_line = verdict_line("acuerdo", 2, &v, None);
         assert!(
             star_line.contains("dissemination already spread"),
             "{star_line}"
@@ -527,21 +589,64 @@ mod tests {
             n.cpu_ns = [0; CPU_SLOTS];
         }
         let v = json::parse(&summary_json(&r, 2)).unwrap();
-        let line = verdict_line("acuerdo", 2, &v);
+        let quiet = ClosedLoop {
+            window: 8,
+            p50_us: 10.0,
+            msgs_per_sec: 1.0,
+        };
+        let line = verdict_line("acuerdo", 2, &v, Some(&quiet));
         assert!(line.contains("no saturated resource"), "{line}");
+        assert!(!line.contains("closed-loop"), "{line}");
+    }
+
+    #[test]
+    fn busy_cpu_is_not_called_cpu_bound_and_meets_the_closed_loop_bound() {
+        // Leader CPU the busiest resource at 96%: utilization alone cannot
+        // tell a cpu-bound run from one that sits on window / latency, so
+        // the line names the resource, prints the bound beside it and
+        // points at the counterfactual that decides.
+        let mut r = snap();
+        r.nodes[0].tx.busy_ns = 100_000;
+        r.nodes[0].cpu_ns[1] = 950_000;
+        let v = json::parse(&summary_json(&r, 2)).unwrap();
+        let at = ClosedLoop {
+            window: 8,
+            p50_us: 917.062,
+            msgs_per_sec: 8714.5,
+        };
+        let line = verdict_line("acuerdo-ring", 64, &v, Some(&at));
+        assert!(
+            line.starts_with("bottleneck acuerdo-ring@64: leader cpu 96.0% utilized"),
+            "{line}"
+        );
+        assert!(!line.contains("cpu-bound"), "{line}");
+        assert!(line.contains("leader-cpu-x2 beats window-x2"), "{line}");
+        assert!(
+            line.ends_with(
+                "; closed-loop bound window 8 / p50 917.1 µs ≈ 8724 msgs/s, 8714 measured"
+            ),
+            "{line}"
+        );
     }
 
     #[test]
     fn report_renders_tables_and_verdicts() {
         let doc = json::parse(&format!(
             "{{\"runs\":[{{\"label\":\"acuerdo-n3\",\"system\":\"acuerdo\",\"nodes\":3,\
-             \"util\":{}}}]}}",
+             \"window\":8,\"msgs_per_sec\":62789.1,\"p50_us\":130.265,\"util\":{}}}]}}",
             summary_json(&snap(), 2)
         ))
         .unwrap();
         let rep = bottleneck_report(&doc).unwrap();
         assert!(rep.contains("== acuerdo-n3 (acuerdo, n=3) =="));
         assert!(rep.contains("bottleneck acuerdo@3"));
+        // The record's operating point rides on the verdict.
+        assert!(
+            rep.contains(
+                "closed-loop bound window 8 / p50 130.3 µs ≈ 61413 msgs/s, 62789 measured"
+            ),
+            "{rep}"
+        );
         // A document with no util members is rejected, not rendered empty.
         let old = json::parse("{\"runs\":[{\"label\":\"x\"}]}").unwrap();
         assert!(bottleneck_report(&old).is_err());

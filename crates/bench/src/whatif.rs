@@ -27,6 +27,7 @@
 //! measurement agrees.
 
 use crate::json::Value;
+use crate::scale::swept;
 use crate::{run, run_record_json, Observe, Point, Run, RunSpec, System};
 use abcast::{blame, BlameCause};
 use simnet::{Intervention, InterventionSet, LogDevParams, MetricsSnapshot, SchedKind};
@@ -35,23 +36,17 @@ use simnet::{Intervention, InterventionSet, LogDevParams, MetricsSnapshot, Sched
 /// refuses to compare across shapes.
 pub const SCHEMA: &str = "acuerdo-bench-whatif-v1";
 
-/// The five systems priced, one representative per protocol class (the
-/// scale sweep's v1 matrix; the scale document additionally carries the
-/// acuerdo-ring variant, which `whatif --dissemination ring` prices on
-/// demand instead of doubling the committed baseline).
-pub const WHATIF_SYSTEMS: [System; 5] = [
-    System::Acuerdo,
-    System::DerechoLeader,
-    System::Libpaxos,
-    System::Zookeeper,
-    System::Etcd,
-];
+/// The systems priced: the scale sweep's matrix — one representative per
+/// protocol class plus the acuerdo-ring variant, under the same
+/// [`swept`] rule (no ring row at three nodes or fewer).
+pub const WHATIF_SYSTEMS: [System; 6] = crate::scale::SCALE_SYSTEMS;
 
 /// The fixed counterfactual catalog, in document order. Names are part of
 /// the document contract.
-pub const CATALOG: [&str; 6] = [
+pub const CATALOG: [&str; 7] = [
     "leader-egress-x2",
     "leader-egress-x4",
+    "leader-cpu-x2",
     "straggler-cpu-x2",
     "links-latency-half",
     "fsync-pmem",
@@ -64,6 +59,7 @@ pub const CATALOG: [&str; 6] = [
 pub fn family(name: &str) -> &'static str {
     match name {
         "leader-egress-x2" | "leader-egress-x4" => "leader-egress",
+        "leader-cpu-x2" => "leader-cpu",
         "straggler-cpu-x2" => "straggler-cpu",
         "links-latency-half" => "links-latency",
         "fsync-pmem" => "fsync",
@@ -103,7 +99,7 @@ pub struct WhatifConfig {
     pub window: usize,
     /// Cluster sizes priced per system.
     pub sizes: Vec<usize>,
-    /// Systems priced (default: the five-system matrix).
+    /// Systems priced (default: [`WHATIF_SYSTEMS`]).
     pub systems: Vec<System>,
     /// Counterfactuals run, a subset of [`CATALOG`] in catalog order.
     pub interventions: Vec<&'static str>,
@@ -206,6 +202,10 @@ fn build(
             node: leader,
             factor: 0.25,
         }),
+        "leader-cpu-x2" => set.push(Intervention::CpuScale {
+            node: leader,
+            factor: 0.5,
+        }),
         "straggler-cpu-x2" => set.push(Intervention::CpuScale {
             node: straggler,
             factor: 0.5,
@@ -252,7 +252,7 @@ pub fn run_whatif(cfg: &WhatifConfig) -> String {
         } else {
             RunSpec::for_system(system)
         };
-        for &n in &cfg.sizes {
+        for &n in cfg.sizes.iter().filter(|&&n| swept(system, n)) {
             let label = format!("{}-n{}", system.name(), n);
             let intervened = |window: usize, set: InterventionSet| {
                 Run::new(system, n, cfg.payload, window, cfg.seed, spec).observe(Observe {

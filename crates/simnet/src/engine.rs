@@ -349,6 +349,12 @@ impl<M: 'static> Sim<M> {
         m
     }
 
+    /// Open records of the always-on forensics collector
+    /// ([`Probe::forensics_open_records`](crate::Probe::forensics_open_records)).
+    pub fn forensics_open_records(&self) -> usize {
+        self.probe.forensics_open_records()
+    }
+
     /// Read one node's counter.
     pub fn counter(&self, node: NodeId, c: Counter) -> u64 {
         self.probe.counter(node, c)

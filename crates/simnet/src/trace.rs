@@ -1421,9 +1421,12 @@ impl Probe {
     /// charge, no queue touch.
     ///
     /// Collection rules:
-    /// * records are **created** only by `Submit` (client space) and by
-    ///   `LeaderRecv` / `RingWrite` (message space) — late follower marks
-    ///   cannot resurrect an already-finalized commit;
+    /// * records are **created** only by `Submit` (client space) and by the
+    ///   join below (message space). Only a joined record can ever be
+    ///   finalized, so no other mark opens one: marks keep arriving for a
+    ///   message after its client was answered (a ring follower past the
+    ///   quorum point forwards it, a leader streams it to a lagging
+    ///   follower), and a record opened then would stay open for good;
     /// * a message-space `LeaderRecv` whose `arg` carries a client-space id
     ///   joins the spaces: the client record is adopted and aliased;
     /// * duplicate `Submit` marks count client retransmit rounds;
@@ -1514,22 +1517,6 @@ impl Probe {
                     }
                 }
             }
-        } else if matches!(stage, SpanStage::LeaderRecv | SpanStage::RingWrite)
-            && !f.msgs.contains_key(&id)
-        {
-            f.msgs.insert(
-                id,
-                CommitForensics {
-                    id,
-                    msg_id: id,
-                    ..CommitForensics::default()
-                },
-            );
-            if f.msgs.len() > FORENSICS_OPEN_CAP {
-                if let Some((_, dead)) = f.msgs.pop_first() {
-                    f.alias.remove(&dead.id);
-                }
-            }
         }
         let straggler = if stage == SpanStage::Quorum && arg != 0 {
             Some((arg - 1) as NodeId)
@@ -1566,6 +1553,13 @@ impl Probe {
                 }
             }
         }
+    }
+
+    /// Forensic records currently open: submitted or ordered, not yet
+    /// client-acknowledged. Bounded by the requests in flight, whatever the
+    /// run length.
+    pub fn forensics_open_records(&self) -> usize {
+        self.forensics.client.len() + self.forensics.msgs.len()
     }
 
     /// Copy out the tail-latency forensics: per-node wait integrals,

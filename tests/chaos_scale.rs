@@ -9,31 +9,26 @@
 
 use acuerdo_repro::acuerdo::DisseminationMode;
 use acuerdo_repro::bench::audit_fired;
-use acuerdo_repro::bench::chaos::{run_chaos, ChaosOpts, Fault, Proto, Tier};
+use acuerdo_repro::bench::chaos::{run_chaos, ChaosOpts, ChaosReport, Fault, Proto, Tier};
 use acuerdo_repro::simnet::{DurabilityMode, SimTime};
 
 const HORIZON_MS: u64 = 20;
 
-/// Run one pinned chaos scenario and assert the full verdict: no safety
-/// violation, every live replica covered the pre-fault commit point, and the
-/// online auditor stayed silent.
-fn assert_clean(proto: Proto, seed: u64, n: usize) {
-    let opts = ChaosOpts {
-        n,
-        ..ChaosOpts::new(proto, seed, SimTime::from_millis(HORIZON_MS))
-    };
-    let r = run_chaos(&opts).report;
+/// Run one pinned chaos scenario and assert the full verdict: no safety or
+/// durability violation, every live replica covered the pre-fault commit
+/// point, and the online auditor stayed silent.
+fn assert_verdict(opts: &ChaosOpts) -> ChaosReport {
+    let r = run_chaos(opts).report;
     assert!(
         !r.fatal(),
-        "{} seed {seed} n={n}: safety violation {:?} (repro: {})",
-        proto.name(),
+        "violation {:?}/{:?} (repro: {})",
         r.safety,
+        r.durability_violation,
         r.repro()
     );
     assert!(
         r.converged,
-        "{} seed {seed} n={n}: live replicas stalled at [{}..{}] behind pre-fault {} (repro: {})",
-        proto.name(),
+        "live replicas stalled at [{}..{}] behind pre-fault {} (repro: {})",
         r.final_min,
         r.final_max,
         r.pre_fault_commits,
@@ -41,10 +36,17 @@ fn assert_clean(proto: Proto, seed: u64, n: usize) {
     );
     assert!(
         !audit_fired(&r.metrics),
-        "{} seed {seed} n={n}: online invariant auditor fired on a run the \
-         offline checker passed",
-        proto.name()
+        "online invariant auditor fired on a run the offline checker passed (repro: {})",
+        r.repro()
     );
+    r
+}
+
+fn assert_clean(proto: Proto, seed: u64, n: usize) {
+    assert_verdict(&ChaosOpts {
+        n,
+        ..ChaosOpts::new(proto, seed, SimTime::from_millis(HORIZON_MS))
+    });
 }
 
 #[test]
@@ -68,43 +70,16 @@ fn chaos_thirty_two_nodes() {
     assert_clean(Proto::Acuerdo, 7, 32);
 }
 
-/// Run one pinned chaos scenario under **ring dissemination** and assert the
-/// same full verdict as [`assert_clean`]; returns the report so callers can
-/// additionally assert on the fault mix the seed produced.
-fn assert_clean_ring(
-    seed: u64,
-    n: usize,
-    tier: Tier,
-    durability: DurabilityMode,
-) -> acuerdo_repro::bench::chaos::ChaosReport {
-    let opts = ChaosOpts {
+/// [`assert_verdict`] under **ring dissemination**; returns the report so
+/// callers can additionally assert on the fault mix the seed produced.
+fn assert_clean_ring(seed: u64, n: usize, tier: Tier, durability: DurabilityMode) -> ChaosReport {
+    let r = assert_verdict(&ChaosOpts {
         n,
         tier,
         durability,
         dissemination: DisseminationMode::Ring,
         ..ChaosOpts::new(Proto::Acuerdo, seed, SimTime::from_millis(HORIZON_MS))
-    };
-    let r = run_chaos(&opts).report;
-    assert!(
-        !r.fatal(),
-        "ring seed {seed} n={n}: violation {:?}/{:?} (repro: {})",
-        r.safety,
-        r.durability_violation,
-        r.repro()
-    );
-    assert!(
-        r.converged,
-        "ring seed {seed} n={n}: live replicas stalled at [{}..{}] behind pre-fault {} (repro: {})",
-        r.final_min,
-        r.final_max,
-        r.pre_fault_commits,
-        r.repro()
-    );
-    assert!(
-        !audit_fired(&r.metrics),
-        "ring seed {seed} n={n}: online invariant auditor fired on a run the \
-         offline checker passed"
-    );
+    });
     // The repro command round-trips the topology, so a failing ring seed
     // re-runs as a ring seed.
     assert!(r.repro().contains("--dissemination ring"), "{}", r.repro());
@@ -113,10 +88,10 @@ fn assert_clean_ring(
 
 #[test]
 fn chaos_ring_sixteen_nodes_crash_mid_forward() {
-    // A 16-node chain with crashes landing while frames are in flight along
-    // the forward path: the leader must bridge the dead segment star-style
-    // and hand back to the healed chain after the rejoin.
-    let has_crash = |r: &acuerdo_repro::bench::chaos::ChaosReport| {
+    // A 16-node ring with crashes landing while frames are in flight along
+    // its arms: the leader must bridge the dead segment star-style and hand
+    // back to the healed arm after the rejoin.
+    let has_crash = |r: &ChaosReport| {
         r.schedule
             .faults
             .iter()
@@ -133,8 +108,8 @@ fn chaos_ring_sixteen_nodes_crash_mid_forward() {
 #[test]
 fn chaos_ring_thirty_two_nodes_partition_splits_chain() {
     // At 32 nodes the basic-tier schedule mixes partitions in: a partition
-    // across the chain severs every forward path crossing the cut, the
-    // worst case for hop-by-hop dissemination.
+    // across the ring severs every arm crossing the cut, the worst case for
+    // hop-by-hop dissemination.
     let r = assert_clean_ring(7, 32, Tier::Basic, DurabilityMode::Volatile);
     assert!(
         !r.schedule.faults.is_empty(),
@@ -145,7 +120,57 @@ fn chaos_ring_thirty_two_nodes_partition_splits_chain() {
 #[test]
 fn chaos_ring_sixteen_nodes_crash_during_recovery_durable() {
     // Correlated tier, durable logs: reboots land while earlier reboots are
-    // still replaying their WAL, with frames arriving over the chain rather
+    // still replaying their WAL, with frames arriving over an arm rather
     // than a leader lane. Every committed entry must resurface.
     assert_clean_ring(5, 16, Tier::Correlated, DurabilityMode::Durable);
+}
+
+/// The `chaos` bin's default horizon: the election pins below need it — a
+/// 20 ms log is short enough for every recovery diff to beat the patience.
+const SWEEP_HORIZON_MS: u64 = 50;
+
+#[test]
+fn chaos_sixteen_nodes_outbid_leader_abdicates() {
+    // Whole-cluster power failure, staggered durable reboots. The winner of
+    // the post-reboot election ships 15 full-log diffs, which takes longer
+    // than `candidate_patience`: voters whose diff is still queued outbid
+    // it and then refuse the diff. With 8 of 16 promised above its epoch the
+    // winner can never commit, and the 8 outbidders can never win while its
+    // 7 followers keep following its heartbeat — each of these seeds sat in
+    // that split to the horizon (no replica re-delivered its recovered log)
+    // until `detect_outbid` made a quorum-blocked leader abdicate.
+    let recovers = |seed, dissemination| {
+        assert_verdict(&ChaosOpts {
+            n: 16,
+            dissemination,
+            ..ChaosOpts::correlated_durable(
+                Proto::Acuerdo,
+                seed,
+                SimTime::from_millis(SWEEP_HORIZON_MS),
+            )
+        });
+    };
+    // Two-armed ring; the deciding ninth vote landed 2 µs after the first
+    // voters' patience ran out.
+    recovers(30, DisseminationMode::Ring);
+    // Livelocked on the single chain too (the parent of the two-armed ring).
+    recovers(9, DisseminationMode::Ring);
+    // Star: the quorum formed only once late rebooters joined.
+    recovers(3, DisseminationMode::Star);
+}
+
+#[test]
+fn chaos_elector_ignores_a_heartbeat_that_merely_reset() {
+    // Must stay green. A rebooted peer's commit cell restarts from zero,
+    // which *changes* its heartbeat without any leader behind it. An elector
+    // that took any heartbeat change for a live leader resynced, the whole
+    // 5-node cluster ended up resyncing at once, and the blank rebooted
+    // node won a reused epoch with an empty log (OrderMismatch at position
+    // 0). `detect_desync`'s elector rule therefore also demands that the
+    // ticking cell name an epoch its owner leads.
+    assert_verdict(&ChaosOpts::new(
+        Proto::Acuerdo,
+        90,
+        SimTime::from_millis(SWEEP_HORIZON_MS),
+    ));
 }

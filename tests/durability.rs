@@ -83,7 +83,7 @@ fn acuerdo_recovery_equivalence_durable_vs_fresh_rejoin() {
     );
 }
 
-/// Ring-mode recovery equivalence: the crashed replica sits mid-chain, so
+/// Ring-mode recovery equivalence: the crashed replica sits on an arm, so
 /// its rejoin happens while frames reach it hop-by-hop (and, transiently,
 /// via the leader's star fallback bridging the dead segment). The WAL-replay
 /// path and the fresh-state rejoin path must still converge to a
@@ -92,7 +92,7 @@ fn acuerdo_recovery_equivalence_durable_vs_fresh_rejoin() {
 ///
 /// Window 1 pins the client's submission order exactly: with multiple slots
 /// in flight the client refills completed slots a delivery batch at a time,
-/// and the chain's bursty commit cadence makes batch composition — hence
+/// and the ring's bursty commit cadence makes batch composition — hence
 /// the submitted id sequence — sensitive to the fsync charges that differ
 /// across durability modes. One outstanding request removes that freedom,
 /// so any prefix mismatch here is a real recovery divergence.

@@ -450,6 +450,64 @@ fn forensics_is_zero_perturbation_and_deterministic() {
 }
 
 #[test]
+fn forensic_records_stay_bounded_by_the_requests_in_flight() {
+    // Marks keep arriving for a message after its client was answered: a
+    // ring follower past the quorum point forwards it (`ring_write`), and a
+    // star leader streams it to a follower that fell behind. A collector
+    // that opens a record for such a mark never closes it again — one leaked
+    // record per commit, each scanned by every later covering mark. Whatever
+    // the run length, the open records are the requests in flight.
+    use acuerdo_repro::acuerdo::DisseminationMode;
+    use acuerdo_repro::simnet::Counter;
+
+    const WINDOW: usize = 8;
+
+    // 16-node ring: 13 of the 15 followers forward every message, most of
+    // them after the 9-of-16 quorum answered the client.
+    for traced in [false, true] {
+        let cfg = AcuerdoConfig {
+            dissemination: DisseminationMode::Ring,
+            ..AcuerdoConfig::stable(16)
+        };
+        let (mut sim, _ids, client) =
+            cluster_with_client::<acuerdo::AcuerdoNode>(5, &cfg, WINDOW, 64, Duration::ZERO);
+        sim.set_tracing(traced);
+        sim.run_until(SimTime::from_millis(25));
+        let done = sim.node::<WindowClient<AcWire>>(client).total_completed;
+        assert!(done >= 2_000, "only {done} ring commits");
+        assert!(sim.metrics().total(Counter::RingForwards) > 13 * 2_000);
+        let open = sim.forensics_open_records();
+        assert!(
+            open <= WINDOW,
+            "{open} forensic records open after {done} ring commits (traced: {traced})"
+        );
+    }
+
+    // 3-node star with small rings and a follower that stops polling for a
+    // while: its lane fills, the leader commits on with the other follower,
+    // and streams the backlog — late `ring_write` marks — once it resumes.
+    let cfg = AcuerdoConfig {
+        ring_bytes: 64 << 10,
+        ..AcuerdoConfig::stable(3)
+    };
+    let (mut sim, _ids, client) =
+        cluster_with_client::<acuerdo::AcuerdoNode>(5, &cfg, WINDOW, 8192, Duration::ZERO);
+    sim.pause_at(2, SimTime::from_millis(1), Duration::from_micros(900));
+    sim.run_until(SimTime::from_millis(4));
+    let done = sim.node::<WindowClient<AcWire>>(client).total_completed;
+    assert!(done > 100, "only {done} star commits");
+    assert!(
+        sim.counter(0, Counter::RingStalls) > 0,
+        "the paused follower's lane never filled: no late ring_write marks"
+    );
+    let open = sim.forensics_open_records();
+    assert!(
+        open <= WINDOW,
+        "{open} forensic records open after {done} star commits past a lagging follower"
+    );
+}
+
+#[test]
 fn outlier_blame_sums_exactly_and_names_stragglers() {
     // Every captured outlier must decompose: its blame vector sums to the
     // measured commit latency exactly (the within-1% acceptance bound is

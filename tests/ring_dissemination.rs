@@ -1,9 +1,9 @@
-//! Ring dissemination (ROADMAP item 3): the chain topology must preserve
-//! every star-mode guarantee while collapsing the leader's O(n) egress to
-//! O(1) per message.
+//! Ring dissemination (ROADMAP item 3): the two-armed ring topology must
+//! preserve every star-mode guarantee while collapsing the leader's O(n)
+//! egress to O(1) per message.
 //!
 //! The battery proves four things:
-//! * commits flow around the chain and every replica converges on the same
+//! * commits flow down both arms and every replica converges on the same
 //!   delivery history (smoke + cluster check),
 //! * determinism survives the forwarding hop — traced and untraced runs are
 //!   byte-identical at the metrics-snapshot level, and replays reproduce,
@@ -52,17 +52,22 @@ fn ring_run(
 
 #[test]
 fn ring_smoke_commits_and_forwards() {
-    // 5 nodes: the leader streams to exactly one successor; nodes 1..3
-    // forward (node 3's successor-of-successor is the origin, so node 3 is
-    // the last forwarder). Every replica must deliver the same prefix.
+    // 5 nodes: the leader streams to its two neighbours, 1 and 4, which
+    // forward to 2 and 3 — the ends of the two arms. Every replica must
+    // deliver the same prefix.
     let (h, completed, m) = ring_run(7, 5, 10, 8, 5, false);
     assert!(completed > 200, "only {completed} commits in ring mode");
     for (i, hist) in h.iter().enumerate() {
         assert!(!hist.is_empty(), "replica {i} delivered nothing");
     }
-    // Chain actually carried the frames: forwards happened, and the
-    // fault-free run never fell back to star fan-out nor dropped dupes.
-    assert!(m.total(Counter::RingForwards) > 0);
+    // The arms actually carried the frames — two forwards per message, one
+    // per arm head — and the fault-free run never fell back to star fan-out
+    // nor dropped dupes.
+    let forwards = m.total(Counter::RingForwards);
+    assert!(
+        (2 * completed..=2 * (completed + 8)).contains(&forwards),
+        "{forwards} forwards for {completed} commits at window 8"
+    );
     assert_eq!(m.total(Counter::RingFallbackSends), 0);
     assert_eq!(m.total(Counter::RingDupDrops), 0);
 }
@@ -108,7 +113,7 @@ fn ring_collapses_leader_egress_at_64_nodes() {
     // The scale-study operating point (16 KiB payloads, window 8): in star
     // mode the leader serialises 63 copies of every payload and its NIC is
     // the committed bottleneck (113% requested utilization in the
-    // baseline). The chain must cut the leader's egress below 40% of star
+    // baseline). The ring must cut the leader's egress below 40% of star
     // while committing at least 1.5x as many messages.
     let run = |mode: DisseminationMode| {
         let cfg = AcuerdoConfig {
@@ -137,17 +142,18 @@ fn ring_collapses_leader_egress_at_64_nodes() {
 }
 
 #[test]
-fn ring_survives_mid_chain_crash_via_star_fallback() {
-    // Crash a mid-chain node while traffic flows: the leader must bridge the
-    // broken segment (star fallback for the crashed node's successor side)
-    // and commits must keep flowing — quorum never includes the dead node.
+fn ring_survives_arm_head_crash_via_star_fallback() {
+    // Crash the head of the counter-clockwise arm (4 feeds 3) while traffic
+    // flows: the leader must bridge the broken segment (star fallback for
+    // the node behind the dead one) and commits must keep flowing — quorum
+    // never includes the dead node.
     let cfg = AcuerdoConfig {
         fail_timeout: Duration::from_micros(400),
         ..ring_cfg(5)
     };
     let (mut sim, ids, client) =
         cluster_with_client::<AcuerdoNode>(11, &cfg, 8, 10, Duration::ZERO);
-    sim.crash_at(2, SimTime::from_millis(2));
+    sim.crash_at(4, SimTime::from_millis(2));
     sim.run_until(SimTime::from_millis(10));
     check_cluster::<AcuerdoNode>(&sim, &ids).expect("cluster check after crash");
     let before = sim.node::<WindowClient<AcWire>>(client).total_completed;
@@ -155,16 +161,16 @@ fn ring_survives_mid_chain_crash_via_star_fallback() {
     // Fallback lanes engaged for the segment downstream of the dead node.
     assert!(
         sim.counter(0, Counter::RingFallbackSends) > 0,
-        "leader never bridged the broken chain segment"
+        "leader never bridged the broken arm segment"
     );
     // Survivors past the break kept delivering.
     for &id in &ids {
-        if id == 2 {
+        if id == 4 {
             continue;
         }
         assert!(
             sim.node::<AcuerdoNode>(id).delivered_count > 0,
-            "survivor {id} starved after the chain broke"
+            "survivor {id} starved after the arm broke"
         );
     }
 }
