@@ -288,10 +288,25 @@ pub struct AcuerdoNode {
     /// Online invariant monitor (fed every poll; see [`abcast::Auditor`]).
     audit: Auditor,
 
+    // The O(1) idle poll (`poll_is_inert`).
+    /// A handler other than the poll ran since the last poll: memory, the
+    /// request queue or the push state may be new, so the next poll looks.
+    stirred: bool,
+    /// The last poll was a full one that began with nothing new and changed
+    /// nothing: until something stirs, every poll repeats it.
+    settled: bool,
+    /// The last full poll left a send waiting for ring space or a
+    /// send-queue slot.
+    send_blocked: bool,
+
     /// The replicated application messages are delivered to.
     pub app: Box<dyn App>,
     /// Total messages delivered to the application.
     pub delivered_count: u64,
+    /// Polls answered by the O(1) idle path. A host-side statistic (a skipped
+    /// poll and the full poll it stands for are the same event in virtual
+    /// time), so a plain field and not a `Counter`.
+    pub polls_skipped: u64,
     /// Elections this node has won.
     pub elections_won: u64,
     /// `(suspected_at, ready_at)` for each election this node won:
@@ -390,8 +405,12 @@ impl AcuerdoNode {
             fallback: vec![false; n],
             lag_since: vec![SimTime::ZERO; n],
             audit: Auditor::new(),
+            stirred: true,
+            settled: false,
+            send_blocked: false,
             app: Box::<DeliveryLog>::default(),
             delivered_count: 0,
+            polls_skipped: 0,
             elections_won: 0,
             election_spans: Vec::new(),
             dropped_requests: 0,
@@ -448,6 +467,12 @@ impl AcuerdoNode {
     /// Total RDMA writes this node has posted (wire-efficiency tests).
     pub fn ep_writes_posted(&self) -> u64 {
         self.ep.writes_posted
+    }
+
+    /// Accepted frames waiting for room on this node's forward lane (ring
+    /// dissemination).
+    pub fn fwd_backlog_len(&self) -> usize {
+        self.fwd_backlog.len()
     }
 
     // ---- broadcasting (Figure 4) -------------------------------------------
@@ -513,7 +538,10 @@ impl AcuerdoNode {
                     debug_assert!(false, "diff part larger than ring");
                     self.out[j].diff_backlog.pop_front();
                 }
-                Err(_) => return,
+                Err(_) => {
+                    self.send_blocked = true;
+                    return;
+                }
             }
         }
         // Then any log entries of the current epoch this peer hasn't got.
@@ -545,7 +573,10 @@ impl AcuerdoNode {
                     self.out[j].sent.push_back((hdr, seq));
                     self.out[j].next_cnt += 1;
                 }
-                Err(_) => return,
+                Err(_) => {
+                    self.send_blocked = true;
+                    return;
+                }
             }
         }
     }
@@ -1692,6 +1723,41 @@ impl AcuerdoNode {
         ctx.count(Counter::WalRecoveredRecords, records.len() as u64);
         ctx.trace(Event::new("wal_recover").a(records.len() as u64));
     }
+
+    // ---- the O(1) idle poll ---------------------------------------------------
+
+    /// Whether a poll at `now` that follows a settled poll, with no handler
+    /// in between, can do anything but spin: it reads the memory and the
+    /// state the settled poll read, so only a blocked send, whose retry is
+    /// itself observable, or the clock can make it differ.
+    ///
+    /// * `RingStalls` counts failed send *attempts*, one per poll while a
+    ///   lane is full, so a node with work blocked on flow control keeps
+    ///   polling in full (skipping moved ring n = 64 from 504 stalls to 290
+    ///   with no change in timing). A forward backlog counts as blocked
+    ///   whatever holds it back.
+    /// * Time-driven checks: a follower suspects its leader `fail_timeout`
+    ///   after `last_leader_activity`; an elector, a resyncing node and a
+    ///   follower with a stalled stream each watch a deadline; a new leader
+    ///   stamps `epoch_ready` with the clock; a ring-mode leader's fallback
+    ///   scan compares every peer's lag with the clock. None of them skips.
+    fn poll_is_inert(&self, now: SimTime) -> bool {
+        if self.send_blocked
+            || !self.fwd_backlog.is_empty()
+            || self.resyncing
+            || self.awaiting_ready
+            || self.frame_stall.is_some()
+        {
+            return false;
+        }
+        match self.role {
+            Role::Electing => false,
+            Role::Leader => !self.ring_on(),
+            Role::Follower => {
+                now.saturating_since(self.last_leader_activity) <= self.cfg.fail_timeout
+            }
+        }
+    }
 }
 
 impl Process<AcWire> for AcuerdoNode {
@@ -1715,6 +1781,7 @@ impl Process<AcWire> for AcuerdoNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<AcWire>, from: NodeId, msg: AcWire) {
+        self.stirred = true;
         match msg {
             AcWire::Rdma(pkt) => self.ep.on_packet(ctx, from, pkt),
             AcWire::Req(req) => self.on_client_request(ctx, from, req),
@@ -1727,6 +1794,14 @@ impl Process<AcWire> for AcuerdoNode {
         match token {
             TOK_POLL => {
                 ctx.use_cpu_idle(cpu::POLL_IDLE);
+                let fresh = std::mem::take(&mut self.stirred);
+                if !fresh && self.settled && self.poll_is_inert(ctx.now()) {
+                    self.polls_skipped += 1;
+                    ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+                    return;
+                }
+                let spin_cpu = ctx.cpu_used();
+                self.send_blocked = false;
                 self.accept_frames(ctx);
                 if self.ring_on() {
                     self.flush_forwards(ctx);
@@ -1751,9 +1826,18 @@ impl Process<AcWire> for AcuerdoNode {
                 self.detect_failure(ctx);
                 self.election_step(ctx);
                 self.detect_desync(ctx);
+                // Settled takes two fruitless polls in a row. "Charged only
+                // the spin" is not by itself "changed nothing": `observe_acks`
+                // and `reuse_slots` move state for free, and `publish_gauges`
+                // runs before `reuse_slots`, so the poll after one that freed
+                // ring space must still run to publish the new occupancy.
+                // A poll that began with nothing new has no such free work
+                // left: the poll before it saw the same memory.
+                self.settled = !fresh && ctx.cpu_used() == spin_cpu;
                 ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
             }
             TOK_PUSH => {
+                self.stirred = true;
                 self.push_commit(ctx);
                 if self.push_ticks.is_multiple_of(FOLLOWER_PUSH_PERIOD) {
                     self.detect_outbid(ctx);

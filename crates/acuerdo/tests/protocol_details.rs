@@ -205,3 +205,134 @@ fn seven_replica_cluster_commits_with_three_crashes() {
     assert!(sim.node::<AcuerdoNode>(leader).delivered_count > before);
     check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
+
+// ---- the O(1) idle poll -----------------------------------------------------
+
+/// Polls a node has run, full or skipped: each charges exactly one
+/// `POLL_IDLE` to the idle-poll CPU slot and nothing else does.
+fn polls(sim: &simnet::Sim<AcWire>, id: simnet::NodeId) -> u64 {
+    let idle_ns = sim.metrics().res.nodes[id].cpu_ns[simnet::CPU_SLOT_IDLE];
+    idle_ns / simnet::params::cpu::POLL_IDLE.as_nanos() as u64
+}
+
+/// Share of `ids`' polls that took the idle path.
+fn skipped_share(sim: &simnet::Sim<AcWire>, ids: &[simnet::NodeId]) -> f64 {
+    let skipped: u64 = ids
+        .iter()
+        .map(|&id| sim.node::<AcuerdoNode>(id).polls_skipped)
+        .sum();
+    let total: u64 = ids.iter().map(|&id| polls(sim, id)).sum();
+    skipped as f64 / total as f64
+}
+
+#[test]
+fn idle_cluster_skips_most_of_its_polls() {
+    // Nothing arrives between two Commit_SST pushes, and each push costs the
+    // nodes it touches two full polls: the one that sees it and the one that
+    // proves nothing is left. One is not enough — a poll that charged only
+    // `POLL_IDLE` can still have changed state (`observe_acks` and
+    // `reuse_slots` are free, and `publish_gauges` runs before
+    // `reuse_slots`), and skipping after it left `ring_occupancy` stale in
+    // `BENCH_quick` (`acuerdo-w1` mean 10.489 -> 18.436). So the share
+    // depends on the push cadence: one push per 50 us leaves about ninety
+    // polls between pushes, the default 5 us about nine.
+    let share = |push: Duration| {
+        let cfg = AcuerdoConfig {
+            commit_push_interval: push,
+            ..AcuerdoConfig::stable(3)
+        };
+        let mut sim = simnet::Sim::new(106, simnet::NetParams::rdma());
+        let ids = acuerdo::build_cluster(&mut sim, &cfg);
+        sim.run_until(SimTime::from_millis(20));
+        for &id in &ids {
+            assert_eq!(
+                sim.node::<AcuerdoNode>(id).epoch(),
+                abcast::Epoch::new(1, 0)
+            );
+        }
+        skipped_share(&sim, &ids)
+    };
+    let sparse = share(Duration::from_micros(50));
+    assert!(sparse >= 0.90, "skipped {:.1} %", sparse * 100.0);
+    let default = share(AcuerdoConfig::default().commit_push_interval);
+    assert!(default >= 0.60, "skipped {:.1} %", default * 100.0);
+}
+
+#[test]
+fn quiet_follower_suspects_a_dead_leader_at_the_same_instant() {
+    // The followers of an idle cluster are on the idle path when the leader
+    // dies. The poll that crosses `fail_timeout` must be a full one: both
+    // followers start their election at the instant the always-full poll
+    // loop did (pinned by running this case on it once).
+    let cfg = AcuerdoConfig {
+        fail_timeout: Duration::from_micros(500),
+        ..AcuerdoConfig::stable(3)
+    };
+    let mut sim = simnet::Sim::new(106, simnet::NetParams::rdma());
+    let ids = acuerdo::build_cluster(&mut sim, &cfg);
+    sim.set_tracing(true);
+    sim.crash_at(0, SimTime::from_millis(2));
+    sim.run_until(SimTime::from_millis(6));
+    let started: Vec<(simnet::NodeId, u64)> = sim
+        .trace_events()
+        .iter()
+        .filter_map(|e| match e {
+            simnet::TraceEvent::Proto { at, node, ev } if ev.name == "election_start" => {
+                Some((*node, at.as_nanos()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(started, [(1, 2_502_580), (2, 2_503_700)]);
+    let leader = current_leader(&sim, &ids).expect("new leader");
+    let span = sim.node::<AcuerdoNode>(leader).election_spans[0];
+    assert_eq!(
+        (leader, span.0.as_nanos(), span.1.as_nanos()),
+        (2, 2_503_640, 2_515_530)
+    );
+    let skipped =
+        sim.node::<AcuerdoNode>(1).polls_skipped + sim.node::<AcuerdoNode>(2).polls_skipped;
+    assert!(skipped > 1_000, "the followers never idled: {skipped}");
+}
+
+#[test]
+fn ring_forwarder_with_a_backlog_never_skips_a_poll() {
+    // Five nodes, origin 0: node 1 forwards to node 2. Node 2 is descheduled,
+    // so its acceptance frontier freezes, node 1's forward lane fills to
+    // `ring_pipeline_depth` and the rest queues in `fwd_backlog`. Every poll
+    // of node 1 from then on must be a full one: `RingStalls` counts failed
+    // send *attempts*, one per poll on a full lane, so skipping polls while
+    // work is blocked changes the counter with no change in timing (scale
+    // ring n = 64: 504 -> 290 when the idle path ignored blocked sends).
+    let cfg = AcuerdoConfig {
+        dissemination: acuerdo::DisseminationMode::Ring,
+        ring_pipeline_depth: 2,
+        ..AcuerdoConfig::stable(5)
+    };
+    let (mut sim, _ids, _client) =
+        cluster_with_client::<AcuerdoNode>(109, &cfg, 16, 64, Duration::ZERO);
+    sim.pause_at(2, SimTime::from_micros(300), Duration::from_micros(400));
+    sim.run_until(SimTime::from_micros(300));
+    let before = sim.node::<AcuerdoNode>(1).polls_skipped;
+    assert!(before > 0, "node 1 does skip polls while the arm flows");
+    let mut held_polls = 0;
+    let mut watched = None;
+    while sim.now() < SimTime::from_micros(700) && sim.step() {
+        let n = sim.node::<AcuerdoNode>(1);
+        let now = (n.fwd_backlog_len() > 0, n.polls_skipped, polls(&sim, 1));
+        if let Some((true, skipped, polled)) = watched {
+            assert_eq!(
+                now.1,
+                skipped,
+                "skipped a poll with a backlog at {}",
+                sim.now()
+            );
+            held_polls += now.2 - polled;
+        }
+        watched = Some(now);
+    }
+    assert!(
+        held_polls > 100,
+        "the backlog never built: {held_polls} polls"
+    );
+}

@@ -11,6 +11,7 @@ use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// A protocol node: a sans-IO state machine driven entirely by the engine.
@@ -47,7 +48,10 @@ pub struct DeschedProfile {
 /// Aggregate counters for a simulation run.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct EngineStats {
-    /// Events dispatched (including deferred re-dispatches).
+    /// Keys popped from the scheduler: every handler run, every drop, and
+    /// every deferral that went through the queue. The unfiled members of a
+    /// deferral run (DESIGN.md §11) are re-keyed without being popped, so a
+    /// held node's backlog costs one event per wake-up, not one per member.
     pub events: u64,
     /// Messages delivered with [`DeliveryClass::Dma`].
     pub dma_msgs: u64,
@@ -165,6 +169,39 @@ enum Prep {
     Timer(Duration),
 }
 
+/// A member of a deferral run that is not filed in the scheduler: the `seq`
+/// half of its key (the `at` half is the run's) and its slab slot.
+#[derive(Copy, Clone)]
+struct Deferred {
+    seq: u64,
+    slot: u32,
+}
+
+/// The timers and `Cpu` deliveries a held (busy or descheduled) node has
+/// deferred to one frontier, kept on the node instead of in the scheduler.
+///
+/// Every member carries exactly the `(at, seq)` key a per-event re-file
+/// would have given it, so filing members under their present keys
+/// ([`Sim::flush_run`]) is allowed at any moment and recreates the queue
+/// the per-event path would have built. Only the run's front is filed.
+/// When it pops and the node is held again, the per-event path would pop
+/// every member in turn and re-file it at the new frontier with the next
+/// `seq`; if no other key shares the instant nothing can run in between,
+/// and [`Sim::rekey_run`] does the same in one pass without touching the
+/// queue. (A plain FIFO of waiting events is *not* equivalent: a key filed
+/// directly at the wake instant sorts between members by `seq`, and a
+/// frontier that moved between two deferrals reorders them.)
+struct Run {
+    /// The frontier every member is keyed at.
+    at: SimTime,
+    /// `seq` of the front while it is filed in the scheduler.
+    head: Option<u64>,
+    /// The members behind the front, ascending by `seq`, not filed.
+    /// Non-empty only while `head` is filed (or, inside [`Sim::step`], has
+    /// just been popped and the run is about to be settled).
+    tail: VecDeque<Deferred>,
+}
+
 /// Builds a fresh process when a node reboots (see
 /// [`Sim::set_restart_factory`]).
 type RestartFactory<M> = Box<dyn FnMut() -> Box<dyn Process<M>>>;
@@ -189,6 +226,24 @@ struct NodeSlot<M> {
     /// survives restarts; every crash flavour truncates it to the last
     /// fsync'd barrier.
     disk: DurableLog,
+    /// What this node has deferred while held (see [`Run`]).
+    run: Run,
+}
+
+impl<M> NodeSlot<M> {
+    /// If the process cannot run at `now`: the instant it frees up and
+    /// which frontier binds (forensics wait attribution).
+    fn held(&self, now: SimTime) -> Option<(SimTime, WaitReason)> {
+        let free = self.busy_until.max(self.paused_until);
+        (free > now).then_some((
+            free,
+            if self.paused_until > self.busy_until {
+                WaitReason::SchedHold
+            } else {
+                WaitReason::BusyDefer
+            },
+        ))
+    }
 }
 
 /// The simulator: owns the clock, the event queue, every node, and the
@@ -214,6 +269,9 @@ pub struct Sim<M> {
     infos: Vec<RouteInfo>,
     /// Recycled effects buffer handed to each [`Ctx`].
     effect_pool: Vec<Effect<M>>,
+    /// Test oracle: file every deferral on its own, so no run ever forms.
+    #[cfg(test)]
+    per_event_only: bool,
 }
 
 impl<M: 'static> Sim<M> {
@@ -244,6 +302,8 @@ impl<M: 'static> Sim<M> {
             batch: Vec::new(),
             infos: Vec::new(),
             effect_pool: Vec::new(),
+            #[cfg(test)]
+            per_event_only: false,
         }
     }
 
@@ -282,6 +342,11 @@ impl<M: 'static> Sim<M> {
             timer_jitter: Duration::ZERO,
             desched: None,
             disk: DurableLog::default(),
+            run: Run {
+                at: SimTime::ZERO,
+                head: None,
+                tail: VecDeque::new(),
+            },
         });
         self.net.add_node();
         self.probe.add_node();
@@ -716,28 +781,18 @@ impl<M: 'static> Sim<M> {
         self.stats.events += 1;
 
         // Gate timers and deliveries *before* taking the payload out of the
-        // slab: a drop frees the slot in place, and a busy-node deferral just
+        // slab: a drop frees the slot in place, and a held-node deferral just
         // re-keys the same slot — no payload moves in either direction. Only
         // events that will actually run pay the take.
-        enum Gate {
-            Timer {
-                node: NodeId,
-                inc: u64,
-            },
-            Deliver {
-                node: NodeId,
-                from: NodeId,
-                class: DeliveryClass,
-                src_inc: u64,
-                dst_inc: u64,
-            },
-            Other,
-        }
-        let gate = match self.slab.peek(key.slot) {
-            EventKind::Timer { node, inc, .. } => Gate::Timer {
-                node: *node,
-                inc: *inc,
-            },
+        //
+        // `stale`: an endpoint restarted since the event was created (either
+        // endpoint restarting tears down the RC connection, so in-flight
+        // messages of the old incarnation are lost). `delivery`: the class,
+        // for a delivery.
+        let gated = match self.slab.peek(key.slot) {
+            EventKind::Timer { node, inc, .. } => {
+                Some((*node, self.nodes[*node].inc != *inc, None))
+            }
             EventKind::Deliver {
                 node,
                 from,
@@ -745,87 +800,51 @@ impl<M: 'static> Sim<M> {
                 src_inc,
                 dst_inc,
                 ..
-            } => Gate::Deliver {
-                node: *node,
-                from: *from,
-                class: *class,
-                src_inc: *src_inc,
-                dst_inc: *dst_inc,
-            },
-            _ => Gate::Other,
-        };
-        match gate {
-            Gate::Timer { node, inc } => {
-                let slot = &self.nodes[node];
-                if slot.crashed {
-                    drop(self.slab.take(key.slot));
-                    return true;
-                }
-                if slot.inc != inc {
-                    drop(self.slab.take(key.slot));
-                    self.stats.restart_drops += 1;
-                    return true;
-                }
-                let free = slot.busy_until.max(slot.paused_until);
-                if free > self.now {
-                    // Forensics: the timer waits for the node — attribute
-                    // the deferral to the binding frontier.
-                    let reason = if slot.paused_until > slot.busy_until {
-                        WaitReason::SchedHold
-                    } else {
-                        WaitReason::BusyDefer
-                    };
-                    self.probe
-                        .wait(node, reason, free.as_nanos() - self.now.as_nanos());
-                    self.requeue(free, key.slot);
-                    return true;
-                }
-            }
-            Gate::Deliver {
-                node,
-                from,
-                class,
-                src_inc,
-                dst_inc,
             } => {
+                let src_stale = self.nodes.get(*from).is_some_and(|s| s.inc != *src_inc);
+                let stale = self.nodes[*node].inc != *dst_inc || src_stale;
+                Some((*node, stale, Some(*class)))
+            }
+            _ => None,
+        };
+        // The node whose run this key was the filed front of, if its handler
+        // is about to run: the members behind it are settled afterwards.
+        let mut lead = None;
+        if let Some((node, stale, delivery)) = gated {
+            if delivery.is_some() {
                 // The queued delivery is consumed whatever happens next
-                // (handled, deferred-and-requeued, or dropped).
+                // (handled, deferred, or dropped).
                 self.probe.gauge_add(node, Gauge::InflightMsgs, -1);
-                let slot = &self.nodes[node];
-                if slot.crashed {
-                    drop(self.slab.take(key.slot));
-                    return true;
-                }
-                // Either endpoint restarting tears down the RC connection:
-                // in-flight messages of the old incarnation are lost.
-                let src_stale = self.nodes.get(from).is_some_and(|s| s.inc != src_inc);
-                if slot.inc != dst_inc || src_stale {
-                    drop(self.slab.take(key.slot));
+            }
+            // A key that is the front of its node's run leaves the run here;
+            // every path below settles the members behind it.
+            let slot = &mut self.nodes[node];
+            let was_lead = slot.run.head == Some(key.seq);
+            if was_lead {
+                slot.run.head = None;
+            }
+            if slot.crashed || stale {
+                if !slot.crashed {
                     self.stats.restart_drops += 1;
-                    return true;
                 }
-                if matches!(class, DeliveryClass::Cpu) {
-                    let free = slot.busy_until.max(slot.paused_until);
-                    if free > self.now {
-                        // Forensics: a deliverable message waits for the
-                        // destination node — attribute the deferral to the
-                        // binding frontier.
-                        let reason = if slot.paused_until > slot.busy_until {
-                            WaitReason::SchedHold
-                        } else {
-                            WaitReason::BusyDefer
-                        };
-                        self.probe
-                            .wait(node, reason, free.as_nanos() - self.now.as_nanos());
-                        // Same gauge sequence as a pop-then-repush so the
-                        // observable trace is unchanged by the in-place path.
+                drop(self.slab.take(key.slot));
+                if was_lead {
+                    self.flush_run(node);
+                }
+                return true;
+            }
+            if delivery != Some(DeliveryClass::Dma) {
+                if let Some((free, reason)) = slot.held(self.now) {
+                    if delivery.is_some() {
+                        // In flight again: the gauge reads as after a
+                        // pop-then-repush.
                         self.probe.gauge_add(node, Gauge::InflightMsgs, 1);
-                        self.requeue(free, key.slot);
-                        return true;
                     }
+                    self.defer(node, key.slot, was_lead, free, reason);
+                    return true;
                 }
             }
-            Gate::Other => {}
+            lead = was_lead.then_some(node);
         }
 
         match self.slab.take(key.slot) {
@@ -914,6 +933,9 @@ impl<M: 'static> Sim<M> {
                 }
             }
         }
+        if let Some(node) = lead {
+            self.settle_run(node);
+        }
         true
     }
 
@@ -960,12 +982,103 @@ impl<M: 'static> Sim<M> {
         }
     }
 
-    /// Re-key an undisturbed slab slot at a later instant (busy-node
-    /// deferral). Equivalent to take-then-push but moves no payload.
-    fn requeue(&mut self, at: SimTime, slot: u32) {
+    /// The event in `slot` popped for `node` while its process is held until
+    /// `free`: charge the wait and key the event at `(free, next seq)` — a
+    /// re-file that moves no payload, and that reaches the scheduler only if
+    /// the event opens a run. `lead` says the popped key was the front of
+    /// the node's run, whose other members are held for just as long.
+    fn defer(&mut self, node: NodeId, slot: u32, lead: bool, free: SimTime, reason: WaitReason) {
+        if lead && !self.nodes[node].run.tail.is_empty() {
+            if self.sched.next_at() != Some(self.now) {
+                let tail = &mut self.nodes[node].run.tail;
+                tail.push_front(Deferred { seq: 0, slot });
+                self.rekey_run(node, free, reason);
+                return;
+            }
+            self.flush_run(node);
+        }
+        self.probe
+            .wait(node, reason, free.as_nanos() - self.now.as_nanos());
         let seq = self.seq;
         self.seq += 1;
-        self.sched.push(EventKey { at, seq, slot });
+        let run = &mut self.nodes[node].run;
+        let joins = run.head.is_some() && run.at == free;
+        #[cfg(test)]
+        let joins = joins && !self.per_event_only;
+        if joins {
+            run.tail.push_back(Deferred { seq, slot });
+        } else {
+            // No run yet, or one keyed at an older frontier (a pause, a
+            // desched tick or a DMA handler that charged CPU moved it since):
+            // its members pop one by one and join this run as they do.
+            self.flush_run(node);
+            let run = &mut self.nodes[node].run;
+            run.at = free;
+            run.head = Some(seq);
+            self.sched.push(EventKey {
+                at: free,
+                seq,
+                slot,
+            });
+        }
+    }
+
+    /// File the unfiled members of `node`'s run under their present keys:
+    /// the slow path, after which the per-event gate in [`Sim::step`]
+    /// handles each of them as it pops.
+    fn flush_run(&mut self, node: NodeId) {
+        let run = &mut self.nodes[node].run;
+        let at = run.at;
+        for m in run.tail.drain(..) {
+            self.sched.push(EventKey {
+                at,
+                seq: m.seq,
+                slot: m.slot,
+            });
+        }
+    }
+
+    /// Re-key every unfiled member of `node`'s run at the new frontier
+    /// `free` and file the first: what popping them one after the other
+    /// would do (one wait charge and the next `seq` each, in order) when no
+    /// other key shares the instant, without popping them.
+    fn rekey_run(&mut self, node: NodeId, free: SimTime, reason: WaitReason) {
+        let run = &mut self.nodes[node].run;
+        self.probe.wait_n(
+            node,
+            reason,
+            free.as_nanos() - self.now.as_nanos(),
+            run.tail.len() as u64,
+        );
+        for m in run.tail.iter_mut() {
+            m.seq = self.seq;
+            self.seq += 1;
+        }
+        let front = run.tail.pop_front().expect("re-keying an empty run");
+        run.at = free;
+        run.head = Some(front.seq);
+        self.sched.push(EventKey {
+            at: free,
+            seq: front.seq,
+            slot: front.slot,
+        });
+    }
+
+    /// The front of `node`'s run has run its handler. The members behind it
+    /// are keyed at this instant: if the handler left the node held and
+    /// nothing else is due now, they move to the new frontier in one pass;
+    /// otherwise (no CPU charged, or a shared instant) they are filed.
+    fn settle_run(&mut self, node: NodeId) {
+        let slot = &self.nodes[node];
+        if slot.run.tail.is_empty() {
+            return;
+        }
+        match slot.held(self.now) {
+            Some((free, reason)) if self.sched.next_at() != Some(self.now) => {
+                self.rekey_run(node, free, reason)
+            }
+            _ => self.flush_run(node),
+        }
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
@@ -1214,6 +1327,7 @@ impl<M: 'static> Sim<M> {
 mod tests {
     use super::*;
     use crate::params::NetParams;
+    use crate::trace::WaitStats;
 
     /// Echoes every message back to its sender after charging CPU.
     struct Echo {
@@ -1376,6 +1490,338 @@ mod tests {
         // check engine stats saw the delivery.
         assert_eq!(s.stats().cpu_msgs, 1);
         let _ = Recorder { at: None };
+    }
+
+    // ---- deferral runs -------------------------------------------------
+    //
+    // Every expectation below except the `stats().events` bound was pinned
+    // by running the same case on the per-event engine this replaced.
+
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<(u64, NodeId, u32)>>>;
+
+    /// Busy for `start_cpu` from its start; logs `(now ns, id, msg)` for
+    /// every message and charges `msg_cpu` for it.
+    struct Worker {
+        log: Log,
+        start_cpu: Duration,
+        msg_cpu: Duration,
+    }
+
+    impl Process<u32> for Worker {
+        fn on_start(&mut self, ctx: &mut Ctx<u32>) {
+            ctx.use_cpu(self.start_cpu);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<u32>, _: NodeId, msg: u32) {
+            self.log
+                .borrow_mut()
+                .push((ctx.now().as_nanos(), ctx.id(), msg));
+            ctx.use_cpu(self.msg_cpu);
+        }
+    }
+
+    fn worker(s: &mut Sim<u32>, log: &Log, start_us: u64, msg_us: u64) -> NodeId {
+        s.add_node(Box::new(Worker {
+            log: log.clone(),
+            start_cpu: Duration::from_micros(start_us),
+            msg_cpu: Duration::from_micros(msg_us),
+        }))
+    }
+
+    fn cpu_msg(s: &mut Sim<u32>, dst: NodeId, at_us: u64, msg: u32) {
+        let delay = SimTime::from_micros(at_us).saturating_since(s.now());
+        s.inject(9, dst, DeliveryClass::Cpu, delay, msg);
+    }
+
+    #[test]
+    fn held_node_backlog_costs_one_event_per_wakeup() {
+        // 256 messages arrive within 2.6 us at a node that needs 10 us for
+        // each: re-filing every waiting message at every wake-up is
+        // K^2 / 2 = 33 k events; the run costs one arrival and one wake-up
+        // per message.
+        const K: u32 = 256;
+        let log = Log::default();
+        let mut s = sim();
+        let w = worker(&mut s, &log, 0, 10);
+        for i in 0..K {
+            s.inject(
+                9,
+                w,
+                DeliveryClass::Cpu,
+                Duration::from_nanos(1_000 + 10 * u64::from(i)),
+                i,
+            );
+        }
+        s.run_until(SimTime::from_millis(10));
+        let got: Vec<(u64, u32)> = log.borrow().iter().map(|&(t, _, m)| (t, m)).collect();
+        let want: Vec<(u64, u32)> = (0..K).map(|i| (1_000 + 10_000 * u64::from(i), i)).collect();
+        assert_eq!(got, want, "arrival order, one handler every 10 us");
+        let waits = s.probe.wait_stats(w);
+        assert_eq!(waits.events[WaitReason::BusyDefer as usize], 32_640);
+        assert_eq!(waits.ns[WaitReason::BusyDefer as usize], 326_073_600);
+        assert_eq!(waits.events[WaitReason::SchedHold as usize], 0);
+        assert!(
+            s.stats().events <= 4 * u64::from(K),
+            "{} events for {K} messages",
+            s.stats().events
+        );
+    }
+
+    #[test]
+    fn key_filed_at_the_wake_instant_before_the_run_fires_first() {
+        // X is keyed at 50 us — the instant the node frees up — before A and
+        // B are deferred to it, so it sorts ahead of both. A queue of waiting
+        // events drained at the wake-up would run A first.
+        let log = Log::default();
+        let mut s = sim();
+        let w = worker(&mut s, &log, 50, 5);
+        cpu_msg(&mut s, w, 50, 'X' as u32);
+        cpu_msg(&mut s, w, 10, 'A' as u32);
+        cpu_msg(&mut s, w, 20, 'B' as u32);
+        s.run_until(SimTime::from_millis(1));
+        let got: Vec<(u64, u32)> = log.borrow().iter().map(|&(t, _, m)| (t, m)).collect();
+        assert_eq!(
+            got,
+            [
+                (50_000, 'X' as u32),
+                (55_000, 'A' as u32),
+                (60_000, 'B' as u32)
+            ]
+        );
+        let waits = s.probe.wait_stats(w);
+        assert_eq!(waits.events[WaitReason::BusyDefer as usize], 5);
+        assert_eq!(waits.ns[WaitReason::BusyDefer as usize], 85_000);
+    }
+
+    #[test]
+    fn key_filed_at_the_wake_instant_mid_run_sorts_by_push_order() {
+        // X is keyed at 50 us after A was deferred to it and before B was:
+        // behind the member older than it, ahead of the one deferred later.
+        // (The wake instant is shared, so the members are filed and the
+        // per-event path sorts them.) A queue of waiting events would run B
+        // before X.
+        let log = Log::default();
+        let mut s = sim();
+        let w = worker(&mut s, &log, 50, 5);
+        cpu_msg(&mut s, w, 10, 'A' as u32);
+        s.run_until(SimTime::from_micros(15));
+        cpu_msg(&mut s, w, 50, 'X' as u32);
+        cpu_msg(&mut s, w, 20, 'B' as u32);
+        cpu_msg(&mut s, w, 30, 'C' as u32);
+        s.run_until(SimTime::from_millis(1));
+        let got: Vec<(u64, u32)> = log.borrow().iter().map(|&(t, _, m)| (t, m)).collect();
+        assert_eq!(
+            got,
+            [
+                (50_000, 'A' as u32),
+                (55_000, 'X' as u32),
+                (60_000, 'B' as u32),
+                (65_000, 'C' as u32)
+            ]
+        );
+        let waits = s.probe.wait_stats(w);
+        assert_eq!(waits.events[WaitReason::BusyDefer as usize], 9);
+        assert_eq!(waits.ns[WaitReason::BusyDefer as usize], 120_000);
+    }
+
+    #[test]
+    fn another_nodes_event_at_the_wake_instant_takes_the_per_event_path() {
+        // Node `m` runs a handler at 50 us, between A's handler and B's
+        // deferral, and it arms a timer for 55 us: that timer's key is older
+        // than B's re-file, so at 55 us the timer fires before B runs.
+        // Re-keying the run in one pass after A would put B first.
+        struct Arm {
+            log: Log,
+        }
+        impl Process<u32> for Arm {
+            fn on_message(&mut self, ctx: &mut Ctx<u32>, _: NodeId, _: u32) {
+                ctx.set_timer(Duration::from_micros(5), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<u32>, _: u64) {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.now().as_nanos(), ctx.id(), 'T' as u32));
+            }
+        }
+        let log = Log::default();
+        let mut s = sim();
+        let w = worker(&mut s, &log, 50, 5);
+        let m = s.add_node(Box::new(Arm { log: log.clone() }));
+        cpu_msg(&mut s, w, 10, 'A' as u32);
+        s.run_until(SimTime::from_micros(15));
+        cpu_msg(&mut s, m, 50, 0);
+        cpu_msg(&mut s, w, 20, 'B' as u32);
+        s.run_until(SimTime::from_millis(1));
+        assert_eq!(
+            *log.borrow(),
+            [
+                (50_000, w, 'A' as u32),
+                (55_000, m, 'T' as u32),
+                (55_000, w, 'B' as u32)
+            ]
+        );
+    }
+
+    #[test]
+    fn pause_that_extends_the_frontier_reorders_the_run() {
+        // A is deferred to 50 us; a pause then moves the frontier to 120 us
+        // and B is deferred straight to it. A pops at 50 us, finds the node
+        // still held and is re-keyed behind B.
+        let log = Log::default();
+        let mut s = sim();
+        let w = worker(&mut s, &log, 50, 5);
+        cpu_msg(&mut s, w, 10, 'A' as u32);
+        s.pause_at(w, SimTime::from_micros(20), Duration::from_micros(100));
+        cpu_msg(&mut s, w, 30, 'B' as u32);
+        cpu_msg(&mut s, w, 40, 'C' as u32);
+        s.run_until(SimTime::from_millis(1));
+        let got: Vec<(u64, u32)> = log.borrow().iter().map(|&(t, _, m)| (t, m)).collect();
+        assert_eq!(
+            got,
+            [
+                (120_000, 'B' as u32),
+                (125_000, 'C' as u32),
+                (130_000, 'A' as u32)
+            ]
+        );
+        let waits = s.probe.wait_stats(w);
+        assert_eq!(waits.events[WaitReason::BusyDefer as usize], 4);
+        assert_eq!(waits.ns[WaitReason::BusyDefer as usize], 55_000);
+        assert_eq!(waits.events[WaitReason::SchedHold as usize], 3);
+        assert_eq!(waits.ns[WaitReason::SchedHold as usize], 240_000);
+    }
+
+    #[test]
+    fn crash_and_restart_drop_a_run_like_single_events() {
+        // Three messages wait for a node that crashes before it frees up.
+        let run = |restart: bool| {
+            let log = Log::default();
+            let mut s = sim();
+            let w = worker(&mut s, &log, 50, 5);
+            let l = log.clone();
+            s.set_restart_factory(w, move || {
+                Box::new(Worker {
+                    log: l.clone(),
+                    start_cpu: Duration::ZERO,
+                    msg_cpu: Duration::ZERO,
+                })
+            });
+            for (at, m) in [(10, 'A'), (20, 'B'), (30, 'C')] {
+                cpu_msg(&mut s, w, at, m as u32);
+            }
+            s.crash_at(w, SimTime::from_micros(35));
+            if restart {
+                s.restart_at(w, SimTime::from_micros(40));
+            }
+            s.run_until(SimTime::from_millis(1));
+            assert!(log.borrow().is_empty(), "a dropped message ran");
+            assert_eq!(s.gauge(w, Gauge::InflightMsgs), 0);
+            s.stats().restart_drops
+        };
+        // Down for good: skipped at dispatch, not counted. Rebooted: the
+        // old incarnation's deliveries are counted one by one.
+        assert_eq!(run(false), 0);
+        assert_eq!(run(true), 3);
+    }
+
+    #[test]
+    fn runs_match_the_per_event_path_on_random_schedules() {
+        // Differential check against the path this replaced (every deferral
+        // filed on its own): random CPU charges, timers, pauses, crashes and
+        // restarts. Even seeds keep every instant on a 1 us grid, so wake
+        // instants are shared all the time; odd seeds draw nanoseconds, so
+        // they hardly ever are. Handler order, wait integrals and the `seq`
+        // counter must agree.
+        struct Chatter {
+            log: Log,
+            rng: SmallRng,
+            grid: u64,
+            budget: u32,
+        }
+        impl Chatter {
+            fn act(&mut self, ctx: &mut Ctx<u32>, tag: u32) {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.now().as_nanos(), ctx.id(), tag));
+                let grid = self.grid;
+                let mut draw = |us: u64| {
+                    Duration::from_nanos(self.rng.random_range(0..us * 1_000 / grid) * grid)
+                };
+                ctx.use_cpu(draw(4));
+                for _ in 0..2 {
+                    if self.budget > 0 && draw(4) >= Duration::from_micros(1) {
+                        self.budget -= 1;
+                        ctx.set_timer(draw(6), u64::from(self.budget));
+                    }
+                }
+            }
+        }
+        impl Process<u32> for Chatter {
+            fn on_start(&mut self, ctx: &mut Ctx<u32>) {
+                self.act(ctx, u32::MAX);
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<u32>, _: NodeId, msg: u32) {
+                self.act(ctx, msg);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<u32>, token: u64) {
+                self.act(ctx, 1_000_000 + token as u32);
+            }
+        }
+        let run = |seed: u64, per_event_only: bool| {
+            let grid = if seed.is_multiple_of(2) { 1_000 } else { 1 };
+            let log = Log::default();
+            let mut s = sim();
+            s.per_event_only = per_event_only;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for id in 0..3u64 {
+                let mk = {
+                    let log = log.clone();
+                    move || -> Box<dyn Process<u32>> {
+                        Box::new(Chatter {
+                            log: log.clone(),
+                            rng: SmallRng::seed_from_u64(seed * 8 + id),
+                            grid,
+                            budget: 150,
+                        })
+                    }
+                };
+                let n = s.add_node(mk());
+                s.set_restart_factory(n, mk);
+            }
+            for i in 0..300u32 {
+                let mut draw =
+                    |us: u64| Duration::from_nanos(rng.random_range(0..us * 1_000 / grid) * grid);
+                let at = SimTime::ZERO + draw(400);
+                let node = i as usize % 3;
+                match i % 50 {
+                    0 | 25 => s.pause_at(node, at, draw(30)),
+                    10 => {
+                        s.crash_at(node, at);
+                        s.restart_at(node, at + draw(20));
+                    }
+                    k if k % 5 == 1 => s.inject(9, node, DeliveryClass::Dma, at - s.now(), i),
+                    _ => s.inject(9, node, DeliveryClass::Cpu, at - s.now(), i),
+                }
+            }
+            s.run_until(SimTime::from_millis(5));
+            let waits: Vec<WaitStats> = (0..3).map(|n| s.probe.wait_stats(n)).collect();
+            let log = log.borrow().clone();
+            (log, waits, s.seq, s.stats().restart_drops, s.stats().events)
+        };
+        let mut saved = [0, 0];
+        for seed in 0..40 {
+            let (fast, slow) = (run(seed, false), run(seed, true));
+            assert!(fast.0.len() > 200, "seed {seed}: schedule too thin");
+            assert_eq!(fast.0, slow.0, "seed {seed}: handler order");
+            assert_eq!(fast.1, slow.1, "seed {seed}: wait integrals");
+            assert_eq!(
+                (fast.2, fast.3),
+                (slow.2, slow.3),
+                "seed {seed}: seq / drops"
+            );
+            assert!(fast.4 <= slow.4, "seed {seed}: the run added events");
+            saved[seed as usize % 2] += slow.4 - fast.4;
+        }
+        assert!(saved[0] > 0 && saved[1] > 0, "no run formed: {saved:?}");
     }
 
     #[test]

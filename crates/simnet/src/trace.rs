@@ -1398,13 +1398,20 @@ impl Probe {
     /// cannot perturb the run. Zero-length waits are not counted as events.
     #[inline]
     pub fn wait(&mut self, node: NodeId, reason: WaitReason, ns: u64) {
+        self.wait_n(node, reason, ns, 1);
+    }
+
+    /// [`Probe::wait`] for `n` waits of `ns` each (a deferral run re-keyed
+    /// in one pass charges every member the same wait).
+    #[inline]
+    pub fn wait_n(&mut self, node: NodeId, reason: WaitReason, ns: u64, n: u64) {
         if ns == 0 {
             return;
         }
         self.ensure_node(node);
         let w = &mut self.waits[node];
-        w.ns[reason as usize] += ns;
-        w.events[reason as usize] += 1;
+        w.ns[reason as usize] += ns * n;
+        w.events[reason as usize] += n;
     }
 
     /// Read one node's wait integrals (zeros for unregistered nodes).

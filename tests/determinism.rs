@@ -140,3 +140,45 @@ fn calendar_and_heap_schedulers_export_identical_traces() {
     );
     assert!(calendar.len() > 1024, "traced run produced no timeline");
 }
+
+#[test]
+fn calendar_and_heap_schedulers_agree_on_deep_deferral_runs() {
+    // The suite's and the scale sweep's windows (at most 8) never make a
+    // leader's deferral run more than a few events long. Figure 9's window
+    // of 256 keeps some 250 requests waiting on a saturated leader, and the
+    // engine then peeks the scheduler (`next_at`) at every wake-up to decide
+    // whether the run can be re-keyed in one pass: the peek must be as
+    // non-perturbing on the calendar queue as on the heap, traced or not.
+    use acuerdo_repro::bench::{run, run_record_json, Observe, Run, RunSpec, System};
+    use acuerdo_repro::simnet::{chrome_trace_json_full, Counter, SchedKind};
+    let export = |scheduler: SchedKind, traced: bool| {
+        let base = if traced {
+            Observe::traced()
+        } else {
+            Observe::default()
+        };
+        let spec = RunSpec::quick(System::Acuerdo);
+        let r = Run::ycsb(System::Acuerdo, 3, 7, spec)
+            .expect("acuerdo is a figure 9 system")
+            .observe(Observe { scheduler, ..base });
+        assert_eq!(r.window, 256);
+        let out = run(&r);
+        assert!(out.metrics.total(Counter::Commits) > 3 * 1_000);
+        (
+            run_record_json("deep", &r, &out.point, &out.metrics, None),
+            chrome_trace_json_full(&out.events, &out.gauges),
+        )
+    };
+    let (record, trace) = export(SchedKind::Calendar, true);
+    assert!(trace.len() > 1 << 20, "traced run produced no timeline");
+    let (heap_record, heap_trace) = export(SchedKind::Heap, true);
+    assert!(record == heap_record, "traced records diverged");
+    assert!(
+        trace == heap_trace,
+        "schedulers diverged at trace-event granularity"
+    );
+    assert!(
+        export(SchedKind::Calendar, false).0 == export(SchedKind::Heap, false).0,
+        "untraced records diverged"
+    );
+}
