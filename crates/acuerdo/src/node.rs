@@ -288,16 +288,32 @@ pub struct AcuerdoNode {
     /// Online invariant monitor (fed every poll; see [`abcast::Auditor`]).
     audit: Auditor,
 
-    // The O(1) idle poll (`poll_is_inert`).
-    /// A handler other than the poll ran since the last poll: memory, the
-    /// request queue or the push state may be new, so the next poll looks.
+    // The idle poll (`poll_is_inert`, `Process::idle_timer`).
+    /// Something a poll reads may have changed since the last poll: a
+    /// handler touched the request queue or the connection state, or a
+    /// remote write or completion landed that this node in this role looks
+    /// at (`stirs`). The next poll is a full one.
     stirred: bool,
-    /// The last poll was a full one that began with nothing new and changed
-    /// nothing: until something stirs, every poll repeats it.
+    /// The last poll was a full one that changed nothing, and (for a
+    /// leader) so was the one before it, with nothing stirred in between:
+    /// until something stirs, every poll repeats it.
     settled: bool,
+    /// The last full poll charged nothing beyond the spin.
+    fruitless: bool,
     /// The last full poll left a send waiting for ring space or a
     /// send-queue slot.
     send_blocked: bool,
+    /// This node changed, by its own hand, something the leader's Accept_SST
+    /// scans compare: its own cell, a reset mirror, a lane's `sent` queue,
+    /// `next`, the epoch, or the role itself. Together with the table's
+    /// dirty flag (a peer's push landed) it says whether `observe_acks`,
+    /// the commit rule and `reuse_slots` can find anything they did not
+    /// find last time.
+    acks_touched: bool,
+    /// Test oracle: every poll leaves the node stirred (so none is ever
+    /// answered in place) and looks at every Accept_SST cell.
+    #[cfg(test)]
+    naive: bool,
 
     /// The replicated application messages are delivered to.
     pub app: Box<dyn App>,
@@ -407,7 +423,11 @@ impl AcuerdoNode {
             audit: Auditor::new(),
             stirred: true,
             settled: false,
+            fruitless: false,
             send_blocked: false,
+            acks_touched: true,
+            #[cfg(test)]
+            naive: false,
             app: Box::<DeliveryLog>::default(),
             delivered_count: 0,
             polls_skipped: 0,
@@ -529,7 +549,7 @@ impl AcuerdoNode {
                     if self.out[j].rejoin {
                         ctx.count(Counter::RejoinDiffBytes, frame_len);
                     }
-                    self.out[j].sent.push_back((hdr, seq));
+                    self.track_sent(j, hdr, seq);
                     self.out[j].diff_backlog.pop_front();
                 }
                 Err(RingError::TooLarge) => {
@@ -570,7 +590,7 @@ impl AcuerdoNode {
                     if fallback_lane {
                         ctx.count(Counter::RingFallbackSends, 1);
                     }
-                    self.out[j].sent.push_back((hdr, seq));
+                    self.track_sent(j, hdr, seq);
                     self.out[j].next_cnt += 1;
                 }
                 Err(_) => {
@@ -758,7 +778,7 @@ impl AcuerdoNode {
                         self.peers[down] as u64,
                     );
                     ctx.count(Counter::RingForwards, 1);
-                    self.out[down].sent.push_back((hdr, seq));
+                    self.track_sent(down, hdr, seq);
                     self.fwd_backlog.pop_front();
                 }
                 Err(_) => break,
@@ -885,6 +905,7 @@ impl AcuerdoNode {
             ctx.log_fsync();
         }
         self.accept_sst.write_mine(&mut self.ep, &self.accepted);
+        self.acks_touched = true;
         let ldr = self.e_cur.ldr as usize;
         if ldr != self.me {
             let _ = self
@@ -939,6 +960,7 @@ impl AcuerdoNode {
         );
         self.e_new = e;
         self.e_cur = e;
+        self.acks_touched = true;
         if e.ldr as usize != self.me {
             self.role = Role::Follower;
         }
@@ -1019,7 +1041,8 @@ impl AcuerdoNode {
     /// newly visible acknowledgment on each message's lifecycle. Acks are
     /// cumulative (one cell covers every earlier count of its epoch), so a
     /// single `ack_visible` mark per advance suffices — lifecycle assembly
-    /// inherits it downward exactly as the commit rule does.
+    /// inherits it downward exactly as the commit rule does. Run only when
+    /// a cell may have moved (`acks_touched`).
     fn observe_acks(&mut self, ctx: &mut Ctx<AcWire>) {
         for k in 0..self.cfg.n {
             let a = self.accept_sst.read(&self.ep, k);
@@ -1091,7 +1114,15 @@ impl AcuerdoNode {
         }
     }
 
-    fn commit_step(&mut self, ctx: &mut Ctx<AcWire>) {
+    /// `acks_new`: an Accept_SST cell, or what the leader's rule compares
+    /// the cells with, changed since the last call.
+    fn commit_step(&mut self, ctx: &mut Ctx<AcWire>, acks_new: bool) {
+        // The leader's rule counts n cells. The loop below leaves it false
+        // (or waiting on the log, which re-arms `acks_touched`), and false
+        // it stays until a cell, `next`, the epoch or the role moves.
+        if self.role == Role::Leader && !acks_new {
+            return;
+        }
         while self.commit_ready() {
             if !self.next.is_diff() {
                 // Normal message commit.
@@ -1102,6 +1133,7 @@ impl AcuerdoNode {
                     if self.frame_stall.is_none() {
                         self.frame_stall = Some(ctx.now());
                     }
+                    self.acks_touched = true;
                     break;
                 };
                 let hdr = self.next;
@@ -1222,6 +1254,12 @@ impl AcuerdoNode {
         }
     }
 
+    /// Book a frame in flight on lane `j`, for `ack_lane` to free.
+    fn track_sent(&mut self, j: usize, hdr: MsgHdr, seq: u64) {
+        self.out[j].sent.push_back((hdr, seq));
+        self.acks_touched = true;
+    }
+
     fn ack_lane(&mut self, j: usize, upto: MsgHdr) {
         let mut max_seq = None;
         while let Some(&(h, seq)) = self.out[j].sent.front() {
@@ -1315,8 +1353,7 @@ impl AcuerdoNode {
             ctx.trace(Event::new("vote_self").a(u64::from(self.e_new.round)));
             let v = Vote::new(self.e_new, self.accepted);
             self.vote_sst.write_mine(&mut self.ep, &v);
-            let peers = self.peers.clone();
-            let _ = self.vote_sst.push_mine(ctx, &mut self.ep, &peers);
+            let _ = self.vote_sst.push_mine(ctx, &mut self.ep, &self.peers);
             ctx.use_cpu(cpu::FRAME_PROC);
         } else if mx > mine && self.accepted <= mx.acpt {
             // Join the best vote (lines 106–111).
@@ -1327,8 +1364,7 @@ impl AcuerdoNode {
                     .b(u64::from(mx.e_new.ldr)),
             );
             self.vote_sst.write_mine(&mut self.ep, &mx);
-            let peers = self.peers.clone();
-            let _ = self.vote_sst.push_mine(ctx, &mut self.ep, &peers);
+            let _ = self.vote_sst.push_mine(ctx, &mut self.ep, &self.peers);
             ctx.use_cpu(cpu::FRAME_PROC);
         }
 
@@ -1354,6 +1390,7 @@ impl AcuerdoNode {
 
     fn become_leader(&mut self, ctx: &mut Ctx<AcWire>) {
         self.role = Role::Leader;
+        self.acks_touched = true;
         self.outbid_since = None;
         self.count = 0;
         self.elections_won += 1;
@@ -1449,8 +1486,7 @@ impl AcuerdoNode {
         }
         let cell: CommitCell = (self.committed, self.commit_push_seq);
         self.commit_sst.write_mine(&mut self.ep, &cell);
-        let peers = self.peers.clone();
-        let _ = self.commit_sst.push_mine(ctx, &mut self.ep, &peers);
+        let _ = self.commit_sst.push_mine(ctx, &mut self.ep, &self.peers);
     }
 
     // ---- rejoin / stream resynchronization (module docs) ---------------------------
@@ -1463,6 +1499,14 @@ impl AcuerdoNode {
         let r = self.ep.register_region(self.cfg.ring_bytes);
         self.in_rings[j] = RingReceiver::new(r, self.cfg.ring_bytes, self.cfg.ring_mode);
         r
+    }
+
+    /// Zero the three SST cells mirrored from peer `j`.
+    fn forget_mirrors(&mut self, j: usize) {
+        self.accept_sst.reset_slot(&mut self.ep, j);
+        self.vote_sst.reset_slot(&mut self.ep, j);
+        self.commit_sst.reset_slot(&mut self.ep, j);
+        self.acks_touched = true;
     }
 
     /// Tear down and re-establish this node's connection state: fresh
@@ -1497,9 +1541,7 @@ impl AcuerdoNode {
             }
             let ring = self.refresh_inbound(j);
             self.ep.reset_connection(self.peers[j]);
-            self.accept_sst.reset_slot(&mut self.ep, j);
-            self.vote_sst.reset_slot(&mut self.ep, j);
-            self.commit_sst.reset_slot(&mut self.ep, j);
+            self.forget_mirrors(j);
             self.out[j] = PeerOut::new();
             ctx.send(
                 self.peers[j],
@@ -1533,9 +1575,7 @@ impl AcuerdoNode {
             // Forget everything mirrored from the (possibly rebooted)
             // sender: its stale SST cells must not count toward quorums its
             // fresh incarnation no longer backs.
-            self.accept_sst.reset_slot(&mut self.ep, j);
-            self.vote_sst.reset_slot(&mut self.ep, j);
-            self.commit_sst.reset_slot(&mut self.ep, j);
+            self.forget_mirrors(j);
             let fresh = self.refresh_inbound(j);
             self.hello_from[j] = true;
             ctx.send(
@@ -1724,12 +1764,32 @@ impl AcuerdoNode {
         ctx.trace(Event::new("wal_recover").a(records.len() as u64));
     }
 
-    // ---- the O(1) idle poll ---------------------------------------------------
+    // ---- the idle poll -----------------------------------------------------------
 
-    /// Whether a poll at `now` that follows a settled poll, with no handler
-    /// in between, can do anything but spin: it reads the memory and the
-    /// state the settled poll read, so only a blocked send, whose retry is
-    /// itself observable, or the clock can make it differ.
+    /// Whether an arriving RDMA packet can change what this node's next poll
+    /// finds. Erring towards `true` costs a full poll; `false` must be
+    /// certain.
+    fn stirs(&self, pkt: &RdmaPkt) -> bool {
+        match *pkt {
+            // A completion frees a send-queue slot, and only a send that
+            // found the queue full is waiting for one.
+            RdmaPkt::Ack { .. } => self.send_blocked,
+            // A follower's polls read one Commit_SST cell, its leader's
+            // (commit notification and heartbeat). The cells its fellow
+            // followers push are read by the push tick's GC and, on other
+            // roles, by election and desync checks.
+            RdmaPkt::Write { region, offset, .. } if self.role == Role::Follower => self
+                .commit_sst
+                .slot_at(region, offset)
+                .is_none_or(|k| k == self.e_cur.ldr as usize),
+            _ => true,
+        }
+    }
+
+    /// Whether a poll at `now` that follows a settled poll, with nothing
+    /// stirred in between, can do anything but spin: it reads the memory and
+    /// the state the settled poll read, so only a blocked send, whose retry
+    /// is itself observable, or the clock can make it differ.
     ///
     /// * `RingStalls` counts failed send *attempts*, one per poll while a
     ///   lane is full, so a node with work blocked on flow control keeps
@@ -1781,35 +1841,48 @@ impl Process<AcWire> for AcuerdoNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<AcWire>, from: NodeId, msg: AcWire) {
-        self.stirred = true;
         match msg {
-            AcWire::Rdma(pkt) => self.ep.on_packet(ctx, from, pkt),
+            AcWire::Rdma(pkt) => {
+                self.stirred |= self.stirs(&pkt);
+                self.ep.on_packet(ctx, from, pkt);
+                return;
+            }
             AcWire::Req(req) => self.on_client_request(ctx, from, req),
             AcWire::Resp(_) => {}
             AcWire::Hello { ring, reply } => self.on_hello(ctx, from, ring, reply),
         }
+        self.stirred = true;
+    }
+
+    fn idle_timer(&mut self, now: SimTime, token: u64) -> Option<(Duration, Duration)> {
+        let idle = token == TOK_POLL && !self.stirred && self.settled && self.poll_is_inert(now);
+        idle.then(|| {
+            self.polls_skipped += 1;
+            (cpu::POLL_IDLE, self.cfg.poll_interval)
+        })
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<AcWire>, token: u64) {
         match token {
             TOK_POLL => {
+                // An idle poll never gets here: the engine answers it in
+                // place (`idle_timer`).
                 ctx.use_cpu_idle(cpu::POLL_IDLE);
                 let fresh = std::mem::take(&mut self.stirred);
-                if !fresh && self.settled && self.poll_is_inert(ctx.now()) {
-                    self.polls_skipped += 1;
-                    ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
-                    return;
-                }
                 let spin_cpu = ctx.cpu_used();
                 self.send_blocked = false;
                 self.accept_frames(ctx);
                 if self.ring_on() {
                     self.flush_forwards(ctx);
                 }
-                if self.role == Role::Leader {
+                let acks_new = self.accept_sst.take_dirty(&mut self.ep)
+                    | std::mem::take(&mut self.acks_touched);
+                #[cfg(test)]
+                let acks_new = acks_new || self.naive;
+                if self.role == Role::Leader && acks_new {
                     self.observe_acks(ctx);
                 }
-                self.commit_step(ctx);
+                self.commit_step(ctx, acks_new);
                 // Audit accept point: the log holds everything this node has
                 // accepted — by ring frame, by recovery diff, or (at the
                 // leader) by proposing, which `self.accepted` alone misses.
@@ -1818,7 +1891,12 @@ impl Process<AcWire> for AcuerdoNode {
                     .observe(ctx, self.e_cur, self.accepted.max(log_top), self.committed);
                 self.publish_gauges(ctx);
                 if self.role == Role::Leader {
-                    self.reuse_slots();
+                    // Acuerdo's rule frees a lane off its receiver's cell
+                    // and the lane's `sent` queue; Derecho's reads every
+                    // Commit_SST cell, this node's own included.
+                    if acks_new || self.cfg.slot_reuse_on_commit {
+                        self.reuse_slots();
+                    }
                     self.ring_fallback_scan(ctx);
                     self.flush_all(ctx);
                     self.check_ready(ctx);
@@ -1826,21 +1904,40 @@ impl Process<AcWire> for AcuerdoNode {
                 self.detect_failure(ctx);
                 self.election_step(ctx);
                 self.detect_desync(ctx);
-                // Settled takes two fruitless polls in a row. "Charged only
-                // the spin" is not by itself "changed nothing": `observe_acks`
-                // and `reuse_slots` move state for free, and `publish_gauges`
-                // runs before `reuse_slots`, so the poll after one that freed
-                // ring space must still run to publish the new occupancy.
-                // A poll that began with nothing new has no such free work
-                // left: the poll before it saw the same memory.
-                self.settled = !fresh && ctx.cpu_used() == spin_cpu;
+                // A leader settles after two fruitless polls in a row with
+                // nothing stirred between them. "Charged only the spin" is
+                // not by itself "changed nothing": `observe_acks` and
+                // `reuse_slots` move state for free, and both `publish_gauges`
+                // and `flush_all` sit on the other side of `reuse_slots`, so
+                // the poll after one that freed ring space must still run to
+                // publish the new occupancy, and the poll after one that
+                // sent must still run to free what was reusable the moment
+                // it was sent (a diff part at or below every commit cell
+                // under Derecho's rule). The second of two fruitless polls
+                // has no such free work left: the first saw the same memory
+                // and left it nothing to free or publish. A follower does
+                // none of that free work (what its poll reads for free, the
+                // heartbeat and an empty diff's commit, it publishes in the
+                // same poll), so one fruitless poll is already a fixed point.
+                let fruitless = ctx.cpu_used() == spin_cpu;
+                self.settled =
+                    fruitless && (self.role == Role::Follower || (!fresh && self.fruitless));
+                self.fruitless = fruitless;
+                #[cfg(test)]
+                {
+                    self.stirred |= self.naive;
+                }
                 ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
             }
             TOK_PUSH => {
-                self.stirred = true;
+                // The tick writes and posts this node's own Commit_SST cell,
+                // which no poll reads except under Derecho's reuse rule.
+                self.stirred |= self.cfg.slot_reuse_on_commit;
                 self.push_commit(ctx);
                 if self.push_ticks.is_multiple_of(FOLLOWER_PUSH_PERIOD) {
+                    let role = self.role;
                     self.detect_outbid(ctx);
+                    self.stirred |= self.role != role;
                 }
                 self.gc();
                 ctx.set_timer(self.cfg.commit_push_interval, TOK_PUSH);
@@ -1849,3 +1946,6 @@ impl Process<AcWire> for AcuerdoNode {
         }
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;

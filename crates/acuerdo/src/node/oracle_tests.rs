@@ -1,0 +1,315 @@
+//! Differential oracle for the dirty-driven poll: the same cluster, seed and
+//! fault schedule run twice, once as shipped and once with every node
+//! `naive` (each poll a full one that looks at every ring and every
+//! Accept_SST cell, nothing ever settles, the engine never answers a poll in
+//! place). The two must be the same execution: trace, delivery histories and
+//! the whole metrics snapshot.
+
+use super::*;
+use crate::cluster::{build_cluster, histories};
+use abcast::WindowClient;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use rdma_prims::RingMode;
+use simnet::{DurabilityMode, GaugeSample, MetricsSnapshot, NetParams, Sim, TraceEvent};
+
+const HORIZON: SimTime = SimTime::from_millis(6);
+
+type History = Vec<(MsgHdr, Bytes)>;
+
+/// What a run leaves behind, plus how many polls went the idle way.
+struct Outcome {
+    trace: Vec<TraceEvent>,
+    /// Every gauge of every node, sampled each microsecond: a level that is
+    /// published one poll late shows here and nowhere else.
+    gauges: Vec<GaugeSample>,
+    histories: Vec<History>,
+    metrics: MetricsSnapshot,
+    skipped: u64,
+}
+
+fn chaos_cfg(n: usize) -> AcuerdoConfig {
+    AcuerdoConfig {
+        retain_log: true,
+        fail_timeout: Duration::from_micros(300),
+        ..AcuerdoConfig::stable(n)
+    }
+}
+
+/// A traced cluster of `naive` (or shipped) nodes under a retransmitting
+/// window client that falls back to broadcasting; restarted replicas rejoin
+/// in the same mode.
+fn cluster(
+    seed: u64,
+    cfg: &AcuerdoConfig,
+    naive: bool,
+    window: usize,
+    payload: usize,
+) -> (Sim<AcWire>, Vec<NodeId>) {
+    let mut sim = Sim::new(seed, NetParams::rdma());
+    let ids = build_cluster(&mut sim, cfg);
+    for &id in &ids {
+        sim.node_mut::<AcuerdoNode>(id).naive = naive;
+        let cfg = cfg.clone();
+        sim.set_restart_factory(id, move || {
+            let mut node = AcuerdoNode::rejoining(cfg.clone(), id);
+            node.naive = naive;
+            Box::new(node)
+        });
+    }
+    let mut client = WindowClient::new(0, window, payload, Duration::from_micros(100));
+    client.retransmit = Some(Duration::from_micros(500));
+    client.replicas = ids.clone();
+    sim.add_node(Box::new(client));
+    sim.set_tracing(true);
+    sim.set_gauge_sampling(Duration::from_micros(1));
+    (sim, ids)
+}
+
+fn finish(mut sim: Sim<AcWire>, ids: &[NodeId]) -> Outcome {
+    let skipped = ids
+        .iter()
+        .filter(|&&id| !sim.is_crashed(id))
+        .map(|&id| sim.node::<AcuerdoNode>(id).polls_skipped)
+        .sum();
+    Outcome {
+        histories: histories(&sim, ids),
+        metrics: sim.metrics(),
+        gauges: sim.take_gauge_samples(),
+        trace: sim.take_trace(),
+        skipped,
+    }
+}
+
+/// The shipped node must have idled, the oracle never, and nothing else may
+/// tell them apart.
+fn assert_same(what: &str, shipped: &Outcome, naive: &Outcome) {
+    assert_eq!(naive.skipped, 0, "{what}: the oracle idled");
+    assert!(shipped.skipped > 0, "{what}: the shipped node never idled");
+    assert_eq!(shipped.histories, naive.histories, "{what}: histories");
+    let at = (0..shipped.trace.len().min(naive.trace.len()))
+        .find(|&i| shipped.trace[i] != naive.trace[i]);
+    if let Some(i) = at {
+        panic!(
+            "{what}: trace event {i}: shipped {:?}, oracle {:?}",
+            shipped.trace[i], naive.trace[i]
+        );
+    }
+    assert_eq!(
+        shipped.trace.len(),
+        naive.trace.len(),
+        "{what}: trace length"
+    );
+    assert_eq!(shipped.metrics, naive.metrics, "{what}: metrics");
+    let at = (0..shipped.gauges.len()).find(|&i| shipped.gauges[i] != naive.gauges[i]);
+    if let Some(i) = at {
+        panic!(
+            "{what}: gauge sample {i}: shipped {:?}, oracle {:?}",
+            shipped.gauges[i], naive.gauges[i]
+        );
+    }
+}
+
+/// Seeded fault script in the chaos harness's mix: 2–5 faults in
+/// `[20 %, 60 %)` of the horizon (crash + reboot, minority partition + heal,
+/// descheduling, link delay, CPU slowdown), the tail left to converge.
+/// `correlated` opens with a whole-cluster power failure and staggered
+/// reboots.
+fn inject_faults(sim: &mut Sim<AcWire>, n: usize, seed: u64, correlated: bool) {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x0AC1E);
+    let h = HORIZON.as_nanos();
+    let us = |rng: &mut SmallRng, lo: u64, hi: u64| Duration::from_micros(rng.random_range(lo..hi));
+    // Ascending instants: link delays and CPU scales take effect when
+    // called, so the run advances to each fault in turn.
+    let faults = rng.random_range(2..=5usize) + usize::from(correlated);
+    let mut times: Vec<SimTime> = (0..faults)
+        .map(|_| SimTime::from_nanos(rng.random_range(h / 5..h * 3 / 5)))
+        .collect();
+    times.sort();
+    let mut times = times.into_iter();
+    if correlated {
+        let t = times.next().expect("the power failure's instant");
+        sim.power_failure_at((0..n).collect(), t);
+        for node in 0..n {
+            let back = us(&mut rng, 20, 400);
+            sim.restart_at(node, t + back);
+        }
+    }
+    let f = (n - 1) / 2;
+    for t in times {
+        let node = rng.random_range(0..n);
+        match rng.random_range(0..5u32) {
+            // One crash at a time keeps a quorum whatever else is going on.
+            0 if !correlated => {
+                sim.crash_at(node, t);
+                let back = us(&mut rng, 50, 800);
+                sim.restart_at(node, t + back);
+            }
+            1 => {
+                let minority: Vec<NodeId> = (0..f).map(|i| (node + i) % n).collect();
+                let rest = (0..n).filter(|i| !minority.contains(i)).collect();
+                sim.partition(vec![minority, rest], t);
+                let dur = us(&mut rng, 100, 900);
+                sim.heal(t + dur);
+            }
+            2 => {
+                let dur = us(&mut rng, 50, 700);
+                sim.pause_at(node, t, dur);
+            }
+            3 => {
+                let dst = (node + 1 + rng.random_range(0..n - 1)) % n;
+                let extra = us(&mut rng, 5, 200);
+                let dur = us(&mut rng, 100, 900);
+                sim.run_until(t);
+                sim.add_link_latency(node, dst, extra, t + dur);
+            }
+            _ => {
+                sim.run_until(t);
+                sim.set_cpu_scale(node, 1.0 + f64::from(rng.random_range(1..40u32)) / 10.0);
+            }
+        }
+    }
+}
+
+fn chaos_run(cfg: &AcuerdoConfig, seed: u64, correlated: bool, naive: bool) -> Outcome {
+    // Even seeds keep a few requests in flight, odd seeds enough to fill
+    // the small rings of the slot-reuse case.
+    let window = if seed.is_multiple_of(2) { 8 } else { 64 };
+    let (mut sim, ids) = cluster(seed, cfg, naive, window, 64);
+    inject_faults(&mut sim, cfg.n, seed, correlated);
+    sim.run_until(HORIZON);
+    finish(sim, &ids)
+}
+
+#[test]
+fn dirty_driven_node_matches_the_look_at_everything_oracle() {
+    let ring8 = AcuerdoConfig {
+        dissemination: DisseminationMode::Ring,
+        ..chaos_cfg(8)
+    };
+    let durable5 = AcuerdoConfig {
+        durability: DurabilityMode::Durable,
+        ..chaos_cfg(5)
+    };
+    let reuse_on_commit = AcuerdoConfig {
+        slot_reuse_on_commit: true,
+        ring_bytes: 4 << 10,
+        max_diff_part: 1 << 10,
+        ..chaos_cfg(5)
+    };
+    let split = AcuerdoConfig {
+        ring_mode: RingMode::Split,
+        ..chaos_cfg(3)
+    };
+    let cases: [(&str, &AcuerdoConfig, bool, std::ops::Range<u64>); 4] = [
+        ("star n=5 correlated-durable", &durable5, true, 0..12),
+        ("ring n=8", &ring8, false, 0..12),
+        ("slot_reuse_on_commit", &reuse_on_commit, false, 0..8),
+        ("RingMode::Split", &split, false, 0..8),
+    ];
+    for (name, cfg, correlated, seeds) in cases {
+        let mut commits = 0;
+        for seed in seeds {
+            let shipped = chaos_run(cfg, seed, correlated, false);
+            let naive = chaos_run(cfg, seed, correlated, true);
+            assert_same(&format!("{name} seed {seed}"), &shipped, &naive);
+            commits += shipped.histories.iter().map(Vec::len).max().unwrap_or(0);
+        }
+        assert!(commits > 1_000, "{name}: only {commits} commits, too thin");
+    }
+}
+
+// ---- the three traps, by name -----------------------------------------------
+//
+// Each runs a fault-free or one-fault case both ways, like the sweep above,
+// after checking that the situation it is named for really arises in it.
+
+#[test]
+fn completion_arriving_while_a_send_is_blocked() {
+    // A send queue of 16 with a completion every 8 posts, and 40 us of
+    // extra latency on follower 1's way back: its lane at the leader fills,
+    // the leader's flush stops on `QueueFull`, and only the hardware ack
+    // that retires the queue's head lets it go on. That ack is the one
+    // completion that must stir.
+    let cfg = AcuerdoConfig {
+        qp: rdma_sim::QpConfig {
+            sq_depth: 16,
+            signal_interval: 8,
+            ..rdma_sim::QpConfig::default()
+        },
+        ..AcuerdoConfig::stable(3)
+    };
+    let run = |naive: bool| {
+        let (mut sim, ids) = cluster(7, &cfg, naive, 64, 64);
+        sim.add_link_latency(1, 0, Duration::from_micros(40), SimTime::from_millis(2));
+        let (mut acked_while_blocked, mut completions) = (0, 0);
+        while sim.now() < SimTime::from_millis(2) && sim.step() {
+            let now = sim.counter(0, Counter::CompletionsPolled);
+            if now != completions && sim.node::<AcuerdoNode>(0).send_blocked {
+                acked_while_blocked += 1;
+            }
+            completions = now;
+        }
+        assert!(acked_while_blocked > 50, "{acked_while_blocked} such acks");
+        finish(sim, &ids)
+    };
+    let shipped = run(false);
+    assert!(shipped.histories[0].len() > 300, "the queue never drained");
+    assert_same("blocked send", &shipped, &run(true));
+}
+
+#[test]
+fn push_tick_under_slot_reuse_on_commit() {
+    // Derecho's rule frees a lane off the minimum over every Commit_SST
+    // cell, the leader's own included, and that one moves only when the
+    // push tick writes it. Rings of 4 KiB under a window of 64 make flow
+    // control bind, so a reuse that ran a poll late would show in
+    // `RingStalls` and in the sampled occupancy.
+    let cfg = AcuerdoConfig {
+        slot_reuse_on_commit: true,
+        ring_bytes: 4 << 10,
+        max_diff_part: 1 << 10,
+        ..AcuerdoConfig::stable(3)
+    };
+    let run = |naive: bool| {
+        let (mut sim, ids) = cluster(8, &cfg, naive, 64, 64);
+        sim.run_until(SimTime::from_millis(3));
+        assert!(
+            sim.counter(0, Counter::RingStalls) > 100,
+            "rings never filled"
+        );
+        finish(sim, &ids)
+    };
+    assert_same("reuse on commit", &run(false), &run(true));
+}
+
+#[test]
+fn frame_landing_in_a_ring_re_registered_by_refresh_inbound() {
+    // Follower 2 reboots: it and its peers abandon their rings for freshly
+    // registered regions (ids past the boot-time plan), and everything it
+    // accepts from then on lands in those. A dirty set that knew only the
+    // boot-time regions would never look at them.
+    let cfg = chaos_cfg(3);
+    let run = |naive: bool| {
+        let (mut sim, ids) = cluster(9, &cfg, naive, 8, 64);
+        sim.crash_at(2, SimTime::from_millis(1));
+        sim.restart_at(2, SimTime::from_micros(1_500));
+        sim.run_until(SimTime::from_millis(2));
+        let rejoined_at = sim.node::<AcuerdoNode>(2).delivered_count;
+        sim.run_until(SimTime::from_millis(5));
+        let (leader, rejoiner) = (sim.node::<AcuerdoNode>(0), sim.node::<AcuerdoNode>(2));
+        assert!(
+            sim.counter(0, Counter::RejoinDiffBytes) > 0,
+            "no rejoin diff"
+        );
+        assert!(
+            rejoiner.delivered_count > rejoined_at + 500
+                && rejoiner.delivered_count + 8 >= leader.delivered_count,
+            "the rejoiner fell behind: {} of {}",
+            rejoiner.delivered_count,
+            leader.delivered_count
+        );
+        finish(sim, &ids)
+    };
+    assert_same("rejoin", &run(false), &run(true));
+}

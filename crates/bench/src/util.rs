@@ -292,7 +292,9 @@ fn collect_runs(doc: &Value) -> Vec<RunUtil> {
 /// told to *adopt* it — a payload-heavy saturated leader there is feeding
 /// its two arm heads (or, beyond two frames per message, star fallback),
 /// and a saturated follower is the ring's expected steady state (the
-/// forwarding hop), not a spread-out anomaly.
+/// forwarding hop), not a spread-out anomaly. Nor is a star of three or
+/// fewer: `ring_route` gives every follower the leader as its upstream
+/// there, so the ring it would be told to adopt is the star it runs.
 ///
 /// Every utilization verdict ends with the run's closed-loop bound when the
 /// record carries one ([`ClosedLoop`]), and the CPU verdict names the
@@ -329,10 +331,17 @@ pub fn verdict_line(
                      bytes are payload — the leader feeds two arm heads per message; anything \
                      beyond that is star fallback (ring_fallback_sends)"
                 )
-            } else {
+            } else if nodes > 3 {
                 format!(
                     "{head}: leader egress {leader_egress:.1}% utilized, {payload_share:.1}% of \
                      bytes are payload fan-out — ring dissemination candidate"
+                )
+            } else {
+                format!(
+                    "{head}: leader egress {leader_egress:.1}% utilized, {payload_share:.1}% of \
+                     bytes are payload fan-out to {} peers — a ring of {nodes} is this star \
+                     (ring_route), only bytes per message can move it",
+                    nodes.saturating_sub(1)
                 )
             }
         } else if ack_share > payload_share {
@@ -539,8 +548,25 @@ mod tests {
     fn verdict_names_leader_egress_payload_fanout() {
         let s = summary_json(&snap(), 2);
         let v = json::parse(&s).unwrap();
-        let line = verdict_line("acuerdo", 2, &v, None);
-        assert!(line.starts_with("bottleneck acuerdo@2: leader egress 90.0% utilized"));
+        let line = verdict_line("acuerdo", 5, &v, None);
+        assert!(line.starts_with("bottleneck acuerdo@5: leader egress 90.0% utilized"));
+        assert!(line.contains("ring dissemination candidate"), "{line}");
+    }
+
+    #[test]
+    fn star_of_three_is_never_told_to_adopt_the_ring_it_already_is() {
+        // Up to three nodes `ring_route` *is* star: the prescription would
+        // change nothing. The verdict says what the egress is instead.
+        let v = json::parse(&summary_json(&snap(), 2)).unwrap();
+        for nodes in [2, 3] {
+            let line = verdict_line("acuerdo", nodes, &v, None);
+            assert!(!line.contains("candidate"), "{line}");
+            assert!(
+                line.contains(&format!("payload fan-out to {} peers", nodes - 1)),
+                "{line}"
+            );
+        }
+        let line = verdict_line("acuerdo", 4, &v, None);
         assert!(line.contains("ring dissemination candidate"), "{line}");
     }
 

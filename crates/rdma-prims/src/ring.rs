@@ -267,14 +267,6 @@ pub struct RingReceiver {
     mode: RingMode,
     consumed_abs: u64,
     next_seq: u64,
-    /// Largest batch drained by a single poll (receiver-side batching stat).
-    pub max_batch: usize,
-    /// Polls abandoned because the bytes at the consume position failed
-    /// validation (length overruns the ring, or the frame carries the wrong
-    /// transport sequence). Nonzero only around crash-recovery, when a
-    /// rebooted peer restarts its stream at offset zero of a region this
-    /// receiver is still mid-way through; a clean run keeps this at zero.
-    pub desyncs: u64,
 }
 
 impl RingReceiver {
@@ -290,8 +282,6 @@ impl RingReceiver {
             mode,
             consumed_abs: 0,
             next_seq: 0,
-            max_batch: 0,
-            desyncs: 0,
         }
     }
 
@@ -303,8 +293,17 @@ impl RingReceiver {
     /// Drain every complete frame currently visible (one receiver-side
     /// batch). Returns `(seq, payload)` pairs in order. Consumed bytes are
     /// zeroed so the next lap of the ring starts clean.
+    ///
+    /// A poll stops where the memory gives out (no frame yet, an unpublished
+    /// counter, bytes that fail validation), so polling again before a
+    /// remote write lands would stop at the same place: the ring takes its
+    /// region's dirty flag ([`Endpoint::take_dirty`]) and reads nothing when
+    /// it is clear. This receiver must be the region's only poller.
     pub fn poll(&mut self, ep: &mut Endpoint) -> Vec<(u64, Bytes)> {
         let mut out = Vec::new();
+        if !ep.take_dirty(self.region) {
+            return out;
+        }
         let published = match self.mode {
             RingMode::Split => {
                 let raw = ep.read(self.region, self.cap as u32, 8);
@@ -351,7 +350,6 @@ impl RingReceiver {
                 // into the abandoned stream, so reads here land mid-frame and
                 // decode payload bytes as a header. Stop consuming — the
                 // owner's stall detection tears the ring down and rebuilds it.
-                self.desyncs += 1;
                 break;
             }
             let seq_raw = ep.read(self.region, pos as u32 + 4, 8);
@@ -360,7 +358,6 @@ impl RingReceiver {
                 // Same desync as the overrun case, just with a plausible
                 // length: a stale or torn frame from a dead incarnation.
                 // Leave it unconsumed; recovery belongs to the resync path.
-                self.desyncs += 1;
                 break;
             }
             let payload = Bytes::copy_from_slice(ep.read(
@@ -373,7 +370,6 @@ impl RingReceiver {
             self.consumed_abs += frame_len;
             self.next_seq += 1;
         }
-        self.max_batch = self.max_batch.max(out.len());
         out
     }
 
@@ -703,7 +699,6 @@ mod tests {
         // The first poll after the pause drains a large batch.
         let max = r.batches.iter().copied().max().unwrap();
         assert!(max >= 20, "expected a big catch-up batch, got {max}");
-        assert_eq!(r.ring.max_batch, max);
     }
 
     #[test]
@@ -855,22 +850,47 @@ mod tests {
         // A rebooted peer restarts its stream at offset zero of a region the
         // receiver is still mid-way through, so the bytes at the consume
         // position can be payload, not a header. Poll must refuse to decode
-        // them — no panic, no garbage delivery — and count the desync so the
-        // owner's stall detection can rebuild the ring.
+        // them — no panic, no garbage delivery, nothing consumed — and leave
+        // the rebuild to the owner's stall detection.
+        let garbage: [&[(u32, &[u8])]; 2] = [
+            // Payload bytes read as a length word: frame would overrun the ring.
+            &[(0, &0xdead_beef_u32.to_le_bytes())],
+            // Plausible length but the wrong transport sequence: a stale
+            // frame from a dead incarnation.
+            &[(0, &5u32.to_le_bytes()), (4, &7u64.to_le_bytes())],
+        ];
+        for writes in garbage {
+            let mut ep = Endpoint::new(QpConfig::default());
+            let region = ep.register_region(256);
+            let mut rx = RingReceiver::new(region, 256, RingMode::Coupled);
+            for (off, bytes) in writes {
+                ep.write_local(region, *off, bytes);
+            }
+            assert!(rx.poll(&mut ep).is_empty());
+            assert_eq!(rx.next_seq(), 0);
+            assert_eq!(ep.read(region, 0, 4), writes[0].1, "garbage consumed");
+        }
+    }
+
+    #[test]
+    fn poll_reads_a_ring_only_after_a_remote_write() {
+        // The dirty contract: a fresh region is looked at once; after that
+        // only a write through the NIC makes the ring worth reading. Bytes
+        // the owner put there itself do not count.
+        let frame = |seq: u64, payload: &[u8]| {
+            let mut f = (payload.len() as u32 + 1).to_le_bytes().to_vec();
+            f.extend_from_slice(&seq.to_le_bytes());
+            f.extend_from_slice(payload);
+            f
+        };
         let mut ep = Endpoint::new(QpConfig::default());
         let region = ep.register_region(256);
         let mut rx = RingReceiver::new(region, 256, RingMode::Coupled);
-
-        // Payload bytes read as a length word: frame would overrun the ring.
-        ep.write_local(region, 0, &0xdead_beef_u32.to_le_bytes());
-        assert!(rx.poll(&mut ep).is_empty());
-        assert_eq!(rx.desyncs, 1);
-
-        // Plausible length but the wrong transport sequence: a stale frame
-        // from a dead incarnation.
-        ep.write_local(region, 0, &5u32.to_le_bytes());
-        ep.write_local(region, 4, &7u64.to_le_bytes());
-        assert!(rx.poll(&mut ep).is_empty());
-        assert_eq!(rx.desyncs, 2);
+        ep.write_local(region, 0, &frame(0, b"first"));
+        assert_eq!(rx.poll(&mut ep).len(), 1, "a fresh region starts dirty");
+        ep.write_local(region, 17, &frame(1, b"second"));
+        assert!(rx.poll(&mut ep).is_empty(), "owner's own write marked");
+        // (Frames arriving through the NIC between polls are what every
+        // other test in this module delivers.)
     }
 }

@@ -57,10 +57,23 @@ impl<T: FixedCodec> Sst<T> {
         self.region
     }
 
+    /// The slot a remote write to `(region, offset)` lands in, if the
+    /// region is this table's.
+    pub fn slot_at(&self, region: RegionId, offset: u32) -> Option<usize> {
+        (region == self.region).then_some(offset as usize / T::SIZE)
+    }
+
     /// Read slot `j` from the local copy.
     pub fn read(&self, ep: &Endpoint, j: usize) -> T {
         assert!(j < self.n, "slot out of range");
         T::decode(ep.read(self.region, (j * T::SIZE) as u32, T::SIZE))
+    }
+
+    /// Whether a peer's push landed in the local copy since the last call
+    /// ([`Endpoint::take_dirty`]): until one does, every slot but this
+    /// node's own reads as it did. One caller per table.
+    pub fn take_dirty(&self, ep: &mut Endpoint) -> bool {
+        ep.take_dirty(self.region)
     }
 
     /// Read this node's own slot.

@@ -19,6 +19,11 @@
 //!   earlier ones, so only every `signal_interval`-th write requests a
 //!   completion (the paper signals every 1000 messages). A full send queue
 //!   makes [`Endpoint::post_write`] fail with [`PostError::QueueFull`].
+//! * **Dirty regions**: the endpoint remembers which regions a remote write
+//!   landed in since their reader last looked ([`Endpoint::take_dirty`]), so
+//!   a busy-poll loop over many regions pays for the ones that changed, not
+//!   for the table's width. Host-side bookkeeping only: what a reader finds
+//!   in memory, and when, is unchanged.
 //!
 //! The endpoint is a plain struct embedded in each protocol node; packets
 //! travel inside the protocol's own wire enum (which must implement
@@ -116,6 +121,11 @@ impl Default for QpConfig {
 /// One node's RDMA endpoint: registered memory plus queue pairs to peers.
 pub struct Endpoint {
     regions: Vec<Vec<u8>>,
+    /// Per region: a remote write landed in it since [`Endpoint::take_dirty`]
+    /// last cleared the flag. A fresh region starts dirty (its reader has
+    /// never looked); the owner's own `write_local`/`zero_local` do not mark
+    /// it, the owner knows what it wrote.
+    dirty: Vec<bool>,
     /// Queue pairs indexed by peer id (node ids are dense, so a flat table
     /// beats hashing on the per-post hot path).
     qps: Vec<Option<Qp>>,
@@ -134,6 +144,7 @@ impl Endpoint {
     pub fn new(config: QpConfig) -> Self {
         Endpoint {
             regions: Vec::new(),
+            dirty: Vec::new(),
             qps: Vec::new(),
             config,
             reads_done: Vec::new(),
@@ -147,7 +158,15 @@ impl Endpoint {
     pub fn register_region(&mut self, len: usize) -> RegionId {
         let id = RegionId(self.regions.len() as u32);
         self.regions.push(vec![0; len]);
+        self.dirty.push(true);
         id
+    }
+
+    /// Whether a remote write landed in `region` since the last call (or
+    /// since registration), clearing the flag. One reader per region: a
+    /// poller that finds `false` would read the bytes it read last time.
+    pub fn take_dirty(&mut self, region: RegionId) -> bool {
+        std::mem::take(&mut self.dirty[region.0 as usize])
     }
 
     /// Establish a reliable connection toward `peer` (exchange of rkeys in
@@ -352,6 +371,7 @@ impl Endpoint {
                 self.writes_applied += 1;
                 ctx.count(Counter::DmaWritesApplied, 1);
                 self.write_local(region, offset, &data);
+                self.dirty[region.0 as usize] = true;
                 if let Some(wr) = signal {
                     // Generated by the NIC: no CPU charge.
                     ctx.send_kind(
@@ -475,6 +495,31 @@ mod tests {
         let n = sim.node::<TestNode>(b);
         assert_eq!(n.ep.read(RegionId(0), 16, 3), &[7, 8, 9]);
         assert_eq!(n.ep.writes_applied, 1);
+    }
+
+    #[test]
+    fn remote_writes_mark_their_region_dirty_and_nothing_else_does() {
+        let (mut sim, a, b) = two_nodes(QpConfig::default());
+        {
+            let n = sim.node_mut::<TestNode>(b);
+            let second = n.ep.register_region(64);
+            assert!(n.ep.take_dirty(RegionId(0)), "a fresh region starts dirty");
+            assert!(!n.ep.take_dirty(RegionId(0)), "taking clears the flag");
+            assert!(n.ep.take_dirty(second));
+            n.ep.write_local(RegionId(0), 0, &[1]);
+            n.ep.zero_local(RegionId(0), 0, 1);
+            assert!(!n.ep.take_dirty(RegionId(0)), "the owner's own writes mark");
+        }
+        // One applied write into region 0, one the rkey check drops.
+        let script = &mut sim.node_mut::<TestNode>(a).script;
+        script.push((b, RegionId(0), 16, vec![7]));
+        script.push((b, RegionId(9), 0, vec![7]));
+        sim.run_until(SimTime::from_millis(1));
+        let n = sim.node_mut::<TestNode>(b);
+        assert_eq!(n.ep.writes_applied, 1);
+        assert!(n.ep.take_dirty(RegionId(0)));
+        assert!(!n.ep.take_dirty(RegionId(1)), "a write elsewhere marked");
+        assert!(!n.ep.take_dirty(RegionId(0)));
     }
 
     #[test]

@@ -43,6 +43,24 @@ pub(crate) enum Effect<M> {
     },
 }
 
+/// What a charge of `d` to attribution `slot` costs on a node with these
+/// scale factors. One function, so the engine's in-place idle timer
+/// ([`Process::idle_timer`](crate::Process::idle_timer)) rounds exactly as
+/// a handler's [`Ctx::use_cpu_idle`] does.
+#[inline]
+pub(crate) fn scaled_charge(
+    cpu_scale: f64,
+    stage_scale: Option<&[f64]>,
+    slot: usize,
+    d: Duration,
+) -> Duration {
+    let mut ns = d.as_nanos() as f64 * cpu_scale;
+    if let Some(s) = stage_scale {
+        ns *= s.get(slot).copied().unwrap_or(1.0);
+    }
+    Duration::from_nanos(ns as u64)
+}
+
 /// Handler context: the only channel through which a [`Process`](crate::Process)
 /// may affect the world.
 ///
@@ -149,11 +167,7 @@ impl<'a, M> Ctx<'a, M> {
 
     #[inline]
     fn charge(&mut self, slot: usize, d: Duration) {
-        let mut ns = d.as_nanos() as f64 * self.cpu_scale;
-        if let Some(s) = self.stage_scale {
-            ns *= s.get(slot).copied().unwrap_or(1.0);
-        }
-        let scaled = Duration::from_nanos(ns as u64);
+        let scaled = scaled_charge(self.cpu_scale, self.stage_scale, slot, d);
         self.cpu += scaled;
         self.probe
             .cpu_charge(self.self_id, slot, scaled.as_nanos() as u64);

@@ -1,12 +1,14 @@
 //! The discrete-event engine: event queue, dispatch, CPU deferral, faults.
 
-use crate::ctx::{Ctx, DeliveryClass, Effect};
+use crate::ctx::{scaled_charge, Ctx, DeliveryClass, Effect};
 use crate::disk::{DurableLog, LogDevParams};
 use crate::net::{BatchPost, Network, RouteInfo};
 use crate::params::NetParams;
 use crate::sched::{EventKey, SchedKind, Scheduler};
 use crate::time::SimTime;
-use crate::trace::{Counter, Gauge, GaugeSample, MetricsSnapshot, Probe, TraceEvent, WaitReason};
+use crate::trace::{
+    Counter, Gauge, GaugeSample, MetricsSnapshot, Probe, TraceEvent, WaitReason, CPU_SLOT_IDLE,
+};
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +28,17 @@ pub trait Process<M>: Any {
     fn on_message(&mut self, ctx: &mut Ctx<M>, from: NodeId, msg: M);
     /// Called when a timer armed with [`Ctx::set_timer`] fires.
     fn on_timer(&mut self, _ctx: &mut Ctx<M>, _token: u64) {}
+    /// Asked at `now`, just before `on_timer(token)` would run. A process
+    /// whose handler would do nothing but `ctx.use_cpu_idle(cpu)` and
+    /// `ctx.set_timer(rearm, token)` (a busy-poll loop that finds nothing)
+    /// may answer `Some((cpu, rearm))`: the engine then does exactly that
+    /// in place, without building a [`Ctx`], and `on_timer` is not called.
+    /// The two are indistinguishable in virtual time (DESIGN.md §11); the
+    /// answer may update the process's own statistics but nothing a handler
+    /// reads.
+    fn idle_timer(&mut self, _now: SimTime, _token: u64) -> Option<(Duration, Duration)> {
+        None
+    }
 }
 
 /// A "long-latency node" profile: the process is periodically descheduled by
@@ -200,6 +213,16 @@ struct Run {
     /// Non-empty only while `head` is filed (or, inside [`Sim::step`], has
     /// just been popped and the run is about to be settled).
     tail: VecDeque<Deferred>,
+}
+
+/// The jitter added to a timer armed on a node whose bound is `max`: one
+/// draw, and none at all when the node has no jitter configured.
+fn draw_jitter(rng: &mut SmallRng, max: Duration) -> Duration {
+    if max.is_zero() {
+        Duration::ZERO
+    } else {
+        Duration::from_nanos(rng.random_range(0..=max.as_nanos() as u64))
+    }
 }
 
 /// Builds a fresh process when a node reboots (see
@@ -845,6 +868,12 @@ impl<M: 'static> Sim<M> {
                 }
             }
             lead = was_lead.then_some(node);
+            if delivery.is_none() && self.fire_idle_timer(node, key) {
+                if was_lead {
+                    self.settle_run(node);
+                }
+                return true;
+            }
         }
 
         match self.slab.take(key.slot) {
@@ -1081,6 +1110,50 @@ impl<M: 'static> Sim<M> {
         }
     }
 
+    /// The timer behind `key` is about to fire on `node`. If the process
+    /// says its handler would only spin and re-arm ([`Process::idle_timer`]),
+    /// do here what [`Sim::dispatch`] would do for that handler — the scaled
+    /// idle charge, the busy frontier and its `CpuBusy` record, the jitter
+    /// draw, the payload's slab slot (a take-then-insert hands the same one
+    /// back, and the payload is the same timer) keyed again at the next
+    /// `seq` — and say so.
+    fn fire_idle_timer(&mut self, node: NodeId, key: EventKey) -> bool {
+        let EventKind::Timer { token, .. } = *self.slab.peek(key.slot) else {
+            unreachable!("gated as a timer");
+        };
+        let slot = &mut self.nodes[node];
+        let proc = slot.proc.as_mut().expect("re-entrant dispatch");
+        let Some((cpu, rearm)) = proc.idle_timer(self.now, token) else {
+            return false;
+        };
+        let cpu = scaled_charge(
+            slot.cpu_scale,
+            slot.stage_scale.as_deref(),
+            CPU_SLOT_IDLE,
+            cpu,
+        );
+        self.probe
+            .cpu_charge(node, CPU_SLOT_IDLE, cpu.as_nanos() as u64);
+        if cpu > Duration::ZERO {
+            let start = slot.busy_until.max(self.now);
+            slot.busy_until = start + cpu;
+            self.probe.record(TraceEvent::CpuBusy {
+                node,
+                start,
+                end: start + cpu,
+            });
+        }
+        let jitter = draw_jitter(&mut self.rng, slot.timer_jitter);
+        let seq = self.seq;
+        self.seq += 1;
+        self.sched.push(EventKey {
+            at: self.now + cpu + rearm + jitter,
+            seq,
+            slot: key.slot,
+        });
+        true
+    }
+
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
         if let EventKind::Deliver { node, .. } = &kind {
             self.probe.gauge_add(*node, Gauge::InflightMsgs, 1);
@@ -1189,13 +1262,7 @@ impl<M: 'static> Sim<M> {
                 }
                 Effect::Timer { .. } => {
                     self.flush_batch(node);
-                    let jitter = if timer_jitter.is_zero() {
-                        Duration::ZERO
-                    } else {
-                        Duration::from_nanos(
-                            self.rng.random_range(0..=timer_jitter.as_nanos() as u64),
-                        )
-                    };
+                    let jitter = draw_jitter(&mut self.rng, timer_jitter);
                     self.prep.push(Prep::Timer(jitter));
                 }
             }
@@ -1822,6 +1889,154 @@ mod tests {
             saved[seed as usize % 2] += slow.4 - fast.4;
         }
         assert!(saved[0] > 0 && saved[1] > 0, "no run formed: {saved:?}");
+    }
+
+    #[test]
+    fn idle_timer_matches_the_handler_it_stands_for() {
+        // Differential check of `Process::idle_timer`: a busy-poll loop whose
+        // empty polls spin and re-arm, answered in place on one side and by
+        // the handler on the other. Node 0 runs at a CPU scale that rounds,
+        // node 1 carries an idle-slot factor (the what-if intervention) and
+        // timer jitter, node 2 is descheduled at random; messages make work
+        // (2 us a piece, so the 100 ns poll timer is what leads every
+        // deferral run and Cpu deliveries queue behind it), pauses hold
+        // nodes, crashes and restarts leave stale timers to drop. Handler
+        // order, the trace (every `CpuBusy` interval), CPU and wait
+        // accounts, `seq`, the event count and the RNG must agree.
+        const SPIN: Duration = Duration::from_nanos(40);
+        const EVERY: Duration = Duration::from_nanos(100);
+        struct Spinner {
+            log: Log,
+            in_place: bool,
+            work: u32,
+            idle: std::rc::Rc<std::cell::Cell<u64>>,
+        }
+        impl Process<u32> for Spinner {
+            fn on_start(&mut self, ctx: &mut Ctx<u32>) {
+                ctx.set_timer(EVERY, 7);
+            }
+            fn on_message(&mut self, ctx: &mut Ctx<u32>, _: NodeId, msg: u32) {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.now().as_nanos(), ctx.id(), msg));
+                self.work += msg % 3;
+                if msg % 5 != 1 {
+                    // Not a DMA deposit: the handler costs CPU.
+                    ctx.use_cpu(Duration::from_nanos(700));
+                }
+            }
+            fn idle_timer(&mut self, _: SimTime, token: u64) -> Option<(Duration, Duration)> {
+                assert_eq!(token, 7);
+                (self.in_place && self.work == 0).then(|| {
+                    self.idle.set(self.idle.get() + 1);
+                    (SPIN, EVERY)
+                })
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<u32>, token: u64) {
+                ctx.use_cpu_idle(SPIN);
+                if self.work == 0 {
+                    assert!(!self.in_place, "an idle poll reached the handler");
+                    self.idle.set(self.idle.get() + 1);
+                } else {
+                    self.work -= 1;
+                    self.log
+                        .borrow_mut()
+                        .push((ctx.now().as_nanos(), ctx.id(), u32::MAX));
+                    ctx.use_cpu(Duration::from_micros(2));
+                }
+                ctx.set_timer(EVERY, token);
+            }
+        }
+        let run = |seed: u64, in_place: bool| {
+            let log = Log::default();
+            let idle = std::rc::Rc::new(std::cell::Cell::new(0));
+            let mut s = sim();
+            s.set_tracing(true);
+            for _ in 0..3 {
+                let mk = {
+                    let (log, idle) = (log.clone(), idle.clone());
+                    move || -> Box<dyn Process<u32>> {
+                        Box::new(Spinner {
+                            log: log.clone(),
+                            in_place,
+                            work: 0,
+                            idle: idle.clone(),
+                        })
+                    }
+                };
+                let n = s.add_node(mk());
+                s.set_restart_factory(n, mk);
+            }
+            s.set_cpu_scale(0, 1.37);
+            let mut idle_x3 = vec![1.0; crate::CPU_SLOTS];
+            idle_x3[CPU_SLOT_IDLE] = 3.0;
+            s.nodes[1].stage_scale = Some(idle_x3.into_boxed_slice());
+            s.set_timer_jitter(1, Duration::from_nanos(30));
+            s.set_timer_jitter(2, Duration::from_nanos(5));
+            s.set_desched(
+                2,
+                DeschedProfile {
+                    mean_interval: Duration::from_micros(40),
+                    min_pause: Duration::from_micros(1),
+                    max_pause: Duration::from_micros(6),
+                },
+            );
+            // Faults and messages are drawn a 50 us phase at a time: a
+            // message is keyed to the incarnations alive when it is injected.
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for i in 0..240u32 {
+                let phase = SimTime::from_micros(u64::from(i / 30) * 50);
+                s.run_until(phase);
+                let mut ns = |max: u64| Duration::from_nanos(rng.random_range(0..max));
+                let delay = ns(50_000);
+                let node = i as usize % 3;
+                match i % 40 {
+                    0 | 20 => s.pause_at(node, phase + delay, ns(9_000)),
+                    10 => {
+                        s.crash_at(node, phase + delay);
+                        s.restart_at(node, phase + delay + ns(9_000));
+                    }
+                    k if k % 5 == 1 => s.inject(9, node, DeliveryClass::Dma, delay, i),
+                    _ => s.inject(9, node, DeliveryClass::Cpu, delay, i),
+                }
+            }
+            s.run_until(SimTime::from_micros(400));
+            let waits: Vec<WaitStats> = (0..3).map(|n| s.probe.wait_stats(n)).collect();
+            let tail = (s.seq, s.stats().events, s.stats().restart_drops);
+            let draw: u64 = s.rng().random();
+            let log = log.borrow().clone();
+            (
+                log,
+                idle.get(),
+                s.take_trace(),
+                s.metrics(),
+                waits,
+                tail,
+                draw,
+            )
+        };
+        for seed in 0..24 {
+            let (fast, slow) = (run(seed, true), run(seed, false));
+            assert!(
+                fast.0.len() > 250,
+                "seed {seed}: {} handler runs",
+                fast.0.len()
+            );
+            assert!(fast.1 > 3_000, "seed {seed}: {} idle polls", fast.1);
+            assert_eq!(fast.0, slow.0, "seed {seed}: handler order");
+            assert_eq!(fast.1, slow.1, "seed {seed}: idle polls");
+            assert_eq!(fast.2.len(), slow.2.len(), "seed {seed}: trace length");
+            if let Some(i) = (0..fast.2.len()).find(|&i| fast.2[i] != slow.2[i]) {
+                panic!(
+                    "seed {seed}: trace event {i}: {:?} vs {:?}",
+                    fast.2[i], slow.2[i]
+                );
+            }
+            assert_eq!(fast.3, slow.3, "seed {seed}: metrics");
+            assert_eq!(fast.4, slow.4, "seed {seed}: wait integrals");
+            assert_eq!(fast.5, slow.5, "seed {seed}: seq / events / drops");
+            assert_eq!(fast.6, slow.6, "seed {seed}: RNG position");
+        }
     }
 
     #[test]
