@@ -866,9 +866,11 @@ impl AcuerdoNode {
                                 self.push_accept(ctx);
                                 accepted_changed = false;
                             }
+                        } else if !(hdr.epoch > self.e_cur && self.e_new <= hdr.epoch) {
+                            // Stale epoch: the leader that sent this has
+                            // been deposed.
+                            ctx.count(Counter::RingDupDrops, 1);
                         }
-                        // Stale epoch: ignore (the leader that sent this has
-                        // been deposed).
                     }
                     Frame::Diff {
                         hdr,
@@ -998,27 +1000,26 @@ impl AcuerdoNode {
         // `max`: a re-applied or mid-epoch diff must never regress progress
         // an intact node already made (regression would re-deliver).
         self.accepted = self.accepted.max(hdr);
-        if self.ring_on() {
-            // Advance the accept frontier over the spliced entries so the
-            // ring contiguity gate expects exactly the next stream frame
-            // (star mode leaves `accepted` at the diff header; its dense
-            // per-peer leader stream re-covers the tip implicitly).
-            if let Some(top) = spliced_top {
-                self.accepted = self.accepted.max(top);
-            }
-            self.pending.retain(|h, _| *h > self.accepted);
-            if e.ldr as usize != self.me {
-                // Frames this node forwarded (or, as a deposed leader,
-                // streamed) in superseded epochs may never be acked here: the
-                // new origin can reverse the arm, and their receivers then
-                // report to another upstream. Stop counting them against
-                // `ring_pipeline_depth`. Their ring space stays reserved until
-                // the lane's next cumulative ack — nothing here proves the
-                // receiver consumed them.
-                for o in &mut self.out {
-                    while o.sent.front().is_some_and(|(h, _)| h.epoch < e) {
-                        o.sent.pop_front();
-                    }
+        // Advance the accept frontier over the spliced entries: the
+        // Accept_SST cell then says what this node durably holds (a mid-epoch
+        // rejoin diff carries entries of the current epoch the leader is
+        // waiting to count), and the contiguity gate expects exactly the
+        // next stream frame.
+        if let Some(top) = spliced_top {
+            self.accepted = self.accepted.max(top);
+        }
+        self.pending.retain(|h, _| *h > self.accepted);
+        if e.ldr as usize != self.me {
+            // Frames this node forwarded (or, as a deposed leader,
+            // streamed) in superseded epochs may never be acked here: the
+            // new origin can reverse the arm, and their receivers then
+            // report to another upstream. Stop counting them against
+            // `ring_pipeline_depth`. Their ring space stays reserved until
+            // the lane's next cumulative ack — nothing here proves the
+            // receiver consumed them.
+            for o in &mut self.out {
+                while o.sent.front().is_some_and(|(h, _)| h.epoch < e) {
+                    o.sent.pop_front();
                 }
             }
         }

@@ -4,7 +4,7 @@
 
 use abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role};
-use simnet::SimTime;
+use simnet::{Counter, SimTime};
 use std::time::Duration;
 
 #[test]
@@ -203,6 +203,46 @@ fn seven_replica_cluster_commits_with_three_crashes() {
     let before = sim.node::<AcuerdoNode>(leader).delivered_count;
     sim.run_until(SimTime::from_millis(60));
     assert!(sim.node::<AcuerdoNode>(leader).delivered_count > before);
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
+}
+
+#[test]
+fn mid_epoch_rejoin_diff_advances_accepted_to_its_top_entry() {
+    // Star, three replicas, no client retransmission. Follower 2 dies for
+    // good; follower 1 reboots empty while a full client window is in
+    // flight, so the leader's rejoin diff carries entries `(e, 1..=k)` of the
+    // *current* epoch and the rejoiner is the quorum's deciding member. Its
+    // Accept_SST cell must say what the diff made it hold: a cell left at
+    // the diff header `(e, 0)` cannot be counted toward `(e, 1..=k)`, and
+    // with the window full no new frame would ever move it.
+    let cfg = AcuerdoConfig {
+        retain_log: true,
+        ..AcuerdoConfig::stable(3)
+    };
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(110, &cfg, 16, 64, Duration::ZERO);
+    assert!(sim.node::<WindowClient<AcWire>>(client).retransmit.is_none());
+    acuerdo::enable_restarts(&mut sim, &cfg, &ids);
+    sim.crash_at(2, SimTime::from_micros(500));
+    sim.crash_at(1, SimTime::from_millis(1));
+    sim.restart_at(1, SimTime::from_micros(1_200));
+    sim.run_until(SimTime::from_micros(1_200));
+    // The window is stuck behind the lost quorum.
+    let leader = sim.node::<AcuerdoNode>(0);
+    let (stuck_at, top) = (leader.delivered_count, leader.accepted());
+    assert_eq!(u64::from(top.cnt), stuck_at + 16, "window not in flight");
+    let applied = sim.counter(1, Counter::DiffApplies);
+    while sim.counter(1, Counter::DiffApplies) == applied {
+        assert!(sim.step(), "the rejoin diff never arrived");
+    }
+    assert_eq!(sim.node::<AcuerdoNode>(1).accepted(), top);
+    sim.run_until(SimTime::from_millis(3));
+    let leader = sim.node::<AcuerdoNode>(0);
+    assert!(
+        leader.delivered_count > stuck_at + 100,
+        "the window never committed: {} after {stuck_at}",
+        leader.delivered_count
+    );
     check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
