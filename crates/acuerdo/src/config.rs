@@ -1,4 +1,5 @@
-//! Protocol configuration and tuning knobs.
+//! Protocol configuration and tuning knobs, and the dissemination route:
+//! [`DisseminationMode::route`] is the only place that knows the topology.
 
 use abcast::Epoch;
 use rdma_prims::RingMode;
@@ -7,9 +8,13 @@ use std::time::Duration;
 
 /// How the leader disseminates payload frames to its followers.
 ///
-/// `Star` is the paper's topology: the leader writes every payload into
-/// every follower's ring, so leader egress grows as `O(n)` bytes per
-/// message. `Ring` amortizes dissemination around the replica-index ring
+/// The node runs one payload path for both: the leader streams to the heads
+/// of its arms and every follower forwards accepted frames one hop along
+/// its arm, as [`DisseminationMode::route`] lays the arms out. `Star` is the
+/// paper's topology, and the route on which every follower heads an arm of
+/// its own: the leader writes every payload into every follower's ring
+/// (leader egress `O(n)` bytes per message) and nobody forwards. `Ring`
+/// amortizes dissemination around the replica-index ring
 /// (after Ring Paxos) along **two arms** ([`ring_route`]): the leader
 /// writes each payload to both of its ring neighbours, the clockwise arm
 /// forwards it `i → i+1` and the counter-clockwise arm `i → i−1`, and the
@@ -17,10 +22,9 @@ use std::time::Duration;
 /// message (two frames) and the quorum closes after `⌈⌊n/2⌋/2⌉`
 /// store-and-forward hops — half of what a single chain `o → o+1 → … →
 /// o−1` needs to reach the node `⌊n/2⌋` hops away. Ack/commit semantics are
-/// unchanged — the frame header *is* the origin slot, so
-/// Accept_SST/Commit_SST work exactly as in star mode. An arm segment
-/// behind a crashed or partitioned forwarder falls back to star fan-out
-/// until a rejoin heals the arm.
+/// the same on either route — the frame header *is* the origin slot. An
+/// arm segment behind a crashed or partitioned forwarder falls back to star
+/// fan-out until a rejoin heals the arm.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum DisseminationMode {
     /// Leader writes every payload to every follower (the paper's topology).
@@ -31,7 +35,7 @@ pub enum DisseminationMode {
     Ring,
 }
 
-/// One node's place in the ring topology of a given origin (proposer).
+/// One node's place on the arms of a given origin (proposer).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RingRoute {
     /// The node whose lane carries the origin's frames to this node: the
@@ -81,6 +85,20 @@ pub fn ring_route(n: usize, origin: usize, me: usize) -> RingRoute {
 }
 
 impl DisseminationMode {
+    /// Where node `me` receives the frames originated by `origin` from, and
+    /// where it forwards them to, in an `n`-replica cluster. The only place
+    /// the mode is matched on: a star is the route on which every follower
+    /// heads an arm of its own.
+    pub fn route(self, n: usize, origin: usize, me: usize) -> RingRoute {
+        match self {
+            DisseminationMode::Star => RingRoute {
+                upstream: origin,
+                downstream: None,
+            },
+            DisseminationMode::Ring => ring_route(n, origin, me),
+        }
+    }
+
     /// Stable lowercase name (CLI flags, document labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -136,8 +154,6 @@ pub struct AcuerdoConfig {
     /// Maximum payload bytes per recovery-diff frame; larger diffs are split
     /// into parts.
     pub max_diff_part: usize,
-    /// Maximum client requests queued at the leader beyond ring capacity.
-    pub max_client_backlog: usize,
     /// Disable log GC so a node that crash-restarts (losing its whole log)
     /// can be re-seeded with the complete history by a recovery diff. The
     /// fault-injection harness sets this; steady-state benchmarks keep GC on.
@@ -149,11 +165,11 @@ pub struct AcuerdoConfig {
     /// node recovers its log from the fsync'd prefix instead of rejoining
     /// with empty state.
     pub durability: simnet::DurabilityMode,
-    /// Payload dissemination topology: star fan-out (the paper) or the
+    /// Payload dissemination route: star fan-out (the paper) or the
     /// two-armed ring ([`ring_route`], after Ring Paxos).
     pub dissemination: DisseminationMode,
-    /// Ring mode only: maximum unacked frames in flight on a forward lane
-    /// (the pipeline-depth knob). Bounds how far a fast forwarder can
+    /// Maximum unacked frames in flight on a forward lane (the
+    /// pipeline-depth knob; a star route has no forward lanes). Bounds how far a fast forwarder can
     /// outrun its downstream node's acceptance frontier.
     pub ring_pipeline_depth: usize,
 }
@@ -173,7 +189,6 @@ impl Default for AcuerdoConfig {
             per_message_acks: false,
             initial_epoch: None,
             max_diff_part: 32 << 10,
-            max_client_backlog: 1 << 20,
             retain_log: false,
             durability: simnet::DurabilityMode::Volatile,
             dissemination: DisseminationMode::Star,
@@ -273,14 +288,28 @@ mod tests {
     }
 
     #[test]
+    fn star_route_makes_every_follower_an_arm_head() {
+        for n in 1..=65 {
+            for o in 0..n {
+                for i in 0..n {
+                    let direct = RingRoute {
+                        upstream: o,
+                        downstream: None,
+                    };
+                    assert_eq!(DisseminationMode::Star.route(n, o, i), direct, "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn ring_route_is_star_up_to_three_nodes() {
         for n in 1..=3 {
             for o in 0..n {
                 for i in 0..n {
-                    let r = ring_route(n, o, i);
-                    assert_eq!(r.downstream, None, "n={n} o={o} i={i} forwards");
-                    let direct = if i == o { i } else { o };
-                    assert_eq!(r.upstream, direct, "n={n} o={o} i={i}");
+                    let star = DisseminationMode::Star.route(n, o, i);
+                    assert_eq!(ring_route(n, o, i), star, "n={n} o={o} i={i}");
+                    assert_eq!(DisseminationMode::Ring.route(n, o, i), star);
                 }
             }
         }

@@ -40,7 +40,7 @@
 //! node abstains from elections so its reset state cannot outbid the live
 //! epoch; if no diff arrives it eventually falls back to a normal election.
 
-use crate::config::{ring_route, AcuerdoConfig, DisseminationMode, RingRoute};
+use crate::config::{AcuerdoConfig, RingRoute};
 use crate::msg::{self, Frame};
 use abcast::client::RESP_WIRE;
 use abcast::{hdr_span, App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Vote};
@@ -111,6 +111,8 @@ const MAX_RESYNC_ATTEMPTS: u32 = 3;
 
 /// CPU cost of delivering one committed message to the application.
 const DELIVER_COST: Duration = Duration::from_nanos(100);
+/// Log entries a leader holds before it starts refusing client requests.
+const MAX_CLIENT_BACKLOG: usize = 1 << 20;
 
 // ---- persistent-log record format (durable mode) ----------------------------
 //
@@ -158,8 +160,8 @@ fn encode_wal_cut(cut: MsgHdr, e: Epoch) -> Vec<u8> {
 /// this many push ticks.
 const FOLLOWER_PUSH_PERIOD: u64 = 10;
 
-/// Extra star-fallback patience the leader grants per arm hop in ring
-/// mode. One store-and-forward hop costs an egress plus an ingress
+/// Extra star-fallback patience the leader grants per arm hop. One
+/// store-and-forward hop costs an egress plus an ingress
 /// serialization, a link flight, and a verb post — tens of microseconds for
 /// the scale-study payloads — so the grace is sized to cover a hop with
 /// slack while keeping detection of a genuinely dead segment well under the
@@ -213,6 +215,9 @@ pub struct AcuerdoNode {
     e_cur: Epoch,
     e_new: Epoch,
     accepted: MsgHdr,
+    /// `accepted` (or the epoch it is read in) moved since the last
+    /// Accept_SST push: the acceptance batch ends with one.
+    ack_due: bool,
     committed: MsgHdr,
     next: MsgHdr,
     count: u32,
@@ -267,16 +272,25 @@ pub struct AcuerdoNode {
     /// Monotonic source for `ack_obs_seq` ticks.
     ack_obs_counter: u64,
 
-    // Ring dissemination (cfg.dissemination == Ring; inert in star mode).
-    /// Out-of-order ring frames parked until their contiguous turn — star
+    // Dissemination (`route_from`): the route is the only thing that knows
+    // the topology. Under a star route every follower heads an arm, so
+    // nothing below ever fills.
+    /// Peers that head an arm of this node's own route, i.e. receive the
+    /// frames it originates directly (never this node itself).
+    arm_head: Vec<bool>,
+    /// Every peer is an arm head (star, or a ring of at most three): frames
+    /// reach every follower straight from the leader, nobody forwards and
+    /// nobody can need star fallback.
+    all_direct: bool,
+    /// Out-of-order frames parked until their contiguous turn — star
     /// fallback and forwarded copies of a frame can race, and an epoch-opening
     /// diff (leader lane) can lose a cross-lane race against forwarded
     /// frames of its own epoch. Acceptance stays strictly prefix-ordered so
     /// the cumulative Accept_SST acknowledgment stays truthful.
     pending: BTreeMap<MsgHdr, Bytes>,
     /// Accepted frames queued for the one-hop forward to this node's
-    /// downstream neighbour on its arm ([`ring_route`]). In-flight forwards
-    /// are tracked in that peer's `out[..].sent`, like any frame on its lane.
+    /// downstream neighbour on its arm. In-flight forwards are tracked in
+    /// that peer's `out[..].sent`, like any frame on its lane.
     fwd_backlog: VecDeque<(MsgHdr, Bytes)>,
     /// Leader-side: peers currently served by star fallback because the
     /// arm segment covering them stalled (crash / partition upstream of it).
@@ -372,7 +386,12 @@ impl AcuerdoNode {
             None => (Epoch::ZERO, Role::Electing),
         };
         let boot_hdr = MsgHdr::new(e_cur, 0);
+        let arm_head: Vec<bool> = (0..n)
+            .map(|j| j != me && cfg.dissemination.route(n, me, j).upstream == me)
+            .collect();
         AcuerdoNode {
+            all_direct: arm_head.iter().filter(|&&head| head).count() == n - 1,
+            arm_head,
             out: (0..n).map(|_| PeerOut::new()).collect(),
             cfg,
             me,
@@ -386,6 +405,7 @@ impl AcuerdoNode {
             e_cur,
             e_new: e_cur,
             accepted: boot_hdr,
+            ack_due: false,
             committed: boot_hdr,
             next: if e_cur == Epoch::ZERO {
                 MsgHdr::ZERO
@@ -489,8 +509,12 @@ impl AcuerdoNode {
         self.ep.writes_posted
     }
 
-    /// Accepted frames waiting for room on this node's forward lane (ring
-    /// dissemination).
+    /// Frames parked by the contiguity gate, waiting for their turn.
+    pub fn parked_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Accepted frames waiting for room on this node's forward lane.
     pub fn fwd_backlog_len(&self) -> usize {
         self.fwd_backlog.len()
     }
@@ -502,7 +526,7 @@ impl AcuerdoNode {
             self.dropped_requests += 1;
             return;
         }
-        if self.log.len() >= self.cfg.max_client_backlog {
+        if self.log.len() >= MAX_CLIENT_BACKLOG {
             self.dropped_requests += 1;
             return;
         }
@@ -565,13 +589,13 @@ impl AcuerdoNode {
             }
         }
         // Then any log entries of the current epoch this peer hasn't got.
-        // Ring mode streams payloads only to the loopback lane, the two arm
-        // heads and peers under star fallback; everyone else receives
-        // frames forwarded hop by hop along its arm.
-        if !self.streams_to(j) {
+        // Payloads stream only to the loopback lane, the arm heads and
+        // peers under star fallback; everyone else receives frames
+        // forwarded hop by hop along its arm.
+        let direct = j == self.me || self.arm_head[j];
+        if !direct && !self.fallback[j] {
             return;
         }
-        let fallback_lane = self.ring_on() && j != self.me && !self.is_arm_head(j);
         while self.out[j].next_cnt <= self.count {
             let hdr = MsgHdr::new(self.e_new, self.out[j].next_cnt);
             let Some(payload) = self.log.get(&hdr) else {
@@ -587,7 +611,7 @@ impl AcuerdoNode {
             {
                 Ok(seq) => {
                     ctx.span(hdr_span(&hdr), SpanStage::RingWrite, self.peers[j] as u64);
-                    if fallback_lane {
+                    if !direct {
                         ctx.count(Counter::RingFallbackSends, 1);
                     }
                     self.track_sent(j, hdr, seq);
@@ -601,42 +625,27 @@ impl AcuerdoNode {
         }
     }
 
-    // ---- ring dissemination (DisseminationMode::Ring) ------------------------
+    // ---- dissemination ---------------------------------------------------------
     //
-    // Ring-Paxos-style dissemination over two arms ([`ring_route`]): the
-    // leader writes each payload to its two ring neighbours and every
-    // follower forwards accepted frames one hop further along its arm, so
-    // leader egress is O(1) bytes per message instead of O(n) and the quorum
-    // is ⌈⌊n/2⌋/2⌉ hops away. The frame header is the origin slot
-    // (`epoch.ldr` names the proposer, and with it the route), so
-    // ack/commit semantics over the three SSTs are unchanged. An arm
-    // segment behind a crashed or partitioned forwarder is bridged by star
-    // fallback from the leader until a rejoin heals the arm.
+    // One payload path for every topology: the leader streams each payload
+    // to the heads of its arms and every follower forwards accepted frames
+    // one hop further along its arm, as far as `route_from` says the arm
+    // goes. Star is the route whose every follower heads an arm (leader
+    // egress O(n) bytes per message, nobody forwards); the two-armed ring
+    // (after Ring Paxos) has two heads, O(1) leader egress and the quorum
+    // ⌈⌊n/2⌋/2⌉ hops away. The frame header is the origin slot (`epoch.ldr`
+    // names the proposer, and with it the route), so ack/commit semantics
+    // over the three SSTs never depend on the route. An arm segment behind a
+    // crashed or partitioned forwarder is bridged by star fallback from the
+    // leader until a rejoin heals the arm.
 
-    fn ring_on(&self) -> bool {
-        self.cfg.dissemination == DisseminationMode::Ring
-    }
-
-    /// This node's place on the arms of `origin`'s ring.
+    /// This node's place on the arms of `origin`'s route.
     fn route_from(&self, origin: usize) -> RingRoute {
-        ring_route(self.cfg.n, origin, self.me)
+        self.cfg.dissemination.route(self.cfg.n, origin, self.me)
     }
 
-    /// True when peer `j` heads one of the two arms of this node's ring,
-    /// i.e. receives this node's own frames directly.
-    fn is_arm_head(&self, j: usize) -> bool {
-        j != self.me && ring_route(self.cfg.n, self.me, j).upstream == self.me
-    }
-
-    /// True when this (leader) node streams payload frames directly into
-    /// peer `j`'s ring: always in star mode; in ring mode only to itself
-    /// (loopback), the two arm heads, or while `j` is under star fallback.
-    fn streams_to(&self, j: usize) -> bool {
-        !self.ring_on() || j == self.me || self.is_arm_head(j) || self.fallback[j]
-    }
-
-    /// The next frame the ring contiguity gate will accept.
-    fn ring_expected(&self) -> MsgHdr {
+    /// The next frame the contiguity gate will accept.
+    fn expected_frame(&self) -> MsgHdr {
         if self.accepted.epoch == self.e_cur {
             self.accepted.next()
         } else {
@@ -644,18 +653,12 @@ impl AcuerdoNode {
         }
     }
 
-    /// Ring-mode Normal-frame ingestion: drop duplicates, park out-of-order
-    /// and ahead-of-epoch frames, accept in strict header order and drain
-    /// parked successors. The gate is what keeps the cumulative Accept_SST
+    /// Normal-frame ingestion (Figure 5 line 47 behind the contiguity gate):
+    /// drop duplicates and stale epochs, park out-of-order and
+    /// ahead-of-epoch frames, accept in strict header order and drain parked
+    /// successors. The gate is what keeps the cumulative Accept_SST
     /// acknowledgment truthful when star-fallback and forwarded copies race.
-    fn ring_ingest(
-        &mut self,
-        ctx: &mut Ctx<AcWire>,
-        lane: usize,
-        hdr: MsgHdr,
-        payload: Bytes,
-        accepted_changed: &mut bool,
-    ) {
+    fn ingest_frame(&mut self, ctx: &mut Ctx<AcWire>, lane: usize, hdr: MsgHdr, payload: Bytes) {
         if hdr.epoch != self.e_cur || hdr.epoch != self.e_new {
             if hdr.epoch > self.e_cur && self.e_new <= hdr.epoch {
                 // A forwarded frame of an epoch whose opening diff (leader
@@ -667,55 +670,38 @@ impl AcuerdoNode {
             }
             return;
         }
-        let expected = self.ring_expected();
+        let expected = self.expected_frame();
         if hdr < expected {
             // Fallback and forwarded copies of the same frame race; the loser
             // is a duplicate of an already-accepted header.
             ctx.count(Counter::RingDupDrops, 1);
-            return;
-        }
-        if hdr > expected {
+        } else if hdr > expected {
             self.pending.insert(hdr, payload);
-            return;
+        } else {
+            self.accept_frame(ctx, lane, hdr, payload);
+            self.drain_pending(ctx, lane);
         }
-        self.ring_accept(ctx, lane, hdr, payload);
-        *accepted_changed = true;
-        if self.cfg.per_message_acks {
-            self.push_accept(ctx);
-            *accepted_changed = false;
-        }
-        self.ring_drain_pending(ctx, lane, accepted_changed);
     }
 
-    /// Drain parked frames that became contiguous (after an in-order accept
+    /// Accept parked frames that became contiguous (after an in-order accept
     /// or an applied diff).
-    fn ring_drain_pending(
-        &mut self,
-        ctx: &mut Ctx<AcWire>,
-        lane: usize,
-        accepted_changed: &mut bool,
-    ) {
+    fn drain_pending(&mut self, ctx: &mut Ctx<AcWire>, lane: usize) {
         loop {
-            let next = self.ring_expected();
+            let next = self.expected_frame();
             let Some(p) = self.pending.remove(&next) else {
                 break;
             };
-            self.ring_accept(ctx, lane, next, p);
-            *accepted_changed = true;
-            if self.cfg.per_message_acks {
-                self.push_accept(ctx);
-                *accepted_changed = false;
-            }
+            self.accept_frame(ctx, lane, next, p);
         }
     }
 
-    /// Accept one in-order ring frame (the ring-mode counterpart of the
-    /// star acceptance in `accept_frames`) and queue its one-hop forward.
-    fn ring_accept(&mut self, ctx: &mut Ctx<AcWire>, lane: usize, hdr: MsgHdr, payload: Bytes) {
+    /// Accept one in-order frame and queue its one-hop forward. Durable mode
+    /// stages the entry; the fsync barrier lands in `push_accept`, before the
+    /// ack becomes visible.
+    fn accept_frame(&mut self, ctx: &mut Ctx<AcWire>, lane: usize, hdr: MsgHdr, payload: Bytes) {
         if self.cfg.durability.is_durable() {
             ctx.log_append(&encode_wal_entry(hdr, &payload));
         }
-        self.log.insert(hdr, payload.clone());
         self.accepted = hdr;
         self.last_leader_activity = ctx.now();
         ctx.span(hdr_span(&hdr), SpanStage::FollowerAccept, lane as u64);
@@ -728,7 +714,12 @@ impl AcuerdoNode {
         // Queue the one-hop forward unless this node ends its arm (or is
         // the origin, which streams to the arm heads instead).
         if self.route_from(hdr.epoch.ldr as usize).downstream.is_some() {
-            self.fwd_backlog.push_back((hdr, payload));
+            self.fwd_backlog.push_back((hdr, payload.clone()));
+        }
+        self.log.insert(hdr, payload);
+        self.ack_due = true;
+        if self.cfg.per_message_acks {
+            self.push_accept(ctx);
         }
     }
 
@@ -797,14 +788,11 @@ impl AcuerdoNode {
     /// timeout would read ordinary tail propagation as a dead segment and
     /// dump the whole backlog star-style — exactly the egress collapse the
     /// ring exists to avoid.
-    fn ring_fallback_scan(&mut self, ctx: &mut Ctx<AcWire>) {
-        if !self.ring_on() || self.role != Role::Leader {
-            return;
-        }
+    fn fallback_scan(&mut self, ctx: &mut Ctx<AcWire>) {
         let now = ctx.now();
         let idle = self.accepted.epoch != self.e_cur || self.accepted == MsgHdr::new(self.e_cur, 0);
         for k in 0..self.cfg.n {
-            if k == self.me || self.is_arm_head(k) {
+            if k == self.me || self.arm_head[k] {
                 continue;
             }
             let a = self.ack_seen[k];
@@ -831,7 +819,6 @@ impl AcuerdoNode {
     // ---- accepting (Figure 5) ----------------------------------------------
 
     fn accept_frames(&mut self, ctx: &mut Ctx<AcWire>) {
-        let mut accepted_changed = false;
         for j in 0..self.cfg.n {
             let frames = self.in_rings[j].poll(&mut self.ep);
             for (_seq, raw) in frames {
@@ -841,37 +828,7 @@ impl AcuerdoNode {
                     continue;
                 };
                 match frame {
-                    Frame::Normal { hdr, payload } => {
-                        if self.ring_on() {
-                            self.ring_ingest(ctx, j, hdr, payload, &mut accepted_changed);
-                        } else if hdr.epoch == self.e_new && hdr.epoch == self.e_cur {
-                            // Normal message acceptance (line 47). Durable
-                            // mode stages the entry; the fsync barrier lands
-                            // in push_accept, before the ack becomes visible.
-                            if self.cfg.durability.is_durable() {
-                                ctx.log_append(&encode_wal_entry(hdr, &payload));
-                            }
-                            self.log.insert(hdr, payload);
-                            self.accepted = hdr;
-                            self.last_leader_activity = ctx.now();
-                            ctx.span(hdr_span(&hdr), SpanStage::FollowerAccept, j as u64);
-                            ctx.count(Counter::Accepts, 1);
-                            ctx.trace(
-                                Event::new("accept")
-                                    .a(u64::from(hdr.epoch.round))
-                                    .b(u64::from(hdr.cnt)),
-                            );
-                            accepted_changed = true;
-                            if self.cfg.per_message_acks {
-                                self.push_accept(ctx);
-                                accepted_changed = false;
-                            }
-                        } else if !(hdr.epoch > self.e_cur && self.e_new <= hdr.epoch) {
-                            // Stale epoch: the leader that sent this has
-                            // been deposed.
-                            ctx.count(Counter::RingDupDrops, 1);
-                        }
-                    }
+                    Frame::Normal { hdr, payload } => self.ingest_frame(ctx, j, hdr, payload),
                     Frame::Diff {
                         hdr,
                         part,
@@ -882,20 +839,18 @@ impl AcuerdoNode {
                             debug_assert!(hdr.is_diff());
                             if self.collect_diff(hdr, part, parts, entries) {
                                 self.apply_diff(ctx);
-                                accepted_changed = true;
-                                if self.ring_on() {
-                                    // Forwarded frames of the diff's epoch
-                                    // may have lost the cross-lane race and
-                                    // parked; they are contiguous now.
-                                    self.ring_drain_pending(ctx, j, &mut accepted_changed);
-                                }
+                                self.ack_due = true;
+                                // Forwarded frames of the diff's epoch may
+                                // have lost the cross-lane race and parked;
+                                // they are contiguous now.
+                                self.drain_pending(ctx, j);
                             }
                         }
                     }
                 }
             }
         }
-        if accepted_changed {
+        if self.ack_due {
             self.push_accept(ctx);
         }
     }
@@ -907,6 +862,7 @@ impl AcuerdoNode {
             ctx.log_fsync();
         }
         self.accept_sst.write_mine(&mut self.ep, &self.accepted);
+        self.ack_due = false;
         self.acks_touched = true;
         let ldr = self.e_cur.ldr as usize;
         if ldr != self.me {
@@ -914,16 +870,14 @@ impl AcuerdoNode {
                 .accept_sst
                 .push_mine_to(ctx, &mut self.ep, self.peers[ldr]);
         }
-        if self.ring_on() {
-            // The upstream node on our arm reuses its forward-lane slots off
-            // our Accept_SST cell — push it there too (the leader push above
-            // already covers the arm heads, whose upstream is the leader).
-            let up = self.route_from(ldr).upstream;
-            if up != self.me && up != ldr {
-                let _ = self
-                    .accept_sst
-                    .push_mine_to(ctx, &mut self.ep, self.peers[up]);
-            }
+        // The upstream node on our arm reuses its forward-lane slots off our
+        // Accept_SST cell — push it there too (the leader push above already
+        // covers the arm heads, whose upstream is the leader).
+        let up = self.route_from(ldr).upstream;
+        if up != self.me && up != ldr {
+            let _ = self
+                .accept_sst
+                .push_mine_to(ctx, &mut self.ep, self.peers[up]);
         }
     }
 
@@ -945,6 +899,24 @@ impl AcuerdoNode {
                 debug_assert_eq!(part, 0, "diff must start at part 0");
                 self.diff_buf = Some((hdr, 1, entries));
                 parts == 1
+            }
+        }
+    }
+
+    /// Remove the log entries in `[cut, (e, 0))`: the uncommitted suffix that
+    /// a diff of epoch `e` whose entries start at `cut` supersedes. Shared by
+    /// the live splice and its replay from the journal, so the two cannot
+    /// drift apart.
+    fn cut_log(&mut self, cut: MsgHdr, e: Epoch) {
+        let upper = MsgHdr::new(e, 0);
+        if cut < upper {
+            let stale: Vec<MsgHdr> = self
+                .log
+                .range((Included(cut), Excluded(upper)))
+                .map(|(h, _)| *h)
+                .collect();
+            for h in stale {
+                self.log.remove(&h);
             }
         }
     }
@@ -974,16 +946,7 @@ impl AcuerdoNode {
             .first()
             .map(|(h, _)| *h)
             .unwrap_or_else(|| self.committed.next());
-        if cut < MsgHdr::new(e, 0) {
-            let stale: Vec<MsgHdr> = self
-                .log
-                .range((Included(cut), Excluded(MsgHdr::new(e, 0))))
-                .map(|(h, _)| *h)
-                .collect();
-            for h in stale {
-                self.log.remove(&h);
-            }
-        }
+        self.cut_log(cut, e);
         // Journal the truncation and the adopted entries so replay after a
         // crash reproduces this splice (the fsync barrier lands in the
         // push_accept this diff application triggers).
@@ -1054,11 +1017,9 @@ impl AcuerdoNode {
                 self.ack_seen[k] = a;
                 self.ack_obs_counter += 1;
                 self.ack_obs_seq[k] = self.ack_obs_counter;
-                if self.ring_on() {
-                    // An advancing frontier means its arm still feeds this
-                    // peer; only a stall engages star fallback.
-                    self.lag_since[k] = ctx.now();
-                }
+                // An advancing frontier means its arm still feeds this peer;
+                // only a stall engages star fallback.
+                self.lag_since[k] = ctx.now();
             }
         }
     }
@@ -1313,13 +1274,14 @@ impl AcuerdoNode {
         if ctx.now().saturating_since(self.last_leader_activity) > self.cfg.fail_timeout {
             ctx.count(Counter::HeartbeatMisses, 1);
             ctx.trace(Event::new("heartbeat_miss").a(u64::from(self.e_cur.round)));
-            ctx.count(Counter::Elections, 1);
-            ctx.trace(Event::new("election_start").a(u64::from(self.e_cur.round)));
-            self.start_election(ctx.now());
+            self.start_election(ctx);
         }
     }
 
-    fn start_election(&mut self, now: SimTime) {
+    fn start_election(&mut self, ctx: &mut Ctx<AcWire>) {
+        let now = ctx.now();
+        ctx.count(Counter::Elections, 1);
+        ctx.trace(Event::new("election_start").a(u64::from(self.e_cur.round)));
         self.role = Role::Electing;
         self.election_detected_at = now;
         self.last_mx = self.vote_sst.mine(&self.ep);
@@ -1396,32 +1358,38 @@ impl AcuerdoNode {
         self.count = 0;
         self.elections_won += 1;
         self.frame_stall = None;
-        if self.ring_on() {
-            // A fresh epoch starts with a healthy-arms assumption; the
-            // fallback scan re-marks any segment that is still dead.
-            self.fallback = vec![false; self.cfg.n];
-            self.lag_since = vec![ctx.now(); self.cfg.n];
-        }
+        // A fresh epoch starts with a healthy-arms assumption; the fallback
+        // scan re-marks any segment that is still dead.
+        self.fallback.fill(false);
+        self.lag_since.fill(ctx.now());
         ctx.count(Counter::ElectionsWon, 1);
         ctx.trace(Event::new("leader_elected").a(u64::from(self.e_new.round)));
         self.awaiting_ready = true;
-        let comm: Vec<MsgHdr> = (0..self.cfg.n).map(|j| self.commit_cell(j).0).collect();
-        let hdr = MsgHdr::new(self.e_new, 0);
-        for (j, &low) in comm.iter().enumerate() {
-            let entries: Vec<(MsgHdr, Bytes)> = self
-                .log
-                .range((Included(low), Included(self.accepted)))
-                .map(|(h, p)| (*h, p.clone()))
-                .collect();
-            let parts = msg::encode_diff_parts(hdr, &entries, self.cfg.max_diff_part);
-            self.out[j].diff_backlog = parts.into();
-            self.out[j].next_cnt = 1;
+        for j in 0..self.cfg.n {
             // A peer that Hello'd since the last diff is being re-seeded
             // from scratch: account its diff as rejoin traffic.
-            self.out[j].rejoin = std::mem::take(&mut self.hello_from[j]);
+            let rejoin = std::mem::take(&mut self.hello_from[j]);
+            self.seed_peer(j, 1, rejoin);
         }
         self.flush_all(ctx);
         self.check_ready(ctx);
+    }
+
+    /// Queue peer `j` the diff that brings it into `e_new` — this node's log
+    /// from `j`'s commit point to its own accept frontier (Figure 7 line
+    /// 123) — and aim `j`'s normal stream at `next_cnt`.
+    fn seed_peer(&mut self, j: usize, next_cnt: u32, rejoin: bool) {
+        let low = self.commit_cell(j).0;
+        let entries: Vec<(MsgHdr, Bytes)> = self
+            .log
+            .range((Included(low), Included(self.accepted)))
+            .map(|(h, p)| (*h, p.clone()))
+            .collect();
+        let hdr = MsgHdr::new(self.e_new, 0);
+        let parts = msg::encode_diff_parts(hdr, &entries, self.cfg.max_diff_part);
+        self.out[j].diff_backlog = parts.into();
+        self.out[j].next_cnt = next_cnt;
+        self.out[j].rejoin = rejoin;
     }
 
     fn check_ready(&mut self, ctx: &mut Ctx<AcWire>) {
@@ -1462,10 +1430,8 @@ impl AcuerdoNode {
         let since = *self.outbid_since.get_or_insert(now);
         if now.saturating_since(since) > self.cfg.fail_timeout {
             self.outbid_since = None;
-            ctx.count(Counter::Elections, 1);
             ctx.trace(Event::new("abdicate").a(u64::from(self.e_new.round)));
-            ctx.trace(Event::new("election_start").a(u64::from(self.e_cur.round)));
-            self.start_election(now);
+            self.start_election(ctx);
         }
     }
 
@@ -1521,7 +1487,7 @@ impl AcuerdoNode {
         self.resync_attempts += 1;
         self.diff_buf = None;
         self.frame_stall = None;
-        // Ring-mode state dies with the torn-down lanes: parked frames will
+        // Dissemination state dies with the torn-down lanes: parked frames will
         // be re-covered by the recovery diff, in-flight forwards by their
         // receivers' own repair.
         self.pending.clear();
@@ -1566,7 +1532,7 @@ impl AcuerdoNode {
         self.ep.reset_connection(self.peers[j]);
         self.out_ring.retarget_lane(self.peers[j], ring);
         self.out[j] = PeerOut::new();
-        if self.ring_on() && self.route_from(self.e_cur.ldr as usize).downstream == Some(j) {
+        if self.route_from(self.e_cur.ldr as usize).downstream == Some(j) {
             // Our downstream node tore its ring down: in-flight forwards
             // died with it (their lane just restarted from zero above). The
             // leader's rejoin diff covers everything we would have forwarded.
@@ -1604,23 +1570,14 @@ impl AcuerdoNode {
     /// after the last entry the diff covers (re-sending covered entries
     /// would regress the peer's `accepted`).
     fn build_rejoin_diff(&mut self, ctx: &mut Ctx<AcWire>, j: usize) {
-        let hdr = MsgHdr::new(self.e_new, 0);
-        let low = self.commit_cell(j).0;
-        let entries: Vec<(MsgHdr, Bytes)> = self
-            .log
-            .range((Included(low), Included(self.accepted)))
-            .map(|(h, p)| (*h, p.clone()))
-            .collect();
-        let parts = msg::encode_diff_parts(hdr, &entries, self.cfg.max_diff_part);
-        self.out[j].diff_backlog = parts.into();
-        self.out[j].next_cnt = if self.accepted.epoch == self.e_new {
+        let next_cnt = if self.accepted.epoch == self.e_new {
             self.accepted.cnt + 1
         } else {
             1
         };
-        self.out[j].rejoin = true;
+        self.seed_peer(j, next_cnt, true);
         self.hello_from[j] = false;
-        if self.ring_on() && !self.is_arm_head(j) {
+        if !self.arm_head[j] {
             // Serve the rejoiner directly until the healed arm catches it
             // up (the fallback hysteresis clears this once it does).
             self.fallback[j] = true;
@@ -1643,9 +1600,7 @@ impl AcuerdoNode {
                 if self.resync_attempts >= MAX_RESYNC_ATTEMPTS {
                     self.resyncing = false;
                     self.resync_attempts = 0;
-                    ctx.count(Counter::Elections, 1);
-                    ctx.trace(Event::new("election_start").a(u64::from(self.e_cur.round)));
-                    self.start_election(now);
+                    self.start_election(ctx);
                 } else {
                     self.initiate_resync(ctx);
                 }
@@ -1683,15 +1638,16 @@ impl AcuerdoNode {
             }
             // A follower whose inbound stream broke: the leader's commit
             // notifications keep outrunning the frames for longer than a
-            // whole fail timeout. Arm tails legitimately trail the quorum
-            // by many forward hops — and the leader's star fallback repairs
-            // a dead segment in one fail timeout — so ring mode waits two
-            // timeouts before tearing the connection down.
+            // whole fail timeout. Where frames arrive over forwards, arm
+            // tails legitimately trail the quorum by many hops — and the
+            // leader's star fallback repairs a dead segment in one fail
+            // timeout — so such a follower waits two timeouts before
+            // tearing the connection down.
             Role::Follower => {
-                let patience = if self.ring_on() {
-                    self.cfg.fail_timeout * 2
-                } else {
+                let patience = if self.all_direct {
                     self.cfg.fail_timeout
+                } else {
+                    self.cfg.fail_timeout * 2
                 };
                 self.frame_stall
                     .is_some_and(|t| now.saturating_since(t) > patience)
@@ -1738,17 +1694,7 @@ impl AcuerdoNode {
                     // A cut names the epoch of the diff that caused it, which
                     // may be newer than any entry that survived to the tip.
                     top_epoch = top_epoch.max(Epoch::new(round, ldr));
-                    let upper = MsgHdr::new(Epoch::new(round, ldr), 0);
-                    if cut < upper {
-                        let stale: Vec<MsgHdr> = self
-                            .log
-                            .range((Included(cut), Excluded(upper)))
-                            .map(|(h, _)| *h)
-                            .collect();
-                        for h in stale {
-                            self.log.remove(&h);
-                        }
-                    }
+                    self.cut_log(cut, Epoch::new(round, ldr));
                 }
                 _ => {}
             }
@@ -1800,8 +1746,9 @@ impl AcuerdoNode {
     /// * Time-driven checks: a follower suspects its leader `fail_timeout`
     ///   after `last_leader_activity`; an elector, a resyncing node and a
     ///   follower with a stalled stream each watch a deadline; a new leader
-    ///   stamps `epoch_ready` with the clock; a ring-mode leader's fallback
-    ///   scan compares every peer's lag with the clock. None of them skips.
+    ///   stamps `epoch_ready` with the clock; the fallback scan of a leader
+    ///   with peers it does not reach directly compares their lag with the
+    ///   clock. None of them skips.
     fn poll_is_inert(&self, now: SimTime) -> bool {
         if self.send_blocked
             || !self.fwd_backlog.is_empty()
@@ -1813,7 +1760,7 @@ impl AcuerdoNode {
         }
         match self.role {
             Role::Electing => false,
-            Role::Leader => !self.ring_on(),
+            Role::Leader => self.all_direct,
             Role::Follower => {
                 now.saturating_since(self.last_leader_activity) <= self.cfg.fail_timeout
             }
@@ -1833,9 +1780,7 @@ impl Process<AcWire> for AcuerdoNode {
             self.resync_attempts = 0;
             self.initiate_resync(ctx);
         } else if self.role == Role::Electing {
-            ctx.count(Counter::Elections, 1);
-            ctx.trace(Event::new("election_start"));
-            self.start_election(ctx.now());
+            self.start_election(ctx);
         }
         ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
         ctx.set_timer(self.cfg.commit_push_interval, TOK_PUSH);
@@ -1873,9 +1818,7 @@ impl Process<AcWire> for AcuerdoNode {
                 let spin_cpu = ctx.cpu_used();
                 self.send_blocked = false;
                 self.accept_frames(ctx);
-                if self.ring_on() {
-                    self.flush_forwards(ctx);
-                }
+                self.flush_forwards(ctx);
                 let acks_new = self.accept_sst.take_dirty(&mut self.ep)
                     | std::mem::take(&mut self.acks_touched);
                 #[cfg(test)]
@@ -1898,7 +1841,7 @@ impl Process<AcWire> for AcuerdoNode {
                     if acks_new || self.cfg.slot_reuse_on_commit {
                         self.reuse_slots();
                     }
-                    self.ring_fallback_scan(ctx);
+                    self.fallback_scan(ctx);
                     self.flush_all(ctx);
                     self.check_ready(ctx);
                 }

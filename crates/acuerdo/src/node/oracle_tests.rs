@@ -7,6 +7,7 @@
 
 use super::*;
 use crate::cluster::{build_cluster, histories};
+use crate::config::DisseminationMode;
 use abcast::WindowClient;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -171,6 +172,24 @@ fn inject_faults(sim: &mut Sim<AcWire>, n: usize, seed: u64, correlated: bool) {
     }
 }
 
+/// Recovery diffs applied in an epoch that was already streaming: the
+/// leader re-seeding a rejoiner mid-epoch, entries of the current epoch
+/// spliced in under the stream.
+fn mid_epoch_diffs(trace: &[TraceEvent]) -> usize {
+    let mut streaming = std::collections::BTreeSet::new();
+    let mut diffs = 0;
+    for e in trace {
+        if let TraceEvent::Proto { ev, .. } = e {
+            match ev.name {
+                "accept" => drop(streaming.insert(ev.a)),
+                "diff_apply" if ev.b > 0 && streaming.contains(&ev.a) => diffs += 1,
+                _ => {}
+            }
+        }
+    }
+    diffs
+}
+
 fn chaos_run(cfg: &AcuerdoConfig, seed: u64, correlated: bool, naive: bool) -> Outcome {
     // Even seeds keep a few requests in flight, odd seeds enough to fill
     // the small rings of the slot-reuse case.
@@ -201,21 +220,31 @@ fn dirty_driven_node_matches_the_look_at_everything_oracle() {
         ring_mode: RingMode::Split,
         ..chaos_cfg(3)
     };
-    let cases: [(&str, &AcuerdoConfig, bool, std::ops::Range<u64>); 4] = [
+    // The star poll runs the same gate, park map and forward queue checks
+    // as the ring's; a mid-epoch rejoin diff is what moves its frontier
+    // under them.
+    let star5 = chaos_cfg(5);
+    let cases: [(&str, &AcuerdoConfig, bool, std::ops::Range<u64>); 5] = [
+        ("star n=5", &star5, false, 0..12),
         ("star n=5 correlated-durable", &durable5, true, 0..12),
         ("ring n=8", &ring8, false, 0..12),
         ("slot_reuse_on_commit", &reuse_on_commit, false, 0..8),
         ("RingMode::Split", &split, false, 0..8),
     ];
     for (name, cfg, correlated, seeds) in cases {
-        let mut commits = 0;
+        let (mut commits, mut rejoins) = (0, 0);
         for seed in seeds {
             let shipped = chaos_run(cfg, seed, correlated, false);
             let naive = chaos_run(cfg, seed, correlated, true);
             assert_same(&format!("{name} seed {seed}"), &shipped, &naive);
             commits += shipped.histories.iter().map(Vec::len).max().unwrap_or(0);
+            rejoins += mid_epoch_diffs(&shipped.trace);
         }
         assert!(commits > 1_000, "{name}: only {commits} commits, too thin");
+        assert!(
+            correlated || rejoins > 0,
+            "{name}: no mid-epoch rejoin diff in any seed"
+        );
     }
 }
 

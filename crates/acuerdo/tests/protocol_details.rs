@@ -221,7 +221,10 @@ fn mid_epoch_rejoin_diff_advances_accepted_to_its_top_entry() {
     };
     let (mut sim, ids, client) =
         cluster_with_client::<AcuerdoNode>(110, &cfg, 16, 64, Duration::ZERO);
-    assert!(sim.node::<WindowClient<AcWire>>(client).retransmit.is_none());
+    assert!(sim
+        .node::<WindowClient<AcWire>>(client)
+        .retransmit
+        .is_none());
     acuerdo::enable_restarts(&mut sim, &cfg, &ids);
     sim.crash_at(2, SimTime::from_micros(500));
     sim.crash_at(1, SimTime::from_millis(1));

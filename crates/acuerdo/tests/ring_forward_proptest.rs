@@ -1,6 +1,7 @@
-//! Property-based tests on the ring-dissemination forwarding layer: for any
-//! small cluster, client load, and crash/restart schedule, every replica's
-//! delivery history must show
+//! Property-based tests on the dissemination path (contiguity gate, one-hop
+//! forwards, star fallback): for either route, any small cluster, client
+//! load, and crash/restart schedule, every replica's delivery history must
+//! show
 //!
 //! * **no double delivery** — a header is delivered at most once, even when
 //!   the forwarded copy and a star-fallback copy of the same frame race,
@@ -13,9 +14,12 @@
 //!   back to the healed arm.
 //!
 //! The schedules deliberately crash a forwarder — mid-arm, or the head of
-//! the counter-clockwise arm — with a short fail timeout so most cases
+//! the counter-clockwise arm — with a short fail timeout so most ring cases
 //! actually engage the fallback/resume path rather than testing the
-//! fault-free ring over and over.
+//! fault-free ring over and over. The star route runs the same schedules
+//! through the same code with nothing to forward, nobody to fall back for
+//! and nothing left parked; up to three nodes the two routes are one
+//! execution.
 //!
 //! The topology itself ([`ring_route`]) is checked as a pure function over
 //! every ring size the scale sweep can reach.
@@ -23,7 +27,7 @@
 use abcast::{check_cluster, cluster_with_client, MsgHdr};
 use acuerdo::{ring_route, AcuerdoConfig, DisseminationMode};
 use proptest::prelude::*;
-use simnet::{Counter, SimTime};
+use simnet::{Counter, SimTime, TraceEvent};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -63,7 +67,7 @@ fn check_history(case: &str, replica: usize, h: &[(MsgHdr, bytes::Bytes)]) {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12,
+        cases: 24,
         ..ProptestConfig::default()
     })]
 
@@ -75,13 +79,15 @@ proptest! {
         crash_pick in 0usize..=3,
         restart in any::<bool>(),
         depth in 1usize..=8,
+        ring in any::<bool>(),
     ) {
         // A short fail timeout makes the leader bridge the dead segment
         // quickly, so the fallback/resume path runs inside the horizon. The
         // pipeline depth ranges down to 1 (fully serialized forwarding) so a
         // shallow window cannot hide a contiguity bug behind backpressure.
+        let mode = if ring { DisseminationMode::Ring } else { DisseminationMode::Star };
         let cfg = AcuerdoConfig {
-            dissemination: DisseminationMode::Ring,
+            dissemination: mode,
             ring_pipeline_depth: depth,
             retain_log: true,
             fail_timeout: Duration::from_micros(300),
@@ -105,7 +111,8 @@ proptest! {
         sim.run_until(SimTime::from_millis(8));
 
         let case = format!(
-            "seed {seed} n={n} payload={payload} depth={depth} victim={victim} restart={restart}"
+            "{} seed {seed} n={n} payload={payload} depth={depth} victim={victim} restart={restart}",
+            mode.name()
         );
         check_cluster::<acuerdo::AcuerdoNode>(&sim, &ids)
             .unwrap_or_else(|e| panic!("{case}: cluster check failed: {e:?}"));
@@ -123,19 +130,66 @@ proptest! {
         // nothing forwards), and the crash must have pushed the leader into
         // fallback for every node it left beyond the leader's direct reach:
         // the victim itself unless it heads an arm, and whoever it fed.
-        if n >= 4 {
+        // A star has no arms to exercise: nothing forwards, nobody needs
+        // fallback, and with one FIFO lane per follower nothing stays parked.
+        if ring && n >= 4 {
             prop_assert!(sim.metrics().total(Counter::RingForwards) > 0, "{}: ring never forwarded", case);
         } else {
-            prop_assert_eq!(sim.metrics().total(Counter::RingForwards), 0, "{}: forward at n=3", case);
+            prop_assert_eq!(sim.metrics().total(Counter::RingForwards), 0, "{}: forward without an arm", case);
         }
-        let route = ring_route(n, 0, victim);
-        if route.upstream != 0 || route.downstream.is_some() {
+        let route = mode.route(n, 0, victim);
+        if !ring {
+            prop_assert_eq!(sim.metrics().total(Counter::RingFallbackSends), 0, "{}: fallback in a star", case);
+            for &id in ids.iter().filter(|&&id| !sim.is_crashed(id)) {
+                let parked = sim.node::<acuerdo::AcuerdoNode>(id).parked_len();
+                prop_assert_eq!(parked, 0, "{}: replica {} left frames parked", case, id);
+            }
+        } else if route.upstream != 0 || route.downstream.is_some() {
             prop_assert!(
                 sim.metrics().total(Counter::RingFallbackSends) > 0,
                 "{}: crash of forwarder {} never engaged star fallback",
                 case,
                 victim
             );
+        }
+    }
+}
+
+#[test]
+fn ring_and_star_are_one_execution_up_to_three_nodes() {
+    // `ring_route` gives every follower of a ring of at most three the
+    // leader as its upstream, and everything the node decides by topology
+    // it decides from the route: under one crash/restart schedule the two
+    // modes must leave the same trace and the same histories.
+    let run = |mode, n: usize, seed: u64| {
+        let cfg = AcuerdoConfig {
+            dissemination: mode,
+            retain_log: true,
+            fail_timeout: Duration::from_micros(300),
+            ..AcuerdoConfig::stable(n)
+        };
+        let (mut sim, ids, _client) =
+            cluster_with_client::<acuerdo::AcuerdoNode>(seed, &cfg, 8, 64, Duration::ZERO);
+        acuerdo::enable_restarts(&mut sim, &cfg, &ids);
+        sim.set_tracing(true);
+        // A follower reboots mid-epoch, then the leader dies and comes back
+        // into the epoch its successor opened (at n = 2 there is no
+        // successor: the survivor waits for the quorum to return).
+        sim.crash_at(n - 1, SimTime::from_micros(1_000));
+        sim.restart_at(n - 1, SimTime::from_micros(1_400));
+        sim.crash_at(0, SimTime::from_micros(3_000));
+        sim.restart_at(0, SimTime::from_micros(4_500));
+        sim.run_until(SimTime::from_millis(8));
+        let trace: Vec<TraceEvent> = sim.take_trace();
+        (trace, acuerdo::histories(&sim, &ids))
+    };
+    for n in 2..=3 {
+        for seed in [3, 15] {
+            let (star_trace, star) = run(DisseminationMode::Star, n, seed);
+            let (ring_trace, ring) = run(DisseminationMode::Ring, n, seed);
+            assert!(star.iter().any(|h| h.len() > 100), "n={n}: too thin");
+            assert_eq!(star, ring, "n={n} seed {seed}: histories");
+            assert!(star_trace == ring_trace, "n={n} seed {seed}: traces");
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use acuerdo::DisseminationMode;
 use bench::chaos::{run_chaos, ChaosOpts, ChaosRun, Proto, Tier, CHAOS_N};
-use bench::cli::{parsed, value};
+use bench::cli::{dissemination, parsed, value};
 use bench::{write_flightrec, write_metrics_file};
 use simnet::{DurabilityMode, SchedKind, SimTime};
 use std::process::exit;
@@ -106,11 +106,7 @@ fn parse_args() -> Args {
                 });
             }
             "--dissemination" => {
-                let v = value(&mut args, "--dissemination", "mode");
-                out.dissemination = DisseminationMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown dissemination mode {v}");
-                    exit(2);
-                });
+                out.dissemination = dissemination(&mut args, false).expect("'both' is refused");
             }
             "--sched" => {
                 let v = value(&mut args, "--sched", "scheduler kind");

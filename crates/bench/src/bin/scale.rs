@@ -14,7 +14,8 @@
 //! Exit status: 0 on a written document, 2 on usage or I/O errors.
 
 use abcast::spans;
-use bench::cli::{parsed, value};
+use acuerdo::DisseminationMode;
+use bench::cli::{dissemination, parsed, value};
 use bench::scale::{run_scale, ScaleConfig};
 use bench::{record_path, run, run_record_json, Observe, Run, RunSpec};
 use simnet::SchedKind;
@@ -46,7 +47,7 @@ fn main() {
     let mut seed: Option<u64> = None;
     let mut sizes: Option<Vec<usize>> = None;
     let mut sched = SchedKind::default();
-    let mut dissemination = "both".to_string();
+    let mut topology = None;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -76,14 +77,7 @@ fn main() {
                     exit(2);
                 });
             }
-            "--dissemination" => {
-                let v = value(&mut args, "--dissemination", "mode");
-                if !matches!(v.as_str(), "star" | "ring" | "both") {
-                    eprintln!("--dissemination needs 'star', 'ring' or 'both', got '{v}'");
-                    exit(2);
-                }
-                dissemination = v;
-            }
+            "--dissemination" => topology = dissemination(&mut args, true),
             "--metrics-out" => metrics_out = Some(value(&mut args, "--metrics-out", "path")),
             "--trace-out" => trace_out = Some(value(&mut args, "--trace-out", "path")),
             "--help" | "-h" => {
@@ -109,10 +103,10 @@ fn main() {
         cfg.sizes = s;
     }
     cfg.scheduler = sched;
-    match dissemination.as_str() {
-        "star" => cfg.systems.retain(|s| *s != bench::System::AcuerdoRing),
-        "ring" => cfg.systems.retain(|s| *s != bench::System::Acuerdo),
-        _ => {}
+    match topology {
+        Some(DisseminationMode::Star) => cfg.systems.retain(|s| *s != bench::System::AcuerdoRing),
+        Some(DisseminationMode::Ring) => cfg.systems.retain(|s| *s != bench::System::Acuerdo),
+        None => {}
     }
 
     let label = label.unwrap_or_else(|| if quick { "scale" } else { "scale-full" }.to_string());

@@ -12,7 +12,8 @@
 //!
 //! Exit status: 0 on a written document, 2 on usage or I/O errors.
 
-use bench::cli::{parsed, value};
+use acuerdo::DisseminationMode;
+use bench::cli::{dissemination, parsed, value};
 use bench::suite::{run_suite, SuiteConfig};
 use simnet::SchedKind;
 use std::process::exit;
@@ -62,14 +63,7 @@ fn main() {
                 });
             }
             "--dissemination" => {
-                ring = match value(&mut args, "--dissemination", "mode").as_str() {
-                    "star" => false,
-                    "ring" => true,
-                    other => {
-                        eprintln!("--dissemination needs 'star' or 'ring', got '{other}'");
-                        exit(2);
-                    }
-                };
+                ring = dissemination(&mut args, false) == Some(DisseminationMode::Ring);
             }
             "--help" | "-h" => {
                 usage();

@@ -2,6 +2,7 @@
 //! carrying one that does not parse, exits 2 naming the flag and what it
 //! wanted instead of panicking.
 
+use acuerdo::DisseminationMode;
 use std::process::exit;
 use std::str::FromStr;
 
@@ -13,6 +14,24 @@ fn needs(flag: &str, what: &str) -> ! {
 /// The value following `flag`, or exit 2 with `"<flag> needs a <what>"`.
 pub fn value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
     args.next().unwrap_or_else(|| needs(flag, what))
+}
+
+/// The value following `--dissemination`: a topology, or `None` for `both`
+/// where the bin has rows for each (`allow_both`); anything else exits 2.
+pub fn dissemination(
+    args: &mut impl Iterator<Item = String>,
+    allow_both: bool,
+) -> Option<DisseminationMode> {
+    let what = if allow_both {
+        "mode (star, ring or both)"
+    } else {
+        "mode (star or ring)"
+    };
+    let v = value(args, "--dissemination", what);
+    match DisseminationMode::parse(&v) {
+        None if !(allow_both && v == "both") => needs("--dissemination", what),
+        mode => mode,
+    }
 }
 
 /// The value following `flag` parsed as `T`, or exit 2 with `"<flag> needs

@@ -40,3 +40,31 @@ fn an_unparsable_value_exits_2_naming_the_flag() {
         assert!(err.contains(&format!("{flag} needs a ")), "{bin}: {err}");
     }
 }
+
+#[test]
+fn dissemination_is_parsed_the_same_way_by_every_bin() {
+    // (bin, value, accepted): `both` only where the bin has a row per
+    // topology. An accepted value is followed by `--help`, so nothing runs.
+    for (bin, v, accepted) in [
+        (env!("CARGO_BIN_EXE_suite"), "ring", true),
+        (env!("CARGO_BIN_EXE_suite"), "both", false),
+        (env!("CARGO_BIN_EXE_suite"), "mesh", false),
+        (env!("CARGO_BIN_EXE_scale"), "star", true),
+        (env!("CARGO_BIN_EXE_scale"), "both", true),
+        (env!("CARGO_BIN_EXE_scale"), "mesh", false),
+        (env!("CARGO_BIN_EXE_chaos"), "ring", true),
+        (env!("CARGO_BIN_EXE_chaos"), "both", false),
+        (env!("CARGO_BIN_EXE_chaos"), "mesh", false),
+    ] {
+        let (code, err) = stderr_of(bin, &["--dissemination", v, "--help"]);
+        if accepted {
+            assert_eq!(code, Some(0), "{bin} --dissemination {v}: {err}");
+        } else {
+            assert_eq!(code, Some(2), "{bin} --dissemination {v}: {err}");
+            assert!(err.contains("--dissemination needs a mode (star"), "{err}");
+        }
+    }
+    let (code, err) = stderr_of(env!("CARGO_BIN_EXE_scale"), &["--dissemination"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("--dissemination needs a mode"), "{err}");
+}

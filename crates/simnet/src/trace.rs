@@ -131,8 +131,9 @@ pub enum Counter {
     /// Ring dissemination: payload frames the leader sent directly to a
     /// peer because the chain segment covering it was down (star fallback).
     RingFallbackSends,
-    /// Ring dissemination: duplicate or stale frames dropped by the
-    /// acceptance dedup gate (fallback and chain copies racing).
+    /// Frames refused by the acceptance contiguity gate — a duplicate of an
+    /// accepted header (fallback and forwarded copies racing) or a frame of
+    /// a stale epoch — under either topology.
     RingDupDrops,
 }
 
