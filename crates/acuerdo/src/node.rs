@@ -1309,8 +1309,14 @@ impl AcuerdoNode {
             && candidate_is_other
             && ctx.now().saturating_since(self.last_mx_change) > self.cfg.candidate_patience;
         let mine = votes[self.me];
+        // The best vote names this node for an epoch above its own, yet it
+        // is not this node's vote: a peer's cell still holds a candidacy
+        // (or the retraction `(e_cur, accepted)`) from before this node lost
+        // its state in a reboot. Joining it would re-win an epoch whose
+        // headers already name other payloads; outbid it like any other.
+        let stale_self = !candidate_is_other && mx > mine && mx.e_new > self.e_cur.max(self.e_new);
 
-        if no_candidate || timed_out || self.accepted > mx.acpt {
+        if no_candidate || timed_out || stale_self || self.accepted > mx.acpt {
             // Vote for self with a strictly larger epoch (lines 100–104).
             self.e_new = Epoch::bigger_for(self.e_new, mx.e_new, self.me as u32);
             ctx.trace(Event::new("vote_self").a(u64::from(self.e_new.round)));

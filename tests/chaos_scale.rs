@@ -174,3 +174,20 @@ fn chaos_elector_ignores_a_heartbeat_that_merely_reset() {
         SimTime::from_millis(SWEEP_HORIZON_MS),
     ));
 }
+
+#[test]
+fn chaos_rebooted_ex_leader_does_not_rewin_its_old_epoch() {
+    // Three nodes, volatile. Replica 2 wins epoch (1,2), proposes in it and
+    // crashes; it reboots blank while its two peers are resyncing, so
+    // nobody answers its Hellos and it falls back to an election. Replica
+    // 1's resync retraction `((1,2), accepted)` is the best vote on the
+    // table and names replica 2: joining it made the blank node "win" (1,2)
+    // a second time, supported by that very retraction, and re-propose
+    // headers its previous incarnation had already committed
+    // (OrderMismatch at position 4037). A vote that names this node for an
+    // epoch above anything it knows is not its own; it outbids it instead.
+    assert_verdict(&ChaosOpts {
+        n: 3,
+        ..ChaosOpts::new(Proto::Acuerdo, 51, SimTime::from_millis(SWEEP_HORIZON_MS))
+    });
+}
