@@ -956,21 +956,18 @@ impl AcuerdoNode {
                 ctx.log_append(&encode_wal_entry(*h, p));
             }
         }
-        let spliced_top = entries.iter().map(|(h, _)| *h).max();
+        let top = entries.iter().map(|(h, _)| *h).fold(hdr, MsgHdr::max);
         for (h, p) in entries {
             self.log.insert(h, p);
         }
-        // `max`: a re-applied or mid-epoch diff must never regress progress
-        // an intact node already made (regression would re-deliver).
-        self.accepted = self.accepted.max(hdr);
-        // Advance the accept frontier over the spliced entries: the
-        // Accept_SST cell then says what this node durably holds (a mid-epoch
-        // rejoin diff carries entries of the current epoch the leader is
-        // waiting to count), and the contiguity gate expects exactly the
-        // next stream frame.
-        if let Some(top) = spliced_top {
-            self.accepted = self.accepted.max(top);
-        }
+        // Advance the accept frontier to the diff header and over the
+        // spliced entries: the Accept_SST cell then says what this node
+        // durably holds (a mid-epoch rejoin diff carries entries of the
+        // current epoch the leader is waiting to count), and the contiguity
+        // gate expects exactly the next stream frame. `max`: a re-applied
+        // diff must never regress progress an intact node already made
+        // (regression would re-deliver).
+        self.accepted = self.accepted.max(top);
         self.pending.retain(|h, _| *h > self.accepted);
         if e.ldr as usize != self.me {
             // Frames this node forwarded (or, as a deposed leader,
