@@ -47,6 +47,19 @@ pub enum Violation {
     },
 }
 
+impl Violation {
+    /// The violated property's name, as a verdict line prints it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Violation::Duplicate { .. } => "Duplicate",
+            Violation::OrderMismatch { .. } => "OrderMismatch",
+            Violation::OutOfThinAir { .. } => "OutOfThinAir",
+            Violation::PayloadMismatch { .. } => "PayloadMismatch",
+            Violation::CommittedEntryLost { .. } => "CommittedEntryLost",
+        }
+    }
+}
+
 /// Check delivery histories (one per correct node).
 ///
 /// `broadcast` is the set of payloads handed to the protocol by clients; pass

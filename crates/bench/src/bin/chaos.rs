@@ -183,15 +183,6 @@ fn main() {
                 });
                 println!("wrote {path} ({} events)", events.len());
             }
-            let verdict = if r.fatal() {
-                "FAIL"
-            } else if r.durability_violation.is_some() {
-                "lost" // volatile run: committed entries gone, by design
-            } else if !r.converged {
-                "stall" // baseline without a rejoin path: safe but behind
-            } else {
-                "ok"
-            };
             println!(
                 "chaos {:8} seed {:4}: {:2} faults  pre={:<5} final=[{}..{}] live={}  {}",
                 proto.name(),
@@ -201,7 +192,7 @@ fn main() {
                 r.final_min,
                 r.final_max,
                 r.live_nodes,
-                verdict
+                r.verdict()
             );
             if r.fatal() {
                 fatal += 1;
