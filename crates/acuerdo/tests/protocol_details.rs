@@ -48,6 +48,78 @@ fn gc_stalls_while_a_replica_is_descheduled_then_resumes() {
 }
 
 #[test]
+fn ring_followers_prune_below_the_leaders_gc_horizon() {
+    // A follower's Commit_SST cell goes to its leader alone, so a follower
+    // holds no fresh cell of its fellow followers to take a minimum over:
+    // it prunes below the GC horizon its leader publishes. Sixteen nodes
+    // on the two-armed ring, no faults: each follower holds 23–32 entries
+    // after 3,252 commits; reading its mirrors instead, it held them all.
+    let cfg = AcuerdoConfig {
+        dissemination: acuerdo::DisseminationMode::Ring,
+        ..AcuerdoConfig::stable(16)
+    };
+    let (mut sim, ids, _client) =
+        cluster_with_client::<AcuerdoNode>(111, &cfg, 16, 10, Duration::ZERO);
+    sim.run_until(SimTime::from_millis(20));
+    for &id in &ids[1..] {
+        let n = sim.node::<AcuerdoNode>(id);
+        assert!(n.delivered_count > 2_000, "node {id} delivered too little");
+        assert!(
+            n.log_len() < 200,
+            "follower {id} log not GC'd: {} entries after {} deliveries",
+            n.log_len(),
+            n.delivered_count
+        );
+    }
+}
+
+#[test]
+fn election_diffs_start_at_each_peers_commit_point() {
+    // `retain_log` keeps the whole history, so an election diff is exactly
+    // the log from the winner's mirror of a peer's commit cell to the
+    // winner's frontier. Followers push their cells to the leader alone;
+    // a node entering an election pushes its cell to everyone at once, so
+    // the winner's mirrors are fresh and each diff carries the entries in
+    // flight when the leader died (8, the client window), not the history
+    // (1,297 without that push, for every peer but the winner itself).
+    let cfg = AcuerdoConfig {
+        retain_log: true,
+        durability: simnet::DurabilityMode::Durable,
+        fail_timeout: Duration::from_micros(400),
+        ..AcuerdoConfig::stable(5)
+    };
+    let (mut sim, ids, _client) =
+        cluster_with_client::<AcuerdoNode>(112, &cfg, 8, 10, Duration::ZERO);
+    sim.set_tracing(true);
+    sim.power_failure_at(vec![0], SimTime::from_millis(10));
+    sim.run_until(SimTime::from_millis(12));
+    let leader = current_leader(&sim, &ids).expect("new leader");
+    assert_ne!(leader, 0);
+    let round = u64::from(sim.node::<AcuerdoNode>(leader).epoch().round);
+    let history = sim.node::<AcuerdoNode>(leader).delivered_count;
+    assert!(history > 1_000, "only {history} commits before the failure");
+    let diffs: Vec<(simnet::NodeId, u64)> = sim
+        .trace_events()
+        .iter()
+        .filter_map(|e| match e {
+            simnet::TraceEvent::Proto { node, ev, .. }
+                if ev.name == "diff_apply" && ev.a == round =>
+            {
+                Some((*node, ev.b))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(diffs.len(), 4, "one election diff per survivor: {diffs:?}");
+    for (node, entries) in diffs {
+        assert!(
+            entries <= 32,
+            "node {node}'s election diff carried {entries} of {history} entries"
+        );
+    }
+}
+
+#[test]
 fn multi_part_diff_recovers_a_far_behind_follower() {
     // A follower descheduled long enough to miss more than max_diff_part
     // bytes of messages must be brought back by a chunked diff at the next
@@ -325,7 +397,16 @@ fn quiet_follower_suspects_a_dead_leader_at_the_same_instant() {
     // The followers of an idle cluster are on the idle path when the leader
     // dies. The poll that crosses `fail_timeout` must be a full one: both
     // followers start their election at the instant the always-full poll
-    // loop did (pinned by running this case on it once).
+    // loop did (pinned by running this case on it once). The instants were
+    // (1, 2 502 580) and (2, 2 503 700), and the election span (2 503 640,
+    // 2 515 530), while every follower pushed its commit cell to every
+    // peer. A follower's push tick now posts once, to its leader, so each
+    // follower's polls and ticks run at other instants: node 1's polls sit
+    // 40 ns earlier, and node 2's tick at 2 503 200 holds its CPU for one
+    // 1.1 us post across the instant its crossing poll used to run, which
+    // runs at 2 504 300 instead. The winner is ready later because entering
+    // the election now broadcasts its commit cell (two posts before its
+    // vote).
     let cfg = AcuerdoConfig {
         fail_timeout: Duration::from_micros(500),
         ..AcuerdoConfig::stable(3)
@@ -345,12 +426,12 @@ fn quiet_follower_suspects_a_dead_leader_at_the_same_instant() {
             _ => None,
         })
         .collect();
-    assert_eq!(started, [(1, 2_502_580), (2, 2_503_700)]);
+    assert_eq!(started, [(1, 2_502_540), (2, 2_504_360)]);
     let leader = current_leader(&sim, &ids).expect("new leader");
     let span = sim.node::<AcuerdoNode>(leader).election_spans[0];
     assert_eq!(
         (leader, span.0.as_nanos(), span.1.as_nanos()),
-        (2, 2_503_640, 2_515_530)
+        (2, 2_504_300, 2_518_370)
     );
     let skipped =
         sim.node::<AcuerdoNode>(1).polls_skipped + sim.node::<AcuerdoNode>(2).polls_skipped;
