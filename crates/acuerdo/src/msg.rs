@@ -52,11 +52,20 @@ fn get_hdr(buf: &mut impl Buf) -> MsgHdr {
     MsgHdr::decode(&tmp)
 }
 
+/// The bytes a normal broadcast frame starts with; the payload follows
+/// them. Senders that write frames in parts
+/// ([`RingSender::send_parts`](rdma_prims::RingSender::send_parts)) put this
+/// before the payload instead of building the frame with [`encode_normal`].
+pub fn normal_header(hdr: MsgHdr) -> [u8; 1 + MsgHdr::SIZE] {
+    let mut head = [TAG_NORMAL; 1 + MsgHdr::SIZE];
+    hdr.encode(&mut head[1..]);
+    head
+}
+
 /// Encode a normal broadcast frame.
 pub fn encode_normal(hdr: MsgHdr, payload: &Bytes) -> Bytes {
     let mut buf = BytesMut::with_capacity(1 + MsgHdr::SIZE + payload.len());
-    buf.put_u8(TAG_NORMAL);
-    put_hdr(&mut buf, hdr);
+    buf.put_slice(&normal_header(hdr));
     buf.put_slice(payload);
     buf.freeze()
 }
@@ -163,6 +172,15 @@ mod tests {
         let p = Bytes::from_static(b"hello world");
         let f = decode(encode_normal(h, &p)).unwrap();
         assert_eq!(f, Frame::Normal { hdr: h, payload: p });
+    }
+
+    #[test]
+    fn normal_header_is_the_frames_prefix() {
+        let h = hdr(2, 5, 9);
+        let p = Bytes::from_static(b"body");
+        let mut parts = normal_header(h).to_vec();
+        parts.extend_from_slice(&p);
+        assert_eq!(encode_normal(h, &p), parts);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   and applied atomically once complete (see `msg`).
 //! * The periodic Commit_SST push (Figure 6 lines 93–95) goes only to the
 //!   nodes that read it: a follower's cell to its leader, whose own row
-//!   adds the GC horizon the followers prune below; an elector's cell to
+//!   adds the GC horizon the followers prune below and follows the payload
+//!   route (every tick to the peers it streams frames to, once per push
+//!   period to the peers that get them forwarded); an elector's cell to
 //!   everyone, from the instant the election starts (`push_commit`).
 //!
 //! ## Rejoin and stream resynchronization
@@ -634,11 +636,13 @@ impl AcuerdoNode {
                 self.out[j].next_cnt += 1;
                 continue;
             };
-            let frame = msg::encode_normal(hdr, payload);
-            match self
-                .out_ring
-                .send_to(ctx, &mut self.ep, self.peers[j], &frame, MsgKind::Payload)
-            {
+            match self.out_ring.send_parts(
+                ctx,
+                &mut self.ep,
+                self.peers[j],
+                &[&msg::normal_header(hdr), payload],
+                MsgKind::Payload,
+            ) {
                 Ok(seq) => {
                     ctx.span(hdr_span(&hdr), SpanStage::RingWrite, self.peers[j] as u64);
                     if !direct {
@@ -774,21 +778,21 @@ impl AcuerdoNode {
         let acc = self.accept_sst.read(&self.ep, down);
         self.ack_lane(down, acc);
         while self.out[down].sent.len() < self.cfg.ring_pipeline_depth {
-            let Some((hdr, payload)) = self.fwd_backlog.front().cloned() else {
+            let Some((hdr, payload)) = self.fwd_backlog.front() else {
                 break;
             };
+            let hdr = *hdr;
             if hdr.epoch != self.e_cur {
                 // A diff moved the epoch on while this frame waited; the
                 // downstream node is re-seeded by the leader's diff instead.
                 self.fwd_backlog.pop_front();
                 continue;
             }
-            let frame = msg::encode_normal(hdr, &payload);
-            match self.out_ring.send_to(
+            match self.out_ring.send_parts(
                 ctx,
                 &mut self.ep,
                 self.peers[down],
-                &frame,
+                &[&msg::normal_header(hdr), payload],
                 MsgKind::Payload,
             ) {
                 Ok(seq) => {
@@ -1341,9 +1345,21 @@ impl AcuerdoNode {
         }
         let no_candidate = mx == Vote::default();
         let candidate_is_other = mx.e_new.ldr as usize != self.me;
+        // A best vote that a quorum of identical cells already holds has
+        // won: its diff is on the way, and after a whole-cluster power
+        // failure shipping every peer a full-log diff can outlast
+        // `candidate_patience`. Outbidding it then splits the electors
+        // (8 vs 8 at n = 16) with every abdication repeating the split, so
+        // such a vote gets a whole `fail_timeout`.
+        let won = votes.iter().filter(|&&v| v == mx).count() >= self.cfg.quorum();
+        let patience = if won {
+            self.cfg.fail_timeout
+        } else {
+            self.cfg.candidate_patience
+        };
         let timed_out = !no_candidate
             && candidate_is_other
-            && ctx.now().saturating_since(self.last_mx_change) > self.cfg.candidate_patience;
+            && ctx.now().saturating_since(self.last_mx_change) > patience;
         let mine = votes[self.me];
         // The best vote names this node for an epoch above its own, yet it
         // is not this node's vote: a peer's cell still holds a candidacy
@@ -1489,13 +1505,17 @@ impl AcuerdoNode {
 
     // ---- periodic push (Figure 6 lines 93–95 + heartbeat) -------------------------
     //
-    // Deviation (DESIGN §7): a row goes only to the nodes that read it. The
-    // leader's row (commit notification, heartbeat, GC horizon) goes to
-    // everyone every tick. A follower's has one reader, its leader (GC
-    // horizon, rejoin lows), and goes to it alone every
-    // `FOLLOWER_PUSH_PERIOD` ticks. An elector's is read by whoever wins
-    // (`seed_peer`), so it goes to everyone at that cadence, and at once as
-    // the election starts (`start_election`).
+    // Deviation (DESIGN §7): a row goes only to the nodes that read it, as
+    // often as they need it. The leader's row (commit notification,
+    // heartbeat, GC horizon) follows the payload route: every tick to the
+    // peers it streams frames to directly (the arm heads, and any peer under
+    // star fallback), and to every other peer once per
+    // `FOLLOWER_PUSH_PERIOD` ticks, staggered by peer index so no tick
+    // carries a burst. Under star every follower heads an arm. A follower's
+    // row has one reader, its leader (GC horizon, rejoin lows), and goes to
+    // it alone every `FOLLOWER_PUSH_PERIOD` ticks. An elector's is read by
+    // whoever wins (`seed_peer`), so it goes to everyone at that cadence,
+    // and at once as the election starts (`start_election`).
 
     fn push_commit(&mut self, ctx: &mut Ctx<AcWire>) {
         self.push_ticks += 1;
@@ -1511,11 +1531,25 @@ impl AcuerdoNode {
             self.commit_push_seq += 1;
         }
         self.write_commit_cell();
-        if self.role == Role::Follower {
-            let ldr = self.peers[self.e_cur.ldr as usize];
-            let _ = self.commit_sst.push_mine_to(ctx, &mut self.ep, ldr);
-        } else {
-            let _ = self.commit_sst.push_mine(ctx, &mut self.ep, &self.peers);
+        match self.role {
+            Role::Leader => {
+                for k in 0..self.cfg.n {
+                    let direct = self.arm_head[k] || self.fallback[k];
+                    let turn = (self.push_ticks + k as u64).is_multiple_of(FOLLOWER_PUSH_PERIOD);
+                    if k != self.me && (direct || turn) {
+                        let _ = self
+                            .commit_sst
+                            .push_mine_to(ctx, &mut self.ep, self.peers[k]);
+                    }
+                }
+            }
+            Role::Follower => {
+                let ldr = self.peers[self.e_cur.ldr as usize];
+                let _ = self.commit_sst.push_mine_to(ctx, &mut self.ep, ldr);
+            }
+            Role::Electing => {
+                let _ = self.commit_sst.push_mine(ctx, &mut self.ep, &self.peers);
+            }
         }
     }
 
@@ -1811,11 +1845,18 @@ impl AcuerdoNode {
             // A follower's polls read one Commit_SST cell, its leader's
             // (commit notification and heartbeat). The cells electors push
             // to everyone are read, on other roles, by election and desync
-            // checks.
-            RdmaPkt::Write { region, offset, .. } if self.role == Role::Follower => self
-                .commit_sst
-                .slot_at(region, offset)
-                .is_none_or(|k| k == self.e_cur.ldr as usize),
+            // checks. Its only Accept_SST read is its downstream peer's
+            // cell, in `flush_forwards`, which has nothing to do while the
+            // forward backlog is empty.
+            RdmaPkt::Write { region, offset, .. } if self.role == Role::Follower => {
+                if let Some(k) = self.commit_sst.slot_at(region, offset) {
+                    k == self.e_cur.ldr as usize
+                } else if self.accept_sst.slot_at(region, offset).is_some() {
+                    !self.fwd_backlog.is_empty()
+                } else {
+                    true
+                }
+            }
             _ => true,
         }
     }

@@ -313,6 +313,45 @@ fn push_tick_under_slot_reuse_on_commit() {
 }
 
 #[test]
+fn accept_cell_landing_on_a_forwarder_with_an_empty_backlog() {
+    // Ring of five, origin 0: node 1 forwards to node 2, and node 2 pushes
+    // its Accept_SST cell back to node 1 after every acceptance batch. By
+    // then node 1 has usually forwarded everything it had, and the cell is
+    // read only by `flush_forwards`, which returns at once on an empty
+    // backlog; the next frame to forward stirs node 1 by itself. Such a
+    // write must not stir it.
+    let cfg = AcuerdoConfig {
+        dissemination: DisseminationMode::Ring,
+        ..chaos_cfg(5)
+    };
+    let run = |naive: bool| {
+        let (mut sim, ids) = cluster(10, &cfg, naive, 8, 64);
+        let cell = |sim: &Sim<AcWire>| {
+            let n = sim.node::<AcuerdoNode>(1);
+            n.accept_sst.read(&n.ep, 2)
+        };
+        let mut quiet_landings = 0;
+        while sim.now() < SimTime::from_millis(2) {
+            let before = cell(&sim);
+            if !sim.step() {
+                break;
+            }
+            let n = sim.node::<AcuerdoNode>(1);
+            if cell(&sim) != before && n.fwd_backlog.is_empty() && !n.stirred {
+                quiet_landings += 1;
+            }
+        }
+        // 372 in the shipped run.
+        assert!(
+            naive || quiet_landings > 100,
+            "{quiet_landings} such landings"
+        );
+        finish(sim, &ids)
+    };
+    assert_same("forwarder's empty backlog", &run(false), &run(true));
+}
+
+#[test]
 fn frame_landing_in_a_ring_re_registered_by_refresh_inbound() {
     // Follower 2 reboots: it and its peers abandon their rings for freshly
     // registered regions (ids past the boot-time plan), and everything it

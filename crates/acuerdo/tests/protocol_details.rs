@@ -52,8 +52,13 @@ fn ring_followers_prune_below_the_leaders_gc_horizon() {
     // A follower's Commit_SST cell goes to its leader alone, so a follower
     // holds no fresh cell of its fellow followers to take a minimum over:
     // it prunes below the GC horizon its leader publishes. Sixteen nodes
-    // on the two-armed ring, no faults: each follower holds 23–32 entries
-    // after 3,252 commits; reading its mirrors instead, it held them all.
+    // on the two-armed ring, no faults: each follower holds 103–166 entries
+    // after 4,240–4,318 commits; reading its mirrors instead, it held them
+    // all. The window does not set that length: the 13 peers off the arm
+    // heads get the leader's row once per ten of its ticks, and this
+    // CPU-bound leader (10 B messages, window 16) ticks about every 36 us,
+    // so they learn a commit, and the horizon built from every follower's
+    // commit point, up to ~360 us late.
     let cfg = AcuerdoConfig {
         dissemination: acuerdo::DisseminationMode::Ring,
         ..AcuerdoConfig::stable(16)
@@ -70,6 +75,135 @@ fn ring_followers_prune_below_the_leaders_gc_horizon() {
             n.log_len(),
             n.delivered_count
         );
+    }
+}
+
+/// One push tick of leader 0: the peers it posted its Commit_SST row to,
+/// and the peers it was serving by star fallback at the time.
+struct Tick {
+    posted: Vec<simnet::NodeId>,
+    fallback: std::collections::BTreeSet<simnet::NodeId>,
+}
+
+/// Leader 0's next `ticks` push ticks (tracing on). A leader's only SST
+/// pushes are its commit row, and one engine step runs one handler, so a
+/// step that moves its `SstPushes` counter is a push tick and the `Send`s
+/// it traced are that tick's posts — all of them, unless a post to a dead
+/// peer found its send queue full. Fallback is followed through the
+/// leader's `ring_fallback_on`/`_off` events.
+fn leader_push_census(sim: &mut simnet::Sim<AcWire>, ticks: usize) -> Vec<Tick> {
+    let mut census = Vec::with_capacity(ticks);
+    let mut fallback = std::collections::BTreeSet::new();
+    while census.len() < ticks {
+        let (pushes, seen) = (sim.counter(0, Counter::SstPushes), sim.trace_events().len());
+        assert!(sim.step(), "the run ended");
+        let mut posted = Vec::new();
+        for e in &sim.trace_events()[seen..] {
+            match e {
+                simnet::TraceEvent::Send { src: 0, dst, .. } => posted.push(*dst),
+                simnet::TraceEvent::Proto { node: 0, ev, .. } => match ev.name {
+                    "ring_fallback_on" => drop(fallback.insert(ev.a as simnet::NodeId)),
+                    "ring_fallback_off" => drop(fallback.remove(&(ev.a as simnet::NodeId))),
+                    _ => {}
+                },
+                _ => {}
+            }
+        }
+        if sim.counter(0, Counter::SstPushes) > pushes {
+            census.push(Tick {
+                posted,
+                fallback: fallback.clone(),
+            });
+        }
+    }
+    census
+}
+
+/// How many ticks of `census` posted to `peer`.
+fn ticks_reaching(census: &[Tick], peer: simnet::NodeId) -> usize {
+    census.iter().filter(|t| t.posted.contains(&peer)).count()
+}
+
+#[test]
+fn leader_commit_row_follows_the_payload_route() {
+    // Sixteen nodes under load, 100 push ticks of leader 0. On the
+    // two-armed ring it streams payload to its arm heads 1 and 15 alone, and
+    // they get its row every tick; each of the 13 peers fed by forwards gets
+    // it once per `FOLLOWER_PUSH_PERIOD` (10) ticks, staggered by index, so
+    // no tick posts to more than ⌈13/10⌉ of them. Under star every follower
+    // heads an arm and gets the row every tick.
+    let census = |dissemination| {
+        let cfg = AcuerdoConfig {
+            dissemination,
+            ..AcuerdoConfig::stable(16)
+        };
+        let (mut sim, _ids, _client) =
+            cluster_with_client::<AcuerdoNode>(113, &cfg, 8, 64, Duration::ZERO);
+        sim.run_until(SimTime::from_millis(2));
+        assert!(sim.node::<AcuerdoNode>(0).delivered_count > 50, "no load");
+        sim.set_tracing(true);
+        let pushes = sim.counter(0, Counter::SstPushes);
+        let census = leader_push_census(&mut sim, 100);
+        let posted: usize = census.iter().map(|t| t.posted.len()).sum();
+        assert_eq!(posted as u64, sim.counter(0, Counter::SstPushes) - pushes);
+        assert!(census.iter().all(|t| t.fallback.is_empty()));
+        census
+    };
+    let ring = census(acuerdo::DisseminationMode::Ring);
+    for (i, tick) in ring.iter().enumerate() {
+        let heads = tick.posted.iter().filter(|&&k| k == 1 || k == 15).count();
+        assert_eq!(heads, 2, "tick {i} missed an arm head: {:?}", tick.posted);
+        assert!(tick.posted.len() <= 2 + 2, "tick {i}: {:?}", tick.posted);
+    }
+    for peer in 2..15 {
+        assert_eq!(ticks_reaching(&ring, peer), 10, "peer {peer}");
+    }
+    let star = census(acuerdo::DisseminationMode::Star);
+    let everyone: Vec<simnet::NodeId> = (1..16).collect();
+    assert!(star.iter().all(|t| t.posted == everyone));
+}
+
+#[test]
+fn a_peer_under_star_fallback_gets_the_commit_row_every_tick() {
+    // Ring of sixteen, origin 0: forwarder 2 crashes, so the clockwise arm
+    // stalls behind it and the leader streams to the stalled peers directly
+    // until each has caught up, at which point it forwards to the next
+    // again. While the leader streams to a peer, that peer gets its row
+    // every tick, like the arm heads; every other peer keeps the period.
+    // (The leader's posts to the dead node 2 stop once its send queue is
+    // full, with no completion to drain it.)
+    let cfg = AcuerdoConfig {
+        dissemination: acuerdo::DisseminationMode::Ring,
+        ..AcuerdoConfig::stable(16)
+    };
+    let (mut sim, _ids, _client) =
+        cluster_with_client::<AcuerdoNode>(114, &cfg, 8, 64, Duration::ZERO);
+    sim.crash_at(2, SimTime::from_millis(1));
+    sim.run_until(SimTime::from_millis(2));
+    sim.set_tracing(true);
+    let census = leader_push_census(&mut sim, 400);
+    assert!(sim.counter(0, Counter::RingFallbackSends) > 0);
+    let mut served = 0;
+    for (i, tick) in census.iter().enumerate() {
+        for &k in tick.fallback.iter().filter(|&&k| k != 2) {
+            assert!(
+                tick.posted.contains(&k),
+                "tick {i} skipped {k}: {:?}",
+                tick.posted
+            );
+            served += 1;
+        }
+        let periodic = tick.posted.iter().filter(|&&k| k != 1 && k != 15);
+        assert!(periodic.filter(|k| !tick.fallback.contains(k)).count() <= 2);
+    }
+    // Peer 3, right behind the dead forwarder, cycles through fallback
+    // every ~90 ticks for 6–7 ticks at a time: 39 rows in these 400 ticks.
+    assert!(
+        served > 30,
+        "only {served} rows went to peers under fallback"
+    );
+    for peer in 9..15 {
+        assert_eq!(ticks_reaching(&census, peer), 40, "peer {peer}");
     }
 }
 

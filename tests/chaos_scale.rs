@@ -164,6 +164,29 @@ fn chaos_sixteen_nodes_outbid_leader_abdicates() {
 }
 
 #[test]
+fn chaos_sixteen_nodes_elector_waits_for_a_won_vote() {
+    // Whole-cluster power failure on the two-armed ring, durable logs. The
+    // logs are long by the time it strikes, so the winner's full-log diffs
+    // take longer than `candidate_patience` (200 µs) to reach the last of
+    // its 15 electors: 8 of them outbid a vote that a quorum of identical
+    // cells already held, and every `detect_outbid` abdication repeated
+    // the same 8-vs-8 split until the horizon (`final=[0..0] FAIL
+    // CommittedEntryLost`). An elector now gives such a vote a whole
+    // `fail_timeout`, and both seeds converge.
+    for seed in [6, 9] {
+        assert_verdict(&ChaosOpts {
+            n: 16,
+            dissemination: DisseminationMode::Ring,
+            ..ChaosOpts::correlated_durable(
+                Proto::Acuerdo,
+                seed,
+                SimTime::from_millis(SWEEP_HORIZON_MS),
+            )
+        });
+    }
+}
+
+#[test]
 fn chaos_elector_ignores_a_heartbeat_that_merely_reset() {
     // Must stay green. A rebooted peer's commit cell restarts from zero,
     // which *changes* its heartbeat without any leader behind it. An elector
