@@ -18,7 +18,7 @@ use abcast::{App, MsgHdr};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use simnet::FastMap;
 
 /// A key-value update command.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -95,7 +95,7 @@ impl Op {
 #[derive(Default)]
 pub struct ReplicatedMap {
     /// The table.
-    pub map: HashMap<Bytes, Bytes>,
+    pub map: FastMap<Bytes, Bytes>,
     /// Operations applied.
     pub applied: u64,
     /// Payloads that failed to decode (should stay 0).

@@ -37,6 +37,20 @@ const WRAP: u32 = u32::MAX;
 /// Size of the split-mode message counter stored past the data area.
 const COUNTER_LEN: u64 = 8;
 
+/// `head` followed by `parts`, copied once into one buffer (the slice list
+/// itself stays on the stack for the one- and two-part frames callers send).
+fn frame_bytes(head: &[u8], parts: &[&[u8]]) -> Bytes {
+    let mut all: [&[u8]; 4] = [&[]; 4];
+    if parts.len() < all.len() {
+        all[0] = head;
+        all[1..=parts.len()].copy_from_slice(parts);
+        Bytes::from_parts(&all[..=parts.len()])
+    } else {
+        let all: Vec<&[u8]> = std::iter::once(head).chain(parts.iter().copied()).collect();
+        Bytes::from_parts(&all)
+    }
+}
+
 /// How frames are published to the receiver.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RingMode {
@@ -250,13 +264,10 @@ impl RingSender {
 
         let pos = (l.head_abs % cap) as u32;
         let seq = l.next_seq;
-        let mut frame = Vec::with_capacity(frame_len as usize);
-        frame.extend_from_slice(&(payload_len as u32 + 1).to_le_bytes());
-        frame.extend_from_slice(&seq.to_le_bytes());
-        for part in parts {
-            frame.extend_from_slice(part);
-        }
-        ep.post_write(ctx, dst, region, pos, Bytes::from(frame), kind)
+        let mut head = [0u8; FRAME_HDR as usize];
+        head[..4].copy_from_slice(&(payload_len as u32 + 1).to_le_bytes());
+        head[4..].copy_from_slice(&seq.to_le_bytes());
+        ep.post_write(ctx, dst, region, pos, frame_bytes(&head, parts), kind)
             .map_err(RingError::Post)?;
         if mode == RingMode::Split {
             ep.post_write(
@@ -861,6 +872,23 @@ mod tests {
         // Per-lane sequencing: both lanes started at seq 0.
         assert_eq!(g1[0].0, 0);
         assert_eq!(g2[0].0, 0);
+    }
+
+    #[test]
+    fn frame_bytes_prefixes_the_parts_however_many() {
+        for n in 0..6 {
+            let parts: Vec<&[u8]> = (0..n).map(|i| &b"abcdefgh"[i..i + 3]).collect();
+            let want: Vec<u8> = std::iter::once(&b"head"[..])
+                .chain(parts.iter().copied())
+                .flatten()
+                .copied()
+                .collect();
+            assert_eq!(
+                frame_bytes(b"head", &parts).as_ref(),
+                &want[..],
+                "{n} parts"
+            );
+        }
     }
 
     #[test]

@@ -885,13 +885,14 @@ pub struct ForensicsSnapshot {
 
 /// Online per-commit collector behind [`Probe::span_mark`]. Open records
 /// live in `BTreeMap`s keyed by span id so covering-mark inheritance is a
-/// range scan and eviction order is deterministic.
+/// range scan and eviction order is deterministic; they are boxed (about
+/// 1 KiB each) so inserts and node splits move pointers, not records.
 #[derive(Debug, Default)]
 struct ForensicsCollector {
     /// Client-space records that no ordering node has adopted yet.
-    client: std::collections::BTreeMap<u64, CommitForensics>,
+    client: std::collections::BTreeMap<u64, Box<CommitForensics>>,
     /// Message-space records (post-join they carry the client id in `id`).
-    msgs: std::collections::BTreeMap<u64, CommitForensics>,
+    msgs: std::collections::BTreeMap<u64, Box<CommitForensics>>,
     /// client-space id -> message-space id, installed at the LeaderRecv
     /// join so the ClientResp mark can find the adopted record.
     alias: std::collections::BTreeMap<u64, u64>,
@@ -917,10 +918,10 @@ impl ForensicsCollector {
     /// enough, the outlier ring. Replacement is deterministic: the current
     /// minimum (ties toward the earliest-captured entry) is evicted only by
     /// a strictly slower commit.
-    fn finalize(&mut self, rec: CommitForensics) {
+    fn finalize(&mut self, rec: Box<CommitForensics>) {
         self.commits += 1;
         if self.outliers.len() < OUTLIER_RING_DEPTH {
-            self.outliers.push(rec);
+            self.outliers.push(*rec);
             return;
         }
         let (mi, min_lat) = self
@@ -931,7 +932,7 @@ impl ForensicsCollector {
             .min_by_key(|&(i, lat)| (lat, i))
             .expect("ring is non-empty");
         if rec.latency_ns > min_lat {
-            self.outliers[mi] = rec;
+            self.outliers[mi] = *rec;
         }
     }
 }
@@ -1057,6 +1058,8 @@ pub const FLIGHT_RECORDER_DEPTH: usize = 256;
 #[derive(Debug)]
 pub struct Probe {
     enabled: bool,
+    /// Rows every per-node table holds: `ensure_node`'s one comparison.
+    rows: usize,
     events: Vec<TraceEvent>,
     counters: Vec<CounterSet>,
     gauges: Vec<GaugeSet>,
@@ -1090,6 +1093,7 @@ impl Default for Probe {
     fn default() -> Self {
         Probe {
             enabled: false,
+            rows: 0,
             events: Vec::new(),
             counters: Vec::new(),
             gauges: Vec::new(),
@@ -1126,6 +1130,15 @@ impl Probe {
     /// and without resetting earlier tallies.
     #[inline]
     fn ensure_node(&mut self, node: NodeId) {
+        if node >= self.rows {
+            self.grow_rows(node);
+        }
+    }
+
+    /// The growth half of [`Probe::ensure_node`], off the hot path.
+    #[cold]
+    #[inline(never)]
+    fn grow_rows(&mut self, node: NodeId) {
         if node >= self.counters.len() {
             self.counters.resize(node + 1, CounterSet::default());
         }
@@ -1144,6 +1157,7 @@ impl Probe {
         if node >= self.forensics.straggler_quorums.len() {
             self.forensics.straggler_quorums.resize(node + 1, 0);
         }
+        self.rows = node + 1;
     }
 
     /// Register a counter row for a newly spawned node.
@@ -1468,11 +1482,11 @@ impl Probe {
                         rec.retransmits += 1;
                         rec.last_submit_ns = mark.at_ns;
                     } else {
-                        let mut rec = CommitForensics {
+                        let mut rec = Box::new(CommitForensics {
                             id,
                             last_submit_ns: mark.at_ns,
                             ..CommitForensics::default()
-                        };
+                        });
                         rec.marks[SpanStage::Submit as usize] = Some(mark);
                         f.client.insert(id, rec);
                         if f.client.len() > FORENSICS_OPEN_CAP {
@@ -1511,9 +1525,11 @@ impl Probe {
         if stage == SpanStage::LeaderRecv && arg != 0 && arg >> 63 == 0 {
             // The ordering node joined the spaces: adopt the client record.
             if !f.msgs.contains_key(&id) {
-                let mut rec = f.client.remove(&arg).unwrap_or_else(|| CommitForensics {
-                    id: arg,
-                    ..CommitForensics::default()
+                let mut rec = f.client.remove(&arg).unwrap_or_else(|| {
+                    Box::new(CommitForensics {
+                        id: arg,
+                        ..CommitForensics::default()
+                    })
                 });
                 rec.id = arg;
                 rec.msg_id = id;
