@@ -23,11 +23,16 @@
 //! * Large recovery diffs are split into consecutive parts on the FIFO ring
 //!   and applied atomically once complete (see `msg`).
 //! * The periodic Commit_SST push (Figure 6 lines 93–95) goes only to the
-//!   nodes that read it: a follower's cell to its leader, whose own row
-//!   adds the GC horizon the followers prune below and follows the payload
-//!   route (every tick to the peers it streams frames to, once per push
-//!   period to the peers that get them forwarded); an elector's cell to
-//!   everyone, from the instant the election starts (`push_commit`).
+//!   nodes that read it, when they need it: a follower's cell to its
+//!   leader, whose own row adds the GC horizon the followers prune below
+//!   and goes to a peer it streams frames to whenever it carries news, and
+//!   to every peer on that peer's heartbeat turn once per push period; an
+//!   elector's cell to everyone, from the instant the election starts
+//!   (`push_commit`).
+//! * The leader accepts its own proposal where it makes it
+//!   (`accept_in_place`) instead of through a ring write to itself, a poll
+//!   and an Accept_SST update; only the frames ingested before its own
+//!   epoch diff landed go round its loopback lane.
 //!
 //! ## Rejoin and stream resynchronization
 //!
@@ -162,8 +167,19 @@ fn encode_wal_cut(cut: MsgHdr, e: Epoch) -> Vec<u8> {
     v.extend_from_slice(&e.ldr.to_le_bytes());
     v
 }
+/// Count and trace an acceptance (a frame's, or the leader's own in place).
+fn note_accept(ctx: &mut Ctx<AcWire>, hdr: MsgHdr) {
+    ctx.count(Counter::Accepts, 1);
+    ctx.trace(
+        Event::new("accept")
+            .a(u64::from(hdr.epoch.round))
+            .b(u64::from(hdr.cnt)),
+    );
+}
+
 /// Followers push their Commit_SST cell to their leader (who reads it for the
-/// GC horizon) every this many push ticks.
+/// GC horizon) every this many push ticks, and a leader posts its row to
+/// each peer at least this often.
 const FOLLOWER_PUSH_PERIOD: u64 = 10;
 
 /// Extra star-fallback patience the leader grants per arm hop. One
@@ -261,6 +277,9 @@ pub struct AcuerdoNode {
     origin: simnet::FastMap<MsgHdr, (NodeId, u64)>,
     commit_push_seq: u64,
     push_ticks: u64,
+    /// `(committed, horizon)` of the leader's row as each peer last got it
+    /// (`None`: unknown, so the next tick has news for it).
+    pushed: Vec<Option<(MsgHdr, MsgHdr)>>,
 
     // Failure detection / election.
     last_leader_activity: SimTime,
@@ -450,6 +469,7 @@ impl AcuerdoNode {
             origin: simnet::FastMap::default(),
             commit_push_seq: 0,
             push_ticks: 0,
+            pushed: vec![None; n],
             last_leader_activity: SimTime::ZERO,
             last_hb_seen: 0,
             last_mx: Vote::default(),
@@ -531,6 +551,24 @@ impl AcuerdoNode {
         self.accepted
     }
 
+    /// `(committed, GC horizon)` of this node's own Commit_SST row as last
+    /// written (the horizon is `MsgHdr::ZERO` outside the leader role).
+    pub fn commit_row(&self) -> (MsgHdr, MsgHdr) {
+        let cell = self.commit_sst.mine(&self.ep);
+        (cell.committed, cell.horizon)
+    }
+
+    /// What a leader last posted of its row to peer `k`, if it knows.
+    pub fn row_pushed_to(&self, k: usize) -> Option<(MsgHdr, MsgHdr)> {
+        self.pushed[k]
+    }
+
+    /// Push ticks run so far; peer `k`'s heartbeat turn is every tick `t`
+    /// with `(t + k) mod FOLLOWER_PUSH_PERIOD = 0`.
+    pub fn push_ticks(&self) -> u64 {
+        self.push_ticks
+    }
+
     /// Log length (for GC tests).
     pub fn log_len(&self) -> usize {
         self.log.len()
@@ -578,7 +616,28 @@ impl AcuerdoNode {
         }
         self.log.insert(hdr, req.payload);
         self.origin.insert(hdr, (from, req.id));
+        // Nothing ahead of it on the loopback lane: every earlier count was
+        // accepted and its own epoch diff has landed (frames written to the
+        // lane but not yet polled, or still queued, leave `accepted` below
+        // them).
+        if hdr == self.accepted.next() {
+            self.accept_in_place(ctx, hdr);
+        }
         self.flush_all(ctx);
+    }
+
+    /// The leader's acceptance of its own proposal, after the durable
+    /// append and fsync `on_client_request` already did: its Accept_SST
+    /// cell is in its own memory, so nothing rides the loopback lane. It
+    /// leaves no `FollowerAccept` mark: it precedes the ring writes that
+    /// carry the entry out, and that stage times the followers.
+    fn accept_in_place(&mut self, ctx: &mut Ctx<AcWire>, hdr: MsgHdr) {
+        debug_assert_eq!(self.out[self.me].next_cnt, hdr.cnt, "loopback lane behind");
+        self.out[self.me].next_cnt = hdr.cnt + 1;
+        self.accepted = hdr;
+        note_accept(ctx, hdr);
+        self.accept_sst.write_mine(&mut self.ep, &self.accepted);
+        self.acks_touched = true;
     }
 
     /// Push backlog (diff parts first, then log entries) into every peer's
@@ -739,12 +798,7 @@ impl AcuerdoNode {
         self.accepted = hdr;
         self.last_leader_activity = ctx.now();
         ctx.span(hdr_span(&hdr), SpanStage::FollowerAccept, lane as u64);
-        ctx.count(Counter::Accepts, 1);
-        ctx.trace(
-            Event::new("accept")
-                .a(u64::from(hdr.epoch.round))
-                .b(u64::from(hdr.cnt)),
-        );
+        note_accept(ctx, hdr);
         // Queue the one-hop forward unless this node ends its arm (or is
         // the origin, which streams to the arm heads instead).
         if self.route_from(hdr.epoch.ldr as usize).downstream.is_some() {
@@ -1036,13 +1090,14 @@ impl AcuerdoNode {
     /// newly visible acknowledgment on each message's lifecycle. Acks are
     /// cumulative (one cell covers every earlier count of its epoch), so a
     /// single `ack_visible` mark per advance suffices — lifecycle assembly
-    /// inherits it downward exactly as the commit rule does. Run only when
-    /// a cell may have moved (`acks_touched`).
+    /// inherits it downward exactly as the commit rule does. The leader's
+    /// own cell gets no mark: it moves when the leader accepts, before any
+    /// follower can. Run only when a cell may have moved (`acks_touched`).
     fn observe_acks(&mut self, ctx: &mut Ctx<AcWire>) {
         for k in 0..self.cfg.n {
             let a = self.accept_sst.read(&self.ep, k);
             if a > self.ack_seen[k] {
-                if a.cnt != 0 {
+                if a.cnt != 0 && k != self.me {
                     ctx.span(hdr_span(&a), SpanStage::AckVisible, k as u64);
                 }
                 self.ack_seen[k] = a;
@@ -1420,6 +1475,8 @@ impl AcuerdoNode {
         // scan re-marks any segment that is still dead.
         self.fallback.fill(false);
         self.lag_since.fill(ctx.now());
+        // Whatever a peer holds of this node's row dates from before.
+        self.pushed.fill(None);
         ctx.count(Counter::ElectionsWon, 1);
         ctx.trace(Event::new("leader_elected").a(u64::from(self.e_new.round)));
         self.awaiting_ready = true;
@@ -1507,11 +1564,13 @@ impl AcuerdoNode {
     //
     // Deviation (DESIGN §7): a row goes only to the nodes that read it, as
     // often as they need it. The leader's row (commit notification,
-    // heartbeat, GC horizon) follows the payload route: every tick to the
-    // peers it streams frames to directly (the arm heads, and any peer under
-    // star fallback), and to every other peer once per
-    // `FOLLOWER_PUSH_PERIOD` ticks, staggered by peer index so no tick
-    // carries a burst. Under star every follower heads an arm. A follower's
+    // heartbeat, GC horizon) goes to every peer on its heartbeat turn, once
+    // per `FOLLOWER_PUSH_PERIOD` ticks, staggered by peer index so no tick
+    // carries a burst; and on any tick at which its `(committed, horizon)`
+    // differs from what the peer last got, to the peers it streams frames to
+    // directly (the arm heads, and any peer under star fallback; under star,
+    // every follower). A peer fed by forwards learns a commit on its turn:
+    // nothing on a client's path waits for it. A follower's
     // row has one reader, its leader (GC horizon, rejoin lows), and goes to
     // it alone every `FOLLOWER_PUSH_PERIOD` ticks. An elector's is read by
     // whoever wins (`seed_peer`), so it goes to everyone at that cadence,
@@ -1530,16 +1589,21 @@ impl AcuerdoNode {
         if is_leader {
             self.commit_push_seq += 1;
         }
-        self.write_commit_cell();
+        let cell = self.write_commit_cell();
         match self.role {
             Role::Leader => {
+                let row = Some((cell.committed, cell.horizon));
                 for k in 0..self.cfg.n {
-                    let direct = self.arm_head[k] || self.fallback[k];
                     let turn = (self.push_ticks + k as u64).is_multiple_of(FOLLOWER_PUSH_PERIOD);
-                    if k != self.me && (direct || turn) {
-                        let _ = self
+                    let news = (self.arm_head[k] || self.fallback[k]) && self.pushed[k] != row;
+                    if k != self.me
+                        && (turn || news)
+                        && self
                             .commit_sst
-                            .push_mine_to(ctx, &mut self.ep, self.peers[k]);
+                            .push_mine_to(ctx, &mut self.ep, self.peers[k])
+                            .is_ok()
+                    {
+                        self.pushed[k] = row;
                     }
                 }
             }
@@ -1555,7 +1619,7 @@ impl AcuerdoNode {
 
     /// Write this node's own Commit_SST row. A leader's carries the GC
     /// horizon: its own commit point and every follower's, as last pushed.
-    fn write_commit_cell(&mut self) {
+    fn write_commit_cell(&mut self) -> CommitCell {
         let horizon = if self.role == Role::Leader {
             (0..self.cfg.n)
                 .filter(|&k| k != self.me)
@@ -1570,6 +1634,7 @@ impl AcuerdoNode {
             horizon,
         };
         self.commit_sst.write_mine(&mut self.ep, &cell);
+        cell
     }
 
     // ---- rejoin / stream resynchronization (module docs) ---------------------------
@@ -1648,6 +1713,8 @@ impl AcuerdoNode {
         self.ep.reset_connection(self.peers[j]);
         self.out_ring.retarget_lane(self.peers[j], ring);
         self.out[j] = PeerOut::new();
+        // It zeroed its mirror of our row along with the others.
+        self.pushed[j] = None;
         if self.route_from(self.e_cur.ldr as usize).downstream == Some(j) {
             // Our downstream node tore its ring down: in-flight forwards
             // died with it (their lane just restarted from zero above). The

@@ -352,6 +352,80 @@ fn accept_cell_landing_on_a_forwarder_with_an_empty_backlog() {
 }
 
 #[test]
+fn quiet_followers_crossing_the_fail_timeout() {
+    // An idle cluster whose leader dies: both followers are on the idle
+    // path, and the poll that crosses `fail_timeout` must be a full one, at
+    // the instant the always-full loop runs it. The instants are pinned in
+    // `quiet_follower_suspects_a_dead_leader_at_the_same_instant`.
+    let cfg = AcuerdoConfig {
+        fail_timeout: Duration::from_micros(500),
+        ..AcuerdoConfig::stable(3)
+    };
+    let run = |naive: bool| {
+        let mut sim = Sim::new(106, NetParams::rdma());
+        let ids = build_cluster(&mut sim, &cfg);
+        for &id in &ids {
+            sim.node_mut::<AcuerdoNode>(id).naive = naive;
+        }
+        sim.set_tracing(true);
+        sim.set_gauge_sampling(Duration::from_micros(1));
+        sim.crash_at(0, SimTime::from_millis(2));
+        sim.run_until(SimTime::from_millis(6));
+        assert_eq!(sim.counter(1, Counter::Elections), 1);
+        finish(sim, &ids)
+    };
+    assert_same("quiet followers", &run(false), &run(true));
+}
+
+#[test]
+fn requests_ingested_before_the_new_leaders_own_diff() {
+    // Leader 0 dies under a retransmitting client that falls back to
+    // broadcasting, and the survivors' loopback lanes run 20 us slow, so
+    // the winner's own epoch diff lands there well after it won. Five
+    // requests that reach it in between go round its lane behind the diff;
+    // once they are in, it accepts the client's traffic in place.
+    let cfg = chaos_cfg(3);
+    let run = |naive: bool| {
+        let (mut sim, ids) = cluster(11, &cfg, naive, 8, 64);
+        let client = ids.len();
+        for k in [1, 2] {
+            sim.add_link_latency(k, k, Duration::from_micros(20), SimTime::from_millis(5));
+        }
+        sim.crash_at(0, SimTime::from_millis(1));
+        let leader = loop {
+            assert!(sim.step(), "nobody won");
+            if let Some(&k) = ids[1..]
+                .iter()
+                .find(|&&k| sim.node::<AcuerdoNode>(k).role() == Role::Leader)
+            {
+                break k;
+            }
+        };
+        for i in 0..5 {
+            let id = 1_000_000 + i;
+            let req = ClientReq {
+                id,
+                payload: abcast::workload::payload(id, 64),
+            };
+            let delay = Duration::from_micros(1 + i);
+            sim.inject(client, leader, DeliveryClass::Cpu, delay, AcWire::Req(req));
+        }
+        sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
+        sim.run_until(SimTime::from_millis(4));
+        let via_lane = sim
+            .trace_events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Send { src, dst, .. } if *src == leader && *dst == leader))
+            .count();
+        assert_eq!(via_lane, 1 + 5, "the diff and the five early frames");
+        let n = sim.node::<AcuerdoNode>(leader);
+        assert!(n.accepted().cnt > 100, "nothing accepted in place");
+        finish(sim, &ids)
+    };
+    assert_same("early requests", &run(false), &run(true));
+}
+
+#[test]
 fn frame_landing_in_a_ring_re_registered_by_refresh_inbound() {
     // Follower 2 reboots: it and its peers abandon their rings for freshly
     // registered regions (ids past the boot-time plan), and everything it

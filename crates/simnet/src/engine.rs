@@ -1758,6 +1758,39 @@ mod tests {
     }
 
     #[test]
+    fn cpu_fifo_holds_at_delivery_not_at_dispatch_to_a_held_node() {
+        // One sender's A and B, sent in that order: A arrives 51 ns before
+        // the node frees up at 50 us and is deferred there under a fresh
+        // `seq`; B arrives exactly at 50 us under the `seq` it was filed
+        // with when sent, which is older, so B runs first and A after it.
+        // A durable Acuerdo leader ingested two client requests this way,
+        // A arriving during a 60 ns idle poll (`tests/durability.rs`). The
+        // per-event path does the same.
+        for per_event_only in [false, true] {
+            let log = Log::default();
+            let mut s = sim();
+            s.per_event_only = per_event_only;
+            let w = worker(&mut s, &log, 50, 5);
+            for (at_ns, m) in [(49_949, 'A'), (50_000, 'B')] {
+                s.inject(
+                    9,
+                    w,
+                    DeliveryClass::Cpu,
+                    Duration::from_nanos(at_ns),
+                    m as u32,
+                );
+            }
+            s.run_until(SimTime::from_millis(1));
+            let got: Vec<(u64, u32)> = log.borrow().iter().map(|&(t, _, m)| (t, m)).collect();
+            assert_eq!(
+                got,
+                [(50_000, 'B' as u32), (55_000, 'A' as u32)],
+                "per_event_only {per_event_only}"
+            );
+        }
+    }
+
+    #[test]
     fn crash_and_restart_drop_a_run_like_single_events() {
         // Three messages wait for a node that crashes before it frees up.
         let run = |restart: bool| {

@@ -33,9 +33,8 @@ fn crash_restart_run_with(
     let (mut sim, ids, client) =
         cluster_with_client::<acuerdo::AcuerdoNode>(7, &cfg, window, 32, Duration::ZERO);
     acuerdo::enable_restarts(&mut sim, &cfg, &ids);
-    // Inert retransmit: the leader never crashes in this schedule, so the
-    // client's ingest order (and with it the payload sequence) is identical
-    // across durability modes even though fsync charges shift the clock.
+    // Inert retransmit: the leader never crashes in this schedule, so no
+    // request reaches it twice.
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(100));
     sim.crash_at(2, SimTime::from_millis(10));
     sim.restart_at(2, SimTime::from_millis(15));
@@ -44,12 +43,12 @@ fn crash_restart_run_with(
     let hs = acuerdo::histories(&sim, &ids);
     assert_eq!(hs.len(), 5, "everyone is live at the horizon");
     let recovered_len = hs[2].len();
-    // Within-run: the restarted replica's history is a prefix of the longest.
-    let longest = hs.iter().max_by_key(|h| h.len()).expect("nonempty").clone();
+    // Within-run: the restarted replica's history, headers and payloads, is
+    // a prefix of its leader's (replica 0 leads throughout).
     assert_eq!(
-        &longest[..recovered_len],
+        &hs[0][..recovered_len],
         &hs[2][..],
-        "restarted replica diverged from the cluster prefix"
+        "restarted replica diverged from its leader's prefix"
     );
     let wal_records = sim.counter(2, Counter::WalRecoveredRecords);
     let payloads = hs
@@ -59,11 +58,17 @@ fn crash_restart_run_with(
     (payloads, recovered_len, wal_records)
 }
 
-/// Satellite: a replica recovered from its durable log must converge to
-/// byte-identical delivered state vs a fresh-state rejoiner (volatile mode,
-/// re-seeded by the leader's retained log) on the same seed. Headers may
-/// differ across modes — fsync charges shift election timing — but the
-/// delivered payload sequence is the state machine's input and must match.
+/// Satellite: a replica recovered from its durable log must converge to its
+/// own run's leader byte for byte (`crash_restart_run_with`), and to the
+/// state a fresh-state rejoiner (volatile mode, re-seeded by the leader's
+/// retained log) reaches on the same seed. Across the two modes only the
+/// set of payloads is comparable, not their order: fsync charges shift the
+/// durable leader's clock, and a held node can dispatch two client
+/// requests in the opposite order to their arrival (Cpu-class FIFO holds
+/// at delivery, not at dispatch to a held node; DESIGN §11). At seed 7 the
+/// durable leader ingests id 7904 before 7903, which the client sent 50 ns
+/// earlier. So over their common prefix the two modes must deliver the same
+/// payloads, each once.
 #[test]
 fn acuerdo_recovery_equivalence_durable_vs_fresh_rejoin() {
     let (durable, durable_len, durable_wal) = crash_restart_run(DurabilityMode::Durable);
@@ -76,10 +81,19 @@ fn acuerdo_recovery_equivalence_durable_vs_fresh_rejoin() {
     );
     let k = durable[2].len().min(fresh[2].len());
     assert!(k > 100, "common prefix too short to be meaningful ({k})");
+    fn sorted(h: &[Bytes]) -> Vec<&[u8]> {
+        let mut v: Vec<&[u8]> = h.iter().map(|p| p.as_ref()).collect();
+        v.sort_unstable();
+        v
+    }
+    let (d, f) = (sorted(&durable[2][..k]), sorted(&fresh[2][..k]));
+    assert!(
+        d.windows(2).all(|w| w[0] != w[1]),
+        "a payload delivered twice"
+    );
     assert_eq!(
-        &durable[2][..k],
-        &fresh[2][..k],
-        "durable recovery and fresh rejoin delivered different payload sequences"
+        d, f,
+        "durable recovery and fresh rejoin delivered different payloads"
     );
 }
 
