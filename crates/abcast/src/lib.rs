@@ -20,6 +20,8 @@
 //!   so the protocol-agnostic harness can build, drive and check it;
 //! * [`spans`]: assembly of recorded lifecycle span marks into per-message
 //!   lifecycles (`submit → … → client_resp`);
+//! * [`wal`]: the durable modes' journal: one record format, one replay
+//!   driver, and the promise floor every durable protocol must restore;
 //! * [`workload`]: payload generators, including the YCSB-load zipfian
 //!   (θ = 0.99) key distribution of §4.3.
 
@@ -31,13 +33,14 @@ pub mod replica;
 pub mod spans;
 pub mod stats;
 pub mod types;
+pub mod wal;
 pub mod workload;
 
 pub use app::{App, DeliveryLog};
 pub use check::{check_histories, AuditReport, Auditor, DurabilityAuditor, Violation};
 pub use client::{ClientPort, ClientReq, ClientResp, OpenLoopClient, WindowClient};
 pub use forensics::{blame, Blame, BlameCause};
-pub use replica::{check_cluster, cluster_with_client, histories, Replica};
+pub use replica::{check_cluster, cluster_with_client, enable_restarts, histories, Replica};
 pub use spans::{hdr_span, Lifecycle};
 pub use stats::{LatencyHist, RunResult, StageClass, StageHist};
 pub use types::{Epoch, MsgHdr, Vote};

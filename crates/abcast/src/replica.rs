@@ -1,7 +1,7 @@
 //! The harness's view of a protocol: one [`Replica`] impl per node type is
 //! everything a protocol-agnostic driver needs to build a cluster, aim a
-//! client at it, and judge its delivery histories afterwards. Adding a
-//! system to the benchmark and chaos harnesses is one `impl Replica`.
+//! client at it, restart it, and judge its delivery histories afterwards.
+//! Adding a system to the harnesses is one `impl Replica`.
 
 use crate::app::{App, DeliveryLog};
 use crate::check::{check_histories, Violation};
@@ -12,11 +12,11 @@ use simnet::{NetParams, NodeId, Process, Sim};
 use std::time::Duration;
 
 /// A protocol node as the harness sees it.
-pub trait Replica: Process<Self::Wire> + Sized {
+pub trait Replica: Process<Self::Wire> + Sized + 'static {
     /// The protocol's wire message type.
     type Wire: ClientPort;
     /// The protocol's configuration.
-    type Config;
+    type Config: Clone;
 
     /// The network preset the system runs over (RDMA fabric or kernel TCP).
     fn net() -> NetParams;
@@ -24,6 +24,13 @@ pub trait Replica: Process<Self::Wire> + Sized {
     /// Build the benchmark-setup cluster for `cfg` (stable leader preset
     /// where the protocol has one); replicas occupy simulation ids `0..n`.
     fn build_cluster(sim: &mut Sim<Self::Wire>, cfg: &Self::Config) -> Vec<NodeId>;
+
+    /// The process a crash-restart of replica `id` boots, or `None` (the
+    /// default) without a restart path. It replays any durable journal
+    /// itself, in `on_start` (`wal::recover`).
+    fn rejoiner(_cfg: &Self::Config, _id: NodeId) -> Option<Self> {
+        None
+    }
 
     /// Re-aim the client where `cfg` puts the load. The default leaves it
     /// at replica 0, where every preset leader boots.
@@ -61,6 +68,18 @@ pub fn cluster_with_client<R: Replica>(
     R::aim_client(cfg, &ids, &mut client);
     let client = sim.add_node(Box::new(client));
     (sim, ids, client)
+}
+
+/// Register [`Replica::rejoiner`] as the restart factory of every replica in
+/// `ids`, so `Sim::restart_at` brings a crashed one back. `R` must have a
+/// rejoiner; a restart of one that has none panics.
+pub fn enable_restarts<R: Replica>(sim: &mut Sim<R::Wire>, cfg: &R::Config, ids: &[NodeId]) {
+    for &id in ids {
+        let cfg = cfg.clone();
+        sim.set_restart_factory(id, move || {
+            Box::new(R::rejoiner(&cfg, id).expect("the protocol has no rejoiner"))
+        });
+    }
 }
 
 /// Delivery histories of every live, in-group replica (for the §2.2

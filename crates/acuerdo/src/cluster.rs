@@ -23,20 +23,11 @@ pub fn build_cluster(sim: &mut Sim<AcWire>, cfg: &AcuerdoConfig) -> Vec<NodeId> 
 }
 
 /// Register restart factories so `Sim::restart_at` brings a crashed replica
-/// back as a rejoiner ([`AcuerdoNode::rejoining`]): resync handshake instead
-/// of a start-up election. In volatile mode the rejoiner starts with an
-/// empty log and epoch zero; in durable mode `on_start` first replays the
-/// node's persistent log, so its recovered `accepted` re-enters elections
-/// with its true weight. The fault harness calls this once after
-/// [`build_cluster`]; volatile configs should set `retain_log` so the
-/// survivors can re-seed the full history.
+/// back as a rejoiner ([`AcuerdoNode::rejoining`]; `abcast::enable_restarts`).
+/// Volatile configs should set `retain_log` so the survivors can re-seed the
+/// full history.
 pub fn enable_restarts(sim: &mut Sim<AcWire>, cfg: &AcuerdoConfig, ids: &[NodeId]) {
-    for &id in ids {
-        let cfg = cfg.clone();
-        sim.set_restart_factory(id, move || {
-            Box::new(AcuerdoNode::rejoining(cfg.clone(), id))
-        });
-    }
+    abcast::enable_restarts::<AcuerdoNode>(sim, cfg, ids);
 }
 
 impl Replica for AcuerdoNode {
@@ -49,6 +40,10 @@ impl Replica for AcuerdoNode {
 
     fn build_cluster(sim: &mut Sim<AcWire>, cfg: &AcuerdoConfig) -> Vec<NodeId> {
         build_cluster(sim, cfg)
+    }
+
+    fn rejoiner(cfg: &AcuerdoConfig, id: NodeId) -> Option<Self> {
+        Some(AcuerdoNode::rejoining(cfg.clone(), id))
     }
 
     /// The cluster boots directly into `cfg.initial_epoch` when one is set,

@@ -54,6 +54,7 @@
 use crate::config::{AcuerdoConfig, RingRoute};
 use crate::msg::{self, Frame};
 use abcast::client::RESP_WIRE;
+use abcast::wal;
 use abcast::{hdr_span, App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Vote};
 use bytes::Bytes;
 use rdma_prims::{FixedCodec, RingError, RingReceiver, RingSender, Sst};
@@ -125,48 +126,19 @@ const DELIVER_COST: Duration = Duration::from_nanos(100);
 /// Log entries a leader holds before it starts refusing client requests.
 const MAX_CLIENT_BACKLOG: usize = 1 << 20;
 
-// ---- persistent-log record format (durable mode) ----------------------------
+// ---- journal records (durable mode, `abcast::wal`) --------------------------
 //
-// Durable mode journals the log to the node's simulated persistent-log device
-// so a restarted replica recovers its accepted state instead of rejoining
-// empty. Replay is order-sensitive: entry records re-insert by header, and a
-// cut record replays the uncommitted-suffix truncation `apply_diff` performs.
+// Durable mode journals the log so a restarted replica recovers its accepted
+// state instead of rejoining empty. Replay is order-sensitive: entry records
+// re-insert by header, and a cut record replays the uncommitted-suffix
+// truncation `apply_diff` performs.
 
-/// Entry record: `[tag, hdr(12), payload...]`.
-const REC_ENTRY: u8 = 1;
-/// Truncation record: `[tag, cut_hdr(12), diff_epoch(8)]` — replay removes
-/// log entries in `[cut, (epoch, 0))`.
-const REC_CUT: u8 = 2;
+/// An accepted entry: its header, then its payload.
+const WAL_ENTRY: wal::Kind<MsgHdr> = wal::Kind::new(1);
+/// A truncation, `(cut, e)`: replay removes the log entries in
+/// `[cut, (e, 0))`, as the diff of epoch `e` did.
+const WAL_CUT: wal::Kind<(MsgHdr, Epoch)> = wal::Kind::new(2);
 
-fn put_wal_hdr(v: &mut Vec<u8>, h: MsgHdr) {
-    v.extend_from_slice(&h.epoch.round.to_le_bytes());
-    v.extend_from_slice(&h.epoch.ldr.to_le_bytes());
-    v.extend_from_slice(&h.cnt.to_le_bytes());
-}
-
-fn get_wal_hdr(b: &[u8]) -> MsgHdr {
-    let round = u32::from_le_bytes(b[0..4].try_into().expect("round"));
-    let ldr = u32::from_le_bytes(b[4..8].try_into().expect("ldr"));
-    let cnt = u32::from_le_bytes(b[8..12].try_into().expect("cnt"));
-    MsgHdr::new(Epoch::new(round, ldr), cnt)
-}
-
-fn encode_wal_entry(hdr: MsgHdr, payload: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(13 + payload.len());
-    v.push(REC_ENTRY);
-    put_wal_hdr(&mut v, hdr);
-    v.extend_from_slice(payload);
-    v
-}
-
-fn encode_wal_cut(cut: MsgHdr, e: Epoch) -> Vec<u8> {
-    let mut v = Vec::with_capacity(21);
-    v.push(REC_CUT);
-    put_wal_hdr(&mut v, cut);
-    v.extend_from_slice(&e.round.to_le_bytes());
-    v.extend_from_slice(&e.ldr.to_le_bytes());
-    v
-}
 /// Count and trace an acceptance (a frame's, or the leader's own in place).
 fn note_accept(ctx: &mut Ctx<AcWire>, hdr: MsgHdr) {
     ctx.count(Counter::Accepts, 1);
@@ -610,10 +582,8 @@ impl AcuerdoNode {
         );
         // Append-before-ack on the leader's own hot path: the entry hits the
         // persistent log before the ring writes that solicit follower acks.
-        if self.cfg.durability.is_durable() {
-            ctx.log_append(&encode_wal_entry(hdr, &req.payload));
-            ctx.log_fsync();
-        }
+        WAL_ENTRY.append(ctx, self.cfg.durability, &hdr, &req.payload);
+        wal::fsync(ctx, self.cfg.durability);
         self.log.insert(hdr, req.payload);
         self.origin.insert(hdr, (from, req.id));
         // Nothing ahead of it on the loopback lane: every earlier count was
@@ -792,9 +762,7 @@ impl AcuerdoNode {
     /// stages the entry; the fsync barrier lands in `push_accept`, before the
     /// ack becomes visible.
     fn accept_frame(&mut self, ctx: &mut Ctx<AcWire>, lane: usize, hdr: MsgHdr, payload: Bytes) {
-        if self.cfg.durability.is_durable() {
-            ctx.log_append(&encode_wal_entry(hdr, &payload));
-        }
+        WAL_ENTRY.append(ctx, self.cfg.durability, &hdr, &payload);
         self.accepted = hdr;
         self.last_leader_activity = ctx.now();
         ctx.span(hdr_span(&hdr), SpanStage::FollowerAccept, lane as u64);
@@ -946,9 +914,7 @@ impl AcuerdoNode {
     fn push_accept(&mut self, ctx: &mut Ctx<AcWire>) {
         // Append-before-ack: everything staged by this acceptance batch is
         // fsync'd before the Accept_SST cell that acknowledges it is pushed.
-        if self.cfg.durability.is_durable() {
-            ctx.log_fsync();
-        }
+        wal::fsync(ctx, self.cfg.durability);
         self.accept_sst.write_mine(&mut self.ep, &self.accepted);
         self.ack_due = false;
         self.acks_touched = true;
@@ -1038,14 +1004,10 @@ impl AcuerdoNode {
         // Journal the truncation and the adopted entries so replay after a
         // crash reproduces this splice (the fsync barrier lands in the
         // push_accept this diff application triggers).
-        if self.cfg.durability.is_durable() {
-            ctx.log_append(&encode_wal_cut(cut, e));
-            for (h, p) in &entries {
-                ctx.log_append(&encode_wal_entry(*h, p));
-            }
-        }
+        WAL_CUT.append(ctx, self.cfg.durability, &(cut, e), &[]);
         let top = entries.iter().map(|(h, _)| *h).fold(hdr, MsgHdr::max);
         for (h, p) in entries {
+            WAL_ENTRY.append(ctx, self.cfg.durability, &h, &p);
             self.log.insert(h, p);
         }
         // Advance the accept frontier to the diff header and over the
@@ -1848,57 +1810,6 @@ impl AcuerdoNode {
         }
     }
 
-    // ---- durable recovery -----------------------------------------------------
-
-    /// Rebuild the log from the fsync'd prefix of the persistent-log device,
-    /// restore `accepted` to the log tip, and restore the epoch floor
-    /// (`e_cur`/`e_new`) to the highest epoch the journal ever saw. The node
-    /// then runs the normal resync/election flow: if a leader survives, its
-    /// recovery diff splices the node back in; if the whole cluster lost
-    /// power, the recovered `accepted` value is the node's election bid, so
-    /// the vote-by-max-accepted rule picks a winner whose log holds every
-    /// committed entry.
-    ///
-    /// The epoch floor matters as much as the entries: a recovered node that
-    /// still believed `e_cur == ZERO` would bid `bigger_for(ZERO, ..) ==
-    /// round 1` in the post-reboot election and *reuse* an epoch whose
-    /// headers already name committed payloads — fresh `(1, 0, cnt)`
-    /// proposals would collide with the recovered ones. Restoring the floor
-    /// forces every post-recovery bid strictly above any epoch that can
-    /// appear in any replica's journal.
-    fn recover(&mut self, ctx: &mut Ctx<AcWire>) {
-        let records: Vec<Vec<u8>> = ctx.log_synced().to_vec();
-        let mut top_epoch = Epoch::ZERO;
-        for rec in &records {
-            match rec.first() {
-                Some(&REC_ENTRY) if rec.len() >= 13 => {
-                    let hdr = get_wal_hdr(&rec[1..13]);
-                    self.log.insert(hdr, Bytes::copy_from_slice(&rec[13..]));
-                }
-                Some(&REC_CUT) if rec.len() >= 21 => {
-                    let cut = get_wal_hdr(&rec[1..13]);
-                    let round = u32::from_le_bytes(rec[13..17].try_into().expect("round"));
-                    let ldr = u32::from_le_bytes(rec[17..21].try_into().expect("ldr"));
-                    // A cut names the epoch of the diff that caused it, which
-                    // may be newer than any entry that survived to the tip.
-                    top_epoch = top_epoch.max(Epoch::new(round, ldr));
-                    self.cut_log(cut, Epoch::new(round, ldr));
-                }
-                _ => {}
-            }
-        }
-        if let Some(&top) = self.log.keys().next_back() {
-            self.accepted = top;
-        }
-        top_epoch = top_epoch.max(self.accepted.epoch);
-        if top_epoch != Epoch::ZERO {
-            self.e_cur = top_epoch;
-            self.e_new = top_epoch;
-        }
-        ctx.count(Counter::WalRecoveredRecords, records.len() as u64);
-        ctx.trace(Event::new("wal_recover").a(records.len() as u64));
-    }
-
     // ---- the idle poll -----------------------------------------------------------
 
     /// Whether an arriving RDMA packet can change what this node's next poll
@@ -1963,11 +1874,48 @@ impl AcuerdoNode {
     }
 }
 
+/// Durable recovery: the log comes back from the journal, `accepted` to its
+/// tip, and the epoch floor (`e_cur`/`e_new`) to the highest epoch the
+/// journal ever saw. The node then runs the normal resync/election flow: if
+/// a leader survives, its recovery diff splices the node back in; if the
+/// whole cluster lost power, the recovered `accepted` value is the node's
+/// election bid, so the vote-by-max-accepted rule picks a winner whose log
+/// holds every committed entry.
+impl wal::Journaled for AcuerdoNode {
+    fn replay(&mut self, rec: &[u8]) {
+        if let Some((hdr, payload)) = WAL_ENTRY.read(rec) {
+            self.log.insert(hdr, Bytes::copy_from_slice(payload));
+        } else if let Some(((cut, e), _)) = WAL_CUT.read(rec) {
+            // A cut names the epoch of the diff that caused it, which may be
+            // newer than any entry that survived to the tip.
+            self.e_new = self.e_new.max(e);
+            self.cut_log(cut, e);
+        }
+    }
+
+    /// The epoch floor matters as much as the entries: a recovered node that
+    /// still believed `e_cur == ZERO` would bid `bigger_for(ZERO, ..) ==
+    /// round 1` in the post-reboot election and *reuse* an epoch whose
+    /// headers already name committed payloads — fresh `(1, 0, cnt)`
+    /// proposals would collide with the recovered ones. Restoring the floor
+    /// forces every post-recovery bid strictly above any epoch that can
+    /// appear in any replica's journal.
+    fn restore_floor(&mut self) {
+        if let Some(&top) = self.log.keys().next_back() {
+            self.accepted = top;
+        }
+        let floor = self.e_new.max(self.accepted.epoch);
+        if floor != Epoch::ZERO {
+            self.e_cur = floor;
+            self.e_new = floor;
+        }
+    }
+}
+
 impl Process<AcWire> for AcuerdoNode {
     fn on_start(&mut self, ctx: &mut Ctx<AcWire>) {
-        if self.cfg.durability.is_durable() && ctx.log_len() > 0 {
-            self.recover(ctx);
-        }
+        let mode = self.cfg.durability;
+        wal::recover(self, ctx, mode);
         self.last_leader_activity = ctx.now();
         if self.resyncing {
             // Crash-restarted rejoiner: handshake for a recovery diff
@@ -2088,3 +2036,40 @@ impl Process<AcWire> for AcuerdoNode {
 
 #[cfg(test)]
 mod oracle_tests;
+
+#[cfg(test)]
+mod wal_tests {
+    use super::*;
+
+    /// The bytes are pinned (record lengths set the device's
+    /// `append_per_kib` charges). Replay re-inserts entries, applies each cut
+    /// where it stands, skips a record too short for its head, and raises
+    /// the epoch floor to the newest cut even when no entry of it survived.
+    #[test]
+    fn wal_replay_applies_cuts_in_order_and_restores_the_epoch_floor() {
+        let hdr = |round, ldr, cnt| MsgHdr::new(Epoch::new(round, ldr), cnt);
+        let entry = |h, p: &[u8]| WAL_ENTRY.encode(&h, p);
+        let cut = |h, round, ldr| WAL_CUT.encode(&(h, Epoch::new(round, ldr)), &[]);
+        let golden = [1, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, b'p'];
+        assert_eq!(entry(hdr(1, 2, 3), b"p"), golden);
+        let golden = [
+            2, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0,
+        ];
+        assert_eq!(cut(hdr(1, 2, 3), 4, 5), golden);
+        let mut node = AcuerdoNode::rejoining(AcuerdoConfig::stable(3), 1);
+        let records = [
+            entry(hdr(1, 0, 1), b"a"),
+            entry(hdr(1, 0, 2), b"b"),
+            entry(hdr(1, 0, 3), b"c"),
+            cut(hdr(1, 0, 2), 2, 2),
+            entry(hdr(2, 2, 1), b"d"),
+            vec![1, 2, 0, 0],
+            cut(hdr(2, 2, 2), 3, 0),
+        ];
+        assert_eq!(wal::replay(&mut node, &records), 7);
+        let log: Vec<(MsgHdr, &[u8])> = node.log.iter().map(|(h, p)| (*h, p.as_ref())).collect();
+        assert_eq!(log, [(hdr(1, 0, 1), &b"a"[..]), (hdr(2, 2, 1), &b"d"[..])]);
+        assert_eq!(node.accepted, hdr(2, 2, 1));
+        assert_eq!([node.e_cur, node.e_new], [Epoch::new(3, 0); 2]);
+    }
+}

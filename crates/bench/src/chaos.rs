@@ -734,12 +734,9 @@ pub struct ChaosRun {
     pub flight: Vec<TraceEvent>,
 }
 
-/// A protocol's `enable_restarts`.
-type Restarts<R> = fn(&mut Sim<<R as Replica>::Wire>, &<R as Replica>::Config, &[NodeId]);
-
 /// The one chaos body: build `R`'s cluster, arm the client's retransmit
-/// timer (and, where replicas reboot, its broadcast fallback), replay the
-/// script, run out the quiescent tail, and judge.
+/// timer (and, where replicas reboot through `R`'s rejoiner, its broadcast
+/// fallback), replay the script, run out the quiescent tail, and judge.
 ///
 /// A [`DurabilityAuditor`] rides along: its committed high-water mark is
 /// ratcheted from the live histories right before each fault fires, and the
@@ -747,12 +744,7 @@ type Restarts<R> = fn(&mut Sim<<R as Replica>::Wire>, &<R as Replica>::Config, &
 /// Mid-run observations never judge — a replica that just rebooted is live
 /// with an empty delivery log and only re-delivers as recovery proceeds, so
 /// a shortfall between a restart and the tail is expected in-flight state.
-fn drive<R: Replica>(
-    opts: &ChaosOpts,
-    cfg: &R::Config,
-    rto: Duration,
-    restarts: Option<Restarts<R>>,
-) -> ChaosRun {
+fn drive<R: Replica>(opts: &ChaosOpts, cfg: &R::Config, rto: Duration, restarts: bool) -> ChaosRun {
     let schedule = match opts.tier {
         Tier::Basic => {
             Schedule::generate(opts.seed, opts.n, opts.horizon, opts.proto.restartable())
@@ -765,11 +757,11 @@ fn drive<R: Replica>(
     sim.set_tracing(opts.traced);
     let c = sim.node_mut::<WindowClient<R::Wire>>(client);
     c.retransmit = Some(rto);
-    if let Some(enable) = restarts {
+    if restarts {
         // A rebooted cluster's leadership may have moved: let the client
         // fall back to broadcasting.
         c.replicas = ids.clone();
-        enable(&mut sim, cfg, &ids);
+        abcast::enable_restarts::<R>(&mut sim, cfg, &ids);
     }
 
     let mut auditor = DurabilityAuditor::new();
@@ -856,7 +848,7 @@ pub fn run_chaos(opts: &ChaosOpts) -> ChaosRun {
                 dissemination,
                 ..AcuerdoConfig::stable(n)
             };
-            drive::<AcuerdoNode>(opts, &cfg, ms(1), Some(acuerdo::enable_restarts))
+            drive::<AcuerdoNode>(opts, &cfg, ms(1), true)
         }
         Proto::Raft => {
             let cfg = RaftConfig {
@@ -864,12 +856,7 @@ pub fn run_chaos(opts: &ChaosOpts) -> ChaosRun {
                 durability,
                 ..RaftConfig::default()
             };
-            drive::<RaftNode>(
-                opts,
-                &cfg,
-                ms(2),
-                correlated.then_some(raft::enable_restarts),
-            )
+            drive::<RaftNode>(opts, &cfg, ms(2), correlated)
         }
         Proto::Zab => {
             let cfg = ZabConfig {
@@ -877,26 +864,21 @@ pub fn run_chaos(opts: &ChaosOpts) -> ChaosRun {
                 durability,
                 ..ZabConfig::default()
             };
-            drive::<ZabNode>(
-                opts,
-                &cfg,
-                ms(2),
-                correlated.then_some(zab::enable_restarts),
-            )
+            drive::<ZabNode>(opts, &cfg, ms(2), correlated)
         }
         Proto::Paxos => {
             let cfg = PaxosConfig {
                 n,
                 ..PaxosConfig::default()
             };
-            drive::<PaxosNode>(opts, &cfg, ms(2), None)
+            drive::<PaxosNode>(opts, &cfg, ms(2), false)
         }
         // `sized` keeps the n=5 chaos geometry bit-identical (1MiB rings
         // below 17 members) while bounding registered memory for the
         // chaos-at-scale smoke sizes. Evicted members are outside the
         // virtual-synchrony contract, so their histories are not judged.
         Proto::Derecho => {
-            drive::<DerechoNode>(opts, &DerechoConfig::sized(n, Mode::Leader), ms(2), None)
+            drive::<DerechoNode>(opts, &DerechoConfig::sized(n, Mode::Leader), ms(2), false)
         }
     }
 }

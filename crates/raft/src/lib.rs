@@ -15,6 +15,7 @@
 //! Figure 9.
 
 use abcast::client::RESP_WIRE;
+use abcast::wal;
 use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
 use bytes::Bytes;
 use rand::Rng;
@@ -61,37 +62,18 @@ impl Default for RaftConfig {
     }
 }
 
-// ---- WAL record format ------------------------------------------------------
+// ---- WAL records (durable mode, `abcast::wal`) -------------------------------
 //
-// Durable mode writes two record kinds to the node's simulated log device.
 // Replay resolves conflicts the same way etcd's WAL does: entry records carry
 // their index, and a record at an index the rebuilt log already covers
 // truncates the conflicting suffix before appending.
 
-/// Entry record: `[tag, idx u64, term u32, client u32, id u64, payload...]`.
-const REC_ENTRY: u8 = 1;
-/// Hard-state record: `[tag, term u32, voted_for u32]` (`u32::MAX` = none).
-const REC_HARD: u8 = 2;
-
-fn encode_entry(idx: u64, e: &Entry) -> Vec<u8> {
-    let mut v = Vec::with_capacity(25 + e.payload.len());
-    v.push(REC_ENTRY);
-    v.extend_from_slice(&idx.to_le_bytes());
-    v.extend_from_slice(&e.term.to_le_bytes());
-    v.extend_from_slice(&e.client.to_le_bytes());
-    v.extend_from_slice(&e.id.to_le_bytes());
-    v.extend_from_slice(&e.payload);
-    v
-}
-
-fn encode_hard_state(term: u32, voted_for: Option<usize>) -> Vec<u8> {
-    let mut v = Vec::with_capacity(9);
-    v.push(REC_HARD);
-    v.extend_from_slice(&term.to_le_bytes());
-    let vote = voted_for.map(|p| p as u32).unwrap_or(u32::MAX);
-    v.extend_from_slice(&vote.to_le_bytes());
-    v
-}
+/// `(index, (term, (client, id)))` of a log entry.
+type EntryHead = (u64, (u32, (u32, u64)));
+/// A log entry: its head, then its payload.
+const WAL_ENTRY: wal::Kind<EntryHead> = wal::Kind::new(1);
+/// The hard state `(term, voted_for)`, `u32::MAX` for no vote.
+const WAL_HARD: wal::Kind<(u32, u32)> = wal::Kind::new(2);
 
 /// One replicated log entry.
 #[derive(Clone, Debug)]
@@ -349,44 +331,9 @@ impl RaftNode {
     /// visible. Without this a node that votes, crashes, and recovers could
     /// vote again in the same term and elect two leaders.
     fn persist_hard_state(&mut self, ctx: &mut Ctx<RfWire>) {
-        if self.cfg.durability.is_durable() {
-            ctx.log_append(&encode_hard_state(self.term, self.voted_for));
-            ctx.log_fsync();
-        }
-    }
-
-    /// Rebuild term, vote, and log from the fsync'd prefix of the node's
-    /// durable log (replay order resolves conflicting suffixes).
-    fn recover(&mut self, ctx: &mut Ctx<RfWire>) {
-        let records: Vec<Vec<u8>> = ctx.log_synced().to_vec();
-        for rec in &records {
-            match rec.first() {
-                Some(&REC_ENTRY) if rec.len() >= 25 => {
-                    let idx = u64::from_le_bytes(rec[1..9].try_into().expect("idx"));
-                    let e = Entry {
-                        term: u32::from_le_bytes(rec[9..13].try_into().expect("term")),
-                        client: u32::from_le_bytes(rec[13..17].try_into().expect("client")),
-                        id: u64::from_le_bytes(rec[17..25].try_into().expect("id")),
-                        payload: Bytes::copy_from_slice(&rec[25..]),
-                    };
-                    // A record at an already-covered index supersedes the
-                    // suffix it conflicts with, exactly as the live path does.
-                    self.log.truncate(idx as usize - 1);
-                    self.log.push(e);
-                }
-                Some(&REC_HARD) if rec.len() >= 9 => {
-                    self.term = u32::from_le_bytes(rec[1..5].try_into().expect("term"));
-                    let vote = u32::from_le_bytes(rec[5..9].try_into().expect("vote"));
-                    self.voted_for = (vote != u32::MAX).then_some(vote as usize);
-                }
-                _ => {}
-            }
-        }
-        // Entries outlive the hard-state record that created them; never
-        // come back believing a term older than the log tip.
-        self.term = self.term.max(self.term_at(self.last_idx()));
-        self.role = RaftRole::Follower;
-        ctx.count(simnet::Counter::WalRecoveredRecords, records.len() as u64);
+        let vote = self.voted_for.map_or(u32::MAX, |p| p as u32);
+        WAL_HARD.append(ctx, self.cfg.durability, &(self.term, vote), &[]);
+        wal::fsync(ctx, self.cfg.durability);
     }
 
     fn step_down(&mut self, ctx: &mut Ctx<RfWire>, term: u32) {
@@ -416,9 +363,9 @@ impl RaftNode {
             payload: req.payload,
         });
         let idx = self.last_idx();
-        if self.cfg.durability.is_durable() {
-            ctx.log_append(&encode_entry(idx, &self.log[idx as usize - 1]));
-        }
+        let e = &self.log[idx as usize - 1];
+        let head = (idx, (e.term, (e.client, e.id)));
+        WAL_ENTRY.append(ctx, self.cfg.durability, &head, &e.payload);
         ctx.log_fsync();
         ctx.span(
             Self::ispan(self.term, idx),
@@ -682,9 +629,8 @@ impl RaftNode {
                     SpanStage::FollowerAccept,
                     self.me as u64,
                 );
-                if self.cfg.durability.is_durable() {
-                    ctx.log_append(&encode_entry(idx, &e));
-                }
+                let head = (idx, (e.term, (e.client, e.id)));
+                WAL_ENTRY.append(ctx, self.cfg.durability, &head, &e.payload);
                 if idx <= self.last_idx() {
                     if self.term_at(idx) != e.term {
                         self.log.truncate(idx as usize - 1);
@@ -758,11 +704,39 @@ impl RaftNode {
     }
 }
 
+/// Durable recovery: term, vote, and log come back from the WAL, and replay
+/// order resolves conflicting suffixes.
+impl wal::Journaled for RaftNode {
+    fn replay(&mut self, rec: &[u8]) {
+        if let Some(((idx, (term, (client, id))), payload)) = WAL_ENTRY.read(rec) {
+            // A record at an already-covered index supersedes the suffix it
+            // conflicts with, exactly as the live path does.
+            self.log.truncate(idx as usize - 1);
+            self.log.push(Entry {
+                term,
+                client,
+                id,
+                payload: Bytes::copy_from_slice(payload),
+            });
+        } else if let Some(((term, vote), _)) = WAL_HARD.read(rec) {
+            self.term = term;
+            self.voted_for = (vote != u32::MAX).then_some(vote as usize);
+        }
+    }
+
+    /// Entries outlive the hard-state record that created them: never come
+    /// back believing a term older than the log tip, and come back a
+    /// follower.
+    fn restore_floor(&mut self) {
+        self.term = self.term.max(self.term_at(self.last_idx()));
+        self.role = RaftRole::Follower;
+    }
+}
+
 impl Process<RfWire> for RaftNode {
     fn on_start(&mut self, ctx: &mut Ctx<RfWire>) {
-        if self.cfg.durability.is_durable() && ctx.log_len() > 0 {
-            self.recover(ctx);
-        }
+        let mode = self.cfg.durability;
+        wal::recover(self, ctx, mode);
         self.last_heard = ctx.now();
         if self.role == RaftRole::Leader {
             ctx.set_timer(self.cfg.heartbeat, TOK_HEARTBEAT);
@@ -837,17 +811,6 @@ pub fn build_cluster(sim: &mut Sim<RfWire>, cfg: &RaftConfig, preset_leader: boo
     ids
 }
 
-/// Register restart factories so `Sim::restart_at` brings a crashed member
-/// back. In durable mode the fresh process recovers term, vote, and log from
-/// the node's fsync'd WAL prefix on start; in volatile mode it rejoins with
-/// empty state (safe only while a quorum of the original members survives).
-pub fn enable_restarts(sim: &mut Sim<RfWire>, cfg: &RaftConfig, ids: &[NodeId]) {
-    for &id in ids {
-        let cfg = cfg.clone();
-        sim.set_restart_factory(id, move || Box::new(RaftNode::new(cfg.clone(), id, false)));
-    }
-}
-
 impl Replica for RaftNode {
     type Wire = RfWire;
     type Config = RaftConfig;
@@ -858,6 +821,10 @@ impl Replica for RaftNode {
 
     fn build_cluster(sim: &mut Sim<RfWire>, cfg: &RaftConfig) -> Vec<NodeId> {
         build_cluster(sim, cfg, true)
+    }
+
+    fn rejoiner(cfg: &RaftConfig, id: NodeId) -> Option<Self> {
+        Some(RaftNode::new(cfg.clone(), id, false))
     }
 
     fn app(&self) -> &dyn App {
@@ -957,78 +924,33 @@ mod tests {
         assert_eq!(leaders.len(), 1, "randomized timeouts must break ties");
     }
 
+    /// The bytes are pinned (record lengths set the device's
+    /// `append_per_kib` charges). Replay truncates at a conflicting index,
+    /// takes the last hard state, skips a record too short for its head, and
+    /// comes back a follower of at least the tip's term.
     #[test]
-    fn durable_restart_recovers_log_from_wal() {
-        let cfg = RaftConfig {
-            durability: DurabilityMode::Durable,
-            ..RaftConfig::default()
-        };
-        let (mut sim, ids, client) =
-            cluster_with_client::<RaftNode>(40, &cfg, 4, 10, Duration::ZERO);
-        enable_restarts(&mut sim, &cfg, &ids);
-        sim.node_mut::<WindowClient<RfWire>>(client).retransmit = Some(Duration::from_millis(100));
-        sim.run_until(SimTime::from_millis(60));
-        let before = sim.node::<RaftNode>(2).delivered_count;
-        assert!(before > 0);
-        sim.crash(2);
-        sim.restart_at(2, SimTime::from_millis(80));
-        sim.run_until(SimTime::from_millis(500));
-        assert!(
-            sim.counter(2, simnet::Counter::WalRecoveredRecords) > 0,
-            "restart must replay the WAL"
-        );
-        // The recovered node re-applies its log and keeps up with the group.
-        assert!(sim.node::<RaftNode>(2).delivered_count >= before);
-        check_cluster::<RaftNode>(&sim, &ids).unwrap();
-    }
-
-    /// A node recovered from its durable log converges to the same delivered
-    /// history as a fresh-state rejoiner on the same seed and fault schedule.
-    #[test]
-    fn recovery_equivalence_durable_vs_fresh_rejoin() {
-        let run = |durability: DurabilityMode| {
-            let cfg = RaftConfig {
-                durability,
-                ..RaftConfig::default()
-            };
-            let (mut sim, ids, client) =
-                cluster_with_client::<RaftNode>(41, &cfg, 4, 10, Duration::ZERO);
-            enable_restarts(&mut sim, &cfg, &ids);
-            sim.node_mut::<WindowClient<RfWire>>(client).retransmit =
-                Some(Duration::from_millis(100));
-            sim.crash_at(2, SimTime::from_millis(50));
-            sim.restart_at(2, SimTime::from_millis(80));
-            sim.run_until(SimTime::from_millis(600));
-            check_cluster::<RaftNode>(&sim, &ids).unwrap();
-            let hs: Vec<Vec<(MsgHdr, Bytes)>> = ids
-                .iter()
-                .map(|&id| {
-                    sim.node::<RaftNode>(id)
-                        .delivery_log()
-                        .expect("DeliveryLog app")
-                        .entries
-                        .clone()
-                })
-                .collect();
-            hs
-        };
-        let durable = run(DurabilityMode::Durable);
-        let fresh = run(DurabilityMode::Volatile);
-        // Within each run the restarted node caught back up to the survivors.
-        for hs in [&durable, &fresh] {
-            assert!(
-                hs[2].len() > 10,
-                "rejoiner redelivered only {}",
-                hs[2].len()
-            );
-            let longest = hs.iter().max_by_key(|h| h.len()).expect("histories");
-            assert_eq!(&longest[..hs[2].len()], &hs[2][..]);
-        }
-        // Across runs the two recovery paths produce byte-identical state
-        // over the common prefix of what they delivered.
-        let k = durable[2].len().min(fresh[2].len());
-        assert!(k > 10);
-        assert_eq!(&durable[2][..k], &fresh[2][..k]);
+    fn wal_replay_truncates_conflicts_and_restores_the_term_floor() {
+        let entry = |idx: u64, term: u32, id: u64| WAL_ENTRY.encode(&(idx, (term, (9, id))), b"v");
+        let golden = [
+            1, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(entry(1, 2, 4), [&golden[..], b"v"].concat());
+        let hard = |term, vote| WAL_HARD.encode(&(term, vote), &[]);
+        assert_eq!(hard(5, u32::MAX), [2, 5, 0, 0, 0, 255, 255, 255, 255]);
+        let mut node = RaftNode::new(RaftConfig::default(), 0, true);
+        let records = [
+            hard(2, 1),
+            entry(1, 1, 10),
+            entry(2, 1, 11),
+            entry(3, 1, 12),
+            entry(2, 3, 13),
+            vec![2, 7],
+        ];
+        assert_eq!(wal::replay(&mut node, &records), 6);
+        let log: Vec<(u32, u64)> = node.log.iter().map(|e| (e.term, e.id)).collect();
+        assert_eq!(log, [(1, 10), (3, 13)]);
+        assert_eq!((node.term, node.voted_for), (3, Some(1)));
+        assert_eq!(node.role, RaftRole::Follower);
     }
 
     #[test]

@@ -14,6 +14,13 @@ pub trait FixedCodec: Sized + Copy + Default {
     fn decode(buf: &[u8]) -> Self;
 }
 
+/// The empty value: a record or cell with nothing but its position.
+impl FixedCodec for () {
+    const SIZE: usize = 0;
+    fn encode(&self, _buf: &mut [u8]) {}
+    fn decode(_buf: &[u8]) -> Self {}
+}
+
 impl FixedCodec for u32 {
     const SIZE: usize = 4;
     fn encode(&self, buf: &mut [u8]) {

@@ -20,6 +20,7 @@
 //! everything up to zxid").
 
 use abcast::client::RESP_WIRE;
+use abcast::wal;
 use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
 use bytes::Bytes;
 use simnet::params::cpu;
@@ -70,24 +71,13 @@ impl Default for ZabConfig {
     }
 }
 
-// ---- txn-log record format --------------------------------------------------
+// ---- txn-log records (durable mode, `abcast::wal`) --------------------------
 
-/// Entry record: `[tag, epoch u32, counter u32, client u32, id u64, value..]`.
-const REC_ENTRY: u8 = 1;
-/// Log-reset record written when a follower adopts a new leader's history
-/// wholesale (truncate-and-copy sync): replay clears everything before it.
-const REC_RESET: u8 = 2;
-
-fn encode_entry(zxid: Zxid, client: u32, id: u64, value: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(21 + value.len());
-    v.push(REC_ENTRY);
-    v.extend_from_slice(&zxid.0.to_le_bytes());
-    v.extend_from_slice(&zxid.1.to_le_bytes());
-    v.extend_from_slice(&client.to_le_bytes());
-    v.extend_from_slice(&id.to_le_bytes());
-    v.extend_from_slice(value);
-    v
-}
+/// A transaction: `(zxid, (client, id))`, then its value.
+const WAL_ENTRY: wal::Kind<(Zxid, (u32, u64))> = wal::Kind::new(1);
+/// Written when a follower adopts a new leader's history wholesale
+/// (truncate-and-copy sync): replay clears everything before it.
+const WAL_RESET: wal::Kind<()> = wal::Kind::new(2);
 
 /// Wire type of a Zab simulation (all kernel-TCP).
 #[derive(Clone, Debug)]
@@ -322,10 +312,9 @@ impl ZabNode {
             .insert(zxid, (from as u32, req.id, req.payload.clone()));
         // Append-before-ack: the leader's own ack counts toward the quorum,
         // so the entry must hit its txn log before it is counted.
-        if self.cfg.durability.is_durable() {
-            ctx.log_append(&encode_entry(zxid, from as u32, req.id, &req.payload));
-            ctx.log_fsync();
-        }
+        let head = (zxid, (from as u32, req.id));
+        WAL_ENTRY.append(ctx, self.cfg.durability, &head, &req.payload);
+        wal::fsync(ctx, self.cfg.durability);
         self.origin.insert(zxid, (from, req.id));
         self.acks.insert(zxid, 1); // self
         let wire = req.payload.len() as u32 + 48;
@@ -362,10 +351,8 @@ impl ZabNode {
         }
         self.last_leader_seen = ctx.now();
         // Append-before-ack: the leader may count this ack toward commit.
-        if self.cfg.durability.is_durable() {
-            ctx.log_append(&encode_entry(zxid, client, id, &value));
-            ctx.log_fsync();
-        }
+        WAL_ENTRY.append(ctx, self.cfg.durability, &(zxid, (client, id)), &value);
+        wal::fsync(ctx, self.cfg.durability);
         self.log.insert(zxid, (client, id, value));
         ctx.span(Self::zspan(zxid), SpanStage::FollowerAccept, self.me as u64);
         // Per-message acknowledgment — the cost Acuerdo's SST design avoids.
@@ -590,18 +577,12 @@ impl ZabNode {
         self.log = log.into_iter().map(|(z, c, i, v)| (z, (c, i, v))).collect();
         // Persist the adopted history before acknowledging the new epoch: a
         // reset record marks the truncation point, then the full log.
-        if self.cfg.durability.is_durable() {
-            ctx.log_append(&[REC_RESET]);
-            let records: Vec<Vec<u8>> = self
-                .log
-                .iter()
-                .map(|(&z, (c, i, v))| encode_entry(z, *c, *i, v))
-                .collect();
-            for rec in &records {
-                ctx.log_append(rec);
-            }
-            ctx.log_fsync();
+        let mode = self.cfg.durability;
+        WAL_RESET.append(ctx, mode, &(), &[]);
+        for (&z, (c, i, v)) in &self.log {
+            WAL_ENTRY.append(ctx, mode, &(z, (*c, *i)), v);
         }
+        wal::fsync(ctx, mode);
         self.send(ctx, from, 48, ZkWire::AckNewLeader { epoch });
         self.committed = self.committed.max(committed);
         let upto = self.committed;
@@ -672,36 +653,30 @@ impl ZabNode {
     }
 }
 
-impl ZabNode {
-    /// Rebuild the log from the fsync'd prefix of the txn log. The epoch is
-    /// deliberately left at 0 so the normal rejoin handshake (any `NewLeader`
-    /// with a positive epoch) is accepted, while the recovered `last_zxid`
-    /// gives the node its true weight in fast leader election.
-    fn recover(&mut self, ctx: &mut Ctx<ZkWire>) {
-        let records: Vec<Vec<u8>> = ctx.log_synced().to_vec();
-        for rec in &records {
-            match rec.first() {
-                Some(&REC_RESET) => self.log.clear(),
-                Some(&REC_ENTRY) if rec.len() >= 21 => {
-                    let e = u32::from_le_bytes(rec[1..5].try_into().expect("epoch"));
-                    let c = u32::from_le_bytes(rec[5..9].try_into().expect("ctr"));
-                    let client = u32::from_le_bytes(rec[9..13].try_into().expect("client"));
-                    let id = u64::from_le_bytes(rec[13..21].try_into().expect("id"));
-                    self.log
-                        .insert((e, c), (client, id, Bytes::copy_from_slice(&rec[21..])));
-                }
-                _ => {}
-            }
+/// Durable recovery: the log comes back from the txn log. The epoch is
+/// deliberately left at 0 so the normal rejoin handshake (any `NewLeader`
+/// with a positive epoch) is accepted, while the recovered `last_zxid` gives
+/// the node its true weight in fast leader election.
+impl wal::Journaled for ZabNode {
+    fn replay(&mut self, rec: &[u8]) {
+        if let Some(((zxid, (client, id)), value)) = WAL_ENTRY.read(rec) {
+            self.log
+                .insert(zxid, (client, id, Bytes::copy_from_slice(value)));
+        } else if WAL_RESET.read(rec).is_some() {
+            self.log.clear();
         }
-        ctx.count(simnet::Counter::WalRecoveredRecords, records.len() as u64);
     }
+
+    /// Nothing to restore: the only promise a ZAB node makes is the epoch
+    /// it will lead next, and `max_known_epoch` already reads it off the
+    /// recovered log tip.
+    fn restore_floor(&mut self) {}
 }
 
 impl Process<ZkWire> for ZabNode {
     fn on_start(&mut self, ctx: &mut Ctx<ZkWire>) {
-        if self.cfg.durability.is_durable() && ctx.log_len() > 0 {
-            self.recover(ctx);
-        }
+        let mode = self.cfg.durability;
+        wal::recover(self, ctx, mode);
         self.last_leader_seen = ctx.now();
         if self.role == ZabRole::Looking {
             self.go_looking(ctx);
@@ -761,16 +736,6 @@ pub fn build_cluster(sim: &mut Sim<ZkWire>, cfg: &ZabConfig, preset_leader: bool
     ids
 }
 
-/// Register restart factories so `Sim::restart_at` brings a crashed member
-/// back. In durable mode the fresh process replays its txn log on start;
-/// in volatile mode it rejoins empty and resyncs via `NewLeader`.
-pub fn enable_restarts(sim: &mut Sim<ZkWire>, cfg: &ZabConfig, ids: &[NodeId]) {
-    for &id in ids {
-        let cfg = cfg.clone();
-        sim.set_restart_factory(id, move || Box::new(ZabNode::new(cfg.clone(), id, false)));
-    }
-}
-
 impl Replica for ZabNode {
     type Wire = ZkWire;
     type Config = ZabConfig;
@@ -781,6 +746,10 @@ impl Replica for ZabNode {
 
     fn build_cluster(sim: &mut Sim<ZkWire>, cfg: &ZabConfig) -> Vec<NodeId> {
         build_cluster(sim, cfg, true)
+    }
+
+    fn rejoiner(cfg: &ZabConfig, id: NodeId) -> Option<Self> {
+        Some(ZabNode::new(cfg.clone(), id, false))
     }
 
     fn app(&self) -> &dyn App {
@@ -842,77 +811,32 @@ mod tests {
         check_cluster::<ZabNode>(&sim, &ids).unwrap();
     }
 
+    /// The bytes are pinned (record lengths set the device's
+    /// `append_per_kib` charges). A reset drops everything replayed before
+    /// it; the epoch stays 0 and the recovered tip names the epoch after it.
     #[test]
-    fn durable_restart_recovers_log_from_txn_log() {
-        let cfg = ZabConfig {
-            durability: DurabilityMode::Durable,
-            ..ZabConfig::default()
-        };
-        let (mut sim, ids, client) =
-            cluster_with_client::<ZabNode>(27, &cfg, 8, 10, Duration::ZERO);
-        enable_restarts(&mut sim, &cfg, &ids);
-        sim.node_mut::<WindowClient<ZkWire>>(client).retransmit = Some(Duration::from_millis(20));
-        sim.run_until(SimTime::from_millis(20));
-        let before = sim.node::<ZabNode>(2).delivered_count;
-        assert!(before > 0);
-        sim.crash(2);
-        sim.restart_at(2, SimTime::from_millis(30));
-        sim.run_until(SimTime::from_millis(120));
-        assert!(
-            sim.counter(2, simnet::Counter::WalRecoveredRecords) > 0,
-            "restart must replay the txn log"
+    fn wal_replay_resets_at_a_resync_and_leaves_the_epoch_to_the_tip() {
+        let entry = |z: Zxid| WAL_ENTRY.encode(&(z, (3, 4)), b"v");
+        let golden = [
+            1, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, b'v',
+        ];
+        assert_eq!(entry((1, 2)), golden);
+        let reset = WAL_RESET.encode(&(), &[]);
+        assert_eq!(reset, [2]);
+        let mut node = ZabNode::new(ZabConfig::default(), 1, false);
+        let records = [
+            entry((1, 1)),
+            entry((1, 2)),
+            reset,
+            entry((1, 1)),
+            entry((2, 1)),
+        ];
+        assert_eq!(wal::replay(&mut node, &records), 5);
+        assert_eq!(
+            node.log.keys().copied().collect::<Vec<_>>(),
+            [(1, 1), (2, 1)]
         );
-        assert!(sim.node::<ZabNode>(2).delivered_count >= before);
-        check_cluster::<ZabNode>(&sim, &ids).unwrap();
-    }
-
-    /// A node recovered from its durable log converges to the same delivered
-    /// history as a fresh-state rejoiner on the same seed and fault schedule.
-    #[test]
-    fn recovery_equivalence_durable_vs_fresh_rejoin() {
-        let run = |durability: DurabilityMode| {
-            let cfg = ZabConfig {
-                durability,
-                ..ZabConfig::default()
-            };
-            let (mut sim, ids, client) =
-                cluster_with_client::<ZabNode>(28, &cfg, 8, 10, Duration::ZERO);
-            enable_restarts(&mut sim, &cfg, &ids);
-            sim.node_mut::<WindowClient<ZkWire>>(client).retransmit =
-                Some(Duration::from_millis(20));
-            sim.crash_at(2, SimTime::from_millis(15));
-            sim.restart_at(2, SimTime::from_millis(25));
-            sim.run_until(SimTime::from_millis(150));
-            check_cluster::<ZabNode>(&sim, &ids).unwrap();
-            let hs: Vec<Vec<(MsgHdr, Bytes)>> = ids
-                .iter()
-                .map(|&id| {
-                    sim.node::<ZabNode>(id)
-                        .delivery_log()
-                        .expect("DeliveryLog app")
-                        .entries
-                        .clone()
-                })
-                .collect();
-            hs
-        };
-        let durable = run(DurabilityMode::Durable);
-        let fresh = run(DurabilityMode::Volatile);
-        // Within each run the restarted node caught back up to the survivors.
-        for hs in [&durable, &fresh] {
-            assert!(
-                hs[2].len() > 10,
-                "rejoiner redelivered only {}",
-                hs[2].len()
-            );
-            let longest = hs.iter().max_by_key(|h| h.len()).expect("histories");
-            assert_eq!(&longest[..hs[2].len()], &hs[2][..]);
-        }
-        // Across runs the two recovery paths produce byte-identical state
-        // over the common prefix of what they delivered.
-        let k = durable[2].len().min(fresh[2].len());
-        assert!(k > 10);
-        assert_eq!(&durable[2][..k], &fresh[2][..k]);
+        assert_eq!((node.epoch, node.max_known_epoch()), (0, 2));
     }
 
     #[test]

@@ -1,185 +1,206 @@
-//! Durable-log robustness at the whole-repo level: recovery equivalence
-//! (a replica rebuilt from its persistent log converges to the same
-//! delivered prefix as a fresh-state rejoiner) and the negative control for
-//! the durability auditor (a deliberately corrupted log tail MUST be
-//! reported as a committed-entry loss — if this test fails, the auditor is
-//! blind and every green chaos run is meaningless).
+//! Durable-log robustness at the whole-repo level, table-driven over the
+//! durable `Replica`s (Acuerdo, Raft, ZAB): recovery equivalence (a replica
+//! rebuilt from its journal converges to the delivered prefix a fresh-state
+//! rejoiner reaches) and the negative control for the durability auditor (a
+//! deliberately truncated journal MUST be reported as a committed-entry loss
+//! — if that test fails, the auditor is blind and every green chaos run is
+//! meaningless).
 
 use acuerdo_repro::abcast::{
-    check_cluster, cluster_with_client, DurabilityAuditor, Violation, WindowClient,
+    self, check_cluster, cluster_with_client, histories, DurabilityAuditor, MsgHdr, Replica,
+    Violation, WindowClient,
 };
-use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig, DisseminationMode};
+use acuerdo_repro::acuerdo::{AcuerdoConfig, AcuerdoNode, DisseminationMode};
+use acuerdo_repro::raft::{RaftConfig, RaftNode};
 use acuerdo_repro::simnet::{Counter, DurabilityMode, SimTime};
+use acuerdo_repro::zab::{ZabConfig, ZabNode};
 use bytes::Bytes;
 use std::time::Duration;
 
-/// One acuerdo run with a crash/restart of replica 2: returns every live
-/// replica's delivered payload sequence plus replica 2's delivered length.
-fn crash_restart_run(mode: DurabilityMode) -> (Vec<Vec<Bytes>>, usize, u64) {
-    crash_restart_run_with(mode, DisseminationMode::Star, 8)
+/// Replica 2 crashes and restarts under a window client that retransmits to
+/// the preset leader, which never fails: `(seed, (window, payload bytes,
+/// retransmit ms), [crash, restart, horizon] ms)`.
+type Row = (u64, (usize, usize, u64), [u64; 3]);
+
+/// Each row under both modes: the durable restart replays its journal and
+/// the volatile one does not; in each run the rejoiner re-delivers what it
+/// had and its history is a prefix of the longest; across the runs the
+/// rejoiner's histories agree over a common prefix longer than `min` entry
+/// for entry, or as sets of payloads if `as_set`.
+fn recovery_equivalence<R: Replica>(
+    cfg: impl Fn(DurabilityMode) -> R::Config,
+    (min, as_set): (usize, bool),
+    rows: &[Row],
+) {
+    let ms = SimTime::from_millis;
+    for &(seed, (window, payload, rto), at) in rows {
+        let run = |mode| {
+            let cfg = cfg(mode);
+            let (mut sim, ids, client) =
+                cluster_with_client::<R>(seed, &cfg, window, payload, Duration::ZERO);
+            abcast::enable_restarts::<R>(&mut sim, &cfg, &ids);
+            sim.node_mut::<WindowClient<R::Wire>>(client).retransmit =
+                Some(Duration::from_millis(rto));
+            sim.crash_at(2, ms(at[0]));
+            sim.restart_at(2, ms(at[1]));
+            sim.run_until(ms(at[0]));
+            let before = sim.node::<R>(2).delivery_log().expect("log").entries.len();
+            sim.run_until(ms(at[2]));
+            check_cluster::<R>(&sim, &ids).expect("abcast safety");
+            let hs = histories::<R>(&sim, &ids);
+            assert_eq!(hs.len(), ids.len(), "seed {seed}: all live");
+            let (mine, longest) = (&hs[2], hs.iter().max_by_key(|h| h.len()).unwrap());
+            assert!(mine.len() >= before, "seed {seed}: {before} before");
+            assert_eq!(mine[..], longest[..mine.len()], "seed {seed}: not a prefix");
+            (mine.clone(), sim.counter(2, Counter::WalRecoveredRecords))
+        };
+        let (durable, replayed) = run(DurabilityMode::Durable);
+        let (fresh, fresh_replayed) = run(DurabilityMode::Volatile);
+        assert!(replayed > 0, "seed {seed}: no replay");
+        assert_eq!(fresh_replayed, 0, "seed {seed}: volatile journal");
+        let k = durable.len().min(fresh.len());
+        assert!(k > min, "seed {seed}: common prefix of {k}");
+        let (d, f) = (&durable[..k], &fresh[..k]);
+        let same = if as_set {
+            let (d, f) = (payloads(d), payloads(f));
+            assert!(d.windows(2).all(|w| w[0] != w[1]), "seed {seed}: dup");
+            d == f
+        } else {
+            d == f
+        };
+        assert!(same, "seed {seed}: the modes delivered different entries");
+    }
 }
 
-fn crash_restart_run_with(
-    mode: DurabilityMode,
-    dissemination: DisseminationMode,
-    window: usize,
-) -> (Vec<Vec<Bytes>>, usize, u64) {
-    let cfg = AcuerdoConfig {
+/// The payloads of `h`, sorted.
+fn payloads(h: &[(MsgHdr, Bytes)]) -> Vec<&[u8]> {
+    let mut v: Vec<&[u8]> = h.iter().map(|(_, p)| p.as_ref()).collect();
+    v.sort_unstable();
+    v
+}
+
+fn acuerdo(dissemination: DisseminationMode) -> impl Fn(DurabilityMode) -> AcuerdoConfig {
+    move |durability| AcuerdoConfig {
         retain_log: true,
-        durability: mode,
+        durability,
         dissemination,
         ..AcuerdoConfig::stable(5)
-    };
-    let (mut sim, ids, client) =
-        cluster_with_client::<acuerdo::AcuerdoNode>(7, &cfg, window, 32, Duration::ZERO);
-    acuerdo::enable_restarts(&mut sim, &cfg, &ids);
-    // Inert retransmit: the leader never crashes in this schedule, so no
-    // request reaches it twice.
-    sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(100));
-    sim.crash_at(2, SimTime::from_millis(10));
-    sim.restart_at(2, SimTime::from_millis(15));
-    sim.run_until(SimTime::from_millis(50));
-    check_cluster::<acuerdo::AcuerdoNode>(&sim, &ids).expect("abcast safety");
-    let hs = acuerdo::histories(&sim, &ids);
-    assert_eq!(hs.len(), 5, "everyone is live at the horizon");
-    let recovered_len = hs[2].len();
-    // Within-run: the restarted replica's history, headers and payloads, is
-    // a prefix of its leader's (replica 0 leads throughout).
-    assert_eq!(
-        &hs[0][..recovered_len],
-        &hs[2][..],
-        "restarted replica diverged from its leader's prefix"
-    );
-    let wal_records = sim.counter(2, Counter::WalRecoveredRecords);
-    let payloads = hs
-        .into_iter()
-        .map(|h| h.into_iter().map(|(_, p)| p).collect())
-        .collect();
-    (payloads, recovered_len, wal_records)
+    }
 }
 
-/// Satellite: a replica recovered from its durable log must converge to its
-/// own run's leader byte for byte (`crash_restart_run_with`), and to the
-/// state a fresh-state rejoiner (volatile mode, re-seeded by the leader's
-/// retained log) reaches on the same seed. Across the two modes only the
-/// set of payloads is comparable, not their order: fsync charges shift the
-/// durable leader's clock, and a held node can dispatch two client
-/// requests in the opposite order to their arrival (Cpu-class FIFO holds
-/// at delivery, not at dispatch to a held node; DESIGN §11). At seed 7 the
-/// durable leader ingests id 7904 before 7903, which the client sent 50 ns
-/// earlier. So over their common prefix the two modes must deliver the same
-/// payloads, each once.
+/// Star: across the two modes only the set of payloads is comparable, not
+/// their order: fsync charges shift the durable leader's clock, and a held
+/// node can dispatch two client requests in the opposite order to their
+/// arrival (Cpu-class FIFO holds at delivery, not at dispatch to a held
+/// node; DESIGN §11). At seed 7 the durable leader ingests id 7904 before
+/// 7903, which the client sent 50 ns earlier. Within each run the rejoiner
+/// still matches the longest history exactly. The 100 ms retransmit is
+/// inert: no request reaches the leader twice.
 #[test]
 fn acuerdo_recovery_equivalence_durable_vs_fresh_rejoin() {
-    let (durable, durable_len, durable_wal) = crash_restart_run(DurabilityMode::Durable);
-    let (fresh, fresh_len, fresh_wal) = crash_restart_run(DurabilityMode::Volatile);
-    assert!(durable_wal > 0, "durable restart must replay its WAL");
-    assert_eq!(fresh_wal, 0, "volatile restart must not touch a WAL");
-    assert!(
-        durable_len > 100 && fresh_len > 100,
-        "recovered replica re-delivered too little (durable {durable_len}, fresh {fresh_len})"
-    );
-    let k = durable[2].len().min(fresh[2].len());
-    assert!(k > 100, "common prefix too short to be meaningful ({k})");
-    fn sorted(h: &[Bytes]) -> Vec<&[u8]> {
-        let mut v: Vec<&[u8]> = h.iter().map(|p| p.as_ref()).collect();
-        v.sort_unstable();
-        v
-    }
-    let (d, f) = (sorted(&durable[2][..k]), sorted(&fresh[2][..k]));
-    assert!(
-        d.windows(2).all(|w| w[0] != w[1]),
-        "a payload delivered twice"
-    );
-    assert_eq!(
-        d, f,
-        "durable recovery and fresh rejoin delivered different payloads"
-    );
+    let rows = [(7, (8, 32, 100), [10, 15, 50])];
+    recovery_equivalence::<AcuerdoNode>(acuerdo(DisseminationMode::Star), (100, true), &rows);
 }
 
-/// Ring-mode recovery equivalence: the crashed replica sits on an arm, so
-/// its rejoin happens while frames reach it hop-by-hop (and, transiently,
-/// via the leader's star fallback bridging the dead segment). The WAL-replay
-/// path and the fresh-state rejoin path must still converge to a
-/// byte-identical delivered payload prefix — recovery must not observe
-/// *which* lane re-fed the replica.
-///
-/// Window 1 pins the client's submission order exactly: with multiple slots
-/// in flight the client refills completed slots a delivery batch at a time,
-/// and the ring's bursty commit cadence makes batch composition — hence
-/// the submitted id sequence — sensitive to the fsync charges that differ
-/// across durability modes. One outstanding request removes that freedom,
-/// so any prefix mismatch here is a real recovery divergence.
+/// Ring: the crashed replica sits on an arm, so its rejoin happens while
+/// frames reach it hop by hop (and, transiently, through the leader's star
+/// fallback bridging the dead segment); recovery must not observe which
+/// lane re-fed it. Window 1 pins the client's submission order exactly:
+/// with several slots in flight the client refills completed slots a
+/// delivery batch at a time, and the ring's bursty commit cadence makes
+/// batch composition — hence the submitted id sequence — sensitive to the
+/// fsync charges that differ across modes.
 #[test]
 fn acuerdo_ring_recovery_equivalence_durable_vs_fresh_rejoin() {
-    let (durable, durable_len, durable_wal) =
-        crash_restart_run_with(DurabilityMode::Durable, DisseminationMode::Ring, 1);
-    let (fresh, fresh_len, fresh_wal) =
-        crash_restart_run_with(DurabilityMode::Volatile, DisseminationMode::Ring, 1);
-    assert!(durable_wal > 0, "durable restart must replay its WAL");
-    assert_eq!(fresh_wal, 0, "volatile restart must not touch a WAL");
-    assert!(
-        durable_len > 100 && fresh_len > 100,
-        "recovered replica re-delivered too little (durable {durable_len}, fresh {fresh_len})"
-    );
-    let k = durable[2].len().min(fresh[2].len());
-    assert!(k > 100, "common prefix too short to be meaningful ({k})");
-    assert_eq!(
-        &durable[2][..k],
-        &fresh[2][..k],
-        "ring-mode durable recovery and fresh rejoin delivered different payload sequences"
-    );
+    let rows = [(7, (1, 32, 100), [10, 15, 50])];
+    recovery_equivalence::<AcuerdoNode>(acuerdo(DisseminationMode::Ring), (100, false), &rows);
 }
 
-/// Negative control: wipe half of every replica's persisted records behind
-/// the cluster's back during a whole-cluster power failure. The recovered
-/// cluster restarts from shorter logs, so the committed prefix the auditor
-/// ratcheted before the failure can no longer be covered — `observe` at the
-/// horizon MUST report the loss.
+#[test]
+fn raft_recovery_equivalence_durable_vs_fresh_rejoin() {
+    let cfg = |durability| RaftConfig {
+        durability,
+        ..RaftConfig::default()
+    };
+    let c = (4, 10, 100);
+    let rows = [(40, c, [60, 80, 500]), (41, c, [50, 80, 600])];
+    recovery_equivalence::<RaftNode>(cfg, (10, false), &rows);
+}
+
+#[test]
+fn zab_recovery_equivalence_durable_vs_fresh_rejoin() {
+    let cfg = |durability| ZabConfig {
+        durability,
+        ..ZabConfig::default()
+    };
+    let c = (8, 10, 20);
+    let rows = [(27, c, [20, 30, 120]), (28, c, [15, 25, 150])];
+    recovery_equivalence::<ZabNode>(cfg, (10, false), &rows);
+}
+
+/// Five durable replicas at seed 11 (window 8, 32 B) lose power at `warm`
+/// ms and are back 2 ms later. With intact journals the auditor stays
+/// silent at `horizon` ms; with half of every persisted journal dropped
+/// behind the cluster's back, the `committed` prefix ratcheted before the
+/// failure can no longer be covered, and it MUST report the loss.
+fn tampered_log_is_caught<R: Replica>(
+    cfg: &R::Config,
+    (rto, broadcast): (u64, bool),
+    [warm, horizon]: [u64; 2],
+    committed: usize,
+) {
+    let ms = Duration::from_millis;
+    for tamper in [false, true] {
+        let (mut sim, ids, client) = cluster_with_client::<R>(11, cfg, 8, 32, Duration::ZERO);
+        abcast::enable_restarts::<R>(&mut sim, cfg, &ids);
+        let c = sim.node_mut::<WindowClient<R::Wire>>(client);
+        c.retransmit = Some(ms(rto));
+        if broadcast {
+            c.replicas = ids.clone();
+        }
+        sim.run_until(SimTime::from_millis(warm));
+        let mut auditor = DurabilityAuditor::new();
+        let pre = histories::<R>(&sim, &ids);
+        assert_eq!(pre.iter().map(Vec::len).max(), Some(committed));
+        auditor.observe(&pre).expect("clean before the fault");
+
+        sim.power_failure(&ids);
+        for &id in ids.iter().filter(|_| tamper) {
+            let disk = sim.disk_mut(id);
+            let drop = disk.synced_records().len() - disk.synced_records().len() / 2;
+            assert!(drop > 0, "tampering must remove something");
+            disk.corrupt_drop_tail(drop);
+        }
+        let back = sim.now() + ms(2);
+        for &id in &ids {
+            sim.restart_at(id, back);
+        }
+        sim.run_until(SimTime::from_millis(horizon));
+        match (tamper, auditor.observe(&histories::<R>(&sim, &ids))) {
+            (false, verdict) => verdict.expect("intact journals lose nothing"),
+            (true, Err(Violation::CommittedEntryLost { committed_len, .. })) => {
+                assert_eq!(committed_len, committed, "the ratcheted prefix")
+            }
+            (true, other) => panic!("tampered logs must be caught, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn corrupted_log_tail_is_reported_as_committed_entry_loss() {
-    let cfg = AcuerdoConfig {
-        retain_log: true,
-        durability: DurabilityMode::Durable,
-        ..AcuerdoConfig::stable(5)
+    let (durability, n) = (DurabilityMode::Durable, 5);
+    let acuerdo = acuerdo(DisseminationMode::Star)(durability);
+    tampered_log_is_caught::<AcuerdoNode>(&acuerdo, (1, false), [15, 50], 2387);
+    let raft = RaftConfig {
+        n,
+        durability,
+        ..RaftConfig::default()
     };
-    let (mut sim, ids, client) =
-        cluster_with_client::<acuerdo::AcuerdoNode>(11, &cfg, 8, 32, Duration::ZERO);
-    acuerdo::enable_restarts(&mut sim, &cfg, &ids);
-    sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(1));
-    sim.run_until(SimTime::from_millis(15));
-
-    let mut auditor = DurabilityAuditor::new();
-    let pre = acuerdo::histories(&sim, &ids);
-    let committed = pre.iter().map(Vec::len).max().unwrap_or(0);
-    assert!(
-        committed > 200,
-        "need a substantial committed prefix ({committed})"
-    );
-    auditor.observe(&pre).expect("clean before the fault");
-
-    sim.power_failure(&ids);
-    for &id in &ids {
-        let disk = sim.disk_mut(id);
-        let keep = disk.synced_records().len() / 2;
-        let drop = disk.synced_records().len() - keep;
-        assert!(drop > 0, "tampering must remove something");
-        disk.corrupt_drop_tail(drop);
-    }
-    let t = sim.now() + Duration::from_millis(2);
-    for &id in &ids {
-        sim.restart_at(id, t);
-    }
-    sim.run_until(SimTime::from_millis(50));
-
-    let verdict = auditor.observe(&acuerdo::histories(&sim, &ids));
-    match verdict {
-        Err(Violation::CommittedEntryLost { committed_len, .. }) => {
-            assert_eq!(
-                committed_len, committed,
-                "auditor tracked the ratcheted prefix"
-            );
-        }
-        other => panic!("tampered logs must be caught, got {other:?}"),
-    }
+    tampered_log_is_caught::<RaftNode>(&raft, (2, true), [100, 1200], 292);
+    let zab = ZabConfig {
+        n,
+        durability,
+        ..ZabConfig::default()
+    };
+    tampered_log_is_caught::<ZabNode>(&zab, (2, true), [30, 300], 392);
 }
