@@ -30,78 +30,31 @@ use simnet::{CommitForensics, ForensicMark, NodeId, SpanStage, WaitReason};
 
 use crate::stats::StageClass;
 
-/// A named cause in a per-commit blame vector.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum BlameCause {
-    /// Time the leader's NIC egress queue held replication/response frames
-    /// behind earlier serializations.
-    LeaderEgressQueue,
-    /// Time waiting for the last quorum acknowledgement (the straggler).
-    StragglerWait,
-    /// Client retransmit rounds before the ordering node adopted the
-    /// request.
-    Retransmit,
-    /// Wire propagation and remote ingress queueing.
-    LinkDelay,
-    /// Persistent-log fsync barriers on the leader.
-    FsyncBarrier,
-    /// Deferrals behind the leader's busy CPU.
-    BusyDefer,
-    /// Deferrals behind a fault-layer pause (descheduling).
-    SchedHold,
-    /// Protocol CPU execution (ordering, commit bookkeeping, delivery).
-    CpuExec,
-}
-
-impl BlameCause {
-    /// Number of blame causes.
-    pub const COUNT: usize = 8;
-
-    /// All causes, in slot order.
-    pub const ALL: [BlameCause; BlameCause::COUNT] = [
-        BlameCause::LeaderEgressQueue,
-        BlameCause::StragglerWait,
-        BlameCause::Retransmit,
-        BlameCause::LinkDelay,
-        BlameCause::FsyncBarrier,
-        BlameCause::BusyDefer,
-        BlameCause::SchedHold,
-        BlameCause::CpuExec,
-    ];
-
-    /// Stable snake_case name (JSON key in forensics sidecars).
-    pub fn name(self) -> &'static str {
-        match self {
-            BlameCause::LeaderEgressQueue => "leader_egress_queue",
-            BlameCause::StragglerWait => "straggler_wait",
-            BlameCause::Retransmit => "retransmit",
-            BlameCause::LinkDelay => "link_delay",
-            BlameCause::FsyncBarrier => "fsync_barrier",
-            BlameCause::BusyDefer => "busy_defer",
-            BlameCause::SchedHold => "sched_hold",
-            BlameCause::CpuExec => "cpu_exec",
-        }
-    }
-
-    /// Inverse of [`name`](BlameCause::name) (used by report ingestion).
-    pub fn from_name(s: &str) -> Option<BlameCause> {
-        BlameCause::ALL.iter().copied().find(|c| c.name() == s)
+simnet::registry! {
+    /// A named cause in a per-commit blame vector.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    #[repr(usize)]
+    pub enum BlameCause {
+        /// Time the leader's NIC egress queue held replication/response frames
+        /// behind earlier serializations.
+        LeaderEgressQueue = "leader_egress_queue",
+        /// Time waiting for the last quorum acknowledgement (the straggler).
+        StragglerWait = "straggler_wait",
+        /// Client retransmit rounds before the ordering node adopted the
+        /// request.
+        Retransmit = "retransmit",
+        /// Wire propagation and remote ingress queueing.
+        LinkDelay = "link_delay",
+        /// Persistent-log fsync barriers on the leader.
+        FsyncBarrier = "fsync_barrier",
+        /// Deferrals behind the leader's busy CPU.
+        BusyDefer = "busy_defer",
+        /// Deferrals behind a fault-layer pause (descheduling).
+        SchedHold = "sched_hold",
+        /// Protocol CPU execution (ordering, commit bookkeeping, delivery).
+        CpuExec = "cpu_exec",
     }
 }
-
-// Same registry-desync guard as the simnet registries.
-const _: () = {
-    assert!(BlameCause::ALL.len() == BlameCause::COUNT);
-    let mut i = 0;
-    while i < BlameCause::COUNT {
-        assert!(
-            BlameCause::ALL[i] as usize == i,
-            "ALL must list slots in order"
-        );
-        i += 1;
-    }
-};
 
 /// One commit's blame vector plus the context a forensic explanation needs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -142,30 +142,23 @@ impl LatencyHist {
     }
 }
 
-/// Which share of a commit's latency a stage transition belongs to, for the
-/// quorum-wait vs. wire vs. CPU anatomy of §4.1.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum StageClass {
-    /// Time on the wire (client hop, replication write propagation,
-    /// response hop).
-    Wire,
-    /// Time waiting for replica acknowledgements to become visible and for
-    /// the quorum rule to fire.
-    QuorumWait,
-    /// Time in protocol CPU (ordering, commit bookkeeping, delivery).
-    Cpu,
+simnet::registry! {
+    /// Which share of a commit's latency a stage transition belongs to, for the
+    /// quorum-wait vs. wire vs. CPU anatomy of §4.1.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub enum StageClass {
+        /// Time on the wire (client hop, replication write propagation,
+        /// response hop).
+        Wire = "wire",
+        /// Time waiting for replica acknowledgements to become visible and for
+        /// the quorum rule to fire.
+        QuorumWait = "quorum_wait",
+        /// Time in protocol CPU (ordering, commit bookkeeping, delivery).
+        Cpu = "cpu",
+    }
 }
 
 impl StageClass {
-    /// Stable snake_case name (JSON key / table label).
-    pub fn name(self) -> &'static str {
-        match self {
-            StageClass::Wire => "wire",
-            StageClass::QuorumWait => "quorum_wait",
-            StageClass::Cpu => "cpu",
-        }
-    }
-
     /// The class of the transition that *ends* at `to`.
     pub fn of_transition(to: SpanStage) -> StageClass {
         match to {
@@ -194,7 +187,7 @@ impl StageClass {
 #[derive(Clone, Default)]
 pub struct StageHist {
     transitions: Vec<LatencyHist>, // SpanStage::COUNT - 1 entries, lazily sized
-    classes: Vec<LatencyHist>,     // Wire, QuorumWait, Cpu
+    classes: Vec<LatencyHist>,     // StageClass::COUNT entries, lazily sized
     /// End-to-end `submit → client_resp` latency.
     pub total: LatencyHist,
 }
@@ -204,16 +197,8 @@ impl StageHist {
     pub fn new() -> Self {
         StageHist {
             transitions: (1..SpanStage::COUNT).map(|_| LatencyHist::new()).collect(),
-            classes: (0..3).map(|_| LatencyHist::new()).collect(),
+            classes: (0..StageClass::COUNT).map(|_| LatencyHist::new()).collect(),
             total: LatencyHist::new(),
-        }
-    }
-
-    fn class_slot(c: StageClass) -> usize {
-        match c {
-            StageClass::Wire => 0,
-            StageClass::QuorumWait => 1,
-            StageClass::Cpu => 2,
         }
     }
 
@@ -225,7 +210,7 @@ impl StageHist {
         }
         let idx = (to as usize).saturating_sub(1);
         self.transitions[idx].record(d);
-        self.classes[Self::class_slot(StageClass::of_transition(to))].record(d);
+        self.classes[StageClass::of_transition(to) as usize].record(d);
     }
 
     /// Record one assembled lifecycle: `marks[i]` is the nanosecond
@@ -265,7 +250,7 @@ impl StageHist {
         if self.classes.is_empty() {
             return EMPTY.get_or_init(LatencyHist::new);
         }
-        &self.classes[Self::class_slot(c)]
+        &self.classes[c as usize]
     }
 
     /// Number of complete (submit → client_resp) lifecycles recorded.
@@ -317,17 +302,14 @@ impl StageHist {
             ));
         }
         out.push_str("},\"classes\":{");
-        for (i, c) in [StageClass::Wire, StageClass::QuorumWait, StageClass::Cpu]
-            .iter()
-            .enumerate()
-        {
+        for (i, c) in StageClass::ALL.into_iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
                 "\"{}\":{}",
                 c.name(),
-                Self::hist_json(self.class(*c))
+                Self::hist_json(self.class(c))
             ));
         }
         out.push_str(&format!("}},\"total\":{}}}", Self::hist_json(&self.total)));
@@ -358,7 +340,7 @@ impl StageHist {
                 h.p999_us()
             ));
         }
-        for c in [StageClass::Wire, StageClass::QuorumWait, StageClass::Cpu] {
+        for c in StageClass::ALL {
             let h = self.class(c);
             out.push_str(&format!(
                 "  {:<18} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>10.2}\n",
@@ -497,10 +479,7 @@ mod tests {
         assert_eq!(sh.totals_count(), 1);
         assert!((sh.total.mean_us() - 20.0).abs() < 1e-9);
         // Classes roll up every recorded transition.
-        let class_total: u64 = [StageClass::Wire, StageClass::QuorumWait, StageClass::Cpu]
-            .iter()
-            .map(|&c| sh.class(c).count())
-            .sum();
+        let class_total: u64 = StageClass::ALL.map(|c| sh.class(c).count()).iter().sum();
         assert_eq!(class_total, 3);
     }
 

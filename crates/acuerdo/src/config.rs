@@ -6,33 +6,35 @@ use rdma_prims::RingMode;
 use rdma_sim::QpConfig;
 use std::time::Duration;
 
-/// How the leader disseminates payload frames to its followers.
-///
-/// The node runs one payload path for both: the leader streams to the heads
-/// of its arms and every follower forwards accepted frames one hop along
-/// its arm, as [`DisseminationMode::route`] lays the arms out. `Star` is the
-/// paper's topology, and the route on which every follower heads an arm of
-/// its own: the leader writes every payload into every follower's ring
-/// (leader egress `O(n)` bytes per message) and nobody forwards. `Ring`
-/// amortizes dissemination around the replica-index ring
-/// (after Ring Paxos) along **two arms** ([`ring_route`]): the leader
-/// writes each payload to both of its ring neighbours, the clockwise arm
-/// forwards it `i → i+1` and the counter-clockwise arm `i → i−1`, and the
-/// arms meet on the far side of the ring. Leader egress stays `O(1)` per
-/// message (two frames) and the quorum closes after `⌈⌊n/2⌋/2⌉`
-/// store-and-forward hops — half of what a single chain `o → o+1 → … →
-/// o−1` needs to reach the node `⌊n/2⌋` hops away. Ack/commit semantics are
-/// the same on either route — the frame header *is* the origin slot. An
-/// arm segment behind a crashed or partitioned forwarder falls back to star
-/// fan-out until a rejoin heals the arm.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum DisseminationMode {
-    /// Leader writes every payload to every follower (the paper's topology).
-    #[default]
-    Star,
-    /// Leader writes to its two ring neighbours; followers forward frames
-    /// one hop further along their arm ([`ring_route`]).
-    Ring,
+simnet::registry! {
+    /// How the leader disseminates payload frames to its followers.
+    ///
+    /// The node runs one payload path for both: the leader streams to the heads
+    /// of its arms and every follower forwards accepted frames one hop along
+    /// its arm, as [`DisseminationMode::route`] lays the arms out. `Star` is the
+    /// paper's topology, and the route on which every follower heads an arm of
+    /// its own: the leader writes every payload into every follower's ring
+    /// (leader egress `O(n)` bytes per message) and nobody forwards. `Ring`
+    /// amortizes dissemination around the replica-index ring
+    /// (after Ring Paxos) along **two arms** ([`ring_route`]): the leader
+    /// writes each payload to both of its ring neighbours, the clockwise arm
+    /// forwards it `i → i+1` and the counter-clockwise arm `i → i−1`, and the
+    /// arms meet on the far side of the ring. Leader egress stays `O(1)` per
+    /// message (two frames) and the quorum closes after `⌈⌊n/2⌋/2⌉`
+    /// store-and-forward hops — half of what a single chain `o → o+1 → … →
+    /// o−1` needs to reach the node `⌊n/2⌋` hops away. Ack/commit semantics are
+    /// the same on either route — the frame header *is* the origin slot. An
+    /// arm segment behind a crashed or partitioned forwarder falls back to star
+    /// fan-out until a rejoin heals the arm.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
+    pub enum DisseminationMode {
+        /// Leader writes every payload to every follower (the paper's topology).
+        #[default]
+        Star = "star",
+        /// Leader writes to its two ring neighbours; followers forward frames
+        /// one hop further along their arm ([`ring_route`]).
+        Ring = "ring",
+    }
 }
 
 /// One node's place on the arms of a given origin (proposer).
@@ -96,23 +98,6 @@ impl DisseminationMode {
                 downstream: None,
             },
             DisseminationMode::Ring => ring_route(n, origin, me),
-        }
-    }
-
-    /// Stable lowercase name (CLI flags, document labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            DisseminationMode::Star => "star",
-            DisseminationMode::Ring => "ring",
-        }
-    }
-
-    /// Parse a `name()` string back.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "star" => Some(DisseminationMode::Star),
-            "ring" => Some(DisseminationMode::Ring),
-            _ => None,
         }
     }
 }
@@ -316,11 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn dissemination_mode_names_round_trip() {
-        for m in [DisseminationMode::Star, DisseminationMode::Ring] {
-            assert_eq!(DisseminationMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(DisseminationMode::parse("mesh"), None);
+    fn dissemination_defaults_to_star() {
         assert_eq!(DisseminationMode::default(), DisseminationMode::Star);
     }
 }

@@ -70,9 +70,9 @@ fn parse_args() -> Args {
             "--proto" => {
                 let v = value(&mut args, "--proto", "protocol name");
                 out.protos = if v == "all" {
-                    Proto::all().to_vec()
+                    Proto::ALL.to_vec()
                 } else {
-                    match Proto::parse(&v) {
+                    match Proto::from_name(&v) {
                         Some(p) => vec![p],
                         None => {
                             eprintln!("unknown protocol {v}");
@@ -93,14 +93,14 @@ fn parse_args() -> Args {
             "--max-time-ms" => out.max_time_ms = parsed(&mut args, "--max-time-ms", "number"),
             "--tier" => {
                 let v = value(&mut args, "--tier", "tier name");
-                out.tier = Tier::parse(&v).unwrap_or_else(|| {
+                out.tier = Tier::from_name(&v).unwrap_or_else(|| {
                     eprintln!("unknown tier {v}");
                     exit(2);
                 });
             }
             "--durability" => {
                 let v = value(&mut args, "--durability", "mode");
-                out.durability = DurabilityMode::parse(&v).unwrap_or_else(|| {
+                out.durability = DurabilityMode::from_name(&v).unwrap_or_else(|| {
                     eprintln!("unknown durability mode {v}");
                     exit(2);
                 });
@@ -110,7 +110,7 @@ fn parse_args() -> Args {
             }
             "--sched" => {
                 let v = value(&mut args, "--sched", "scheduler kind");
-                out.sched = SchedKind::parse(&v).unwrap_or_else(|| {
+                out.sched = SchedKind::from_name(&v).unwrap_or_else(|| {
                     eprintln!("unknown scheduler {v}");
                     exit(2);
                 });
@@ -177,7 +177,7 @@ fn main() {
                 flight,
             } = run_chaos(&opts);
             if let Some(path) = &args.trace_out {
-                std::fs::write(path, simnet::chrome_trace_json(&events)).unwrap_or_else(|e| {
+                std::fs::write(path, bench::chrome::write(&events, &[])).unwrap_or_else(|e| {
                     eprintln!("cannot write {path}: {e}");
                     exit(2);
                 });

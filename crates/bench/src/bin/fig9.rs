@@ -81,7 +81,7 @@ fn main() {
             let out = run(&r);
             let stages = trace_out.as_ref().map(|base| {
                 let path = record_path(base, &label);
-                let doc = simnet::chrome_trace_json_full(&out.events, &out.gauges);
+                let doc = bench::chrome::write(&out.events, &out.gauges);
                 std::fs::write(&path, doc).expect("write trace file");
                 eprintln!("wrote {path} ({} events)", out.events.len());
                 spans::stage_hist(&spans::collect(&out.events))

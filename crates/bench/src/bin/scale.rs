@@ -72,7 +72,7 @@ fn main() {
             }
             "--sched" => {
                 let v = value(&mut args, "--sched", "scheduler kind");
-                sched = SchedKind::parse(&v).unwrap_or_else(|| {
+                sched = SchedKind::from_name(&v).unwrap_or_else(|| {
                     eprintln!("--sched needs 'heap' or 'calendar', got '{v}'");
                     exit(2);
                 });
@@ -152,7 +152,7 @@ fn main() {
                 if trace_this {
                     let base = trace_out.as_deref().expect("trace_this implies trace_out");
                     let path = record_path(base, &label);
-                    let doc = simnet::chrome_trace_json_full(&out.events, &out.gauges);
+                    let doc = bench::chrome::write(&out.events, &out.gauges);
                     std::fs::write(&path, doc).unwrap_or_else(|e| {
                         eprintln!("cannot write {path}: {e}");
                         exit(2);

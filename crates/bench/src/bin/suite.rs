@@ -57,7 +57,7 @@ fn main() {
             }
             "--sched" => {
                 let v = value(&mut args, "--sched", "scheduler kind");
-                cfg.scheduler = SchedKind::parse(&v).unwrap_or_else(|| {
+                cfg.scheduler = SchedKind::from_name(&v).unwrap_or_else(|| {
                     eprintln!("--sched needs 'heap' or 'calendar', got '{v}'");
                     exit(2);
                 });

@@ -62,7 +62,7 @@ fn main() {
         let stages = trace_out.as_ref().map(|base| {
             let label = format!("n{n}");
             let path = record_path(base, &label);
-            std::fs::write(&path, simnet::chrome_trace_json(&out.events))
+            std::fs::write(&path, bench::chrome::write(&out.events, &[]))
                 .expect("write trace file");
             eprintln!("wrote {path} ({} events)", out.events.len());
             let hist = spans::stage_hist(&spans::collect(&out.events));

@@ -1,8 +1,8 @@
 //! Analyze a Chrome trace file written by any `--trace-out` flag (`fig8`,
-//! `fig9`, `table1`, `chaos`): reassemble message lifecycles, print the
-//! per-stage commit-latency anatomy with its quorum-wait / wire / CPU
-//! breakdown, sample the p50 and p99 critical paths, and list the heaviest
-//! network links.
+//! `fig9`, `table1`, `scale`, `chaos`; read back by [`bench::chrome::load`]):
+//! reassemble message lifecycles, print the per-stage commit-latency anatomy
+//! with its quorum-wait / wire / CPU breakdown, sample the p50 and p99
+//! critical paths, and list the heaviest network links.
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig8 -- --trace-out fig8.trace.json
@@ -33,10 +33,11 @@
 //! requested analysis — the error names which analysis sections the
 //! document *does* support (`util`, `forensics`, `whatif`, `stages`) so
 //! older exports fail with a pointer instead of a bare refusal — and 2 on
-//! usage or parse errors.
+//! usage or parse errors, among them a trace entry that lacks a field the
+//! writer always emits (`traceEvents[7] tx: missing dur`).
 
 use bench::json::{self, Value};
-use bench::{forensics, report, util, whatif};
+use bench::{chrome, forensics, report, util, whatif};
 use std::process::exit;
 
 const USAGE: &str = "usage: trace-report [--top N] FILE.json\n       \
@@ -141,7 +142,7 @@ fn main() {
     if let Some(&mode) = modes.first() {
         metrics_doc_report(&file, mode, top);
     }
-    let (events, gauges) = report::load_trace_file(&file).unwrap_or_else(|e| {
+    let (events, gauges) = chrome::load(&file).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2);
     });

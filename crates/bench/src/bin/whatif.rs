@@ -54,7 +54,7 @@ fn main() {
             "--seed" => seed = Some(parsed(&mut args, "--seed", "number")),
             "--sched" => {
                 let v = value(&mut args, "--sched", "scheduler kind");
-                sched = Some(SchedKind::parse(&v).unwrap_or_else(|| {
+                sched = Some(SchedKind::from_name(&v).unwrap_or_else(|| {
                     eprintln!("--sched needs 'heap' or 'calendar', got '{v}'");
                     exit(2);
                 }));

@@ -52,49 +52,24 @@ use simnet::{
 use std::time::Duration;
 use zab::{ZabConfig, ZabNode};
 
-/// Protocols the chaos harness can drive.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Proto {
-    /// The paper's contribution, with crash-restart rejoin enabled.
-    Acuerdo,
-    /// Raft (etcd baseline) over TCP.
-    Raft,
-    /// Zab (ZooKeeper baseline) over TCP.
-    Zab,
-    /// Multi-Paxos (libpaxos baseline) over TCP.
-    Paxos,
-    /// Derecho (leader mode) over RDMA.
-    Derecho,
+simnet::registry! {
+    /// Protocols the chaos harness can drive.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub enum Proto {
+        /// The paper's contribution, with crash-restart rejoin enabled.
+        Acuerdo = "acuerdo",
+        /// Raft (etcd baseline) over TCP.
+        Raft = "raft",
+        /// Zab (ZooKeeper baseline) over TCP.
+        Zab = "zab",
+        /// Multi-Paxos (libpaxos baseline) over TCP.
+        Paxos = "paxos",
+        /// Derecho (leader mode) over RDMA.
+        Derecho = "derecho",
+    }
 }
 
 impl Proto {
-    /// All drivable protocols.
-    pub fn all() -> [Proto; 5] {
-        [
-            Proto::Acuerdo,
-            Proto::Raft,
-            Proto::Zab,
-            Proto::Paxos,
-            Proto::Derecho,
-        ]
-    }
-
-    /// CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Proto::Acuerdo => "acuerdo",
-            Proto::Raft => "raft",
-            Proto::Zab => "zab",
-            Proto::Paxos => "paxos",
-            Proto::Derecho => "derecho",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<Proto> {
-        Proto::all().into_iter().find(|p| p.name() == s)
-    }
-
     /// Whether crashed replicas come back in the **basic** tier (a
     /// registered restart factory). Only Acuerdo pairs basic-tier crashes
     /// with restarts — baselines stay down, which keeps them inside their
@@ -113,33 +88,16 @@ impl Proto {
     }
 }
 
-/// Fault-schedule tier: how adversarial the generated script is.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum Tier {
-    /// Quorum-preserving mixed faults ([`Schedule::generate`]).
-    #[default]
-    Basic,
-    /// Quorum-breaking correlated faults — power failure, majority crash,
-    /// crash-during-recovery ([`Schedule::generate_correlated`]).
-    Correlated,
-}
-
-impl Tier {
-    /// Stable lowercase name (flag value / JSON field).
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Basic => "basic",
-            Tier::Correlated => "correlated",
-        }
-    }
-
-    /// Parse a flag value produced by [`Tier::name`].
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "basic" => Some(Tier::Basic),
-            "correlated" => Some(Tier::Correlated),
-            _ => None,
-        }
+simnet::registry! {
+    /// Fault-schedule tier: how adversarial the generated script is.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
+    pub enum Tier {
+        /// Quorum-preserving mixed faults ([`Schedule::generate`]).
+        #[default]
+        Basic = "basic",
+        /// Quorum-breaking correlated faults — power failure, majority crash,
+        /// crash-during-recovery ([`Schedule::generate_correlated`]).
+        Correlated = "correlated",
     }
 }
 

@@ -28,7 +28,7 @@ pub fn dissemination(
         "mode (star or ring)"
     };
     let v = value(args, "--dissemination", what);
-    match DisseminationMode::parse(&v) {
+    match DisseminationMode::from_name(&v) {
         None if !(allow_both && v == "both") => needs("--dissemination", what),
         mode => mode,
     }

@@ -373,11 +373,14 @@ mod tests {
             v.get("totals").unwrap().get("commits").unwrap().as_u64(),
             Some(3)
         );
-        let trace = simnet::chrome_trace_json(&[simnet::TraceEvent::CpuBusy {
-            node: 0,
-            start: simnet::SimTime::ZERO,
-            end: simnet::SimTime::from_nanos(500),
-        }]);
+        let trace = crate::chrome::write(
+            &[simnet::TraceEvent::CpuBusy {
+                node: 0,
+                start: simnet::SimTime::ZERO,
+                end: simnet::SimTime::from_nanos(500),
+            }],
+            &[],
+        );
         assert!(parse(&trace).unwrap().get("traceEvents").is_some());
     }
 }

@@ -18,9 +18,10 @@
 //! is one `impl Replica` in its crate plus one [`System`] arm here.
 //!
 //! Binaries `fig8`, `table1`, `fig9`, `ablations` print the paper's
-//! rows/series; Criterion benches run scaled-down smoke points.
+//! rows/series.
 
 pub mod chaos;
+pub mod chrome;
 pub mod cli;
 pub mod diff;
 pub mod forensics;
@@ -231,7 +232,7 @@ pub const SAMPLE_EVERY: std::time::Duration = std::time::Duration::from_micros(1
 
 impl Observe {
     /// Event recording and gauge sampling on, for `--trace-out` (exported
-    /// together via `chrome_trace_json_full`).
+    /// together via [`chrome::write`]).
     pub fn traced() -> Observe {
         Observe {
             traced: true,
@@ -858,7 +859,7 @@ pub fn write_flightrec(dir: &str, seed: u64, events: &[TraceEvent]) -> std::io::
     } else {
         format!("{}/{name}", dir.trim_end_matches('/'))
     };
-    std::fs::write(&path, simnet::chrome_trace_json(events))?;
+    std::fs::write(&path, chrome::write(events, &[]))?;
     Ok(path)
 }
 

@@ -1,12 +1,11 @@
 //! Post-hoc trace analysis for the `trace-report` binary (and the
-//! observability tests): re-ingest a Chrome trace file written by
-//! [`simnet::chrome_trace_json`], reassemble message lifecycles, and render
-//! the commit-latency anatomy, critical-path samples, and per-link traffic.
+//! observability tests): from a timeline re-ingested by [`crate::chrome`],
+//! reassemble message lifecycles and render the commit-latency anatomy,
+//! critical-path samples, and per-link traffic.
 
-use crate::json::{self, Value};
 use abcast::spans::{collect, stage_hist};
 use abcast::{Lifecycle, StageHist};
-use simnet::{Gauge, GaugeSample, SimTime, SpanStage, TraceEvent};
+use simnet::{Gauge, GaugeSample, SpanStage, TraceEvent};
 
 /// One (src → dst) traffic aggregate from the NIC egress lane.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,102 +45,6 @@ impl TraceReport {
     pub fn is_empty(&self) -> bool {
         self.total_marks() == 0
     }
-}
-
-fn hex_u64(v: Option<&Value>) -> Option<u64> {
-    let s = v?.as_str()?;
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
-}
-
-fn us_to_time(us: f64) -> SimTime {
-    SimTime::from_nanos((us * 1_000.0).round() as u64)
-}
-
-/// Re-ingest a Chrome trace document into the [`TraceEvent`]s that matter for
-/// reporting: lifecycle stage marks and NIC egress slices. Other lanes
-/// (protocol instants, CPU busy, NIC ingress, flow arrows) are skipped.
-pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    parse_chrome_trace_full(text).map(|(events, _)| events)
-}
-
-/// Read and re-ingest a Chrome trace file, tagging errors with the path —
-/// the one loader shared by `trace-report` and the tests.
-pub fn load_trace_file(path: &str) -> Result<(Vec<TraceEvent>, Vec<GaugeSample>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_chrome_trace_full(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Like [`parse_chrome_trace`] but also re-ingesting the gauge counter
-/// tracks (`"ph":"C"` entries) written by
-/// [`simnet::chrome_trace_json_full`].
-pub fn parse_chrome_trace_full(text: &str) -> Result<(Vec<TraceEvent>, Vec<GaugeSample>), String> {
-    let doc = json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or("not a chrome trace: no traceEvents array")?;
-    let mut out = Vec::new();
-    let mut samples = Vec::new();
-    for e in events {
-        let ph = e.get("ph").and_then(Value::as_str);
-        if ph != Some("X") && ph != Some("C") {
-            continue;
-        }
-        let Some(name) = e.get("name").and_then(Value::as_str) else {
-            continue;
-        };
-        let node = e.get("pid").and_then(Value::as_u64).unwrap_or(0) as usize;
-        let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        if ph == Some("C") {
-            if let Some(gauge) = Gauge::from_name(name) {
-                let value = e
-                    .get("args")
-                    .and_then(|a| a.get("value"))
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0);
-                samples.push(GaugeSample {
-                    at: us_to_time(ts),
-                    node,
-                    gauge,
-                    value,
-                });
-            }
-            continue;
-        }
-        if let Some(stage) = SpanStage::from_name(name) {
-            let args = e.get("args");
-            let Some(id) = hex_u64(args.and_then(|a| a.get("span"))) else {
-                continue;
-            };
-            let arg = hex_u64(args.and_then(|a| a.get("arg"))).unwrap_or(0);
-            out.push(TraceEvent::Span {
-                at: us_to_time(ts),
-                node,
-                id,
-                stage,
-                arg,
-            });
-        } else if name == "tx" {
-            let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-            let args = e.get("args");
-            let bytes = args
-                .and_then(|a| a.get("bytes"))
-                .and_then(Value::as_u64)
-                .unwrap_or(0) as u32;
-            let dst = args
-                .and_then(|a| a.get("dst"))
-                .and_then(Value::as_u64)
-                .unwrap_or(0) as usize;
-            out.push(TraceEvent::NicEgress {
-                node,
-                start: us_to_time(ts),
-                end: us_to_time(ts + dur),
-                bytes,
-                dst,
-            });
-        }
-    }
-    Ok((out, samples))
 }
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -356,7 +259,7 @@ pub fn render(r: &TraceReport, top: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{client_span, msg_span};
+    use simnet::{client_span, msg_span, SimTime};
 
     fn span(at: u64, node: usize, id: u64, stage: SpanStage, arg: u64) -> TraceEvent {
         TraceEvent::Span {
@@ -381,30 +284,6 @@ mod tests {
             events.push(span(base + 1_000 * (k as u64 + 1), 0, mid, *stage, arg));
         }
         events.push(span(base + 9_000, client, cid, SpanStage::ClientResp, 0));
-    }
-
-    #[test]
-    fn chrome_round_trip_preserves_spans_and_tx() {
-        let mut events = vec![TraceEvent::NicEgress {
-            node: 0,
-            start: SimTime::from_nanos(50),
-            end: SimTime::from_nanos(76),
-            bytes: 80,
-            dst: 2,
-        }];
-        full_lifecycle(&mut events, 5, 1, 1, 100);
-        let parsed = parse_chrome_trace(&simnet::chrome_trace_json(&events)).unwrap();
-        // Same number of spans + egress slices, and identical span payloads.
-        assert_eq!(parsed.len(), events.len());
-        let spans = |evs: &[TraceEvent]| {
-            evs.iter()
-                .filter_map(|e| match *e {
-                    TraceEvent::Span { at, id, stage, .. } => Some((at, id, stage as usize)),
-                    _ => None,
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(spans(&parsed), spans(&events));
     }
 
     #[test]

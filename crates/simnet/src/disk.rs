@@ -84,35 +84,20 @@ impl Default for LogDevParams {
     }
 }
 
-/// Whether a protocol persists its log to the node's [`DurableLog`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum DurabilityMode {
-    /// Historical behaviour: nothing persisted, a restarted node rejoins
-    /// from fresh state (Acuerdo's resync path; baselines stay down).
-    #[default]
-    Volatile,
-    /// Append-before-ack on the hot path, recovery-from-log on restart.
-    Durable,
+crate::registry! {
+    /// Whether a protocol persists its log to the node's [`DurableLog`].
+    #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+    pub enum DurabilityMode {
+        /// Historical behaviour: nothing persisted, a restarted node rejoins
+        /// from fresh state (Acuerdo's resync path; baselines stay down).
+        #[default]
+        Volatile = "volatile",
+        /// Append-before-ack on the hot path, recovery-from-log on restart.
+        Durable = "durable",
+    }
 }
 
 impl DurabilityMode {
-    /// CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DurabilityMode::Volatile => "volatile",
-            DurabilityMode::Durable => "durable",
-        }
-    }
-
-    /// Parse a flag value produced by [`DurabilityMode::name`].
-    pub fn parse(s: &str) -> Option<DurabilityMode> {
-        match s {
-            "volatile" => Some(DurabilityMode::Volatile),
-            "durable" => Some(DurabilityMode::Durable),
-            _ => None,
-        }
-    }
-
     /// Whether this mode persists the log.
     pub fn is_durable(self) -> bool {
         matches!(self, DurabilityMode::Durable)
@@ -263,11 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn durability_mode_round_trips() {
-        for m in [DurabilityMode::Volatile, DurabilityMode::Durable] {
-            assert_eq!(DurabilityMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(DurabilityMode::parse("bogus"), None);
+    fn durability_mode_defaults_to_volatile() {
         assert!(!DurabilityMode::default().is_durable());
     }
 }

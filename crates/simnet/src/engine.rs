@@ -417,8 +417,7 @@ impl<M: 'static> Sim<M> {
     }
 
     /// The recorded timeline so far (empty unless tracing was enabled).
-    /// Feed to [`chrome_trace_json`](crate::chrome_trace_json) for a
-    /// Perfetto-compatible dump.
+    /// `bench::chrome::write` renders it as a Perfetto-compatible dump.
     pub fn trace_events(&self) -> &[TraceEvent] {
         self.probe.events()
     }

@@ -38,6 +38,7 @@ mod engine;
 pub mod hash;
 mod net;
 pub mod params;
+mod registry;
 pub mod sched;
 pub mod threaded;
 mod time;
@@ -53,11 +54,11 @@ pub use sched::SchedKind;
 pub use threaded::ThreadedRunner;
 pub use time::SimTime;
 pub use trace::{
-    chrome_trace_json, chrome_trace_json_full, client_span, cpu_slot_name, json_escape, msg_span,
-    msg_span_parts, CommitForensics, Counter, CounterSet, DirStats, Event, ForensicMark,
-    ForensicsSnapshot, Gauge, GaugeSample, GaugeSet, LinkRes, MetricsSnapshot, MsgKind, NodeRes,
-    Probe, ResourceSnapshot, SpanStage, TraceEvent, WaitReason, WaitStats, CPU_SLOTS,
-    CPU_SLOT_IDLE, CPU_SLOT_OTHER, FLIGHT_RECORDER_DEPTH, OUTLIER_RING_DEPTH,
+    client_span, cpu_slot_name, json_escape, msg_span, msg_span_parts, CommitForensics, Counter,
+    CounterSet, DirStats, Event, ForensicMark, ForensicsSnapshot, Gauge, GaugeSample, GaugeSet,
+    LinkRes, MetricsSnapshot, MsgKind, NodeRes, Probe, ResourceSnapshot, SpanStage, TraceEvent,
+    WaitReason, WaitStats, CPU_SLOTS, CPU_SLOT_IDLE, CPU_SLOT_OTHER, FLIGHT_RECORDER_DEPTH,
+    OUTLIER_RING_DEPTH,
 };
 
 /// Identifier of a node (process) inside one simulation.

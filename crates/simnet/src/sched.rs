@@ -48,33 +48,16 @@ impl EventKey {
     }
 }
 
-/// Which queue implementation a [`Sim`](crate::Sim) uses.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum SchedKind {
-    /// The original global `BinaryHeap`, kept as the reference implementation
-    /// for differential testing.
-    Heap,
-    /// The calendar queue (default).
-    #[default]
-    Calendar,
-}
-
-impl SchedKind {
-    /// Stable lowercase name (flag value / log label).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedKind::Heap => "heap",
-            SchedKind::Calendar => "calendar",
-        }
-    }
-
-    /// Parse a flag value produced by [`SchedKind::name`].
-    pub fn parse(s: &str) -> Option<SchedKind> {
-        match s {
-            "heap" => Some(SchedKind::Heap),
-            "calendar" => Some(SchedKind::Calendar),
-            _ => None,
-        }
+crate::registry! {
+    /// Which queue implementation a [`Sim`](crate::Sim) uses.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
+    pub enum SchedKind {
+        /// The original global `BinaryHeap`, kept as the reference implementation
+        /// for differential testing.
+        Heap = "heap",
+        /// The calendar queue (default).
+        #[default]
+        Calendar = "calendar",
     }
 }
 
@@ -410,11 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn sched_kind_round_trips() {
-        for k in [SchedKind::Heap, SchedKind::Calendar] {
-            assert_eq!(SchedKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(SchedKind::parse("bogus"), None);
+    fn sched_kind_defaults_to_the_calendar_queue() {
         assert_eq!(SchedKind::default(), SchedKind::Calendar);
     }
 }

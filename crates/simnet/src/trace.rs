@@ -28,216 +28,117 @@
 //!   dumped post-mortem ([`Probe::flight_events`]) without paying full-trace
 //!   memory on every run.
 //!
-//! Exports are hand-rolled JSON (the workspace deliberately avoids serde,
-//! DESIGN.md §6): [`chrome_trace_json`] / [`chrome_trace_json_full`] render
-//! the event timeline (and gauge series, as Perfetto counter tracks) in the
-//! Chrome trace-event format that Perfetto and `chrome://tracing` open
-//! directly, keyed on virtual time; [`MetricsSnapshot::to_json`] renders the
-//! counter registry plus final gauge levels for per-run metrics sidecars.
+//! Every named slot ([`Counter`], [`Gauge`], [`MsgKind`], [`SpanStage`],
+//! [`WaitReason`]) is declared through [`registry!`](crate::registry).
+//! [`MetricsSnapshot::to_json`] renders the counter registry plus final
+//! gauge levels for per-run metrics sidecars (hand-rolled JSON: the
+//! workspace deliberately avoids serde, DESIGN.md §6); the Chrome
+//! trace-event format of the timeline lives with its reader in
+//! `bench::chrome`.
 
 use crate::ctx::DeliveryClass;
 use crate::time::SimTime;
 use crate::NodeId;
 
-/// Per-node counter registry slots.
-///
-/// Fabric counters (`MsgsSent` .. `Packets`) are maintained by the engine;
-/// the rest are bumped by protocol crates at their natural instrument points.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum Counter {
-    /// Messages this node posted into the fabric.
-    MsgsSent,
-    /// Messages delivered to this node.
-    MsgsDelivered,
-    /// Bytes this node placed on the wire (after min-wire-size clamping).
-    WireBytes,
-    /// Packets this node placed on the wire.
-    Packets,
-    /// RDMA verbs posted (writes + reads).
-    VerbPosts,
-    /// One-sided writes applied into this node's registered memory.
-    DmaWritesApplied,
-    /// Completion-queue entries retired by polling.
-    CompletionsPolled,
-    /// SST row pushes.
-    SstPushes,
-    /// Ring-buffer frames sent.
-    RingFrames,
-    /// Sends refused because the remote ring had no reusable space.
-    RingStalls,
-    /// Ring wrap markers written (frame did not fit before the end).
-    RingWraps,
-    /// Broadcast messages accepted into the log.
-    Accepts,
-    /// Messages committed / delivered to the application.
-    Commits,
-    /// Recovery-diff entries applied during an epoch change.
-    DiffApplies,
-    /// Elections started.
-    Elections,
-    /// Elections won (this node became leader).
-    ElectionsWon,
-    /// Heartbeat-timeout expiries that marked the leader suspect.
-    HeartbeatMisses,
-    /// View changes installed (Derecho) or epoch/view installs generally.
-    ViewChanges,
-    /// Client-side retransmissions.
-    Retransmits,
-    /// Messages dropped at the sender because a partition or link flap cut
-    /// the (src, dst) connection.
-    PartitionDrops,
-    /// Times this node rebooted via [`Sim::restart_at`](crate::Sim::restart_at).
-    Restarts,
-    /// Recovery-diff frame bytes sent to re-synchronize peers (election and
-    /// rejoin diffs).
-    RejoinDiffBytes,
-    /// Inbound RDMA ops dropped by the NIC's rkey/bounds check — a peer
-    /// wrote through a stale view of this node's region table (e.g. after a
-    /// reboot re-registered fewer regions). The resync handshake replaces
-    /// the stream, so these are survivable, but a nonzero count outside a
-    /// fault window indicates a protocol bug.
-    RkeyDrops,
-    /// Lifecycle stage marks emitted through [`Ctx::span`](crate::Ctx::span).
-    /// Bumped whether or not event recording is on, so traced and untraced
-    /// runs report identical counters.
-    SpanMarks,
-    /// Invariant auditor: a node's current epoch moved backwards.
-    AuditEpochRegress,
-    /// Invariant auditor: a node's commit point moved backwards.
-    AuditCommitRegress,
-    /// Invariant auditor: a node's commit point overtook its accept point.
-    AuditCommitAheadAccept,
-    /// Bytes appended to this node's persistent log
-    /// ([`Ctx::log_append`](crate::Ctx::log_append)).
-    WalAppendBytes,
-    /// Fsync barriers issued on this node's persistent log
-    /// ([`Ctx::log_fsync`](crate::Ctx::log_fsync)).
-    WalFsyncs,
-    /// Nanoseconds of log-device time (append + fsync) charged to this node,
-    /// unscaled — the device-time share of the commit stage's CPU slot.
-    WalDeviceNs,
-    /// Staged (un-fsync'd) log records dropped by crash truncation.
-    WalTruncatedRecords,
-    /// Records replayed from the persistent log during a durable-mode
-    /// recovery.
-    WalRecoveredRecords,
-    /// Durability auditor: a committed entry vanished from the cluster's
-    /// adopted history after a fault (bumped by the chaos harness).
-    AuditCommitLost,
-    /// Ring dissemination: payload frames forwarded one hop along the
-    /// successor chain (bumped by the forwarder, not the origin leader).
-    RingForwards,
-    /// Ring dissemination: payload frames the leader sent directly to a
-    /// peer because the chain segment covering it was down (star fallback).
-    RingFallbackSends,
-    /// Frames refused by the acceptance contiguity gate — a duplicate of an
-    /// accepted header (fallback and forwarded copies racing) or a frame of
-    /// a stale epoch — under either topology.
-    RingDupDrops,
-}
-
-impl Counter {
-    /// Number of counter slots.
-    pub const COUNT: usize = 36;
-
-    /// All counters, in slot order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::MsgsSent,
-        Counter::MsgsDelivered,
-        Counter::WireBytes,
-        Counter::Packets,
-        Counter::VerbPosts,
-        Counter::DmaWritesApplied,
-        Counter::CompletionsPolled,
-        Counter::SstPushes,
-        Counter::RingFrames,
-        Counter::RingStalls,
-        Counter::RingWraps,
-        Counter::Accepts,
-        Counter::Commits,
-        Counter::DiffApplies,
-        Counter::Elections,
-        Counter::ElectionsWon,
-        Counter::HeartbeatMisses,
-        Counter::ViewChanges,
-        Counter::Retransmits,
-        Counter::PartitionDrops,
-        Counter::Restarts,
-        Counter::RejoinDiffBytes,
-        Counter::RkeyDrops,
-        Counter::SpanMarks,
-        Counter::AuditEpochRegress,
-        Counter::AuditCommitRegress,
-        Counter::AuditCommitAheadAccept,
-        Counter::WalAppendBytes,
-        Counter::WalFsyncs,
-        Counter::WalDeviceNs,
-        Counter::WalTruncatedRecords,
-        Counter::WalRecoveredRecords,
-        Counter::AuditCommitLost,
-        Counter::RingForwards,
-        Counter::RingFallbackSends,
-        Counter::RingDupDrops,
-    ];
-
-    /// Stable snake_case name (used as the JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::MsgsSent => "msgs_sent",
-            Counter::MsgsDelivered => "msgs_delivered",
-            Counter::WireBytes => "wire_bytes",
-            Counter::Packets => "packets",
-            Counter::VerbPosts => "verb_posts",
-            Counter::DmaWritesApplied => "dma_writes_applied",
-            Counter::CompletionsPolled => "completions_polled",
-            Counter::SstPushes => "sst_pushes",
-            Counter::RingFrames => "ring_frames",
-            Counter::RingStalls => "ring_stalls",
-            Counter::RingWraps => "ring_wraps",
-            Counter::Accepts => "accepts",
-            Counter::Commits => "commits",
-            Counter::DiffApplies => "diff_applies",
-            Counter::Elections => "elections",
-            Counter::ElectionsWon => "elections_won",
-            Counter::HeartbeatMisses => "heartbeat_misses",
-            Counter::ViewChanges => "view_changes",
-            Counter::Retransmits => "retransmits",
-            Counter::PartitionDrops => "partition_drops",
-            Counter::Restarts => "restarts",
-            Counter::RejoinDiffBytes => "rejoin_diff_bytes",
-            Counter::RkeyDrops => "rkey_drops",
-            Counter::SpanMarks => "span_marks",
-            Counter::AuditEpochRegress => "audit_epoch_regress",
-            Counter::AuditCommitRegress => "audit_commit_regress",
-            Counter::AuditCommitAheadAccept => "audit_commit_ahead_accept",
-            Counter::WalAppendBytes => "wal_append_bytes",
-            Counter::WalFsyncs => "wal_fsyncs",
-            Counter::WalDeviceNs => "wal_device_ns",
-            Counter::WalTruncatedRecords => "wal_truncated_records",
-            Counter::WalRecoveredRecords => "wal_recovered_records",
-            Counter::AuditCommitLost => "audit_commit_lost",
-            Counter::RingForwards => "ring_forwards",
-            Counter::RingFallbackSends => "ring_fallback_sends",
-            Counter::RingDupDrops => "ring_dup_drops",
-        }
+crate::registry! {
+    /// Per-node counter registry slots; each name is the slot's JSON key.
+    ///
+    /// Fabric counters (`MsgsSent` .. `Packets`) are maintained by the engine;
+    /// the rest are bumped by protocol crates at their natural instrument points.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    #[repr(usize)]
+    pub enum Counter {
+        /// Messages this node posted into the fabric.
+        MsgsSent = "msgs_sent",
+        /// Messages delivered to this node.
+        MsgsDelivered = "msgs_delivered",
+        /// Bytes this node placed on the wire (after min-wire-size clamping).
+        WireBytes = "wire_bytes",
+        /// Packets this node placed on the wire.
+        Packets = "packets",
+        /// RDMA verbs posted (writes + reads).
+        VerbPosts = "verb_posts",
+        /// One-sided writes applied into this node's registered memory.
+        DmaWritesApplied = "dma_writes_applied",
+        /// Completion-queue entries retired by polling.
+        CompletionsPolled = "completions_polled",
+        /// SST row pushes.
+        SstPushes = "sst_pushes",
+        /// Ring-buffer frames sent.
+        RingFrames = "ring_frames",
+        /// Sends refused because the remote ring had no reusable space.
+        RingStalls = "ring_stalls",
+        /// Ring wrap markers written (frame did not fit before the end).
+        RingWraps = "ring_wraps",
+        /// Broadcast messages accepted into the log.
+        Accepts = "accepts",
+        /// Messages committed / delivered to the application.
+        Commits = "commits",
+        /// Recovery-diff entries applied during an epoch change.
+        DiffApplies = "diff_applies",
+        /// Elections started.
+        Elections = "elections",
+        /// Elections won (this node became leader).
+        ElectionsWon = "elections_won",
+        /// Heartbeat-timeout expiries that marked the leader suspect.
+        HeartbeatMisses = "heartbeat_misses",
+        /// View changes installed (Derecho) or epoch/view installs generally.
+        ViewChanges = "view_changes",
+        /// Client-side retransmissions.
+        Retransmits = "retransmits",
+        /// Messages dropped at the sender because a partition or link flap cut
+        /// the (src, dst) connection.
+        PartitionDrops = "partition_drops",
+        /// Times this node rebooted via [`Sim::restart_at`](crate::Sim::restart_at).
+        Restarts = "restarts",
+        /// Recovery-diff frame bytes sent to re-synchronize peers (election and
+        /// rejoin diffs).
+        RejoinDiffBytes = "rejoin_diff_bytes",
+        /// Inbound RDMA ops dropped by the NIC's rkey/bounds check — a peer
+        /// wrote through a stale view of this node's region table (e.g. after a
+        /// reboot re-registered fewer regions). The resync handshake replaces
+        /// the stream, so these are survivable, but a nonzero count outside a
+        /// fault window indicates a protocol bug.
+        RkeyDrops = "rkey_drops",
+        /// Lifecycle stage marks emitted through [`Ctx::span`](crate::Ctx::span).
+        /// Bumped whether or not event recording is on, so traced and untraced
+        /// runs report identical counters.
+        SpanMarks = "span_marks",
+        /// Invariant auditor: a node's current epoch moved backwards.
+        AuditEpochRegress = "audit_epoch_regress",
+        /// Invariant auditor: a node's commit point moved backwards.
+        AuditCommitRegress = "audit_commit_regress",
+        /// Invariant auditor: a node's commit point overtook its accept point.
+        AuditCommitAheadAccept = "audit_commit_ahead_accept",
+        /// Bytes appended to this node's persistent log
+        /// ([`Ctx::log_append`](crate::Ctx::log_append)).
+        WalAppendBytes = "wal_append_bytes",
+        /// Fsync barriers issued on this node's persistent log
+        /// ([`Ctx::log_fsync`](crate::Ctx::log_fsync)).
+        WalFsyncs = "wal_fsyncs",
+        /// Nanoseconds of log-device time (append + fsync) charged to this node,
+        /// unscaled — the device-time share of the commit stage's CPU slot.
+        WalDeviceNs = "wal_device_ns",
+        /// Staged (un-fsync'd) log records dropped by crash truncation.
+        WalTruncatedRecords = "wal_truncated_records",
+        /// Records replayed from the persistent log during a durable-mode
+        /// recovery.
+        WalRecoveredRecords = "wal_recovered_records",
+        /// Durability auditor: a committed entry vanished from the cluster's
+        /// adopted history after a fault (bumped by the chaos harness).
+        AuditCommitLost = "audit_commit_lost",
+        /// Ring dissemination: payload frames forwarded one hop along the
+        /// forwarder's arm (bumped by the forwarder, not the origin leader).
+        RingForwards = "ring_forwards",
+        /// Ring dissemination: payload frames the leader sent directly to a
+        /// peer because the arm segment covering it was down (star fallback).
+        RingFallbackSends = "ring_fallback_sends",
+        /// Frames refused by the acceptance contiguity gate — a duplicate of an
+        /// accepted header (fallback and forwarded copies racing) or a frame of
+        /// a stale epoch — under either topology.
+        RingDupDrops = "ring_dup_drops",
     }
 }
-
-// A counter slot added to the enum but not to `ALL` (or vice versa) would
-// silently desync the registry: `CounterSet` rows would mis-size and JSON
-// exports would skip the slot. Fail the build instead.
-const _: () = {
-    assert!(Counter::ALL.len() == Counter::COUNT);
-    let mut i = 0;
-    while i < Counter::COUNT {
-        assert!(
-            Counter::ALL[i] as usize == i,
-            "ALL must list slots in order"
-        );
-        i += 1;
-    }
-};
 
 /// One node's counter registers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -267,83 +168,41 @@ impl CounterSet {
     }
 }
 
-/// Per-node time-series gauge slots: instantaneous *levels*, as opposed to
-/// the monotone [`Counter`] registers.
-///
-/// Protocols write their current level through
-/// [`Ctx::gauge`](crate::Ctx::gauge) at the points where the level changes
-/// (a plain array store, always on); the engine maintains the fabric gauges
-/// ([`Gauge::InflightMsgs`], [`Gauge::NicEgressDepth`]) itself. Levels become
-/// a time series only when the engine's sampler is enabled
-/// ([`Sim::set_gauge_sampling`](crate::Sim::set_gauge_sampling)), which runs
-/// between event dispatches — never in a handler, never through the event
-/// queue — so gauge collection preserves the zero-perturbation invariant.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Messages posted into the fabric but not yet delivered to this node
-    /// (engine-maintained).
-    InflightMsgs,
-    /// Committer-side SST ack-frontier lag: accept frontier minus the
-    /// slowest peer's visible acknowledgement, in messages.
-    AckFrontierLag,
-    /// Commit-frontier lag: accept frontier minus commit/delivery frontier,
-    /// in messages.
-    CommitFrontierLag,
-    /// Occupancy of the fullest outbound ring-buffer lane, in bytes.
-    RingOccupancy,
-    /// NIC egress queue depth: nanoseconds of serialization backlog at this
-    /// node's egress NIC, computed by the engine at each sample instant.
-    NicEgressDepth,
-    /// Client retransmit window: outstanding unacknowledged requests.
-    RetransmitWindow,
-    /// Current epoch round / term / ballot / view id.
-    Epoch,
-}
-
-impl Gauge {
-    /// Number of gauge slots.
-    pub const COUNT: usize = 7;
-
-    /// All gauges, in slot order.
-    pub const ALL: [Gauge; Gauge::COUNT] = [
-        Gauge::InflightMsgs,
-        Gauge::AckFrontierLag,
-        Gauge::CommitFrontierLag,
-        Gauge::RingOccupancy,
-        Gauge::NicEgressDepth,
-        Gauge::RetransmitWindow,
-        Gauge::Epoch,
-    ];
-
-    /// Stable snake_case name (counter-track label and JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::InflightMsgs => "inflight_msgs",
-            Gauge::AckFrontierLag => "ack_frontier_lag",
-            Gauge::CommitFrontierLag => "commit_frontier_lag",
-            Gauge::RingOccupancy => "ring_occupancy",
-            Gauge::NicEgressDepth => "nic_egress_depth",
-            Gauge::RetransmitWindow => "retransmit_window",
-            Gauge::Epoch => "epoch",
-        }
-    }
-
-    /// Inverse of [`name`](Gauge::name) (used by trace ingestion).
-    pub fn from_name(s: &str) -> Option<Gauge> {
-        Gauge::ALL.iter().copied().find(|g| g.name() == s)
+crate::registry! {
+    /// Per-node time-series gauge slots: instantaneous *levels*, as opposed to
+    /// the monotone [`Counter`] registers.
+    ///
+    /// Protocols write their current level through
+    /// [`Ctx::gauge`](crate::Ctx::gauge) at the points where the level changes
+    /// (a plain array store, always on); the engine maintains the fabric gauges
+    /// ([`Gauge::InflightMsgs`], [`Gauge::NicEgressDepth`]) itself. Levels become
+    /// a time series only when the engine's sampler is enabled
+    /// ([`Sim::set_gauge_sampling`](crate::Sim::set_gauge_sampling)), which runs
+    /// between event dispatches — never in a handler, never through the event
+    /// queue — so gauge collection preserves the zero-perturbation invariant.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    #[repr(usize)]
+    pub enum Gauge {
+        /// Messages posted into the fabric but not yet delivered to this node
+        /// (engine-maintained).
+        InflightMsgs = "inflight_msgs",
+        /// Committer-side SST ack-frontier lag: accept frontier minus the
+        /// slowest peer's visible acknowledgement, in messages.
+        AckFrontierLag = "ack_frontier_lag",
+        /// Commit-frontier lag: accept frontier minus commit/delivery frontier,
+        /// in messages.
+        CommitFrontierLag = "commit_frontier_lag",
+        /// Occupancy of the fullest outbound ring-buffer lane, in bytes.
+        RingOccupancy = "ring_occupancy",
+        /// NIC egress queue depth: nanoseconds of serialization backlog at this
+        /// node's egress NIC, computed by the engine at each sample instant.
+        NicEgressDepth = "nic_egress_depth",
+        /// Client retransmit window: outstanding unacknowledged requests.
+        RetransmitWindow = "retransmit_window",
+        /// Current epoch round / term / ballot / view id.
+        Epoch = "epoch",
     }
 }
-
-// Same registry-desync guard as for `Counter`.
-const _: () = {
-    assert!(Gauge::ALL.len() == Gauge::COUNT);
-    let mut i = 0;
-    while i < Gauge::COUNT {
-        assert!(Gauge::ALL[i] as usize == i, "ALL must list slots in order");
-        i += 1;
-    }
-};
 
 /// One node's current gauge levels.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -378,72 +237,33 @@ pub struct GaugeSample {
     pub value: u64,
 }
 
-/// What a message on the wire *is for*, from the protocol's point of view.
-///
-/// Every send carries a kind (default [`MsgKind::Control`]; protocol crates
-/// tag their hot paths through [`Ctx::send_kind`](crate::Ctx::send_kind) and
-/// the RDMA post wrappers), and the engine splits per-link and per-NIC byte
-/// accounting by it — the axis the bottleneck ranker reasons over: a leader
-/// whose egress is payload fan-out wants ring dissemination; one drowning in
-/// acks wants batching.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum MsgKind {
-    /// Application payload moving toward replicas: client requests, ring
-    /// data frames, AppendEntries/Propose/Accept with entries, log-entry
-    /// RDMA writes.
-    Payload,
-    /// Acknowledgement traffic: SST cell pushes (accept/commit/vote cells),
-    /// AppendReply/Ack/Accepted, ring cumulative-ack writes, and hardware
-    /// write-completion acks.
-    Ack,
-    /// Client-side retransmissions of requests already sent once.
-    Retransmit,
-    /// Everything else: heartbeats, elections, view changes, recovery
-    /// diffs/state transfer, client responses, read probes.
-    Control,
-}
-
-impl MsgKind {
-    /// Number of message kinds.
-    pub const COUNT: usize = 4;
-
-    /// All kinds, in slot order.
-    pub const ALL: [MsgKind; MsgKind::COUNT] = [
-        MsgKind::Payload,
-        MsgKind::Ack,
-        MsgKind::Retransmit,
-        MsgKind::Control,
-    ];
-
-    /// Stable snake_case name (JSON key in utilization summaries).
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgKind::Payload => "payload",
-            MsgKind::Ack => "ack",
-            MsgKind::Retransmit => "retransmit",
-            MsgKind::Control => "control",
-        }
-    }
-
-    /// Inverse of [`name`](MsgKind::name) (used by report ingestion).
-    pub fn from_name(s: &str) -> Option<MsgKind> {
-        MsgKind::ALL.iter().copied().find(|k| k.name() == s)
+crate::registry! {
+    /// What a message on the wire *is for*, from the protocol's point of view.
+    ///
+    /// Every send carries a kind (default [`MsgKind::Control`]; protocol crates
+    /// tag their hot paths through [`Ctx::send_kind`](crate::Ctx::send_kind) and
+    /// the RDMA post wrappers), and the engine splits per-link and per-NIC byte
+    /// accounting by it — the axis the bottleneck ranker reasons over: a leader
+    /// whose egress is payload fan-out wants ring dissemination; one drowning in
+    /// acks wants batching.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    #[repr(usize)]
+    pub enum MsgKind {
+        /// Application payload moving toward replicas: client requests, ring
+        /// data frames, AppendEntries/Propose/Accept with entries, log-entry
+        /// RDMA writes.
+        Payload = "payload",
+        /// Acknowledgement traffic: SST cell pushes (accept/commit/vote cells),
+        /// AppendReply/Ack/Accepted, ring cumulative-ack writes, and hardware
+        /// write-completion acks.
+        Ack = "ack",
+        /// Client-side retransmissions of requests already sent once.
+        Retransmit = "retransmit",
+        /// Everything else: heartbeats, elections, view changes, recovery
+        /// diffs/state transfer, client responses, read probes.
+        Control = "control",
     }
 }
-
-// Same registry-desync guard as for `Counter` and `Gauge`.
-const _: () = {
-    assert!(MsgKind::ALL.len() == MsgKind::COUNT);
-    let mut i = 0;
-    while i < MsgKind::COUNT {
-        assert!(
-            MsgKind::ALL[i] as usize == i,
-            "ALL must list slots in order"
-        );
-        i += 1;
-    }
-};
 
 /// Number of CPU-attribution slots: one per [`SpanStage`] plus two trailing
 /// slots — `"other"` for charges made through plain
@@ -610,74 +430,40 @@ impl Event {
     }
 }
 
-/// A stage in a broadcast message's lifecycle, from client submission to the
-/// client seeing the response. Every protocol crate marks the same vocabulary
-/// (via [`Ctx::span`](crate::Ctx::span)) at its natural analog of each stage,
-/// so per-stage latency anatomy is comparable across protocols.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum SpanStage {
-    /// Client posted the request into the fabric.
-    Submit,
-    /// The leader (or sender/coordinator) ingested the request and assigned
-    /// it a slot in the total order.
-    LeaderRecv,
-    /// The ordered message was first written toward a replica (ring frame,
-    /// AppendEntries, Propose, Accept — whatever the protocol's replication
-    /// write is).
-    RingWrite,
-    /// A replica accepted the message into its log.
-    FollowerAccept,
-    /// A replica's acknowledgement covering the message became visible to
-    /// the committer (SST ack cell, AppendReply, Ack, Accepted).
-    AckVisible,
-    /// The committer established a quorum (or all-ack) for the message.
-    Quorum,
-    /// The commit point advanced past the message.
-    Commit,
-    /// The message was delivered to the application.
-    Deliver,
-    /// The client observed the response.
-    ClientResp,
+crate::registry! {
+    /// A stage in a broadcast message's lifecycle, from client submission to the
+    /// client seeing the response. Every protocol crate marks the same vocabulary
+    /// (via [`Ctx::span`](crate::Ctx::span)) at its natural analog of each stage,
+    /// so per-stage latency anatomy is comparable across protocols.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    #[repr(usize)]
+    pub enum SpanStage {
+        /// Client posted the request into the fabric.
+        Submit = "submit",
+        /// The leader (or sender/coordinator) ingested the request and assigned
+        /// it a slot in the total order.
+        LeaderRecv = "leader_recv",
+        /// The ordered message was first written toward a replica (ring frame,
+        /// AppendEntries, Propose, Accept — whatever the protocol's replication
+        /// write is).
+        RingWrite = "ring_write",
+        /// A replica accepted the message into its log.
+        FollowerAccept = "follower_accept",
+        /// A replica's acknowledgement covering the message became visible to
+        /// the committer (SST ack cell, AppendReply, Ack, Accepted).
+        AckVisible = "ack_visible",
+        /// The committer established a quorum (or all-ack) for the message.
+        Quorum = "quorum",
+        /// The commit point advanced past the message.
+        Commit = "commit",
+        /// The message was delivered to the application.
+        Deliver = "deliver",
+        /// The client observed the response.
+        ClientResp = "client_resp",
+    }
 }
 
 impl SpanStage {
-    /// Number of lifecycle stages.
-    pub const COUNT: usize = 9;
-
-    /// All stages in lifecycle order.
-    pub const ALL: [SpanStage; SpanStage::COUNT] = [
-        SpanStage::Submit,
-        SpanStage::LeaderRecv,
-        SpanStage::RingWrite,
-        SpanStage::FollowerAccept,
-        SpanStage::AckVisible,
-        SpanStage::Quorum,
-        SpanStage::Commit,
-        SpanStage::Deliver,
-        SpanStage::ClientResp,
-    ];
-
-    /// Stable snake_case name (timeline label and JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanStage::Submit => "submit",
-            SpanStage::LeaderRecv => "leader_recv",
-            SpanStage::RingWrite => "ring_write",
-            SpanStage::FollowerAccept => "follower_accept",
-            SpanStage::AckVisible => "ack_visible",
-            SpanStage::Quorum => "quorum",
-            SpanStage::Commit => "commit",
-            SpanStage::Deliver => "deliver",
-            SpanStage::ClientResp => "client_resp",
-        }
-    }
-
-    /// Inverse of [`name`](SpanStage::name) (used by trace ingestion).
-    pub fn from_name(s: &str) -> Option<SpanStage> {
-        SpanStage::ALL.iter().copied().find(|st| st.name() == s)
-    }
-
     /// Whether marks of this stage are *covering*: protocols with batched /
     /// last-write-wins acknowledgement (Acuerdo's SST cells, Raft's
     /// `match_index`) emit one mark for the **latest** message and it covers
@@ -690,8 +476,6 @@ impl SpanStage {
         )
     }
 }
-
-const _: () = assert!(SpanStage::ALL.len() == SpanStage::COUNT);
 
 /// Pack a client-space span id: bit 63 clear, the client's node id in bits
 /// 48..63, the client's request sequence in bits 0..48.
@@ -726,73 +510,32 @@ pub fn msg_span_parts(id: u64) -> Option<(u32, u32, u32)> {
     }
 }
 
-/// Machine-readable reasons a message (or a node's handler) waited inside
-/// the fabric, for tail-latency forensics. Every queueing interval the
-/// engine schedules is attributed to exactly one reason and integrated into
-/// per-node [`WaitStats`] — always on, plain adds, zero-perturbation like
-/// the counters.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum WaitReason {
-    /// A posted frame sat in the sender NIC's egress queue behind earlier
-    /// serializations (`depart_start - post`).
-    EgressQueue,
-    /// A deliverable event was deferred because the destination node's CPU
-    /// was still busy with earlier handler work (`busy_until` frontier).
-    BusyDefer,
-    /// A deliverable event was deferred because the destination node was
-    /// descheduled by the fault layer (`paused_until` frontier binding).
-    SchedHold,
-    /// Wire propagation plus remote ingress queueing
-    /// (`ingress_start - depart`).
-    LinkDelay,
-    /// The persistent-log device stalled the handler on an fsync barrier
-    /// ([`Ctx::log_fsync`](crate::Ctx::log_fsync), scaled device time).
-    FsyncBarrier,
-}
-
-impl WaitReason {
-    /// Number of wait reasons.
-    pub const COUNT: usize = 5;
-
-    /// All reasons, in slot order.
-    pub const ALL: [WaitReason; WaitReason::COUNT] = [
-        WaitReason::EgressQueue,
-        WaitReason::BusyDefer,
-        WaitReason::SchedHold,
-        WaitReason::LinkDelay,
-        WaitReason::FsyncBarrier,
-    ];
-
-    /// Stable snake_case name (JSON key in forensics summaries).
-    pub fn name(self) -> &'static str {
-        match self {
-            WaitReason::EgressQueue => "egress_queue",
-            WaitReason::BusyDefer => "busy_defer",
-            WaitReason::SchedHold => "sched_hold",
-            WaitReason::LinkDelay => "link_delay",
-            WaitReason::FsyncBarrier => "fsync_barrier",
-        }
-    }
-
-    /// Inverse of [`name`](WaitReason::name) (used by report ingestion).
-    pub fn from_name(s: &str) -> Option<WaitReason> {
-        WaitReason::ALL.iter().copied().find(|r| r.name() == s)
+crate::registry! {
+    /// Machine-readable reasons a message (or a node's handler) waited inside
+    /// the fabric, for tail-latency forensics. Every queueing interval the
+    /// engine schedules is attributed to exactly one reason and integrated into
+    /// per-node [`WaitStats`] — always on, plain adds, zero-perturbation like
+    /// the counters.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    #[repr(usize)]
+    pub enum WaitReason {
+        /// A posted frame sat in the sender NIC's egress queue behind earlier
+        /// serializations (`depart_start - post`).
+        EgressQueue = "egress_queue",
+        /// A deliverable event was deferred because the destination node's CPU
+        /// was still busy with earlier handler work (`busy_until` frontier).
+        BusyDefer = "busy_defer",
+        /// A deliverable event was deferred because the destination node was
+        /// descheduled by the fault layer (`paused_until` frontier binding).
+        SchedHold = "sched_hold",
+        /// Wire propagation plus remote ingress queueing
+        /// (`ingress_start - depart`).
+        LinkDelay = "link_delay",
+        /// The persistent-log device stalled the handler on an fsync barrier
+        /// ([`Ctx::log_fsync`](crate::Ctx::log_fsync), scaled device time).
+        FsyncBarrier = "fsync_barrier",
     }
 }
-
-// Same registry-desync guard as for `Counter`, `Gauge`, and `MsgKind`.
-const _: () = {
-    assert!(WaitReason::ALL.len() == WaitReason::COUNT);
-    let mut i = 0;
-    while i < WaitReason::COUNT {
-        assert!(
-            WaitReason::ALL[i] as usize == i,
-            "ALL must list slots in order"
-        );
-        i += 1;
-    }
-};
 
 /// One node's accumulated wait integrals: nanoseconds waited and wait events
 /// observed, by [`WaitReason`] slot.
@@ -1735,230 +1478,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn ts_us(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1_000.0
-}
-
-fn class_name(c: DeliveryClass) -> &'static str {
-    match c {
-        DeliveryClass::Dma => "dma",
-        DeliveryClass::Cpu => "cpu",
-    }
-}
-
-// Chrome trace-event thread lanes, one per event family, so Perfetto renders
-// each node as a process with stable named rows.
-const TID_PROTO: u32 = 0;
-const TID_CPU: u32 = 1;
-const TID_NIC_TX: u32 = 2;
-const TID_NIC_RX: u32 = 3;
-const TID_SPAN: u32 = 4;
-const TID_GAUGE: u32 = 5;
-
-// Nominal duration of a stage-mark slice (µs). Flow arrows must bind to a
-// slice, so stage marks render as short `X` slices rather than instants.
-const SPAN_SLICE_US: f64 = 0.2;
-
-// Position of a stage mark within its span's flow chain.
-#[derive(Copy, Clone, PartialEq, Eq)]
-enum FlowPos {
-    None,
-    Start,
-    Step,
-    End,
-}
-
-// For each event index, where that event sits in its span id's time-ordered
-// chain of stage marks. Spans with a single mark get no flow events.
-fn flow_positions(events: &[TraceEvent]) -> Vec<FlowPos> {
-    let mut chains: std::collections::HashMap<u64, Vec<(SimTime, usize)>> =
-        std::collections::HashMap::new();
-    for (i, e) in events.iter().enumerate() {
-        if let TraceEvent::Span { at, id, .. } = *e {
-            chains.entry(id).or_default().push((at, i));
-        }
-    }
-    let mut pos = vec![FlowPos::None; events.len()];
-    for chain in chains.values_mut() {
-        if chain.len() < 2 {
-            continue;
-        }
-        chain.sort();
-        for (k, &(_, i)) in chain.iter().enumerate() {
-            pos[i] = if k == 0 {
-                FlowPos::Start
-            } else if k == chain.len() - 1 {
-                FlowPos::End
-            } else {
-                FlowPos::Step
-            };
-        }
-    }
-    pos
-}
-
-/// Render a recorded timeline in the Chrome trace-event JSON format
-/// (open with [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`).
-///
-/// Shorthand for [`chrome_trace_json_full`] with no gauge series.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    chrome_trace_json_full(events, &[])
-}
-
-/// Render a recorded timeline plus a sampled gauge series in the Chrome
-/// trace-event JSON format (open with [Perfetto](https://ui.perfetto.dev) or
-/// `chrome://tracing`).
-///
-/// Timestamps are virtual microseconds. Each simulated node becomes a
-/// "process" (`pid` = node id) with five named rows — protocol instants,
-/// CPU-busy spans, NIC egress spans, NIC ingress spans, and message-lifecycle
-/// stage marks — plus one Perfetto counter track per sampled gauge (`ph`
-/// `"C"` events named after [`Gauge::name`]). Stage marks of the same span id
-/// are chained with flow events (`ph` `s`/`t`/`f`) so the viewer draws causal
-/// arrows across nodes; span ids render as hex strings because bit 63 of a
-/// message-space id does not survive a JSON `f64` number.
-pub fn chrome_trace_json_full(events: &[TraceEvent], gauges: &[GaugeSample]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + gauges.len() * 64 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, entry: String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push_str(&entry);
-    };
-
-    // Name the per-node lanes so the viewer shows meaningful rows.
-    let max_node = events
-        .iter()
-        .map(|e| match *e {
-            TraceEvent::Send { src, dst, .. } => src.max(dst),
-            ref e => e.node(),
-        })
-        .chain(gauges.iter().map(|s| s.node))
-        .max();
-    if let Some(max_node) = max_node {
-        for node in 0..=max_node {
-            push(&mut out, format!(
-                "{{\"ph\":\"M\",\"pid\":{node},\"name\":\"process_name\",\"args\":{{\"name\":\"node {node}\"}}}}"
-            ));
-            for (tid, name) in [
-                (TID_PROTO, "protocol"),
-                (TID_CPU, "cpu"),
-                (TID_NIC_TX, "nic egress"),
-                (TID_NIC_RX, "nic ingress"),
-                (TID_SPAN, "lifecycle"),
-            ] {
-                push(&mut out, format!(
-                    "{{\"ph\":\"M\",\"pid\":{node},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"
-                ));
-            }
-        }
-    }
-
-    let flows = flow_positions(events);
-    for (i, e) in events.iter().enumerate() {
-        let entry = match *e {
-            TraceEvent::Proto { at, node, ev } => format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{node},\"tid\":{TID_PROTO},\"ts\":{:.3},\"name\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
-                ts_us(at),
-                json_escape(ev.name),
-                ev.a,
-                ev.b
-            ),
-            TraceEvent::Send {
-                at,
-                src,
-                dst,
-                class,
-                wire_bytes,
-            } => format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{src},\"tid\":{TID_PROTO},\"ts\":{:.3},\"name\":\"send\",\"args\":{{\"dst\":{dst},\"class\":\"{}\",\"wire_bytes\":{wire_bytes}}}}}",
-                ts_us(at),
-                class_name(class)
-            ),
-            TraceEvent::Deliver {
-                at,
-                node,
-                from,
-                class,
-            } => format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{node},\"tid\":{TID_PROTO},\"ts\":{:.3},\"name\":\"deliver\",\"args\":{{\"from\":{from},\"class\":\"{}\"}}}}",
-                ts_us(at),
-                class_name(class)
-            ),
-            TraceEvent::NicEgress {
-                node,
-                start,
-                end,
-                bytes,
-                dst,
-            } => format!(
-                "{{\"ph\":\"X\",\"pid\":{node},\"tid\":{TID_NIC_TX},\"ts\":{:.3},\"dur\":{:.3},\"name\":\"tx\",\"args\":{{\"bytes\":{bytes},\"dst\":{dst}}}}}",
-                ts_us(start),
-                ts_us(end) - ts_us(start)
-            ),
-            TraceEvent::NicIngress {
-                node,
-                start,
-                end,
-                bytes,
-                src,
-            } => format!(
-                "{{\"ph\":\"X\",\"pid\":{node},\"tid\":{TID_NIC_RX},\"ts\":{:.3},\"dur\":{:.3},\"name\":\"rx\",\"args\":{{\"bytes\":{bytes},\"src\":{src}}}}}",
-                ts_us(start),
-                ts_us(end) - ts_us(start)
-            ),
-            TraceEvent::CpuBusy { node, start, end } => format!(
-                "{{\"ph\":\"X\",\"pid\":{node},\"tid\":{TID_CPU},\"ts\":{:.3},\"dur\":{:.3},\"name\":\"busy\",\"args\":{{}}}}",
-                ts_us(start),
-                ts_us(end) - ts_us(start)
-            ),
-            TraceEvent::Span {
-                at,
-                node,
-                id,
-                stage,
-                arg,
-            } => {
-                let ts = ts_us(at);
-                let mut entry = format!(
-                    "{{\"ph\":\"X\",\"pid\":{node},\"tid\":{TID_SPAN},\"ts\":{ts:.3},\"dur\":{SPAN_SLICE_US},\"name\":\"{}\",\"args\":{{\"span\":\"{id:#x}\",\"arg\":\"{arg:#x}\"}}}}",
-                    stage.name()
-                );
-                let flow = match flows[i] {
-                    FlowPos::None => None,
-                    FlowPos::Start => Some("\"ph\":\"s\"".to_string()),
-                    FlowPos::Step => Some("\"ph\":\"t\"".to_string()),
-                    FlowPos::End => Some("\"ph\":\"f\",\"bp\":\"e\"".to_string()),
-                };
-                if let Some(ph) = flow {
-                    entry.push_str(&format!(
-                        ",{{{ph},\"cat\":\"lifecycle\",\"id\":\"{id:#x}\",\"pid\":{node},\"tid\":{TID_SPAN},\"ts\":{ts:.3},\"name\":\"lifecycle\"}}"
-                    ));
-                }
-                entry
-            }
-        };
-        push(&mut out, entry);
-    }
-    // Gauge series as Perfetto counter tracks: one track per (node, gauge).
-    for s in gauges {
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"C\",\"pid\":{},\"tid\":{TID_GAUGE},\"ts\":{:.3},\"name\":\"{}\",\"args\":{{\"value\":{}}}}}",
-                s.node,
-                ts_us(s.at),
-                s.gauge.name(),
-                s.value
-            ),
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2019,16 +1538,6 @@ mod tests {
     }
 
     #[test]
-    fn span_stage_names_are_unique_and_round_trip() {
-        let names: std::collections::HashSet<_> = SpanStage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), SpanStage::COUNT);
-        for s in SpanStage::ALL {
-            assert_eq!(SpanStage::from_name(s.name()), Some(s));
-        }
-        assert_eq!(SpanStage::from_name("nonsense"), None);
-    }
-
-    #[test]
     fn span_id_packing_round_trips() {
         let c = client_span(3, 0x1234_5678);
         assert_eq!(c >> 63, 0, "client space has bit 63 clear");
@@ -2055,88 +1564,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_shape() {
-        let events = vec![
-            TraceEvent::Proto {
-                at: SimTime::from_nanos(1_500),
-                node: 0,
-                ev: Event::new("commit").a(7),
-            },
-            TraceEvent::NicEgress {
-                node: 0,
-                start: SimTime::ZERO,
-                end: SimTime::from_nanos(26),
-                bytes: 80,
-                dst: 1,
-            },
-            TraceEvent::CpuBusy {
-                node: 1,
-                start: SimTime::from_nanos(100),
-                end: SimTime::from_nanos(700),
-            },
-        ];
-        let json = chrome_trace_json(&events);
-        assert!(json.starts_with("{\"displayTimeUnit\""));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"name\":\"commit\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"process_name\""));
-        // Balanced braces / brackets (cheap well-formedness check).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn chrome_trace_chains_span_marks_into_flows() {
-        let id = msg_span(1, 0, 5);
-        let events = vec![
-            TraceEvent::Span {
-                at: SimTime::from_nanos(100),
-                node: 0,
-                id,
-                stage: SpanStage::LeaderRecv,
-                arg: client_span(3, 5),
-            },
-            TraceEvent::Span {
-                at: SimTime::from_nanos(300),
-                node: 1,
-                id,
-                stage: SpanStage::FollowerAccept,
-                arg: 0,
-            },
-            TraceEvent::Span {
-                at: SimTime::from_nanos(900),
-                node: 0,
-                id,
-                stage: SpanStage::Commit,
-                arg: 0,
-            },
-            // A lone mark on a different span: slice only, no flow.
-            TraceEvent::Span {
-                at: SimTime::from_nanos(50),
-                node: 2,
-                id: client_span(2, 9),
-                stage: SpanStage::Submit,
-                arg: 0,
-            },
-        ];
-        let json = chrome_trace_json(&events);
-        assert!(json.contains("\"name\":\"leader_recv\""));
-        assert!(json.contains("\"name\":\"lifecycle\""));
-        // One start, one step, one end, all carrying the hex span id.
-        assert_eq!(json.matches("\"ph\":\"s\"").count(), 1);
-        assert_eq!(json.matches("\"ph\":\"t\"").count(), 1);
-        assert_eq!(json.matches("\"ph\":\"f\"").count(), 1);
-        assert!(json.contains(&format!("\"id\":\"{id:#x}\"")));
-        // The lone Submit mark produced no flow id of its own.
-        assert!(!json.contains(&format!("\"id\":\"{:#x}\"", client_span(2, 9))));
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
     fn metrics_json_contains_every_counter() {
         let mut p = Probe::new();
         p.add_node();
@@ -2152,16 +1579,6 @@ mod tests {
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn gauge_names_are_unique_and_round_trip() {
-        let names: std::collections::HashSet<_> = Gauge::ALL.iter().map(|g| g.name()).collect();
-        assert_eq!(names.len(), Gauge::COUNT);
-        for g in Gauge::ALL {
-            assert_eq!(Gauge::from_name(g.name()), Some(g));
-        }
-        assert_eq!(Gauge::from_name("nonsense"), None);
     }
 
     #[test]
@@ -2208,31 +1625,6 @@ mod tests {
         p.set_flight_recorder(false);
         assert!(p.flight_events().is_empty());
         assert!(!p.recording());
-    }
-
-    #[test]
-    fn chrome_trace_emits_counter_tracks_for_gauges() {
-        let samples = vec![
-            GaugeSample {
-                at: SimTime::from_micros(1),
-                node: 0,
-                gauge: Gauge::InflightMsgs,
-                value: 3,
-            },
-            GaugeSample {
-                at: SimTime::from_micros(2),
-                node: 1,
-                gauge: Gauge::Epoch,
-                value: 7,
-            },
-        ];
-        let json = chrome_trace_json_full(&[], &samples);
-        assert_eq!(json.matches("\"ph\":\"C\"").count(), 2);
-        assert!(json.contains("\"name\":\"inflight_msgs\""));
-        assert!(json.contains("\"value\":7"));
-        // Process metadata covers nodes that only appear in the gauge series.
-        assert!(json.contains("\"name\":\"node 1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 
 use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo_repro::acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
-use acuerdo_repro::simnet::{chrome_trace_json, Counter, SimTime};
+use acuerdo_repro::bench::chrome;
+use acuerdo_repro::simnet::{Counter, SimTime};
 use std::time::Duration;
 
 fn main() {
@@ -74,7 +75,7 @@ fn main() {
     }
 
     // Dump the timeline.
-    let json = chrome_trace_json(sim.trace_events());
+    let json = chrome::write(sim.trace_events(), &[]);
     let path = "traced_failover.json";
     std::fs::write(path, &json).expect("write timeline");
     println!(

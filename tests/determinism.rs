@@ -121,8 +121,9 @@ fn calendar_and_heap_schedulers_export_identical_traces() {
     // Byte equality of the exported Chrome trace is a stricter lens than the
     // benchmark document: it pins the exact event timeline (every delivery,
     // span, and gauge sample with its timestamp), not just the aggregates.
+    use acuerdo_repro::bench::chrome;
     use acuerdo_repro::bench::{run, Observe, Run, RunSpec, System};
-    use acuerdo_repro::simnet::{chrome_trace_json_full, SchedKind};
+    use acuerdo_repro::simnet::SchedKind;
     let trace = |k: SchedKind| {
         let spec = RunSpec::quick(System::Acuerdo);
         let out = run(
@@ -131,7 +132,7 @@ fn calendar_and_heap_schedulers_export_identical_traces() {
                 ..Observe::traced()
             }),
         );
-        chrome_trace_json_full(&out.events, &out.gauges)
+        chrome::write(&out.events, &out.gauges)
     };
     let calendar = trace(SchedKind::Calendar);
     assert!(
@@ -149,8 +150,9 @@ fn calendar_and_heap_schedulers_agree_on_deep_deferral_runs() {
     // engine then peeks the scheduler (`next_at`) at every wake-up to decide
     // whether the run can be re-keyed in one pass: the peek must be as
     // non-perturbing on the calendar queue as on the heap, traced or not.
+    use acuerdo_repro::bench::chrome;
     use acuerdo_repro::bench::{run, run_record_json, Observe, Run, RunSpec, System};
-    use acuerdo_repro::simnet::{chrome_trace_json_full, Counter, SchedKind};
+    use acuerdo_repro::simnet::{Counter, SchedKind};
     let export = |scheduler: SchedKind, traced: bool| {
         let base = if traced {
             Observe::traced()
@@ -166,7 +168,7 @@ fn calendar_and_heap_schedulers_agree_on_deep_deferral_runs() {
         assert!(out.metrics.total(Counter::Commits) > 3 * 1_000);
         (
             run_record_json("deep", &r, &out.point, &out.metrics, None),
-            chrome_trace_json_full(&out.events, &out.gauges),
+            chrome::write(&out.events, &out.gauges),
         )
     };
     let (record, trace) = export(SchedKind::Calendar, true);

@@ -5,7 +5,8 @@
 
 use acuerdo_repro::abcast::{cluster_with_client, MsgHdr, WindowClient};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig};
-use acuerdo_repro::simnet::{chrome_trace_json, SimTime};
+use acuerdo_repro::bench::chrome;
+use acuerdo_repro::simnet::SimTime;
 use bytes::Bytes;
 use std::time::Duration;
 
@@ -49,7 +50,7 @@ fn run(seed: u64, traced: bool, crash: bool) -> Outcome {
         counters_json: snap.to_json(),
         distinct_counters: snap.distinct_nonzero(),
         event_count: sim.trace_events().len(),
-        timeline: traced.then(|| chrome_trace_json(sim.trace_events())),
+        timeline: traced.then(|| chrome::write(sim.trace_events(), &[])),
     }
 }
 
@@ -146,7 +147,7 @@ fn tracing_does_not_perturb_a_chaos_schedule() {
             counters_json: snap.to_json(),
             distinct_counters: snap.distinct_nonzero(),
             event_count: sim.trace_events().len(),
-            timeline: traced.then(|| chrome_trace_json(sim.trace_events())),
+            timeline: traced.then(|| chrome::write(sim.trace_events(), &[])),
         }
     }
 
@@ -348,7 +349,7 @@ fn auditor_firing_produces_a_loadable_flight_recorder_dump() {
     // dumped as flightrec-<seed>.json; the dump must round-trip through the
     // same loader trace-report uses.
     use acuerdo_repro::abcast::{check::Auditor, Epoch};
-    use acuerdo_repro::bench::{audit_fired, report, write_flightrec};
+    use acuerdo_repro::bench::{audit_fired, write_flightrec};
     use acuerdo_repro::simnet::{Ctx, NetParams, NodeId, Process, Sim};
 
     // A deliberately misbehaving process: its second audit observation
@@ -399,7 +400,7 @@ fn auditor_firing_produces_a_loadable_flight_recorder_dump() {
         "dump does not mention the violation"
     );
     // Loadable by the same reader trace-report uses.
-    report::load_trace_file(&path).expect("dump round-trips through the trace loader");
+    chrome::load(&path).expect("dump round-trips through the trace loader");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -594,7 +595,7 @@ fn trace_report_agrees_with_the_metrics_sidecar() {
     // account for exactly the stage marks the online counters saw, and the
     // gauge counter tracks must round-trip sample for sample.
     use acuerdo_repro::bench::{self, report, Observe, Record, Run, RunSpec, System};
-    use acuerdo_repro::simnet::{chrome_trace_json_full, Counter};
+    use acuerdo_repro::simnet::Counter;
 
     let spec = RunSpec::quick(System::Acuerdo);
     let Record {
@@ -605,8 +606,7 @@ fn trace_report_agrees_with_the_metrics_sidecar() {
     } = bench::run(&Run::new(System::Acuerdo, 3, 10, 8, 5, spec).observe(Observe::traced()));
     assert!(!gauges.is_empty(), "traced run sampled no gauges");
     let (parsed, regauged) =
-        report::parse_chrome_trace_full(&chrome_trace_json_full(&events, &gauges))
-            .expect("parse own export");
+        chrome::read(&chrome::write(&events, &gauges)).expect("parse own export");
     assert_eq!(
         regauged.len(),
         gauges.len(),
