@@ -200,8 +200,8 @@ fn chaos_run(cfg: &AcuerdoConfig, seed: u64, correlated: bool, naive: bool) -> O
     finish(sim, &ids)
 }
 
-#[test]
-fn dirty_driven_node_matches_the_look_at_everything_oracle() {
+/// The sweep's schedules: name, configuration, correlated, seeds.
+fn sweep() -> [(&'static str, AcuerdoConfig, bool, std::ops::Range<u64>); 5] {
     let ring8 = AcuerdoConfig {
         dissemination: DisseminationMode::Ring,
         ..chaos_cfg(8)
@@ -224,14 +224,19 @@ fn dirty_driven_node_matches_the_look_at_everything_oracle() {
     // as the ring's; a mid-epoch rejoin diff is what moves its frontier
     // under them.
     let star5 = chaos_cfg(5);
-    let cases: [(&str, &AcuerdoConfig, bool, std::ops::Range<u64>); 5] = [
-        ("star n=5", &star5, false, 0..12),
-        ("star n=5 correlated-durable", &durable5, true, 0..12),
-        ("ring n=8", &ring8, false, 0..12),
-        ("slot_reuse_on_commit", &reuse_on_commit, false, 0..8),
-        ("RingMode::Split", &split, false, 0..8),
-    ];
-    for (name, cfg, correlated, seeds) in cases {
+    [
+        ("star n=5", star5, false, 0..12),
+        ("star n=5 correlated-durable", durable5, true, 0..12),
+        ("ring n=8", ring8, false, 0..12),
+        ("slot_reuse_on_commit", reuse_on_commit, false, 0..8),
+        ("RingMode::Split", split, false, 0..8),
+    ]
+}
+
+#[test]
+fn dirty_driven_node_matches_the_look_at_everything_oracle() {
+    for (name, cfg, correlated, seeds) in sweep() {
+        let cfg = &cfg;
         let (mut commits, mut rejoins) = (0, 0);
         for seed in seeds {
             let shipped = chaos_run(cfg, seed, correlated, false);
@@ -246,6 +251,48 @@ fn dirty_driven_node_matches_the_look_at_everything_oracle() {
             "{name}: no mid-epoch rejoin diff in any seed"
         );
     }
+}
+
+/// Every `(from, to)` phase edge the sweep's schedules take, with its
+/// trigger: DESIGN §9's edge table, and what exhaustive exploration must
+/// cover at the least.
+const EDGES: [(&str, &str); 10] = [
+    // Heartbeat miss (`detect_failure` → `start_election`).
+    ("follower", "electing"),
+    // Frames stalled past patience (`detect_desync` → `initiate_resync`).
+    ("follower", "rejoining"),
+    // A quorum of identical votes (`election_step` → `become_leader`).
+    ("electing", "leader"),
+    // Another leader's epoch diff (`apply_diff`).
+    ("electing", "follower"),
+    // A live epoch advancing without this elector (`detect_desync`).
+    ("electing", "rejoining"),
+    // Re-Hello after `2 × fail_timeout`, or a rebooted node's first Hello
+    // (`detect_desync` or `on_start` → `initiate_resync`).
+    ("rejoining", "rejoining"),
+    // The recovery diff (`apply_diff`).
+    ("rejoining", "follower"),
+    // Give up after `MAX_RESYNC_ATTEMPTS` (`detect_desync` →
+    // `start_election`), or its own stale epoch diff (`apply_diff`).
+    ("rejoining", "electing"),
+    // Another leader's epoch diff (`apply_diff`).
+    ("leader", "follower"),
+    // A peer committed in a newer epoch (`detect_desync`).
+    ("leader", "rejoining"),
+];
+
+#[test]
+fn phase_edges_match_the_documented_table() {
+    PHASE_EDGES.with(|e| e.borrow_mut().clear());
+    for (_, cfg, correlated, seeds) in sweep() {
+        for seed in seeds {
+            chaos_run(&cfg, seed, correlated, false);
+        }
+    }
+    let seen: Vec<_> = PHASE_EDGES.with(|e| e.take()).into_iter().collect();
+    let mut table = EDGES.to_vec();
+    table.sort();
+    assert_eq!(seen, table, "phase edges taken vs DESIGN §9's table");
 }
 
 // ---- the three traps, by name -----------------------------------------------

@@ -212,8 +212,6 @@ pub struct ApusNode {
     /// Follower-side: pending ack and when the last ack went out.
     pending_ack: Option<u64>,
     last_ack_at: simnet::SimTime,
-    /// Client requests dropped.
-    pub dropped_requests: u64,
 }
 
 impl ApusNode {
@@ -260,7 +258,6 @@ impl ApusNode {
             batches_sent: 0,
             pending_ack: None,
             last_ack_at: simnet::SimTime::ZERO,
-            dropped_requests: 0,
             cfg,
         }
     }
@@ -277,7 +274,6 @@ impl ApusNode {
 
     fn on_client_request(&mut self, ctx: &mut Ctx<ApWire>, from: NodeId, req: ClientReq) {
         if !self.is_leader() || self.pending.len() >= self.cfg.max_backlog {
-            self.dropped_requests += 1;
             return;
         }
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);

@@ -223,8 +223,6 @@ pub struct DareNode {
     pub election_rounds: u64,
     /// Elections won.
     pub elections_won: u64,
-    /// Requests dropped.
-    pub dropped_requests: u64,
 }
 
 impl DareNode {
@@ -278,7 +276,6 @@ impl DareNode {
             delivered_count: 0,
             election_rounds: 0,
             elections_won: 0,
-            dropped_requests: 0,
         }
     }
 
@@ -317,7 +314,6 @@ impl DareNode {
 
     fn on_request(&mut self, ctx: &mut Ctx<DareWire>, from: NodeId, req: ClientReq) {
         if self.role != DareRole::Leader || self.pending.len() >= self.cfg.max_backlog {
-            self.dropped_requests += 1;
             return;
         }
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);
@@ -337,7 +333,6 @@ impl DareNode {
                 if self.log_end as usize + entry.len() > self.cfg.log_bytes {
                     // Log region exhausted (no wrap in this baseline):
                     // refuse further proposals.
-                    self.dropped_requests += 1;
                     return;
                 }
                 let off = self.log_end as u32;

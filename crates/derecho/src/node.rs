@@ -245,8 +245,6 @@ pub struct DerechoNode {
     pub sent_data: u64,
     /// Null frames this node sent.
     pub sent_nulls: u64,
-    /// Client requests dropped (not a sender / overloaded).
-    pub dropped_requests: u64,
 }
 
 impl DerechoNode {
@@ -301,7 +299,6 @@ impl DerechoNode {
             delivered_count: 0,
             sent_data: 0,
             sent_nulls: 0,
-            dropped_requests: 0,
             cfg,
         }
     }
@@ -415,7 +412,6 @@ impl DerechoNode {
 
     fn on_client_request(&mut self, ctx: &mut Ctx<DcWire>, from: NodeId, req: ClientReq) {
         if self.evicted || !self.is_sender() || self.sent_frames.len() >= self.cfg.max_backlog {
-            self.dropped_requests += 1;
             return;
         }
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);

@@ -118,8 +118,6 @@ pub struct PaxosNode {
     pub app: Box<dyn App>,
     /// Messages delivered to the application.
     pub delivered_count: u64,
-    /// Requests dropped (not the proposer / overloaded).
-    pub dropped_requests: u64,
 }
 
 impl PaxosNode {
@@ -137,7 +135,6 @@ impl PaxosNode {
             audit: Auditor::new(),
             app: Box::<DeliveryLog>::default(),
             delivered_count: 0,
-            dropped_requests: 0,
         }
     }
 
@@ -190,7 +187,6 @@ impl PaxosNode {
 
     fn on_request(&mut self, ctx: &mut Ctx<PxWire>, from: NodeId, req: ClientReq) {
         if self.me != 0 || self.proposals.len() >= self.cfg.max_backlog {
-            self.dropped_requests += 1;
             return;
         }
         let inst = self.next_inst;

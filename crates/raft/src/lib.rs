@@ -199,8 +199,6 @@ pub struct RaftNode {
     pub delivered_count: u64,
     /// Elections won.
     pub elections_won: u64,
-    /// Requests dropped.
-    pub dropped_requests: u64,
 }
 
 impl RaftNode {
@@ -242,7 +240,6 @@ impl RaftNode {
             app: Box::<DeliveryLog>::default(),
             delivered_count: 0,
             elections_won: 0,
-            dropped_requests: 0,
         }
     }
 
@@ -349,7 +346,6 @@ impl RaftNode {
 
     fn on_request(&mut self, ctx: &mut Ctx<RfWire>, from: NodeId, req: ClientReq) {
         if self.role != RaftRole::Leader || self.log.len() >= self.cfg.max_backlog {
-            self.dropped_requests += 1;
             return;
         }
         // gRPC + Raft bookkeeping + WAL fsync for the new entry. The fsync

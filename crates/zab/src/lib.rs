@@ -199,8 +199,6 @@ pub struct ZabNode {
     pub delivered_count: u64,
     /// Elections won by this node.
     pub elections_won: u64,
-    /// Requests dropped.
-    pub dropped_requests: u64,
 }
 
 impl ZabNode {
@@ -244,7 +242,6 @@ impl ZabNode {
             app: Box::<DeliveryLog>::default(),
             delivered_count: 0,
             elections_won: 0,
-            dropped_requests: 0,
         }
     }
 
@@ -291,12 +288,10 @@ impl ZabNode {
     // ---- broadcast ------------------------------------------------------------
 
     fn on_request(&mut self, ctx: &mut Ctx<ZkWire>, from: NodeId, req: ClientReq) {
-        if self.role != ZabRole::Leading || !self.epoch_ready {
-            self.dropped_requests += 1;
-            return;
-        }
-        if self.log.len() >= self.cfg.max_backlog {
-            self.dropped_requests += 1;
+        if self.role != ZabRole::Leading
+            || !self.epoch_ready
+            || self.log.len() >= self.cfg.max_backlog
+        {
             return;
         }
         // ZooKeeper's request pipeline (serialization, txn processing).

@@ -1,0 +1,80 @@
+#!/usr/bin/env bash
+# Refactor gate: a build of the checkout must write exactly the bytes a
+# build of <rev> writes.
+#
+#   scripts/same-bytes.sh <rev> [scratch-dir]
+#
+# Exports <rev> with `git archive` into the scratch directory (a fresh
+# temporary one by default), builds the bench bins there and in the
+# checkout, runs the commands below with each build in its own directory,
+# and compares byte for byte every file, stdout, stderr and exit status the
+# two runs left. The three
+# committed baselines (`suite`/`scale`/`whatif --quick`) are gated by CI
+# on their own and are not repeated here. Exits 1 naming each command whose
+# output differs, 2 on a usage or build error. About ten minutes warm on
+# two cores; the build of <rev> dominates.
+set -euo pipefail
+
+rev=${1:?usage: scripts/same-bytes.sh <rev> [scratch-dir]}
+root=$(git rev-parse --show-toplevel)
+commit=$(git -C "$root" rev-parse --verify --quiet "$rev^{commit}") || {
+    echo "same-bytes: unknown revision $rev" >&2
+    exit 2
+}
+scratch=${2:-$(mktemp -d)}
+mkdir -p "$scratch/src"
+
+# name | command line (run from the command's own output directory)
+commands=(
+    "fig8|fig8 --nodes 3 --size 10 --metrics-out fig8.metrics.json --trace-out fig8.trace.json"
+    "fig9|fig9 --metrics-out fig9.metrics.json --trace-out fig9.trace.json"
+    "table1|table1 --elections 2 --metrics-out table1.metrics.json --trace-out table1.trace.json"
+    "scale|scale --quick --sizes 3 --out . --trace-out scale.trace.json"
+    "chaos-seed-17|chaos --proto acuerdo --seed 17 --trace-out chaos.trace.json --metrics-out chaos.metrics.json"
+    "chaos-sweep|chaos --proto acuerdo --seeds 25 --max-time-ms 50"
+    "ablations|ablations"
+    "related|related"
+)
+
+build() {
+    echo "same-bytes: building $2" >&2
+    (cd "$1" && cargo build --release -q -p bench) || {
+        echo "same-bytes: build of $2 failed" >&2
+        exit 2
+    }
+}
+
+# run <bin dir> <output dir>
+run() {
+    local entry name cmd
+    for entry in "${commands[@]}"; do
+        name=${entry%%|*}
+        cmd=${entry#*|}
+        mkdir -p "$2/$name"
+        # Word splitting of $cmd is intended: the lines above hold no quotes.
+        # shellcheck disable=SC2086
+        (cd "$2/$name" && "$1"/$cmd > stdout 2> stderr) || echo "exit $?" >> "$2/$name/stdout"
+    done
+}
+
+git -C "$root" archive "$commit" | tar -x -C "$scratch/src"
+CARGO_TARGET_DIR="$scratch/target" build "$scratch/src" "$rev"
+build "$root" "the checkout"
+head_bins=$(cd "$root" && cargo metadata --format-version 1 --no-deps |
+    sed -n 's/.*"target_directory":"\([^"]*\)".*/\1/p')/release
+
+rm -rf "$scratch/out-base" "$scratch/out-head"
+run "$scratch/target/release" "$scratch/out-base"
+run "$head_bins" "$scratch/out-head"
+
+status=0
+for entry in "${commands[@]}"; do
+    name=${entry%%|*}
+    if ! diff -rq "$scratch/out-base/$name" "$scratch/out-head/$name" > /dev/null; then
+        echo "same-bytes: \`${entry#*|}\` wrote different bytes:" >&2
+        diff -rq "$scratch/out-base/$name" "$scratch/out-head/$name" >&2 || true
+        status=1
+    fi
+done
+[ "$status" = 0 ] && echo "same-bytes: ${#commands[@]} commands wrote identical bytes at $rev and the checkout"
+exit "$status"
