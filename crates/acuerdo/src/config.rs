@@ -137,7 +137,8 @@ pub struct AcuerdoConfig {
     /// epoch (round, leader). Used by the stable-network benchmarks.
     pub initial_epoch: Option<Epoch>,
     /// Maximum payload bytes per recovery-diff frame; larger diffs are split
-    /// into parts.
+    /// into parts. A part is also kept to what one ring frame can carry
+    /// (half of `ring_bytes`, less framing).
     pub max_diff_part: usize,
     /// Disable log GC so a node that crash-restarts (losing its whole log)
     /// can be re-seeded with the complete history by a recovery diff. The

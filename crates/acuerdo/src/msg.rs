@@ -16,6 +16,9 @@ use rdma_prims::FixedCodec;
 
 const TAG_NORMAL: u8 = 1;
 const TAG_DIFF: u8 = 2;
+/// Bytes of a diff part ahead of its entries: tag, header, part, parts and
+/// entry count.
+pub(crate) const DIFF_HEAD: usize = 1 + MsgHdr::SIZE + 8;
 
 /// A decoded ring frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,7 +79,7 @@ pub fn encode_diff(hdr: MsgHdr, part: u16, parts: u16, entries: &[(MsgHdr, Bytes
         .iter()
         .map(|(_, p)| MsgHdr::SIZE + 4 + p.len())
         .sum();
-    let mut buf = BytesMut::with_capacity(1 + MsgHdr::SIZE + 8 + body);
+    let mut buf = BytesMut::with_capacity(DIFF_HEAD + body);
     buf.put_u8(TAG_DIFF);
     put_hdr(&mut buf, hdr);
     buf.put_u16_le(part);

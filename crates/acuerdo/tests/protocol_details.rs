@@ -5,6 +5,7 @@
 
 use abcast::{check_cluster, cluster_with_client, ClientReq, MsgHdr, WindowClient};
 use acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role};
+use rdma_prims::FixedCodec;
 use simnet::{Counter, DeliveryClass, SimTime, TraceEvent};
 use std::time::Duration;
 
@@ -586,36 +587,60 @@ fn election_diffs_start_at_each_peers_commit_point() {
 
 #[test]
 fn multi_part_diff_recovers_a_far_behind_follower() {
-    // A follower descheduled long enough to miss more than max_diff_part
-    // bytes of messages must be brought back by a chunked diff at the next
-    // election.
-    let cfg = AcuerdoConfig {
-        fail_timeout: Duration::from_micros(400),
-        max_diff_part: 2 << 10, // force many parts
-        ..AcuerdoConfig::stable(3)
-    };
-    let (mut sim, ids, client) =
-        cluster_with_client::<AcuerdoNode>(103, &cfg, 32, 100, Duration::ZERO);
-    sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(3));
-    // Follower 2 sleeps while ~thousands of 100-byte messages commit.
-    sim.pause_at(2, SimTime::from_millis(1), Duration::from_millis(6));
-    sim.run_until(SimTime::from_millis(4));
-    // Now kill the leader: the election winner (follower 1) must ship
-    // follower 2 a diff far larger than max_diff_part.
-    sim.crash(0);
-    sim.run_until(SimTime::from_millis(30));
-    let leader = current_leader(&sim, &ids).expect("new leader");
-    assert_eq!(leader, 1);
-    sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
-    sim.run_until(SimTime::from_millis(45));
-    let lagger = sim.node::<AcuerdoNode>(2);
-    assert_eq!(lagger.role(), Role::Follower);
-    assert!(
-        lagger.delivered_count > 1_000,
-        "lagger only delivered {}",
-        lagger.delivered_count
-    );
-    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
+    // A follower descheduled long enough to miss more than one diff part of
+    // messages must be brought back by a chunked diff at the next election.
+    // Rows: ring bytes, part cap, payload bytes, when the follower sleeps.
+    let rows = [
+        // Small parts on the benchmark ring: many of them.
+        (AcuerdoConfig::ring_bytes_for(3), 2 << 10, 100, 1_000),
+        // The 64 KiB rings of n ≥ 33 under the default 32 KiB cap. A
+        // 240-byte payload makes a 256-byte entry, so a full part holds
+        // exactly 32 KiB of entries, and with its framing more than the
+        // half ring a frame may take: the winner has to size its parts to
+        // the ring. The ~190-entry diff takes two of them.
+        (64 << 10, AcuerdoConfig::default().max_diff_part, 240, 2_900),
+    ];
+    for (ring_bytes, max_diff_part, payload, sleep_at) in rows {
+        let cfg = AcuerdoConfig {
+            fail_timeout: Duration::from_micros(400),
+            ring_bytes,
+            max_diff_part,
+            ..AcuerdoConfig::stable(3)
+        };
+        let (mut sim, ids, client) =
+            cluster_with_client::<AcuerdoNode>(103, &cfg, 32, payload, Duration::ZERO);
+        sim.set_tracing(true);
+        sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(3));
+        // Follower 2 sleeps while more commit than its ring holds.
+        sim.pause_at(2, SimTime::from_micros(sleep_at), Duration::from_millis(6));
+        sim.run_until(SimTime::from_millis(4));
+        // Now kill the leader: the election winner (follower 1) must ship
+        // follower 2 a diff of more than one part.
+        sim.crash(0);
+        sim.run_until(SimTime::from_millis(30));
+        let leader = current_leader(&sim, &ids).expect("new leader");
+        assert_eq!(leader, 1);
+        sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
+        sim.run_until(SimTime::from_millis(45));
+        let entries = sim.trace_events().iter().find_map(|e| match e {
+            TraceEvent::Proto { node: 2, ev, .. } if ev.name == "diff_apply" => Some(ev.b),
+            _ => None,
+        });
+        let entry_bytes = (MsgHdr::SIZE + 4 + payload) as u64;
+        let part_entries = max_diff_part as u64 / entry_bytes;
+        assert!(
+            entries.is_some_and(|k| k > part_entries),
+            "ring {ring_bytes}: diff of {entries:?} entries, {part_entries} to a part"
+        );
+        let lagger = sim.node::<AcuerdoNode>(2);
+        assert_eq!(lagger.role(), Role::Follower, "ring {ring_bytes}");
+        assert!(
+            lagger.delivered_count > 1_000,
+            "ring {ring_bytes}: lagger only delivered {}",
+            lagger.delivered_count
+        );
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
+    }
 }
 
 #[test]

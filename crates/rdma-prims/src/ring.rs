@@ -145,6 +145,12 @@ impl RingSender {
         self.lanes[dst].as_mut().expect("unknown lane")
     }
 
+    /// The largest payload [`RingSender::send_parts`] accepts: a frame
+    /// (payload plus [`FRAME_HDR`]) must fit in half the ring.
+    pub fn max_payload(&self) -> usize {
+        (self.cap / 2).saturating_sub(FRAME_HDR) as usize
+    }
+
     /// Reusable bytes remaining in `dst`'s ring.
     pub fn free_space(&self, dst: NodeId) -> u64 {
         let l = self.lane(dst);
@@ -686,34 +692,40 @@ mod tests {
 
     #[test]
     fn too_large_payload_rejected() {
+        // Half of a 64-byte ring holds a 20-byte payload and its framing
+        // (sent over the node's loopback lane).
         let mut sim: Sim<Wire> = Sim::new(1, NetParams::rdma());
         struct Once {
             ep: Endpoint,
             ring: RingSender,
-            out: Option<Result<u64, RingError>>,
+            out: Vec<Result<u64, RingError>>,
         }
         impl Process<Wire> for Once {
             fn on_start(&mut self, ctx: &mut Ctx<Wire>) {
-                self.out =
-                    Some(
-                        self.ring
-                            .send_to(ctx, &mut self.ep, 1, &[0u8; 60], MsgKind::Payload),
-                    );
+                assert_eq!(self.ring.max_payload(), 20);
+                for len in [60, 21, 20] {
+                    let payload = vec![0u8; len];
+                    let sent = self
+                        .ring
+                        .send_to(ctx, &mut self.ep, 0, &payload, MsgKind::Payload);
+                    self.out.push(sent);
+                }
             }
             fn on_message(&mut self, ctx: &mut Ctx<Wire>, from: NodeId, msg: Wire) {
                 self.ep.on_packet(ctx, from, msg.0);
             }
         }
         let mut ep = Endpoint::new(QpConfig::default());
-        ep.connect(1);
+        ep.connect(0);
         let region = ep.register_region(64);
         let id = sim.add_node(Box::new(Once {
             ep,
-            ring: RingSender::new(region, 64, RingMode::Coupled, &[1]),
-            out: None,
+            ring: RingSender::new(region, 64, RingMode::Coupled, &[0]),
+            out: Vec::new(),
         }));
         sim.run_until(SimTime::from_micros(10));
-        assert_eq!(sim.node::<Once>(id).out, Some(Err(RingError::TooLarge)));
+        let too_large = Err(RingError::TooLarge);
+        assert_eq!(sim.node::<Once>(id).out, [too_large, too_large, Ok(0)]);
     }
 
     #[test]
