@@ -48,11 +48,7 @@ fn main() {
             }
         }
     }
-    let spec = if full {
-        RunSpec::for_system(System::Acuerdo)
-    } else {
-        RunSpec::quick(System::Acuerdo)
-    };
+    let spec = RunSpec::of(System::Acuerdo, full);
 
     println!("Acuerdo design-choice ablations ({n} nodes, {size}-byte messages)");
     println!();
@@ -87,7 +83,7 @@ fn main() {
     println!();
     println!("baseline = the paper's configuration; each row disables one design choice.");
     if let Some(path) = &metrics_out {
-        write_metrics_file(path, "ablations", 42, &records).expect("write metrics file");
+        write_metrics_file(path, "ablations", 42, &records);
         eprintln!("wrote {path} ({} records)", records.len());
     }
 }

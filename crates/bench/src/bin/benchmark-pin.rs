@@ -47,24 +47,20 @@ fn newest_trajectory(dir: &str) -> Result<String, String> {
         .ok_or_else(|| format!("no BENCHMARK_<pr>.json under {dir}"))
 }
 
-fn member<'a>(v: &'a Value, path: &[&str]) -> Option<&'a Value> {
-    path.iter().try_fold(v, |v, key| v.get(key))
-}
-
 /// Every pinned member of `result` that differs from `want` (a missing one
 /// differs), as `"<workload> <member>: baseline <x>, run <y>"`.
 fn findings(workload: &str, want: &Value, result: &Value) -> Vec<String> {
     let paths = COUNTS
         .iter()
-        .map(|c| (*c, vec![*c]))
-        .chain(METRICS.iter().map(|m| (*m, vec!["metrics", *m, "value"])));
+        .map(|c| (*c, c.to_string()))
+        .chain(METRICS.iter().map(|m| (*m, format!("metrics.{m}.value"))));
     let mut out = Vec::new();
     for (name, path) in paths {
         let show = |v: Option<&Value>| match v.and_then(Value::as_f64) {
             Some(n) => format!("{n}"),
             None => "missing".to_string(),
         };
-        let (a, b) = (member(want, &path), member(result, &path));
+        let (a, b) = (want.at(&path).ok(), result.at(&path).ok());
         if a.and_then(Value::as_f64).is_none() || a != b {
             out.push(format!(
                 "{workload} {name}: baseline {}, run {}",
@@ -105,10 +101,10 @@ fn main() {
     };
     let path = newest_trajectory(&baselines).unwrap_or_else(|e| fail(e));
     let doc = read_doc(&path).unwrap_or_else(|e| fail(e));
-    let Some(seed) = doc.get("seed").and_then(Value::as_u64) else {
+    let Ok(seed) = doc.u64_at("seed") else {
         fail(format!("{path}: no seed (docs/SIDECARS.md)"));
     };
-    let Some(Value::Obj(workloads)) = member(&doc, &["change", "trace0"]) else {
+    let Ok(Value::Obj(workloads)) = doc.at("change.trace0") else {
         fail(format!("{path}: no change.trace0 (docs/SIDECARS.md)"));
     };
     let mut all = Vec::new();

@@ -177,10 +177,7 @@ fn main() {
                 flight,
             } = run_chaos(&opts);
             if let Some(path) = &args.trace_out {
-                std::fs::write(path, bench::chrome::write(&events, &[])).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    exit(2);
-                });
+                bench::cli::write(path, bench::chrome::write(&events, &[]));
                 println!("wrote {path} ({} events)", events.len());
             }
             println!(
@@ -218,10 +215,7 @@ fn main() {
 
     if let Some(path) = &args.metrics_out {
         let base = seed_list.first().copied().unwrap_or(0);
-        write_metrics_file(path, "chaos", base, &records).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(2);
-        });
+        write_metrics_file(path, "chaos", base, &records);
         println!("wrote {path}");
     }
 

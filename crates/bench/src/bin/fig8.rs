@@ -83,11 +83,7 @@ fn main() {
                 println!("\n=== Figure 8 panel: {n} nodes, {size}-byte messages ===");
             }
             for system in System::all() {
-                let spec = if args.full {
-                    RunSpec::for_system(system)
-                } else {
-                    RunSpec::quick(system)
-                };
+                let spec = RunSpec::of(system, args.full);
                 let pts = sweep(system, n, size, max_log2, args.seed, spec);
                 if args.metrics_out.is_some() || args.trace_out.is_some() {
                     // Re-run the saturated point to capture its counters
@@ -105,7 +101,7 @@ fn main() {
                     let stages = args.trace_out.as_ref().map(|base| {
                         let path = record_path(base, &label);
                         let doc = bench::chrome::write(&out.events, &out.gauges);
-                        std::fs::write(&path, doc).expect("write trace file");
+                        bench::cli::write(&path, doc);
                         eprintln!(
                             "wrote {path} ({} events, {} gauge samples)",
                             out.events.len(),
@@ -151,7 +147,7 @@ fn main() {
         }
     }
     if let Some(path) = &args.metrics_out {
-        write_metrics_file(path, "fig8", args.seed, &records).expect("write metrics file");
+        write_metrics_file(path, "fig8", args.seed, &records);
         eprintln!("wrote {path} ({} records)", records.len());
     }
 }

@@ -55,20 +55,7 @@ fn main() {
     for n in [3usize, 5, 7, 9] {
         let mut vals = Vec::new();
         for s in FIG9_SYSTEMS {
-            let spec = if s.is_rdma() {
-                if full {
-                    RunSpec::for_system(s)
-                } else {
-                    RunSpec::quick(s)
-                }
-            } else {
-                // TCP systems need hundreds of committed ops to measure;
-                // etcd commits a few thousand per second.
-                RunSpec {
-                    warmup: std::time::Duration::from_millis(30),
-                    measure: std::time::Duration::from_millis(if full { 1_500 } else { 400 }),
-                }
-            };
+            let spec = RunSpec::fig9(s, full);
             let label = format!("{}_n{n}", s.name());
             let obs = if trace_out.is_some() {
                 Observe::traced()
@@ -82,7 +69,7 @@ fn main() {
             let stages = trace_out.as_ref().map(|base| {
                 let path = record_path(base, &label);
                 let doc = bench::chrome::write(&out.events, &out.gauges);
-                std::fs::write(&path, doc).expect("write trace file");
+                bench::cli::write(&path, doc);
                 eprintln!("wrote {path} ({} events)", out.events.len());
                 spans::stage_hist(&spans::collect(&out.events))
             });
@@ -104,7 +91,7 @@ fn main() {
         );
     }
     if let Some(path) = &metrics_out {
-        write_metrics_file(path, "fig9", seed, &records).expect("write metrics file");
+        write_metrics_file(path, "fig9", seed, &records);
         eprintln!("wrote {path} ({} records)", records.len());
     }
 }

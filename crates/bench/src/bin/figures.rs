@@ -8,10 +8,10 @@
 //! Produces `fig8a.svg` … `fig8d.svg` (latency vs throughput, log-y, the
 //! paper's axes) and `fig9.svg` (YCSB ops/s vs node count, log-y).
 
+use bench::cli::write;
 use bench::plot::{line_chart, Scale, Series};
 use bench::{run, sweep, Run, RunSpec, System, FIG9_SYSTEMS};
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn usage() {
     eprintln!("usage: figures [--full]");
@@ -34,6 +34,8 @@ fn main() {
         }
     }
     let out = PathBuf::from("figures");
+    // A directory that cannot be made fails the first write, by name.
+    let _ = std::fs::create_dir_all(&out);
     let max_log2 = if full { 14 } else { 12 };
 
     for (panel, n, size) in [
@@ -44,11 +46,7 @@ fn main() {
     ] {
         let mut series = Vec::new();
         for system in System::all() {
-            let spec = if full {
-                RunSpec::for_system(system)
-            } else {
-                RunSpec::quick(system)
-            };
+            let spec = RunSpec::of(system, full);
             let pts = sweep(system, n, size, max_log2, 42, spec);
             series.push(Series {
                 name: system.name().to_string(),
@@ -61,16 +59,15 @@ fn main() {
             );
         }
         let path = out.join(format!("{panel}.svg"));
-        line_chart(
-            &path,
+        let svg = line_chart(
             &format!("Figure 8{}: {n} nodes, {size}-byte messages", &panel[4..]),
             "Throughput (MB/sec)",
             "Latency (uSeconds)",
             Scale::Linear,
             Scale::Log,
             &series,
-        )
-        .expect("write svg");
+        );
+        write(&path, svg);
         println!("wrote {}", path.display());
     }
 
@@ -91,15 +88,7 @@ fn main() {
     ];
     for n in [3usize, 5, 7, 9] {
         for (i, sys) in FIG9_SYSTEMS.into_iter().enumerate() {
-            let spec = if sys.is_rdma() {
-                RunSpec::quick(sys)
-            } else {
-                RunSpec {
-                    warmup: Duration::from_millis(30),
-                    measure: Duration::from_millis(if full { 1_500 } else { 400 }),
-                }
-            };
-            let r = Run::ycsb(sys, n, 42, spec).expect("a figure 9 system");
+            let r = Run::ycsb(sys, n, 42, RunSpec::fig9(sys, full)).expect("a figure 9 system");
             series[i]
                 .points
                 .push((n as f64, run(&r).point.msgs_per_sec));
@@ -107,15 +96,14 @@ fn main() {
         eprintln!("fig9: {n} nodes done");
     }
     let path = out.join("fig9.svg");
-    line_chart(
-        &path,
+    let svg = line_chart(
         "Figure 9: YCSB-load throughput vs node count",
         "Node Count",
         "Throughput (ops/sec)",
         Scale::Linear,
         Scale::Log,
         &series,
-    )
-    .expect("write svg");
+    );
+    write(&path, svg);
     println!("wrote {}", path.display());
 }

@@ -112,10 +112,7 @@ fn main() {
     let label = label.unwrap_or_else(|| if quick { "scale" } else { "scale-full" }.to_string());
     let path = format!("{}/BENCH_{label}.json", out_dir.trim_end_matches('/'));
     let doc = run_scale(&cfg);
-    std::fs::write(&path, &doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(2);
-    });
+    bench::cli::write(&path, &doc);
     println!(
         "wrote {path} ({} systems x {} sizes, window {}, seed {}, sched {})",
         cfg.systems.len(),
@@ -132,11 +129,7 @@ fn main() {
     if metrics_out.is_some() || trace_out.is_some() {
         let mut records = Vec::new();
         for &system in &cfg.systems {
-            let spec = if cfg.quick {
-                RunSpec::quick(system)
-            } else {
-                RunSpec::for_system(system)
-            };
+            let spec = RunSpec::of(system, !cfg.quick);
             for &n in &cfg.sizes {
                 let trace_this = trace_out.is_some() && Some(&n) == cfg.sizes.iter().min();
                 let label = format!("{}-n{}", system.name(), n);
@@ -153,10 +146,7 @@ fn main() {
                     let base = trace_out.as_deref().expect("trace_this implies trace_out");
                     let path = record_path(base, &label);
                     let doc = bench::chrome::write(&out.events, &out.gauges);
-                    std::fs::write(&path, doc).unwrap_or_else(|e| {
-                        eprintln!("cannot write {path}: {e}");
-                        exit(2);
-                    });
+                    bench::cli::write(&path, doc);
                     eprintln!(
                         "wrote {path} ({} events, {} gauge samples)",
                         out.events.len(),
@@ -168,10 +158,7 @@ fn main() {
             }
         }
         if let Some(path) = &metrics_out {
-            bench::write_metrics_file(path, "scale", cfg.seed, &records).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                exit(2);
-            });
+            bench::write_metrics_file(path, "scale", cfg.seed, &records);
             eprintln!("wrote {path} ({} records)", records.len());
         }
     }

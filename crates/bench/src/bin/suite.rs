@@ -95,10 +95,7 @@ fn main() {
     let label = label.unwrap_or_else(|| if quick { "quick" } else { "full" }.to_string());
     let path = format!("{}/BENCH_{label}.json", out_dir.trim_end_matches('/'));
     let doc = run_suite(&cfg);
-    std::fs::write(&path, &doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(2);
-    });
+    bench::cli::write(&path, &doc);
     println!(
         "wrote {path} ({} systems x {} windows, seed {}{})",
         cfg.systems.len(),

@@ -62,8 +62,7 @@ fn main() {
         let stages = trace_out.as_ref().map(|base| {
             let label = format!("n{n}");
             let path = record_path(base, &label);
-            std::fs::write(&path, bench::chrome::write(&out.events, &[]))
-                .expect("write trace file");
+            bench::cli::write(&path, bench::chrome::write(&out.events, &[]));
             eprintln!("wrote {path} ({} events)", out.events.len());
             let hist = spans::stage_hist(&spans::collect(&out.events));
             stage_tables.push(hist.table(&label));
@@ -101,7 +100,7 @@ fn main() {
         print!("\n{t}");
     }
     if let Some(path) = &metrics_out {
-        write_metrics_file(path, "table1", seed, &records).expect("write metrics file");
+        write_metrics_file(path, "table1", seed, &records);
         eprintln!("wrote {path} ({} records)", records.len());
     }
     if short {

@@ -33,8 +33,14 @@
 //! requested analysis — the error names which analysis sections the
 //! document *does* support (`util`, `forensics`, `whatif`, `stages`) so
 //! older exports fail with a pointer instead of a bare refusal — and 2 on
-//! usage or parse errors, among them a trace entry that lacks a field the
-//! writer always emits (`traceEvents[7] tx: missing dur`).
+//! usage or parse errors. Both inputs are read strictly: a trace entry that
+//! lacks a field the writer always emits (`traceEvents[7] tx: missing dur`),
+//! a metrics document with neither a `runs` nor a `records` array, and a
+//! record that carries the analysed member but lacks one of `label`,
+//! `system`, `nodes` or a member the writer always emits
+//! (`runs[etcd-n64].util.leader: missing`) each exit 2. `null` is read as
+//! the writer means it wherever the writer writes it (an outlier's
+//! `straggler`, a what-if run's `blame_top`).
 
 use bench::json::{self, Value};
 use bench::{chrome, forensics, report, util, whatif};
@@ -43,26 +49,20 @@ use std::process::exit;
 const USAGE: &str = "usage: trace-report [--top N] FILE.json\n       \
      trace-report [--top N] --bottleneck|--forensics|--whatif METRICS.json";
 
-/// Which analysis sections a metrics document's runs carry, by member name.
+/// Which analysis sections a metrics document's records carry, by member
+/// name, read as the reports read them (a record without `label`, `system`
+/// and `nodes`, such as a `table1` election record, carries none).
 fn supported_sections(doc: &Value) -> Vec<&'static str> {
-    let empty = Vec::new();
-    let runs = doc
-        .get("runs")
-        .or_else(|| doc.get("records"))
-        .and_then(Value::as_array)
-        .unwrap_or(&empty);
-    let mut out = Vec::new();
-    for (member, flag) in [
+    [
         ("util", "util (--bottleneck)"),
         ("forensics", "forensics (--forensics)"),
         ("whatif", "whatif (--whatif)"),
         ("stages", "stages (traced runs)"),
-    ] {
-        if runs.iter().any(|r| r.get(member).is_some()) {
-            out.push(flag);
-        }
-    }
-    out
+    ]
+    .into_iter()
+    .filter(|(member, _)| json::records(doc, member).is_ok_and(|r| !r.is_empty()))
+    .map(|(_, flag)| flag)
+    .collect()
 }
 
 /// Which metrics-document analysis to render.
@@ -73,17 +73,19 @@ enum DocMode {
     Whatif,
 }
 
-/// Render the requested metrics-document analysis, or exit 1 naming what the
-/// document supports instead.
+/// Render the requested metrics-document analysis. A document no record of
+/// which carries the analysed member exits 1 naming what the document
+/// supports instead; a record that does but lacks a member the writer
+/// always emits exits 2.
 fn metrics_doc_report(file: &str, mode: DocMode, top: usize) -> ! {
     let doc = json::read_doc(file).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2);
     });
-    let rendered = match mode {
-        DocMode::Forensics => forensics::forensics_report(&doc, Some(top)),
-        DocMode::Bottleneck => util::bottleneck_report(&doc),
-        DocMode::Whatif => whatif::whatif_report(&doc),
+    let (member, rendered) = match mode {
+        DocMode::Forensics => ("forensics", forensics::forensics_report(&doc, Some(top))),
+        DocMode::Bottleneck => ("util", util::bottleneck_report(&doc)),
+        DocMode::Whatif => ("whatif", whatif::whatif_report(&doc)),
     };
     match rendered {
         Ok(rep) => {
@@ -92,6 +94,9 @@ fn metrics_doc_report(file: &str, mode: DocMode, top: usize) -> ! {
         }
         Err(e) => {
             eprintln!("{file}: {e}");
+            if !json::records(&doc, member).is_ok_and(|r| r.is_empty()) {
+                exit(2);
+            }
             let supported = supported_sections(&doc);
             if supported.is_empty() {
                 eprintln!("{file}: supports no analysis sections");

@@ -145,10 +145,7 @@ fn main() {
     }
     let path = format!("{}/BENCH_{label}.json", out_dir.trim_end_matches('/'));
     let doc = run_whatif(&cfg);
-    std::fs::write(&path, &doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(2);
-    });
+    bench::cli::write(&path, &doc);
     println!(
         "wrote {path} ({} systems x {} sizes x {} interventions, window {}, seed {}, sched {})",
         cfg.systems.len(),

@@ -1,10 +1,21 @@
-//! Flag-value plumbing shared by every bin: a flag missing its value, or
-//! carrying one that does not parse, exits 2 naming the flag and what it
-//! wanted instead of panicking.
+//! Flag-value and output plumbing shared by every bin: a flag missing its
+//! value, or carrying one that does not parse, exits 2 naming the flag and
+//! what it wanted instead of panicking; so does an output file that cannot
+//! be written, naming the path.
 
 use acuerdo::DisseminationMode;
+use std::path::Path;
 use std::process::exit;
 use std::str::FromStr;
+
+/// Write `contents` to `path`, or exit 2 with `"cannot write <path>: <err>"`.
+pub fn write(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) {
+    let path = path.as_ref();
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {}: {e}", path.display());
+        exit(2)
+    }
+}
 
 fn needs(flag: &str, what: &str) -> ! {
     eprintln!("{flag} needs a {what}");

@@ -17,7 +17,8 @@
 use abcast::{blame, BlameCause};
 use simnet::{ForensicsSnapshot, SpanStage, WaitReason};
 
-use crate::json::Value;
+use crate::json::{self, Value};
+use crate::util::share;
 
 /// Outlier paragraphs rendered per run by default (`--top` overrides).
 const TOP_OUTLIERS: usize = 8;
@@ -110,118 +111,71 @@ pub fn summary_json(f: &ForensicsSnapshot) -> String {
     out
 }
 
-/// One run's forensics member, read back out of a document.
-struct RunForensics {
-    label: String,
-    system: String,
-    nodes: u64,
-    forensics: Value,
-}
-
-fn num(v: &Value, path: &[&str]) -> u64 {
-    let mut cur = v;
-    for k in path {
-        match cur.get(k) {
-            Some(n) => cur = n,
-            None => return 0,
-        }
-    }
-    cur.as_u64().unwrap_or(0)
-}
-
-fn collect_runs(doc: &Value) -> Vec<RunForensics> {
-    let arr = doc
-        .get("runs")
-        .or_else(|| doc.get("records"))
-        .and_then(Value::as_array)
-        .unwrap_or(&[]);
-    arr.iter()
-        .filter_map(|r| {
-            let forensics = r.get("forensics")?.clone();
-            Some(RunForensics {
-                label: r
-                    .get("label")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                system: r
-                    .get("system")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                nodes: r.get("nodes").and_then(Value::as_u64).unwrap_or(0),
-                forensics,
-            })
-        })
-        .collect()
-}
-
 fn us(ns: u64) -> f64 {
     ns as f64 / 1_000.0
 }
 
-fn share(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 * 100.0 / whole as f64
+/// One outlier's blame vector, nanoseconds per cause.
+fn blame_ns(o: &Value) -> Result<[u64; BlameCause::COUNT], String> {
+    let mut ns = [0u64; BlameCause::COUNT];
+    for c in BlameCause::ALL {
+        ns[c as usize] = o.u64_at(&format!("blame_ns.{}", c.name()))?;
     }
+    Ok(ns)
 }
 
 /// Aggregate blame nanoseconds per cause over a run's outlier array.
-fn tail_blame(outliers: &[Value]) -> ([u64; BlameCause::COUNT], u64) {
+fn tail_blame(forensics: &Value) -> Result<[u64; BlameCause::COUNT], String> {
     let mut ns = [0u64; BlameCause::COUNT];
-    let mut total = 0u64;
-    for o in outliers {
-        for c in BlameCause::ALL {
-            let v = num(o, &["blame_ns", c.name()]);
-            ns[c as usize] += v;
-            total += v;
+    for o in forensics.map_at("outliers", blame_ns)? {
+        for (sum, v) in ns.iter_mut().zip(o) {
+            *sum += v;
         }
     }
-    (ns, total)
+    Ok(ns)
 }
 
-/// The headline blame line for one run: aggregate cause shares over the
-/// outlier ring (the latency tail), largest first, zero causes omitted.
-pub fn blame_line(system: &str, nodes: u64, outliers: &[Value]) -> String {
-    let (ns, total) = tail_blame(outliers);
+/// The causes with nonzero blame, largest first (ties in enum order).
+fn ranked(ns: &[u64; BlameCause::COUNT]) -> Vec<(BlameCause, u64)> {
     let mut ranked: Vec<(BlameCause, u64)> = BlameCause::ALL
         .iter()
         .map(|&c| (c, ns[c as usize]))
         .filter(|&(_, v)| v > 0)
         .collect();
     ranked.sort_by_key(|&(c, v)| (std::cmp::Reverse(v), c as usize));
+    ranked
+}
+
+/// The headline blame line for one run's `"forensics"` member: aggregate
+/// cause shares over the outlier ring (the latency tail), largest first,
+/// zero causes omitted.
+pub fn blame_line(system: &str, nodes: u64, forensics: &Value) -> Result<String, String> {
+    let ns = tail_blame(forensics)?;
+    let total: u64 = ns.iter().sum();
     let mut line = format!("blame {system}@{nodes}:");
+    let ranked = ranked(&ns);
     if ranked.is_empty() {
         line.push_str(" no finalized outliers");
-        return line;
     }
     for (c, v) in ranked {
         line.push_str(&format!(" {} {:.1}%", c.name(), share(v, total)));
     }
-    line
+    Ok(line)
 }
 
 /// One human paragraph explaining one outlier, in the issue's grammar:
 /// "commit 0x… 412.3us: 71% leader egress queueing behind 12 payload
 /// fan-outs; straggler n5; 1 retransmit round; then …".
-fn outlier_paragraph(o: &Value) -> String {
-    let id = o.get("id").and_then(Value::as_str).unwrap_or("0x?");
-    let lat = num(o, &["latency_ns"]);
-    let mut ranked: Vec<(BlameCause, u64)> = BlameCause::ALL
-        .iter()
-        .map(|&c| (c, num(o, &["blame_ns", c.name()])))
-        .filter(|&(_, v)| v > 0)
-        .collect();
-    ranked.sort_by_key(|&(c, v)| (std::cmp::Reverse(v), c as usize));
-    let mut out = format!("outlier {id} {:.1}us:", us(lat));
+fn outlier_paragraph(o: &Value) -> Result<String, String> {
+    let lat = o.u64_at("latency_ns")?;
+    let ranked = ranked(&blame_ns(o)?);
+    let mut out = format!("outlier {} {:.1}us:", o.str_at("id")?, us(lat));
     match ranked.first() {
         Some(&(BlameCause::LeaderEgressQueue, v)) => {
             out.push_str(&format!(
                 " {:.0}% leader egress queueing behind {} payload fan-outs",
                 share(v, lat),
-                num(o, &["fan_outs"])
+                o.u64_at("fan_outs")?
             ));
         }
         Some(&(c, v)) => {
@@ -229,11 +183,11 @@ fn outlier_paragraph(o: &Value) -> String {
         }
         None => out.push_str(" no attributed time"),
     }
-    match o.get("straggler").and_then(Value::as_u64) {
-        Some(s) => out.push_str(&format!("; straggler n{s}")),
-        None => out.push_str("; straggler unknown"),
+    match o.at("straggler")? {
+        Value::Null => out.push_str("; straggler unknown"),
+        _ => out.push_str(&format!("; straggler n{}", o.u64_at("straggler")?)),
     }
-    let retx = num(o, &["retransmits"]);
+    let retx = o.u64_at("retransmits")?;
     if retx > 0 {
         out.push_str(&format!(
             "; {retx} retransmit round{}",
@@ -249,107 +203,86 @@ fn outlier_paragraph(o: &Value) -> String {
     if !rest.is_empty() {
         out.push_str(&format!("; then {}", rest.join(", ")));
     }
-    out
+    Ok(out)
 }
 
-/// Render the full `--forensics` report for a parsed document: one block per
-/// run carrying a `"forensics"` member — finalized-commit count, cluster
-/// wait totals, the tail blame histogram, the straggler leaderboard, and
-/// `top` outlier paragraphs — followed by the greppable `blame ` headline
-/// lines. Returns `Err` when the document carries no forensics members at
-/// all (a pre-feature export).
-pub fn forensics_report(doc: &Value, top: Option<usize>) -> Result<String, String> {
-    let runs = collect_runs(doc);
-    if runs.is_empty() {
-        return Err(
-            "no \"forensics\" members found — document predates the tail-latency forensics layer"
-                .to_string(),
-        );
+/// One run's block: finalized-commit count, cluster wait totals, the tail
+/// blame histogram, the straggler leaderboard, and `top` outlier
+/// paragraphs.
+fn forensics_block(f: &Value, top: usize) -> Result<String, String> {
+    let paragraphs = f.map_at("outliers", outlier_paragraph)?;
+    let mut out = format!(
+        "commits finalized: {}   outliers kept: {}\n",
+        f.u64_at("commits")?,
+        paragraphs.len()
+    );
+    out.push_str("cluster waits:\n");
+    for w in WaitReason::ALL {
+        let ns = f.u64_at(&format!("waits.{}.ns", w.name()))?;
+        let ev = f.u64_at(&format!("waits.{}.events", w.name()))?;
+        if ns > 0 {
+            out.push_str(&format!(
+                "  {:>13}  {:>14.1}us  {:>10} events\n",
+                w.name(),
+                us(ns),
+                ev
+            ));
+        }
     }
-    let top = top.unwrap_or(TOP_OUTLIERS);
-    let mut out = String::new();
-    for r in &runs {
-        out.push_str(&format!(
-            "== {} ({}, n={}) ==\n",
-            r.label, r.system, r.nodes
-        ));
-        let empty = Vec::new();
-        let outliers = r
-            .forensics
-            .get("outliers")
-            .and_then(Value::as_array)
-            .unwrap_or(&empty);
-        out.push_str(&format!(
-            "commits finalized: {}   outliers kept: {}\n",
-            num(&r.forensics, &["commits"]),
-            outliers.len()
-        ));
-        out.push_str("cluster waits:\n");
-        for w in WaitReason::ALL {
-            let ns = num(&r.forensics, &["waits", w.name(), "ns"]);
-            let ev = num(&r.forensics, &["waits", w.name(), "events"]);
-            if ns > 0 {
-                out.push_str(&format!(
-                    "  {:>13}  {:>14.1}us  {:>10} events\n",
-                    w.name(),
-                    us(ns),
-                    ev
-                ));
-            }
+    let ns = tail_blame(f)?;
+    let total: u64 = ns.iter().sum();
+    if total > 0 {
+        out.push_str("tail blame (over the outlier ring):\n");
+        for (c, v) in ranked(&ns) {
+            out.push_str(&format!(
+                "  {:>19}  {:>5.1}%  {:>14.1}us\n",
+                c.name(),
+                share(v, total),
+                us(v)
+            ));
         }
-        let (ns, total) = tail_blame(outliers);
-        if total > 0 {
-            out.push_str("tail blame (over the outlier ring):\n");
-            let mut ranked: Vec<(BlameCause, u64)> = BlameCause::ALL
-                .iter()
-                .map(|&c| (c, ns[c as usize]))
-                .filter(|&(_, v)| v > 0)
-                .collect();
-            ranked.sort_by_key(|&(c, v)| (std::cmp::Reverse(v), c as usize));
-            for (c, v) in ranked {
-                out.push_str(&format!(
-                    "  {:>19}  {:>5.1}%  {:>14.1}us\n",
-                    c.name(),
-                    share(v, total),
-                    us(v)
-                ));
-            }
-        }
-        if let Some(board) = r.forensics.get("stragglers").and_then(Value::as_array) {
-            if !board.is_empty() {
-                out.push_str("straggler leaderboard:");
-                for s in board.iter().take(6) {
-                    out.push_str(&format!(
-                        " n{}\u{00d7}{}",
-                        num(s, &["node"]),
-                        num(s, &["quorums"])
-                    ));
-                }
-                out.push('\n');
-            }
-        }
-        for o in outliers.iter().take(top) {
-            out.push_str(&format!("{}\n", outlier_paragraph(o)));
-        }
+    }
+    let board = f.map_at("stragglers", |s| {
+        Ok(format!(
+            " n{}\u{00d7}{}",
+            s.u64_at("node")?,
+            s.u64_at("quorums")?
+        ))
+    })?;
+    if !board.is_empty() {
+        out.push_str("straggler leaderboard:");
+        out.push_str(&board[..board.len().min(6)].concat());
         out.push('\n');
     }
-    out.push_str("headlines:\n");
-    for r in &runs {
-        let empty = Vec::new();
-        let outliers = r
-            .forensics
-            .get("outliers")
-            .and_then(Value::as_array)
-            .unwrap_or(&empty);
-        out.push_str(&format!("{}\n", blame_line(&r.system, r.nodes, outliers)));
+    for p in paragraphs.iter().take(top) {
+        out.push_str(&format!("{p}\n"));
     }
     Ok(out)
+}
+
+/// Render the full `--forensics` report for a parsed document: one
+/// [`forensics_block`] per run carrying a `"forensics"` member, followed by
+/// the greppable `blame ` headline lines. Returns `Err` when the document
+/// carries no forensics members at all (a pre-feature export) or a run
+/// lacks a member the writer always emits.
+pub fn forensics_report(doc: &Value, top: Option<usize>) -> Result<String, String> {
+    let top = top.unwrap_or(TOP_OUTLIERS);
+    json::report(
+        doc,
+        "forensics",
+        "the tail-latency forensics layer",
+        "headlines",
+        |r| json::under("forensics", forensics_block(r.member, top)),
+        |r| {
+            let line = blame_line(r.system, r.nodes, r.member);
+            Ok(format!("{}\n", json::under("forensics", line)?))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use simnet::{CommitForensics, ForensicMark, WaitStats};
 
     fn snap() -> ForensicsSnapshot {
@@ -389,20 +322,16 @@ mod tests {
     fn summary_is_valid_json_with_exact_integers() {
         let s = summary_json(&snap());
         let v = json::parse(&s).expect("valid JSON");
-        assert_eq!(num(&v, &["commits"]), 1000);
-        assert_eq!(num(&v, &["waits", "egress_queue", "ns"]), 800_000);
+        assert_eq!(v.u64_at("commits").unwrap(), 1000);
+        assert_eq!(v.u64_at("waits.egress_queue.ns").unwrap(), 800_000);
         let board = v.get("stragglers").and_then(Value::as_array).unwrap();
-        assert_eq!(num(&board[0], &["node"]), 5);
-        assert_eq!(num(&board[0], &["quorums"]), 12);
+        assert_eq!(board[0].u64_at("node").unwrap(), 5);
+        assert_eq!(board[0].u64_at("quorums").unwrap(), 12);
         let o = &v.get("outliers").and_then(Value::as_array).unwrap()[0];
-        assert_eq!(num(o, &["latency_ns"]), 400_000);
-        assert_eq!(num(o, &["straggler"]), 5);
+        assert_eq!(o.u64_at("latency_ns").unwrap(), 400_000);
+        assert_eq!(o.u64_at("straggler").unwrap(), 5);
         // The blame vector sums exactly to the measured latency.
-        let total: u64 = BlameCause::ALL
-            .iter()
-            .map(|c| num(o, &["blame_ns", c.name()]))
-            .sum();
-        assert_eq!(total, 400_000);
+        assert_eq!(blame_ns(o).unwrap().iter().sum::<u64>(), 400_000);
         // Deterministic rendering: same snapshot, same bytes.
         assert_eq!(s, summary_json(&snap()));
     }

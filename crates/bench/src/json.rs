@@ -3,6 +3,12 @@
 //! Chrome trace files — so it implements the full grammar but optimizes for
 //! nothing: one recursive descent, numbers as `f64`, objects as ordered
 //! key/value vectors.
+//!
+//! The reports over metrics documents (`trace-report --bottleneck`,
+//! `--forensics`, `--whatif`) read them strictly, through [`records`],
+//! `report` and the `*_at` accessors: a member the writer always emits is
+//! required, and its absence is an error naming the record and the path
+//! (`runs[etcd-n64].util.leader: missing`), never a default.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,6 +67,156 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The member at the dotted `path` (`"leader.egress_util_pct"`). The
+    /// error names the path as far as it got: `"leader: missing"`,
+    /// `"leader: not an object"`.
+    pub fn at(&self, path: &str) -> Result<&Value, String> {
+        let mut cur = self;
+        let mut end = 0;
+        for key in path.split('.') {
+            if end > 0 && !matches!(cur, Value::Obj(_)) {
+                return Err(format!("{}: not an object", &path[..end - 1]));
+            }
+            end += key.len() + 1;
+            cur = cur
+                .get(key)
+                .ok_or_else(|| format!("{}: missing", &path[..end - 1]))?;
+        }
+        Ok(cur)
+    }
+
+    fn typed<'a, T>(
+        &'a self,
+        path: &str,
+        what: &str,
+        view: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        view(self.at(path)?).ok_or_else(|| format!("{path}: not {what}"))
+    }
+
+    /// [`Value::at`], as a number.
+    pub fn f64_at(&self, path: &str) -> Result<f64, String> {
+        self.typed(path, "a number", Value::as_f64)
+    }
+
+    /// [`Value::at`], as a non-negative number (floor).
+    pub fn u64_at(&self, path: &str) -> Result<u64, String> {
+        self.typed(path, "a non-negative number", Value::as_u64)
+    }
+
+    /// [`Value::at`], as a string.
+    pub fn str_at(&self, path: &str) -> Result<&str, String> {
+        self.typed(path, "a string", Value::as_str)
+    }
+
+    /// [`Value::at`], as an array.
+    pub fn array_at(&self, path: &str) -> Result<&[Value], String> {
+        self.typed(path, "an array", Value::as_array)
+    }
+
+    /// `read` applied to every element of the array at `path`; an error
+    /// names the element (`"outliers[3].blame_ns: missing"`).
+    pub fn map_at<'a, T>(
+        &'a self,
+        path: &str,
+        mut read: impl FnMut(&'a Value) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.array_at(path)?;
+        (items.iter().enumerate())
+            .map(|(i, v)| read(v).map_err(|e| format!("{path}[{i}].{e}")))
+            .collect()
+    }
+}
+
+/// Prefix an error read inside `member` with the member's name
+/// (`"leader: missing"` read from `util` is `"util.leader: missing"`).
+pub(crate) fn under<T>(member: &str, read: Result<T, String>) -> Result<T, String> {
+    read.map_err(|e| format!("{member}.{e}"))
+}
+
+/// One record of a metrics document: a `runs` entry of a `BENCH_*.json`
+/// document or a `records` entry of a `--metrics-out` sidecar.
+pub struct Record<'a> {
+    /// Where the record sits, for errors: `runs[acuerdo-w1]`.
+    pub at: String,
+    /// The record's `label`.
+    pub label: &'a str,
+    /// The record's `system`.
+    pub system: &'a str,
+    /// The record's `nodes`.
+    pub nodes: u64,
+    /// The whole record.
+    pub value: &'a Value,
+    /// The member the record was selected for.
+    pub member: &'a Value,
+}
+
+/// Every record of `doc` that carries `member`, with its required `label`,
+/// `system` and `nodes`. `Err` when the document has no `runs` or
+/// `records` array, or a selected record lacks one of the three (naming
+/// the record and the member); `Ok` and empty when no record carries
+/// `member`. This is the only reader of a metrics document's record array.
+pub fn records<'a>(doc: &'a Value, member: &str) -> Result<Vec<Record<'a>>, String> {
+    let Some((key, arr)) = ["runs", "records"]
+        .into_iter()
+        .find_map(|k| Some((k, doc.get(k)?)))
+    else {
+        return Err("no \"runs\" or \"records\" array".to_string());
+    };
+    let arr = arr
+        .as_array()
+        .ok_or_else(|| format!("{key}: not an array"))?;
+    let mut out = Vec::new();
+    for (i, value) in arr.iter().enumerate() {
+        let Some(m) = value.get(member) else { continue };
+        let label = under(&format!("{key}[{i}]"), value.str_at("label"))?;
+        let at = format!("{key}[{label}]");
+        out.push(Record {
+            system: under(&at, value.str_at("system"))?,
+            nodes: under(&at, value.u64_at("nodes"))?,
+            at,
+            label,
+            value,
+            member: m,
+        });
+    }
+    Ok(out)
+}
+
+/// The one frame every metrics-document report renders through: a
+/// `== label (system, n=N) ==` block per record carrying `member`, then
+/// the `heading:` section with each record's greppable headline lines.
+/// `block` and `headlines` read the record strictly; their first error,
+/// prefixed with the record's place, is the report's. A document in which
+/// no record carries `member` is refused as predating `layer`.
+pub(crate) fn report(
+    doc: &Value,
+    member: &str,
+    layer: &str,
+    heading: &str,
+    block: impl Fn(&Record) -> Result<String, String>,
+    headlines: impl Fn(&Record) -> Result<String, String>,
+) -> Result<String, String> {
+    let records = records(doc, member)?;
+    if records.is_empty() {
+        return Err(format!(
+            "no \"{member}\" members found — document predates {layer}"
+        ));
+    }
+    let mut out = String::new();
+    for r in &records {
+        let body = under(&r.at, block(r))?;
+        out.push_str(&format!(
+            "== {} ({}, n={}) ==\n{body}\n",
+            r.label, r.system, r.nodes
+        ));
+    }
+    out.push_str(&format!("{heading}:\n"));
+    for r in &records {
+        out.push_str(&under(&r.at, headlines(r))?);
+    }
+    Ok(out)
 }
 
 /// Read and parse one JSON document from a file, tagging errors with the
@@ -359,6 +515,177 @@ mod tests {
         assert_eq!(v.get("runs").unwrap().as_str(), None);
         // Negative numbers refuse the unsigned view.
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn at_walks_a_dotted_path_and_names_where_it_stopped() {
+        let v = parse(r#"{"a":{"b":{"c":3,"s":"x"},"n":null,"xs":[1,{"k":2}]}}"#).unwrap();
+        assert_eq!(v.at("a.b.c"), Ok(&Value::Num(3.0)));
+        assert_eq!(v.u64_at("a.b.c"), Ok(3));
+        assert_eq!(v.f64_at("a.b.c"), Ok(3.0));
+        assert_eq!(v.str_at("a.b.s"), Ok("x"));
+        assert_eq!(v.at("a.n"), Ok(&Value::Null));
+        assert_eq!(v.at("a.q.c").unwrap_err(), "a.q: missing");
+        assert_eq!(v.at("a.b.q").unwrap_err(), "a.b.q: missing");
+        assert_eq!(v.at("a.b.c.d").unwrap_err(), "a.b.c: not an object");
+        assert_eq!(v.f64_at("a.b.s").unwrap_err(), "a.b.s: not a number");
+        assert_eq!(v.str_at("a.b.c").unwrap_err(), "a.b.c: not a string");
+        assert_eq!(v.array_at("a.b").unwrap_err(), "a.b: not an array");
+        assert_eq!(
+            v.u64_at("a.n").unwrap_err(),
+            "a.n: not a non-negative number"
+        );
+        assert_eq!(
+            v.map_at("a.xs", |x| x.u64_at("k")).unwrap_err(),
+            "a.xs[0].k: missing"
+        );
+        assert_eq!(
+            v.at("a.xs").unwrap().as_array().unwrap()[1].u64_at("k"),
+            Ok(2)
+        );
+    }
+
+    #[test]
+    fn records_select_by_member_and_require_label_system_nodes() {
+        let doc =
+            parse(r#"{"records":[{"label":"a","system":"s","nodes":3,"util":{}},{"label":"b"}]}"#)
+                .unwrap();
+        let r = records(&doc, "util").unwrap();
+        assert_eq!(r.len(), 1);
+        assert_eq!((r[0].at.as_str(), r[0].label), ("records[a]", "a"));
+        assert_eq!((r[0].system, r[0].nodes), ("s", 3));
+        assert!(records(&doc, "whatif").unwrap().is_empty());
+        let refused = |doc: &str| records(&parse(doc).unwrap(), "util").err().unwrap();
+        assert_eq!(
+            refused(r#"{"runs":[{"util":{}}]}"#),
+            "runs[0].label: missing"
+        );
+        assert_eq!(
+            refused(r#"{"runs":[{"label":"x","nodes":3,"util":{}}]}"#),
+            "runs[x].system: missing"
+        );
+        assert_eq!(refused("{}"), "no \"runs\" or \"records\" array");
+        assert_eq!(refused(r#"{"runs":7}"#), "runs: not an array");
+    }
+
+    /// Delete (`to: None`) or replace the member at a dotted path whose
+    /// numeric segments index arrays.
+    fn edit(v: &mut Value, path: &str, to: Option<Value>) {
+        let keys: Vec<&str> = path.split('.').collect();
+        let (last, parents) = keys.split_last().unwrap();
+        let mut cur = v;
+        for k in parents {
+            cur = match cur {
+                Value::Obj(kv) => &mut kv.iter_mut().find(|(key, _)| key == k).unwrap().1,
+                Value::Arr(items) => &mut items[k.parse::<usize>().unwrap()],
+                _ => panic!("{path}: {k} is a leaf"),
+            };
+        }
+        let Value::Obj(kv) = cur else {
+            panic!("{path}: not an object")
+        };
+        let i = kv.iter().position(|(k, _)| k == last).unwrap();
+        match to {
+            Some(x) => kv[i].1 = x,
+            None => drop(kv.remove(i)),
+        }
+    }
+
+    #[test]
+    fn every_report_refuses_a_damaged_record_naming_it_and_the_path() {
+        type Report = fn(&Value) -> Result<String, String>;
+        let reports: [(&str, Report); 3] = [
+            ("util", crate::util::bottleneck_report),
+            ("forensics", |d| crate::forensics::forensics_report(d, None)),
+            ("whatif", crate::whatif::whatif_report),
+        ];
+        // The committed what-if baseline's first run carries all three
+        // members; alone in a document it renders under every report.
+        let baseline = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../baselines/BENCH_whatif.json"
+        );
+        let run = read_doc(baseline).unwrap().array_at("runs").unwrap()[0].clone();
+        let valid = Value::Obj(vec![("runs".to_string(), Value::Arr(vec![run]))]);
+        for (member, report) in reports {
+            let rep = report(&valid).unwrap_or_else(|e| panic!("{member}: {e}"));
+            assert!(
+                rep.starts_with("== acuerdo-n3 (acuerdo, n=3) ==\n"),
+                "{rep}"
+            );
+        }
+        let run = "runs[acuerdo-n3]";
+        // (path, replacement or None to delete, the report that reads it or
+        // "" for all three, the error without the `runs[acuerdo-n3].`
+        // prefix).
+        let cases = [
+            ("label", None, "", "runs[0].label: missing"),
+            ("system", None, "", "system: missing"),
+            ("nodes", None, "", "nodes: missing"),
+            (
+                "util.leader.egress_util_pct",
+                None,
+                "util",
+                "util.leader.egress_util_pct: missing",
+            ),
+            (
+                "util.leader.egress_util_pct",
+                Some(Value::Str("90".into())),
+                "util",
+                "util.leader.egress_util_pct: not a number",
+            ),
+            (
+                "forensics.outliers.0.blame_ns",
+                None,
+                "forensics",
+                "forensics.outliers[0].blame_ns: missing",
+            ),
+            (
+                "forensics.outliers.0.blame_ns",
+                Some(Value::Num(5.0)),
+                "forensics",
+                "forensics.outliers[0].blame_ns: not an object",
+            ),
+            (
+                "whatif.counterfactuals",
+                None,
+                "whatif",
+                "whatif.counterfactuals: missing",
+            ),
+            (
+                "whatif.counterfactuals",
+                Some(Value::Num(7.0)),
+                "whatif",
+                "whatif.counterfactuals: not an array",
+            ),
+            (
+                "whatif.counterfactuals",
+                Some(Value::Arr(Vec::new())),
+                "whatif",
+                "whatif.ranking[0]: no counterfactual by that name",
+            ),
+        ];
+        for (path, to, only, want) in cases {
+            let mut doc = valid.clone();
+            edit(&mut doc, &format!("runs.0.{path}"), to);
+            let want = if want.starts_with("runs[") {
+                want.to_string()
+            } else {
+                format!("{run}.{want}")
+            };
+            for (member, report) in reports {
+                if only.is_empty() || only == member {
+                    assert_eq!(report(&doc), Err(want.clone()), "{member} {path}");
+                }
+            }
+        }
+        // A document no record of which carries the member predates it.
+        let old = parse(r#"{"runs":[{"label":"x"}]}"#).unwrap();
+        for (member, report) in reports {
+            let err = report(&old).unwrap_err();
+            let want = format!("no \"{member}\" members found — document predates ");
+            assert!(err.starts_with(&want), "{err}");
+        }
     }
 
     #[test]

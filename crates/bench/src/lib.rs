@@ -199,22 +199,43 @@ impl RunSpec {
             }
         }
     }
+
+    /// [`RunSpec::for_system`] when `full`, else [`RunSpec::quick`].
+    pub fn of(s: System, full: bool) -> RunSpec {
+        if full {
+            RunSpec::for_system(s)
+        } else {
+            RunSpec::quick(s)
+        }
+    }
+
+    /// Figure 9's spec, shared by `fig9` and `figures`: RDMA systems take
+    /// [`RunSpec::of`]; TCP systems need hundreds of committed YCSB ops
+    /// (etcd commits a few thousand per second), so they measure 400 ms
+    /// (1.5 s when `full`) after a 30 ms warmup.
+    pub fn fig9(s: System, full: bool) -> RunSpec {
+        if s.is_rdma() {
+            return RunSpec::of(s, full);
+        }
+        RunSpec {
+            warmup: Duration::from_millis(30),
+            measure: Duration::from_millis(if full { 1_500 } else { 400 }),
+        }
+    }
 }
 
 /// Observability settings for a benchmark run. Tracing and gauge sampling
 /// are zero-perturbation: whatever combination is enabled, the measured
 /// point and counters are bit-identical to a bare run at the same seed.
-/// `cpu_scale` is the opposite — a deliberate physics change used to inject
-/// a slowdown for the regression walkthrough.
+/// `interventions` are the opposite — deliberate physics changes, among
+/// them the leader CPU slowdown of the regression walkthrough (`suite
+/// --slow`).
 #[derive(Clone, Debug, Default)]
 pub struct Observe {
     /// Record the full trace-event timeline.
     pub traced: bool,
     /// Sample gauge time series at this sim-time cadence.
     pub sample_every: Option<Duration>,
-    /// Scale node 0's CPU charges (node 0 is the leader in every Figure 8
-    /// system at a stable epoch).
-    pub cpu_scale: Option<f64>,
     /// Event-queue implementation. Like tracing, this can never change
     /// results — the schedulers share one `(at, seq)` total order (see
     /// `simnet::sched`) — so it defaults to the fast calendar queue and is
@@ -246,9 +267,6 @@ impl Observe {
         sim.set_tracing(self.traced);
         if let Some(every) = self.sample_every {
             sim.set_gauge_sampling(every);
-        }
-        if let Some(scale) = self.cpu_scale {
-            sim.set_cpu_scale(0, scale);
         }
         sim.apply_interventions(&self.interventions);
     }
@@ -877,13 +895,9 @@ pub fn record_path(base: &str, label: &str) -> String {
     }
 }
 
-/// Assemble `records` into the metrics sidecar document and write it.
-pub fn write_metrics_file(
-    path: &str,
-    bench: &str,
-    seed: u64,
-    records: &[String],
-) -> std::io::Result<()> {
+/// Assemble `records` into the metrics sidecar document and write it
+/// ([`cli::write`]: exits 2 naming `path` when it cannot).
+pub fn write_metrics_file(path: &str, bench: &str, seed: u64, records: &[String]) {
     let mut out = String::with_capacity(records.iter().map(String::len).sum::<usize>() + 128);
     out.push_str(&format!(
         "{{\"bench\":\"{}\",\"seed\":{seed},\"records\":[",
@@ -896,7 +910,7 @@ pub fn write_metrics_file(
         out.push_str(r);
     }
     out.push_str("]}\n");
-    std::fs::write(path, out)
+    cli::write(path, out)
 }
 
 #[cfg(test)]

@@ -3,9 +3,6 @@
 //! without any plotting dependency.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// One plotted series.
 #[derive(Clone, Debug)]
@@ -126,19 +123,18 @@ fn fmt_tick(v: f64) -> String {
     }
 }
 
-/// Render a line chart to `path` as SVG.
+/// Render a line chart as an SVG document.
 ///
 /// Empty series (or series whose points all fall off a log axis) are kept in
 /// the legend but draw nothing.
 pub fn line_chart(
-    path: &Path,
     title: &str,
     xlabel: &str,
     ylabel: &str,
     xscale: Scale,
     yscale: Scale,
     series: &[Series],
-) -> io::Result<()> {
+) -> String {
     let xs = Axis::fit(
         xscale,
         series.iter().flat_map(|s| s.points.iter().map(|p| p.0)),
@@ -269,10 +265,7 @@ pub fn line_chart(
         );
     }
     let _ = writeln!(out, "</svg>");
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, out)
+    out
 }
 
 #[cfg(test)]
@@ -315,9 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn chart_writes_valid_svg() {
-        let dir = std::env::temp_dir().join("acuerdo_repro_plot_test");
-        let path = dir.join("t.svg");
+    fn chart_renders_valid_svg() {
         let series = vec![
             Series {
                 name: "a".into(),
@@ -328,21 +319,10 @@ mod tests {
                 points: vec![],
             },
         ];
-        line_chart(
-            &path,
-            "test",
-            "x",
-            "y (log)",
-            Scale::Linear,
-            Scale::Log,
-            &series,
-        )
-        .unwrap();
-        let svg = std::fs::read_to_string(&path).unwrap();
+        let svg = line_chart("test", "x", "y (log)", Scale::Linear, Scale::Log, &series);
         assert!(svg.starts_with("<svg"));
         assert!(svg.contains("</svg>"));
         assert!(svg.contains("polyline") || svg.contains("<path"));
         assert!(svg.contains(">a<"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -113,11 +113,7 @@ impl ScaleConfig {
 pub fn run_scale(cfg: &ScaleConfig) -> String {
     let mut records = Vec::new();
     for &system in &cfg.systems {
-        let spec = if cfg.quick {
-            RunSpec::quick(system)
-        } else {
-            RunSpec::for_system(system)
-        };
+        let spec = RunSpec::of(system, !cfg.quick);
         for &n in cfg.sizes.iter().filter(|&&n| swept(system, n)) {
             let label = format!("{}-n{}", system.name(), n);
             let r = Run::new(system, n, cfg.payload, cfg.window, cfg.seed, spec).observe(Observe {

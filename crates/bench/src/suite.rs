@@ -11,7 +11,7 @@
 
 use crate::{run, run_record_json, Observe, Run, RunSpec, System};
 use abcast::spans;
-use simnet::{Gauge, GaugeSample, SchedKind};
+use simnet::{Gauge, GaugeSample, Intervention, InterventionSet, SchedKind};
 use std::time::Duration;
 
 /// Document schema tag; bump when the document shape changes so `bench-diff`
@@ -77,21 +77,22 @@ impl SuiteConfig {
 /// Run the whole matrix and emit the complete `BENCH_*.json` document
 /// (newline-terminated).
 pub fn run_suite(cfg: &SuiteConfig) -> String {
+    // Node 0 is the leader in every suite system at a stable epoch; its
+    // scale starts at 1.0, so the intervention sets it to `cpu_scale`.
+    let interventions = match cfg.cpu_scale {
+        Some(factor) => InterventionSet::null().with(Intervention::CpuScale { node: 0, factor }),
+        None => InterventionSet::null(),
+    };
     let mut records = Vec::new();
     for &system in &cfg.systems {
-        let spec = if cfg.quick {
-            RunSpec::quick(system)
-        } else {
-            RunSpec::for_system(system)
-        };
+        let spec = RunSpec::of(system, !cfg.quick);
         for &w in &cfg.windows {
             let label = format!("{}-w{}", system.name(), w);
             let r = Run::new(system, cfg.n, cfg.payload, w, cfg.seed, spec).observe(Observe {
                 traced: true,
                 sample_every: Some(cfg.sample_every),
-                cpu_scale: cfg.cpu_scale,
                 scheduler: cfg.scheduler,
-                ..Observe::default()
+                interventions: interventions.clone(),
             });
             let out = run(&r);
             let hist = spans::stage_hist(&spans::collect(&out.events));
@@ -162,7 +163,7 @@ mod tests {
     use super::*;
     use simnet::SimTime;
 
-    fn s(at: u64, node: usize, g: Gauge, v: u64) -> GaugeSample {
+    fn sample(at: u64, node: usize, g: Gauge, v: u64) -> GaugeSample {
         GaugeSample {
             at: SimTime::from_nanos(at),
             node,
@@ -174,9 +175,9 @@ mod tests {
     #[test]
     fn gauge_series_summary_is_selective_and_ordered() {
         let samples = vec![
-            s(0, 0, Gauge::InflightMsgs, 4),
-            s(100, 0, Gauge::InflightMsgs, 8),
-            s(100, 1, Gauge::Epoch, 2),
+            sample(0, 0, Gauge::InflightMsgs, 4),
+            sample(100, 0, Gauge::InflightMsgs, 8),
+            sample(100, 1, Gauge::Epoch, 2),
         ];
         let j = gauge_series_json(&samples);
         let v = crate::json::parse(&j).unwrap();

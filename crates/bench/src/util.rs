@@ -18,7 +18,7 @@
 
 use simnet::{cpu_slot_name, MsgKind, ResourceSnapshot, CPU_SLOTS};
 
-use crate::json::Value;
+use crate::json::{self, Value};
 
 /// Utilization below which no resource is called a bottleneck (percent).
 const SATURATION_FLOOR_PCT: f64 = 30.0;
@@ -34,7 +34,8 @@ fn pct(busy_ns: u64, elapsed_ns: u64) -> f64 {
     }
 }
 
-fn share(part: u64, whole: u64) -> f64 {
+/// `part` as a percentage of `whole` (0 of nothing).
+pub(crate) fn share(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
     } else {
@@ -189,15 +190,6 @@ pub fn summary_json(res: &ResourceSnapshot, proto_nodes: usize) -> String {
     out
 }
 
-/// One run's utilization summary, read back out of a document.
-struct RunUtil {
-    label: String,
-    system: String,
-    nodes: u64,
-    util: Value,
-    closed_loop: Option<ClosedLoop>,
-}
-
 /// The closed-loop operating point of a run: a window of `window` requests
 /// cannot complete faster than `window / latency`, however idle every
 /// resource is. Printed beside each utilization verdict, because a busy
@@ -215,17 +207,15 @@ pub struct ClosedLoop {
 }
 
 impl ClosedLoop {
-    /// Read the operating point out of a run record; `None` when the record
-    /// does not carry one (hand-written documents, zero-commit runs).
-    fn of_record(r: &Value) -> Option<ClosedLoop> {
-        let window = r.get("window").and_then(Value::as_u64)?;
-        let p50_us = r.get("p50_us").and_then(Value::as_f64)?;
-        let msgs_per_sec = r.get("msgs_per_sec").and_then(Value::as_f64)?;
-        (window > 0 && p50_us > 0.0).then_some(ClosedLoop {
-            window,
-            p50_us,
-            msgs_per_sec,
-        })
+    /// Read the operating point out of a run record; `None` for a run with
+    /// no latency to bound by (zero window or zero commits).
+    fn of_record(r: &Value) -> Result<Option<ClosedLoop>, String> {
+        let c = ClosedLoop {
+            window: r.u64_at("window")?,
+            p50_us: r.f64_at("p50_us")?,
+            msgs_per_sec: r.f64_at("msgs_per_sec")?,
+        };
+        Ok((c.window > 0 && c.p50_us > 0.0).then_some(c))
     }
 
     fn clause(&self) -> String {
@@ -237,48 +227,6 @@ impl ClosedLoop {
             self.msgs_per_sec
         )
     }
-}
-
-fn num(v: &Value, path: &[&str]) -> f64 {
-    let mut cur = v;
-    for k in path {
-        match cur.get(k) {
-            Some(n) => cur = n,
-            None => return 0.0,
-        }
-    }
-    cur.as_f64().unwrap_or(0.0)
-}
-
-/// Pull every record carrying a `"util"` member out of a parsed document.
-/// Both document shapes are understood: suite/scale files (`"runs"`) and
-/// metrics sidecars (`"records"`).
-fn collect_runs(doc: &Value) -> Vec<RunUtil> {
-    let arr = doc
-        .get("runs")
-        .or_else(|| doc.get("records"))
-        .and_then(Value::as_array)
-        .unwrap_or(&[]);
-    arr.iter()
-        .filter_map(|r| {
-            let util = r.get("util")?.clone();
-            Some(RunUtil {
-                label: r
-                    .get("label")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                system: r
-                    .get("system")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                nodes: r.get("nodes").and_then(Value::as_u64).unwrap_or(0),
-                util,
-                closed_loop: ClosedLoop::of_record(r),
-            })
-        })
-        .collect()
 }
 
 /// The ranked verdict line for one run's utilization summary.
@@ -296,8 +244,8 @@ fn collect_runs(doc: &Value) -> Vec<RunUtil> {
 /// fewer: `ring_route` gives every follower the leader as its upstream
 /// there, so the ring it would be told to adopt is the star it runs.
 ///
-/// Every utilization verdict ends with the run's closed-loop bound when the
-/// record carries one ([`ClosedLoop`]), and the CPU verdict names the
+/// Every utilization verdict ends with the run's closed-loop bound
+/// ([`ClosedLoop`]) unless the run has none, and the CPU verdict names the
 /// busiest resource without calling the run cpu-bound: utilization cannot
 /// tell that apart from a latency-bound run whose leader fills its idle
 /// time with periodic work.
@@ -306,24 +254,24 @@ pub fn verdict_line(
     nodes: u64,
     util: &Value,
     closed_loop: Option<&ClosedLoop>,
-) -> String {
+) -> Result<String, String> {
     let ring = system.ends_with("-ring");
-    let leader_egress = num(util, &["leader", "egress_util_pct"]);
-    let follower_egress = num(util, &["followers", "peak_egress_util_pct"]);
-    let leader_cpu = num(util, &["leader", "cpu_util_pct"]);
-    let payload_share = num(util, &["leader", "payload_share_pct"]);
+    let leader_egress = util.f64_at("leader.egress_util_pct")?;
+    let follower_egress = util.f64_at("followers.peak_egress_util_pct")?;
+    let leader_cpu = util.f64_at("leader.cpu_util_pct")?;
+    let payload_share = util.f64_at("leader.payload_share_pct")?;
 
     let head = format!("bottleneck {system}@{nodes}");
     let top = leader_egress.max(follower_egress).max(leader_cpu);
     if top < SATURATION_FLOOR_PCT {
-        return format!(
+        return Ok(format!(
             "{head}: no saturated resource (leader egress {leader_egress:.1}%, \
              peak follower egress {follower_egress:.1}%, leader cpu {leader_cpu:.1}%)"
-        );
+        ));
     }
     let verdict = if top == leader_egress {
-        let total = num(util, &["tx_bytes", "total"]);
-        let ack_share = share(num(util, &["tx_bytes", "ack"]) as u64, total as u64);
+        let total = util.u64_at("tx_bytes.total")?;
+        let ack_share = share(util.u64_at("tx_bytes.ack")?, total);
         if payload_share >= 50.0 {
             if ring {
                 format!(
@@ -356,18 +304,17 @@ pub fn verdict_line(
             )
         }
     } else if top == follower_egress {
+        let peak = util.f64_at("followers.peak_node")? as i64;
         if ring {
             format!(
-                "{head}: follower egress {follower_egress:.1}% utilized (node {}) — \
+                "{head}: follower egress {follower_egress:.1}% utilized (node {peak}) — \
                  arm forwarding hop at line rate; the ceiling is per-hop serialization, \
-                 deepen the pipeline or shard the ring",
-                num(util, &["followers", "peak_node"]) as i64
+                 deepen the pipeline or shard the ring"
             )
         } else {
             format!(
-                "{head}: follower egress {follower_egress:.1}% utilized (node {}) — \
-                 dissemination already spread; look at per-follower work",
-                num(util, &["followers", "peak_node"]) as i64
+                "{head}: follower egress {follower_egress:.1}% utilized (node {peak}) — \
+                 dissemination already spread; look at per-follower work"
             )
         }
     } else {
@@ -376,10 +323,10 @@ pub fn verdict_line(
              batching/elision candidate if whatif leader-cpu-x2 beats window-x2"
         )
     };
-    match closed_loop {
+    Ok(match closed_loop {
         Some(c) => verdict + &c.clause(),
         None => verdict,
-    }
+    })
 }
 
 fn table_row(out: &mut String, cols: &[String], widths: &[usize]) {
@@ -392,105 +339,90 @@ fn table_row(out: &mut String, cols: &[String], widths: &[usize]) {
     out.push('\n');
 }
 
-/// Render the full `--bottleneck` report for a parsed document: one block
-/// per run with a `"util"` member (byte totals by kind, CPU share by stage,
-/// egress share, top talkers, hottest links) followed by the ranked verdict
-/// lines. Returns `Err` when the document carries no utilization summaries
-/// at all (an old export).
-pub fn bottleneck_report(doc: &Value) -> Result<String, String> {
-    let runs = collect_runs(doc);
-    if runs.is_empty() {
-        return Err(
-            "no \"util\" members found — document predates the resource-utilization layer"
-                .to_string(),
-        );
-    }
-    let mut out = String::new();
-    for r in &runs {
+/// One run's utilization tables: byte totals by kind, CPU share by stage,
+/// egress share, top talkers, hottest links.
+fn util_tables(util: &Value) -> Result<String, String> {
+    let mut out = String::from("bytes by kind:\n");
+    let total = util.u64_at("tx_bytes.total")?;
+    for k in MsgKind::ALL {
+        let b = util.u64_at(&format!("tx_bytes.{}", k.name()))?;
         out.push_str(&format!(
-            "== {} ({}, n={}) ==\n",
-            r.label, r.system, r.nodes
+            "  {:>10}  {:>14}  {:>5.1}%\n",
+            k.name(),
+            b,
+            share(b, total)
         ));
-        let total = num(&r.util, &["tx_bytes", "total"]);
-        out.push_str("bytes by kind:\n");
-        for k in MsgKind::ALL {
-            let b = num(&r.util, &["tx_bytes", k.name()]);
+    }
+    out.push_str("cpu by stage:\n");
+    let cpu_total = util.u64_at("cpu_ns.total")?;
+    for slot in 0..CPU_SLOTS {
+        let v = util.u64_at(&format!("cpu_ns.{}", cpu_slot_name(slot)))?;
+        if v > 0 {
             out.push_str(&format!(
-                "  {:>10}  {:>14}  {:>5.1}%\n",
-                k.name(),
-                b as u64,
-                share(b as u64, total as u64)
+                "  {:>15}  {:>14}  {:>5.1}%\n",
+                cpu_slot_name(slot),
+                v,
+                share(v, cpu_total)
             ));
         }
-        let cpu_total = num(&r.util, &["cpu_ns", "total"]);
-        out.push_str("cpu by stage:\n");
-        for slot in 0..CPU_SLOTS {
-            let v = num(&r.util, &["cpu_ns", cpu_slot_name(slot)]);
-            if v > 0.0 {
-                out.push_str(&format!(
-                    "  {:>15}  {:>14}  {:>5.1}%\n",
-                    cpu_slot_name(slot),
-                    v as u64,
-                    share(v as u64, cpu_total as u64)
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "egress share: leader {:.1}% / followers {:.1}% / clients {:.1}%   \
-             leader egress util {:.1}%, peak follower {:.1}%, leader cpu {:.1}%\n",
-            num(&r.util, &["egress_share_pct", "leader"]),
-            num(&r.util, &["egress_share_pct", "followers"]),
-            num(&r.util, &["egress_share_pct", "clients"]),
-            num(&r.util, &["leader", "egress_util_pct"]),
-            num(&r.util, &["followers", "peak_egress_util_pct"]),
-            num(&r.util, &["leader", "cpu_util_pct"]),
-        ));
-        if let Some(talkers) = r.util.get("top_talkers").and_then(Value::as_array) {
-            out.push_str("top talkers:\n");
-            let widths = [6, 14, 7];
-            for t in talkers {
-                table_row(
-                    &mut out,
-                    &[
-                        format!("n{}", num(t, &["node"]) as u64),
-                        format!("{}", num(t, &["tx_bytes"]) as u64),
-                        format!("{:.1}%", num(t, &["egress_util_pct"])),
-                    ],
-                    &widths,
-                );
-            }
-        }
-        if let Some(links) = r.util.get("top_links").and_then(Value::as_array) {
-            out.push_str("hottest links:\n");
-            let widths = [10, 14, 7];
-            for l in links {
-                table_row(
-                    &mut out,
-                    &[
-                        format!("{}->{}", num(l, &["src"]) as u64, num(l, &["dst"]) as u64),
-                        format!("{}", num(l, &["bytes"]) as u64),
-                        format!("{:.1}%", num(l, &["util_pct"])),
-                    ],
-                    &widths,
-                );
-            }
-        }
-        out.push('\n');
     }
-    out.push_str("verdicts:\n");
-    for r in &runs {
-        out.push_str(&format!(
-            "{}\n",
-            verdict_line(&r.system, r.nodes, &r.util, r.closed_loop.as_ref())
-        ));
+    let pct = |path| util.f64_at(path);
+    out.push_str(&format!(
+        "egress share: leader {:.1}% / followers {:.1}% / clients {:.1}%   \
+         leader egress util {:.1}%, peak follower {:.1}%, leader cpu {:.1}%\n",
+        pct("egress_share_pct.leader")?,
+        pct("egress_share_pct.followers")?,
+        pct("egress_share_pct.clients")?,
+        pct("leader.egress_util_pct")?,
+        pct("followers.peak_egress_util_pct")?,
+        pct("leader.cpu_util_pct")?,
+    ));
+    out.push_str("top talkers:\n");
+    for row in util.map_at("top_talkers", |t| {
+        Ok([
+            format!("n{}", t.u64_at("node")?),
+            t.u64_at("tx_bytes")?.to_string(),
+            format!("{:.1}%", t.f64_at("egress_util_pct")?),
+        ])
+    })? {
+        table_row(&mut out, &row, &[6, 14, 7]);
+    }
+    out.push_str("hottest links:\n");
+    for row in util.map_at("top_links", |l| {
+        Ok([
+            format!("{}->{}", l.u64_at("src")?, l.u64_at("dst")?),
+            l.u64_at("bytes")?.to_string(),
+            format!("{:.1}%", l.f64_at("util_pct")?),
+        ])
+    })? {
+        table_row(&mut out, &row, &[10, 14, 7]);
     }
     Ok(out)
+}
+
+/// Render the full `--bottleneck` report for a parsed document: one block
+/// of [`util_tables`] per run with a `"util"` member, followed by the
+/// ranked verdict lines. Returns `Err` when the document carries no
+/// utilization summaries at all (an old export) or a run lacks a member
+/// the writer always emits.
+pub fn bottleneck_report(doc: &Value) -> Result<String, String> {
+    json::report(
+        doc,
+        "util",
+        "the resource-utilization layer",
+        "verdicts",
+        |r| json::under("util", util_tables(r.member)),
+        |r| {
+            let closed_loop = ClosedLoop::of_record(r.value)?;
+            let line = verdict_line(r.system, r.nodes, r.member, closed_loop.as_ref());
+            Ok(format!("{}\n", json::under("util", line)?))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use simnet::{DirStats, LinkRes, NodeRes};
 
     fn snap() -> ResourceSnapshot {
@@ -531,15 +463,15 @@ mod tests {
     fn summary_is_valid_json_with_fixed_members() {
         let s = summary_json(&snap(), 2);
         let v = json::parse(&s).expect("valid JSON");
-        assert_eq!(num(&v, &["elapsed_ns"]), 1_000_000.0);
-        assert_eq!(num(&v, &["tx_bytes", "payload"]), 7_500.0);
-        assert_eq!(num(&v, &["tx_bytes", "total"]), 10_500.0);
-        assert_eq!(num(&v, &["leader", "egress_util_pct"]), 90.0);
+        assert_eq!(v.f64_at("elapsed_ns").unwrap(), 1_000_000.0);
+        assert_eq!(v.f64_at("tx_bytes.payload").unwrap(), 7_500.0);
+        assert_eq!(v.f64_at("tx_bytes.total").unwrap(), 10_500.0);
+        assert_eq!(v.f64_at("leader.egress_util_pct").unwrap(), 90.0);
         // 50k leader_recv + 10k other count as work; 700k idle_poll does not.
-        assert_eq!(num(&v, &["leader", "cpu_util_pct"]), 6.0);
-        assert_eq!(num(&v, &["cpu_ns", "idle_poll"]), 700_000.0);
-        assert_eq!(num(&v, &["followers", "peak_node"]), 1.0);
-        assert_eq!(num(&v, &["clients", "tx_bytes"]), 500.0);
+        assert_eq!(v.f64_at("leader.cpu_util_pct").unwrap(), 6.0);
+        assert_eq!(v.f64_at("cpu_ns.idle_poll").unwrap(), 700_000.0);
+        assert_eq!(v.f64_at("followers.peak_node").unwrap(), 1.0);
+        assert_eq!(v.f64_at("clients.tx_bytes").unwrap(), 500.0);
         // Deterministic rendering: same snapshot, same bytes.
         assert_eq!(s, summary_json(&snap(), 2));
     }
@@ -548,7 +480,7 @@ mod tests {
     fn verdict_names_leader_egress_payload_fanout() {
         let s = summary_json(&snap(), 2);
         let v = json::parse(&s).unwrap();
-        let line = verdict_line("acuerdo", 5, &v, None);
+        let line = verdict_line("acuerdo", 5, &v, None).unwrap();
         assert!(line.starts_with("bottleneck acuerdo@5: leader egress 90.0% utilized"));
         assert!(line.contains("ring dissemination candidate"), "{line}");
     }
@@ -559,14 +491,14 @@ mod tests {
         // change nothing. The verdict says what the egress is instead.
         let v = json::parse(&summary_json(&snap(), 2)).unwrap();
         for nodes in [2, 3] {
-            let line = verdict_line("acuerdo", nodes, &v, None);
+            let line = verdict_line("acuerdo", nodes, &v, None).unwrap();
             assert!(!line.contains("candidate"), "{line}");
             assert!(
                 line.contains(&format!("payload fan-out to {} peers", nodes - 1)),
                 "{line}"
             );
         }
-        let line = verdict_line("acuerdo", 4, &v, None);
+        let line = verdict_line("acuerdo", 4, &v, None).unwrap();
         assert!(line.contains("ring dissemination candidate"), "{line}");
     }
 
@@ -577,7 +509,7 @@ mod tests {
         // feeding or fallback, not prescribe the topology it is on.
         let s = summary_json(&snap(), 2);
         let v = json::parse(&s).unwrap();
-        let line = verdict_line("acuerdo-ring", 2, &v, None);
+        let line = verdict_line("acuerdo-ring", 2, &v, None).unwrap();
         assert!(
             line.starts_with("bottleneck acuerdo-ring@2: leader egress 90.0% utilized"),
             "{line}"
@@ -595,12 +527,12 @@ mod tests {
         let mut r = snap();
         r.nodes[1].tx.busy_ns = 950_000;
         let v = json::parse(&summary_json(&r, 2)).unwrap();
-        let ring_line = verdict_line("acuerdo-ring", 2, &v, None);
+        let ring_line = verdict_line("acuerdo-ring", 2, &v, None).unwrap();
         assert!(
             ring_line.contains("arm forwarding hop at line rate"),
             "{ring_line}"
         );
-        let star_line = verdict_line("acuerdo", 2, &v, None);
+        let star_line = verdict_line("acuerdo", 2, &v, None).unwrap();
         assert!(
             star_line.contains("dissemination already spread"),
             "{star_line}"
@@ -620,7 +552,7 @@ mod tests {
             p50_us: 10.0,
             msgs_per_sec: 1.0,
         };
-        let line = verdict_line("acuerdo", 2, &v, Some(&quiet));
+        let line = verdict_line("acuerdo", 2, &v, Some(&quiet)).unwrap();
         assert!(line.contains("no saturated resource"), "{line}");
         assert!(!line.contains("closed-loop"), "{line}");
     }
@@ -640,7 +572,7 @@ mod tests {
             p50_us: 917.062,
             msgs_per_sec: 8714.5,
         };
-        let line = verdict_line("acuerdo-ring", 64, &v, Some(&at));
+        let line = verdict_line("acuerdo-ring", 64, &v, Some(&at)).unwrap();
         assert!(
             line.starts_with("bottleneck acuerdo-ring@64: leader cpu 96.0% utilized"),
             "{line}"

@@ -26,7 +26,7 @@
 //! `whatif-verdict` line naming the blame prediction and whether the
 //! measurement agrees.
 
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::scale::swept;
 use crate::{run, run_record_json, Observe, Point, Run, RunSpec, System};
 use abcast::{blame, BlameCause};
@@ -247,11 +247,7 @@ fn delta_pct(cur: f64, base: f64) -> f64 {
 pub fn run_whatif(cfg: &WhatifConfig) -> String {
     let mut records = Vec::new();
     for &system in &cfg.systems {
-        let spec = if cfg.quick {
-            RunSpec::quick(system)
-        } else {
-            RunSpec::for_system(system)
-        };
+        let spec = RunSpec::of(system, !cfg.quick);
         for &n in cfg.sizes.iter().filter(|&&n| swept(system, n)) {
             let label = format!("{}-n{}", system.name(), n);
             let intervened = |window: usize, set: InterventionSet| {
@@ -371,164 +367,105 @@ pub fn run_whatif(cfg: &WhatifConfig) -> String {
     )
 }
 
-/// One run's whatif member, read back out of a document.
-struct RunWhatif {
-    label: String,
-    system: String,
-    nodes: u64,
-    whatif: Value,
-}
-
-fn collect_runs(doc: &Value) -> Vec<RunWhatif> {
-    let arr = doc
-        .get("runs")
-        .or_else(|| doc.get("records"))
-        .and_then(Value::as_array)
-        .unwrap_or(&[]);
-    arr.iter()
-        .filter_map(|r| {
-            let whatif = r.get("whatif")?.clone();
-            Some(RunWhatif {
-                label: r
-                    .get("label")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                system: r
-                    .get("system")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                nodes: r.get("nodes").and_then(Value::as_u64).unwrap_or(0),
-                whatif,
-            })
-        })
-        .collect()
-}
-
-fn num(v: &Value, path: &[&str]) -> f64 {
-    let mut cur = v;
-    for k in path {
-        match cur.get(k) {
-            Some(n) => cur = n,
-            None => return 0.0,
-        }
-    }
-    cur.as_f64().unwrap_or(0.0)
-}
-
-fn s<'a>(v: &'a Value, key: &str) -> &'a str {
-    v.get(key).and_then(Value::as_str).unwrap_or("?")
-}
-
 /// The greppable headline for one measured counterfactual.
-pub fn headline(system: &str, nodes: u64, cf: &Value) -> String {
-    format!(
+pub fn headline(system: &str, nodes: u64, cf: &Value) -> Result<String, String> {
+    Ok(format!(
         "whatif {system}@{nodes}: {} \u{2192} {:+.1}% throughput (p50 {:+.1}%, p99 {:+.1}%)",
-        s(cf, "name"),
-        num(cf, &["throughput_gain_pct"]),
-        num(cf, &["p50_delta_pct"]),
-        num(cf, &["p99_delta_pct"]),
-    )
+        cf.str_at("name")?,
+        cf.f64_at("throughput_gain_pct")?,
+        cf.f64_at("p50_delta_pct")?,
+        cf.f64_at("p99_delta_pct")?,
+    ))
 }
 
 /// The agree/disagree line for one run: the blame vector's prediction vs
 /// the measured top intervention.
-pub fn verdict_line(system: &str, nodes: u64, w: &Value) -> String {
-    let predicted = s(w, "predicted_family");
-    let measured = s(w, "measured_top");
-    let agree = w
-        .get("agreement")
-        .map(|v| matches!(v, Value::Bool(true)))
-        .unwrap_or(false);
-    let blame = match w.get("blame_top").and_then(Value::as_str) {
-        Some(c) => format!("{c} {:.1}%", num(w, &["blame_top_share_pct"])),
-        None => "no blame".to_string(),
+pub fn verdict_line(system: &str, nodes: u64, w: &Value) -> Result<String, String> {
+    let blame = match w.at("blame_top")? {
+        Value::Null => "no blame".to_string(),
+        _ => format!(
+            "{} {:.1}%",
+            w.str_at("blame_top")?,
+            w.f64_at("blame_top_share_pct")?
+        ),
     };
-    format!(
-        "whatif-verdict {system}@{nodes}: blame says {blame} \u{2192} predicted {predicted}; \
-         measured top {measured} \u{2014} {}",
+    let Value::Bool(agree) = *w.at("agreement")? else {
+        return Err("agreement: not a boolean".to_string());
+    };
+    Ok(format!(
+        "whatif-verdict {system}@{nodes}: blame says {blame} \u{2192} predicted {}; \
+         measured top {} \u{2014} {}",
+        w.str_at("predicted_family")?,
+        w.str_at("measured_top")?,
         if agree { "AGREE" } else { "DISAGREE" }
-    )
+    ))
 }
 
-/// Render the full `--whatif` report for a parsed document: one block per
-/// run carrying a `"whatif"` member — target nodes, the counterfactual
-/// table in catalog order, the ranking — followed by the greppable
-/// `whatif ` headlines (ranking order) and `whatif-verdict ` lines. Returns
-/// `Err` when the document carries no whatif members at all.
-pub fn whatif_report(doc: &Value) -> Result<String, String> {
-    let runs = collect_runs(doc);
-    if runs.is_empty() {
-        return Err(
-            "no \"whatif\" members found — document predates the what-if profiler (see docs/SIDECARS.md)"
-                .to_string(),
-        );
-    }
-    let mut out = String::new();
-    for r in &runs {
-        out.push_str(&format!(
-            "== {} ({}, n={}) ==\n",
-            r.label, r.system, r.nodes
-        ));
-        out.push_str(&format!(
-            "targets: leader n{}, straggler n{}\n",
-            num(&r.whatif, &["leader"]) as u64,
-            num(&r.whatif, &["straggler"]) as u64,
-        ));
-        let empty = Vec::new();
-        let cfs = r
-            .whatif
-            .get("counterfactuals")
-            .and_then(Value::as_array)
-            .unwrap_or(&empty);
-        out.push_str(&format!(
-            "  {:<20} {:>10} {:>10} {:>10} {:>12}\n",
-            "intervention", "gain%", "p50%", "p99%", "mbps"
-        ));
-        for cf in cfs {
-            out.push_str(&format!(
-                "  {:<20} {:>+10.1} {:>+10.1} {:>+10.1} {:>12.2}\n",
-                s(cf, "name"),
-                num(cf, &["throughput_gain_pct"]),
-                num(cf, &["p50_delta_pct"]),
-                num(cf, &["p99_delta_pct"]),
-                num(cf, &["throughput_mbps"]),
-            ));
-        }
-        out.push('\n');
-    }
-    out.push_str("headlines:\n");
-    for r in &runs {
-        let empty = Vec::new();
-        let cfs = r
-            .whatif
-            .get("counterfactuals")
-            .and_then(Value::as_array)
-            .unwrap_or(&empty);
-        let ranking = r
-            .whatif
-            .get("ranking")
-            .and_then(Value::as_array)
-            .unwrap_or(&empty);
-        for name in ranking {
-            let Some(name) = name.as_str() else { continue };
-            if let Some(cf) = cfs.iter().find(|c| s(c, "name") == name) {
-                out.push_str(&format!("{}\n", headline(&r.system, r.nodes, cf)));
-            }
-        }
-        out.push_str(&format!(
-            "{}\n",
-            verdict_line(&r.system, r.nodes, &r.whatif)
-        ));
+/// One run's block: target nodes and the counterfactual table in catalog
+/// order.
+fn whatif_block(w: &Value) -> Result<String, String> {
+    let mut out = format!(
+        "targets: leader n{}, straggler n{}\n  {:<20} {:>10} {:>10} {:>10} {:>12}\n",
+        w.u64_at("leader")?,
+        w.u64_at("straggler")?,
+        "intervention",
+        "gain%",
+        "p50%",
+        "p99%",
+        "mbps"
+    );
+    for row in w.map_at("counterfactuals", |cf| {
+        Ok(format!(
+            "  {:<20} {:>+10.1} {:>+10.1} {:>+10.1} {:>12.2}\n",
+            cf.str_at("name")?,
+            cf.f64_at("throughput_gain_pct")?,
+            cf.f64_at("p50_delta_pct")?,
+            cf.f64_at("p99_delta_pct")?,
+            cf.f64_at("throughput_mbps")?,
+        ))
+    })? {
+        out.push_str(&row);
     }
     Ok(out)
+}
+
+/// One run's headlines, in ranking order, then its verdict line. Every
+/// ranked name must have its counterfactual row.
+fn whatif_headlines(system: &str, nodes: u64, w: &Value) -> Result<String, String> {
+    let rows = w.map_at("counterfactuals", |cf| {
+        Ok((cf.at("name")?, headline(system, nodes, cf)?))
+    })?;
+    let mut out = String::new();
+    for (i, name) in w.array_at("ranking")?.iter().enumerate() {
+        let (_, line) = rows
+            .iter()
+            .find(|(n, _)| *n == name)
+            .ok_or_else(|| format!("ranking[{i}]: no counterfactual by that name"))?;
+        out.push_str(&format!("{line}\n"));
+    }
+    out.push_str(&format!("{}\n", verdict_line(system, nodes, w)?));
+    Ok(out)
+}
+
+/// Render the full `--whatif` report for a parsed document: one
+/// [`whatif_block`] per run carrying a `"whatif"` member, followed by the
+/// greppable `whatif ` headlines (ranking order) and `whatif-verdict `
+/// lines. Returns `Err` when the document carries no whatif members at all
+/// or a run lacks a member the writer always emits.
+pub fn whatif_report(doc: &Value) -> Result<String, String> {
+    json::report(
+        doc,
+        "whatif",
+        "the what-if profiler (see docs/SIDECARS.md)",
+        "headlines",
+        |r| json::under("whatif", whatif_block(r.member)),
+        |r| json::under("whatif", whatif_headlines(r.system, r.nodes, r.member)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn catalog_families_are_consistent() {
@@ -606,21 +543,6 @@ mod tests {
         assert!(whatif_report(&old).is_err());
     }
 
-    #[test]
-    fn wrong_typed_members_render_without_panicking() {
-        // A hand-damaged sidecar (counterfactuals as a number, ranking as a
-        // string) still renders its verdict line instead of panicking.
-        let doc = json::parse(
-            "{\"runs\":[{\"label\":\"x\",\"system\":\"acuerdo\",\"nodes\":3,\
-             \"whatif\":{\"counterfactuals\":7,\"ranking\":\"oops\",\
-             \"measured_top\":\"leader-egress-x2\"}}]}",
-        )
-        .unwrap();
-        let rep = whatif_report(&doc).unwrap();
-        assert!(rep.contains("whatif-verdict acuerdo@3"), "{rep}");
-        assert!(rep.contains("DISAGREE"), "{rep}");
-    }
-
     /// acuerdo@3 under `interventions` at one payload and seed: the parsed
     /// document's only run, and its counterfactual rows.
     fn acuerdo3(payload: usize, seed: u64, interventions: Vec<&'static str>) -> (Value, Value) {
@@ -649,15 +571,15 @@ mod tests {
         // acuerdo@3 at window 8, the links-latency counterfactual first.
         // Means, not quantiles: they are exact, where the p50/p99 are
         // 5%-bucketed and a small cut can vanish into one bucket.
-        let mean = |v: &Value| num(v, &["mean_us"]);
+        let mean = |v: &Value| v.f64_at("mean_us").unwrap();
 
         // 1 KiB: latency-bound, so halving the links is a real cut (26.63 ->
         // 26.12 us at seed 42).
         let (base, cfs) = acuerdo3(1024, 42, vec!["links-latency-half", "window-x2"]);
         let cfs = cfs.as_array().unwrap();
         assert_eq!(cfs.len(), 2);
-        assert_eq!(s(&cfs[0], "name"), "links-latency-half");
-        assert_eq!(s(&cfs[1], "name"), "window-x2");
+        assert_eq!(cfs[0].str_at("name"), Ok("links-latency-half"));
+        assert_eq!(cfs[1].str_at("name"), Ok("window-x2"));
         assert!(
             mean(&cfs[0]) < 0.99 * mean(&base),
             "halving link latency should cut the 1 KiB mean: {} vs {}",
@@ -674,7 +596,7 @@ mod tests {
         // +1.0 % over seeds 42 and 1-8 (-1.3 % at seed 42, 86.87 -> 85.76
         // us). The published seed-42 cell must stay within 2 % of its base,
         // and pooled over nine seeds the cut must still show.
-        let little_us = |v: &Value| 8e6 / num(v, &["msgs_per_sec"]);
+        let little_us = |v: &Value| 8e6 / v.f64_at("msgs_per_sec").unwrap();
         let (mut base_sum, mut half_sum) = (0.0, 0.0);
         for seed in [42, 1, 2, 3, 4, 5, 6, 7, 8] {
             let (base, cfs) = acuerdo3(16384, seed, vec!["links-latency-half"]);

@@ -1,5 +1,6 @@
-//! Bin-level flag handling: malformed input exits 2 naming the flag, never
-//! a panic (exit 101).
+//! Bin-level input and output handling: a malformed flag, an output file
+//! that cannot be written and a damaged metrics document each exit 2
+//! naming the cause, never a panic (exit 101).
 
 use std::process::Command;
 
@@ -67,4 +68,35 @@ fn dissemination_is_parsed_the_same_way_by_every_bin() {
     let (code, err) = stderr_of(env!("CARGO_BIN_EXE_scale"), &["--dissemination"]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("--dissemination needs a mode"), "{err}");
+}
+
+#[test]
+fn an_output_that_cannot_be_written_exits_2_naming_the_path() {
+    let path = "/nonexistent/dir/m.json";
+    let args = ["--elections", "1", "--metrics-out", path];
+    let (code, err) = stderr_of(env!("CARGO_BIN_EXE_table1"), &args);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains(&format!("cannot write {path}: ")), "{err}");
+}
+
+#[test]
+fn trace_report_exits_2_on_a_damaged_record_and_1_on_an_older_document() {
+    let dir = std::env::temp_dir().join(format!("bench-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = |text: &str| {
+        let path = dir.join("doc.json");
+        std::fs::write(&path, text).unwrap();
+        let file = path.to_str().unwrap();
+        stderr_of(env!("CARGO_BIN_EXE_trace-report"), &["--bottleneck", file])
+    };
+    let (code, err) = report(r#"{"runs":[{"label":"x","nodes":3,"util":{}}]}"#);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("doc.json: runs[x].system: missing"), "{err}");
+    let (code, err) = report(r#"{"runs":[{"label":"x","forensics":{}}]}"#);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(
+        err.contains("document predates the resource-utilization layer"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

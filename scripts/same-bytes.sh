@@ -10,7 +10,8 @@
 # and compares byte for byte every file, stdout, stderr and exit status the
 # two runs left. The three
 # committed baselines (`suite`/`scale`/`whatif --quick`) are gated by CI
-# on their own and are not repeated here. Exits 1 naming each command whose
+# on their own and are not regenerated here; the `trace-report` analyses
+# of them are. Exits 1 naming each command whose
 # output differs, 2 on a usage or build error. About ten minutes warm on
 # two cores; the build of <rev> dominates.
 set -euo pipefail
@@ -35,6 +36,14 @@ commands=(
     "ablations|ablations"
     "related|related"
 )
+# The three metrics-document reports over the committed baselines (absolute
+# paths, so both builds read the same files). `--whatif` over the quick and
+# scale documents takes the exit-1 "predates" path.
+for mode in bottleneck forensics whatif; do
+    for doc in quick scale whatif; do
+        commands+=("report-$mode-$doc|trace-report --$mode $root/baselines/BENCH_$doc.json")
+    done
+done
 
 build() {
     echo "same-bytes: building $2" >&2
