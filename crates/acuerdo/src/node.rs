@@ -422,14 +422,10 @@ pub struct AcuerdoNode {
 
     /// The replicated application messages are delivered to.
     pub app: Box<dyn App>,
-    /// Total messages delivered to the application.
-    pub delivered_count: u64,
     /// Polls answered by the O(1) idle path. A host-side statistic (a skipped
     /// poll and the full poll it stands for are the same event in virtual
     /// time), so a plain field and not a `Counter`.
     pub polls_skipped: u64,
-    /// Elections this node has won.
-    pub elections_won: u64,
     /// `(suspected_at, ready_at)` for each election this node won:
     /// `suspected_at` is when the old leader was declared failed,
     /// `ready_at` when the diffs finished transferring into every follower's
@@ -522,9 +518,7 @@ impl AcuerdoNode {
             #[cfg(test)]
             naive: false,
             app: Box::<DeliveryLog>::default(),
-            delivered_count: 0,
             polls_skipped: 0,
-            elections_won: 0,
             election_spans: Vec::new(),
         }
     }
@@ -1299,7 +1293,6 @@ impl AcuerdoNode {
         }
         ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
         self.app.deliver(hdr, &payload);
-        self.delivered_count += 1;
         ctx.span(hdr_span(&hdr), SpanStage::Deliver, 0);
         ctx.count(Counter::Commits, 1);
         ctx.trace(
@@ -1530,7 +1523,6 @@ impl AcuerdoNode {
         }));
         self.acks_touched = true;
         self.count = 0;
-        self.elections_won += 1;
         // A fresh epoch starts with a healthy-arms assumption; the fallback
         // scan re-marks any segment that is still dead.
         self.fallback.fill(false);

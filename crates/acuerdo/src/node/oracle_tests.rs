@@ -483,20 +483,23 @@ fn frame_landing_in_a_ring_re_registered_by_refresh_inbound() {
         let (mut sim, ids) = cluster(9, &cfg, naive, 8, 64);
         sim.crash_at(2, SimTime::from_millis(1));
         sim.restart_at(2, SimTime::from_micros(1_500));
+        // What this incarnation delivered: the DeliveryLog, not the Commits
+        // counter, which also holds node 2's deliveries before its reboot.
+        let delivered = |sim: &Sim<AcWire>, id| {
+            let log = sim.node::<AcuerdoNode>(id).app.delivery_log();
+            log.expect("DeliveryLog app").entries.len()
+        };
         sim.run_until(SimTime::from_millis(2));
-        let rejoined_at = sim.node::<AcuerdoNode>(2).delivered_count;
+        let rejoined_at = delivered(&sim, 2);
         sim.run_until(SimTime::from_millis(5));
-        let (leader, rejoiner) = (sim.node::<AcuerdoNode>(0), sim.node::<AcuerdoNode>(2));
+        let (leader, rejoiner) = (delivered(&sim, 0), delivered(&sim, 2));
         assert!(
             sim.counter(0, Counter::RejoinDiffBytes) > 0,
             "no rejoin diff"
         );
         assert!(
-            rejoiner.delivered_count > rejoined_at + 500
-                && rejoiner.delivered_count + 8 >= leader.delivered_count,
-            "the rejoiner fell behind: {} of {}",
-            rejoiner.delivered_count,
-            leader.delivered_count
+            rejoiner > rejoined_at + 500 && rejoiner + 8 >= leader,
+            "the rejoiner fell behind: {rejoiner} of {leader}"
         );
         finish(sim, &ids)
     };

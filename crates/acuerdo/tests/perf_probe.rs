@@ -7,7 +7,7 @@
 
 use abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
-use simnet::SimTime;
+use simnet::{Counter, SimTime};
 use std::time::Duration;
 
 fn run_point(n: usize, window: usize, payload: usize, ms: u64) -> (f64, f64) {
@@ -69,7 +69,7 @@ fn leader_crash_triggers_election_and_no_divergence() {
     // Give the client a retransmit path so progress resumes post-failover.
     sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
     sim.run_until(SimTime::from_millis(3));
-    let before = sim.node::<AcuerdoNode>(1).delivered_count;
+    let before = sim.counter(1, Counter::Commits);
     assert!(before > 0);
     sim.crash(0);
     sim.run_until(SimTime::from_millis(20));
@@ -78,7 +78,7 @@ fn leader_crash_triggers_election_and_no_divergence() {
     // Repoint the client and confirm the new epoch makes progress.
     sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
     sim.run_until(SimTime::from_millis(40));
-    let after = sim.node::<AcuerdoNode>(leader).delivered_count;
+    let after = sim.counter(leader, Counter::Commits);
     println!("delivered before crash: {before}, after failover: {after}");
     assert!(after > before, "no progress after failover");
     check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();

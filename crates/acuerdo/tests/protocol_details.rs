@@ -18,13 +18,15 @@ fn log_is_garbage_collected_under_steady_load() {
     // ~4000+ messages committed; the logs must stay bounded near the
     // in-flight window plus a few push intervals, nowhere near the total.
     for &id in &ids {
-        let n = sim.node::<AcuerdoNode>(id);
-        assert!(n.delivered_count > 2_000, "node {id} delivered too little");
+        let (n, delivered) = (
+            sim.node::<AcuerdoNode>(id),
+            sim.counter(id, Counter::Commits),
+        );
+        assert!(delivered > 2_000, "node {id} delivered too little");
         assert!(
             n.log_len() < 2_000,
-            "node {id} log not GC'd: {} entries after {} deliveries",
-            n.log_len(),
-            n.delivered_count
+            "node {id} log not GC'd: {} entries after {delivered} deliveries",
+            n.log_len()
         );
     }
 }
@@ -69,13 +71,15 @@ fn ring_followers_prune_below_the_leaders_gc_horizon() {
         cluster_with_client::<AcuerdoNode>(111, &cfg, 16, 10, Duration::ZERO);
     sim.run_until(SimTime::from_millis(20));
     for &id in &ids[1..] {
-        let n = sim.node::<AcuerdoNode>(id);
-        assert!(n.delivered_count > 2_000, "node {id} delivered too little");
+        let (n, delivered) = (
+            sim.node::<AcuerdoNode>(id),
+            sim.counter(id, Counter::Commits),
+        );
+        assert!(delivered > 2_000, "node {id} delivered too little");
         assert!(
             n.log_len() < 200,
-            "follower {id} log not GC'd: {} entries after {} deliveries",
-            n.log_len(),
-            n.delivered_count
+            "follower {id} log not GC'd: {} entries after {delivered} deliveries",
+            n.log_len()
         );
     }
 }
@@ -199,7 +203,7 @@ fn leader_commit_row_follows_the_payload_route() {
         let (mut sim, _ids, _client) =
             cluster_with_client::<AcuerdoNode>(113, &cfg, 8, 64, Duration::ZERO);
         sim.run_until(SimTime::from_millis(2));
-        assert!(sim.node::<AcuerdoNode>(0).delivered_count > 50, "no load");
+        assert!(sim.counter(0, Counter::Commits) > 50, "no load");
         sim.set_tracing(true);
         let pushes = sim.counter(0, Counter::SstPushes);
         let (held, census) = leader_push_census(&mut sim, 16, 100);
@@ -535,11 +539,11 @@ fn a_steady_leader_writes_nothing_to_its_own_lane() {
             .filter(|e| matches!(e, TraceEvent::Send { src: 0, dst: 0, .. }))
             .count();
         assert_eq!(to_self, 0, "{dissemination:?}");
-        let leader = sim.node::<AcuerdoNode>(0);
-        assert!(leader.delivered_count > 200, "{dissemination:?}: no load");
-        assert!(sim.counter(0, Counter::Accepts) >= leader.delivered_count);
+        let commits = sim.counter(0, Counter::Commits);
+        assert!(commits > 200, "{dissemination:?}: no load");
+        assert!(sim.counter(0, Counter::Accepts) >= commits);
         assert_eq!(
-            leader.accepted().cnt,
+            sim.node::<AcuerdoNode>(0).accepted().cnt,
             sim.counter(0, Counter::Accepts) as u32
         );
     }
@@ -656,7 +660,7 @@ fn election_diffs_start_at_each_peers_commit_point() {
     let leader = current_leader(&sim, &ids).expect("new leader");
     assert_ne!(leader, 0);
     let round = u64::from(sim.node::<AcuerdoNode>(leader).epoch().round);
-    let history = sim.node::<AcuerdoNode>(leader).delivered_count;
+    let history = sim.counter(leader, Counter::Commits);
     assert!(history > 1_000, "only {history} commits before the failure");
     let diffs: Vec<(simnet::NodeId, u64)> = sim
         .trace_events()
@@ -726,12 +730,15 @@ fn multi_part_diff_recovers_a_far_behind_follower() {
             entries.is_some_and(|k| k > part_entries),
             "ring {ring_bytes}: diff of {entries:?} entries, {part_entries} to a part"
         );
-        let lagger = sim.node::<AcuerdoNode>(2);
-        assert_eq!(lagger.role(), Role::Follower, "ring {ring_bytes}");
+        assert_eq!(
+            sim.node::<AcuerdoNode>(2).role(),
+            Role::Follower,
+            "ring {ring_bytes}"
+        );
+        let delivered = sim.counter(2, Counter::Commits);
         assert!(
-            lagger.delivered_count > 1_000,
-            "ring {ring_bytes}: lagger only delivered {}",
-            lagger.delivered_count
+            delivered > 1_000,
+            "ring {ring_bytes}: lagger only delivered {delivered}"
         );
         check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
     }
@@ -750,13 +757,13 @@ fn implicit_cumulative_ack_collapses_catch_up_traffic() {
         cluster_with_client::<AcuerdoNode>(104, &cfg, 64, 10, Duration::from_millis(1));
     sim.run_until(SimTime::from_millis(3));
     let before_posts = sim.node::<AcuerdoNode>(1).ep_writes_posted();
-    let before_delivered = sim.node::<AcuerdoNode>(1).delivered_count;
+    let before_delivered = sim.counter(1, Counter::Commits);
     // 2 ms pause: several hundred messages pile up in the ring.
     sim.pause_at(1, SimTime::from_millis(3), Duration::from_millis(2));
     sim.run_until(SimTime::from_micros(5_300)); // just past the wake-up drain
     let accepted = sim.node::<AcuerdoNode>(1).accepted().cnt as u64;
     let posts = sim.node::<AcuerdoNode>(1).ep_writes_posted() - before_posts;
-    let delivered = sim.node::<AcuerdoNode>(1).delivered_count - before_delivered;
+    let delivered = sim.counter(1, Counter::Commits) - before_delivered;
     assert!(
         accepted > before_delivered + 200,
         "backlog too small: accepted {accepted}"
@@ -781,8 +788,8 @@ fn per_message_acks_post_at_least_as_many_writes() {
         let (mut sim, _ids, _client) =
             cluster_with_client::<AcuerdoNode>(105, &cfg, 256, 10, Duration::from_millis(1));
         sim.run_until(SimTime::from_millis(10));
-        let n = sim.node::<AcuerdoNode>(1);
-        (n.delivered_count, n.ep_writes_posted())
+        let posted = sim.node::<AcuerdoNode>(1).ep_writes_posted();
+        (sim.counter(1, Counter::Commits), posted)
     };
     let (d0, p0) = run(false);
     let (d1, p1) = run(true);
@@ -813,7 +820,7 @@ fn commit_push_heartbeat_prevents_idle_elections() {
             abcast::Epoch::new(1, 0),
             "node {id} left epoch 1"
         );
-        assert_eq!(n.elections_won, 0);
+        assert_eq!(sim.counter(id, Counter::ElectionsWon), 0);
     }
 }
 
@@ -856,9 +863,9 @@ fn seven_replica_cluster_commits_with_three_crashes() {
     sim.run_until(SimTime::from_millis(40));
     let leader = current_leader(&sim, &ids).expect("leader with 4-of-7 alive");
     sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
-    let before = sim.node::<AcuerdoNode>(leader).delivered_count;
+    let before = sim.counter(leader, Counter::Commits);
     sim.run_until(SimTime::from_millis(60));
-    assert!(sim.node::<AcuerdoNode>(leader).delivered_count > before);
+    assert!(sim.counter(leader, Counter::Commits) > before);
     check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
 
@@ -887,8 +894,10 @@ fn mid_epoch_rejoin_diff_advances_accepted_to_its_top_entry() {
     sim.restart_at(1, SimTime::from_micros(1_200));
     sim.run_until(SimTime::from_micros(1_200));
     // The window is stuck behind the lost quorum.
-    let leader = sim.node::<AcuerdoNode>(0);
-    let (stuck_at, top) = (leader.delivered_count, leader.accepted());
+    let (stuck_at, top) = (
+        sim.counter(0, Counter::Commits),
+        sim.node::<AcuerdoNode>(0).accepted(),
+    );
     assert_eq!(u64::from(top.cnt), stuck_at + 16, "window not in flight");
     let applied = sim.counter(1, Counter::DiffApplies);
     while sim.counter(1, Counter::DiffApplies) == applied {
@@ -896,11 +905,10 @@ fn mid_epoch_rejoin_diff_advances_accepted_to_its_top_entry() {
     }
     assert_eq!(sim.node::<AcuerdoNode>(1).accepted(), top);
     sim.run_until(SimTime::from_millis(3));
-    let leader = sim.node::<AcuerdoNode>(0);
+    let delivered = sim.counter(0, Counter::Commits);
     assert!(
-        leader.delivered_count > stuck_at + 100,
-        "the window never committed: {} after {stuck_at}",
-        leader.delivered_count
+        delivered > stuck_at + 100,
+        "the window never committed: {delivered} after {stuck_at}"
     );
     check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }

@@ -64,7 +64,7 @@ fn main() {
         let (sat, sat_metrics) = ablation_point(ab, &sat_run, false);
         if metrics_out.is_some() {
             let (p, m) = (&sat.point, &sat_metrics);
-            records.push(run_record_json(ab.name(), &sat_run, p, m, None));
+            records.push(run_record_json(ab.name(), &sat_run, p, m, &[]));
         }
         let slow_spec = RunSpec {
             warmup: std::time::Duration::from_millis(2),

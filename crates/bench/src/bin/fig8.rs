@@ -111,11 +111,11 @@ fn main() {
                         if !args.csv {
                             print!("\n{}", hist.table(&label));
                         }
-                        hist
+                        ("stages", hist.to_json())
                     });
                     if args.metrics_out.is_some() {
                         let (p, m) = (&out.point, &out.metrics);
-                        records.push(run_record_json(&panel, &r, p, m, stages.as_ref()));
+                        records.push(run_record_json(&panel, &r, p, m, stages.as_slice()));
                     }
                 }
                 if args.csv {

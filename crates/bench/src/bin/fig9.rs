@@ -71,11 +71,14 @@ fn main() {
                 let doc = bench::chrome::write(&out.events, &out.gauges);
                 bench::cli::write(&path, doc);
                 eprintln!("wrote {path} ({} events)", out.events.len());
-                spans::stage_hist(&spans::collect(&out.events))
+                (
+                    "stages",
+                    spans::stage_hist(&spans::collect(&out.events)).to_json(),
+                )
             });
             if metrics_out.is_some() {
                 let (p, m) = (&out.point, &out.metrics);
-                records.push(run_record_json(&label, &r, p, m, stages.as_ref()));
+                records.push(run_record_json(&label, &r, p, m, stages.as_slice()));
             }
             vals.push(out.point.msgs_per_sec);
         }

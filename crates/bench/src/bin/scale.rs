@@ -141,7 +141,10 @@ fn main() {
                         ..Observe::default()
                     });
                 let out = run(&r);
-                let stages = trace_this.then(|| spans::stage_hist(&spans::collect(&out.events)));
+                let stages = trace_this.then(|| {
+                    let hist = spans::stage_hist(&spans::collect(&out.events));
+                    ("stages", hist.to_json())
+                });
                 if trace_this {
                     let base = trace_out.as_deref().expect("trace_this implies trace_out");
                     let path = record_path(base, &label);
@@ -154,7 +157,7 @@ fn main() {
                     );
                 }
                 let (p, m) = (&out.point, &out.metrics);
-                records.push(run_record_json(&label, &r, p, m, stages.as_ref()));
+                records.push(run_record_json(&label, &r, p, m, stages.as_slice()));
             }
         }
         if let Some(path) = &metrics_out {

@@ -35,8 +35,7 @@ pub mod whatif;
 
 use abcast::app::app_as;
 use abcast::{
-    check_cluster, cluster_with_client, App, DeliveryLog, MsgHdr, Replica, RunResult, StageHist,
-    WindowClient,
+    check_cluster, cluster_with_client, App, DeliveryLog, MsgHdr, Replica, RunResult, WindowClient,
 };
 use acuerdo::{AcWire, AcuerdoConfig, AcuerdoNode, DisseminationMode};
 use apus::{ApusConfig, ApusNode};
@@ -47,7 +46,7 @@ use kvstore::{ReplicatedMap, YcsbLoad};
 use paxos::{PaxosConfig, PaxosNode};
 use raft::{RaftConfig, RaftNode};
 use simnet::{
-    EngineStats, GaugeSample, InterventionSet, MetricsSnapshot, SchedKind, Sim, SimTime, TraceEvent,
+    Counter, GaugeSample, InterventionSet, MetricsSnapshot, SchedKind, Sim, SimTime, TraceEvent,
 };
 use std::time::Duration;
 use zab::{ZabConfig, ZabNode};
@@ -401,7 +400,6 @@ impl App for CheckedMap {
 struct Driven {
     /// Requests completed inside the measurement window.
     completed: u64,
-    stats: EngineStats,
     record: Record,
 }
 
@@ -443,7 +441,6 @@ fn drive<R: Replica>(
     }
     let result = sim.node::<WindowClient<R::Wire>>(client).result();
     Driven {
-        stats: sim.stats(),
         record: Record {
             point: Point::from_result(run.window, &result),
             metrics: sim.metrics(),
@@ -766,8 +763,6 @@ pub struct AblationOutcome {
     pub point: Point,
     /// RDMA packets on the wire per completed message, cluster-wide.
     pub packets_per_msg: f64,
-    /// Wire bytes (after the 80-byte minimum clamp) per completed message.
-    pub wire_bytes_per_msg: f64,
 }
 
 /// Run one Acuerdo point (`run.system` must be [`System::Acuerdo`]) with an
@@ -802,11 +797,10 @@ pub fn ablation_point(
             );
         }
     });
-    let denom = (d.completed as f64).max(1.0);
+    let packets = d.record.metrics.total(Counter::Packets) as f64;
     let outcome = AblationOutcome {
         point: d.record.point,
-        packets_per_msg: d.stats.packets as f64 / denom,
-        wire_bytes_per_msg: d.stats.wire_bytes as f64 / denom,
+        packets_per_msg: packets / (d.completed as f64).max(1.0),
     };
     (outcome, d.record.metrics)
 }
@@ -814,27 +808,24 @@ pub fn ablation_point(
 /// One `--metrics-out` record: run metadata, the client-visible point, the
 /// per-node counter snapshot, the resource-utilization summary, and the
 /// tail-latency forensics summary, as one hand-rolled JSON object
-/// (DESIGN.md §6 keeps serde out of the tree). When the run was traced,
-/// `stages` adds the per-stage commit-latency anatomy under a `"stages"`
-/// member.
+/// (DESIGN.md §6 keeps serde out of the tree). `tail` holds the record's
+/// trailing members in order, each a name and its rendered JSON value: the
+/// per-stage commit-latency anatomy of a traced run (`"stages"`), a
+/// gauge-series summary, a what-if analysis.
 pub fn run_record_json(
     label: &str,
     run: &Run,
     point: &Point,
     metrics: &MetricsSnapshot,
-    stages: Option<&StageHist>,
+    tail: &[(&str, String)],
 ) -> String {
-    let stages_json = match stages {
-        Some(h) => format!(",\"stages\":{}", h.to_json()),
-        None => String::new(),
-    };
-    format!(
+    let mut rec = format!(
         "{{\"label\":\"{}\",\"system\":\"{}\",\"nodes\":{},\"payload_bytes\":{},\
          \"seed\":{},\"warmup_ms\":{:.3},\"measure_ms\":{:.3},\"window\":{},\
          \"throughput_mbps\":{:.4},\"msgs_per_sec\":{:.1},\
          \"mean_us\":{:.3},\"p50_us\":{:.3},\"p99_us\":{:.3},\"p999_us\":{:.3},\
          \"metrics\":{},\"util\":{},\
-         \"forensics\":{}{}}}",
+         \"forensics\":{}",
         simnet::json_escape(label),
         run.system.name(),
         run.n,
@@ -852,15 +843,18 @@ pub fn run_record_json(
         metrics.to_json(),
         util::summary_json(&metrics.res, run.n),
         forensics::summary_json(&metrics.forensics),
-        stages_json
-    )
+    );
+    for (name, value) in tail {
+        rec.push_str(&format!(",\"{name}\":{value}"));
+    }
+    rec.push('}');
+    rec
 }
 
 /// Whether an auditor — the online invariant auditor or the cross-fault
 /// durability auditor — fired at least once during the run the snapshot
 /// describes.
 pub fn audit_fired(m: &MetricsSnapshot) -> bool {
-    use simnet::Counter;
     m.total(Counter::AuditEpochRegress) > 0
         || m.total(Counter::AuditCommitRegress) > 0
         || m.total(Counter::AuditCommitAheadAccept) > 0

@@ -122,13 +122,8 @@ pub fn run_scale(cfg: &ScaleConfig) -> String {
                 ..Observe::default()
             });
             let out = run(&r);
-            let mut rec = run_record_json(&label, &r, &out.point, &out.metrics, None);
-            rec.pop();
-            rec.push_str(&format!(
-                ",\"gauge_series\":{}}}",
-                gauge_series_json(&out.gauges)
-            ));
-            records.push(rec);
+            let tail = [("gauge_series", gauge_series_json(&out.gauges))];
+            records.push(run_record_json(&label, &r, &out.point, &out.metrics, &tail));
         }
     }
     // "nodes" at the top level is the sweep's ceiling: it is one of the

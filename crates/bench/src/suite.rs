@@ -96,14 +96,11 @@ pub fn run_suite(cfg: &SuiteConfig) -> String {
             });
             let out = run(&r);
             let hist = spans::stage_hist(&spans::collect(&out.events));
-            let mut rec = run_record_json(&label, &r, &out.point, &out.metrics, Some(&hist));
-            // Splice the gauge-series summary in as the record's last member.
-            rec.pop();
-            rec.push_str(&format!(
-                ",\"gauge_series\":{}}}",
-                gauge_series_json(&out.gauges)
-            ));
-            records.push(rec);
+            let tail = [
+                ("stages", hist.to_json()),
+                ("gauge_series", gauge_series_json(&out.gauges)),
+            ];
+            records.push(run_record_json(&label, &r, &out.point, &out.metrics, &tail));
         }
     }
     let cpu_scale = match cfg.cpu_scale {

@@ -294,10 +294,7 @@ pub fn run_whatif(cfg: &WhatifConfig) -> String {
                 .unwrap_or("none");
             let agreement = family(measured_top) == predicted;
 
-            let mut rec = run_record_json(&label, &base_run, base, metrics, None);
-            // Splice the whatif member in as the record's last member.
-            rec.pop();
-            let mut w = format!(",\"whatif\":{{\"leader\":{leader},\"straggler\":{straggler}");
+            let mut w = format!("{{\"leader\":{leader},\"straggler\":{straggler}");
             match blame_top {
                 Some((c, share)) => w.push_str(&format!(
                     ",\"blame_top\":\"{}\",\"blame_top_share_pct\":{share:.1}",
@@ -338,10 +335,10 @@ pub fn run_whatif(cfg: &WhatifConfig) -> String {
                 w.push_str(&format!("\"{}\"", rows[i].name));
             }
             w.push_str(&format!(
-                "],\"measured_top\":\"{measured_top}\",\"agreement\":{agreement}}}}}"
+                "],\"measured_top\":\"{measured_top}\",\"agreement\":{agreement}}}"
             ));
-            rec.push_str(&w);
-            records.push(rec);
+            let tail = [("whatif", w)];
+            records.push(run_record_json(&label, &base_run, base, metrics, &tail));
         }
     }
     format!(

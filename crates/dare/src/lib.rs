@@ -216,13 +216,9 @@ pub struct DareNode {
 
     /// The replicated application.
     pub app: Box<dyn App>,
-    /// Messages applied.
-    pub delivered_count: u64,
     /// Elections this node attempted (candidate rounds) — split votes show
     /// up as attempts ≫ wins.
     pub election_rounds: u64,
-    /// Elections won.
-    pub elections_won: u64,
 }
 
 impl DareNode {
@@ -273,9 +269,7 @@ impl DareNode {
             election_gen: 0,
             last_hb_seen: (0, SimTime::ZERO),
             app: Box::<DeliveryLog>::default(),
-            delivered_count: 0,
             election_rounds: 0,
-            elections_won: 0,
         }
     }
 
@@ -423,7 +417,6 @@ impl DareNode {
             ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
             let hdr = MsgHdr::new(Epoch::new(term, 0), self.applied_count as u32 + 1);
             self.app.deliver(hdr, &payload);
-            self.delivered_count += 1;
             ctx.count(simnet::Counter::Commits, 1);
             self.applied_off += ENTRY_HDR as u64 + payload.len() as u64;
             self.applied_count += 1;
@@ -518,7 +511,6 @@ impl DareNode {
 
     fn become_leader(&mut self, ctx: &mut Ctx<DareWire>) {
         self.role = DareRole::Leader;
-        self.elections_won += 1;
         ctx.count(simnet::Counter::ElectionsWon, 1);
         self.phase = Phase::Idle;
         // Log adjustment (simplified to a full mirror): bring every follower
@@ -686,9 +678,6 @@ mod tests {
         check_cluster::<DareNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<DareWire>>(client).result();
         assert!(r.completed > 100, "completed {}", r.completed);
-        for &id in &ids {
-            assert!(sim.node::<DareNode>(id).delivered_count > 0);
-        }
     }
 
     #[test]
@@ -731,7 +720,7 @@ mod tests {
             cluster_with_client::<DareNode>(64, &cfg, 4, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<DareWire>>(client).retransmit = Some(Duration::from_millis(5));
         sim.run_until(SimTime::from_millis(5));
-        let before = sim.node::<DareNode>(1).delivered_count;
+        let before = sim.counter(1, simnet::Counter::Commits);
         assert!(before > 0);
         sim.crash(0);
         sim.run_until(SimTime::from_millis(40));
@@ -742,7 +731,7 @@ mod tests {
             .expect("new leader");
         sim.node_mut::<WindowClient<DareWire>>(client).targets = vec![new_leader];
         sim.run_until(SimTime::from_millis(80));
-        assert!(sim.node::<DareNode>(new_leader).delivered_count > before);
+        assert!(sim.counter(new_leader, simnet::Counter::Commits) > before);
         check_cluster::<DareNode>(&sim, &ids).unwrap();
     }
 
@@ -767,7 +756,7 @@ mod tests {
         for &id in &ids[1..] {
             let n = sim.node::<DareNode>(id);
             rounds += n.election_rounds;
-            wins += n.elections_won;
+            wins += sim.counter(id, simnet::Counter::ElectionsWon);
         }
         println!("dare zero-jitter: {rounds} candidate rounds, {wins} wins");
         assert_eq!(wins, 0, "perfectly synchronized candidates must split");

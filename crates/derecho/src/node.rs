@@ -239,8 +239,6 @@ pub struct DerechoNode {
 
     /// The replicated application.
     pub app: Box<dyn App>,
-    /// Messages delivered to the application.
-    pub delivered_count: u64,
     /// Data frames this node sent.
     pub sent_data: u64,
     /// Null frames this node sent.
@@ -296,7 +294,6 @@ impl DerechoNode {
             committed_hdr: MsgHdr::ZERO,
             audit: Auditor::new(),
             app: Box::<DeliveryLog>::default(),
-            delivered_count: 0,
             sent_data: 0,
             sent_nulls: 0,
             cfg,
@@ -663,7 +660,6 @@ impl DerechoNode {
                 ),
             };
             self.app.deliver(hdr, &payload);
-            self.delivered_count += 1;
             self.committed_hdr = hdr;
             ctx.span(Self::dspan(sender, seq), SpanStage::Deliver, 0);
             ctx.count(simnet::Counter::Commits, 1);

@@ -195,10 +195,6 @@ pub struct RaftNode {
 
     /// The replicated application.
     pub app: Box<dyn App>,
-    /// Messages applied to the application.
-    pub delivered_count: u64,
-    /// Elections won.
-    pub elections_won: u64,
 }
 
 impl RaftNode {
@@ -238,8 +234,6 @@ impl RaftNode {
             last_heard: SimTime::ZERO,
             audit: Auditor::new(),
             app: Box::<DeliveryLog>::default(),
-            delivered_count: 0,
-            elections_won: 0,
         }
     }
 
@@ -446,7 +440,6 @@ impl RaftNode {
             ctx.span(Self::ispan(e.term, idx), SpanStage::Commit, 0);
             let hdr = MsgHdr::new(Epoch::new(e.term, 0), idx as u32);
             self.app.deliver(hdr, &e.payload);
-            self.delivered_count += 1;
             ctx.span(Self::ispan(e.term, idx), SpanStage::Deliver, 0);
             ctx.count(simnet::Counter::Commits, 1);
             if self.role == RaftRole::Leader {
@@ -533,7 +526,6 @@ impl RaftNode {
 
     fn become_leader(&mut self, ctx: &mut Ctx<RfWire>) {
         self.role = RaftRole::Leader;
-        self.elections_won += 1;
         ctx.count(simnet::Counter::ElectionsWon, 1);
         let next = self.last_idx() + 1;
         for j in 0..self.cfg.n {
@@ -846,9 +838,6 @@ mod tests {
         check_cluster::<RaftNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<RfWire>>(client).result();
         assert!(r.completed > 50, "completed {}", r.completed);
-        for &id in &ids {
-            assert!(sim.node::<RaftNode>(id).delivered_count > 0);
-        }
     }
 
     #[test]
@@ -888,7 +877,7 @@ mod tests {
             cluster_with_client::<RaftNode>(34, &cfg, 4, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<RfWire>>(client).retransmit = Some(Duration::from_millis(100));
         sim.run_until(SimTime::from_millis(50));
-        let before = sim.node::<RaftNode>(1).delivered_count;
+        let before = sim.counter(1, simnet::Counter::Commits);
         assert!(before > 0);
         sim.crash(0);
         sim.run_until(SimTime::from_millis(800));
@@ -899,7 +888,7 @@ mod tests {
             .expect("new leader");
         sim.node_mut::<WindowClient<RfWire>>(client).targets = vec![new_leader];
         sim.run_until(SimTime::from_millis(1_500));
-        assert!(sim.node::<RaftNode>(new_leader).delivered_count > before);
+        assert!(sim.counter(new_leader, simnet::Counter::Commits) > before);
         check_cluster::<RaftNode>(&sim, &ids).unwrap();
     }
 

@@ -287,17 +287,16 @@ impl<'a, M> Ctx<'a, M> {
     /// [`Ctx::now_cpu`].
     ///
     /// Zero-perturbation: recording charges no CPU, draws no randomness, and
-    /// schedules nothing — when tracing is disabled this is a branch on a
-    /// flag. Traced and untraced runs of the same seed are bit-identical.
+    /// schedules nothing. With tracing off the event still enters this
+    /// node's bounded flight-recorder ring (a ring push, never a growing
+    /// buffer). Traced and untraced runs of the same seed are bit-identical.
     #[inline]
     pub fn trace(&mut self, ev: Event) {
-        if self.probe.recording() {
-            self.probe.record(TraceEvent::Proto {
-                at: self.now + self.cpu,
-                node: self.self_id,
-                ev,
-            });
-        }
+        self.probe.record(TraceEvent::Proto {
+            at: self.now + self.cpu,
+            node: self.self_id,
+            ev,
+        });
     }
 
     /// Bump this node's `c` counter by `n`. Counters are always on — a plain
@@ -323,9 +322,9 @@ impl<'a, M> Ctx<'a, M> {
     /// timestamped at [`Ctx::now_cpu`].
     ///
     /// The [`Counter::SpanMarks`] bump is unconditional (counters must match
-    /// between traced and untraced runs); the timeline record is gated like
-    /// [`Ctx::trace`], so with tracing off this is one array increment and a
-    /// branch — nothing that could perturb the run.
+    /// between traced and untraced runs), and the record goes where
+    /// [`Ctx::trace`]'s does: the timeline when tracing is on, the flight
+    /// ring otherwise. Nothing here could perturb the run.
     #[inline]
     pub fn span(&mut self, id: u64, stage: SpanStage, arg: u64) {
         self.probe.count(self.self_id, Counter::SpanMarks, 1);
@@ -334,15 +333,13 @@ impl<'a, M> Ctx<'a, M> {
         // still capture their outlier ring.
         self.probe
             .span_mark(self.now + self.cpu, self.self_id, id, stage, arg);
-        if self.probe.recording() {
-            self.probe.record(TraceEvent::Span {
-                at: self.now + self.cpu,
-                node: self.self_id,
-                id,
-                stage,
-                arg,
-            });
-        }
+        self.probe.record(TraceEvent::Span {
+            at: self.now + self.cpu,
+            node: self.self_id,
+            id,
+            stage,
+            arg,
+        });
     }
 }
 

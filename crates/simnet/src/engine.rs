@@ -70,16 +70,17 @@ pub struct EngineStats {
     pub dma_msgs: u64,
     /// Messages delivered with [`DeliveryClass::Cpu`].
     pub cpu_msgs: u64,
-    /// Bytes placed on the wire (after minimum-wire-size clamping).
+    /// Bytes placed on the wire (after minimum-wire-size clamping): the
+    /// [`Counter::WireBytes`] total, read when [`Sim::stats`] is called.
     pub wire_bytes: u64,
-    /// Packets placed on the wire.
+    /// Packets placed on the wire: the [`Counter::Packets`] total.
     pub packets: u64,
     /// Pre-crash in-flight deliveries and timers discarded because an
     /// endpoint restarted before they fired (the RC connection was torn down
     /// and re-established with a fresh incarnation).
     pub restart_drops: u64,
     /// Sends dropped at the source because a partition or link flap cut the
-    /// connection.
+    /// connection: the [`Counter::PartitionDrops`] total.
     pub partition_drops: u64,
 }
 
@@ -299,19 +300,13 @@ pub struct Sim<M> {
 
 impl<M: 'static> Sim<M> {
     /// Create a simulator with the given deterministic seed and network
-    /// parameters, using the default (calendar-queue) scheduler.
+    /// parameters, using the default (calendar-queue) scheduler
+    /// ([`Sim::set_scheduler`] switches it).
     pub fn new(seed: u64, params: NetParams) -> Self {
-        Sim::with_scheduler(seed, params, SchedKind::default())
-    }
-
-    /// Create a simulator with an explicit scheduler implementation. The
-    /// choice can never change results — see [`crate::sched`] — only speed;
-    /// it exists so differential tests can pin the reference heap.
-    pub fn with_scheduler(seed: u64, params: NetParams, sched: SchedKind) -> Self {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
-            sched: Scheduler::new(sched),
+            sched: Scheduler::new(SchedKind::default()),
             slab: Slab::new(),
             nodes: Vec::new(),
             net: Network::new(params.default_link, params.loopback, params.nic),
@@ -328,11 +323,6 @@ impl<M: 'static> Sim<M> {
             #[cfg(test)]
             per_event_only: false,
         }
-    }
-
-    /// Which scheduler implementation this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedKind {
-        self.sched.kind()
     }
 
     /// Switch scheduler implementations mid-run: queued events are drained in
@@ -387,17 +377,20 @@ impl<M: 'static> Sim<M> {
         self.halted
     }
 
-    /// Run counters.
+    /// Run counters. The wire and partition members are the counter
+    /// registry's cluster-wide totals, summed here rather than kept twice.
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.stats;
-        s.wire_bytes = self.net.wire_bytes;
-        s.packets = self.net.packets;
-        s
-    }
-
-    /// Number of spawned nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        let total = |c| {
+            (0..self.nodes.len())
+                .map(|n| self.probe.counter(n, c))
+                .sum()
+        };
+        EngineStats {
+            wire_bytes: total(Counter::WireBytes),
+            packets: total(Counter::Packets),
+            partition_drops: total(Counter::PartitionDrops),
+            ..self.stats
+        }
     }
 
     // ---- observability -----------------------------------------------------
@@ -478,17 +471,6 @@ impl<M: 'static> Sim<M> {
     /// Read one node's current gauge level.
     pub fn gauge(&self, node: NodeId, g: Gauge) -> u64 {
         self.probe.gauge(node, g)
-    }
-
-    /// Turn the always-on bounded flight recorder off (or back on). Off also
-    /// clears the per-node rings.
-    pub fn set_flight_recorder(&mut self, on: bool) {
-        self.probe.set_flight_recorder(on);
-    }
-
-    /// Resize the per-node flight-recorder rings.
-    pub fn set_flight_capacity(&mut self, cap: usize) {
-        self.probe.set_flight_capacity(cap);
     }
 
     /// The flight-recorder contents: the last-N trace events of every node,
@@ -1246,7 +1228,6 @@ impl<M: 'static> Sim<M> {
                     if self.net.is_cut(node, *dst, post) {
                         // The RC connection is severed: the post is lost at
                         // the source, nothing reaches the wire.
-                        self.stats.partition_drops += 1;
                         self.probe.count(node, Counter::PartitionDrops, 1);
                         self.prep.push(Prep::Skip);
                     } else {
@@ -1327,30 +1308,28 @@ impl<M: 'static> Sim<M> {
                                 .saturating_sub(info.depart.as_nanos()),
                         );
                     }
-                    if self.probe.recording() {
-                        self.probe.record(TraceEvent::Send {
-                            at: post,
-                            src: node,
-                            dst,
-                            class,
-                            wire_bytes: info.wire_bytes,
-                        });
-                        self.probe.record(TraceEvent::NicEgress {
-                            node,
-                            start: info.depart_start,
-                            end: info.depart,
+                    self.probe.record(TraceEvent::Send {
+                        at: post,
+                        src: node,
+                        dst,
+                        class,
+                        wire_bytes: info.wire_bytes,
+                    });
+                    self.probe.record(TraceEvent::NicEgress {
+                        node,
+                        start: info.depart_start,
+                        end: info.depart,
+                        bytes: info.wire_bytes,
+                        dst,
+                    });
+                    if dst != node {
+                        self.probe.record(TraceEvent::NicIngress {
+                            node: dst,
+                            start: info.ingress_start,
+                            end: info.delivered,
                             bytes: info.wire_bytes,
-                            dst,
+                            src: node,
                         });
-                        if dst != node {
-                            self.probe.record(TraceEvent::NicIngress {
-                                node: dst,
-                                start: info.ingress_start,
-                                end: info.delivered,
-                                bytes: info.wire_bytes,
-                                src: node,
-                            });
-                        }
                     }
                     let dst_inc = self.nodes.get(dst).map_or(0, |s| s.inc);
                     self.push(
@@ -2327,7 +2306,7 @@ mod tests {
 
     #[test]
     fn gauge_sampler_and_flight_recorder_do_not_perturb() {
-        let run = |observed: bool| {
+        let run = |sampled: bool| {
             let mut s = sim();
             let a = s.add_node(Box::new(Pinger {
                 peer: 1,
@@ -2337,23 +2316,53 @@ mod tests {
                 got: vec![],
                 cpu: Duration::from_nanos(500),
             }));
-            if observed {
+            if sampled {
                 s.set_gauge_sampling(Duration::from_micros(100));
-                s.set_flight_capacity(8);
-            } else {
-                s.set_flight_recorder(false);
             }
             s.run_until(SimTime::from_millis(1));
             let series = s.gauge_samples().len();
-            let flight = s.flight_events().len();
-            (s.node::<Pinger>(a).replies.clone(), series, flight)
+            (
+                s.node::<Pinger>(a).replies.clone(),
+                series,
+                s.flight_events(),
+            )
         };
         let (replies_on, series_on, flight_on) = run(true);
         let (replies_off, series_off, flight_off) = run(false);
         assert_eq!(replies_on, replies_off, "observability perturbed the run");
         assert!(series_on > 0, "sampler produced no series");
-        assert!(flight_on > 0, "flight recorder stayed empty");
-        assert_eq!((series_off, flight_off), (0, 0));
+        assert_eq!(series_off, 0);
+        // The ring is always on, and sampling leaves it as it found it.
+        assert!(!flight_on.is_empty(), "flight recorder stayed empty");
+        assert_eq!(flight_on, flight_off);
+    }
+
+    #[test]
+    fn wire_accounting() {
+        // The counters are the only wire tally: a 10 B post is charged the
+        // 80 B minimum frame, a 1,000 B post its own size, both to the
+        // sender.
+        struct Sender;
+        impl Process<u32> for Sender {
+            fn on_start(&mut self, ctx: &mut Ctx<u32>) {
+                ctx.send(1, DeliveryClass::Dma, 10, 0);
+                ctx.send(1, DeliveryClass::Dma, 1_000, 0);
+            }
+            fn on_message(&mut self, _: &mut Ctx<u32>, _: NodeId, _: u32) {}
+        }
+        struct Sink;
+        impl Process<u32> for Sink {
+            fn on_message(&mut self, _: &mut Ctx<u32>, _: NodeId, _: u32) {}
+        }
+        let mut s = sim();
+        s.add_node(Box::new(Sender));
+        s.add_node(Box::new(Sink));
+        s.run_until(SimTime::from_millis(1));
+        assert_eq!(s.counter(0, Counter::Packets), 2);
+        assert_eq!(s.counter(0, Counter::WireBytes), 80 + 1_000);
+        assert_eq!(s.counter(1, Counter::Packets), 0);
+        let st = s.stats();
+        assert_eq!((st.packets, st.wire_bytes), (2, 80 + 1_000));
     }
 
     #[test]

@@ -128,10 +128,6 @@ pub(crate) struct Network {
     /// of every link, loopback included; jitter and transient extras are
     /// untouched so the RNG draw sequence is preserved).
     latency_scale: Option<f64>,
-    /// Total bytes placed on the wire (after min-size clamping).
-    pub wire_bytes: u64,
-    /// Total packets sent.
-    pub packets: u64,
 }
 
 /// Scale a duration by a time factor, with the same nanosecond rounding as
@@ -155,8 +151,6 @@ impl Network {
             egress_scale: Vec::new(),
             ingress_scale: Vec::new(),
             latency_scale: None,
-            wire_bytes: 0,
-            packets: 0,
         }
     }
 
@@ -323,8 +317,6 @@ impl Network {
             let (dst, wire_bytes) = (p.dst, p.wire_bytes);
             let ser = self.nic.serialize_time(wire_bytes);
             let clamped_bytes = wire_bytes.max(self.nic.min_wire_bytes);
-            self.wire_bytes += u64::from(clamped_bytes);
-            self.packets += 1;
 
             // Sender NIC egress serialization (shared across that node's
             // links).
@@ -648,15 +640,5 @@ mod tests {
             let db = b.route(&mut rb, 0, 1, post, 10).delivered;
             assert_eq!(da, db);
         }
-    }
-
-    #[test]
-    fn wire_accounting() {
-        let mut n = net();
-        let mut r = rng();
-        n.route(&mut r, 0, 1, SimTime::ZERO, 10);
-        n.route(&mut r, 0, 1, SimTime::ZERO, 1_000);
-        assert_eq!(n.packets, 2);
-        assert_eq!(n.wire_bytes, 80 + 1_000);
     }
 }

@@ -62,19 +62,6 @@ impl NetParams {
             },
         }
     }
-
-    /// Zero-latency, zero-jitter network for algorithmic unit tests where
-    /// timing must be exact.
-    pub fn ideal() -> Self {
-        NetParams {
-            default_link: LinkParams::fixed(Duration::from_nanos(100)),
-            loopback: LinkParams::fixed(Duration::from_nanos(100)),
-            nic: NicParams {
-                line_rate_gbps: 1_000.0,
-                min_wire_bytes: 1,
-            },
-        }
-    }
 }
 
 /// One deterministic what-if counterfactual, applied to a constructed fabric

@@ -139,8 +139,9 @@ fn run_node<M: Send + 'static>(
     seed: u64,
 ) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    // Each thread owns a disabled probe: protocol count()/trace() calls stay
-    // valid on real threads, but nothing is collected (non-goal: see above).
+    // Each thread owns a probe with tracing off: protocol count()/trace()
+    // calls stay valid on real threads and fill its counters and bounded
+    // flight ring, which nothing reads (non-goal: see above).
     let mut probe = crate::trace::Probe::new();
     // Likewise a thread-local scratch log: durable-mode protocols can append
     // and fsync, but there is no crash model on real threads.

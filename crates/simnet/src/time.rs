@@ -54,12 +54,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Milliseconds since start, as a float (for reporting).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Seconds since start, as a float (for reporting).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -166,7 +160,6 @@ mod tests {
         assert!((t.as_micros_f64() - 1.5).abs() < 1e-9);
         let t = SimTime::from_millis(2);
         assert!((t.as_secs_f64() - 0.002).abs() < 1e-12);
-        assert!((t.as_millis_f64() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -318,11 +318,6 @@ impl DirStats {
         self.bytes.iter().sum()
     }
 
-    /// Total frames across kinds.
-    pub fn total_frames(&self) -> u64 {
-        self.frames.iter().sum()
-    }
-
     fn add(&mut self, kind: MsgKind, bytes: u64, busy_ns: u64) {
         self.bytes[kind as usize] += bytes;
         self.frames[kind as usize] += 1;
@@ -784,7 +779,7 @@ impl TraceEvent {
     }
 }
 
-/// Default per-node flight-recorder depth (events). Deep enough to hold a
+/// Per-node flight-recorder depth (events). Deep enough to hold a
 /// few poll ticks of fabric+protocol activity around a failure, small enough
 /// that every run can afford it.
 pub const FLIGHT_RECORDER_DEPTH: usize = 256;
@@ -810,16 +805,14 @@ pub struct Probe {
     /// sampler skips never-written gauges so the series stays relevant.
     touched: [bool; Gauge::COUNT],
     samples: Vec<GaugeSample>,
-    flight_on: bool,
-    flight_cap: usize,
     /// Global record order across all flight rings: merging per-node rings
     /// by this tag reproduces the original timeline order deterministically.
     flight_seq: u64,
     flight: Vec<std::collections::VecDeque<(u64, TraceEvent)>>,
     /// While full tracing is on, ring pushes are deferred: `events` already
     /// holds every record, so the rings are caught up lazily ([`Probe::sync_flight`])
-    /// from `events[flight_synced..]` only when something reads or
-    /// reconfigures them. This keeps the traced hot path to one `Vec` push.
+    /// from `events[flight_synced..]` only when tracing stops or the
+    /// timeline is taken. This keeps the traced hot path to one `Vec` push.
     flight_synced: usize,
     /// Per-node NIC/CPU resource tallies (always on), parallel to `counters`.
     res_nodes: Vec<NodeRes>,
@@ -842,8 +835,6 @@ impl Default for Probe {
             gauges: Vec::new(),
             touched: [false; Gauge::COUNT],
             samples: Vec::new(),
-            flight_on: true,
-            flight_cap: FLIGHT_RECORDER_DEPTH,
             flight_seq: 0,
             flight: Vec::new(),
             flight_synced: 0,
@@ -856,8 +847,8 @@ impl Default for Probe {
 }
 
 impl Probe {
-    /// A probe with tracing disabled, the flight recorder on, and no nodes
-    /// registered.
+    /// A probe with tracing disabled and no nodes registered (the flight
+    /// recorder is always on).
     pub fn new() -> Self {
         Probe::default()
     }
@@ -925,15 +916,8 @@ impl Probe {
         self.enabled
     }
 
-    /// Whether any event sink wants records: full tracing or the flight
-    /// recorder. Event producers gate construction on this.
-    #[inline]
-    pub fn recording(&self) -> bool {
-        self.enabled || self.flight_on
-    }
-
     /// Append `ev` to the timeline (if tracing is on) and to its node's
-    /// flight-recorder ring (if the flight recorder is on).
+    /// flight-recorder ring.
     ///
     /// While full tracing is on the ring push is deferred: `events` is a
     /// superset of what the rings would hold, so they are reconstructed
@@ -943,7 +927,7 @@ impl Probe {
     pub fn record(&mut self, ev: TraceEvent) {
         if self.enabled {
             self.events.push(ev);
-        } else if self.flight_on {
+        } else {
             self.push_flight(ev);
         }
     }
@@ -954,7 +938,7 @@ impl Probe {
         let node = ev.node();
         self.ensure_node(node);
         let ring = &mut self.flight[node];
-        if ring.len() >= self.flight_cap {
+        if ring.len() >= FLIGHT_RECORDER_DEPTH {
             ring.pop_front();
         }
         ring.push_back((self.flight_seq, ev));
@@ -963,12 +947,8 @@ impl Probe {
 
     /// Catch the flight rings up with records deferred while tracing was on:
     /// replay `events[flight_synced..]` as ring pushes. O(deferred records),
-    /// run only when the rings are read or reconfigured.
+    /// run only when tracing stops or the timeline is taken.
     fn sync_flight(&mut self) {
-        if !self.flight_on {
-            self.flight_synced = self.events.len();
-            return;
-        }
         let mut i = self.flight_synced;
         while i < self.events.len() {
             let ev = self.events[i];
@@ -978,43 +958,6 @@ impl Probe {
         self.flight_synced = i;
     }
 
-    /// Turn the flight recorder on or off (off also clears the rings, so an
-    /// "off" run keeps no residue).
-    pub fn set_flight_recorder(&mut self, on: bool) {
-        if self.flight_on && on {
-            return;
-        }
-        if self.flight_on {
-            self.sync_flight();
-        }
-        self.flight_on = on;
-        if !on {
-            for ring in &mut self.flight {
-                ring.clear();
-            }
-        }
-        // Records made while the recorder was off never enter the rings.
-        self.flight_synced = self.events.len();
-    }
-
-    /// Whether the flight recorder is on.
-    #[inline]
-    pub fn flight_recorder(&self) -> bool {
-        self.flight_on
-    }
-
-    /// Resize the per-node flight rings (existing rings shed their oldest
-    /// entries if over the new bound; minimum depth 1).
-    pub fn set_flight_capacity(&mut self, cap: usize) {
-        self.sync_flight();
-        self.flight_cap = cap.max(1);
-        for ring in &mut self.flight {
-            while ring.len() > self.flight_cap {
-                ring.pop_front();
-            }
-        }
-    }
-
     /// The flight-recorder contents: the last-N events of every node, merged
     /// back into global record order.
     pub fn flight_events(&self) -> Vec<TraceEvent> {
@@ -1022,19 +965,17 @@ impl Probe {
         // while tracing was on (same push rule as `push_flight`, applied to
         // a scratch copy so `&self` suffices).
         let mut rings = self.flight.clone();
-        if self.flight_on {
-            let deferred = self.events[self.flight_synced..].iter();
-            for (seq, &ev) in (self.flight_seq..).zip(deferred) {
-                let node = ev.node();
-                if node >= rings.len() {
-                    rings.resize_with(node + 1, Default::default);
-                }
-                let ring = &mut rings[node];
-                if ring.len() >= self.flight_cap {
-                    ring.pop_front();
-                }
-                ring.push_back((seq, ev));
+        let deferred = self.events[self.flight_synced..].iter();
+        for (seq, &ev) in (self.flight_seq..).zip(deferred) {
+            let node = ev.node();
+            if node >= rings.len() {
+                rings.resize_with(node + 1, Default::default);
             }
+            let ring = &mut rings[node];
+            if ring.len() >= FLIGHT_RECORDER_DEPTH {
+                ring.pop_front();
+            }
+            ring.push_back((seq, ev));
         }
         let mut tagged: Vec<(u64, TraceEvent)> = rings.iter().flatten().copied().collect();
         tagged.sort_unstable_by_key(|&(seq, _)| seq);
@@ -1606,25 +1547,29 @@ mod tests {
     #[test]
     fn flight_recorder_keeps_last_n_per_node_in_record_order() {
         let mut p = Probe::new();
-        p.set_flight_capacity(2);
         let ev = |node, n| TraceEvent::Proto {
             at: SimTime::from_nanos(n),
             node,
             ev: Event::new("e"),
         };
-        p.record(ev(0, 1));
-        p.record(ev(1, 2));
-        p.record(ev(0, 3));
-        p.record(ev(0, 4));
-        // Node 0's ring shed its oldest entry; the merge restores global
-        // record order across rings.
-        assert_eq!(p.flight_events(), vec![ev(1, 2), ev(0, 3), ev(0, 4)]);
+        // Node 0 records two events more than its ring holds; node 1 records
+        // twice, once before and once inside node 0's run.
+        let depth = FLIGHT_RECORDER_DEPTH as u64;
+        let node_of = |n| if n == 1 || n == depth { 1 } else { 0 };
+        let total = depth + 4;
+        for n in 0..total {
+            p.record(ev(node_of(n), n));
+        }
+        // Node 0 shed its two oldest entries (0 and 2); the merge restores
+        // global record order across the rings.
+        let want: Vec<TraceEvent> = (0..total)
+            .filter(|&n| n != 0 && n != 2)
+            .map(|n| ev(node_of(n), n))
+            .collect();
+        assert_eq!(want.len(), FLIGHT_RECORDER_DEPTH + 2);
+        assert_eq!(p.flight_events(), want);
         // Tracing stayed off: the full-timeline buffer is untouched.
         assert!(p.events().is_empty());
-        assert!(p.recording());
-        p.set_flight_recorder(false);
-        assert!(p.flight_events().is_empty());
-        assert!(!p.recording());
     }
 
     #[test]

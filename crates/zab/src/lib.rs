@@ -195,10 +195,6 @@ pub struct ZabNode {
 
     /// The replicated application.
     pub app: Box<dyn App>,
-    /// Messages delivered to the application.
-    pub delivered_count: u64,
-    /// Elections won by this node.
-    pub elections_won: u64,
 }
 
 impl ZabNode {
@@ -240,8 +236,6 @@ impl ZabNode {
             last_leader_seen: SimTime::ZERO,
             audit: Auditor::new(),
             app: Box::<DeliveryLog>::default(),
-            delivered_count: 0,
-            elections_won: 0,
         }
     }
 
@@ -432,7 +426,6 @@ impl ZabNode {
             ctx.span(Self::zspan(z), SpanStage::Commit, 0);
             let hdr = MsgHdr::new(Epoch::new(z.0, self.leader_of_epoch(z.0)), z.1);
             self.app.deliver(hdr, &value);
-            self.delivered_count += 1;
             ctx.span(Self::zspan(z), SpanStage::Deliver, 0);
             ctx.count(simnet::Counter::Commits, 1);
             self.delivered = z;
@@ -518,7 +511,6 @@ impl ZabNode {
         self.counter = 0;
         self.epoch_acks = 1;
         self.epoch_ready = false;
-        self.elections_won += 1;
         ctx.count(simnet::Counter::ElectionsWon, 1);
         self.acks.clear();
         for p in 0..self.cfg.n {
@@ -770,9 +762,6 @@ mod tests {
         check_cluster::<ZabNode>(&sim, &ids).unwrap();
         let r = sim.node::<WindowClient<ZkWire>>(client).result();
         assert!(r.completed > 100, "completed {}", r.completed);
-        for &id in &ids {
-            assert!(sim.node::<ZabNode>(id).delivered_count > 0);
-        }
     }
 
     #[test]
@@ -841,7 +830,7 @@ mod tests {
             cluster_with_client::<ZabNode>(26, &cfg, 8, 10, Duration::ZERO);
         sim.node_mut::<WindowClient<ZkWire>>(client).retransmit = Some(Duration::from_millis(20));
         sim.run_until(SimTime::from_millis(20));
-        let committed_before = sim.node::<ZabNode>(1).delivered_count;
+        let committed_before = sim.counter(1, simnet::Counter::Commits);
         assert!(committed_before > 0);
         sim.crash(0);
         sim.run_until(SimTime::from_millis(60));
@@ -852,7 +841,7 @@ mod tests {
             .expect("new leader");
         sim.node_mut::<WindowClient<ZkWire>>(client).targets = vec![new_leader];
         sim.run_until(SimTime::from_millis(120));
-        let after = sim.node::<ZabNode>(new_leader).delivered_count;
+        let after = sim.counter(new_leader, simnet::Counter::Commits);
         assert!(after > committed_before, "no post-failover progress");
         check_cluster::<ZabNode>(&sim, &ids).unwrap();
     }

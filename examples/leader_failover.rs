@@ -12,7 +12,7 @@
 
 use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo_repro::acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
-use acuerdo_repro::simnet::SimTime;
+use acuerdo_repro::simnet::{Counter, SimTime};
 use std::time::Duration;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     // Phase 1: normal broadcast.
     sim.run_until(SimTime::from_millis(5));
     let old_leader = current_leader(&sim, &replicas).expect("initial leader");
-    let committed_before = sim.node::<AcuerdoNode>(1).delivered_count;
+    let committed_before = sim.counter(1, Counter::Commits);
     println!("phase 1: leader {old_leader} committed {committed_before} messages");
 
     // Phase 2: kill the leader.
@@ -53,7 +53,7 @@ fn main() {
     sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![new_leader];
     sim.run_until(SimTime::from_millis(40));
 
-    let committed_after = sim.node::<AcuerdoNode>(new_leader).delivered_count;
+    let committed_after = sim.counter(new_leader, Counter::Commits);
     println!("phase 4: new epoch committed up to {committed_after} deliveries");
     assert!(
         committed_after > committed_before,

@@ -10,7 +10,7 @@
 
 use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo_repro::acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
-use acuerdo_repro::simnet::SimTime;
+use acuerdo_repro::simnet::{Counter, SimTime};
 use std::time::Duration;
 
 fn main() {
@@ -44,11 +44,10 @@ fn main() {
     // Every replica delivered the same totally-ordered prefix.
     check_cluster::<AcuerdoNode>(&sim, &replicas).expect("Integrity, No-Duplication, Total Order");
     for &r in &replicas {
-        let n = sim.node::<AcuerdoNode>(r);
         println!(
             "replica {r}: delivered {} messages, committed through {:?}",
-            n.delivered_count,
-            n.committed()
+            sim.counter(r, Counter::Commits),
+            sim.node::<AcuerdoNode>(r).committed()
         );
     }
     println!("atomic-broadcast properties verified across all replicas");

@@ -5,10 +5,10 @@
 #   scripts/same-bytes.sh <rev> [scratch-dir]
 #
 # Exports <rev> with `git archive` into the scratch directory (a fresh
-# temporary one by default), builds the bench bins there and in the
-# checkout, runs the commands below with each build in its own directory,
-# and compares byte for byte every file, stdout, stderr and exit status the
-# two runs left. The three
+# temporary one by default), builds the bench bins and the examples there
+# and in the checkout, runs the commands below with each build in its own
+# directory, and compares byte for byte every file, stdout, stderr and exit
+# status the two runs left. The three
 # committed baselines (`suite`/`scale`/`whatif --quick`) are gated by CI
 # on their own and are not regenerated here; the `trace-report` analyses
 # of them are. Exits 1 naming each command whose
@@ -36,6 +36,11 @@ commands=(
     "ablations|ablations"
     "related|related"
 )
+# The deterministic examples (`traced_failover` also writes
+# traced_failover.json). `live_cluster` runs on real threads and is left out.
+for example in quickstart leader_failover traced_failover replicated_kv slow_follower; do
+    commands+=("example-$example|examples/$example")
+done
 # The three metrics-document reports over the committed baselines (absolute
 # paths, so both builds read the same files). `--whatif` over the quick and
 # scale documents takes the exit-1 "predates" path.
@@ -47,7 +52,7 @@ done
 
 build() {
     echo "same-bytes: building $2" >&2
-    (cd "$1" && cargo build --release -q -p bench) || {
+    (cd "$1" && cargo build --release -q -p bench && cargo build --release -q --examples) || {
         echo "same-bytes: build of $2 failed" >&2
         exit 2
     }

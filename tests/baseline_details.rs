@@ -3,12 +3,12 @@
 //! etcd/Raft log convergence after a partitioned-ish leader change.
 
 use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
-use acuerdo_repro::simnet::SimTime;
+use acuerdo_repro::simnet::{Counter, SimTime};
 use std::time::Duration;
 
 #[test]
 fn zab_cumulative_commit_survives_delayed_acks() {
-    use acuerdo_repro::zab::{self, ZabConfig, ZabNode, ZkWire};
+    use acuerdo_repro::zab::{self, ZabConfig, ZkWire};
     // Slow the leader→follower-2 proposal path: follower 1 alone forms the
     // quorum, commits advance cumulatively, and follower 2 must still
     // deliver the full prefix (from buffered proposals + the watermark).
@@ -21,8 +21,8 @@ fn zab_cumulative_commit_survives_delayed_acks() {
     let r = sim.node::<WindowClient<ZkWire>>(client).result();
     assert!(r.completed > 100, "quorum stalled: {}", r.completed);
     // The delayed follower converges once the transient passes.
-    let d2 = sim.node::<ZabNode>(2).delivered_count;
-    let d1 = sim.node::<ZabNode>(1).delivered_count;
+    let d2 = sim.counter(2, Counter::Commits);
+    let d1 = sim.counter(1, Counter::Commits);
     assert!(
         d2 * 10 >= d1 * 9,
         "delayed follower too far behind: {d2} vs {d1}"
@@ -45,7 +45,7 @@ fn zab_five_nodes_totally_order_under_load() {
 
 #[test]
 fn libpaxos_scales_down_gracefully_to_single_node() {
-    use acuerdo_repro::paxos::{self, PaxosConfig, PaxosNode, PxWire};
+    use acuerdo_repro::paxos::{self, PaxosConfig, PxWire};
     // n = 1: the degenerate quorum of one must self-choose instantly.
     let cfg = PaxosConfig {
         n: 1,
@@ -57,7 +57,7 @@ fn libpaxos_scales_down_gracefully_to_single_node() {
     check_cluster::<paxos::PaxosNode>(&sim, &ids).unwrap();
     let r = sim.node::<WindowClient<PxWire>>(client).result();
     assert!(r.completed > 50, "single-node paxos stalled");
-    assert!(sim.node::<PaxosNode>(0).delivered_count > 50);
+    assert!(sim.counter(0, Counter::Commits) > 50);
 }
 
 #[test]
@@ -104,8 +104,8 @@ fn raft_log_conflict_is_truncated_after_leadership_change() {
     sim.run_until(SimTime::from_millis(2_000));
     check_cluster::<raft::RaftNode>(&sim, &ids).unwrap();
     // The lagged follower converged to the new leader's log.
-    let dl = sim.node::<RaftNode>(new_leader).delivered_count;
-    let d2 = sim.node::<RaftNode>(2).delivered_count;
+    let dl = sim.counter(new_leader, Counter::Commits);
+    let d2 = sim.counter(2, Counter::Commits);
     assert!(d2 > 0, "lagged follower never recovered");
     assert!(dl > 0);
 }

@@ -9,7 +9,7 @@ use acuerdo_repro::dare::{DareConfig, DareNode};
 use acuerdo_repro::derecho::{DerechoConfig, DerechoNode, Mode};
 use acuerdo_repro::paxos::{PaxosConfig, PaxosNode};
 use acuerdo_repro::raft::{RaftConfig, RaftNode};
-use acuerdo_repro::simnet::SimTime;
+use acuerdo_repro::simnet::{Counter, SimTime};
 use acuerdo_repro::zab::{ZabConfig, ZabNode};
 use std::time::Duration;
 
@@ -78,6 +78,38 @@ fn every_replica_impl_commits_under_identical_load() {
             m.msgs_per_sec
         );
     }
+}
+
+/// A fault-free run of `R` to `end_ms`: every live replica delivered, and
+/// counted each delivery once, in `Counter::Commits` and in its
+/// `DeliveryLog` alike.
+fn commits_match_the_delivery_log<R: Replica>(name: &str, cfg: &R::Config, end_ms: u64) {
+    let (mut sim, ids, _) = cluster_with_client::<R>(42, cfg, 4, 10, Duration::ZERO);
+    sim.run_until(SimTime::from_millis(end_ms));
+    for id in ids.into_iter().filter(|&id| !sim.is_crashed(id)) {
+        let log = sim.node::<R>(id).delivery_log().expect("DeliveryLog app");
+        let delivered = log.entries.len() as u64;
+        assert!(delivered > 0, "{name}: replica {id} delivered nothing");
+        let commits = sim.counter(id, Counter::Commits);
+        assert_eq!(commits, delivered, "{name}: replica {id}");
+    }
+}
+
+#[test]
+fn every_replica_impl_counts_each_commit_once() {
+    let derecho = |mode| DerechoConfig {
+        n: 3,
+        mode,
+        ..DerechoConfig::default()
+    };
+    commits_match_the_delivery_log::<AcuerdoNode>("acuerdo", &AcuerdoConfig::stable(3), 8);
+    commits_match_the_delivery_log::<DerechoNode>("derecho-leader", &derecho(Mode::Leader), 8);
+    commits_match_the_delivery_log::<DerechoNode>("derecho-all", &derecho(Mode::AllSender), 8);
+    commits_match_the_delivery_log::<ApusNode>("apus", &ApusConfig::default(), 8);
+    commits_match_the_delivery_log::<DareNode>("dare", &DareConfig::default(), 8);
+    commits_match_the_delivery_log::<PaxosNode>("libpaxos", &PaxosConfig::default(), 80);
+    commits_match_the_delivery_log::<ZabNode>("zookeeper", &ZabConfig::default(), 80);
+    commits_match_the_delivery_log::<RaftNode>("etcd", &RaftConfig::default(), 200);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use acuerdo_repro::abcast::{cluster_with_client, MsgHdr, WindowClient};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig};
-use acuerdo_repro::simnet::SimTime;
+use acuerdo_repro::simnet::{Counter, SimTime};
 use bytes::Bytes;
 use std::time::Duration;
 
@@ -64,7 +64,7 @@ fn tcp_systems_are_deterministic_too() {
         let c = sim.node::<WindowClient<RfWire>>(client).total_completed;
         let d: Vec<u64> = ids
             .iter()
-            .map(|&id| sim.node::<raft::RaftNode>(id).delivered_count)
+            .map(|&id| sim.counter(id, Counter::Commits))
             .collect();
         (c, d)
     };
@@ -167,7 +167,7 @@ fn calendar_and_heap_schedulers_agree_on_deep_deferral_runs() {
         let out = run(&r);
         assert!(out.metrics.total(Counter::Commits) > 3 * 1_000);
         (
-            run_record_json("deep", &r, &out.point, &out.metrics, None),
+            run_record_json("deep", &r, &out.point, &out.metrics, &[]),
             chrome::write(&out.events, &out.gauges),
         )
     };

@@ -2,7 +2,7 @@
 //! failures, transient descheduling, link delays, and the ring-backlog
 //! catch-up path (§3's "efficient catch-up").
 
-use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
+use acuerdo_repro::abcast::{check_cluster, cluster_with_client, Replica, WindowClient};
 use acuerdo_repro::acuerdo::{self, current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role};
 use acuerdo_repro::simnet::{Counter, DeschedProfile, SimTime};
 use std::time::Duration;
@@ -36,9 +36,9 @@ fn two_sequential_leader_failures_with_five_replicas() {
     assert!(l3 != l1 && l3 != l2);
     sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![l3];
 
-    let before = sim.node::<AcuerdoNode>(l3).delivered_count;
+    let before = sim.counter(l3, Counter::Commits);
     sim.run_until(SimTime::from_millis(45));
-    let after = sim.node::<AcuerdoNode>(l3).delivered_count;
+    let after = sim.counter(l3, Counter::Commits);
     assert!(after > before, "no progress with 3-of-5 quorum");
     check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
@@ -64,10 +64,10 @@ fn paused_leader_recovers_as_follower() {
     assert_eq!(old.role(), Role::Follower, "old leader failed to rejoin");
     assert_eq!(old.epoch(), sim.node::<AcuerdoNode>(new_leader).epoch());
     sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![new_leader];
-    let delivered_at_rejoin = sim.node::<AcuerdoNode>(0).delivered_count;
+    let delivered_at_rejoin = sim.counter(0, Counter::Commits);
     sim.run_until(SimTime::from_millis(30));
     assert!(
-        sim.node::<AcuerdoNode>(0).delivered_count > delivered_at_rejoin,
+        sim.counter(0, Counter::Commits) > delivered_at_rejoin,
         "rejoined follower stopped delivering"
     );
     check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
@@ -86,8 +86,8 @@ fn descheduled_follower_catches_up_from_ring_backlog() {
     // Measure just before the wake-up at 5ms.
     sim.run_until(SimTime::from_micros(4_900));
     let lag_at_wake = {
-        let leader = sim.node::<AcuerdoNode>(0).delivered_count;
-        let lagger = sim.node::<AcuerdoNode>(2).delivered_count;
+        let leader = sim.counter(0, Counter::Commits);
+        let lagger = sim.counter(2, Counter::Commits);
         leader.saturating_sub(lagger)
     };
     assert!(
@@ -97,8 +97,8 @@ fn descheduled_follower_catches_up_from_ring_backlog() {
     // Within a couple of milliseconds the lagger has drained the backlog to
     // within a commit-push interval of the leader.
     sim.run_until(SimTime::from_millis(8));
-    let leader = sim.node::<AcuerdoNode>(0).delivered_count;
-    let lagger = sim.node::<AcuerdoNode>(2).delivered_count;
+    let leader = sim.counter(0, Counter::Commits);
+    let lagger = sim.counter(2, Counter::Commits);
     assert!(
         leader.saturating_sub(lagger) < lag_at_wake / 4,
         "no catch-up: {leader} vs {lagger} (was {lag_at_wake} behind)"
@@ -156,7 +156,7 @@ fn repeated_elections_never_lose_committed_messages() {
         let Some(leader) = current_leader(&sim, &ids) else {
             continue;
         };
-        let committed_now = sim.node::<AcuerdoNode>(leader).delivered_count;
+        let committed_now = sim.counter(leader, Counter::Commits);
         assert!(
             committed_now >= min_committed,
             "round {round}: commits went backwards"
@@ -247,8 +247,8 @@ fn minority_partition_then_heal_keeps_total_order_acuerdo() {
     );
     sim.heal(SimTime::from_millis(12));
     sim.run_until(SimTime::from_micros(11_900));
-    let majority_at_heal = sim.node::<AcuerdoNode>(0).delivered_count;
-    let minority_at_heal = sim.node::<AcuerdoNode>(3).delivered_count;
+    let majority_at_heal = sim.counter(0, Counter::Commits);
+    let minority_at_heal = sim.counter(3, Counter::Commits);
     assert!(
         majority_at_heal > minority_at_heal + 100,
         "partition did not isolate the minority: {majority_at_heal} vs {minority_at_heal}"
@@ -256,7 +256,7 @@ fn minority_partition_then_heal_keeps_total_order_acuerdo() {
     sim.run_until(SimTime::from_millis(28));
     for &id in &[3usize, 4] {
         assert!(
-            sim.node::<AcuerdoNode>(id).delivered_count > majority_at_heal,
+            sim.counter(id, Counter::Commits) > majority_at_heal,
             "node {id} never caught up past the partition point"
         );
     }
@@ -270,7 +270,7 @@ fn minority_partition_then_heal_keeps_total_order_acuerdo() {
 
 #[test]
 fn minority_partition_then_heal_keeps_total_order_raft() {
-    use acuerdo_repro::raft::{self, RaftConfig, RaftNode, RfWire};
+    use acuerdo_repro::raft::{self, RaftConfig, RfWire};
     let cfg = RaftConfig {
         n: 5,
         ..RaftConfig::default()
@@ -284,11 +284,11 @@ fn minority_partition_then_heal_keeps_total_order_raft() {
     );
     sim.heal(SimTime::from_millis(90));
     sim.run_until(SimTime::from_micros(89_900));
-    let majority_at_heal = sim.node::<RaftNode>(0).delivered_count;
+    let majority_at_heal = sim.counter(0, Counter::Commits);
     sim.run_until(SimTime::from_millis(200));
     for &id in &[3usize, 4] {
         assert!(
-            sim.node::<RaftNode>(id).delivered_count > majority_at_heal,
+            sim.counter(id, Counter::Commits) > majority_at_heal,
             "raft node {id} never caught up past the partition point"
         );
     }
@@ -315,7 +315,10 @@ fn crashed_leader_restarts_and_rejoins_via_multipart_diff() {
     }
     sim.run_until(SimTime::from_millis(3));
     let old_leader = current_leader(&sim, &ids).expect("initial leader");
-    let committed_before_crash = sim.node::<AcuerdoNode>(old_leader).delivered_count;
+    // This incarnation's DeliveryLog, on both sides of the reboot: the
+    // Commits counter would carry the pre-crash deliveries across it.
+    let delivered = |r: &AcuerdoNode| r.delivery_log().expect("DeliveryLog app").entries.len();
+    let committed_before_crash = delivered(sim.node::<AcuerdoNode>(old_leader));
     assert!(committed_before_crash > 100, "no load before the crash");
     sim.crash(old_leader);
     sim.restart_at(old_leader, SimTime::from_millis(4));
@@ -330,10 +333,9 @@ fn crashed_leader_restarts_and_rejoins_via_multipart_diff() {
         "ex-leader failed to rejoin"
     );
     assert!(
-        rejoined.delivered_count >= committed_before_crash,
-        "rejoin diff did not re-seed the full log: {} < {}",
-        rejoined.delivered_count,
-        committed_before_crash
+        delivered(rejoined) >= committed_before_crash,
+        "rejoin diff did not re-seed the full log: {} < {committed_before_crash}",
+        delivered(rejoined)
     );
     // The whole history came through the diff path, in several parts.
     let snap = sim.metrics();

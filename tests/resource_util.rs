@@ -104,7 +104,7 @@ fn acuerdo_record(traced: bool) -> String {
         ..bench::Observe::default()
     });
     let out = bench::run(&run);
-    bench::run_record_json("zp", &run, &out.point, &out.metrics, None)
+    bench::run_record_json("zp", &run, &out.point, &out.metrics, &[])
 }
 
 fn acuerdo_run() -> bench::Run {

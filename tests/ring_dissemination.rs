@@ -169,7 +169,7 @@ fn ring_survives_arm_head_crash_via_star_fallback() {
             continue;
         }
         assert!(
-            sim.node::<AcuerdoNode>(id).delivered_count > 0,
+            sim.counter(id, Counter::Commits) > 0,
             "survivor {id} starved after the arm broke"
         );
     }

@@ -6,7 +6,7 @@
 
 use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo_repro::acuerdo::{self, AcWire, AcuerdoConfig, AcuerdoNode};
-use acuerdo_repro::simnet::SimTime;
+use acuerdo_repro::simnet::{Counter, SimTime};
 use std::time::Duration;
 
 fn cfg3() -> AcuerdoConfig {
@@ -36,11 +36,10 @@ fn crash_grid_every_victim_every_phase() {
             // With a follower crashed the quorum keeps going; with the
             // leader crashed an election must have happened.
             if victim != 0 {
-                let leader = sim.node::<AcuerdoNode>(0);
+                let delivered = sim.counter(0, Counter::Commits);
                 assert!(
-                    leader.delivered_count > 100,
-                    "victim {victim} at {at}: quorum stalled ({} delivered)",
-                    leader.delivered_count
+                    delivered > 100,
+                    "victim {victim} at {at}: quorum stalled ({delivered} delivered)"
                 );
             }
         }
@@ -112,7 +111,7 @@ fn double_fault_grid_five_replicas() {
                 .copied()
                 .expect("3 survivors");
             assert!(
-                sim.node::<AcuerdoNode>(survivor).delivered_count > 0,
+                sim.counter(survivor, Counter::Commits) > 0,
                 "no progress with 3-of-5"
             );
         }
@@ -145,7 +144,7 @@ fn transient_link_delay_grid() {
                 .unwrap_or_else(|v| panic!("dst {dst}, delay {delay_us}us: {v:?}"));
             for &id in &ids {
                 assert_eq!(
-                    sim.node::<AcuerdoNode>(id).elections_won,
+                    sim.counter(id, Counter::ElectionsWon),
                     0,
                     "dst {dst}, delay {delay_us}us: spurious election"
                 );

@@ -20,7 +20,7 @@ fn record(system: System, set: InterventionSet) -> String {
         ..Observe::default()
     });
     let out = run(&r);
-    run_record_json("whatif-proof", &r, &out.point, &out.metrics, None)
+    run_record_json("whatif-proof", &r, &out.point, &out.metrics, &[])
 }
 
 /// Every intervention kind, all at identity factors, on every replica.
