@@ -1,8 +1,13 @@
 //! Ring-frame encoding for Acuerdo messages.
 //!
-//! Two frame kinds flow through the ring buffers:
+//! Three frame kinds flow through the ring buffers:
 //!
 //! * **Normal** broadcast messages: header + client payload (Figure 4);
+//! * **Segments** of a large broadcast message on a ring route: the entry's
+//!   header, the segment's index and count, and its share of the payload.
+//!   An entry of [`segments`] > 1 travels as that many consecutive frames
+//!   so a forwarder can pass each one on as it lands (DESIGN §16); a
+//!   receiver treats a Normal frame as segment 0 of 1;
 //! * **Diff** messages (§3.4): header with count 0 plus the log entries the
 //!   receiving follower may be missing. Diffs larger than
 //!   [`AcuerdoConfig::max_diff_part`](crate::AcuerdoConfig::max_diff_part)
@@ -13,9 +18,23 @@
 use abcast::MsgHdr;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rdma_prims::FixedCodec;
+use simnet::params::cpu;
+use std::ops::Range;
 
 const TAG_NORMAL: u8 = 1;
 const TAG_DIFF: u8 = 2;
+const TAG_SEG: u8 = 3;
+/// Bytes of a normal frame ahead of its payload: tag and header.
+const NORMAL_HEAD: usize = 1 + MsgHdr::SIZE;
+/// Bytes of a segment ahead of its share of the payload: tag, header, part
+/// and parts.
+pub(crate) const SEG_HEAD: usize = 1 + MsgHdr::SIZE + 4;
+/// Line rate of the RoCE preset (`NetParams::rdma`), in Gb/s.
+const LINE_RATE_GBPS: u128 = 25;
+/// Payload bytes per segment: what the NIC serializes in the time of one
+/// verb post (3437 B). A segment more costs its forwarder one more post, so
+/// a share smaller than this cannot pay for itself.
+pub const SEG_BYTES: usize = (cpu::VERB_POST.as_nanos() * LINE_RATE_GBPS / 8) as usize;
 /// Bytes of a diff part ahead of its entries: tag, header, part, parts and
 /// entry count.
 pub(crate) const DIFF_HEAD: usize = 1 + MsgHdr::SIZE + 8;
@@ -29,6 +48,17 @@ pub enum Frame {
         hdr: MsgHdr,
         /// Client payload.
         payload: Bytes,
+    },
+    /// One segment of a broadcast message sent as several frames.
+    Seg {
+        /// Total-order position of the whole entry.
+        hdr: MsgHdr,
+        /// Index of this segment.
+        part: u16,
+        /// Number of segments of the entry.
+        parts: u16,
+        /// This segment's share of the payload.
+        bytes: Bytes,
     },
     /// One part of a recovery diff.
     Diff {
@@ -59,10 +89,55 @@ fn get_hdr(buf: &mut impl Buf) -> MsgHdr {
 /// them. Senders that write frames in parts
 /// ([`RingSender::send_parts`](rdma_prims::RingSender::send_parts)) put this
 /// before the payload instead of building the frame with [`encode_normal`].
-pub fn normal_header(hdr: MsgHdr) -> [u8; 1 + MsgHdr::SIZE] {
-    let mut head = [TAG_NORMAL; 1 + MsgHdr::SIZE];
+pub fn normal_header(hdr: MsgHdr) -> [u8; NORMAL_HEAD] {
+    let mut head = [TAG_NORMAL; NORMAL_HEAD];
     hdr.encode(&mut head[1..]);
     head
+}
+
+/// How many frames an entry with a payload of `len` bytes travels as where
+/// it is segmented: one per whole [`SEG_BYTES`], and at least one.
+pub fn segments(len: usize) -> u16 {
+    (len / SEG_BYTES).clamp(1, usize::from(u16::MAX)) as u16
+}
+
+/// The bytes of a `len`-byte payload that segment `part` of `parts` carries:
+/// near-equal consecutive shares.
+pub(crate) fn segment_range(len: usize, part: u16, parts: u16) -> Range<usize> {
+    let (part, parts) = (usize::from(part), usize::from(parts));
+    len * part / parts..len * (part + 1) / parts
+}
+
+/// The head of frame `part` of an entry sent as `parts` frames: a normal
+/// frame's when `parts` is 1, a segment's otherwise. The frame's share of
+/// the payload follows it.
+pub(crate) struct EntryHead {
+    buf: [u8; SEG_HEAD],
+    len: usize,
+}
+
+impl EntryHead {
+    /// The head of frame `part` of `parts` of entry `hdr`.
+    pub(crate) fn new(hdr: MsgHdr, part: u16, parts: u16) -> Self {
+        let mut buf = [0u8; SEG_HEAD];
+        if parts == 1 {
+            buf[..NORMAL_HEAD].copy_from_slice(&normal_header(hdr));
+            return EntryHead {
+                buf,
+                len: NORMAL_HEAD,
+            };
+        }
+        buf[0] = TAG_SEG;
+        hdr.encode(&mut buf[1..NORMAL_HEAD]);
+        buf[NORMAL_HEAD..NORMAL_HEAD + 2].copy_from_slice(&part.to_le_bytes());
+        buf[NORMAL_HEAD + 2..].copy_from_slice(&parts.to_le_bytes());
+        EntryHead { buf, len: SEG_HEAD }
+    }
+
+    /// The head's bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
 }
 
 /// Encode a normal broadcast frame.
@@ -123,13 +198,29 @@ pub fn encode_diff_parts(hdr: MsgHdr, entries: &[(MsgHdr, Bytes)], max_part: usi
 /// Returns `None` on a malformed frame (never produced by this codec; the
 /// protocol treats it as a fatal desync in debug builds).
 pub fn decode(mut raw: Bytes) -> Option<Frame> {
-    if raw.len() < 1 + MsgHdr::SIZE {
+    if raw.len() < NORMAL_HEAD {
         return None;
     }
     let tag = raw.get_u8();
     let hdr = get_hdr(&mut raw);
     match tag {
         TAG_NORMAL => Some(Frame::Normal { hdr, payload: raw }),
+        TAG_SEG => {
+            if raw.len() < 4 {
+                return None;
+            }
+            let part = raw.get_u16_le();
+            let parts = raw.get_u16_le();
+            if part >= parts || parts < 2 {
+                return None;
+            }
+            Some(Frame::Seg {
+                hdr,
+                part,
+                parts,
+                bytes: raw,
+            })
+        }
         TAG_DIFF => {
             if raw.len() < 8 {
                 return None;
@@ -169,6 +260,10 @@ mod tests {
         MsgHdr::new(Epoch::new(r, l), c)
     }
 
+    fn encode_seg(hdr: MsgHdr, part: u16, parts: u16, bytes: &[u8]) -> Bytes {
+        Bytes::from_parts(&[EntryHead::new(hdr, part, parts).as_bytes(), bytes])
+    }
+
     #[test]
     fn normal_roundtrip() {
         let h = hdr(0, 1, 7);
@@ -184,6 +279,58 @@ mod tests {
         let mut parts = normal_header(h).to_vec();
         parts.extend_from_slice(&p);
         assert_eq!(encode_normal(h, &p), parts);
+    }
+
+    #[test]
+    fn seg_roundtrip() {
+        let h = hdr(3, 1, 42);
+        let p = Bytes::from(vec![7u8; 100]);
+        let f = decode(encode_seg(h, 1, 3, &p)).unwrap();
+        assert_eq!(
+            f,
+            Frame::Seg {
+                hdr: h,
+                part: 1,
+                parts: 3,
+                bytes: p
+            }
+        );
+        // A one-segment entry is a normal frame, byte for byte.
+        let p = Bytes::from_static(b"whole");
+        assert_eq!(encode_seg(h, 0, 1, &p), encode_normal(h, &p));
+    }
+
+    #[test]
+    fn truncated_or_inconsistent_segments_are_rejected() {
+        let raw = encode_seg(hdr(1, 0, 5), 0, 2, b"payload");
+        // Cut inside the part/parts fields: no room for the segment head.
+        for cut in [SEG_HEAD - 1, SEG_HEAD - 3] {
+            assert_eq!(decode(raw.slice(..cut)), None, "cut at {cut}");
+        }
+        // An empty share is still a segment; a part past the count is not.
+        assert!(decode(raw.slice(..SEG_HEAD)).is_some());
+        assert_eq!(decode(encode_seg(hdr(1, 0, 5), 2, 2, b"x")), None);
+    }
+
+    #[test]
+    fn segment_count_follows_the_verb_post_and_the_shares_tile_the_payload() {
+        assert_eq!(
+            LINE_RATE_GBPS as f64,
+            simnet::NetParams::rdma().nic.line_rate_gbps
+        );
+        assert_eq!(SEG_BYTES, 3437);
+        assert_eq!(segments(0), 1);
+        assert_eq!(segments(6000), 1);
+        assert_eq!(segments(8192), 2);
+        assert_eq!(segments(3 * SEG_BYTES), 3);
+        for len in [0usize, 1, 8192, 10_001] {
+            for parts in 1..=4u16 {
+                let shares: Vec<_> = (0..parts).map(|p| segment_range(len, p, parts)).collect();
+                assert_eq!(shares[0].start, 0);
+                assert_eq!(shares[parts as usize - 1].end, len);
+                assert!(shares.windows(2).all(|w| w[0].end == w[1].start));
+            }
+        }
     }
 
     #[test]

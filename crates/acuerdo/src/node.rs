@@ -22,6 +22,10 @@
 //!   all ordering invariants (the diff carries no application payload).
 //! * Large recovery diffs are split into consecutive parts on the FIFO ring
 //!   and applied atomically once complete (see `msg`).
+//! * Deviation: on a ring route a large entry travels as consecutive
+//!   segments that each forwarder passes on as they land (cut-through,
+//!   `ingest_segment`, DESIGN §16); it is still accepted and acknowledged
+//!   once, whole.
 //! * The periodic Commit_SST push (Figure 6 lines 93–95) goes only to the
 //!   nodes that read it, when they need it: a follower's cell to its
 //!   leader, whose own row adds the GC horizon the followers prune below
@@ -64,7 +68,7 @@ use crate::msg::{self, Frame};
 use abcast::client::RESP_WIRE;
 use abcast::wal;
 use abcast::{hdr_span, App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Vote};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rdma_prims::{FixedCodec, RingError, RingReceiver, RingSender, Sst};
 use rdma_sim::{Endpoint, RdmaPkt, RegionId};
 use simnet::params::cpu;
@@ -157,17 +161,25 @@ fn note_accept(ctx: &mut Ctx<AcWire>, hdr: MsgHdr) {
     );
 }
 
+/// The trace mark of segment `part` of entry `hdr` posted to a ring lane.
+fn seg_post(hdr: MsgHdr, part: u16) -> Event {
+    Event::new("seg_post")
+        .a(u64::from(hdr.cnt))
+        .b(u64::from(part))
+}
+
 /// Followers push their Commit_SST cell to their leader (who reads it for the
 /// GC horizon) every this many push ticks, and a leader posts its row to
 /// each peer at least this often.
 const FOLLOWER_PUSH_PERIOD: u64 = 10;
 
-/// Extra star-fallback patience the leader grants per arm hop. One
-/// store-and-forward hop costs an egress plus an ingress
-/// serialization, a link flight, and a verb post — tens of microseconds for
-/// the scale-study payloads — so the grace is sized to cover a hop with
-/// slack while keeping detection of a genuinely dead segment well under the
-/// election timeout even at the far end of a 64-node ring's arms.
+/// Extra star-fallback patience the leader grants per arm hop. One hop
+/// costs an egress plus an ingress serialization, a link flight, and a
+/// verb post: tens of microseconds for a whole scale-study frame stored and
+/// forwarded, one segment's serialization less per hop for an entry cut
+/// through (DESIGN §16). The grace covers the slower, whole-frame hop with
+/// slack while keeping detection of a genuinely dead segment well under
+/// the election timeout even at the far end of a 64-node ring's arms.
 const RING_HOP_GRACE: Duration = Duration::from_micros(40);
 
 /// Commit_SST cell.
@@ -206,8 +218,14 @@ struct PeerOut {
     diff_backlog: VecDeque<Bytes>,
     /// Next normal message count (within `e_new`) to send to this peer.
     next_cnt: u32,
+    /// First segment of entry `next_cnt` not yet sent (a segmented entry
+    /// whose lane filled up part way resumes here).
+    next_part: u16,
     /// `(hdr, ring seq)` of in-flight frames, for slot-reuse accounting.
+    /// Every segment of an entry is booked under the entry's header.
     sent: VecDeque<(MsgHdr, u64)>,
+    /// Entries booked in `sent`: its runs of equal headers.
+    entries: usize,
     /// The queued diff re-seeds a rejoining peer (counts `RejoinDiffBytes`).
     rejoin: bool,
 }
@@ -217,10 +235,55 @@ impl PeerOut {
         PeerOut {
             diff_backlog: VecDeque::new(),
             next_cnt: 1,
+            next_part: 0,
             sent: VecDeque::new(),
+            entries: 0,
             rejoin: false,
         }
     }
+
+    /// Book a frame of entry `hdr` in flight at ring seq `seq`.
+    fn book(&mut self, hdr: MsgHdr, seq: u64) {
+        if self.sent.back().is_none_or(|&(h, _)| h != hdr) {
+            self.entries += 1;
+        }
+        self.sent.push_back((hdr, seq));
+    }
+
+    /// Drop the oldest frames while `done` holds for their entry; the ring
+    /// seq of the last one dropped.
+    fn drop_while(&mut self, done: impl Fn(MsgHdr) -> bool) -> Option<u64> {
+        let mut last = None;
+        while let Some(&(h, seq)) = self.sent.front() {
+            if !done(h) {
+                break;
+            }
+            self.sent.pop_front();
+            last = Some(seq);
+            if self.sent.front().is_none_or(|&(next, _)| next != h) {
+                self.entries -= 1;
+            }
+        }
+        last
+    }
+}
+
+/// One frame queued for the one-hop forward: segment `part` of `parts` of
+/// entry `hdr` (0 of 1 for a whole entry), with its share of the payload.
+struct Fwd {
+    hdr: MsgHdr,
+    part: u16,
+    parts: u16,
+    bytes: Bytes,
+}
+
+/// An entry being reassembled from the segments of one inbound lane.
+struct Reasm {
+    hdr: MsgHdr,
+    parts: u16,
+    /// Segments collected so far (the next one expected).
+    got: u16,
+    payload: BytesMut,
 }
 
 /// A diff being reassembled: header, expected part count, entries so far.
@@ -369,6 +432,9 @@ pub struct AcuerdoNode {
     /// Peers that head an arm of this node's own route, i.e. receive the
     /// frames it originates directly (never this node itself).
     arm_head: Vec<bool>,
+    /// Arm heads that forward further along their arm: the leader sends
+    /// them its large entries as segments (`msg::segments`).
+    head_forwards: Vec<bool>,
     /// Every peer is an arm head (star, or a ring of at most three): frames
     /// reach every follower straight from the leader, nobody forwards and
     /// nobody can need star fallback.
@@ -379,10 +445,18 @@ pub struct AcuerdoNode {
     /// frames of its own epoch. Acceptance stays strictly prefix-ordered so
     /// the cumulative Accept_SST acknowledgment stays truthful.
     pending: BTreeMap<MsgHdr, Bytes>,
-    /// Accepted frames queued for the one-hop forward to this node's
-    /// downstream neighbour on its arm. In-flight forwards are tracked in
-    /// that peer's `out[..].sent`, like any frame on its lane.
-    fwd_backlog: VecDeque<(MsgHdr, Bytes)>,
+    /// Frames queued for the one-hop forward to this node's downstream
+    /// neighbour on its arm: accepted entries, and the segments of the
+    /// entry being cut through. In-flight forwards are tracked in that
+    /// peer's `out[..].sent`, like any frame on its lane.
+    fwd_backlog: VecDeque<Fwd>,
+    /// Per inbound lane, the segmented entry being reassembled from it.
+    reasm: Vec<Option<Reasm>>,
+    /// The entry whose segments are forwarded as they land (cut through),
+    /// and the lane they arrive on. At most one: only the entry the
+    /// contiguity gate expects next qualifies, and accepting it ends the
+    /// cut.
+    cut: Option<(MsgHdr, usize)>,
     /// Leader-side: peers currently served by star fallback because the
     /// arm segment covering them stalled (crash / partition upstream of it).
     fallback: Vec<bool>,
@@ -469,9 +543,13 @@ impl AcuerdoNode {
         let arm_head: Vec<bool> = (0..n)
             .map(|j| j != me && cfg.dissemination.route(n, me, j).upstream == me)
             .collect();
+        let head_forwards = (0..n)
+            .map(|j| arm_head[j] && cfg.dissemination.route(n, me, j).downstream.is_some())
+            .collect();
         AcuerdoNode {
             all_direct: arm_head.iter().filter(|&&head| head).count() == n - 1,
             arm_head,
+            head_forwards,
             out: (0..n).map(|_| PeerOut::new()).collect(),
             cfg,
             me,
@@ -507,6 +585,8 @@ impl AcuerdoNode {
             ack_obs_counter: 0,
             pending: BTreeMap::new(),
             fwd_backlog: VecDeque::new(),
+            reasm: (0..n).map(|_| None).collect(),
+            cut: None,
             fallback: vec![false; n],
             lag_since: vec![SimTime::ZERO; n],
             audit: Auditor::new(),
@@ -700,10 +780,11 @@ impl AcuerdoNode {
         }
         while self.out[j].next_cnt <= self.count {
             let hdr = MsgHdr::new(self.e_new, self.out[j].next_cnt);
-            let Some(payload) = self.log.get(&hdr) else {
+            let Some(payload) = self.log.get(&hdr).cloned() else {
                 // GC can only have pruned entries this peer already
                 // committed, so a miss means it is already past them.
                 self.out[j].next_cnt += 1;
+                self.out[j].next_part = 0;
                 continue;
             };
             // A fallback catch-up can be a ring's worth of posts. Past a
@@ -713,26 +794,43 @@ impl AcuerdoNode {
             if !direct && ctx.cpu_used() >= self.cfg.commit_push_interval {
                 return;
             }
-            match self.out_ring.send_parts(
-                ctx,
-                &mut self.ep,
-                self.peers[j],
-                &[&msg::normal_header(hdr), payload],
-                MsgKind::Payload,
-            ) {
-                Ok(seq) => {
-                    ctx.span(hdr_span(&hdr), SpanStage::RingWrite, self.peers[j] as u64);
-                    if !direct {
-                        ctx.count(Counter::RingFallbackSends, 1);
+            // An arm head that forwards gets a large entry as segments, so
+            // it can pass the first on while the rest are still on the wire.
+            let parts = if self.head_forwards[j] {
+                msg::segments(payload.len())
+            } else {
+                1
+            };
+            while self.out[j].next_part < parts {
+                let part = self.out[j].next_part;
+                let share = &payload[msg::segment_range(payload.len(), part, parts)];
+                let head = msg::EntryHead::new(hdr, part, parts);
+                match self.out_ring.send_parts(
+                    ctx,
+                    &mut self.ep,
+                    self.peers[j],
+                    &[head.as_bytes(), share],
+                    MsgKind::Payload,
+                ) {
+                    Ok(seq) => {
+                        self.track_sent(j, hdr, seq);
+                        self.out[j].next_part += 1;
+                        if parts > 1 {
+                            ctx.trace(seg_post(hdr, part));
+                        }
                     }
-                    self.track_sent(j, hdr, seq);
-                    self.out[j].next_cnt += 1;
-                }
-                Err(_) => {
-                    self.send_blocked = true;
-                    return;
+                    Err(_) => {
+                        self.send_blocked = true;
+                        return;
+                    }
                 }
             }
+            ctx.span(hdr_span(&hdr), SpanStage::RingWrite, self.peers[j] as u64);
+            if !direct {
+                ctx.count(Counter::RingFallbackSends, 1);
+            }
+            self.out[j].next_part = 0;
+            self.out[j].next_cnt += 1;
         }
     }
 
@@ -764,12 +862,101 @@ impl AcuerdoNode {
         }
     }
 
-    /// Normal-frame ingestion (Figure 5 line 47 behind the contiguity gate):
+    /// Segment `part` of `parts` of entry `hdr` landed on `lane` (a normal
+    /// frame is segment 0 of 1). Segments of one entry travel back to back
+    /// on their lane, so a lane reassembles one entry at a time and a new
+    /// segment 0, or one out of turn, drops what it had. The entry the
+    /// contiguity gate expects next is cut through: each of its segments
+    /// is queued for the forward as it lands, and the entry is accepted
+    /// (once, whole) when the last one does. Any other entry is forwarded
+    /// whole after acceptance, so the downstream lane still carries
+    /// entries in header order.
+    fn ingest_segment(
+        &mut self,
+        ctx: &mut Ctx<AcWire>,
+        lane: usize,
+        hdr: MsgHdr,
+        part: u16,
+        parts: u16,
+        bytes: Bytes,
+    ) {
+        if part == 0 {
+            self.drop_partial(lane);
+            if parts == 1 {
+                self.ingest_frame(ctx, lane, hdr, bytes, false);
+                return;
+            }
+            if self.cut.is_none()
+                && hdr == self.expected_frame()
+                && hdr.epoch == self.e_new
+                && self.route_from(hdr.epoch.ldr as usize).downstream.is_some()
+            {
+                self.cut = Some((hdr, lane));
+            }
+            // Segment 0 carries the shortest share; the others are at most
+            // one byte longer.
+            let mut payload = BytesMut::with_capacity((bytes.len() + 1) * usize::from(parts));
+            payload.extend_from_slice(&bytes);
+            self.reasm[lane] = Some(Reasm {
+                hdr,
+                parts,
+                got: 1,
+                payload,
+            });
+        } else {
+            match &mut self.reasm[lane] {
+                Some(r) if r.hdr == hdr && r.parts == parts && r.got == part => {
+                    r.payload.extend_from_slice(&bytes);
+                    r.got += 1;
+                }
+                _ => {
+                    self.drop_partial(lane);
+                    return;
+                }
+            }
+        }
+        let through = self.cut == Some((hdr, lane));
+        if through {
+            self.fwd_backlog.push_back(Fwd {
+                hdr,
+                part,
+                parts,
+                bytes,
+            });
+        }
+        if part + 1 == parts {
+            let r = self.reasm[lane].take().expect("reassembly in progress");
+            if through {
+                self.cut = None;
+            }
+            self.ingest_frame(ctx, lane, hdr, r.payload.freeze(), through);
+        }
+    }
+
+    /// Forget the partial entry of `lane`, and the cut through it: the
+    /// entry, whenever it is accepted, is forwarded whole.
+    fn drop_partial(&mut self, lane: usize) {
+        self.reasm[lane] = None;
+        if self.cut.is_some_and(|(_, l)| l == lane) {
+            self.cut = None;
+        }
+    }
+
+    /// Whole-entry ingestion (Figure 5 line 47 behind the contiguity gate):
     /// drop duplicates and stale epochs, park out-of-order and
     /// ahead-of-epoch frames, accept in strict header order and drain parked
     /// successors. The gate is what keeps the cumulative Accept_SST
     /// acknowledgment truthful when star-fallback and forwarded copies race.
-    fn ingest_frame(&mut self, ctx: &mut Ctx<AcWire>, lane: usize, hdr: MsgHdr, payload: Bytes) {
+    /// `forwarded`: the entry was cut through, so every segment of it is
+    /// already queued downstream.
+    fn ingest_frame(
+        &mut self,
+        ctx: &mut Ctx<AcWire>,
+        lane: usize,
+        hdr: MsgHdr,
+        payload: Bytes,
+        forwarded: bool,
+    ) {
         if hdr.epoch != self.e_cur || hdr.epoch != self.e_new {
             if hdr.epoch > self.e_cur && self.e_new <= hdr.epoch {
                 // A forwarded frame of an epoch whose opening diff (leader
@@ -789,7 +976,7 @@ impl AcuerdoNode {
         } else if hdr > expected {
             self.pending.insert(hdr, payload);
         } else {
-            self.accept_frame(ctx, lane, hdr, payload);
+            self.accept_frame(ctx, lane, hdr, payload, forwarded);
             self.drain_pending(ctx, lane);
         }
     }
@@ -802,14 +989,21 @@ impl AcuerdoNode {
             let Some(p) = self.pending.remove(&next) else {
                 break;
             };
-            self.accept_frame(ctx, lane, next, p);
+            self.accept_frame(ctx, lane, next, p, false);
         }
     }
 
-    /// Accept one in-order frame and queue its one-hop forward. Durable mode
-    /// stages the entry; the fsync barrier lands in `push_accept`, before the
-    /// ack becomes visible.
-    fn accept_frame(&mut self, ctx: &mut Ctx<AcWire>, lane: usize, hdr: MsgHdr, payload: Bytes) {
+    /// Accept one in-order entry and, unless it was cut through, queue its
+    /// one-hop forward. Durable mode stages the entry; the fsync barrier
+    /// lands in `push_accept`, before the ack becomes visible.
+    fn accept_frame(
+        &mut self,
+        ctx: &mut Ctx<AcWire>,
+        lane: usize,
+        hdr: MsgHdr,
+        payload: Bytes,
+        forwarded: bool,
+    ) {
         WAL_ENTRY.append(ctx, self.cfg.durability, &hdr, &payload);
         self.accepted = hdr;
         if let Phase::Follower(w) = &mut self.phase {
@@ -818,9 +1012,19 @@ impl AcuerdoNode {
         ctx.span(hdr_span(&hdr), SpanStage::FollowerAccept, lane as u64);
         note_accept(ctx, hdr);
         // Queue the one-hop forward unless this node ends its arm (or is
-        // the origin, which streams to the arm heads instead).
-        if self.route_from(hdr.epoch.ldr as usize).downstream.is_some() {
-            self.fwd_backlog.push_back((hdr, payload.clone()));
+        // the origin, which streams to the arm heads instead). A copy that
+        // wins the race against the entry's cut ends the cut: the segments
+        // still to land are not passed on, and the entry goes whole.
+        if !forwarded && self.route_from(hdr.epoch.ldr as usize).downstream.is_some() {
+            if self.cut.is_some_and(|(h, _)| h == hdr) {
+                self.cut = None;
+            }
+            self.fwd_backlog.push_back(Fwd {
+                hdr,
+                part: 0,
+                parts: 1,
+                bytes: payload.clone(),
+            });
         }
         self.log.insert(hdr, payload);
         self.ack_due = true;
@@ -829,11 +1033,12 @@ impl AcuerdoNode {
         }
     }
 
-    /// Forward accepted frames one hop to the downstream neighbour on this
-    /// node's arm, bounded by `ring_pipeline_depth`, reusing the lane's
-    /// slots as the downstream node's Accept_SST cell (pushed back to us,
-    /// its upstream) advances. A poll runs it before `push_accept`: the
-    /// forward is the one post of a forwarder's poll on the way to the
+    /// Forward queued frames one hop to the downstream neighbour on this
+    /// node's arm, bounded by `ring_pipeline_depth` entries (the segments
+    /// of an entry already on the lane always follow it), reusing the
+    /// lane's slots as the downstream node's Accept_SST cell (pushed back
+    /// to us, its upstream) advances. A poll runs it before `push_accept`:
+    /// the forward is the one post of a forwarder's poll on the way to the
     /// quorum. A star route never queues a forward, so there this returns
     /// before charging anything.
     fn flush_forwards(&mut self, ctx: &mut Ctx<AcWire>) {
@@ -852,32 +1057,41 @@ impl AcuerdoNode {
         // downstream node's acceptance frontier.
         let acc = self.accept_sst.read(&self.ep, down);
         self.ack_lane(down, acc);
-        while self.out[down].sent.len() < self.cfg.ring_pipeline_depth {
-            let Some((hdr, payload)) = self.fwd_backlog.front() else {
-                break;
-            };
-            let hdr = *hdr;
+        while let Some(f) = self.fwd_backlog.front() {
+            let hdr = f.hdr;
             if hdr.epoch != self.e_cur {
                 // A diff moved the epoch on while this frame waited; the
                 // downstream node is re-seeded by the leader's diff instead.
                 self.fwd_backlog.pop_front();
                 continue;
             }
+            let lane = &self.out[down];
+            let continues = lane.sent.back().is_some_and(|&(h, _)| h == hdr);
+            if !continues && lane.entries >= self.cfg.ring_pipeline_depth {
+                break;
+            }
+            let (part, parts) = (f.part, f.parts);
             match self.out_ring.send_parts(
                 ctx,
                 &mut self.ep,
                 self.peers[down],
-                &[&msg::normal_header(hdr), payload],
+                &[msg::EntryHead::new(hdr, part, parts).as_bytes(), &f.bytes],
                 MsgKind::Payload,
             ) {
                 Ok(seq) => {
                     ctx.use_cpu_at(SpanStage::RingWrite, cpu::FRAME_PROC);
-                    ctx.span(
-                        hdr_span(&hdr),
-                        SpanStage::RingWrite,
-                        self.peers[down] as u64,
-                    );
-                    ctx.count(Counter::RingForwards, 1);
+                    if parts > 1 {
+                        ctx.trace(seg_post(hdr, part));
+                    }
+                    // The entry's forward is done with its last segment.
+                    if part + 1 == parts {
+                        ctx.span(
+                            hdr_span(&hdr),
+                            SpanStage::RingWrite,
+                            self.peers[down] as u64,
+                        );
+                        ctx.count(Counter::RingForwards, 1);
+                    }
                     self.track_sent(down, hdr, seq);
                     self.fwd_backlog.pop_front();
                 }
@@ -937,7 +1151,15 @@ impl AcuerdoNode {
                     continue;
                 };
                 match frame {
-                    Frame::Normal { hdr, payload } => self.ingest_frame(ctx, j, hdr, payload),
+                    Frame::Normal { hdr, payload } => {
+                        self.ingest_segment(ctx, j, hdr, 0, 1, payload)
+                    }
+                    Frame::Seg {
+                        hdr,
+                        part,
+                        parts,
+                        bytes,
+                    } => self.ingest_segment(ctx, j, hdr, part, parts, bytes),
                     Frame::Diff {
                         hdr,
                         part,
@@ -1091,6 +1313,9 @@ impl AcuerdoNode {
         // (regression would re-deliver).
         self.accepted = self.accepted.max(top);
         self.pending.retain(|h, _| *h > self.accepted);
+        // The gate may expect another entry now; a cut in progress goes on
+        // as a plain reassembly.
+        self.cut = None;
         if e.ldr as usize != self.me {
             // Frames this node forwarded (or, as a deposed leader,
             // streamed) in superseded epochs may never be acked here: the
@@ -1100,9 +1325,7 @@ impl AcuerdoNode {
             // the lane's next cumulative ack — nothing here proves the
             // receiver consumed them.
             for o in &mut self.out {
-                while o.sent.front().is_some_and(|(h, _)| h.epoch < e) {
-                    o.sent.pop_front();
-                }
+                o.drop_while(|h| h.epoch < e);
             }
         }
         self.next = self.next.max(MsgHdr::new(e, 0));
@@ -1334,21 +1557,12 @@ impl AcuerdoNode {
 
     /// Book a frame in flight on lane `j`, for `ack_lane` to free.
     fn track_sent(&mut self, j: usize, hdr: MsgHdr, seq: u64) {
-        self.out[j].sent.push_back((hdr, seq));
+        self.out[j].book(hdr, seq);
         self.acks_touched = true;
     }
 
     fn ack_lane(&mut self, j: usize, upto: MsgHdr) {
-        let mut max_seq = None;
-        while let Some(&(h, seq)) = self.out[j].sent.front() {
-            if h <= upto {
-                max_seq = Some(seq);
-                self.out[j].sent.pop_front();
-            } else {
-                break;
-            }
-        }
-        if let Some(s) = max_seq {
+        if let Some(s) = self.out[j].drop_while(|h| h <= upto) {
             self.out_ring.ack(self.peers[j], s);
         }
     }
@@ -1568,6 +1782,7 @@ impl AcuerdoNode {
         let parts = msg::encode_diff_parts(hdr, &entries, self.cfg.max_diff_part.min(fits));
         self.out[j].diff_backlog = parts.into();
         self.out[j].next_cnt = next_cnt;
+        self.out[j].next_part = 0;
         self.out[j].rejoin = rejoin;
     }
 
@@ -1696,6 +1911,7 @@ impl AcuerdoNode {
     /// stream keep landing in the old region, which stays registered exactly
     /// so they stay harmless.
     fn refresh_inbound(&mut self, j: usize) -> RegionId {
+        self.drop_partial(j);
         let r = self.ep.register_region(self.cfg.ring_bytes);
         self.in_rings[j] = RingReceiver::new(r, self.cfg.ring_bytes, self.cfg.ring_mode);
         r
@@ -1737,7 +1953,8 @@ impl AcuerdoNode {
         self.diff_buf = None;
         // Dissemination state dies with the torn-down lanes: parked frames will
         // be re-covered by the recovery diff, in-flight forwards by their
-        // receivers' own repair.
+        // receivers' own repair, and partial entries (with any cut through
+        // them) by `refresh_inbound` below.
         self.pending.clear();
         self.fwd_backlog.clear();
         let v = Vote::new(self.e_cur, self.accepted);
@@ -1778,8 +1995,10 @@ impl AcuerdoNode {
         if self.route_from(self.e_cur.ldr as usize).downstream == Some(j) {
             // Our downstream node tore its ring down: in-flight forwards
             // died with it (their lane just restarted from zero above). The
-            // leader's rejoin diff covers everything we would have forwarded.
+            // leader's rejoin diff covers everything we would have forwarded,
+            // and an entry being cut through goes whole once accepted.
             self.fwd_backlog.clear();
+            self.cut = None;
         }
         if reply {
             // Forget everything mirrored from the (possibly rebooted)

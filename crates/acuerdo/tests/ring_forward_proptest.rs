@@ -16,7 +16,11 @@
 //! The schedules deliberately crash a forwarder — mid-arm, or the head of
 //! the counter-clockwise arm — with a short fail timeout so most ring cases
 //! actually engage the fallback/resume path rather than testing the
-//! fault-free ring over and over. The star route runs the same schedules
+//! fault-free ring over and over. At 8192 B an entry travels the arms as
+//! two segments, cut through hop by hop, so a forwarder can die between
+//! two segments and whole fallback copies race segmented ones; 6000 B is
+//! one segment short of that and stays whole. The properties hold per
+//! entry. The star route runs the same schedules
 //! through the same code with nothing to forward, nobody to fall back for
 //! and nothing left parked; up to three nodes the two routes are one
 //! execution.
@@ -75,7 +79,7 @@ proptest! {
     fn ring_forwarding_never_dups_skips_or_reorders(
         seed in 0u64..1_000_000,
         n in 3usize..=6,
-        payload in prop_oneof![Just(8usize), Just(64), Just(512)],
+        payload in prop_oneof![Just(8usize), Just(64), Just(512), Just(6000), Just(8192)],
         crash_pick in 0usize..=3,
         restart in any::<bool>(),
         depth in 1usize..=8,

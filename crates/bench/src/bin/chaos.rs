@@ -7,6 +7,7 @@
 //! cargo run --release -p bench --bin chaos -- --proto raft --seeds 25 --max-time-ms 50
 //! cargo run --release -p bench --bin chaos -- --proto acuerdo --seed 17     # one repro
 //! cargo run --release -p bench --bin chaos -- --proto all --seeds 10 --metrics-out chaos.json
+//! cargo run --release -p bench --bin chaos -- --dissemination ring --nodes 16 --payload 8192 --seeds 12
 //! ```
 //!
 //! Exit status: 0 when every run passed, 1 on any safety violation (all
@@ -14,7 +15,7 @@
 //! rejoin path may safely stall and are merely reported).
 
 use acuerdo::DisseminationMode;
-use bench::chaos::{run_chaos, ChaosOpts, ChaosRun, Proto, Tier, CHAOS_N};
+use bench::chaos::{run_chaos, ChaosOpts, ChaosRun, Proto, Tier, CHAOS_N, PAYLOAD};
 use bench::cli::{dissemination, parsed, value};
 use bench::{write_flightrec, write_metrics_file};
 use simnet::{DurabilityMode, SchedKind, SimTime};
@@ -30,6 +31,7 @@ struct Args {
     durability: DurabilityMode,
     sched: SchedKind,
     dissemination: DisseminationMode,
+    payload: usize,
     metrics_out: Option<String>,
     trace_out: Option<String>,
 }
@@ -40,6 +42,7 @@ fn usage() {
          \x20            [--seeds N] [--nodes N] [--max-time-ms MS]\n\
          \x20            [--tier basic|correlated] [--durability volatile|durable]\n\
          \x20            [--dissemination star|ring]   (acuerdo payload topology)\n\
+         \x20            [--payload BYTES]   (client payload per request, default 32)\n\
          \x20            [--sched heap|calendar] [--metrics-out FILE]\n\
          \x20            [--trace-out FILE]   (single --proto + --seed only)\n\
          \n\
@@ -61,6 +64,7 @@ fn parse_args() -> Args {
         durability: DurabilityMode::Volatile,
         sched: SchedKind::default(),
         dissemination: DisseminationMode::Star,
+        payload: PAYLOAD,
         metrics_out: None,
         trace_out: None,
     };
@@ -108,6 +112,7 @@ fn parse_args() -> Args {
             "--dissemination" => {
                 out.dissemination = dissemination(&mut args, false).expect("'both' is refused");
             }
+            "--payload" => out.payload = parsed(&mut args, "--payload", "byte count"),
             "--sched" => {
                 let v = value(&mut args, "--sched", "scheduler kind");
                 out.sched = SchedKind::from_name(&v).unwrap_or_else(|| {
@@ -168,6 +173,7 @@ fn main() {
                 durability: args.durability,
                 sched: args.sched,
                 dissemination: args.dissemination,
+                payload: args.payload,
                 traced: args.trace_out.is_some(),
                 ..ChaosOpts::new(proto, seed, horizon)
             };

@@ -481,6 +481,8 @@ pub struct ChaosReport {
     pub sched: SchedKind,
     /// Acuerdo payload topology the run used (star fan-out or ring).
     pub dissemination: DisseminationMode,
+    /// Client payload bytes per request.
+    pub payload: usize,
     /// The executed script.
     pub schedule: Schedule,
     /// Longest history at the first fault (entries every live replica must
@@ -562,6 +564,9 @@ impl ChaosReport {
         if self.dissemination != DisseminationMode::Star {
             cmd.push_str(&format!(" --dissemination {}", self.dissemination.name()));
         }
+        if self.payload != PAYLOAD {
+            cmd.push_str(&format!(" --payload {}", self.payload));
+        }
         cmd
     }
 
@@ -583,16 +588,19 @@ impl ChaosReport {
             None => "null".to_string(),
             Some(v) => format!("\"{}\"", simnet::json_escape(&format!("{v:?}"))),
         };
-        // Only a non-default topology is echoed, so star documents keep
-        // their historical shape byte-for-byte.
-        let dissemination = if self.dissemination == DisseminationMode::Star {
+        // Only a non-default topology or payload is echoed, so default
+        // documents keep their historical shape byte-for-byte.
+        let mut knobs = if self.dissemination == DisseminationMode::Star {
             String::new()
         } else {
             format!("\"dissemination\":\"{}\",", self.dissemination.name())
         };
+        if self.payload != PAYLOAD {
+            knobs.push_str(&format!("\"payload_bytes\":{},", self.payload));
+        }
         format!(
             "{{\"proto\":\"{}\",\"seed\":{},\"tier\":\"{}\",\"durability\":\"{}\",\
-             \"sched\":\"{}\",{dissemination}\"faults\":[{}],\
+             \"sched\":\"{}\",{knobs}\"faults\":[{}],\
              \"pre_fault_commits\":{},\"final_min\":{},\"final_max\":{},\
              \"live_nodes\":{},\"safety\":{},\"durability_violation\":{},\
              \"converged\":{},\"metrics\":{}}}",
@@ -619,7 +627,9 @@ impl ChaosReport {
 pub const CHAOS_N: usize = 5;
 
 const WINDOW: usize = 8;
-const PAYLOAD: usize = 32;
+/// Client payload bytes per request unless [`ChaosOpts::payload`] says
+/// otherwise.
+pub const PAYLOAD: usize = 32;
 
 /// Everything that shapes one chaos run. [`ChaosOpts::new`] gives the
 /// historical defaults (basic tier, volatile, calendar queue, untraced, at
@@ -645,6 +655,8 @@ pub struct ChaosOpts {
     /// Acuerdo payload topology (star fan-out or ring forwarding; the
     /// baselines have no ring mode and ignore it).
     pub dissemination: DisseminationMode,
+    /// Client payload bytes per request ([`PAYLOAD`] by default).
+    pub payload: usize,
     /// Whether to record the full trace timeline.
     pub traced: bool,
 }
@@ -662,6 +674,7 @@ impl ChaosOpts {
             durability: DurabilityMode::Volatile,
             sched: SchedKind::default(),
             dissemination: DisseminationMode::Star,
+            payload: PAYLOAD,
             traced: false,
         }
     }
@@ -710,7 +723,8 @@ fn drive<R: Replica>(opts: &ChaosOpts, cfg: &R::Config, rto: Duration, restarts:
         Tier::Correlated => Schedule::generate_correlated(opts.seed, opts.n, opts.horizon),
     };
     let warmup = Duration::from_micros(100);
-    let (mut sim, ids, client) = cluster_with_client::<R>(opts.seed, cfg, WINDOW, PAYLOAD, warmup);
+    let (mut sim, ids, client) =
+        cluster_with_client::<R>(opts.seed, cfg, WINDOW, opts.payload, warmup);
     sim.set_scheduler(opts.sched);
     sim.set_tracing(opts.traced);
     let c = sim.node_mut::<WindowClient<R::Wire>>(client);
@@ -753,6 +767,7 @@ fn drive<R: Replica>(opts: &ChaosOpts, cfg: &R::Config, rto: Duration, restarts:
         durability: opts.durability,
         sched: opts.sched,
         dissemination: opts.dissemination,
+        payload: opts.payload,
         pre_fault_commits: pre,
         final_min,
         final_max: hs.iter().map(Vec::len).max().unwrap_or(0),
@@ -1049,6 +1064,7 @@ mod tests {
             durability: DurabilityMode::Volatile,
             sched: SchedKind::default(),
             dissemination: DisseminationMode::default(),
+            payload: PAYLOAD,
             schedule: Schedule::generate(1, 3, SimTime::from_millis(20), true),
             pre_fault_commits: 10,
             final_min: 10,
@@ -1137,5 +1153,16 @@ mod tests {
         assert!(basic.contains("--sched calendar"), "{basic}");
         assert!(!basic.contains("--tier"), "{basic}");
         assert!(!basic.contains("--durability"), "{basic}");
+        assert!(!basic.contains("--payload"), "{basic}");
+        let large = ChaosReport {
+            payload: 8192,
+            ..run_chaos(&ChaosOpts::new(Proto::Acuerdo, 1, SimTime::from_millis(30))).report
+        };
+        assert!(
+            large.repro().ends_with(" --payload 8192"),
+            "{}",
+            large.repro()
+        );
+        assert!(large.to_json().contains("\"payload_bytes\":8192,"));
     }
 }

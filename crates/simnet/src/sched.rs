@@ -159,9 +159,14 @@ impl CalendarQueue {
         }
         let (t, b) = self.next_occupied().expect("non-empty wheel has a bucket");
         self.cursor_tick = t;
-        let Reverse(key) = self.buckets[b].pop().expect("occupied bucket is empty");
-        if self.buckets[b].is_empty() {
+        let bucket = &mut self.buckets[b];
+        let Reverse(key) = bucket.pop().expect("occupied bucket is empty");
+        if bucket.is_empty() {
             self.occ[b >> 6] &= !(1 << (b & 63));
+            // Release the drained heap: its bucket comes round again only a
+            // window later, and kept it would hold the peak of its busiest
+            // burst for the rest of the run, in every one of the buckets.
+            *bucket = BinaryHeap::new();
         }
         self.in_wheel -= 1;
         self.len -= 1;
@@ -372,6 +377,30 @@ mod tests {
         q.push(key(50, 1));
         assert_eq!(q.pop().unwrap().seq, 1);
         assert_eq!(q.pop().unwrap().seq, 0);
+    }
+
+    #[test]
+    fn a_drained_bucket_releases_its_capacity() {
+        let mut q = CalendarQueue::new();
+        let bucket_ns = 1u64 << BUCKET_SHIFT;
+        // 10,000 keys into one bucket, then 64 keys into each of 100 more.
+        for seq in 0..10_000 {
+            q.push(key(500, seq));
+        }
+        for b in 1..=100u64 {
+            for i in 0..64 {
+                q.push(key(b * bucket_ns + i, 10_000 + b * 64 + i));
+            }
+        }
+        let peak: usize = q.buckets.iter().map(BinaryHeap::capacity).sum();
+        assert!(peak >= 10_000 + 100 * 64);
+        let mut last = None;
+        while let Some(k) = q.pop() {
+            assert!(last < Some(k), "pop order");
+            last = Some(k);
+        }
+        let kept: usize = q.buckets.iter().map(BinaryHeap::capacity).sum();
+        assert_eq!(kept, 0, "a drained wheel keeps no capacity");
     }
 
     #[test]
