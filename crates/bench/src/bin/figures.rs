@@ -1,109 +1,58 @@
-//! Renders the paper's figures as SVG files under `figures/`.
+//! Renders the paper's figures as SVG files under `figures/` from a `paper`
+//! document; it runs no simulation.
 //!
 //! ```text
-//! cargo run --release -p bench --bin figures            # quick sweeps
-//! cargo run --release -p bench --bin figures -- --full  # paper-scale
+//! cargo run --release -p bench --bin figures                      # baselines/BENCH_paper.json
+//! cargo run --release -p bench --bin figures -- BENCH_paper.json
 //! ```
 //!
 //! Produces `fig8a.svg` … `fig8d.svg` (latency vs throughput, log-y, the
 //! paper's axes) and `fig9.svg` (YCSB ops/s vs node count, log-y).
+//!
+//! Exit status: 0 when every figure was written, 2 on a usage error, a
+//! document that cannot be read, one that lacks a member a figure needs
+//! (named: `fig9.records[2].msgs_per_sec: missing`), or a file that cannot
+//! be written.
 
 use bench::cli::write;
-use bench::plot::{line_chart, Scale, Series};
-use bench::{run, sweep, Run, RunSpec, System, FIG9_SYSTEMS};
+use bench::json::read_doc;
+use bench::paper::render_figures;
 use std::path::PathBuf;
+use std::process::exit;
 
 fn usage() {
-    eprintln!("usage: figures [--full]");
+    eprintln!("usage: figures [DOC]   (default baselines/BENCH_paper.json)");
 }
 
 fn main() {
-    let mut full = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--full" => full = true,
-            "--help" | "-h" => {
-                usage();
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-                std::process::exit(2);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let path = match args.as_slice() {
+        [] => "baselines/BENCH_paper.json",
+        [h] if h == "--help" || h == "-h" => {
+            usage();
+            exit(0)
         }
-    }
+        [doc] if !doc.starts_with('-') => doc,
+        _ => {
+            if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+                eprintln!("unknown flag {flag}");
+            }
+            usage();
+            exit(2)
+        }
+    };
+    let figures = read_doc(path)
+        .and_then(|doc| render_figures(&doc).map_err(|e| format!("{path}: {e}")))
+        .unwrap_or_else(|e| {
+            eprintln!("figures: {e}");
+            exit(2)
+        });
     let out = PathBuf::from("figures");
     // A directory that cannot be made fails the first write, by name.
     let _ = std::fs::create_dir_all(&out);
-    let max_log2 = if full { 14 } else { 12 };
-
-    for (panel, n, size) in [
-        ("fig8a", 3usize, 10usize),
-        ("fig8b", 3, 1000),
-        ("fig8c", 7, 10),
-        ("fig8d", 7, 1000),
-    ] {
-        let mut series = Vec::new();
-        for system in System::all() {
-            let spec = RunSpec::of(system, full);
-            let pts = sweep(system, n, size, max_log2, 42, spec);
-            series.push(Series {
-                name: system.name().to_string(),
-                points: pts.iter().map(|p| (p.mbps, p.mean_us)).collect(),
-            });
-            eprintln!(
-                "{panel}: {} done ({} points)",
-                system.name(),
-                series.last().unwrap().points.len()
-            );
-        }
-        let path = out.join(format!("{panel}.svg"));
-        let svg = line_chart(
-            &format!("Figure 8{}: {n} nodes, {size}-byte messages", &panel[4..]),
-            "Throughput (MB/sec)",
-            "Latency (uSeconds)",
-            Scale::Linear,
-            Scale::Log,
-            &series,
-        );
+    for (name, svg) in figures {
+        let path = out.join(name);
         write(&path, svg);
         println!("wrote {}", path.display());
     }
-
-    // Figure 9.
-    let mut series = vec![
-        Series {
-            name: "acuerdo".into(),
-            points: vec![],
-        },
-        Series {
-            name: "etcd".into(),
-            points: vec![],
-        },
-        Series {
-            name: "zookeeper".into(),
-            points: vec![],
-        },
-    ];
-    for n in [3usize, 5, 7, 9] {
-        for (i, sys) in FIG9_SYSTEMS.into_iter().enumerate() {
-            let r = Run::ycsb(sys, n, 42, RunSpec::fig9(sys, full)).expect("a figure 9 system");
-            series[i]
-                .points
-                .push((n as f64, run(&r).point.msgs_per_sec));
-        }
-        eprintln!("fig9: {n} nodes done");
-    }
-    let path = out.join("fig9.svg");
-    let svg = line_chart(
-        "Figure 9: YCSB-load throughput vs node count",
-        "Node Count",
-        "Throughput (ops/sec)",
-        Scale::Linear,
-        Scale::Log,
-        &series,
-    );
-    write(&path, svg);
-    println!("wrote {}", path.display());
 }

@@ -81,10 +81,15 @@ impl DiffReport {
     }
 }
 
-/// Compare two parsed suite documents. Returns the findings and warnings;
-/// both empty when the documents agree within thresholds. `Err` means
-/// the documents are not comparable at all (different schema or matrix
-/// configuration) — that is an operator error, not a regression.
+/// Compare two parsed documents. `runs` are matched by label; every other
+/// top-level member — a `paper` document's sections — is compared like a
+/// run's members, arrays element by element. Returns the findings and
+/// warnings; both empty when the documents agree within thresholds. `Err`
+/// means the documents are not comparable at all (different schema or
+/// matrix configuration) — that is an operator error, not a regression.
+/// `schema`, `mode` and `seed` are required; the other comparability keys
+/// only where either document has them (a `paper` document spans several
+/// node counts and payloads, so it carries none of them).
 pub fn diff_docs(base: &Value, cur: &Value, opts: &DiffOptions) -> Result<DiffReport, String> {
     for key in [
         "schema",
@@ -94,12 +99,12 @@ pub fn diff_docs(base: &Value, cur: &Value, opts: &DiffOptions) -> Result<DiffRe
         "payload_bytes",
         "sample_every_us",
     ] {
-        let b = base
-            .get(key)
-            .ok_or_else(|| format!("baseline: missing \"{key}\""))?;
-        let c = cur
-            .get(key)
-            .ok_or_else(|| format!("current: missing \"{key}\""))?;
+        let (b, c) = (base.get(key), cur.get(key));
+        if b.is_none() && c.is_none() && !["schema", "mode", "seed"].contains(&key) {
+            continue;
+        }
+        let b = b.ok_or_else(|| format!("baseline: missing \"{key}\""))?;
+        let c = c.ok_or_else(|| format!("current: missing \"{key}\""))?;
         if b != c {
             return Err(format!(
                 "documents are not comparable: \"{key}\" is {b:?} in the baseline but {c:?} in the current run"
@@ -117,8 +122,13 @@ pub fn diff_docs(base: &Value, cur: &Value, opts: &DiffOptions) -> Result<DiffRe
             "cpu_scale: baseline {b_scale:?}, current {c_scale:?}"
         ));
     }
-    let bruns = runs_by_label(base, "baseline")?;
-    let cruns = runs_by_label(cur, "current")?;
+    let (bruns, cruns) = match (base.get("runs"), cur.get("runs")) {
+        (None, None) => (Vec::new(), Vec::new()),
+        _ => (
+            runs_by_label(base, "baseline")?,
+            runs_by_label(cur, "current")?,
+        ),
+    };
     for (label, bv) in &bruns {
         match cruns.iter().find(|(l, _)| l == label) {
             None => out
@@ -132,6 +142,17 @@ pub fn diff_docs(base: &Value, cur: &Value, opts: &DiffOptions) -> Result<DiffRe
             out.warnings.push(format!("run {label}: not in baseline"));
         }
     }
+    // Everything else, from the (already equal) comparability keys to a
+    // paper document's sections.
+    let rest = |doc: &Value| match doc {
+        Value::Obj(kv) => Value::Obj(
+            (kv.iter().filter(|(k, _)| k != "cpu_scale" && k != "runs"))
+                .cloned()
+                .collect(),
+        ),
+        _ => Value::Null,
+    };
+    diff_value("", false, &rest(base), &rest(cur), opts, &mut out);
     Ok(out)
 }
 
@@ -167,24 +188,25 @@ fn diff_value(
 ) {
     match (b, c) {
         (Value::Obj(bkv), Value::Obj(ckv)) => {
+            // The document's own top level is the empty path.
+            let at = |k: &str| match path {
+                "" => k.to_string(),
+                _ => format!("{path}.{k}"),
+            };
             for (k, bv) in bkv {
                 match c.get(k) {
                     None => out
                         .findings
-                        .push(format!("{path}.{k}: missing from current")),
-                    Some(cv) => diff_value(
-                        &format!("{path}.{k}"),
-                        exact || EXACT_KEYS.contains(&k.as_str()),
-                        bv,
-                        cv,
-                        opts,
-                        out,
-                    ),
+                        .push(format!("{}: missing from current", at(k))),
+                    Some(cv) => {
+                        let exact = exact || EXACT_KEYS.contains(&k.as_str());
+                        diff_value(&at(k), exact, bv, cv, opts, out)
+                    }
                 }
             }
             for (k, _) in ckv {
                 if b.get(k).is_none() {
-                    out.warnings.push(format!("{path}.{k}: not in baseline"));
+                    out.warnings.push(format!("{}: not in baseline", at(k)));
                 }
             }
         }
@@ -417,6 +439,33 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.contains("forensics: missing from current")));
+    }
+
+    #[test]
+    fn sections_compare_element_by_element_without_runs() {
+        let paper = |mean: &str, extra: &str| {
+            json::parse(&format!(
+                "{{\"schema\":\"acuerdo-bench-paper-v1\",\"mode\":\"quick\",\"seed\":42,\
+                 \"fig9\":{{\"records\":[{{\"label\":\"a\",\"mean_us\":{mean},\
+                 \"metrics\":{{\"commits\":3}}}}]}}{extra}}}"
+            ))
+            .unwrap()
+        };
+        let opts = DiffOptions::default();
+        let a = paper("5.25", "");
+        assert!(diff_docs(&a, &a, &opts).unwrap().is_clean());
+        let rep = diff_docs(&a, &paper("7.9", ""), &opts).unwrap();
+        assert_eq!(
+            rep.findings,
+            vec!["fig9.records[0].mean_us: baseline 5.25, current 7.9"]
+        );
+        let rep = diff_docs(&a, &paper("5.25", ",\"related\":{}"), &opts).unwrap();
+        assert_eq!(rep.warnings, vec!["related: not in baseline"]);
+        let rep = diff_docs(&paper("5.25", ",\"related\":{}"), &a, &opts).unwrap();
+        assert_eq!(rep.findings, vec!["related: missing from current"]);
+        // A comparability key only one document carries still refuses.
+        let err = diff_docs(&a, &doc(5.25, 1000, "null"), &opts).unwrap_err();
+        assert!(err.contains("\"schema\""), "{err}");
     }
 
     #[test]

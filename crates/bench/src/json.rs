@@ -136,9 +136,11 @@ pub(crate) fn under<T>(member: &str, read: Result<T, String>) -> Result<T, Strin
 }
 
 /// One record of a metrics document: a `runs` entry of a `BENCH_*.json`
-/// document or a `records` entry of a `--metrics-out` sidecar.
+/// document, a `records` entry of a `--metrics-out` sidecar, or a `records`
+/// entry of one of a `paper` document's sections.
 pub struct Record<'a> {
-    /// Where the record sits, for errors: `runs[acuerdo-w1]`.
+    /// Where the record sits, for errors: `runs[acuerdo-w1]`,
+    /// `fig9.records[acuerdo_n3]`.
     pub at: String,
     /// The record's `label`.
     pub label: &'a str,
@@ -153,33 +155,45 @@ pub struct Record<'a> {
 }
 
 /// Every record of `doc` that carries `member`, with its required `label`,
-/// `system` and `nodes`. `Err` when the document has no `runs` or
-/// `records` array, or a selected record lacks one of the three (naming
-/// the record and the member); `Ok` and empty when no record carries
-/// `member`. This is the only reader of a metrics document's record array.
+/// `system` and `nodes`. The records are the document's `runs` or `records`
+/// array or, failing both, the `records` arrays of its top-level sections
+/// in document order (a `paper` document's `fig8`, `fig9`, …). `Err` when
+/// the document has none of these, or a selected record lacks one of the
+/// three (naming the record and the member); `Ok` and empty when no record
+/// carries `member`. This is the only reader of a metrics document's record
+/// array.
 pub fn records<'a>(doc: &'a Value, member: &str) -> Result<Vec<Record<'a>>, String> {
-    let Some((key, arr)) = ["runs", "records"]
+    let top = ["runs", "records"]
         .into_iter()
-        .find_map(|k| Some((k, doc.get(k)?)))
-    else {
-        return Err("no \"runs\" or \"records\" array".to_string());
+        .find_map(|k| Some((k.to_string(), doc.get(k)?)));
+    let sections = || match doc {
+        Value::Obj(kv) => (kv.iter())
+            .filter_map(|(k, v)| Some((format!("{k}.records"), v.get("records")?)))
+            .collect(),
+        _ => Vec::new(),
     };
-    let arr = arr
-        .as_array()
-        .ok_or_else(|| format!("{key}: not an array"))?;
+    let arrays = top.map_or_else(sections, |top| vec![top]);
+    if arrays.is_empty() {
+        return Err("no \"runs\" or \"records\" array".to_string());
+    }
     let mut out = Vec::new();
-    for (i, value) in arr.iter().enumerate() {
-        let Some(m) = value.get(member) else { continue };
-        let label = under(&format!("{key}[{i}]"), value.str_at("label"))?;
-        let at = format!("{key}[{label}]");
-        out.push(Record {
-            system: under(&at, value.str_at("system"))?,
-            nodes: under(&at, value.u64_at("nodes"))?,
-            at,
-            label,
-            value,
-            member: m,
-        });
+    for (key, arr) in arrays {
+        let arr = arr
+            .as_array()
+            .ok_or_else(|| format!("{key}: not an array"))?;
+        for (i, value) in arr.iter().enumerate() {
+            let Some(m) = value.get(member) else { continue };
+            let label = under(&format!("{key}[{i}]"), value.str_at("label"))?;
+            let at = format!("{key}[{label}]");
+            out.push(Record {
+                system: under(&at, value.str_at("system"))?,
+                nodes: under(&at, value.u64_at("nodes"))?,
+                at,
+                label,
+                value,
+                member: m,
+            });
+        }
     }
     Ok(out)
 }
@@ -566,6 +580,24 @@ mod tests {
         );
         assert_eq!(refused("{}"), "no \"runs\" or \"records\" array");
         assert_eq!(refused(r#"{"runs":7}"#), "runs: not an array");
+        // A sectioned document: each section's records, in document order.
+        let doc = parse(
+            r#"{"schema":"s","fig8":{"panels":[],"records":[{"label":"p","system":"a","nodes":3,"util":{}}]},
+                "table1":{"records":[{"nodes":3}]},
+                "fig9":{"records":[{"label":"q","system":"b","nodes":5,"util":{}}]}}"#,
+        )
+        .unwrap();
+        let r = records(&doc, "util").unwrap();
+        let at: Vec<&str> = r.iter().map(|r| r.at.as_str()).collect();
+        assert_eq!(at, ["fig8.records[p]", "fig9.records[q]"]);
+        assert_eq!(
+            refused(r#"{"fig9":{"records":[{"label":"q","nodes":5,"util":{}}]}}"#),
+            "fig9.records[q].system: missing"
+        );
+        assert_eq!(
+            refused(r#"{"fig9":{"records":7}}"#),
+            "fig9.records: not an array"
+        );
     }
 
     /// Delete (`to: None`) or replace the member at a dotted path whose

@@ -15,10 +15,10 @@ fn stderr_of(bin: &str, args: &[&str]) -> (Option<i32>, String) {
 #[test]
 fn a_flag_missing_its_value_exits_2_naming_it() {
     for (bin, flag) in [
-        (env!("CARGO_BIN_EXE_fig8"), "--nodes"),
-        (env!("CARGO_BIN_EXE_fig9"), "--seed"),
-        (env!("CARGO_BIN_EXE_table1"), "--elections"),
-        (env!("CARGO_BIN_EXE_ablations"), "--size"),
+        (env!("CARGO_BIN_EXE_paper"), "--seed"),
+        (env!("CARGO_BIN_EXE_paper"), "--out"),
+        (env!("CARGO_BIN_EXE_paper"), "--trace-out"),
+        (env!("CARGO_BIN_EXE_paper"), "--only"),
         (env!("CARGO_BIN_EXE_chaos"), "--seeds"),
         (env!("CARGO_BIN_EXE_trace-report"), "--top"),
     ] {
@@ -30,16 +30,29 @@ fn a_flag_missing_its_value_exits_2_naming_it() {
 
 #[test]
 fn an_unparsable_value_exits_2_naming_the_flag() {
-    for (bin, flag) in [
-        (env!("CARGO_BIN_EXE_fig8"), "--seed"),
-        (env!("CARGO_BIN_EXE_table1"), "--seed"),
-        (env!("CARGO_BIN_EXE_ablations"), "--nodes"),
-        (env!("CARGO_BIN_EXE_suite"), "--seed"),
+    for (bin, flag, v) in [
+        (env!("CARGO_BIN_EXE_paper"), "--seed", "x"),
+        (env!("CARGO_BIN_EXE_paper"), "--only", "fig10"),
+        (env!("CARGO_BIN_EXE_suite"), "--seed", "x"),
     ] {
-        let (code, err) = stderr_of(bin, &[flag, "x"]);
-        assert_eq!(code, Some(2), "{bin} {flag} x: {err}");
+        let (code, err) = stderr_of(bin, &[flag, v]);
+        assert_eq!(code, Some(2), "{bin} {flag} {v}: {err}");
         assert!(err.contains(&format!("{flag} needs a ")), "{bin}: {err}");
     }
+}
+
+#[test]
+fn the_flags_the_paper_run_dropped_are_unknown() {
+    // The document is the machine-readable output, and `--only` selects
+    // what `--nodes`/`--size` used to.
+    for flag in ["--csv", "--elections", "--metrics-out", "--nodes", "--size"] {
+        let (code, err) = stderr_of(env!("CARGO_BIN_EXE_paper"), &[flag, "1"]);
+        assert_eq!(code, Some(2), "paper {flag}: {err}");
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+    let (code, err) = stderr_of(env!("CARGO_BIN_EXE_figures"), &["--full"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("unknown flag --full"), "{err}");
 }
 
 #[test]
@@ -72,11 +85,47 @@ fn dissemination_is_parsed_the_same_way_by_every_bin() {
 
 #[test]
 fn an_output_that_cannot_be_written_exits_2_naming_the_path() {
-    let path = "/nonexistent/dir/m.json";
-    let args = ["--elections", "1", "--metrics-out", path];
-    let (code, err) = stderr_of(env!("CARGO_BIN_EXE_table1"), &args);
+    let args = ["--only", "related", "--out", "/nonexistent/dir"];
+    let (code, err) = stderr_of(env!("CARGO_BIN_EXE_paper"), &args);
     assert_eq!(code, Some(2), "{err}");
+    let path = "/nonexistent/dir/BENCH_paper-related.json";
     assert!(err.contains(&format!("cannot write {path}: ")), "{err}");
+}
+
+#[test]
+fn figures_exit_2_naming_a_member_the_document_lacks() {
+    let dir = std::env::temp_dir().join(format!("bench-figures-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The committed document with the third Figure 9 record's throughput
+    // cut out.
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../baselines/BENCH_paper.json"
+    );
+    let text = std::fs::read_to_string(baseline).unwrap();
+    let fig9 = text.find("\"fig9\":").unwrap();
+    let mut at = fig9;
+    for _ in 0..3 {
+        at += text[at..].find(",\"msgs_per_sec\":").unwrap() + 1;
+    }
+    let end = at + text[at..].find(',').unwrap();
+    let damaged = format!("{}{}", &text[..at], &text[end + 1..]);
+    let doc = dir.join("doc.json");
+    std::fs::write(&doc, damaged).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .arg(&doc)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn figures");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("doc.json: fig9.records[2].msgs_per_sec: missing"),
+        "{err}"
+    );
+    // Nothing is drawn from a document that cannot support every figure.
+    assert!(!dir.join("figures").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

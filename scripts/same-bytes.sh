@@ -8,11 +8,12 @@
 # temporary one by default), builds the bench bins and the examples there
 # and in the checkout, runs the commands below with each build in its own
 # directory, and compares byte for byte every file, stdout, stderr and exit
-# status the two runs left. The three
-# committed baselines (`suite`/`scale`/`whatif --quick`) are gated by CI
-# on their own and are not regenerated here; the `trace-report` analyses
-# of them are. Exits 1 naming each command whose
-# output differs, 2 on a usage or build error. About ten minutes warm on
+# status the two runs left. The committed `suite`/`scale`/`whatif --quick`
+# baselines are gated by CI on their own and are not regenerated here; the
+# `trace-report` analyses of them are. The `paper` document is regenerated
+# (its run prints the paper's tables), and so are the SVGs `figures` draws
+# from the committed one. Exits 1 naming each command whose output
+# differs, 2 on a usage or build error. About ten minutes warm on
 # two cores; the build of <rev> dominates.
 set -euo pipefail
 
@@ -27,14 +28,14 @@ mkdir -p "$scratch/src"
 
 # name | command line (run from the command's own output directory)
 commands=(
-    "fig8|fig8 --nodes 3 --size 10 --metrics-out fig8.metrics.json --trace-out fig8.trace.json"
-    "fig9|fig9 --metrics-out fig9.metrics.json --trace-out fig9.trace.json"
-    "table1|table1 --elections 2 --metrics-out table1.metrics.json --trace-out table1.trace.json"
+    "paper|paper --out ."
+    "paper-fig8a|paper --only fig8a --out . --trace-out fig8.trace.json"
+    "paper-table1|paper --only table1 --out . --trace-out table1.trace.json"
+    "paper-fig9|paper --only fig9 --out . --trace-out fig9.trace.json"
+    "figures|figures $root/baselines/BENCH_paper.json"
     "scale|scale --quick --sizes 3 --out . --trace-out scale.trace.json"
     "chaos-seed-17|chaos --proto acuerdo --seed 17 --trace-out chaos.trace.json --metrics-out chaos.metrics.json"
     "chaos-sweep|chaos --proto acuerdo --seeds 25 --max-time-ms 50"
-    "ablations|ablations"
-    "related|related"
 )
 # The deterministic examples (`traced_failover` also writes
 # traced_failover.json). `live_cluster` runs on real threads and is left out.
@@ -42,10 +43,10 @@ for example in quickstart leader_failover traced_failover replicated_kv slow_fol
     commands+=("example-$example|examples/$example")
 done
 # The three metrics-document reports over the committed baselines (absolute
-# paths, so both builds read the same files). `--whatif` over the quick and
-# scale documents takes the exit-1 "predates" path.
+# paths, so both builds read the same files). `--whatif` over the quick,
+# scale and paper documents takes the exit-1 "predates" path.
 for mode in bottleneck forensics whatif; do
-    for doc in quick scale whatif; do
+    for doc in quick scale whatif paper; do
         commands+=("report-$mode-$doc|trace-report --$mode $root/baselines/BENCH_$doc.json")
     done
 done
