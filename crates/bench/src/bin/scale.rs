@@ -122,7 +122,7 @@ fn main() {
         cfg.scheduler.name()
     );
 
-    // Sidecars follow the fig8/table1 conventions: --metrics-out gets one
+    // Sidecars follow the paper run's conventions: --metrics-out gets one
     // record per (system, size); --trace-out re-runs the smallest size of
     // every system traced (64-node timelines are enormous) and writes one
     // Chrome trace per record.

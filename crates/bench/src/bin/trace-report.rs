@@ -1,16 +1,17 @@
-//! Analyze a Chrome trace file written by any `--trace-out` flag (`fig8`,
-//! `fig9`, `table1`, `scale`, `chaos`; read back by [`bench::chrome::load`]):
+//! Analyze a Chrome trace file written by any `--trace-out` flag (`paper`,
+//! `scale`, `chaos`; read back by [`bench::chrome::load`]):
 //! reassemble message lifecycles, print the per-stage commit-latency anatomy
 //! with its quorum-wait / wire / CPU breakdown, sample the p50 and p99
 //! critical paths, and list the heaviest network links.
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig8 -- --trace-out fig8.trace.json
+//! cargo run --release -p bench --bin paper -- --only fig8a --trace-out fig8.trace.json
 //! cargo run --release -p bench --bin trace-report -- fig8.trace-3nodes-10B-acuerdo.json
 //! ```
 //!
 //! With `--bottleneck` the input is instead a metrics document (a
-//! `--metrics-out` sidecar or a suite/scale `BENCH_*.json`): the resource
+//! `--metrics-out` sidecar, a suite/scale `BENCH_*.json`, or the sectioned
+//! `BENCH_paper.json`): the resource
 //! utilization tables are rendered and one ranked `bottleneck <system>@<n>`
 //! verdict line is printed per run.
 //!
