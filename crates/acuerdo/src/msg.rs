@@ -2,9 +2,11 @@
 //!
 //! Three frame kinds flow through the ring buffers:
 //!
-//! * **Normal** broadcast messages: header + client payload (Figure 4);
+//! * **Normal** broadcast messages: header, commit stamp and client payload
+//!   (Figure 4);
 //! * **Segments** of a large broadcast message on a ring route: the entry's
-//!   header, the segment's index and count, and its share of the payload.
+//!   header, a commit stamp, the segment's index and count, and its share of
+//!   the payload.
 //!   An entry of [`segments`] > 1 travels as that many consecutive frames
 //!   so a forwarder can pass each one on as it lands (DESIGN §16); a
 //!   receiver treats a Normal frame as segment 0 of 1;
@@ -12,8 +14,15 @@
 //!   receiving follower may be missing. Diffs larger than
 //!   [`AcuerdoConfig::max_diff_part`](crate::AcuerdoConfig::max_diff_part)
 //!   are split into consecutively-sent parts; a follower processes the diff
-//!   once all parts arrived (parts travel back-to-back on the FIFO ring, so
-//!   no other frame can interleave).
+//!   once all parts arrived (parts travel back-to-back on their FIFO lane,
+//!   so no other frame of that lane can interleave; each lane reassembles
+//!   its own).
+//!
+//! The **commit stamp** of a Normal or Seg frame is its writer's view of the
+//! leader's commit point when it wrote the frame, kept below the frame's own
+//! header. A follower commits up to the larger of the leader's Commit_SST row
+//! and the highest stamp of its epoch it has read, so commit news rides the
+//! payload stream and the leader's row is a heartbeat (DESIGN §4, §7).
 
 use abcast::MsgHdr;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -24,11 +33,12 @@ use std::ops::Range;
 const TAG_NORMAL: u8 = 1;
 const TAG_DIFF: u8 = 2;
 const TAG_SEG: u8 = 3;
-/// Bytes of a normal frame ahead of its payload: tag and header.
-const NORMAL_HEAD: usize = 1 + MsgHdr::SIZE;
-/// Bytes of a segment ahead of its share of the payload: tag, header, part
-/// and parts.
-pub(crate) const SEG_HEAD: usize = 1 + MsgHdr::SIZE + 4;
+/// Bytes of a normal frame ahead of its payload: tag, header and commit
+/// stamp.
+const NORMAL_HEAD: usize = 1 + 2 * MsgHdr::SIZE;
+/// Bytes of a segment ahead of its share of the payload: a normal frame's
+/// head, then part and parts.
+pub(crate) const SEG_HEAD: usize = NORMAL_HEAD + 4;
 /// Line rate of the RoCE preset (`NetParams::rdma`), in Gb/s.
 const LINE_RATE_GBPS: u128 = 25;
 /// Payload bytes per segment: what the NIC serializes in the time of one
@@ -46,6 +56,8 @@ pub enum Frame {
     Normal {
         /// Total-order position.
         hdr: MsgHdr,
+        /// The writer's view of the leader's commit point (module docs).
+        commit: MsgHdr,
         /// Client payload.
         payload: Bytes,
     },
@@ -53,6 +65,8 @@ pub enum Frame {
     Seg {
         /// Total-order position of the whole entry.
         hdr: MsgHdr,
+        /// The writer's view of the leader's commit point (module docs).
+        commit: MsgHdr,
         /// Index of this segment.
         part: u16,
         /// Number of segments of the entry.
@@ -85,16 +99,6 @@ fn get_hdr(buf: &mut impl Buf) -> MsgHdr {
     MsgHdr::decode(&tmp)
 }
 
-/// The bytes a normal broadcast frame starts with; the payload follows
-/// them. Senders that write frames in parts
-/// ([`RingSender::send_parts`](rdma_prims::RingSender::send_parts)) put this
-/// before the payload instead of building the frame with [`encode_normal`].
-pub fn normal_header(hdr: MsgHdr) -> [u8; NORMAL_HEAD] {
-    let mut head = [TAG_NORMAL; NORMAL_HEAD];
-    hdr.encode(&mut head[1..]);
-    head
-}
-
 /// How many frames an entry with a payload of `len` bytes travels as where
 /// it is segmented: one per whole [`SEG_BYTES`], and at least one.
 pub fn segments(len: usize) -> u16 {
@@ -110,25 +114,34 @@ pub(crate) fn segment_range(len: usize, part: u16, parts: u16) -> Range<usize> {
 
 /// The head of frame `part` of an entry sent as `parts` frames: a normal
 /// frame's when `parts` is 1, a segment's otherwise. The frame's share of
-/// the payload follows it.
+/// the payload follows it; senders that write frames in parts
+/// ([`RingSender::send_parts`](rdma_prims::RingSender::send_parts)) post the
+/// two side by side.
 pub(crate) struct EntryHead {
     buf: [u8; SEG_HEAD],
     len: usize,
 }
 
 impl EntryHead {
-    /// The head of frame `part` of `parts` of entry `hdr`.
-    pub(crate) fn new(hdr: MsgHdr, part: u16, parts: u16) -> Self {
+    /// The head of frame `part` of `parts` of entry `hdr`, stamped with the
+    /// writer's view `commit` of the leader's commit point. The stamp is cut
+    /// to just below `hdr`: a frame only ever announces commits of entries
+    /// its reader is sent ahead of it (a catch-up or forwarded copy can be
+    /// written after its own entry committed).
+    pub(crate) fn new(hdr: MsgHdr, commit: MsgHdr, part: u16, parts: u16) -> Self {
+        let below = MsgHdr::new(hdr.epoch, hdr.cnt.saturating_sub(1));
         let mut buf = [0u8; SEG_HEAD];
+        buf[0] = if parts == 1 { TAG_NORMAL } else { TAG_SEG };
+        hdr.encode(&mut buf[1..1 + MsgHdr::SIZE]);
+        commit
+            .min(below)
+            .encode(&mut buf[1 + MsgHdr::SIZE..NORMAL_HEAD]);
         if parts == 1 {
-            buf[..NORMAL_HEAD].copy_from_slice(&normal_header(hdr));
             return EntryHead {
                 buf,
                 len: NORMAL_HEAD,
             };
         }
-        buf[0] = TAG_SEG;
-        hdr.encode(&mut buf[1..NORMAL_HEAD]);
         buf[NORMAL_HEAD..NORMAL_HEAD + 2].copy_from_slice(&part.to_le_bytes());
         buf[NORMAL_HEAD + 2..].copy_from_slice(&parts.to_le_bytes());
         EntryHead { buf, len: SEG_HEAD }
@@ -140,10 +153,11 @@ impl EntryHead {
     }
 }
 
-/// Encode a normal broadcast frame.
+/// Encode a normal broadcast frame that announces no commit (its stamp is
+/// `MsgHdr::ZERO`).
 pub fn encode_normal(hdr: MsgHdr, payload: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + MsgHdr::SIZE + payload.len());
-    buf.put_slice(&normal_header(hdr));
+    let mut buf = BytesMut::with_capacity(NORMAL_HEAD + payload.len());
+    buf.put_slice(EntryHead::new(hdr, MsgHdr::ZERO, 0, 1).as_bytes());
     buf.put_slice(payload);
     buf.freeze()
 }
@@ -198,17 +212,28 @@ pub fn encode_diff_parts(hdr: MsgHdr, entries: &[(MsgHdr, Bytes)], max_part: usi
 /// Returns `None` on a malformed frame (never produced by this codec; the
 /// protocol treats it as a fatal desync in debug builds).
 pub fn decode(mut raw: Bytes) -> Option<Frame> {
-    if raw.len() < NORMAL_HEAD {
+    if raw.len() < 1 + MsgHdr::SIZE {
         return None;
     }
     let tag = raw.get_u8();
     let hdr = get_hdr(&mut raw);
     match tag {
-        TAG_NORMAL => Some(Frame::Normal { hdr, payload: raw }),
-        TAG_SEG => {
-            if raw.len() < 4 {
+        TAG_NORMAL => {
+            if raw.len() < MsgHdr::SIZE {
                 return None;
             }
+            let commit = get_hdr(&mut raw);
+            Some(Frame::Normal {
+                hdr,
+                commit,
+                payload: raw,
+            })
+        }
+        TAG_SEG => {
+            if raw.len() < MsgHdr::SIZE + 4 {
+                return None;
+            }
+            let commit = get_hdr(&mut raw);
             let part = raw.get_u16_le();
             let parts = raw.get_u16_le();
             if part >= parts || parts < 2 {
@@ -216,6 +241,7 @@ pub fn decode(mut raw: Bytes) -> Option<Frame> {
             }
             Some(Frame::Seg {
                 hdr,
+                commit,
                 part,
                 parts,
                 bytes: raw,
@@ -260,8 +286,8 @@ mod tests {
         MsgHdr::new(Epoch::new(r, l), c)
     }
 
-    fn encode_seg(hdr: MsgHdr, part: u16, parts: u16, bytes: &[u8]) -> Bytes {
-        Bytes::from_parts(&[EntryHead::new(hdr, part, parts).as_bytes(), bytes])
+    fn encode_seg(hdr: MsgHdr, commit: MsgHdr, part: u16, parts: u16, bytes: &[u8]) -> Bytes {
+        Bytes::from_parts(&[EntryHead::new(hdr, commit, part, parts).as_bytes(), bytes])
     }
 
     #[test]
@@ -269,27 +295,72 @@ mod tests {
         let h = hdr(0, 1, 7);
         let p = Bytes::from_static(b"hello world");
         let f = decode(encode_normal(h, &p)).unwrap();
-        assert_eq!(f, Frame::Normal { hdr: h, payload: p });
+        assert_eq!(
+            f,
+            Frame::Normal {
+                hdr: h,
+                commit: MsgHdr::ZERO,
+                payload: p
+            }
+        );
     }
 
     #[test]
-    fn normal_header_is_the_frames_prefix() {
+    fn stamped_heads_roundtrip_below_their_own_header() {
         let h = hdr(2, 5, 9);
         let p = Bytes::from_static(b"body");
-        let mut parts = normal_header(h).to_vec();
-        parts.extend_from_slice(&p);
-        assert_eq!(encode_normal(h, &p), parts);
+        for (stamp, carried) in [
+            // Commits of earlier entries and earlier epochs go as written.
+            (hdr(2, 5, 4), hdr(2, 5, 4)),
+            (hdr(1, 3, 700), hdr(1, 3, 700)),
+            (hdr(2, 5, 8), hdr(2, 5, 8)),
+            // A stamp at or past the frame's own entry is cut to just below.
+            (h, hdr(2, 5, 8)),
+            (hdr(2, 5, 50), hdr(2, 5, 8)),
+            (hdr(3, 0, 1), hdr(2, 5, 8)),
+        ] {
+            let raw = Bytes::from_parts(&[EntryHead::new(h, stamp, 0, 1).as_bytes(), &p]);
+            assert_eq!(raw.len(), NORMAL_HEAD + p.len());
+            let normal = Frame::Normal {
+                hdr: h,
+                commit: carried,
+                payload: p.clone(),
+            };
+            assert_eq!(decode(raw), Some(normal), "stamp {stamp:?}");
+            let seg = Frame::Seg {
+                hdr: h,
+                commit: carried,
+                part: 2,
+                parts: 3,
+                bytes: p.clone(),
+            };
+            assert_eq!(decode(encode_seg(h, stamp, 2, 3, &p)), Some(seg));
+        }
+    }
+
+    #[test]
+    fn truncated_heads_are_rejected() {
+        let h = hdr(2, 5, 9);
+        let raw = encode_seg(h, hdr(2, 5, 3), 0, 1, b"");
+        assert_eq!(raw.len(), NORMAL_HEAD);
+        assert!(decode(raw.clone()).is_some());
+        // Cut anywhere inside the header or the stamp.
+        for cut in [0, 1, MsgHdr::SIZE, MsgHdr::SIZE + 1, NORMAL_HEAD - 1] {
+            assert_eq!(decode(raw.slice(..cut)), None, "cut at {cut}");
+        }
     }
 
     #[test]
     fn seg_roundtrip() {
         let h = hdr(3, 1, 42);
+        let c = hdr(3, 1, 40);
         let p = Bytes::from(vec![7u8; 100]);
-        let f = decode(encode_seg(h, 1, 3, &p)).unwrap();
+        let f = decode(encode_seg(h, c, 1, 3, &p)).unwrap();
         assert_eq!(
             f,
             Frame::Seg {
                 hdr: h,
+                commit: c,
                 part: 1,
                 parts: 3,
                 bytes: p
@@ -297,19 +368,23 @@ mod tests {
         );
         // A one-segment entry is a normal frame, byte for byte.
         let p = Bytes::from_static(b"whole");
-        assert_eq!(encode_seg(h, 0, 1, &p), encode_normal(h, &p));
+        assert_eq!(encode_seg(h, MsgHdr::ZERO, 0, 1, &p), encode_normal(h, &p));
     }
 
     #[test]
     fn truncated_or_inconsistent_segments_are_rejected() {
-        let raw = encode_seg(hdr(1, 0, 5), 0, 2, b"payload");
-        // Cut inside the part/parts fields: no room for the segment head.
-        for cut in [SEG_HEAD - 1, SEG_HEAD - 3] {
+        let raw = encode_seg(hdr(1, 0, 5), hdr(1, 0, 4), 0, 2, b"payload");
+        // Cut inside the stamp or the part/parts fields: no room for the
+        // segment head.
+        for cut in [NORMAL_HEAD - 1, SEG_HEAD - 1, SEG_HEAD - 3] {
             assert_eq!(decode(raw.slice(..cut)), None, "cut at {cut}");
         }
         // An empty share is still a segment; a part past the count is not.
         assert!(decode(raw.slice(..SEG_HEAD)).is_some());
-        assert_eq!(decode(encode_seg(hdr(1, 0, 5), 2, 2, b"x")), None);
+        assert_eq!(
+            decode(encode_seg(hdr(1, 0, 5), MsgHdr::ZERO, 2, 2, b"x")),
+            None
+        );
     }
 
     #[test]

@@ -26,13 +26,16 @@
 //!   segments that each forwarder passes on as they land (cut-through,
 //!   `ingest_segment`, DESIGN §16); it is still accepted and acknowledged
 //!   once, whole.
-//! * The periodic Commit_SST push (Figure 6 lines 93–95) goes only to the
-//!   nodes that read it, when they need it: a follower's cell to its
-//!   leader, whose own row adds the GC horizon the followers prune below
-//!   and goes to a peer it streams frames to whenever it carries news, and
-//!   to every peer on that peer's heartbeat turn once per push period; an
-//!   elector's cell to everyone, from the instant the election starts
-//!   (`push_commit`).
+//! * Commit news rides the payload stream: every Normal and Seg frame head
+//!   carries its writer's view of the leader's commit point (`msg`), the
+//!   way Raft's AppendEntries carries `leaderCommit`, and a follower commits
+//!   up to the larger of that stamp and the leader's Commit_SST row
+//!   (`known_commit`). The periodic Commit_SST push (Figure 6 lines 93–95)
+//!   goes only to the nodes that read it, when they need it: the leader's
+//!   row (heartbeat, GC horizon, the commit point of an idle stream) to
+//!   every peer on that peer's heartbeat turn once per push period; a
+//!   follower's cell to its leader; an elector's cell to everyone, from the
+//!   instant the election starts (`push_commit`).
 //! * The leader accepts its own proposal where it makes it
 //!   (`accept_in_place`) instead of through a ring write to itself, a poll
 //!   and an Accept_SST update; only the frames ingested before its own
@@ -395,6 +398,9 @@ pub struct AcuerdoNode {
     /// Accept_SST push: the acceptance batch ends with one.
     ack_due: bool,
     committed: MsgHdr,
+    /// The highest commit stamp of epoch `e_cur` read from a frame head:
+    /// with the leader's row, what a follower commits up to.
+    stamp: MsgHdr,
     next: MsgHdr,
     count: u32,
     phase: Phase,
@@ -407,12 +413,12 @@ pub struct AcuerdoNode {
     origin: simnet::FastMap<MsgHdr, (NodeId, u64)>,
     commit_push_seq: u64,
     push_ticks: u64,
-    /// `(committed, horizon)` of the leader's row as each peer last got it
-    /// (`None`: unknown, so the next tick has news for it).
-    pushed: Vec<Option<(MsgHdr, MsgHdr)>>,
 
-    // Diff reassembly: (epoch, parts collected so far).
-    diff_buf: Option<PendingDiff>,
+    /// Per inbound lane, the diff being reassembled from it. A diff's parts
+    /// travel back to back on their lane, but two leaders' diffs (an old
+    /// leader's rejoin diff, its successor's election diff) can interleave
+    /// across lanes.
+    diff_buf: Vec<Option<PendingDiff>>,
 
     /// Peers that sent a Hello since we last built them a diff.
     hello_from: Vec<bool>,
@@ -493,6 +499,9 @@ pub struct AcuerdoNode {
     /// answered in place) and looks at every Accept_SST cell.
     #[cfg(test)]
     naive: bool,
+    /// Test tally: commit stamps read (each checked below its frame).
+    #[cfg(test)]
+    stamps_read: u64,
 
     /// The replicated application messages are delivered to.
     pub app: Box<dyn App>,
@@ -565,6 +574,7 @@ impl AcuerdoNode {
             accepted: boot_hdr,
             ack_due: false,
             committed: boot_hdr,
+            stamp: MsgHdr::ZERO,
             next: if e_cur == Epoch::ZERO {
                 MsgHdr::ZERO
             } else {
@@ -577,8 +587,7 @@ impl AcuerdoNode {
             origin: simnet::FastMap::default(),
             commit_push_seq: 0,
             push_ticks: 0,
-            pushed: vec![None; n],
-            diff_buf: None,
+            diff_buf: (0..n).map(|_| None).collect(),
             hello_from: vec![false; n],
             ack_seen: vec![MsgHdr::ZERO; n],
             ack_obs_seq: vec![0; n],
@@ -597,6 +606,8 @@ impl AcuerdoNode {
             acks_touched: true,
             #[cfg(test)]
             naive: false,
+            #[cfg(test)]
+            stamps_read: 0,
             app: Box::<DeliveryLog>::default(),
             polls_skipped: 0,
             election_spans: Vec::new(),
@@ -646,18 +657,6 @@ impl AcuerdoNode {
     /// Last accepted header.
     pub fn accepted(&self) -> MsgHdr {
         self.accepted
-    }
-
-    /// `(committed, GC horizon)` of this node's own Commit_SST row as last
-    /// written (the horizon is `MsgHdr::ZERO` outside the leader role).
-    pub fn commit_row(&self) -> (MsgHdr, MsgHdr) {
-        let cell = self.commit_sst.mine(&self.ep);
-        (cell.committed, cell.horizon)
-    }
-
-    /// What a leader last posted of its row to peer `k`, if it knows.
-    pub fn row_pushed_to(&self, k: usize) -> Option<(MsgHdr, MsgHdr)> {
-        self.pushed[k]
     }
 
     /// Push ticks run so far; peer `k`'s heartbeat turn is every tick `t`
@@ -804,7 +803,7 @@ impl AcuerdoNode {
             while self.out[j].next_part < parts {
                 let part = self.out[j].next_part;
                 let share = &payload[msg::segment_range(payload.len(), part, parts)];
-                let head = msg::EntryHead::new(hdr, part, parts);
+                let head = msg::EntryHead::new(hdr, self.committed, part, parts);
                 match self.out_ring.send_parts(
                     ctx,
                     &mut self.ep,
@@ -1034,7 +1033,8 @@ impl AcuerdoNode {
     }
 
     /// Forward queued frames one hop to the downstream neighbour on this
-    /// node's arm, bounded by `ring_pipeline_depth` entries (the segments
+    /// node's arm, each stamped with the commit point this node knows of,
+    /// bounded by `ring_pipeline_depth` entries (the segments
     /// of an entry already on the lane always follow it), reusing the
     /// lane's slots as the downstream node's Accept_SST cell (pushed back
     /// to us, its upstream) advances. A poll runs it before `push_accept`:
@@ -1057,6 +1057,7 @@ impl AcuerdoNode {
         // downstream node's acceptance frontier.
         let acc = self.accept_sst.read(&self.ep, down);
         self.ack_lane(down, acc);
+        let commit = self.known_commit();
         while let Some(f) = self.fwd_backlog.front() {
             let hdr = f.hdr;
             if hdr.epoch != self.e_cur {
@@ -1075,7 +1076,10 @@ impl AcuerdoNode {
                 ctx,
                 &mut self.ep,
                 self.peers[down],
-                &[msg::EntryHead::new(hdr, part, parts).as_bytes(), &f.bytes],
+                &[
+                    msg::EntryHead::new(hdr, commit, part, parts).as_bytes(),
+                    &f.bytes,
+                ],
                 MsgKind::Payload,
             ) {
                 Ok(seq) => {
@@ -1151,15 +1155,24 @@ impl AcuerdoNode {
                     continue;
                 };
                 match frame {
-                    Frame::Normal { hdr, payload } => {
+                    Frame::Normal {
+                        hdr,
+                        commit,
+                        payload,
+                    } => {
+                        self.read_stamp(hdr, commit);
                         self.ingest_segment(ctx, j, hdr, 0, 1, payload)
                     }
                     Frame::Seg {
                         hdr,
+                        commit,
                         part,
                         parts,
                         bytes,
-                    } => self.ingest_segment(ctx, j, hdr, part, parts, bytes),
+                    } => {
+                        self.read_stamp(hdr, commit);
+                        self.ingest_segment(ctx, j, hdr, part, parts, bytes)
+                    }
                     Frame::Diff {
                         hdr,
                         part,
@@ -1168,8 +1181,8 @@ impl AcuerdoNode {
                     } => {
                         if self.e_new <= hdr.epoch {
                             debug_assert!(hdr.is_diff());
-                            if self.collect_diff(hdr, part, parts, entries) {
-                                self.apply_diff(ctx);
+                            if self.collect_diff(j, hdr, part, parts, entries) {
+                                self.apply_diff(ctx, j);
                                 self.ack_due = true;
                                 // Forwarded frames of the diff's epoch may
                                 // have lost the cross-lane race and parked;
@@ -1180,6 +1193,22 @@ impl AcuerdoNode {
                     }
                 }
             }
+        }
+    }
+
+    /// Keep the commit stamp of a frame of entry `hdr` if it is of epoch
+    /// `e_cur` and the highest yet. Whatever becomes of the frame (accepted,
+    /// parked, dropped as a duplicate), its stamp is a fact about the
+    /// leader of the stamp's epoch.
+    fn read_stamp(&mut self, hdr: MsgHdr, commit: MsgHdr) {
+        debug_assert!(commit < hdr, "stamp {commit:?} at or above frame {hdr:?}");
+        #[cfg(test)]
+        {
+            assert!(commit < hdr, "stamp {commit:?} at or above frame {hdr:?}");
+            self.stamps_read += 1;
+        }
+        if commit.epoch == self.e_cur {
+            self.stamp = self.stamp.max(commit);
         }
     }
 
@@ -1214,12 +1243,13 @@ impl AcuerdoNode {
 
     fn collect_diff(
         &mut self,
+        lane: usize,
         hdr: MsgHdr,
         part: u16,
         parts: u16,
         entries: Vec<(MsgHdr, Bytes)>,
     ) -> bool {
-        match &mut self.diff_buf {
+        match &mut self.diff_buf[lane] {
             Some((h, got, buf)) if *h == hdr => {
                 debug_assert_eq!(*got, part, "diff parts out of order");
                 buf.extend(entries);
@@ -1228,7 +1258,7 @@ impl AcuerdoNode {
             }
             _ => {
                 debug_assert_eq!(part, 0, "diff must start at part 0");
-                self.diff_buf = Some((hdr, 1, entries));
+                self.diff_buf[lane] = Some((hdr, 1, entries));
                 parts == 1
             }
         }
@@ -1252,10 +1282,10 @@ impl AcuerdoNode {
         }
     }
 
-    /// Apply a fully-reassembled diff: the epoch-entry protocol of §3.4
-    /// (Figure 5 lines 54–66).
-    fn apply_diff(&mut self, ctx: &mut Ctx<AcWire>) {
-        let (hdr, _, entries) = self.diff_buf.take().expect("no diff buffered");
+    /// Apply the diff fully reassembled on `lane`: the epoch-entry protocol
+    /// of §3.4 (Figure 5 lines 54–66).
+    fn apply_diff(&mut self, ctx: &mut Ctx<AcWire>, lane: usize) {
+        let (hdr, _, entries) = self.diff_buf[lane].take().expect("no diff buffered");
         let e = hdr.epoch;
         ctx.count(Counter::DiffApplies, 1);
         ctx.trace(
@@ -1337,6 +1367,22 @@ impl AcuerdoNode {
         self.commit_sst.read(&self.ep, j)
     }
 
+    /// The leader's commit point in epoch `e_cur` as far as this node
+    /// knows: the larger of the leader's Commit_SST row and the highest
+    /// commit stamp read from a frame (`MsgHdr::ZERO` if neither is of
+    /// `e_cur`). A follower commits up to it, and a forwarder stamps it on
+    /// what it forwards.
+    fn known_commit(&self) -> MsgHdr {
+        let of_epoch = |c: MsgHdr| {
+            if c.epoch == self.e_cur {
+                c
+            } else {
+                MsgHdr::ZERO
+            }
+        };
+        of_epoch(self.commit_cell(self.e_cur.ldr as usize).committed).max(of_epoch(self.stamp))
+    }
+
     /// Note Accept_SST cells that advanced since the last poll, marking the
     /// newly visible acknowledgment on each message's lifecycle. Acks are
     /// cumulative (one cell covers every earlier count of its epoch), so a
@@ -1406,7 +1452,7 @@ impl AcuerdoNode {
                 cnt >= self.cfg.quorum()
             }
             Role::Follower => {
-                let c = self.commit_cell(self.e_cur.ldr as usize).committed;
+                let c = self.known_commit();
                 c >= self.next && c.epoch == self.e_cur
             }
             Role::Electing => false,
@@ -1741,8 +1787,6 @@ impl AcuerdoNode {
         // scan re-marks any segment that is still dead.
         self.fallback.fill(false);
         self.lag_since.fill(ctx.now());
-        // Whatever a peer holds of this node's row dates from before.
-        self.pushed.fill(None);
         ctx.count(Counter::ElectionsWon, 1);
         ctx.trace(Event::new("leader_elected").a(u64::from(self.e_new.round)));
         for j in 0..self.cfg.n {
@@ -1830,18 +1874,15 @@ impl AcuerdoNode {
     // ---- periodic push (Figure 6 lines 93–95 + heartbeat) -------------------------
     //
     // Deviation (DESIGN §7): a row goes only to the nodes that read it, as
-    // often as they need it. The leader's row (commit notification,
-    // heartbeat, GC horizon) goes to every peer on its heartbeat turn, once
-    // per `FOLLOWER_PUSH_PERIOD` ticks, staggered by peer index so no tick
-    // carries a burst; and on any tick at which its `(committed, horizon)`
-    // differs from what the peer last got, to the peers it streams frames to
-    // directly (the arm heads, and any peer under star fallback; under star,
-    // every follower). A peer fed by forwards learns a commit on its turn:
-    // nothing on a client's path waits for it. A follower's
-    // row has one reader, its leader (GC horizon, rejoin lows), and goes to
-    // it alone every `FOLLOWER_PUSH_PERIOD` ticks. An elector's is read by
-    // whoever wins (`seed_peer`), so it goes to everyone at that cadence,
-    // and at once as the election starts (`start_election`).
+    // often as they need it. Commit news under load rides the frame heads
+    // (`known_commit`), so the leader's row (heartbeat, GC horizon, and the
+    // commit point of a stream gone idle) goes to each peer on its
+    // heartbeat turn alone, once per `FOLLOWER_PUSH_PERIOD` ticks, staggered
+    // by peer index so no tick carries a burst. A follower's row has one
+    // reader, its leader (GC horizon, rejoin lows), and goes to it alone
+    // every `FOLLOWER_PUSH_PERIOD` ticks. An elector's is read by whoever
+    // wins (`seed_peer`), so it goes to everyone at that cadence, and at
+    // once as the election starts (`start_election`).
 
     fn push_commit(&mut self, ctx: &mut Ctx<AcWire>) {
         self.push_ticks += 1;
@@ -1856,21 +1897,15 @@ impl AcuerdoNode {
         if is_leader {
             self.commit_push_seq += 1;
         }
-        let cell = self.write_commit_cell();
+        self.write_commit_cell();
         match self.role() {
             Role::Leader => {
-                let row = Some((cell.committed, cell.horizon));
                 for k in 0..self.cfg.n {
                     let turn = (self.push_ticks + k as u64).is_multiple_of(FOLLOWER_PUSH_PERIOD);
-                    let news = (self.arm_head[k] || self.fallback[k]) && self.pushed[k] != row;
-                    if k != self.me
-                        && (turn || news)
-                        && self
+                    if k != self.me && turn {
+                        let _ = self
                             .commit_sst
-                            .push_mine_to(ctx, &mut self.ep, self.peers[k])
-                            .is_ok()
-                    {
-                        self.pushed[k] = row;
+                            .push_mine_to(ctx, &mut self.ep, self.peers[k]);
                     }
                 }
             }
@@ -1886,7 +1921,7 @@ impl AcuerdoNode {
 
     /// Write this node's own Commit_SST row. A leader's carries the GC
     /// horizon: its own commit point and every follower's, as last pushed.
-    fn write_commit_cell(&mut self) -> CommitCell {
+    fn write_commit_cell(&mut self) {
         let horizon = if self.role() == Role::Leader {
             (0..self.cfg.n)
                 .filter(|&k| k != self.me)
@@ -1901,7 +1936,6 @@ impl AcuerdoNode {
             horizon,
         };
         self.commit_sst.write_mine(&mut self.ep, &cell);
-        cell
     }
 
     // ---- rejoin / stream resynchronization (module docs) ---------------------------
@@ -1912,6 +1946,7 @@ impl AcuerdoNode {
     /// so they stay harmless.
     fn refresh_inbound(&mut self, j: usize) -> RegionId {
         self.drop_partial(j);
+        self.diff_buf[j] = None;
         let r = self.ep.register_region(self.cfg.ring_bytes);
         self.in_rings[j] = RingReceiver::new(r, self.cfg.ring_bytes, self.cfg.ring_mode);
         r
@@ -1950,11 +1985,12 @@ impl AcuerdoNode {
         self.e_new = self.e_cur;
         let started = ctx.now();
         self.enter(Phase::Electing(el, Some(Rejoin { started, attempts })));
-        self.diff_buf = None;
         // Dissemination state dies with the torn-down lanes: parked frames will
         // be re-covered by the recovery diff, in-flight forwards by their
         // receivers' own repair, and partial entries (with any cut through
-        // them) by `refresh_inbound` below.
+        // them) and partial diffs by `refresh_inbound` below. The loopback
+        // lane is not torn down: the rest of an ex-leader's own diff still
+        // lands there (`apply_diff`).
         self.pending.clear();
         self.fwd_backlog.clear();
         let v = Vote::new(self.e_cur, self.accepted);
@@ -1990,8 +2026,6 @@ impl AcuerdoNode {
         self.ep.reset_connection(self.peers[j]);
         self.out_ring.retarget_lane(self.peers[j], ring);
         self.out[j] = PeerOut::new();
-        // It zeroed its mirror of our row along with the others.
-        self.pushed[j] = None;
         if self.route_from(self.e_cur.ldr as usize).downstream == Some(j) {
             // Our downstream node tore its ring down: in-flight forwards
             // died with it (their lane just restarted from zero above). The

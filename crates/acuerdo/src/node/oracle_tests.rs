@@ -256,9 +256,15 @@ fn dirty_driven_node_matches_the_look_at_everything_oracle() {
 /// Every `(from, to)` phase edge the sweep's schedules take, with its
 /// trigger: DESIGN §9's edge table, and what exhaustive exploration must
 /// cover at the least.
-const EDGES: [(&str, &str); 10] = [
+const EDGES: [(&str, &str); 11] = [
     // Heartbeat miss (`detect_failure` → `start_election`).
     ("follower", "electing"),
+    // Another leader's epoch diff reaching a follower whose own leader
+    // lived on with it behind a partition (`apply_diff`). Ring n=8 seed 5:
+    // nodes 6 and 7 share a minority with leader 0 from 3.33 ms, keep
+    // accepting its frames and heartbeat, never suspect it, and apply the
+    // diff of round 4, won by node 1 in the majority, at 3.70 ms.
+    ("follower", "follower"),
     // Frames stalled past patience (`detect_desync` → `initiate_resync`).
     ("follower", "rejoining"),
     // A quorum of identical votes (`election_step` → `become_leader`).
@@ -293,6 +299,68 @@ fn phase_edges_match_the_documented_table() {
     let mut table = EDGES.to_vec();
     table.sort();
     assert_eq!(seen, table, "phase edges taken vs DESIGN §9's table");
+}
+
+/// Run `cfg` for 4 ms under the chaos client (`payload` bytes, a window of
+/// `window`), crashing `crashed` at 1 ms (and rebooting it at 1.5 ms if
+/// `reboot`): the cluster and how many stamps each node read.
+fn stamps_read(
+    cfg: &AcuerdoConfig,
+    (window, payload): (usize, usize),
+    crashed: NodeId,
+    reboot: bool,
+) -> (Sim<AcWire>, Vec<u64>) {
+    let (mut sim, ids) = cluster(12, cfg, false, window, payload);
+    sim.crash_at(crashed, SimTime::from_millis(1));
+    if reboot {
+        sim.restart_at(crashed, SimTime::from_micros(1_500));
+    }
+    sim.run_until(SimTime::from_millis(4));
+    let read = ids
+        .iter()
+        .map(|&k| {
+            if sim.is_crashed(k) {
+                0
+            } else {
+                sim.node::<AcuerdoNode>(k).stamps_read
+            }
+        })
+        .collect();
+    (sim, read)
+}
+
+#[test]
+fn no_commit_stamp_reaches_its_own_frame() {
+    // `read_stamp` asserts that every stamp it reads is below its frame's
+    // header (`msg::EntryHead::new` cuts it there). These runs take each
+    // path that writes a frame after its entry may have committed, and
+    // segmented entries: a ring with a dead forwarder (forward backlogs,
+    // the leader's star-fallback catch-up), 8 KiB entries cut through a
+    // ring whose arm head 7 dies, and a star follower rebooting (the stream resumed after its
+    // rejoin diff). Every live follower reads stamps in each.
+    let ring = |n| AcuerdoConfig {
+        dissemination: DisseminationMode::Ring,
+        ..chaos_cfg(n)
+    };
+    let (sim, read) = stamps_read(&ring(16), (64, 64), 2, false);
+    assert!(
+        sim.counter(0, Counter::RingFallbackSends) > 0,
+        "no fallback"
+    );
+    let live = |read: &[u64], dead| {
+        read.iter()
+            .enumerate()
+            .skip(1)
+            .all(|(k, &r)| k == dead || r > 100)
+    };
+    assert!(live(&read, 2), "fallback: {read:?}");
+    let (sim, read) = stamps_read(&ring(8), (8, 8192), 7, false);
+    let cut = |e: &TraceEvent| matches!(e, TraceEvent::Proto { ev, .. } if ev.name == "seg_post");
+    assert!(sim.trace_events().iter().any(cut), "no segments");
+    assert!(live(&read, 7), "segments: {read:?}");
+    let (sim, read) = stamps_read(&chaos_cfg(3), (8, 64), 2, true);
+    assert!(sim.counter(0, Counter::RejoinDiffBytes) > 0, "no rejoin");
+    assert!(live(&read, usize::MAX), "rejoin: {read:?}");
 }
 
 // ---- the three traps, by name -----------------------------------------------

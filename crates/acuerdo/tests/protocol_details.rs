@@ -84,32 +84,21 @@ fn ring_followers_prune_below_the_leaders_gc_horizon() {
     }
 }
 
-/// The `(committed, GC horizon)` part of a leader's Commit_SST row.
-type Row = (MsgHdr, MsgHdr);
-
-/// One push tick of leader 0: its number, the row it wrote, the peers it
-/// posted the row to, and the peers it was serving by star fallback.
+/// One push tick of leader 0: its number, the peers it posted its row to,
+/// and the peers it was serving by star fallback.
 struct Tick {
     t: u64,
-    row: Row,
     posted: Vec<simnet::NodeId>,
     fallback: std::collections::BTreeSet<simnet::NodeId>,
 }
 
-/// Leader 0's next `ticks` push ticks (tracing on), and what it held, as
-/// the census starts, of each peer's copy of its row. One engine step runs
+/// Leader 0's next `ticks` push ticks (tracing on). One engine step runs
 /// one handler, so the step that moves the leader's tick count is the tick
 /// and the `Send`s it traced are that tick's posts (a leader's only SST
 /// pushes are its row): all of them, unless a post to a dead peer found its
 /// send queue full. Fallback is followed through the leader's
 /// `ring_fallback_on`/`_off` events.
-fn leader_push_census(
-    sim: &mut simnet::Sim<AcWire>,
-    n: usize,
-    ticks: usize,
-) -> (Vec<Option<Row>>, Vec<Tick>) {
-    let leader = sim.node::<AcuerdoNode>(0);
-    let held = (0..n).map(|k| leader.row_pushed_to(k)).collect();
+fn leader_push_census(sim: &mut simnet::Sim<AcWire>, ticks: usize) -> Vec<Tick> {
     let mut census = Vec::with_capacity(ticks);
     let mut fallback = std::collections::BTreeSet::new();
     while census.len() < ticks {
@@ -130,17 +119,16 @@ fn leader_push_census(
                 _ => {}
             }
         }
-        let leader = sim.node::<AcuerdoNode>(0);
-        if leader.push_ticks() != t {
+        let t_now = sim.node::<AcuerdoNode>(0).push_ticks();
+        if t_now != t {
             census.push(Tick {
-                t: leader.push_ticks(),
-                row: leader.commit_row(),
+                t: t_now,
                 posted,
                 fallback: fallback.clone(),
             });
         }
     }
-    (held, census)
+    census
 }
 
 /// How many ticks of `census` posted to `peer`.
@@ -150,52 +138,36 @@ fn ticks_reaching(census: &[Tick], peer: simnet::NodeId) -> usize {
 
 /// Hold leader 0's census to its rule, peer by peer and tick by tick: peer
 /// `k` gets the row on its heartbeat turn (tick `t` with `(t + k) mod 10 =
-/// 0`), and a peer the leader streams payload to directly (an arm head, or
-/// one under star fallback) also on every tick whose row differs from the
-/// one it last got. `dead` peers are left out (their posts fail once the
-/// send queue fills). Returns how many posts carried news.
-fn assert_row_rule(
-    n: usize,
-    held: &[Option<Row>],
-    census: &[Tick],
-    arm_head: impl Fn(simnet::NodeId) -> bool,
-    dead: &[simnet::NodeId],
-) -> usize {
-    let mut last = held.to_vec();
-    let mut news_posts = 0;
+/// 0`) and on no other tick, whatever the row carries and however the
+/// leader streams to it. `dead` peers are left out (their posts fail once
+/// the send queue fills).
+fn assert_row_rule(n: usize, census: &[Tick], dead: &[simnet::NodeId]) {
     for tick in census {
         for k in (1..n).filter(|k| !dead.contains(k)) {
             let turn = (tick.t + k as u64).is_multiple_of(10);
-            let direct = arm_head(k) || tick.fallback.contains(&k);
-            let news = direct && last[k] != Some(tick.row);
-            let posted = tick.posted.contains(&k);
             assert_eq!(
-                posted,
-                turn || news,
-                "tick {} peer {k}: turn {turn}, direct {direct}, row {:?}, last got {:?}",
+                tick.posted.contains(&k),
+                turn,
+                "tick {} peer {k}: posts {:?}",
                 tick.t,
-                tick.row,
-                last[k]
+                tick.posted
             );
-            if posted {
-                news_posts += usize::from(last[k] != Some(tick.row));
-                last[k] = Some(tick.row);
-            }
         }
     }
-    news_posts
 }
 
 #[test]
-fn leader_commit_row_follows_the_payload_route() {
-    // Sixteen nodes under load, 100 push ticks of leader 0. On the
-    // two-armed ring it streams payload to its arm heads 1 and 15 alone, and
-    // under this load its row changes nearly every tick, so they get nearly
-    // every tick's; each of the 13 peers fed by forwards gets it once per
-    // `FOLLOWER_PUSH_PERIOD` (10) ticks, staggered by index, so no tick
-    // posts to more than ⌈13/10⌉ of them. Under star every follower heads
-    // an arm.
-    let census = |dissemination| {
+fn leader_posts_its_row_to_each_peer_on_its_turn_alone() {
+    // Sixteen nodes under load, 100 push ticks of leader 0. Commit news
+    // rides the frame heads, so the row (heartbeat, GC horizon) reaches
+    // each of the 15 peers once per `FOLLOWER_PUSH_PERIOD` (10) ticks,
+    // staggered by index so no tick posts to more than ⌈15/10⌉ of them,
+    // whether the peer heads an arm (every follower under star, 1 and 15
+    // on the two-armed ring) or is fed by forwards.
+    for dissemination in [
+        acuerdo::DisseminationMode::Star,
+        acuerdo::DisseminationMode::Ring,
+    ] {
         let cfg = AcuerdoConfig {
             dissemination,
             ..AcuerdoConfig::stable(16)
@@ -206,65 +178,115 @@ fn leader_commit_row_follows_the_payload_route() {
         assert!(sim.counter(0, Counter::Commits) > 50, "no load");
         sim.set_tracing(true);
         let pushes = sim.counter(0, Counter::SstPushes);
-        let (held, census) = leader_push_census(&mut sim, 16, 100);
+        let census = leader_push_census(&mut sim, 100);
         let posted: usize = census.iter().map(|t| t.posted.len()).sum();
         assert_eq!(posted as u64, sim.counter(0, Counter::SstPushes) - pushes);
         assert!(census.iter().all(|t| t.fallback.is_empty()));
-        let head = |k| dissemination == acuerdo::DisseminationMode::Star || k == 1 || k == 15;
-        assert_row_rule(16, &held, &census, head, &[]);
-        census
-    };
-    let ring = census(acuerdo::DisseminationMode::Ring);
-    for (i, tick) in ring.iter().enumerate() {
-        let forwarded = tick.posted.iter().filter(|&&k| k != 1 && k != 15);
-        assert!(forwarded.count() <= 2, "tick {i}: {:?}", tick.posted);
-    }
-    for peer in 2..15 {
-        assert_eq!(ticks_reaching(&ring, peer), 10, "peer {peer}");
-    }
-    for head in [1, 15] {
-        assert!(ticks_reaching(&ring, head) > 80, "arm head {head}");
-    }
-    let star = census(acuerdo::DisseminationMode::Star);
-    for peer in 1..16 {
-        assert!(ticks_reaching(&star, peer) > 80, "peer {peer}");
+        assert_row_rule(16, &census, &[]);
+        for (i, tick) in census.iter().enumerate() {
+            assert!(tick.posted.len() <= 2, "tick {i}: {:?}", tick.posted);
+        }
+        for peer in 1..16 {
+            assert_eq!(
+                ticks_reaching(&census, peer),
+                10,
+                "{dissemination:?} peer {peer}"
+            );
+        }
     }
 }
 
 #[test]
-fn a_direct_peer_gets_the_leaders_row_only_with_news_or_on_its_turn() {
-    // Five nodes under star, one request every 25 us: the leader ticks
-    // about every 5 us, so most ticks repeat the row every follower already
-    // holds. Such a tick posts to the one peer whose heartbeat turn it is,
-    // if any; a tick whose row moved posts to all four.
-    let cfg = AcuerdoConfig::stable(5);
-    let mut sim = simnet::Sim::new(115, simnet::NetParams::rdma());
-    acuerdo::build_cluster(&mut sim, &cfg);
-    sim.add_node(Box::new(abcast::OpenLoopClient::<AcWire>::new(
-        0,
-        Duration::from_micros(25),
-        64,
-    )));
+fn a_star_follower_keeps_within_a_client_window_of_the_leader_from_frame_stamps() {
+    // Three nodes under star, a window of 8: the leader's row reaches a
+    // follower once per ten push ticks (~50 us), in which ~40 requests
+    // commit, so a follower reading the row alone would trail by several
+    // windows. The frames' commit stamps keep every follower's commit
+    // point within one window of the leader's at every step, while the
+    // leader posts its row on turns only.
+    let window = 8;
+    let cfg = AcuerdoConfig::stable(3);
+    let (mut sim, ids, _client) =
+        cluster_with_client::<AcuerdoNode>(121, &cfg, window, 10, Duration::ZERO);
     sim.run_until(SimTime::from_millis(1));
     sim.set_tracing(true);
-    let (held, census) = leader_push_census(&mut sim, 5, 200);
-    let news = assert_row_rule(5, &held, &census, |_| true, &[]);
-    let quiet = census.windows(2).filter(|w| w[0].row == w[1].row).count();
-    let posts: usize = census.iter().map(|t| t.posted.len()).sum();
-    // Measured: 117 of the 199 ticks after the first repeat the row; 376
-    // posts, 328 of them news, against 800 for posting every tick.
-    assert!(quiet > 100, "only {quiet} ticks without news");
-    assert!(news < posts, "no turn post without news");
-    assert!(posts < 400, "{posts} posts in 200 ticks");
+    let before = sim.counter(0, Counter::Commits);
+    let mut worst = 0;
+    let mut census = Vec::new();
+    while census.len() < 200 {
+        census.extend(leader_push_census(&mut sim, 1));
+        let leader = sim.node::<AcuerdoNode>(0).committed();
+        for &f in &ids[1..] {
+            let c = sim.node::<AcuerdoNode>(f).committed();
+            assert_eq!(c.epoch, leader.epoch, "follower {f}");
+            worst = worst.max(leader.cnt - c.cnt);
+        }
+    }
+    assert_row_rule(3, &census, &[]);
+    let commits = sim.counter(0, Counter::Commits) - before;
+    // Measured: 1,110 commits over the 200 ticks, ~55 per ten; a follower
+    // trails by 6 at most.
+    assert!(commits > 500, "only {commits} commits");
+    assert!(
+        worst <= window as u32,
+        "a follower trailed by {worst} commits"
+    );
 }
 
 #[test]
-fn a_peer_under_star_fallback_gets_every_commit_change_and_its_heartbeat_turn() {
+fn a_follower_learns_an_idle_leaders_last_commit_on_its_turn() {
+    // Three nodes, twenty requests and then silence. A frame's stamp stays
+    // below its own entry, so the last commit reaches the followers in the
+    // leader's row, which each gets on its heartbeat turn: within
+    // `FOLLOWER_PUSH_PERIOD` (10) of the leader's push ticks of the commit
+    // (measured: node 1 after 7, node 2 after 6).
+    let cfg = AcuerdoConfig::stable(3);
+    let mut sim = simnet::Sim::new(122, simnet::NetParams::rdma());
+    let ids = acuerdo::build_cluster(&mut sim, &cfg);
+    // The responses' destination; it sends nothing itself.
+    let client = sim.add_node(Box::new(WindowClient::<AcWire>::new(
+        0,
+        0,
+        10,
+        Duration::ZERO,
+    )));
+    sim.run_until(SimTime::from_micros(100));
+    for id in 0..20u64 {
+        let req = ClientReq {
+            id,
+            payload: abcast::workload::payload(id, 10),
+        };
+        let delay = Duration::from_micros(1 + id);
+        sim.inject(client, 0, DeliveryClass::Cpu, delay, AcWire::Req(req));
+    }
+    while sim.node::<AcuerdoNode>(0).committed().cnt < 20 {
+        assert!(sim.step(), "the leader never committed the last request");
+    }
+    let (last, tick) = {
+        let leader = sim.node::<AcuerdoNode>(0);
+        (leader.committed(), leader.push_ticks())
+    };
+    let mut learned = vec![None; ids.len()];
+    while learned[1..].iter().any(Option::is_none) {
+        assert!(sim.step(), "the run ended");
+        let ticks = sim.node::<AcuerdoNode>(0).push_ticks() - tick;
+        assert!(ticks <= 10, "after {ticks} ticks: {learned:?}");
+        for &f in &ids[1..] {
+            if learned[f].is_none() && sim.node::<AcuerdoNode>(f).committed() == last {
+                learned[f] = Some(ticks);
+            }
+        }
+    }
+    check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
+}
+
+#[test]
+fn a_peer_under_star_fallback_gets_the_leaders_row_on_its_turn_alone() {
     // Ring of sixteen, origin 0: forwarder 2 crashes, so the clockwise arm
     // stalls behind it and the leader streams to the stalled peers directly
     // until each has caught up, at which point it forwards to the next
-    // again. While the leader streams to a peer, that peer gets every row
-    // that carries news, like the arm heads; every peer keeps its turn.
+    // again. Direct or not, every live peer gets the row on its turn and on
+    // no other tick: the frames the leader streams carry the commit point.
     // (The leader's posts to the dead node 2 fail once its send queue is
     // full, with no completion to drain it.)
     let cfg = AcuerdoConfig {
@@ -276,25 +298,19 @@ fn a_peer_under_star_fallback_gets_every_commit_change_and_its_heartbeat_turn() 
     sim.crash_at(2, SimTime::from_millis(1));
     sim.run_until(SimTime::from_millis(2));
     sim.set_tracing(true);
-    let (held, census) = leader_push_census(&mut sim, 16, 400);
+    let census = leader_push_census(&mut sim, 400);
     assert!(sim.counter(0, Counter::RingFallbackSends) > 0);
-    assert_row_rule(16, &held, &census, |k| k == 1 || k == 15, &[2]);
-    // Peer 3, right behind the dead forwarder, cycles through fallback
-    // every ~90 ticks for 6–7 ticks at a time.
-    let served: usize = census
+    // Measured: 387 of the 400 ticks.
+    let served = census
         .iter()
-        .map(|t| {
-            t.fallback
-                .iter()
-                .filter(|&&k| k != 2 && t.posted.contains(&k))
-                .count()
-        })
-        .sum();
+        .filter(|t| t.fallback.iter().any(|&k| k != 2))
+        .count();
     assert!(
-        served > 30,
-        "only {served} rows went to peers under fallback"
+        served > 300,
+        "only {served} ticks served a live peer by fallback"
     );
-    for peer in 9..15 {
+    assert_row_rule(16, &census, &[2]);
+    for peer in (1..16).filter(|&k| k != 2) {
         assert_eq!(ticks_reaching(&census, peer), 40, "peer {peer}");
     }
 }
@@ -391,127 +407,6 @@ fn a_ring_forwarder_posts_the_forward_before_its_acknowledgments() {
         }
     }
     assert!(checked > 100, "only {checked} polls forwarded and acked");
-}
-
-#[test]
-fn a_leader_forgets_what_a_peer_holds_of_its_row_when_a_hello_wipes_it() {
-    // Follower 2 reboots and broadcasts a Hello: every peer zeroes its SST
-    // mirrors of 2, and 2 starts from zeroed mirrors of everyone. Until the
-    // Hello, the leader holds the row it last posted to 2; the Hello makes
-    // that unknown, and the next tick posts to 2 whether or not the row
-    // moved since.
-    let cfg = AcuerdoConfig::stable(3);
-    let (mut sim, ids, _client) =
-        cluster_with_client::<AcuerdoNode>(116, &cfg, 8, 64, Duration::ZERO);
-    acuerdo::enable_restarts(&mut sim, &cfg, &ids);
-    sim.crash_at(2, SimTime::from_millis(1));
-    sim.restart_at(2, SimTime::from_micros(1_200));
-    sim.run_until(SimTime::from_micros(1_100));
-    sim.set_tracing(true);
-    let hello = |e: &TraceEvent| matches!(e, TraceEvent::Proto { node: 0, ev, .. } if ev.name == "hello" && ev.a == 2);
-    loop {
-        assert!(
-            sim.node::<AcuerdoNode>(0).row_pushed_to(2).is_some(),
-            "the leader lost its record of 2 before the Hello"
-        );
-        let seen = sim.trace_events().len();
-        assert!(sim.step(), "no Hello reached the leader");
-        if sim.trace_events()[seen..].iter().any(hello) {
-            break;
-        }
-    }
-    assert_eq!(sim.node::<AcuerdoNode>(0).row_pushed_to(2), None);
-    let tick = sim.node::<AcuerdoNode>(0).push_ticks();
-    while sim.node::<AcuerdoNode>(0).push_ticks() == tick {
-        assert!(sim.step(), "the leader stopped ticking");
-    }
-    let leader = sim.node::<AcuerdoNode>(0);
-    assert_eq!(leader.row_pushed_to(2), Some(leader.commit_row()));
-}
-
-#[test]
-fn a_leader_forgets_what_peers_hold_of_its_row_when_it_wins_again() {
-    // Three idle replicas; every 2 ms whoever leads is descheduled for 1 ms,
-    // long enough for the other two to elect one of themselves. A deposed
-    // leader rejoins as a follower and keeps the records of its rows from
-    // its reign; winning an epoch again must drop them, since what a peer
-    // holds of its row dates from before. Measured: node 2 wins at 1.40 ms,
-    // and node 0, deposed and rejoined, wins the next election at 3.41 ms.
-    let cfg = AcuerdoConfig {
-        fail_timeout: Duration::from_micros(400),
-        ..AcuerdoConfig::stable(3)
-    };
-    let mut sim = simnet::Sim::new(118, simnet::NetParams::rdma());
-    let ids = acuerdo::build_cluster(&mut sim, &cfg);
-    let mut led = [true, false, false];
-    let mut next_pause = SimTime::from_millis(1);
-    loop {
-        let before: Vec<(Role, bool)> = ids
-            .iter()
-            .map(|&k| {
-                let n = sim.node::<AcuerdoNode>(k);
-                (n.role(), ids.iter().any(|&j| n.row_pushed_to(j).is_some()))
-            })
-            .collect();
-        assert!(sim.now() < SimTime::from_millis(30), "nobody won twice");
-        assert!(sim.step(), "the run ended");
-        for &k in &ids {
-            let n = sim.node::<AcuerdoNode>(k);
-            if n.role() != Role::Leader || before[k].0 == Role::Leader {
-                continue;
-            }
-            if led[k] {
-                assert!(before[k].1, "node {k} held no record from its last reign");
-                for &j in &ids {
-                    assert_eq!(n.row_pushed_to(j), None, "node {k}'s record of {j}");
-                }
-                return;
-            }
-            led[k] = true;
-        }
-        if sim.now() >= next_pause {
-            if let Some(l) = current_leader(&sim, &ids) {
-                sim.pause_at(l, sim.now(), Duration::from_millis(1));
-                next_pause = sim.now() + Duration::from_millis(2);
-            }
-        }
-    }
-}
-
-#[test]
-fn a_row_post_that_fails_is_not_recorded() {
-    // Follower 2 dies for good under load. The leader's ring frames and row
-    // posts to it fill its send queue (64 deep here), and with no completion
-    // to drain it, every later post fails. What the leader holds for 2 stays
-    // at the last post that went out, so every tick has news for 2 and
-    // retries; what it holds for 1 follows the row.
-    let cfg = AcuerdoConfig {
-        qp: rdma_sim::QpConfig {
-            sq_depth: 64,
-            signal_interval: 8,
-            ..rdma_sim::QpConfig::default()
-        },
-        ..AcuerdoConfig::stable(3)
-    };
-    let (mut sim, _ids, _client) =
-        cluster_with_client::<AcuerdoNode>(119, &cfg, 8, 64, Duration::ZERO);
-    sim.crash_at(2, SimTime::from_millis(1));
-    sim.run_until(SimTime::from_millis(2));
-    sim.set_tracing(true);
-    let stale = sim.node::<AcuerdoNode>(0).row_pushed_to(2);
-    let pushes = sim.counter(0, Counter::SstPushes);
-    let (_, census) = leader_push_census(&mut sim, 3, 50);
-    assert!(census.iter().all(|t| !t.posted.contains(&2)));
-    let posted: usize = census.iter().map(|t| t.posted.len()).sum();
-    assert_eq!(
-        sim.counter(0, Counter::SstPushes) - pushes,
-        posted as u64 + 50,
-        "one failed post to 2 per tick"
-    );
-    let leader = sim.node::<AcuerdoNode>(0);
-    assert_eq!(leader.row_pushed_to(1), Some(leader.commit_row()));
-    assert_eq!(leader.row_pushed_to(2), stale);
-    assert_ne!(stale, Some(leader.commit_row()));
 }
 
 #[test]
@@ -992,11 +887,16 @@ fn quiet_follower_suspects_a_dead_leader_at_the_same_instant() {
     // dies. The poll that crosses `fail_timeout` must be a full one: both
     // followers start their election at the instant the always-full poll
     // loop does (`oracle_tests::quiet_followers_crossing_the_fail_timeout`
-    // runs this case both ways). An idle leader's row carries no news, so
-    // each follower last heard it on its own heartbeat turn, once per ten
-    // ticks: node 2's turn is the tick before node 1's, about 6 us earlier,
-    // so node 2 suspects first, 500 us after its last heartbeat and ~21 us
-    // before the crash plus `fail_timeout`.
+    // runs this case both ways). Each follower last heard the leader's row
+    // on its own heartbeat turn, once per ten ticks: node 2's turn is the
+    // tick before node 1's, about 6 us earlier, so node 2 suspects first,
+    // 500 us after its last heartbeat and ~25 us before the crash plus
+    // `fail_timeout`. (The leader once also posted its row off-turn when it
+    // carried news: at its first tick and when the GC horizon first moved.
+    // Those four posts' CPU held every later tick back, and both instants
+    // came 3.92 us later. Node 2's vote now also lands at node 1 before
+    // node 1 suspects, so node 1 joins it at once rather than first voting
+    // for itself: the election takes 15.75 us, not 19.11.)
     let cfg = AcuerdoConfig {
         fail_timeout: Duration::from_micros(500),
         ..AcuerdoConfig::stable(3)
@@ -1016,12 +916,12 @@ fn quiet_follower_suspects_a_dead_leader_at_the_same_instant() {
             _ => None,
         })
         .collect();
-    assert_eq!(started, [(2, 2_479_020), (1, 2_485_180)]);
+    assert_eq!(started, [(2, 2_475_100), (1, 2_481_260)]);
     let leader = current_leader(&sim, &ids).expect("new leader");
     let span = sim.node::<AcuerdoNode>(leader).election_spans[0];
     assert_eq!(
         (leader, span.0.as_nanos(), span.1.as_nanos()),
-        (2, 2_478_960, 2_498_070)
+        (2, 2_475_040, 2_490_790)
     );
     let skipped =
         sim.node::<AcuerdoNode>(1).polls_skipped + sim.node::<AcuerdoNode>(2).polls_skipped;

@@ -565,22 +565,42 @@ mod tests {
 
     #[test]
     fn small_end_to_end_matrix_measures_real_gains() {
-        // acuerdo@3 at window 8, the links-latency counterfactual first.
-        // Means, not quantiles: they are exact, where the p50/p99 are
-        // 5%-bucketed and a small cut can vanish into one bucket.
+        // acuerdo@3 at window 8. Means, not quantiles: they are exact,
+        // where the p50/p99 are 5%-bucketed and a small cut can vanish into
+        // one bucket.
         let mean = |v: &Value| v.f64_at("mean_us").unwrap();
+        let little_us = |v: &Value| 8e6 / v.f64_at("msgs_per_sec").unwrap();
 
-        // 1 KiB: latency-bound, so halving the links is a real cut (26.63 ->
-        // 26.12 us at seed 42).
-        let (base, cfs) = acuerdo3(1024, 42, vec!["links-latency-half", "window-x2"]);
+        // 1 KiB: a closed loop saturated on the leader's CPU, so the mean is
+        // the window over the throughput (Little's law) and a faster leader
+        // CPU is the real cut. Every intervention at seed 42 (base 23.76 us,
+        // 336,815 msgs/s): leader-cpu-x2 13.83 us (+71.9 % throughput),
+        // links-latency-half 23.67, straggler-cpu-x2 23.71, leader-egress-x2
+        // 23.74, fsync-pmem unchanged, window-x2 46.92 (twice the window,
+        // +1.4 % throughput). It was latency-bound (26.63 us, halving the
+        // links 26.12) while the leader also posted its Commit_SST row on
+        // every tick the commit point moved.
+        let (base, cfs) = acuerdo3(1024, 42, vec!["leader-cpu-x2", "links-latency-half"]);
         let cfs = cfs.as_array().unwrap();
         assert_eq!(cfs.len(), 2);
-        assert_eq!(cfs[0].str_at("name"), Ok("links-latency-half"));
-        assert_eq!(cfs[1].str_at("name"), Ok("window-x2"));
+        assert_eq!(cfs[0].str_at("name"), Ok("leader-cpu-x2"));
+        assert_eq!(cfs[1].str_at("name"), Ok("links-latency-half"));
         assert!(
-            mean(&cfs[0]) < 0.99 * mean(&base),
-            "halving link latency should cut the 1 KiB mean: {} vs {}",
+            (mean(&base) - little_us(&base)).abs() < 0.01 * mean(&base),
+            "the 1 KiB mean {} should be the window over the throughput, {}",
+            mean(&base),
+            little_us(&base)
+        );
+        assert!(
+            mean(&cfs[0]) < 0.7 * mean(&base),
+            "doubling the leader's CPU should cut the 1 KiB mean: {} vs {}",
             mean(&cfs[0]),
+            mean(&base)
+        );
+        assert!(
+            (mean(&cfs[1]) - mean(&base)).abs() < 0.01 * mean(&base),
+            "halving the links should barely move the CPU-bound 1 KiB mean: {} vs {}",
+            mean(&cfs[1]),
             mean(&base)
         );
 
@@ -593,7 +613,6 @@ mod tests {
         // +1.0 % over seeds 42 and 1-8 (-1.3 % at seed 42, 86.87 -> 85.76
         // us). The published seed-42 cell must stay within 2 % of its base,
         // and pooled over nine seeds the cut must still show.
-        let little_us = |v: &Value| 8e6 / v.f64_at("msgs_per_sec").unwrap();
         let (mut base_sum, mut half_sum) = (0.0, 0.0);
         for seed in [42, 1, 2, 3, 4, 5, 6, 7, 8] {
             let (base, cfs) = acuerdo3(16384, seed, vec!["links-latency-half"]);
