@@ -499,7 +499,8 @@ pub struct AcuerdoNode {
     /// answered in place) and looks at every Accept_SST cell.
     #[cfg(test)]
     naive: bool,
-    /// Test tally: commit stamps read (each checked below its frame).
+    /// Test tally: commit stamps read (`read_stamp` checks each is below
+    /// its frame).
     #[cfg(test)]
     stamps_read: u64,
 
@@ -1204,7 +1205,6 @@ impl AcuerdoNode {
         debug_assert!(commit < hdr, "stamp {commit:?} at or above frame {hdr:?}");
         #[cfg(test)]
         {
-            assert!(commit < hdr, "stamp {commit:?} at or above frame {hdr:?}");
             self.stamps_read += 1;
         }
         if commit.epoch == self.e_cur {
@@ -2054,11 +2054,17 @@ impl AcuerdoNode {
                 self.build_rejoin_diff(ctx, j);
             }
         }
-        // The sender wiped its SST mirrors of us. Commit cells re-push
-        // periodically and accept cells re-push on every acceptance, but a
-        // vote cell is only pushed when it *changes* — re-push it or an
-        // in-progress election deadlocks against the wiped mirror.
+        // The sender wiped its SST mirrors of us. Accept cells re-push on
+        // every acceptance, but a vote cell is only pushed when it
+        // *changes* — re-push it or an in-progress election deadlocks
+        // against the wiped mirror. A follower's commit cell re-pushes to
+        // its leader alone, so re-push it too: should the sender win an
+        // election before we push again, it seeds our diff from that
+        // mirror, and a wiped one starts it at the head of the log.
         let _ = self.vote_sst.push_mine_to(ctx, &mut self.ep, self.peers[j]);
+        let _ = self
+            .commit_sst
+            .push_mine_to(ctx, &mut self.ep, self.peers[j]);
     }
 
     /// Re-seed a rejoining peer with a recovery diff over the current

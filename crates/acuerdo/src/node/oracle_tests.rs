@@ -256,7 +256,7 @@ fn dirty_driven_node_matches_the_look_at_everything_oracle() {
 /// Every `(from, to)` phase edge the sweep's schedules take, with its
 /// trigger: DESIGN §9's edge table, and what exhaustive exploration must
 /// cover at the least.
-const EDGES: [(&str, &str); 11] = [
+const EDGES: [(&str, &str); 12] = [
     // Heartbeat miss (`detect_failure` → `start_election`).
     ("follower", "electing"),
     // Another leader's epoch diff reaching a follower whose own leader
@@ -285,6 +285,11 @@ const EDGES: [(&str, &str); 11] = [
     ("leader", "follower"),
     // A peer committed in a newer epoch (`detect_desync`).
     ("leader", "rejoining"),
+    // Outbid past `fail_timeout`: abdication (`detect_outbid` →
+    // `start_election`). `slot_reuse_on_commit` seed 3: nodes 1, 2 and 3
+    // have promised node 1's round 2 since 5.03 ms, which leaves leader 0
+    // no quorum, and it abdicates at 5.96 ms.
+    ("leader", "electing"),
 ];
 
 #[test]

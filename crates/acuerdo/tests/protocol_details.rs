@@ -891,12 +891,8 @@ fn quiet_follower_suspects_a_dead_leader_at_the_same_instant() {
     // on its own heartbeat turn, once per ten ticks: node 2's turn is the
     // tick before node 1's, about 6 us earlier, so node 2 suspects first,
     // 500 us after its last heartbeat and ~25 us before the crash plus
-    // `fail_timeout`. (The leader once also posted its row off-turn when it
-    // carried news: at its first tick and when the GC horizon first moved.
-    // Those four posts' CPU held every later tick back, and both instants
-    // came 3.92 us later. Node 2's vote now also lands at node 1 before
-    // node 1 suspects, so node 1 joins it at once rather than first voting
-    // for itself: the election takes 15.75 us, not 19.11.)
+    // `fail_timeout`. Node 2's vote lands at node 1 before node 1 suspects,
+    // so node 1 joins it at once rather than first voting for itself.
     let cfg = AcuerdoConfig {
         fail_timeout: Duration::from_micros(500),
         ..AcuerdoConfig::stable(3)

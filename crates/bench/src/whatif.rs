@@ -577,9 +577,7 @@ mod tests {
         // 336,815 msgs/s): leader-cpu-x2 13.83 us (+71.9 % throughput),
         // links-latency-half 23.67, straggler-cpu-x2 23.71, leader-egress-x2
         // 23.74, fsync-pmem unchanged, window-x2 46.92 (twice the window,
-        // +1.4 % throughput). It was latency-bound (26.63 us, halving the
-        // links 26.12) while the leader also posted its Commit_SST row on
-        // every tick the commit point moved.
+        // +1.4 % throughput).
         let (base, cfs) = acuerdo3(1024, 42, vec!["leader-cpu-x2", "links-latency-half"]);
         let cfs = cfs.as_array().unwrap();
         assert_eq!(cfs.len(), 2);

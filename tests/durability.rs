@@ -190,10 +190,9 @@ fn tampered_log_is_caught<R: Replica>(
 fn corrupted_log_tail_is_reported_as_committed_entry_loss() {
     let (durability, n) = (DurabilityMode::Durable, 5);
     let acuerdo = acuerdo(DisseminationMode::Star)(durability);
-    // The leader commits 2,629 entries by 15 ms: its Commit_SST row goes to
-    // each follower on its heartbeat turn only (commit news rides the frame
-    // heads), and the CPU the off-turn posts took now ingests requests
-    // (2,387 when the row also went out on every tick it moved).
+    // The leader commits 2,629 entries by 15 ms: commit news rides the
+    // frame heads, so its Commit_SST row goes to each follower on its
+    // heartbeat turn only and leaves the leader's CPU to ingest requests.
     tampered_log_is_caught::<AcuerdoNode>(&acuerdo, (1, false), [15, 50], 2629);
     let raft = RaftConfig {
         n,
