@@ -833,8 +833,8 @@ fn idle_cluster_skips_most_of_its_polls() {
     // reads costs it anything. A follower reads its leader's: one full poll
     // per push, the one that sees the heartbeat (a follower's fruitless
     // poll is a fixed point; its fellow followers' cells do not stir it),
-    // and an idle leader's row carries no news, so it reaches each follower
-    // on the follower's turn only, one tick in ten. The leader's own tick
+    // and the leader's row reaches each follower on the follower's turn
+    // only, one tick in ten. The leader's own tick
     // does not stir it; each follower's push, one in ten ticks, costs it
     // two full polls: the one that sees it and the one that proves nothing
     // is left. One is not enough for a leader — a poll
