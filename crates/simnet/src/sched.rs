@@ -2,8 +2,10 @@
 //! the reference `BinaryHeap` it is differentially tested against.
 //!
 //! Both schedulers order events by the same `(at, seq)` total order — `at` is
-//! the virtual firing instant and `seq` a per-simulation insertion counter, so
-//! same-instant events fire FIFO in creation order. The engine stores event
+//! the virtual firing instant, and the engine packs into `seq` the node the
+//! event is aimed at (high 16 bits) above that node's own filing counter, so
+//! same-instant events fire in node order, and one node's in the order they
+//! were filed (DESIGN.md §11). The engine stores event
 //! payloads in a slab and hands the scheduler only a 24-byte [`EventKey`];
 //! swapping the queue implementation can therefore never change *what* runs,
 //! only how fast the next key is found. `tests/determinism.rs` and the
@@ -35,7 +37,8 @@ const BUCKET_SHIFT: u32 = 11;
 pub struct EventKey {
     /// Virtual firing instant.
     pub at: SimTime,
-    /// Insertion counter: same-instant ties fire FIFO by `seq`.
+    /// Tie-break at one instant: the target node in the high 16 bits, its
+    /// filing counter below (see the module docs).
     pub seq: u64,
     /// Slab slot of the event payload (never compared: `seq` is unique).
     pub slot: u32,
