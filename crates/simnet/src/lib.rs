@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use ctx::{Ctx, DeliveryClass};
 pub use disk::{DurabilityMode, DurableLog, LogDevParams};
-pub use engine::{DeschedProfile, EngineStats, Process, Sim};
+pub use engine::{DeschedProfile, EngineStats, IdlePoll, Process, Sim};
 pub use hash::{FastMap, FastSet};
 pub use net::{LinkParams, NicParams};
 pub use params::{Intervention, InterventionSet, NetParams};
