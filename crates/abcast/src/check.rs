@@ -18,7 +18,7 @@
 
 use crate::types::{Epoch, MsgHdr};
 use bytes::Bytes;
-use simnet::{msg_span, Counter, Ctx, Event};
+use simnet::{msg_span, Counter, Ctx, Event, Gauge};
 use std::collections::HashSet;
 
 /// A violated atomic-broadcast property.
@@ -183,7 +183,8 @@ impl Auditor {
     }
 
     /// [`check`](Auditor::check), surfacing each violation as an
-    /// always-on counter bump plus a (tracing-gated) timeline event.
+    /// always-on counter bump plus a (tracing-gated) timeline event, and
+    /// storing the audited epoch's round as the node's [`Gauge::Epoch`].
     pub fn observe<M>(
         &mut self,
         ctx: &mut Ctx<M>,
@@ -191,6 +192,7 @@ impl Auditor {
         accepted: MsgHdr,
         committed: MsgHdr,
     ) -> AuditReport {
+        ctx.gauge(Gauge::Epoch, u64::from(epoch.round));
         let report = self.check(epoch, accepted, committed);
         if report.epoch_regress {
             ctx.count(Counter::AuditEpochRegress, 1);

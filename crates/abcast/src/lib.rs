@@ -10,6 +10,9 @@
 //! * [`app`]: the delivery interface between a broadcast protocol and the
 //!   replicated application (a recording log by default; the replicated hash
 //!   table of §4.3 in the `kvstore` crate);
+//! * [`instrument`]: the one entry lifecycle every protocol node calls —
+//!   admit (the `leader_recv` mark and the origin record), then commit,
+//!   deliver and answer;
 //! * [`check`]: executable versions of the §2.2 correctness properties —
 //!   Integrity, No Duplication, Total Order — applied to recorded delivery
 //!   histories, plus the online invariant [`Auditor`] every protocol node
@@ -29,6 +32,7 @@ pub mod app;
 pub mod check;
 pub mod client;
 pub mod forensics;
+pub mod instrument;
 pub mod replica;
 pub mod spans;
 pub mod stats;
@@ -40,6 +44,7 @@ pub use app::{App, DeliveryLog};
 pub use check::{check_histories, AuditReport, Auditor, DurabilityAuditor, Violation};
 pub use client::{ClientPort, ClientReq, ClientResp, OpenLoopClient, WindowClient};
 pub use forensics::{blame, Blame, BlameCause};
+pub use instrument::{Committed, Instrument};
 pub use replica::{check_cluster, cluster_with_client, enable_restarts, histories, Replica};
 pub use spans::{hdr_span, Lifecycle};
 pub use stats::{LatencyHist, RunResult, StageClass, StageHist};

@@ -68,16 +68,18 @@
 
 use crate::config::{AcuerdoConfig, RingRoute};
 use crate::msg::{self, Frame};
-use abcast::client::RESP_WIRE;
 use abcast::wal;
-use abcast::{hdr_span, App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Vote};
+use abcast::{
+    hdr_span, App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument,
+    MsgHdr, Vote,
+};
 use bytes::{Bytes, BytesMut};
 use rdma_prims::{FixedCodec, RingError, RingReceiver, RingSender, Sst};
 use rdma_sim::{Endpoint, RdmaPkt, RegionId};
 use simnet::params::cpu;
 use simnet::{
-    client_span, Counter, Ctx, DeliveryClass, Event, Gauge, IdlePoll, MsgKind, NodeId, Process,
-    SimTime, SpanStage,
+    Counter, Ctx, DeliveryClass, Event, Gauge, IdlePoll, MsgKind, NodeId, Process, SimTime,
+    SpanStage,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Included};
@@ -413,7 +415,7 @@ pub struct AcuerdoNode {
 
     // Leader-side bookkeeping.
     out: Vec<PeerOut>,
-    origin: simnet::FastMap<MsgHdr, (NodeId, u64)>,
+    instrument: Instrument<MsgHdr>,
     commit_push_seq: u64,
     push_ticks: u64,
     /// Push ticks the armed `TOK_PUSH` timer stands for: one at a leader,
@@ -591,7 +593,7 @@ impl AcuerdoNode {
             phase,
             entered_at: e_cur,
             log: BTreeMap::new(),
-            origin: simnet::FastMap::default(),
+            instrument: Instrument::new(DELIVER_COST, Duration::ZERO),
             commit_push_seq: 0,
             push_ticks: 0,
             push_stride: 0,
@@ -702,17 +704,13 @@ impl AcuerdoNode {
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);
         self.count += 1;
         let hdr = MsgHdr::new(self.e_new, self.count);
-        ctx.span(
-            hdr_span(&hdr),
-            SpanStage::LeaderRecv,
-            client_span(from, req.id),
-        );
+        self.instrument
+            .admit(ctx, hdr, hdr_span(&hdr), from, req.id);
         // Append-before-ack on the leader's own hot path: the entry hits the
         // persistent log before the ring writes that solicit follower acks.
         WAL_ENTRY.append(ctx, self.cfg.durability, &hdr, &req.payload);
         wal::fsync(ctx, self.cfg.durability);
         self.log.insert(hdr, req.payload);
-        self.origin.insert(hdr, (from, req.id));
         // Nothing ahead of it on the loopback lane: every earlier count was
         // accepted and its own epoch diff has landed (frames written to the
         // lane but not yet polled, or still queued, leave `accepted` below
@@ -1495,7 +1493,6 @@ impl AcuerdoNode {
                     SpanStage::Quorum,
                     self.quorum_straggler(hdr),
                 );
-                ctx.span(hdr_span(&hdr), SpanStage::Commit, 0);
                 self.deliver(ctx, hdr, payload);
                 self.committed = hdr;
             } else {
@@ -1513,7 +1510,6 @@ impl AcuerdoNode {
                 };
                 for (h, p) in pending {
                     ctx.span(hdr_span(&h), SpanStage::Quorum, 0);
-                    ctx.span(hdr_span(&h), SpanStage::Commit, 0);
                     self.deliver(ctx, h, p);
                     self.committed = h;
                 }
@@ -1529,7 +1525,6 @@ impl AcuerdoNode {
     /// occupancy — for the engine's time-series sampler. Plain stores (see
     /// [`Ctx::gauge`]); the series is only materialized when sampling is on.
     fn publish_gauges(&mut self, ctx: &mut Ctx<AcWire>) {
-        ctx.gauge(Gauge::Epoch, u64::from(self.e_cur.round));
         let commit_lag = if self.accepted.epoch == self.committed.epoch {
             u64::from(self.accepted.cnt.saturating_sub(self.committed.cnt))
         } else {
@@ -1567,23 +1562,14 @@ impl AcuerdoNode {
         if let Phase::Follower(w) = &mut self.phase {
             w.frame_stall = None;
         }
-        ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
-        self.app.deliver(hdr, &payload);
-        ctx.span(hdr_span(&hdr), SpanStage::Deliver, 0);
-        ctx.count(Counter::Commits, 1);
-        ctx.trace(
-            Event::new("commit")
-                .a(u64::from(hdr.epoch.round))
-                .b(u64::from(hdr.cnt)),
-        );
-        if let Some((client, id)) = self.origin.remove(&hdr) {
-            ctx.send(
-                client,
-                DeliveryClass::Cpu,
-                RESP_WIRE,
-                AcWire::Resp(ClientResp { id }),
-            );
-        }
+        let entry = Committed {
+            key: hdr,
+            span: hdr_span(&hdr),
+            hdr,
+            payload: &payload,
+        };
+        self.instrument
+            .deliver(ctx, &mut *self.app, entry, Some(AcWire::Resp));
     }
 
     // ---- slot reuse / flow control -------------------------------------------
@@ -1640,7 +1626,7 @@ impl AcuerdoNode {
         let prune: Vec<MsgHdr> = self.log.range(..horizon).map(|(h, _)| *h).collect();
         for h in prune {
             self.log.remove(&h);
-            self.origin.remove(&h);
+            self.instrument.forget(&h);
         }
     }
 

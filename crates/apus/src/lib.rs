@@ -24,14 +24,16 @@
 //! here because the Acuerdo paper's APUS experiments are stable-network only
 //! (see DESIGN.md).
 
-use abcast::client::RESP_WIRE;
-use abcast::{App, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
+use abcast::{
+    hdr_span, App, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
+    Replica,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rdma_prims::{RingMode, RingReceiver, RingSender, Sst};
 use rdma_sim::{Endpoint, QpConfig, RdmaPkt, RegionId};
 use simnet::params::cpu;
-use simnet::{Ctx, DeliveryClass, MsgKind, NetParams, NodeId, Process, Sim, SpanStage};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use simnet::{Ctx, MsgKind, NetParams, NodeId, Process, Sim, SpanStage};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 /// Configuration of one APUS instance.
@@ -196,10 +198,10 @@ pub struct ApusNode {
     /// Per-follower (batch id, ring lane seq of the batch-end frame) for
     /// slot reuse.
     lane_marks: Vec<VecDeque<(u64, u64)>>,
-    origin: HashMap<u64, (NodeId, u64)>,
+    instrument: Instrument<u64>,
 
     // Replica state.
-    log: BTreeMap<u64, (NodeId, u64, Bytes)>,
+    log: BTreeMap<u64, Bytes>,
     delivered: u64,
     committed_count: u64,
 
@@ -247,7 +249,7 @@ impl ApusNode {
             next_batch: 1,
             in_flight: None,
             lane_marks: (0..n).map(|_| VecDeque::new()).collect(),
-            origin: HashMap::new(),
+            instrument: Instrument::new(DELIVER_COST, Duration::ZERO),
             log: BTreeMap::new(),
             delivered: 0,
             committed_count: 0,
@@ -261,6 +263,11 @@ impl ApusNode {
 
     fn is_leader(&self) -> bool {
         self.me == 0
+    }
+
+    /// The header message `idx` is delivered under.
+    fn hdr(idx: u64) -> MsgHdr {
+        MsgHdr::new(Epoch::new(1, 0), idx as u32 + 1)
     }
 
     fn quorum(&self) -> usize {
@@ -286,13 +293,14 @@ impl ApusNode {
         let mut last_idx = 0;
         for _ in 0..take {
             let (client, id, payload) = self.pending.pop_front().expect("nonempty");
-            // One consensus instance per message (APUS's Paxos core).
-            ctx.use_cpu_at(SpanStage::RingWrite, self.cfg.instance_cost);
             let idx = self.next_idx;
             self.next_idx += 1;
             last_idx = idx;
-            self.origin.insert(idx, (client, id));
-            self.log.insert(idx, (client, id, payload.clone()));
+            self.instrument
+                .admit(ctx, idx, hdr_span(&Self::hdr(idx)), client, id);
+            // One consensus instance per message (APUS's Paxos core).
+            ctx.use_cpu_at(SpanStage::RingWrite, self.cfg.instance_cost);
+            self.log.insert(idx, payload.clone());
             let frame = encode_frame(&Frame::Data {
                 idx,
                 client,
@@ -351,7 +359,7 @@ impl ApusNode {
         // Deliver the batch, answer clients, publish the commit counter.
         while self.delivered <= last_idx {
             let idx = self.delivered;
-            let (_, _, payload) = self.log.get(&idx).expect("own log entry").clone();
+            let payload = self.log.get(&idx).expect("own log entry").clone();
             self.deliver(ctx, idx, &payload);
             self.delivered += 1;
         }
@@ -372,13 +380,8 @@ impl ApusNode {
             for (_seq, raw) in self.in_rings[s].poll(&mut self.ep) {
                 ctx.use_cpu_at(SpanStage::FollowerAccept, cpu::FRAME_PROC);
                 match decode_frame(raw) {
-                    Some(Frame::Data {
-                        idx,
-                        client,
-                        id,
-                        payload,
-                    }) => {
-                        self.log.insert(idx, (client, id, payload));
+                    Some(Frame::Data { idx, payload, .. }) => {
+                        self.log.insert(idx, payload);
                     }
                     Some(Frame::BatchEnd { batch, .. }) => {
                         new_ack = Some(batch);
@@ -406,7 +409,7 @@ impl ApusNode {
         let committed = self.commit_sst.read(&self.ep, 0);
         while self.delivered < committed {
             let idx = self.delivered;
-            let Some((_, _, payload)) = self.log.get(&idx).cloned() else {
+            let Some(payload) = self.log.get(&idx).cloned() else {
                 break; // commit counter outran our ring; wait
             };
             self.deliver(ctx, idx, &payload);
@@ -415,20 +418,15 @@ impl ApusNode {
     }
 
     fn deliver(&mut self, ctx: &mut Ctx<ApWire>, idx: u64, payload: &Bytes) {
-        ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
-        let hdr = MsgHdr::new(Epoch::new(1, 0), idx as u32 + 1);
-        self.app.deliver(hdr, payload);
-        ctx.count(simnet::Counter::Commits, 1);
-        if self.is_leader() {
-            if let Some((client, id)) = self.origin.remove(&idx) {
-                ctx.send(
-                    client,
-                    DeliveryClass::Cpu,
-                    RESP_WIRE,
-                    ApWire::Resp(ClientResp { id }),
-                );
-            }
-        }
+        let hdr = Self::hdr(idx);
+        let entry = Committed {
+            key: idx,
+            span: hdr_span(&hdr),
+            hdr,
+            payload,
+        };
+        let reply = self.is_leader().then_some(ApWire::Resp);
+        self.instrument.deliver(ctx, &mut *self.app, entry, reply);
     }
 }
 

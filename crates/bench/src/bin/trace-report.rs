@@ -21,8 +21,9 @@
 //!
 //! With `--whatif` the input is a `BENCH_whatif.json` document: per-run
 //! counterfactual tables, one `whatif <system>@<n>` headline per measured
-//! intervention (gain order), and one `whatif-verdict <system>@<n>` line
-//! stating whether the measurement agrees with the blame-vector prediction.
+//! intervention (gain order), one `whatif-verdict <system>@<n>` line
+//! stating whether the measurement agrees with the blame-vector prediction,
+//! and last one `whatif-agree k/N` line counting the runs that agree.
 //!
 //! ```text
 //! cargo run --release -p bench --bin trace-report -- --bottleneck BENCH_scale.json

@@ -5,14 +5,16 @@
 //! the agree/disagree cross-check against the tail-blame prediction. The
 //! simulator is deterministic, so the document is byte-identical across
 //! re-runs of the same configuration — compare against the committed
-//! baseline with `bench-diff`, render with `trace-report --whatif`.
+//! baseline with `bench-diff`, render with `trace-report --whatif`. The
+//! last stdout line is the document's `whatif-agree k/N` count.
 //!
 //! ```text
 //! cargo run --release -p bench --bin whatif -- --quick --out baselines
 //! cargo run --release -p bench --bin whatif -- --quick --systems acuerdo --sizes 64
 //! ```
 //!
-//! Exit status: 0 on a written document, 2 on usage or I/O errors.
+//! Exit status: 0 on a written document, 2 on usage or I/O errors (or on a
+//! document the agree count cannot be read from).
 
 use bench::cli::{parsed, value};
 use bench::whatif::{run_whatif, WhatifConfig, CATALOG, WHATIF_SYSTEMS};
@@ -155,4 +157,11 @@ fn main() {
         cfg.seed,
         cfg.scheduler.name()
     );
+    match bench::json::parse(&doc).and_then(|v| bench::whatif::agree_line(&v)) {
+        Ok(line) => println!("{line}"),
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            exit(2)
+        }
+    }
 }

@@ -110,6 +110,14 @@ impl Value {
         self.typed(path, "a string", Value::as_str)
     }
 
+    /// [`Value::at`], as a boolean.
+    pub fn bool_at(&self, path: &str) -> Result<bool, String> {
+        self.typed(path, "a boolean", |v| match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
     /// [`Value::at`], as an array.
     pub fn array_at(&self, path: &str) -> Result<&[Value], String> {
         self.typed(path, "an array", Value::as_array)

@@ -386,9 +386,7 @@ pub fn verdict_line(system: &str, nodes: u64, w: &Value) -> Result<String, Strin
             w.f64_at("blame_top_share_pct")?
         ),
     };
-    let Value::Bool(agree) = *w.at("agreement")? else {
-        return Err("agreement: not a boolean".to_string());
-    };
+    let agree = w.bool_at("agreement")?;
     Ok(format!(
         "whatif-verdict {system}@{nodes}: blame says {blame} \u{2192} predicted {}; \
          measured top {} \u{2014} {}",
@@ -396,6 +394,18 @@ pub fn verdict_line(system: &str, nodes: u64, w: &Value) -> Result<String, Strin
         w.str_at("measured_top")?,
         if agree { "AGREE" } else { "DISAGREE" }
     ))
+}
+
+/// The report's closing `whatif-agree k/N` line: in how many of the
+/// document's N runs the measured top intervention agreed with the blame
+/// prediction.
+pub fn agree_line(doc: &Value) -> Result<String, String> {
+    let records = json::records(doc, "whatif")?;
+    let mut agree = 0;
+    for r in &records {
+        agree += usize::from(json::under(&r.at, r.value.bool_at("whatif.agreement"))?);
+    }
+    Ok(format!("whatif-agree {agree}/{}", records.len()))
 }
 
 /// One run's block: target nodes and the counterfactual table in catalog
@@ -447,17 +457,20 @@ fn whatif_headlines(system: &str, nodes: u64, w: &Value) -> Result<String, Strin
 /// Render the full `--whatif` report for a parsed document: one
 /// [`whatif_block`] per run carrying a `"whatif"` member, followed by the
 /// greppable `whatif ` headlines (ranking order) and `whatif-verdict `
-/// lines. Returns `Err` when the document carries no whatif members at all
-/// or a run lacks a member the writer always emits.
+/// lines, and last the [`agree_line`]. Returns `Err` when the document
+/// carries no whatif members at all or a run lacks a member the writer
+/// always emits.
 pub fn whatif_report(doc: &Value) -> Result<String, String> {
-    json::report(
+    let mut out = json::report(
         doc,
         "whatif",
         "the what-if profiler (see docs/SIDECARS.md)",
         "headlines",
         |r| json::under("whatif", whatif_block(r.member)),
         |r| json::under("whatif", whatif_headlines(r.system, r.nodes, r.member)),
-    )
+    )?;
+    out.push_str(&format!("{}\n", agree_line(doc)?));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -538,6 +551,31 @@ mod tests {
         // A document with no whatif members is rejected, not rendered empty.
         let old = json::parse("{\"runs\":[{\"label\":\"x\"}]}").unwrap();
         assert!(whatif_report(&old).is_err());
+    }
+
+    #[test]
+    fn report_ends_with_the_agree_count() {
+        let run = |label: &str, agreement: &str| {
+            format!(
+                "{{\"label\":\"{label}\",\"system\":\"acuerdo\",\"nodes\":3,\
+                 \"whatif\":{{\"leader\":0,\"straggler\":1,\"blame_top\":null,\
+                 \"blame_top_share_pct\":0.0,\"predicted_family\":\"none\",\
+                 \"counterfactuals\":[],\"ranking\":[],\"measured_top\":\"none\",\
+                 \"agreement\":{agreement}}}}}"
+            )
+        };
+        let doc = |runs: &[String]| json::parse(&format!("{{\"runs\":[{}]}}", runs.join(",")));
+        let two = doc(&[run("a", "true"), run("b", "false")]).unwrap();
+        assert_eq!(agree_line(&two).unwrap(), "whatif-agree 1/2");
+        let rep = whatif_report(&two).unwrap();
+        assert!(rep.ends_with("\nwhatif-agree 1/2\n"), "{rep}");
+        assert_eq!(rep.matches("whatif-agree").count(), 1, "{rep}");
+        // The count is read as strictly as the verdicts.
+        let bad = doc(&[run("a", "true"), run("b", "1")]).unwrap();
+        assert_eq!(
+            agree_line(&bad).unwrap_err(),
+            "runs[b].whatif.agreement: not a boolean"
+        );
     }
 
     /// acuerdo@3 under `interventions` at one payload and seed: the parsed

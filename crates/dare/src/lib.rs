@@ -24,14 +24,16 @@
 //! leader writes directly into their registered log regions, and followers
 //! only poll the commit pointer to apply entries.
 
-use abcast::client::RESP_WIRE;
-use abcast::{App, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
+use abcast::{
+    hdr_span, App, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
+    Replica,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::Rng;
 use rdma_sim::{Endpoint, QpConfig, RdmaPkt, RegionId};
 use simnet::params::cpu;
 use simnet::{Ctx, DeliveryClass, MsgKind, NetParams, NodeId, Process, Sim, SimTime, SpanStage};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Configuration of one DARE group.
@@ -206,7 +208,7 @@ pub struct DareNode {
     // Leader pipeline.
     pending: VecDeque<(NodeId, u64, Bytes)>,
     phase: Phase,
-    origin: HashMap<u64, (NodeId, u64)>,
+    instrument: Instrument<u64>,
     hb_seq: u64,
 
     // Election.
@@ -263,7 +265,7 @@ impl DareNode {
             applied_count: 0,
             pending: VecDeque::new(),
             phase: Phase::Idle,
-            origin: HashMap::new(),
+            instrument: Instrument::new(DELIVER_COST, Duration::ZERO),
             hb_seq: 0,
             votes: 0,
             election_gen: 0,
@@ -271,6 +273,11 @@ impl DareNode {
             app: Box::<DeliveryLog>::default(),
             election_rounds: 0,
         }
+    }
+
+    /// The header the entry after the first `count` is delivered under.
+    fn hdr(term: u32, count: u64) -> MsgHdr {
+        MsgHdr::new(Epoch::new(term, 0), count as u32 + 1)
     }
 
     fn quorum(&self) -> usize {
@@ -331,7 +338,9 @@ impl DareNode {
                 }
                 let off = self.log_end as u32;
                 self.ep.write_local(self.log_region, off, &entry);
-                self.origin.insert(self.entry_count, (client, id));
+                let span = hdr_span(&Self::hdr(self.term, self.entry_count));
+                self.instrument
+                    .admit(ctx, self.entry_count, span, client, id);
                 // Step 1: write the entry to every follower's log, each
                 // write individually signaled.
                 for j in 0..self.cfg.n {
@@ -411,26 +420,20 @@ impl DareNode {
                 self.applied_off as u32,
                 remaining.min(self.cfg.log_bytes - self.applied_off as usize),
             ));
-            let Some((term, client, id, payload)) = decode_entry(raw) else {
+            let Some((term, _, _, payload)) = decode_entry(raw) else {
                 break; // torn prefix: wait for the rest
             };
-            ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
-            let hdr = MsgHdr::new(Epoch::new(term, 0), self.applied_count as u32 + 1);
-            self.app.deliver(hdr, &payload);
-            ctx.count(simnet::Counter::Commits, 1);
+            let hdr = Self::hdr(term, self.applied_count);
+            let entry = Committed {
+                key: self.applied_count,
+                span: hdr_span(&hdr),
+                hdr,
+                payload: &payload,
+            };
+            let reply = (self.role == DareRole::Leader).then_some(DareWire::Resp);
+            self.instrument.deliver(ctx, &mut *self.app, entry, reply);
             self.applied_off += ENTRY_HDR as u64 + payload.len() as u64;
             self.applied_count += 1;
-            if self.role == DareRole::Leader {
-                if let Some((c, rid)) = self.origin.remove(&(self.applied_count - 1)) {
-                    let _ = (client, id);
-                    ctx.send(
-                        c,
-                        DeliveryClass::Cpu,
-                        RESP_WIRE,
-                        DareWire::Resp(ClientResp { id: rid }),
-                    );
-                }
-            }
         }
     }
 

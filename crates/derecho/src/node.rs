@@ -1,15 +1,15 @@
 //! The Derecho replica state machine.
 
-use abcast::client::RESP_WIRE;
-use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr};
+use abcast::{
+    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rdma_prims::{RingMode, RingReceiver, RingSender};
 use rdma_sim::{Endpoint, QpConfig, RdmaPkt, RegionId};
 use simnet::params::cpu;
 use simnet::FastMap;
 use simnet::{
-    client_span, msg_span, Counter, Ctx, DeliveryClass, Event, Gauge, MsgKind, NodeId, Process,
-    SimTime, SpanStage,
+    msg_span, Ctx, DeliveryClass, Event, Gauge, MsgKind, NodeId, Process, SimTime, SpanStage,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -215,7 +215,7 @@ pub struct DerechoNode {
     my_sent: u64,
     sent_frames: BTreeMap<u64, Bytes>,
     lane_next: FastMap<usize, u64>,
-    origin: FastMap<u64, (NodeId, u64)>,
+    instrument: Instrument<(usize, u64)>,
 
     // Receiving / delivery.
     store: Vec<BTreeMap<u64, Body>>,
@@ -280,7 +280,7 @@ impl DerechoNode {
             my_sent: 0,
             sent_frames: BTreeMap::new(),
             lane_next: (0..n).map(|p| (p, 0)).collect(),
-            origin: FastMap::default(),
+            instrument: Instrument::new(DELIVER_COST, Duration::ZERO),
             store: (0..n).map(|_| BTreeMap::new()).collect(),
             delivered_upto: vec![0; n],
             rr_round: 0,
@@ -412,12 +412,9 @@ impl DerechoNode {
             return;
         }
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);
-        ctx.span(
-            Self::dspan(self.me, self.my_sent),
-            SpanStage::LeaderRecv,
-            client_span(from, req.id),
-        );
-        self.origin.insert(self.my_sent, (from, req.id));
+        let (me, seq) = (self.me, self.my_sent);
+        self.instrument
+            .admit(ctx, (me, seq), Self::dspan(me, seq), from, req.id);
         let body = Body::Data {
             client: from,
             id: req.id,
@@ -644,14 +641,7 @@ impl DerechoNode {
             .remove(&seq)
             .expect("stable slot must be present");
         self.delivered_upto[sender] = seq + 1;
-        if let Body::Data {
-            client,
-            id,
-            payload,
-        } = body
-        {
-            ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
-            ctx.span(Self::dspan(sender, seq), SpanStage::Commit, 0);
+        if let Body::Data { payload, .. } = body {
             let hdr = match self.cfg.mode {
                 Mode::AllSender => MsgHdr::new(Epoch::new(seq as u32, sender as u32), 1),
                 Mode::Leader => MsgHdr::new(
@@ -659,18 +649,15 @@ impl DerechoNode {
                     seq as u32 + 1,
                 ),
             };
-            self.app.deliver(hdr, &payload);
+            let entry = Committed {
+                key: (sender, seq),
+                span: Self::dspan(sender, seq),
+                hdr,
+                payload: &payload,
+            };
+            let reply = (sender == self.me).then_some(DcWire::Resp);
+            self.instrument.deliver(ctx, &mut *self.app, entry, reply);
             self.committed_hdr = hdr;
-            ctx.span(Self::dspan(sender, seq), SpanStage::Deliver, 0);
-            ctx.count(simnet::Counter::Commits, 1);
-            if sender == self.me && self.origin.remove(&seq).is_some() {
-                ctx.send(
-                    client,
-                    DeliveryClass::Cpu,
-                    RESP_WIRE,
-                    DcWire::Resp(ClientResp { id }),
-                );
-            }
         }
     }
 
@@ -760,7 +747,6 @@ impl DerechoNode {
         if vc.view_id <= self.view_id {
             return;
         }
-        ctx.count(Counter::ViewChanges, 1);
         ctx.trace(
             Event::new("view_change")
                 .a(u64::from(vc.view_id))
@@ -812,7 +798,6 @@ impl DerechoNode {
     /// received-but-undelivered backlog across sender lanes, and the fullest
     /// outbound ring lane's occupancy.
     fn publish_gauges(&mut self, ctx: &mut Ctx<DcWire>) {
-        ctx.gauge(Gauge::Epoch, u64::from(self.view_id));
         let mut lag = 0u64;
         for s in 0..self.store.len() {
             if let Some(&top) = self.store[s].keys().next_back() {

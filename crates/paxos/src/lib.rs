@@ -16,14 +16,14 @@
 //! evaluation, like the paper's, runs it with a stable coordinator — no
 //! failover is modeled; see DESIGN.md).
 
-use abcast::client::RESP_WIRE;
-use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
+use abcast::{
+    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr, Replica,
+};
 use bytes::Bytes;
 use simnet::params::cpu;
 use simnet::FastMap;
 use simnet::{
-    client_span, msg_span, Ctx, DeliveryClass, Gauge, MsgKind, NetParams, NodeId, Process, Sim,
-    SpanStage,
+    msg_span, Ctx, DeliveryClass, Gauge, MsgKind, NetParams, NodeId, Process, Sim, SpanStage,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -53,14 +53,13 @@ pub enum PxWire {
     Req(ClientReq),
     /// Client response.
     Resp(ClientResp),
-    /// Phase 2a: the coordinator asks acceptors to accept a value.
+    /// Phase 2a: the coordinator asks acceptors to accept a value. Its 48
+    /// header bytes (and a Learn's) still carry the originating client and
+    /// request id on the wire; only the coordinator, which answers from its
+    /// own origin record, would read them.
     Accept {
         /// Instance number (one per message).
         inst: u64,
-        /// Originating client and request id (travel with the value).
-        client: u32,
-        /// Request id.
-        id: u64,
         /// The value.
         value: Bytes,
     },
@@ -73,10 +72,6 @@ pub enum PxWire {
     Learn {
         /// Instance number.
         inst: u64,
-        /// Originating client.
-        client: u32,
-        /// Request id.
-        id: u64,
         /// Chosen value.
         value: Bytes,
     },
@@ -104,11 +99,11 @@ pub struct PaxosNode {
     // Proposer state (node 0).
     next_inst: u64,
     acks: FastMap<u64, usize>,
-    proposals: FastMap<u64, (u32, u64, Bytes)>,
-    origin: FastMap<u64, (NodeId, u64)>,
+    proposals: FastMap<u64, Bytes>,
+    instrument: Instrument<u64>,
 
     // Learner state.
-    chosen: BTreeMap<u64, (u32, u64, Bytes)>,
+    chosen: BTreeMap<u64, Bytes>,
     delivered: u64,
 
     /// Online invariant monitor.
@@ -127,7 +122,7 @@ impl PaxosNode {
             next_inst: 0,
             acks: FastMap::default(),
             proposals: FastMap::default(),
-            origin: FastMap::default(),
+            instrument: Instrument::new(DELIVER_COST, cpu::TCP_SEND),
             chosen: BTreeMap::new(),
             delivered: 0,
             audit: Auditor::new(),
@@ -178,7 +173,6 @@ impl PaxosNode {
             MsgHdr::new(e, acc as u32),
             MsgHdr::new(e, self.delivered as u32),
         );
-        ctx.gauge(Gauge::Epoch, 1);
         ctx.gauge(Gauge::CommitFrontierLag, acc.saturating_sub(self.delivered));
     }
 
@@ -188,14 +182,9 @@ impl PaxosNode {
         }
         let inst = self.next_inst;
         self.next_inst += 1;
-        ctx.span(
-            Self::pspan(inst),
-            SpanStage::LeaderRecv,
-            client_span(from, req.id),
-        );
-        self.origin.insert(inst, (from, req.id));
-        self.proposals
-            .insert(inst, (from as u32, req.id, req.payload.clone()));
+        self.instrument
+            .admit(ctx, inst, Self::pspan(inst), from, req.id);
+        self.proposals.insert(inst, req.payload.clone());
         self.acks.insert(inst, 1); // self-accept
         let wire = req.payload.len() as u32 + 48;
         for a in 1..self.cfg.n {
@@ -205,8 +194,6 @@ impl PaxosNode {
                 wire,
                 PxWire::Accept {
                     inst,
-                    client: from as u32,
-                    id: req.id,
                     value: req.payload.clone(),
                 },
             );
@@ -216,18 +203,12 @@ impl PaxosNode {
         self.try_choose(ctx, inst, Some(self.me));
     }
 
-    fn on_accept(&mut self, ctx: &mut Ctx<PxWire>, inst: u64, client: u32, id: u64, value: Bytes) {
-        // Stable-ballot Multi-Paxos: the acceptor stores and acknowledges.
+    fn on_accept(&mut self, ctx: &mut Ctx<PxWire>, inst: u64) {
+        // Stable-ballot Multi-Paxos: the acceptor acknowledges. Real
+        // libpaxos keeps the value so a Learn only flips state; here the
+        // Learn re-carries it.
         ctx.span(Self::pspan(inst), SpanStage::FollowerAccept, self.me as u64);
-        self.chosen_candidate_store(inst, client, id, value);
         self.send(ctx, 0, 48, PxWire::Accepted { inst });
-    }
-
-    fn chosen_candidate_store(&mut self, inst: u64, client: u32, id: u64, value: Bytes) {
-        // Acceptors keep the value so a Learn only needs to flip state in
-        // real libpaxos; here the Learn re-carries it, so this is bookkeeping
-        // for symmetry.
-        let _ = (inst, client, id, value);
     }
 
     fn on_accepted(&mut self, ctx: &mut Ctx<PxWire>, from: NodeId, inst: u64) {
@@ -250,7 +231,7 @@ impl PaxosNode {
         if c < quorum {
             return;
         }
-        let Some((client, id, value)) = self.proposals.remove(&inst) else {
+        let Some(value) = self.proposals.remove(&inst) else {
             return;
         };
         self.acks.remove(&inst);
@@ -264,35 +245,32 @@ impl PaxosNode {
                 wire,
                 PxWire::Learn {
                     inst,
-                    client,
-                    id,
                     value: value.clone(),
                 },
             );
         }
-        self.on_learn(ctx, inst, client, id, value);
+        self.on_learn(ctx, inst, value);
     }
 
-    fn on_learn(&mut self, ctx: &mut Ctx<PxWire>, inst: u64, client: u32, id: u64, value: Bytes) {
-        self.chosen.insert(inst, (client, id, value));
+    fn on_learn(&mut self, ctx: &mut Ctx<PxWire>, inst: u64, value: Bytes) {
+        self.chosen.insert(inst, value);
         // Deliver in instance order, no gaps.
-        while let Some((client, id, value)) = self.chosen.remove(&self.delivered) {
+        let coordinates = self.me == 0;
+        while let Some(value) = self.chosen.remove(&self.delivered) {
             let inst = self.delivered;
-            ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
-            ctx.span(Self::pspan(inst), SpanStage::Commit, 0);
-            let hdr = MsgHdr::new(Epoch::new(1, 0), inst as u32 + 1);
-            self.app.deliver(hdr, &value);
-            ctx.span(Self::pspan(inst), SpanStage::Deliver, 0);
-            ctx.count(simnet::Counter::Commits, 1);
+            let entry = Committed {
+                key: inst,
+                span: Self::pspan(inst),
+                hdr: MsgHdr::new(Epoch::new(1, 0), inst as u32 + 1),
+                payload: &value,
+            };
+            self.instrument.deliver(
+                ctx,
+                &mut *self.app,
+                entry,
+                coordinates.then_some(PxWire::Resp),
+            );
             self.delivered += 1;
-            if self.me == 0 && self.origin.remove(&inst).is_some() {
-                self.send(
-                    ctx,
-                    client as NodeId,
-                    RESP_WIRE,
-                    PxWire::Resp(ClientResp { id }),
-                );
-            }
         }
         self.observe_audit(ctx);
     }
@@ -303,19 +281,9 @@ impl Process<PxWire> for PaxosNode {
         ctx.use_cpu(cpu::TCP_MSG);
         match msg {
             PxWire::Req(req) => self.on_request(ctx, from, req),
-            PxWire::Accept {
-                inst,
-                client,
-                id,
-                value,
-            } => self.on_accept(ctx, inst, client, id, value),
+            PxWire::Accept { inst, .. } => self.on_accept(ctx, inst),
             PxWire::Accepted { inst } => self.on_accepted(ctx, from, inst),
-            PxWire::Learn {
-                inst,
-                client,
-                id,
-                value,
-            } => self.on_learn(ctx, inst, client, id, value),
+            PxWire::Learn { inst, value } => self.on_learn(ctx, inst, value),
             PxWire::Resp(_) => {}
         }
     }

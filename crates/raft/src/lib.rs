@@ -14,16 +14,16 @@
 //! of commit latency in Figure 8 and ~50x below Acuerdo's YCSB throughput in
 //! Figure 9.
 
-use abcast::client::RESP_WIRE;
 use abcast::wal;
-use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
+use abcast::{
+    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr, Replica,
+};
 use bytes::Bytes;
 use rand::Rng;
 use simnet::params::cpu;
-use simnet::FastMap;
 use simnet::{
-    client_span, msg_span, Ctx, DeliveryClass, DurabilityMode, Gauge, LogDevParams, MsgKind,
-    NetParams, NodeId, Process, Sim, SimTime, SpanStage,
+    msg_span, Ctx, DeliveryClass, DurabilityMode, Gauge, LogDevParams, MsgKind, NetParams, NodeId,
+    Process, Sim, SimTime, SpanStage,
 };
 use std::time::Duration;
 
@@ -181,7 +181,7 @@ pub struct RaftNode {
     next_index: Vec<u64>,
     match_index: Vec<u64>,
     in_flight: Vec<bool>,
-    origin: FastMap<u64, (NodeId, u64)>,
+    instrument: Instrument<u64>,
 
     // Candidate state.
     votes: usize,
@@ -228,7 +228,7 @@ impl RaftNode {
             next_index: vec![1; n],
             match_index: vec![0; n],
             in_flight: vec![false; n],
-            origin: FastMap::default(),
+            instrument: Instrument::new(DELIVER_COST, cpu::TCP_SEND),
             votes: 0,
             election_gen: 0,
             last_heard: SimTime::ZERO,
@@ -281,7 +281,6 @@ impl RaftNode {
             self.last_applied as u32,
         );
         self.audit.observe(ctx, Epoch::new(self.term, 0), acc, com);
-        ctx.gauge(Gauge::Epoch, u64::from(self.term));
         ctx.gauge(
             Gauge::CommitFrontierLag,
             tip.saturating_sub(self.last_applied),
@@ -357,12 +356,8 @@ impl RaftNode {
         let head = (idx, (e.term, (e.client, e.id)));
         WAL_ENTRY.append(ctx, self.cfg.durability, &head, &e.payload);
         ctx.log_fsync();
-        ctx.span(
-            Self::ispan(self.term, idx),
-            SpanStage::LeaderRecv,
-            client_span(from, req.id),
-        );
-        self.origin.insert(idx, (from, req.id));
+        self.instrument
+            .admit(ctx, idx, Self::ispan(self.term, idx), from, req.id);
         self.match_index[self.me] = idx;
         for j in 0..self.cfg.n {
             if j != self.me {
@@ -432,21 +427,19 @@ impl RaftNode {
     }
 
     fn apply(&mut self, ctx: &mut Ctx<RfWire>) {
+        let leads = self.role == RaftRole::Leader;
         while self.last_applied < self.commit_index {
             self.last_applied += 1;
             let idx = self.last_applied;
-            let e = self.log[idx as usize - 1].clone();
-            ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
-            ctx.span(Self::ispan(e.term, idx), SpanStage::Commit, 0);
-            let hdr = MsgHdr::new(Epoch::new(e.term, 0), idx as u32);
-            self.app.deliver(hdr, &e.payload);
-            ctx.span(Self::ispan(e.term, idx), SpanStage::Deliver, 0);
-            ctx.count(simnet::Counter::Commits, 1);
-            if self.role == RaftRole::Leader {
-                if let Some((client, id)) = self.origin.remove(&idx) {
-                    self.send(ctx, client, RESP_WIRE, RfWire::Resp(ClientResp { id }));
-                }
-            }
+            let e = &self.log[idx as usize - 1];
+            let entry = Committed {
+                key: idx,
+                span: Self::ispan(e.term, idx),
+                hdr: MsgHdr::new(Epoch::new(e.term, 0), idx as u32),
+                payload: &e.payload,
+            };
+            self.instrument
+                .deliver(ctx, &mut *self.app, entry, leads.then_some(RfWire::Resp));
         }
         self.observe_audit(ctx);
     }

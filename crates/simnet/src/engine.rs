@@ -1062,7 +1062,6 @@ impl<M: 'static> Sim<M> {
                     DeliveryClass::Dma => self.stats.dma_msgs += 1,
                     DeliveryClass::Cpu => self.stats.cpu_msgs += 1,
                 }
-                self.probe.count(node, Counter::MsgsDelivered, 1);
                 self.probe.record(TraceEvent::Deliver {
                     at: self.now,
                     node,
@@ -1593,7 +1592,6 @@ impl<M: 'static> Sim<M> {
                     },
                     Prep::Routed { info, post },
                 ) => {
-                    self.probe.count(node, Counter::MsgsSent, 1);
                     self.probe
                         .count(node, Counter::WireBytes, u64::from(info.wire_bytes));
                     self.probe.count(node, Counter::Packets, 1);

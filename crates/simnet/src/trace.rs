@@ -43,15 +43,11 @@ use crate::NodeId;
 crate::registry! {
     /// Per-node counter registry slots; each name is the slot's JSON key.
     ///
-    /// Fabric counters (`MsgsSent` .. `Packets`) are maintained by the engine;
+    /// Fabric counters (`WireBytes`, `Packets`) are maintained by the engine;
     /// the rest are bumped by protocol crates at their natural instrument points.
     #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
     #[repr(usize)]
     pub enum Counter {
-        /// Messages this node posted into the fabric.
-        MsgsSent = "msgs_sent",
-        /// Messages delivered to this node.
-        MsgsDelivered = "msgs_delivered",
         /// Bytes this node placed on the wire (after min-wire-size clamping).
         WireBytes = "wire_bytes",
         /// Packets this node placed on the wire.
@@ -82,8 +78,6 @@ crate::registry! {
         ElectionsWon = "elections_won",
         /// Heartbeat-timeout expiries that marked the leader suspect.
         HeartbeatMisses = "heartbeat_misses",
-        /// View changes installed (Derecho) or epoch/view installs generally.
-        ViewChanges = "view_changes",
         /// Client-side retransmissions.
         Retransmits = "retransmits",
         /// Messages dropped at the sender because a partition or link flap cut

@@ -19,15 +19,16 @@
 //! Zxids are `(epoch, counter)` pairs; commits are cumulative ("commit
 //! everything up to zxid").
 
-use abcast::client::RESP_WIRE;
 use abcast::wal;
-use abcast::{App, Auditor, ClientReq, ClientResp, DeliveryLog, Epoch, MsgHdr, Replica};
+use abcast::{
+    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr, Replica,
+};
 use bytes::Bytes;
 use simnet::params::cpu;
 use simnet::FastMap;
 use simnet::{
-    client_span, msg_span, Ctx, DeliveryClass, DurabilityMode, Gauge, LogDevParams, MsgKind,
-    NetParams, NodeId, Process, Sim, SimTime, SpanStage,
+    msg_span, Ctx, DeliveryClass, DurabilityMode, Gauge, LogDevParams, MsgKind, NetParams, NodeId,
+    Process, Sim, SimTime, SpanStage,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -178,7 +179,7 @@ pub struct ZabNode {
 
     // Leader bookkeeping.
     acks: FastMap<Zxid, usize>,
-    origin: FastMap<Zxid, (NodeId, u64)>,
+    instrument: Instrument<Zxid>,
     epoch_acks: usize,
     epoch_ready: bool,
 
@@ -227,7 +228,7 @@ impl ZabNode {
             committed: (0, 0),
             delivered: (0, 0),
             acks: FastMap::default(),
-            origin: FastMap::default(),
+            instrument: Instrument::new(DELIVER_COST, cpu::TCP_SEND),
             epoch_acks: 0,
             epoch_ready: preset_leader,
             my_vote: ((0, 0), me as u32),
@@ -292,11 +293,8 @@ impl ZabNode {
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::ZK_ENTRY);
         self.counter += 1;
         let zxid = (self.epoch, self.counter);
-        ctx.span(
-            Self::zspan(zxid),
-            SpanStage::LeaderRecv,
-            client_span(from, req.id),
-        );
+        self.instrument
+            .admit(ctx, zxid, Self::zspan(zxid), from, req.id);
         self.log
             .insert(zxid, (from as u32, req.id, req.payload.clone()));
         // Append-before-ack: the leader's own ack counts toward the quorum,
@@ -304,7 +302,6 @@ impl ZabNode {
         let head = (zxid, (from as u32, req.id));
         WAL_ENTRY.append(ctx, self.cfg.durability, &head, &req.payload);
         wal::fsync(ctx, self.cfg.durability);
-        self.origin.insert(zxid, (from, req.id));
         self.acks.insert(zxid, 1); // self
         let wire = req.payload.len() as u32 + 48;
         for f in 0..self.cfg.n {
@@ -413,30 +410,25 @@ impl ZabNode {
         if upto <= self.delivered {
             return;
         }
-        let pending: Vec<(Zxid, (u32, u64, Bytes))> = self
+        let pending: Vec<(Zxid, Bytes)> = self
             .log
             .range((
                 std::ops::Bound::Excluded(self.delivered),
                 std::ops::Bound::Included(upto),
             ))
-            .map(|(z, v)| (*z, v.clone()))
+            .map(|(z, (_, _, value))| (*z, value.clone()))
             .collect();
-        for (z, (client, id, value)) in pending {
-            ctx.use_cpu_at(SpanStage::Deliver, DELIVER_COST);
-            ctx.span(Self::zspan(z), SpanStage::Commit, 0);
-            let hdr = MsgHdr::new(Epoch::new(z.0, self.leader_of_epoch(z.0)), z.1);
-            self.app.deliver(hdr, &value);
-            ctx.span(Self::zspan(z), SpanStage::Deliver, 0);
-            ctx.count(simnet::Counter::Commits, 1);
+        let leads = self.role == ZabRole::Leading;
+        for (z, value) in pending {
+            let entry = Committed {
+                key: z,
+                span: Self::zspan(z),
+                hdr: MsgHdr::new(Epoch::new(z.0, self.leader_of_epoch(z.0)), z.1),
+                payload: &value,
+            };
+            self.instrument
+                .deliver(ctx, &mut *self.app, entry, leads.then_some(ZkWire::Resp));
             self.delivered = z;
-            if self.role == ZabRole::Leading && self.origin.remove(&z).is_some() {
-                self.send(
-                    ctx,
-                    client as NodeId,
-                    RESP_WIRE,
-                    ZkWire::Resp(ClientResp { id }),
-                );
-            }
         }
     }
 
@@ -607,7 +599,6 @@ impl ZabNode {
             Self::zhdr(self.last_zxid()),
             Self::zhdr(self.delivered),
         );
-        ctx.gauge(Gauge::Epoch, u64::from(self.epoch));
         let last = self.last_zxid();
         let commit_lag = if last.0 == self.delivered.0 {
             u64::from(last.1.saturating_sub(self.delivered.1))

@@ -9,8 +9,9 @@ use acuerdo_repro::dare::{DareConfig, DareNode};
 use acuerdo_repro::derecho::{DerechoConfig, DerechoNode, Mode};
 use acuerdo_repro::paxos::{PaxosConfig, PaxosNode};
 use acuerdo_repro::raft::{RaftConfig, RaftNode};
-use acuerdo_repro::simnet::{Counter, SimTime};
+use acuerdo_repro::simnet::{Counter, SimTime, SpanStage, TraceEvent};
 use acuerdo_repro::zab::{ZabConfig, ZabNode};
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 struct Measured {
@@ -80,18 +81,81 @@ fn every_replica_impl_commits_under_identical_load() {
     }
 }
 
-/// A fault-free run of `R` to `end_ms`: every live replica delivered, and
-/// counted each delivery once, in `Counter::Commits` and in its
-/// `DeliveryLog` alike.
+/// A fault-free traced run of `R` to `end_ms`: every live replica
+/// delivered, and counted each delivery once, in `Counter::Commits`, in its
+/// `DeliveryLog`, and in its `commit` and `deliver` marks alike; each
+/// `deliver` mark lies strictly after its entry's `commit` mark (the deliver
+/// CPU between them), and every delivered entry was joined to its client by
+/// a `leader_recv` mark.
 fn commits_match_the_delivery_log<R: Replica>(name: &str, cfg: &R::Config, end_ms: u64) {
     let (mut sim, ids, _) = cluster_with_client::<R>(42, cfg, 4, 10, Duration::ZERO);
+    sim.set_tracing(true);
     sim.run_until(SimTime::from_millis(end_ms));
+    let trace = sim.take_trace();
+    let mut admitted = HashSet::new();
+    for ev in &trace {
+        if let TraceEvent::Span {
+            id,
+            stage: SpanStage::LeaderRecv,
+            ..
+        } = *ev
+        {
+            assert!(admitted.insert(id), "{name}: span {id:#x} admitted twice");
+        }
+    }
     for id in ids.into_iter().filter(|&id| !sim.is_crashed(id)) {
         let log = sim.node::<R>(id).delivery_log().expect("DeliveryLog app");
         let delivered = log.entries.len() as u64;
         assert!(delivered > 0, "{name}: replica {id} delivered nothing");
         let commits = sim.counter(id, Counter::Commits);
         assert_eq!(commits, delivered, "{name}: replica {id}");
+        let mut committed_at = HashMap::new();
+        let mut delivers = 0;
+        for ev in &trace {
+            let TraceEvent::Span {
+                at,
+                node,
+                id: span,
+                stage,
+                ..
+            } = *ev
+            else {
+                continue;
+            };
+            if node != id {
+                continue;
+            }
+            match stage {
+                SpanStage::Commit => {
+                    let again = committed_at.insert(span, at);
+                    assert!(
+                        again.is_none(),
+                        "{name}: replica {id} committed {span:#x} twice"
+                    );
+                }
+                SpanStage::Deliver => {
+                    delivers += 1;
+                    let commit = committed_at.get(&span).unwrap_or_else(|| {
+                        panic!("{name}: replica {id} delivered {span:#x} uncommitted")
+                    });
+                    assert!(
+                        at > *commit,
+                        "{name}: replica {id} {span:#x} delivered at its commit"
+                    );
+                    assert!(
+                        admitted.contains(&span),
+                        "{name}: replica {id} delivered {span:#x} with no leader_recv mark"
+                    );
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(
+            committed_at.len() as u64,
+            delivered,
+            "{name}: replica {id} commit marks"
+        );
+        assert_eq!(delivers, delivered, "{name}: replica {id} deliver marks");
     }
 }
 

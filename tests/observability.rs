@@ -96,9 +96,13 @@ fn traced_run_yields_timeline_and_counters() {
         tl.starts_with("{\"displayTimeUnit\"") && tl.ends_with("]}"),
         "not a trace-event document"
     );
-    // Fabric spans and protocol instants both made it into the timeline.
+    // Fabric spans and lifecycle marks both made it into the timeline; a
+    // commit shows as its `commit` span mark.
     assert!(tl.contains("\"ph\":\"X\""), "no spans in timeline");
-    assert!(tl.contains("commit"), "no commit instants in timeline");
+    assert!(
+        tl.contains("\"name\":\"commit\",\"args\":{\"span\""),
+        "no commit marks in timeline"
+    );
     assert!(tl.contains("nic"), "no NIC lanes in timeline");
 }
 
