@@ -207,6 +207,29 @@ pub fn encode_diff_parts(hdr: MsgHdr, entries: &[(MsgHdr, Bytes)], max_part: usi
         .collect()
 }
 
+/// Decode a ring frame that came off its ring as `head` followed by a landed
+/// `body` ([`RingFrame`](rdma_prims::RingFrame)): the same frame as
+/// [`decode`] of the two joined, with a body that continues the payload
+/// kept as it is, not copied. Entry frames are sent as their head and their
+/// payload (or share), so the body is the whole payload.
+pub fn decode_gathered(head: Bytes, body: Bytes) -> Option<Frame> {
+    if body.is_empty() {
+        return decode(head);
+    }
+    let mut frame = decode(head.clone());
+    match &mut frame {
+        Some(Frame::Normal { payload: rest, .. } | Frame::Seg { bytes: rest, .. }) => {
+            rest.unsplit(body);
+            frame
+        }
+        _ => {
+            let mut raw = head;
+            raw.unsplit(body);
+            decode(raw)
+        }
+    }
+}
+
 /// Decode a ring frame.
 ///
 /// Returns `None` on a malformed frame (never produced by this codec; the
@@ -404,6 +427,33 @@ mod tests {
                 assert_eq!(shares[0].start, 0);
                 assert_eq!(shares[parts as usize - 1].end, len);
                 assert!(shares.windows(2).all(|w| w[0].end == w[1].start));
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_frames_decode_as_joined_ones_and_keep_their_body() {
+        let (h, c) = (hdr(3, 1, 42), hdr(3, 1, 40));
+        let body = Bytes::from(vec![9u8; 2000]);
+        let diff = encode_diff(hdr(4, 1, 0), 0, 1, &[(h, body.clone())]);
+        for (head, body) in [
+            (
+                Bytes::copy_from_slice(EntryHead::new(h, c, 0, 1).as_bytes()),
+                body.clone(),
+            ),
+            (
+                Bytes::copy_from_slice(EntryHead::new(h, c, 1, 3).as_bytes()),
+                body.clone(),
+            ),
+            // Split anywhere else, the two are joined first.
+            (diff.slice(..30), diff.slice(30..)),
+            (diff.clone(), Bytes::new()),
+        ] {
+            let joined = Bytes::from_parts(&[&head, &body]);
+            let frame = decode_gathered(head.clone(), body.clone());
+            assert_eq!(frame, decode(joined));
+            if let Some(Frame::Normal { payload: p, .. } | Frame::Seg { bytes: p, .. }) = frame {
+                assert_eq!(p.as_ptr(), body.as_ptr(), "the body was copied");
             }
         }
     }

@@ -73,8 +73,8 @@ use abcast::{
     hdr_span, App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument,
     MsgHdr, Vote,
 };
-use bytes::{Bytes, BytesMut};
-use rdma_prims::{FixedCodec, RingError, RingReceiver, RingSender, Sst};
+use bytes::Bytes;
+use rdma_prims::{FixedCodec, RingError, RingFrame, RingReceiver, RingSender, Sst};
 use rdma_sim::{Endpoint, RdmaPkt, RegionId};
 use simnet::params::cpu;
 use simnet::{
@@ -291,7 +291,9 @@ struct Reasm {
     parts: u16,
     /// Segments collected so far (the next one expected).
     got: u16,
-    payload: BytesMut,
+    /// Their shares, joined: still a view of the sender's buffer while the
+    /// shares are adjacent views of it (`Bytes::unsplit`).
+    payload: Bytes,
 }
 
 /// A diff being reassembled: header, expected part count, entries so far.
@@ -680,9 +682,10 @@ impl AcuerdoNode {
         self.log.len()
     }
 
-    /// Total RDMA writes this node has posted (wire-efficiency tests).
-    pub fn ep_writes_posted(&self) -> u64 {
-        self.ep.writes_posted
+    /// This node's RDMA endpoint, for its counters (wire-efficiency and
+    /// payload-copy tests).
+    pub fn endpoint(&self) -> &rdma_sim::Endpoint {
+        &self.ep
     }
 
     /// Frames parked by the contiguity gate, waiting for their turn.
@@ -808,13 +811,14 @@ impl AcuerdoNode {
             };
             while self.out[j].next_part < parts {
                 let part = self.out[j].next_part;
-                let share = &payload[msg::segment_range(payload.len(), part, parts)];
+                let share = payload.slice(msg::segment_range(payload.len(), part, parts));
                 let head = msg::EntryHead::new(hdr, self.committed, part, parts);
                 match self.out_ring.send_parts(
                     ctx,
                     &mut self.ep,
                     self.peers[j],
-                    &[head.as_bytes(), share],
+                    head.as_bytes(),
+                    &share,
                     MsgKind::Payload,
                 ) {
                     Ok(seq) => {
@@ -898,20 +902,16 @@ impl AcuerdoNode {
             {
                 self.cut = Some((hdr, lane));
             }
-            // Segment 0 carries the shortest share; the others are at most
-            // one byte longer.
-            let mut payload = BytesMut::with_capacity((bytes.len() + 1) * usize::from(parts));
-            payload.extend_from_slice(&bytes);
             self.reasm[lane] = Some(Reasm {
                 hdr,
                 parts,
                 got: 1,
-                payload,
+                payload: bytes.clone(),
             });
         } else {
             match &mut self.reasm[lane] {
                 Some(r) if r.hdr == hdr && r.parts == parts && r.got == part => {
-                    r.payload.extend_from_slice(&bytes);
+                    r.payload.unsplit(bytes.clone());
                     r.got += 1;
                 }
                 _ => {
@@ -934,7 +934,7 @@ impl AcuerdoNode {
             if through {
                 self.cut = None;
             }
-            self.ingest_frame(ctx, lane, hdr, r.payload.freeze(), through);
+            self.ingest_frame(ctx, lane, hdr, r.payload, through);
         }
     }
 
@@ -1082,10 +1082,8 @@ impl AcuerdoNode {
                 ctx,
                 &mut self.ep,
                 self.peers[down],
-                &[
-                    msg::EntryHead::new(hdr, commit, part, parts).as_bytes(),
-                    &f.bytes,
-                ],
+                msg::EntryHead::new(hdr, commit, part, parts).as_bytes(),
+                &f.bytes,
                 MsgKind::Payload,
             ) {
                 Ok(seq) => {
@@ -1154,9 +1152,9 @@ impl AcuerdoNode {
     fn accept_frames(&mut self, ctx: &mut Ctx<AcWire>) {
         for j in 0..self.cfg.n {
             let frames = self.in_rings[j].poll(&mut self.ep);
-            for (_seq, raw) in frames {
+            for RingFrame { head, body, .. } in frames {
                 ctx.use_cpu_at(SpanStage::FollowerAccept, cpu::FRAME_PROC);
-                let Some(frame) = msg::decode(raw) else {
+                let Some(frame) = msg::decode_gathered(head, body) else {
                     debug_assert!(false, "malformed ring frame");
                     continue;
                 };
@@ -2180,17 +2178,19 @@ impl AcuerdoNode {
     /// finds. Erring towards `true` costs a full poll; `false` must be
     /// certain.
     fn stirs(&self, pkt: &RdmaPkt) -> bool {
-        match *pkt {
+        if let RdmaPkt::Ack { .. } = pkt {
             // A completion frees a send-queue slot, and only a send that
             // found the queue full is waiting for one.
-            RdmaPkt::Ack { .. } => self.send_blocked,
+            return self.send_blocked;
+        }
+        match pkt.write_target() {
             // A follower's polls read one Commit_SST cell, its leader's
             // (commit notification and heartbeat). The cells electors push
             // to everyone are read, on other roles, by election and desync
             // checks. Its only Accept_SST read is its downstream peer's
             // cell, in `flush_forwards`, which has nothing to do while the
             // forward backlog is empty.
-            RdmaPkt::Write { region, offset, .. } if self.role() == Role::Follower => {
+            Some((region, offset)) if self.role() == Role::Follower => {
                 if let Some(k) = self.commit_sst.slot_at(region, offset) {
                     k == self.e_cur.ldr as usize
                 } else if self.accept_sst.slot_at(region, offset).is_some() {

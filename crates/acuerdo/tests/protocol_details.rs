@@ -651,13 +651,13 @@ fn implicit_cumulative_ack_collapses_catch_up_traffic() {
     let (mut sim, _ids, client) =
         cluster_with_client::<AcuerdoNode>(104, &cfg, 64, 10, Duration::from_millis(1));
     sim.run_until(SimTime::from_millis(3));
-    let before_posts = sim.node::<AcuerdoNode>(1).ep_writes_posted();
+    let before_posts = sim.node::<AcuerdoNode>(1).endpoint().writes_posted;
     let before_delivered = sim.counter(1, Counter::Commits);
     // 2 ms pause: several hundred messages pile up in the ring.
     sim.pause_at(1, SimTime::from_millis(3), Duration::from_millis(2));
     sim.run_until(SimTime::from_micros(5_300)); // just past the wake-up drain
     let accepted = sim.node::<AcuerdoNode>(1).accepted().cnt as u64;
-    let posts = sim.node::<AcuerdoNode>(1).ep_writes_posted() - before_posts;
+    let posts = sim.node::<AcuerdoNode>(1).endpoint().writes_posted - before_posts;
     let delivered = sim.counter(1, Counter::Commits) - before_delivered;
     assert!(
         accepted > before_delivered + 200,
@@ -683,7 +683,7 @@ fn per_message_acks_post_at_least_as_many_writes() {
         let (mut sim, _ids, _client) =
             cluster_with_client::<AcuerdoNode>(105, &cfg, 256, 10, Duration::from_millis(1));
         sim.run_until(SimTime::from_millis(10));
-        let posted = sim.node::<AcuerdoNode>(1).ep_writes_posted();
+        let posted = sim.node::<AcuerdoNode>(1).endpoint().writes_posted;
         (sim.counter(1, Counter::Commits), posted)
     };
     let (d0, p0) = run(false);
@@ -960,4 +960,62 @@ fn ring_forwarder_with_a_backlog_never_skips_a_poll() {
         held_polls > 100,
         "the backlog never built: {held_polls} polls"
     );
+}
+
+#[test]
+fn large_payloads_reach_the_followers_as_views_and_small_ones_flat() {
+    // The leader posts an entry's head and its payload as one gathered
+    // write; a payload of at least `rdma_sim::VIEW_MIN` bytes lands in each
+    // follower's ring as a view of the client's buffer. Steady state: an
+    // 8 KiB star run copies no payload byte at any follower, on a two-armed
+    // ring neither do the forwarders or the nodes past them (segments are
+    // views of one buffer and rejoin without a copy), so every replica
+    // delivers the client's one buffer; and a 10 B run lands no view at
+    // all.
+    use acuerdo::DisseminationMode;
+    for (n, dissemination, payload) in [
+        (16, DisseminationMode::Star, 8192),
+        (8, DisseminationMode::Ring, 8192),
+        (16, DisseminationMode::Star, 10),
+    ] {
+        let cfg = AcuerdoConfig {
+            dissemination,
+            ..AcuerdoConfig::stable(n)
+        };
+        let (mut sim, ids, _client) =
+            cluster_with_client::<AcuerdoNode>(107, &cfg, 8, payload, Duration::ZERO);
+        sim.run_until(SimTime::from_millis(5));
+        let run = format!("{n} nodes {dissemination:?} {payload} B");
+        for &id in &ids[1..] {
+            let ep = sim.node::<AcuerdoNode>(id).endpoint();
+            let commits = sim.counter(id, Counter::Commits);
+            assert!(commits > 50, "{run}: node {id} committed {commits}");
+            if payload >= rdma_sim::VIEW_MIN {
+                assert_eq!(ep.body_bytes_copied, 0, "{run}: node {id} copied");
+                assert!(
+                    ep.body_bytes_viewed >= commits * payload as u64,
+                    "{run}: node {id} viewed {} for {commits} commits",
+                    ep.body_bytes_viewed
+                );
+            } else {
+                assert_eq!(ep.body_bytes_viewed, 0, "{run}: node {id} viewed");
+            }
+        }
+        let delivered = |id| {
+            let log = sim.node::<AcuerdoNode>(id).app.delivery_log();
+            log.expect("the default app logs").entries.clone()
+        };
+        let leader = delivered(ids[0]);
+        for &id in &ids[1..] {
+            for ((hdr, payload), (_, own)) in delivered(id).iter().zip(&leader) {
+                let shared = payload.as_ptr() == own.as_ptr();
+                assert_eq!(
+                    shared,
+                    payload.len() >= rdma_sim::VIEW_MIN,
+                    "{run}: {hdr:?}"
+                );
+            }
+        }
+        check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
+    }
 }

@@ -377,9 +377,9 @@ impl ApusNode {
     fn drain_rings(&mut self, ctx: &mut Ctx<ApWire>) {
         let mut new_ack = None;
         for s in 0..self.cfg.n {
-            for (_seq, raw) in self.in_rings[s].poll(&mut self.ep) {
+            for frame in self.in_rings[s].poll(&mut self.ep) {
                 ctx.use_cpu_at(SpanStage::FollowerAccept, cpu::FRAME_PROC);
-                match decode_frame(raw) {
+                match decode_frame(frame.payload()) {
                     Some(Frame::Data { idx, payload, .. }) => {
                         self.log.insert(idx, payload);
                     }

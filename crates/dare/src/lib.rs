@@ -295,7 +295,7 @@ impl DareNode {
     }
 
     fn ctrl(&self) -> (u64, u64, u64) {
-        let raw = self.ep.read(self.ctrl_region, 0, CTRL_LEN);
+        let raw = self.ep.peek(self.ctrl_region, 0, CTRL_LEN);
         (
             u64::from_le_bytes(raw[0..8].try_into().unwrap()),
             u64::from_le_bytes(raw[8..16].try_into().unwrap()),

@@ -338,12 +338,20 @@ impl DerechoNode {
             return self.in_rings[sender].next_seq();
         }
         let off = (node * Self::rowlen(self.cfg.n) + sender * 8) as u32;
-        u64::from_le_bytes(self.ep.read(self.row_region, off, 8).try_into().unwrap())
+        u64::from_le_bytes(
+            self.ep.peek(self.row_region, off, 8)[..]
+                .try_into()
+                .unwrap(),
+        )
     }
 
     fn row_hb(&self, node: usize) -> u64 {
         let off = (node * Self::rowlen(self.cfg.n) + self.cfg.n * 8) as u32;
-        u64::from_le_bytes(self.ep.read(self.row_region, off, 8).try_into().unwrap())
+        u64::from_le_bytes(
+            self.ep.peek(self.row_region, off, 8)[..]
+                .try_into()
+                .unwrap(),
+        )
     }
 
     fn push_row(&mut self, ctx: &mut Ctx<DcWire>) {
@@ -484,9 +492,10 @@ impl DerechoNode {
 
     fn drain_rings(&mut self, ctx: &mut Ctx<DcWire>) {
         for s in 0..self.cfg.n {
-            for (seq, raw) in self.in_rings[s].poll(&mut self.ep) {
+            for frame in self.in_rings[s].poll(&mut self.ep) {
                 ctx.use_cpu_at(SpanStage::FollowerAccept, cpu::FRAME_PROC);
-                if let Some(body) = decode_body(raw) {
+                let seq = frame.seq;
+                if let Some(body) = decode_body(frame.payload()) {
                     if seq >= self.delivered_upto[s] {
                         if matches!(body, Body::Data { .. }) {
                             ctx.span(

@@ -26,7 +26,7 @@
 //! bytes and the receiver never zeroes bytes the sender has rewritten.
 
 use bytes::Bytes;
-use rdma_sim::{Endpoint, PostError, RdmaPkt, RegionId};
+use rdma_sim::{Endpoint, PostError, RdmaPkt, RegionId, VIEW_MIN};
 use simnet::{Counter, Ctx, MsgKind, NodeId};
 use std::collections::VecDeque;
 
@@ -37,17 +37,26 @@ const WRAP: u32 = u32::MAX;
 /// Size of the split-mode message counter stored past the data area.
 const COUNTER_LEN: u64 = 8;
 
-/// `head` followed by `parts`, copied once into one buffer (the slice list
-/// itself stays on the stack for the one- and two-part frames callers send).
-fn frame_bytes(head: &[u8], parts: &[&[u8]]) -> Bytes {
-    let mut all: [&[u8]; 4] = [&[]; 4];
-    if parts.len() < all.len() {
-        all[0] = head;
-        all[1..=parts.len()].copy_from_slice(parts);
-        Bytes::from_parts(&all[..=parts.len()])
-    } else {
-        let all: Vec<&[u8]> = std::iter::once(head).chain(parts.iter().copied()).collect();
-        Bytes::from_parts(&all)
+/// A frame drained from a ring: its transport sequence number and its
+/// payload, `head` followed by `body`. `body` is the view a gathered write
+/// landed (shared with the sender's buffer, never copied on the way), and
+/// empty when the frame landed flat; `head` holds the bytes before it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RingFrame {
+    /// Transport sequence number.
+    pub seq: u64,
+    /// The payload's bytes ahead of `body` (all of it for a flat frame).
+    pub head: Bytes,
+    /// The payload's landed body, if it has one.
+    pub body: Bytes,
+}
+
+impl RingFrame {
+    /// The whole payload: a copy only when both halves are non-empty.
+    pub fn payload(&self) -> Bytes {
+        let mut payload = self.head.clone();
+        payload.unsplit(self.body.clone());
+        payload
     }
 }
 
@@ -145,7 +154,7 @@ impl RingSender {
         self.lanes[dst].as_mut().expect("unknown lane")
     }
 
-    /// The largest payload [`RingSender::send_parts`] accepts: a frame
+    /// The largest payload [`RingSender::send_to`] accepts: a frame
     /// (payload plus [`FRAME_HDR`]) must fit in half the ring.
     pub fn max_payload(&self) -> usize {
         (self.cap / 2).saturating_sub(FRAME_HDR) as usize
@@ -208,24 +217,27 @@ impl RingSender {
         payload: &[u8],
         kind: MsgKind,
     ) -> Result<u64, RingError> {
-        self.send_parts(ctx, ep, dst, &[payload], kind)
+        self.send_parts(ctx, ep, dst, payload, &Bytes::new(), kind)
     }
 
-    /// [`RingSender::send_to`] with the payload given as consecutive
-    /// `parts`, each copied once, straight into the frame: a caller that
-    /// prefixes a small header to a large body need not concatenate them
-    /// first.
+    /// [`RingSender::send_to`] of the payload `head` followed by `body`, a
+    /// small header and the large body it describes. A body of at least
+    /// [`VIEW_MIN`] bytes goes as the second element of a gathered write,
+    /// shared with the caller and never copied (the receiver's poll hands it
+    /// back as [`RingFrame::body`]); a shorter one is copied into one flat
+    /// frame with its head. Either way it is one post of the same bytes.
     pub fn send_parts<M: From<RdmaPkt>>(
         &mut self,
         ctx: &mut Ctx<M>,
         ep: &mut Endpoint,
         dst: NodeId,
-        parts: &[&[u8]],
+        head: &[u8],
+        body: &Bytes,
         kind: MsgKind,
     ) -> Result<u64, RingError> {
         let cap = self.cap;
         let mode = self.mode;
-        let payload_len: u64 = parts.iter().map(|p| p.len() as u64).sum();
+        let payload_len = (head.len() + body.len()) as u64;
         let frame_len = FRAME_HDR + payload_len;
         // A frame must fit in half the ring: wraps then only trigger at
         // positions past cap/2 >= frame_len, so a post-wrap frame can never
@@ -270,11 +282,17 @@ impl RingSender {
 
         let pos = (l.head_abs % cap) as u32;
         let seq = l.next_seq;
-        let mut head = [0u8; FRAME_HDR as usize];
-        head[..4].copy_from_slice(&(payload_len as u32 + 1).to_le_bytes());
-        head[4..].copy_from_slice(&seq.to_le_bytes());
-        ep.post_write(ctx, dst, region, pos, frame_bytes(&head, parts), kind)
-            .map_err(RingError::Post)?;
+        let mut hdr = [0u8; FRAME_HDR as usize];
+        hdr[..4].copy_from_slice(&(payload_len as u32 + 1).to_le_bytes());
+        hdr[4..].copy_from_slice(&seq.to_le_bytes());
+        if body.len() >= VIEW_MIN {
+            let head = Bytes::from_parts(&[&hdr, head]);
+            ep.post_gather(ctx, dst, region, pos, head, body.clone(), kind)
+        } else {
+            let frame = Bytes::from_parts(&[&hdr, head, body]);
+            ep.post_write(ctx, dst, region, pos, frame, kind)
+        }
+        .map_err(RingError::Post)?;
         if mode == RingMode::Split {
             ep.post_write(
                 ctx,
@@ -326,23 +344,24 @@ impl RingReceiver {
     }
 
     /// Drain every complete frame currently visible (one receiver-side
-    /// batch). Returns `(seq, payload)` pairs in order. Consumed bytes are
-    /// zeroed so the next lap of the ring starts clean.
+    /// batch), in order. Consumed bytes are zeroed so the next lap of the
+    /// ring starts clean; a landed body is handed over as it is
+    /// ([`Endpoint::take`]), not copied.
     ///
     /// A poll stops where the memory gives out (no frame yet, an unpublished
     /// counter, bytes that fail validation), so polling again before a
     /// remote write lands would stop at the same place: the ring takes its
     /// region's dirty flag ([`Endpoint::take_dirty`]) and reads nothing when
     /// it is clear. This receiver must be the region's only poller.
-    pub fn poll(&mut self, ep: &mut Endpoint) -> Vec<(u64, Bytes)> {
+    pub fn poll(&mut self, ep: &mut Endpoint) -> Vec<RingFrame> {
         let mut out = Vec::new();
         if !ep.take_dirty(self.region) {
             return out;
         }
         let published = match self.mode {
             RingMode::Split => {
-                let raw = ep.read(self.region, self.cap as u32, 8);
-                u64::from_le_bytes(raw.try_into().expect("counter"))
+                let raw = ep.peek(self.region, self.cap as u32, 8);
+                u64::from_le_bytes(raw[..].try_into().expect("counter"))
             }
             RingMode::Coupled => u64::MAX, // validated per-frame by length
         };
@@ -357,8 +376,8 @@ impl RingReceiver {
                 self.consumed_abs += rem;
                 continue;
             }
-            let len_raw = ep.read(self.region, pos as u32, 4);
-            let len_field = u32::from_le_bytes(len_raw.try_into().expect("len"));
+            let len_raw = ep.peek(self.region, pos as u32, 4);
+            let len_field = u32::from_le_bytes(len_raw[..].try_into().expect("len"));
             if len_field == WRAP {
                 self.zero(ep, pos, rem);
                 self.consumed_abs += rem;
@@ -387,21 +406,21 @@ impl RingReceiver {
                 // owner's stall detection tears the ring down and rebuilds it.
                 break;
             }
-            let seq_raw = ep.read(self.region, pos as u32 + 4, 8);
-            let seq = u64::from_le_bytes(seq_raw.try_into().expect("seq"));
+            let seq_raw = ep.peek(self.region, pos as u32 + 4, 8);
+            let seq = u64::from_le_bytes(seq_raw[..].try_into().expect("seq"));
             if seq != self.next_seq {
                 // Same desync as the overrun case, just with a plausible
                 // length: a stale or torn frame from a dead incarnation.
                 // Leave it unconsumed; recovery belongs to the resync path.
                 break;
             }
-            let payload = Bytes::copy_from_slice(ep.read(
+            let (head, body) = ep.take(
                 self.region,
-                pos as u32 + FRAME_HDR as u32,
-                payload_len as usize,
-            ));
-            self.zero(ep, pos, frame_len);
-            out.push((seq, payload));
+                pos as u32,
+                frame_len as usize,
+                FRAME_HDR as usize,
+            );
+            out.push(RingFrame { seq, head, body });
             self.consumed_abs += frame_len;
             self.next_seq += 1;
         }
@@ -447,6 +466,8 @@ mod tests {
         dst: NodeId,
         to_send: VecDeque<Vec<u8>>,
         errors: Vec<RingError>,
+        /// Send each payload as a 4-byte head and a gathered body.
+        gather: bool,
     }
 
     impl Process<Wire> for Sender {
@@ -463,10 +484,16 @@ mod tests {
                 self.ring.ack(self.dst, acked - 1);
             }
             while let Some(p) = self.to_send.front() {
-                match self
-                    .ring
-                    .send_to(ctx, &mut self.ep, self.dst, p, MsgKind::Payload)
-                {
+                let sent = if self.gather && p.len() >= 4 {
+                    let body = Bytes::copy_from_slice(&p[4..]);
+                    let ep = &mut self.ep;
+                    self.ring
+                        .send_parts(ctx, ep, self.dst, &p[..4], &body, MsgKind::Payload)
+                } else {
+                    self.ring
+                        .send_to(ctx, &mut self.ep, self.dst, p, MsgKind::Payload)
+                };
+                match sent {
                     Ok(_) => {
                         self.to_send.pop_front();
                     }
@@ -490,6 +517,8 @@ mod tests {
         sender: NodeId,
         push_acks: bool,
         got: Vec<(u64, Bytes)>,
+        /// The landed body of each frame in `got`.
+        bodies: Vec<Bytes>,
         batches: Vec<usize>,
     }
 
@@ -519,7 +548,8 @@ mod tests {
                     );
                 }
             }
-            self.got.extend(batch);
+            self.bodies.extend(batch.iter().map(|f| f.body.clone()));
+            self.got.extend(batch.iter().map(|f| (f.seq, f.payload())));
             ctx.set_timer(Duration::from_micros(1), 0);
         }
     }
@@ -549,6 +579,7 @@ mod tests {
             dst: 1,
             to_send: payloads.into(),
             errors: vec![],
+            gather: false,
         };
         let mut rep = mk_ep();
         let (rring, rack) = plan(&mut rep, ring_len);
@@ -560,6 +591,7 @@ mod tests {
             sender: 0,
             push_acks,
             got: vec![],
+            bodies: vec![],
             batches: vec![],
         };
         let a = sim.add_node(Box::new(s));
@@ -634,6 +666,29 @@ mod tests {
         assert_eq!(r.got.len(), 300);
         for (i, (_, p)) in r.got.iter().enumerate() {
             assert_eq!(p.as_ref(), &msgs[i][..], "payload {i}");
+        }
+    }
+
+    #[test]
+    fn gathered_bodies_wrap_many_laps_as_views() {
+        // Bodies at and past the view threshold, gathered, over a ring that
+        // holds a handful: every lap's frames land as views on memory the
+        // previous lap zeroed, in both framings.
+        let msgs: Vec<Vec<u8>> = (0..60usize)
+            .map(|i| vec![i as u8 + 1; VIEW_MIN + 4 + (i * 37) % VIEW_MIN])
+            .collect();
+        for mode in [RingMode::Coupled, RingMode::Split] {
+            let (mut sim, a, b) = pair(mode, 8 * VIEW_MIN, msgs.clone(), true);
+            sim.node_mut::<Sender>(a).gather = true;
+            sim.run_until(SimTime::from_millis(20));
+            assert!(sim.node::<Sender>(a).to_send.is_empty(), "{mode:?}");
+            let r = sim.node::<Receiver>(b);
+            assert_eq!(r.got.len(), 60, "{mode:?}");
+            for (i, (_, p)) in r.got.iter().enumerate() {
+                assert_eq!(p.as_ref(), &msgs[i][..], "{mode:?} payload {i}");
+                assert_eq!(r.bodies[i].len(), msgs[i].len() - 4, "{mode:?} body {i}");
+            }
+            assert_eq!(r.ep.body_bytes_copied, 0, "{mode:?}");
         }
     }
 
@@ -789,9 +844,9 @@ mod tests {
             }
             fn on_timer(&mut self, ctx: &mut Ctx<Wire>, _t: u64) {
                 self.got_old
-                    .extend(self.old.poll(&mut self.ep).into_iter().map(|(_, p)| p));
+                    .extend(self.old.poll(&mut self.ep).iter().map(RingFrame::payload));
                 self.got_new
-                    .extend(self.new.poll(&mut self.ep).into_iter().map(|(_, p)| p));
+                    .extend(self.new.poll(&mut self.ep).iter().map(RingFrame::payload));
                 ctx.set_timer(Duration::from_micros(10), 0);
             }
         }
@@ -867,6 +922,7 @@ mod tests {
                 sender: 0,
                 push_acks: false,
                 got: vec![],
+                bodies: vec![],
                 batches: vec![],
             }
         };
@@ -887,39 +943,29 @@ mod tests {
     }
 
     #[test]
-    fn frame_bytes_prefixes_the_parts_however_many() {
-        for n in 0..6 {
-            let parts: Vec<&[u8]> = (0..n).map(|i| &b"abcdefgh"[i..i + 3]).collect();
-            let want: Vec<u8> = std::iter::once(&b"head"[..])
-                .chain(parts.iter().copied())
-                .flatten()
-                .copied()
-                .collect();
-            assert_eq!(
-                frame_bytes(b"head", &parts).as_ref(),
-                &want[..],
-                "{n} parts"
-            );
-        }
-    }
-
-    #[test]
     fn send_parts_frames_the_concatenation() {
-        // Parts land as one payload under one sequence number, byte for byte
-        // what `send_to` of their concatenation writes.
+        // Head and body land as one payload under one sequence number, byte
+        // for byte what `send_to` of their concatenation writes. A short
+        // body is copied into a flat frame; a long one lands as a view of
+        // the sender's own buffer.
         let mut sim: Sim<Wire> = Sim::new(4, NetParams::rdma());
+        let long = Bytes::from(vec![5u8; VIEW_MIN]);
         struct Parts {
             ep: Endpoint,
             ring: RingSender,
+            long: Bytes,
         }
         impl Process<Wire> for Parts {
             fn on_start(&mut self, ctx: &mut Ctx<Wire>) {
-                let parts: [&[u8]; 3] = [b"hel", b"", b"lo"];
+                let ep = &mut self.ep;
+                let short = Bytes::from_static(b"lo");
+                for (head, body) in [(&b"hel"[..], &short), (b"head", &self.long)] {
+                    self.ring
+                        .send_parts(ctx, ep, 1, head, body, MsgKind::Payload)
+                        .unwrap();
+                }
                 self.ring
-                    .send_parts(ctx, &mut self.ep, 1, &parts, MsgKind::Payload)
-                    .unwrap();
-                self.ring
-                    .send_to(ctx, &mut self.ep, 1, b"hello", MsgKind::Payload)
+                    .send_to(ctx, ep, 1, b"hello", MsgKind::Payload)
                     .unwrap();
             }
             fn on_message(&mut self, ctx: &mut Ctx<Wire>, from: NodeId, msg: Wire) {
@@ -928,29 +974,34 @@ mod tests {
         }
         let mut sep = Endpoint::new(QpConfig::default());
         sep.connect(1);
-        let (sring, _) = plan(&mut sep, 1024);
+        let (sring, _) = plan(&mut sep, 4 * VIEW_MIN);
         let mut rep = Endpoint::new(QpConfig::default());
         rep.connect(0);
-        let (rring, rack) = plan(&mut rep, 1024);
+        let (rring, rack) = plan(&mut rep, 4 * VIEW_MIN);
         sim.add_node(Box::new(Parts {
             ep: sep,
-            ring: RingSender::new(sring, 1024, RingMode::Coupled, &[1]),
+            ring: RingSender::new(sring, 4 * VIEW_MIN, RingMode::Coupled, &[1]),
+            long: long.clone(),
         }));
         let r = sim.add_node(Box::new(Receiver {
             ep: rep,
-            ring: RingReceiver::new(rring, 1024, RingMode::Coupled),
+            ring: RingReceiver::new(rring, 4 * VIEW_MIN, RingMode::Coupled),
             ack_region: rack,
             sender: 0,
             push_acks: false,
             got: vec![],
+            bodies: vec![],
             batches: vec![],
         }));
         sim.run_until(SimTime::from_millis(1));
+        let rx = sim.node::<Receiver>(r);
         let hello = Bytes::from_static(b"hello");
-        assert_eq!(
-            sim.node::<Receiver>(r).got,
-            [(0, hello.clone()), (1, hello)]
-        );
+        let head_long = Bytes::from_parts(&[b"head", &long]);
+        assert_eq!(rx.got, [(0, hello.clone()), (1, head_long), (2, hello)]);
+        assert!(rx.bodies[0].is_empty() && rx.bodies[2].is_empty());
+        assert_eq!(rx.bodies[1].as_ptr(), long.as_ptr(), "the body was copied");
+        assert_eq!(rx.ep.body_bytes_viewed, VIEW_MIN as u64);
+        assert_eq!(rx.ep.body_bytes_copied, 0);
     }
 
     #[test]

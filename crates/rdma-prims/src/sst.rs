@@ -66,7 +66,7 @@ impl<T: FixedCodec> Sst<T> {
     /// Read slot `j` from the local copy.
     pub fn read(&self, ep: &Endpoint, j: usize) -> T {
         assert!(j < self.n, "slot out of range");
-        T::decode(ep.read(self.region, (j * T::SIZE) as u32, T::SIZE))
+        T::decode(&ep.peek(self.region, (j * T::SIZE) as u32, T::SIZE))
     }
 
     /// Whether a peer's push landed in the local copy since the last call
@@ -110,7 +110,7 @@ impl<T: FixedCodec> Sst<T> {
         peer: NodeId,
     ) -> Result<(), PostError> {
         let off = (self.me * T::SIZE) as u32;
-        let data = bytes::Bytes::copy_from_slice(ep.read(self.region, off, T::SIZE));
+        let data = bytes::Bytes::copy_from_slice(&ep.peek(self.region, off, T::SIZE));
         ctx.count(Counter::SstPushes, 1);
         // SST rows carry acknowledgment/visibility state, never payload.
         ep.post_write(ctx, peer, self.region, off, data, MsgKind::Ack)

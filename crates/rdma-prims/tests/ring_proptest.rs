@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rdma_prims::{RingMode, RingReceiver, RingSender};
+use rdma_prims::{RingFrame, RingMode, RingReceiver, RingSender};
 use rdma_sim::{Endpoint, QpConfig, RdmaPkt, RegionId};
 use simnet::{Ctx, MsgKind, NetParams, NodeId, Process, Sim, SimTime};
 use std::collections::VecDeque;
@@ -72,7 +72,7 @@ impl Process<Wire> for Receiver {
             let _ = self
                 .ep
                 .post_write(ctx, 0, self.ack_region, 0, data, MsgKind::Ack);
-            self.got.extend(batch.into_iter().map(|(_, p)| p));
+            self.got.extend(batch.iter().map(RingFrame::payload));
         }
         ctx.set_timer(Duration::from_micros(1), 0);
     }

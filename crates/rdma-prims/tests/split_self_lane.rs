@@ -65,7 +65,11 @@ impl Node {
 
     fn acked_by(&self, receiver: usize) -> u64 {
         let off = ((self.me * self.n + receiver) * 8) as u32;
-        u64::from_le_bytes(self.ep.read(self.ack_region, off, 8).try_into().unwrap())
+        u64::from_le_bytes(
+            self.ep.peek(self.ack_region, off, 8)[..]
+                .try_into()
+                .unwrap(),
+        )
     }
 }
 
@@ -97,7 +101,7 @@ impl Process<Wire> for Node {
                 let _ = self
                     .ep
                     .post_write(ctx, s, self.ack_region, off, data, MsgKind::Ack);
-                self.got[s].extend(batch);
+                self.got[s].extend(batch.iter().map(|f| (f.seq, f.payload())));
             }
         }
         // Broadcast pending payloads to every peer including self.
