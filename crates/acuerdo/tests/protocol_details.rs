@@ -838,7 +838,7 @@ fn idle_cluster_skips_most_of_its_polls() {
     // that charged only `POLL_IDLE` can still have changed state
     // (`observe_acks` and `reuse_slots` are free, and `publish_gauges` runs
     // before `reuse_slots`), and skipping after it left `ring_occupancy`
-    // stale in `BENCH_quick` (`acuerdo-w1` mean 10.489 -> 18.436). So the
+    // stale in the quick matrix (`acuerdo-w1` mean 10.489 -> 18.436). So the
     // share depends on the push cadence: one push per 50 us leaves about
     // ninety polls between pushes, the default 5 us about nine.
     let shares = |push: Duration| {

@@ -1,10 +1,11 @@
-//! Compare a fresh `suite` document against a committed baseline with
+//! Compare a fresh `paper` document against the committed baseline with
 //! deterministic-sim-tight thresholds (counters exact, latencies within a
-//! formatting-noise epsilon) and fail loudly on any drift.
+//! formatting-noise epsilon, run records matched by label and system) and
+//! fail loudly on any drift.
 //!
 //! ```text
-//! cargo run --release -p bench --bin suite -- --quick
-//! cargo run --release -p bench --bin bench-diff -- baselines/BENCH_quick.json BENCH_quick.json
+//! cargo run --release -p bench --bin paper -- --out .
+//! cargo run --release -p bench --bin bench-diff -- baselines/BENCH_paper.json BENCH_paper.json
 //! ```
 //!
 //! `--json` swaps the human lines for one machine-readable JSON object on

@@ -168,7 +168,7 @@ mod tests {
     fn newest_trajectory_is_the_highest_pr_number() {
         let dir = std::env::temp_dir().join(format!("benchmark-pin-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for name in ["BENCHMARK_9.json", "BENCHMARK_17.json", "BENCH_quick.json"] {
+        for name in ["BENCHMARK_9.json", "BENCHMARK_17.json", "BENCH_paper.json"] {
             std::fs::write(dir.join(name), "{}").unwrap();
         }
         let d = dir.to_str().unwrap();

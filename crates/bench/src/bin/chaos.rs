@@ -16,7 +16,7 @@
 
 use acuerdo::DisseminationMode;
 use bench::chaos::{run_chaos, ChaosOpts, ChaosRun, Proto, Tier, CHAOS_N, PAYLOAD};
-use bench::cli::{dissemination, parsed, value};
+use bench::cli::{dissemination, parsed, scheduler, value};
 use bench::{write_flightrec, write_metrics_file};
 use simnet::{DurabilityMode, SchedKind, SimTime};
 use std::process::exit;
@@ -110,16 +110,10 @@ fn parse_args() -> Args {
                 });
             }
             "--dissemination" => {
-                out.dissemination = dissemination(&mut args, false).expect("'both' is refused");
+                out.dissemination = dissemination(&mut args);
             }
             "--payload" => out.payload = parsed(&mut args, "--payload", "byte count"),
-            "--sched" => {
-                let v = value(&mut args, "--sched", "scheduler kind");
-                out.sched = SchedKind::from_name(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scheduler {v}");
-                    exit(2);
-                });
-            }
+            "--sched" => out.sched = scheduler(&mut args),
             "--metrics-out" => out.metrics_out = Some(value(&mut args, "--metrics-out", "path")),
             "--trace-out" => out.trace_out = Some(value(&mut args, "--trace-out", "path")),
             "--help" | "-h" => {

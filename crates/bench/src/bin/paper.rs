@@ -1,32 +1,40 @@
 //! The paper's evaluation in one run: Figure 8 (a–d), Table 1, Figure 9,
-//! the design-choice ablations and the §5 lineage, printed as the paper's
-//! tables and written as one `BENCH_paper.json` document (compare it
-//! against `baselines/BENCH_paper.json` with `bench-diff`; draw the SVGs
-//! from it with `figures`).
+//! the design-choice ablations and the §5 lineage, then the quick matrix
+//! and the scale sweep with its what-if pricing, printed as tables and
+//! written as one `BENCH_paper.json` document (compare it against
+//! `baselines/BENCH_paper.json` with `bench-diff`; draw the SVGs from it
+//! with `figures`; render its analyses with `trace-report`). The last
+//! stdout line of a run with the scale section is its `whatif-agree k/N`
+//! count.
 //!
 //! ```text
 //! cargo run --release -p bench --bin paper                      # all sections, quick
 //! cargo run --release -p bench --bin paper -- --out baselines   # regenerate the baseline
 //! cargo run --release -p bench --bin paper -- --full            # paper-scale sweeps
 //! cargo run --release -p bench --bin paper -- --only fig8a --trace-out fig8.trace.json
+//! cargo run --release -p bench --bin paper -- --only scale --sched heap   # the queue oracle
 //! ```
 //!
 //! Exit status: 0 on a written document, 1 when a Table 1 row measured
 //! fewer elections than it asked for (the document is still written), 2 on
 //! usage or I/O errors.
 
-use bench::cli::{parsed, value};
+use bench::cli::{parsed, scheduler, value};
 use bench::paper::{run_paper, PaperConfig, SECTIONS};
 use std::process::exit;
 
 fn usage() {
     eprintln!(
         "usage: paper [--full] [--seed N] [--out DIR] [--trace-out BASE] [--only SECTION]\n\
+         \x20            [--sched KIND]\n\
          \x20  --full            paper-scale sweeps and measurement windows\n\
          \x20  --seed N          simulation seed (default 42)\n\
          \x20  --out DIR         where BENCH_paper.json (BENCH_paper-SECTION.json) goes (default .)\n\
-         \x20  --trace-out BASE  one Chrome trace per fig8/table1/fig9 record (all: ~1.4 GB)\n\
-         \x20  --only SECTION    one of {SECTIONS}"
+         \x20  --trace-out BASE  one Chrome trace per fig8/table1/fig9 record and per scale\n\
+         \x20                    record at the smallest size (all: ~1.4 GB)\n\
+         \x20  --only SECTION    one of {SECTIONS}\n\
+         \x20  --sched KIND      event queue of the quick and scale runs: calendar (default)\n\
+         \x20                    or heap; never changes the document"
     );
 }
 
@@ -52,6 +60,7 @@ fn main() {
                 }
                 cfg.only = Some(v);
             }
+            "--sched" => cfg.scheduler = scheduler(&mut args),
             "--help" | "-h" => {
                 usage();
                 exit(0);

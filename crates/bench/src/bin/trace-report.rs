@@ -1,5 +1,5 @@
 //! Analyze a Chrome trace file written by any `--trace-out` flag (`paper`,
-//! `scale`, `chaos`; read back by [`bench::chrome::load`]):
+//! `chaos`; read back by [`bench::chrome::load`]):
 //! reassemble message lifecycles, print the per-stage commit-latency anatomy
 //! with its quorum-wait / wire / CPU breakdown, sample the p50 and p99
 //! critical paths, and list the heaviest network links.
@@ -10,8 +10,8 @@
 //! ```
 //!
 //! With `--bottleneck` the input is instead a metrics document (a
-//! `--metrics-out` sidecar, a suite/scale `BENCH_*.json`, or the sectioned
-//! `BENCH_paper.json`): the resource
+//! `--metrics-out` sidecar or the sectioned `BENCH_paper.json`): the
+//! resource
 //! utilization tables are rendered and one ranked `bottleneck <system>@<n>`
 //! verdict line is printed per run.
 //!
@@ -19,16 +19,16 @@
 //! blame histograms, the straggler leaderboard, one explanatory paragraph
 //! per captured outlier, and one `blame <system>@<n>` headline line per run.
 //!
-//! With `--whatif` the input is a `BENCH_whatif.json` document: per-run
-//! counterfactual tables, one `whatif <system>@<n>` headline per measured
+//! With `--whatif` the input is a `BENCH_paper.json` document with a scale
+//! section: per-run counterfactual tables, one `whatif <system>@<n>` headline per measured
 //! intervention (gain order), one `whatif-verdict <system>@<n>` line
 //! stating whether the measurement agrees with the blame-vector prediction,
 //! and last one `whatif-agree k/N` line counting the runs that agree.
 //!
 //! ```text
-//! cargo run --release -p bench --bin trace-report -- --bottleneck BENCH_scale.json
-//! cargo run --release -p bench --bin trace-report -- --forensics BENCH_scale.json
-//! cargo run --release -p bench --bin trace-report -- --whatif BENCH_whatif.json
+//! cargo run --release -p bench --bin trace-report -- --bottleneck BENCH_paper.json
+//! cargo run --release -p bench --bin trace-report -- --forensics BENCH_paper.json
+//! cargo run --release -p bench --bin trace-report -- --whatif BENCH_paper.json
 //! ```
 //!
 //! Exit status: 0 on a report, 1 when the input holds nothing for the
@@ -37,10 +37,10 @@
 //! older exports fail with a pointer instead of a bare refusal — and 2 on
 //! usage or parse errors. Both inputs are read strictly: a trace entry that
 //! lacks a field the writer always emits (`traceEvents[7] tx: missing dur`),
-//! a metrics document with neither a `runs` nor a `records` array, and a
-//! record that carries the analysed member but lacks one of `label`,
-//! `system`, `nodes` or a member the writer always emits
-//! (`runs[etcd-n64].util.leader: missing`) each exit 2. `null` is read as
+//! a metrics document without a `records` array, and a record that carries
+//! the analysed member but lacks one of `label`, `system`, `nodes` or a
+//! member the writer always emits
+//! (`scale.records[etcd-n64].util.leader: missing`) each exit 2. `null` is read as
 //! the writer means it wherever the writer writes it (an outlier's
 //! `straggler`, a what-if run's `blame_top`).
 

@@ -4,6 +4,7 @@
 //! be written, naming the path.
 
 use acuerdo::DisseminationMode;
+use simnet::SchedKind;
 use std::path::Path;
 use std::process::exit;
 use std::str::FromStr;
@@ -27,22 +28,19 @@ pub fn value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) ->
     args.next().unwrap_or_else(|| needs(flag, what))
 }
 
-/// The value following `--dissemination`: a topology, or `None` for `both`
-/// where the bin has rows for each (`allow_both`); anything else exits 2.
-pub fn dissemination(
-    args: &mut impl Iterator<Item = String>,
-    allow_both: bool,
-) -> Option<DisseminationMode> {
-    let what = if allow_both {
-        "mode (star, ring or both)"
-    } else {
-        "mode (star or ring)"
-    };
+/// The value following `--dissemination`: a topology; anything else exits
+/// 2.
+pub fn dissemination(args: &mut impl Iterator<Item = String>) -> DisseminationMode {
+    let what = "mode (star or ring)";
     let v = value(args, "--dissemination", what);
-    match DisseminationMode::from_name(&v) {
-        None if !(allow_both && v == "both") => needs("--dissemination", what),
-        mode => mode,
-    }
+    DisseminationMode::from_name(&v).unwrap_or_else(|| needs("--dissemination", what))
+}
+
+/// The value following `--sched`: an event queue; anything else exits 2.
+pub fn scheduler(args: &mut impl Iterator<Item = String>) -> SchedKind {
+    let what = "scheduler (calendar or heap)";
+    let v = value(args, "--sched", what);
+    SchedKind::from_name(&v).unwrap_or_else(|| needs("--sched", what))
 }
 
 /// The value following `flag` parsed as `T`, or exit 2 with `"<flag> needs

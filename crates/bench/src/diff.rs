@@ -1,13 +1,13 @@
-//! Baseline comparison for the perf-regression observatory.
+//! Baseline comparison for the `paper` document.
 //!
-//! Compares two `BENCH_*.json` documents (a committed baseline and a fresh
-//! [`crate::suite`] run) with deterministic-sim-tight thresholds: the
+//! Compares two `BENCH_paper.json` documents (a committed baseline and a
+//! fresh [`crate::paper`] run) with deterministic-sim-tight thresholds: the
 //! simulator is bit-deterministic per seed, so counters, gauge extremes,
 //! sample counts, and lifecycle counts must match **exactly**; measured
 //! latencies and rates are floats serialized at fixed precision and are
 //! held to a small relative epsilon that only absorbs formatting noise.
 //! Anything looser would let real regressions hide; anything structural
-//! (missing run, extra member, length mismatch) is a finding too.
+//! (missing record, extra member, length mismatch) is a finding too.
 //!
 //! There is exactly one JSON parser in the tree — [`crate::json`] — and
 //! this module reuses it rather than growing a second one.
@@ -81,30 +81,21 @@ impl DiffReport {
     }
 }
 
-/// Compare two parsed documents. `runs` are matched by label; every other
-/// top-level member — a `paper` document's sections — is compared like a
-/// run's members, arrays element by element. Returns the findings and
-/// warnings; both empty when the documents agree within thresholds. `Err`
-/// means the documents are not comparable at all (different schema or
-/// matrix configuration) — that is an operator error, not a regression.
-/// `schema`, `mode` and `seed` are required; the other comparability keys
-/// only where either document has them (a `paper` document spans several
-/// node counts and payloads, so it carries none of them).
+/// Compare two parsed documents member by member; the elements of every
+/// `records` array are matched by key (label and system, or a Table 1
+/// record's node count), of every other array by position.
+/// Returns the findings and warnings; both empty when the documents agree
+/// within thresholds. `Err` means the documents are not comparable at all
+/// (a different `schema`, `mode` or `seed`) — that is an operator error,
+/// not a regression.
 pub fn diff_docs(base: &Value, cur: &Value, opts: &DiffOptions) -> Result<DiffReport, String> {
-    for key in [
-        "schema",
-        "mode",
-        "seed",
-        "nodes",
-        "payload_bytes",
-        "sample_every_us",
-    ] {
-        let (b, c) = (base.get(key), cur.get(key));
-        if b.is_none() && c.is_none() && !["schema", "mode", "seed"].contains(&key) {
-            continue;
-        }
-        let b = b.ok_or_else(|| format!("baseline: missing \"{key}\""))?;
-        let c = c.ok_or_else(|| format!("current: missing \"{key}\""))?;
+    for key in ["schema", "mode", "seed"] {
+        let b = base
+            .get(key)
+            .ok_or_else(|| format!("baseline: missing \"{key}\""))?;
+        let c = cur
+            .get(key)
+            .ok_or_else(|| format!("current: missing \"{key}\""))?;
         if b != c {
             return Err(format!(
                 "documents are not comparable: \"{key}\" is {b:?} in the baseline but {c:?} in the current run"
@@ -112,47 +103,7 @@ pub fn diff_docs(base: &Value, cur: &Value, opts: &DiffOptions) -> Result<DiffRe
         }
     }
     let mut out = DiffReport::default();
-    // The injected-slowdown knob is a physics change: a baseline must never
-    // carry one, and comparing a slowed run against a clean baseline is the
-    // walkthrough's whole point — so it is a finding, not an error.
-    let b_scale = base.get("cpu_scale").cloned().unwrap_or(Value::Null);
-    let c_scale = cur.get("cpu_scale").cloned().unwrap_or(Value::Null);
-    if b_scale != c_scale {
-        out.findings.push(format!(
-            "cpu_scale: baseline {b_scale:?}, current {c_scale:?}"
-        ));
-    }
-    let (bruns, cruns) = match (base.get("runs"), cur.get("runs")) {
-        (None, None) => (Vec::new(), Vec::new()),
-        _ => (
-            runs_by_label(base, "baseline")?,
-            runs_by_label(cur, "current")?,
-        ),
-    };
-    for (label, bv) in &bruns {
-        match cruns.iter().find(|(l, _)| l == label) {
-            None => out
-                .findings
-                .push(format!("run {label}: missing from current")),
-            Some((_, cv)) => diff_value(&format!("runs[{label}]"), false, bv, cv, opts, &mut out),
-        }
-    }
-    for (label, _) in &cruns {
-        if !bruns.iter().any(|(l, _)| l == label) {
-            out.warnings.push(format!("run {label}: not in baseline"));
-        }
-    }
-    // Everything else, from the (already equal) comparability keys to a
-    // paper document's sections.
-    let rest = |doc: &Value| match doc {
-        Value::Obj(kv) => Value::Obj(
-            (kv.iter().filter(|(k, _)| k != "cpu_scale" && k != "runs"))
-                .cloned()
-                .collect(),
-        ),
-        _ => Value::Null,
-    };
-    diff_value("", false, &rest(base), &rest(cur), opts, &mut out);
+    diff_value("", false, base, cur, opts, &mut out);
     Ok(out)
 }
 
@@ -163,19 +114,60 @@ pub fn diff_files(baseline: &str, current: &str, opts: &DiffOptions) -> Result<D
     diff_docs(&b, &c, opts)
 }
 
-fn runs_by_label<'a>(doc: &'a Value, which: &str) -> Result<Vec<(String, &'a Value)>, String> {
-    let runs = doc
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{which}: missing \"runs\" array"))?;
-    runs.iter()
-        .map(|r| {
-            r.get("label")
-                .and_then(Value::as_str)
-                .map(|l| (l.to_string(), r))
-                .ok_or_else(|| format!("{which}: run without a \"label\""))
-        })
-        .collect()
+/// A run record's identity within its `records` array: `label/system`
+/// (a Figure 8 label names only the panel, so the system completes it), a
+/// bare `label`, or `nodes=N` for a Table 1 election record; the element's
+/// index when it has none of these. A key repeated within one array gets
+/// its occurrence appended (`#2`, `#3`, …), so every element has one.
+fn record_keys(items: &[Value]) -> Vec<String> {
+    let mut bare: Vec<String> = Vec::new();
+    let mut keys = Vec::new();
+    for (i, r) in items.iter().enumerate() {
+        let (label, system) = (r.get("label"), r.get("system"));
+        let key = match (
+            label.and_then(Value::as_str),
+            system.and_then(Value::as_str),
+        ) {
+            (Some(l), Some(s)) => format!("{l}/{s}"),
+            (Some(l), None) => l.to_string(),
+            _ => match r.get("nodes").and_then(Value::as_u64) {
+                Some(n) => format!("nodes={n}"),
+                None => i.to_string(),
+            },
+        };
+        let seen = bare.iter().filter(|k| **k == key).count();
+        keys.push(match seen {
+            0 => key.clone(),
+            _ => format!("{key}#{}", seen + 1),
+        });
+        bare.push(key);
+    }
+    keys
+}
+
+/// Match two `records` arrays by key: a baseline record the current array
+/// lacks is a finding, a current record the baseline lacks a warning, and
+/// every matched pair is compared member by member.
+fn diff_records(
+    path: &str,
+    exact: bool,
+    ba: &[Value],
+    ca: &[Value],
+    opts: &DiffOptions,
+    out: &mut DiffReport,
+) {
+    let (bkeys, ckeys) = (record_keys(ba), record_keys(ca));
+    for (key, bv) in bkeys.iter().zip(ba) {
+        match ckeys.iter().position(|k| k == key) {
+            None => out
+                .findings
+                .push(format!("{path}[{key}]: missing from current")),
+            Some(i) => diff_value(&format!("{path}[{key}]"), exact, bv, &ca[i], opts, out),
+        }
+    }
+    for key in ckeys.iter().filter(|k| !bkeys.contains(k)) {
+        out.warnings.push(format!("{path}[{key}]: not in baseline"));
+    }
 }
 
 fn diff_value(
@@ -209,6 +201,9 @@ fn diff_value(
                     out.warnings.push(format!("{}: not in baseline", at(k)));
                 }
             }
+        }
+        (Value::Arr(ba), Value::Arr(ca)) if path.rsplit('.').next() == Some("records") => {
+            diff_records(path, exact, ba, ca, opts, out)
         }
         (Value::Arr(ba), Value::Arr(ca)) => {
             if ba.len() != ca.len() {
@@ -253,19 +248,27 @@ fn rel_close(a: f64, b: f64, eps: f64) -> bool {
 mod tests {
     use super::*;
 
-    fn doc(mean: f64, commits: u64, scale: &str) -> Value {
+    /// A one-record quick section: `mean_us` is epsilon-held, the commit
+    /// counter exact; `extra` is spliced into the record.
+    fn doc_with(mean: f64, commits: u64, extra: &str) -> Value {
         json::parse(&format!(
-            "{{\"schema\":\"acuerdo-bench-suite-v1\",\"mode\":\"quick\",\"seed\":42,\
-             \"nodes\":3,\"payload_bytes\":64,\"sample_every_us\":100,\"cpu_scale\":{scale},\
-             \"runs\":[{{\"label\":\"acuerdo-w1\",\"window\":1,\"mean_us\":{mean},\
-             \"metrics\":{{\"totals\":{{\"commits\":{commits}}}}}}}]}}"
+            "{{\"schema\":\"acuerdo-bench-paper-v2\",\"mode\":\"quick\",\"seed\":42,\
+             \"quick\":{{\"nodes\":3,\"records\":[{{\"label\":\"acuerdo-w1\",\
+             \"system\":\"acuerdo\",\"window\":1,\"mean_us\":{mean},\
+             \"metrics\":{{\"totals\":{{\"commits\":{commits}}}}}{extra}}}]}}}}"
         ))
         .unwrap()
     }
 
+    fn doc(mean: f64, commits: u64) -> Value {
+        doc_with(mean, commits, "")
+    }
+
+    const AT: &str = "quick.records[acuerdo-w1/acuerdo]";
+
     #[test]
     fn identical_documents_pass() {
-        let a = doc(5.25, 1000, "null");
+        let a = doc(5.25, 1000);
         assert!(diff_docs(&a, &a, &DiffOptions::default())
             .unwrap()
             .is_clean());
@@ -273,213 +276,218 @@ mod tests {
 
     #[test]
     fn latency_epsilon_absorbs_formatting_noise_only() {
-        let a = doc(5.25, 1000, "null");
-        let close = doc(5.2501, 1000, "null");
+        let a = doc(5.25, 1000);
+        let close = doc(5.2501, 1000);
         assert!(diff_docs(&a, &close, &DiffOptions::default())
             .unwrap()
             .is_clean());
-        let slow = doc(7.9, 1000, "null");
+        let slow = doc(7.9, 1000);
         let findings = diff_docs(&a, &slow, &DiffOptions::default())
             .unwrap()
             .findings;
-        assert_eq!(findings.len(), 1);
-        assert!(
-            findings[0].contains("runs[acuerdo-w1].mean_us"),
-            "{findings:?}"
+        assert_eq!(
+            findings,
+            [format!("{AT}.mean_us: baseline 5.25, current 7.9")]
         );
     }
 
     #[test]
     fn counters_are_exact() {
-        let a = doc(5.25, 1000, "null");
-        let off_by_one = doc(5.25, 999, "null");
+        let a = doc(5.25, 1000);
+        let off_by_one = doc(5.25, 999);
         let findings = diff_docs(&a, &off_by_one, &DiffOptions::default())
             .unwrap()
             .findings;
-        assert_eq!(findings.len(), 1);
-        assert!(
-            findings[0].contains("metrics.totals.commits"),
-            "{findings:?}"
+        assert_eq!(
+            findings,
+            [format!(
+                "{AT}.metrics.totals.commits: baseline 1000, current 999"
+            )]
         );
     }
 
     #[test]
-    fn injected_slowdown_is_a_finding_not_an_error() {
-        let a = doc(5.25, 1000, "null");
-        let b = doc(5.25, 1000, "1.5");
-        let findings = diff_docs(&a, &b, &DiffOptions::default()).unwrap().findings;
-        assert!(findings.iter().any(|f| f.starts_with("cpu_scale")));
+    fn different_runs_refuse_to_compare() {
+        let a = doc(5.25, 1000);
+        for (key, to) in [
+            ("seed", Value::Num(7.0)),
+            ("mode", Value::Str("full".into())),
+            ("schema", Value::Str("acuerdo-bench-paper-v1".into())),
+        ] {
+            let mut b = doc(5.25, 1000);
+            if let Value::Obj(kv) = &mut b {
+                kv.iter_mut().find(|(k, _)| k == key).unwrap().1 = to;
+            }
+            let err = diff_docs(&a, &b, &DiffOptions::default()).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\" is")), "{err}");
+        }
+        // A truncated top level names the first missing comparability key.
+        let bare = json::parse("{\"schema\":\"acuerdo-bench-paper-v2\"}").unwrap();
+        let err = diff_docs(&a, &bare, &DiffOptions::default()).unwrap_err();
+        assert_eq!(err, "current: missing \"mode\"");
     }
 
     #[test]
-    fn different_matrices_refuse_to_compare() {
-        let a = doc(5.25, 1000, "null");
-        let mut b = doc(5.25, 1000, "null");
-        if let Value::Obj(kv) = &mut b {
-            for (k, v) in kv.iter_mut() {
-                if k == "seed" {
-                    *v = Value::Num(7.0);
+    fn records_match_by_key_so_a_missing_one_hides_no_other_drift() {
+        // Figure 9's twelve records, keyed by label and system; the
+        // baseline's third record dropped from the current document and
+        // the fifth one's throughput moved.
+        let fig9 = |drop: Option<usize>, bump: usize| {
+            let mut records = Vec::new();
+            for n in [3, 5, 7, 9] {
+                for s in ["acuerdo", "etcd", "zookeeper"] {
+                    let i = records.len();
+                    let ops = if i == bump { 2000 } else { 1000 };
+                    records.push(format!(
+                        "{{\"label\":\"{s}_n{n}\",\"system\":\"{s}\",\"nodes\":{n},\
+                         \"msgs_per_sec\":{ops}}}"
+                    ));
                 }
             }
-        }
-        assert!(diff_docs(&a, &b, &DiffOptions::default()).is_err());
+            if let Some(i) = drop {
+                records.remove(i);
+            }
+            json::parse(&format!(
+                "{{\"schema\":\"s\",\"mode\":\"quick\",\"seed\":42,\
+                 \"fig9\":{{\"records\":[{}]}}}}",
+                records.join(",")
+            ))
+            .unwrap()
+        };
+        let opts = DiffOptions::default();
+        let rep = diff_docs(&fig9(None, 99), &fig9(Some(2), 4), &opts).unwrap();
+        assert_eq!(
+            rep.findings,
+            [
+                "fig9.records[zookeeper_n3/zookeeper]: missing from current",
+                "fig9.records[etcd_n5/etcd].msgs_per_sec: baseline 1000, current 2000",
+            ]
+        );
+        assert!(rep.warnings.is_empty(), "{:?}", rep.warnings);
+        // The other way round the record is an addition: a warning.
+        let rep = diff_docs(&fig9(Some(2), 99), &fig9(None, 99), &opts).unwrap();
+        assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+        assert_eq!(
+            rep.warnings,
+            ["fig9.records[zookeeper_n3/zookeeper]: not in baseline"]
+        );
     }
 
     #[test]
-    fn malformed_documents_name_the_offending_member() {
-        let good = doc(5.25, 1000, "null");
-        // A comparability key of the wrong type is named, not diffed past.
-        let head = "{\"schema\":\"acuerdo-bench-suite-v1\",\"mode\":\"quick\",\"seed\":42,\
-                    \"nodes\":3,\"payload_bytes\":64,\"sample_every_us\":100";
-        // "runs" holding a number instead of an array.
-        let bad_runs = json::parse(&format!("{head},\"runs\":7}}")).unwrap();
-        let err = diff_docs(&good, &bad_runs, &DiffOptions::default()).unwrap_err();
-        assert!(err.contains("\"runs\""), "{err}");
-        // A run without a "label".
-        let unlabeled = json::parse(&format!("{head},\"runs\":[{{\"window\":1}}]}}")).unwrap();
-        let err = diff_docs(&good, &unlabeled, &DiffOptions::default()).unwrap_err();
-        assert!(err.contains("\"label\""), "{err}");
-        // A truncated top level names the first missing comparability key.
-        let bare = json::parse("{\"schema\":\"acuerdo-bench-suite-v1\"}").unwrap();
-        let err = diff_docs(&good, &bare, &DiffOptions::default()).unwrap_err();
-        assert!(err.contains("current: missing \"mode\""), "{err}");
-    }
-
-    #[test]
-    fn missing_and_extra_runs_are_findings() {
-        let a = doc(5.25, 1000, "null");
-        let empty = json::parse(
-            "{\"schema\":\"acuerdo-bench-suite-v1\",\"mode\":\"quick\",\"seed\":42,\
-             \"nodes\":3,\"payload_bytes\":64,\"sample_every_us\":100,\"cpu_scale\":null,\
-             \"runs\":[]}",
+    fn table1_records_key_by_nodes_and_figure8_by_label_and_system() {
+        let items = json::parse(
+            r#"[{"nodes":3,"count":8},{"nodes":5},{"label":"3nodes_10B","system":"acuerdo"},
+                {"label":"3nodes_10B","system":"etcd"},{"label":"baseline"},{"label":"baseline"},
+                {"window":1}]"#,
         )
         .unwrap();
-        let gone = diff_docs(&a, &empty, &DiffOptions::default()).unwrap();
-        assert!(gone
-            .findings
-            .iter()
-            .any(|f| f.contains("missing from current")));
-        assert!(gone.warnings.is_empty());
-        // An extra run is an addition: warning, not regression.
-        let added = diff_docs(&empty, &a, &DiffOptions::default()).unwrap();
-        assert!(added.findings.is_empty());
-        assert!(added.warnings.iter().any(|f| f.contains("not in baseline")));
+        assert_eq!(
+            record_keys(items.as_array().unwrap()),
+            [
+                "nodes=3",
+                "nodes=5",
+                "3nodes_10B/acuerdo",
+                "3nodes_10B/etcd",
+                "baseline",
+                "baseline#2",
+                "6"
+            ]
+        );
     }
 
     #[test]
     fn new_members_warn_instead_of_failing() {
-        // A current run that grew a "util" member (new instrumentation)
+        // A current record that grew a "util" member (new instrumentation)
         // against a baseline without one: warning only, shared members
         // still compared exactly.
-        let a = doc(5.25, 1000, "null");
-        let mut b = doc(5.25, 1000, "null");
-        if let Value::Obj(kv) = &mut b {
-            if let Some((_, Value::Arr(runs))) = kv.iter_mut().find(|(k, _)| k == "runs") {
-                if let Value::Obj(run) = &mut runs[0] {
-                    run.push((
-                        "util".to_string(),
-                        json::parse("{\"elapsed_ns\":1}").unwrap(),
-                    ));
-                }
-            }
-        }
+        let a = doc(5.25, 1000);
+        let b = doc_with(5.25, 1000, ",\"util\":{\"elapsed_ns\":1}");
         let rep = diff_docs(&a, &b, &DiffOptions::default()).unwrap();
         assert!(rep.findings.is_empty(), "{:?}", rep.findings);
-        assert_eq!(rep.warnings, vec!["runs[acuerdo-w1].util: not in baseline"]);
+        assert_eq!(rep.warnings, [format!("{AT}.util: not in baseline")]);
         // The reverse direction (baseline has it, current lost it) is a
         // regression finding.
         let rep = diff_docs(&b, &a, &DiffOptions::default()).unwrap();
-        assert!(rep
-            .findings
-            .iter()
-            .any(|f| f.contains("util: missing from current")));
+        assert_eq!(rep.findings, [format!("{AT}.util: missing from current")]);
     }
 
     #[test]
-    fn forensics_member_is_exact_and_warns_when_new() {
+    fn forensics_member_is_exact() {
         let with_forensics = |lat: u64| {
-            json::parse(&format!(
-                "{{\"schema\":\"acuerdo-bench-suite-v1\",\"mode\":\"quick\",\"seed\":42,\
-                 \"nodes\":3,\"payload_bytes\":64,\"sample_every_us\":100,\"cpu_scale\":null,\
-                 \"runs\":[{{\"label\":\"acuerdo-w1\",\"window\":1,\
-                 \"forensics\":{{\"commits\":1000,\"outliers\":[{{\"id\":\"0x1\",\
-                 \"latency_ns\":{lat},\"straggler\":2}}]}}}}]}}"
-            ))
-            .unwrap()
+            doc_with(
+                5.25,
+                1000,
+                &format!(
+                    ",\"forensics\":{{\"commits\":1000,\"outliers\":[{{\"id\":\"0x1\",\
+                     \"latency_ns\":{lat},\"straggler\":2}}]}}"
+                ),
+            )
         };
         // The forensics subtree is integer-exact: a 1 ns outlier-latency
         // drift is a finding, not formatting noise.
-        let a = with_forensics(400_000);
-        let b = with_forensics(400_001);
-        let rep = diff_docs(&a, &b, &DiffOptions::default()).unwrap();
-        assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
-        assert!(rep.findings[0].contains("forensics.outliers[0].latency_ns"));
-        // Against a pre-forensics baseline the new member is a named
-        // warning, not a failure; losing it again is a regression.
-        let old = doc(5.25, 1000, "null");
-        let mut cur = doc(5.25, 1000, "null");
-        if let Value::Obj(kv) = &mut cur {
-            if let Some((_, Value::Arr(runs))) = kv.iter_mut().find(|(k, _)| k == "runs") {
-                if let Value::Obj(run) = &mut runs[0] {
-                    run.push((
-                        "forensics".to_string(),
-                        json::parse("{\"commits\":1000}").unwrap(),
-                    ));
-                }
-            }
-        }
-        let rep = diff_docs(&old, &cur, &DiffOptions::default()).unwrap();
-        assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+        let rep = diff_docs(
+            &with_forensics(400_000),
+            &with_forensics(400_001),
+            &DiffOptions::default(),
+        )
+        .unwrap();
         assert_eq!(
-            rep.warnings,
-            vec!["runs[acuerdo-w1].forensics: not in baseline"]
+            rep.findings,
+            [format!(
+                "{AT}.forensics.outliers[0].latency_ns: baseline 400000, current 400001"
+            )]
         );
-        let rep = diff_docs(&cur, &old, &DiffOptions::default()).unwrap();
-        assert!(rep
-            .findings
-            .iter()
-            .any(|f| f.contains("forensics: missing from current")));
     }
 
     #[test]
-    fn sections_compare_element_by_element_without_runs() {
-        let paper = |mean: &str, extra: &str| {
+    fn shared_util_members_are_exact() {
+        let with_util = |v: &str| {
+            doc_with(
+                5.25,
+                1000,
+                &format!(",\"util\":{{\"egress_util_pct\":{v}}}"),
+            )
+        };
+        let rep = diff_docs(
+            &with_util("94.0"),
+            &with_util("94.1"),
+            &DiffOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
+        assert!(rep.findings[0].contains("egress_util_pct"));
+    }
+
+    #[test]
+    fn sections_and_other_arrays_compare_member_by_member() {
+        let paper = |long: &str, mean: &str, extra: &str| {
             json::parse(&format!(
-                "{{\"schema\":\"acuerdo-bench-paper-v1\",\"mode\":\"quick\",\"seed\":42,\
+                "{{\"schema\":\"acuerdo-bench-paper-v2\",\"mode\":\"quick\",\"seed\":42,\
+                 \"table1\":{{\"long_latency_nodes\":[{long}]}},\
                  \"fig9\":{{\"records\":[{{\"label\":\"a\",\"mean_us\":{mean},\
                  \"metrics\":{{\"commits\":3}}}}]}}{extra}}}"
             ))
             .unwrap()
         };
         let opts = DiffOptions::default();
-        let a = paper("5.25", "");
+        let a = paper("0,1", "5.25", "");
         assert!(diff_docs(&a, &a, &opts).unwrap().is_clean());
-        let rep = diff_docs(&a, &paper("7.9", ""), &opts).unwrap();
+        let rep = diff_docs(&a, &paper("0,1", "7.9", ""), &opts).unwrap();
         assert_eq!(
             rep.findings,
-            vec!["fig9.records[0].mean_us: baseline 5.25, current 7.9"]
+            ["fig9.records[a].mean_us: baseline 5.25, current 7.9"]
         );
-        let rep = diff_docs(&a, &paper("5.25", ",\"related\":{}"), &opts).unwrap();
-        assert_eq!(rep.warnings, vec!["related: not in baseline"]);
-        let rep = diff_docs(&paper("5.25", ",\"related\":{}"), &a, &opts).unwrap();
-        assert_eq!(rep.findings, vec!["related: missing from current"]);
-        // A comparability key only one document carries still refuses.
-        let err = diff_docs(&a, &doc(5.25, 1000, "null"), &opts).unwrap_err();
-        assert!(err.contains("\"schema\""), "{err}");
-    }
-
-    #[test]
-    fn shared_util_members_are_exact() {
-        let with_util = |v: &str| {
-            json::parse(&format!(
-                "{{\"schema\":\"acuerdo-bench-suite-v1\",\"mode\":\"quick\",\"seed\":42,                 \"nodes\":3,\"payload_bytes\":64,\"sample_every_us\":100,\"cpu_scale\":null,                 \"runs\":[{{\"label\":\"acuerdo-w1\",\"window\":1,                 \"util\":{{\"leader\":{{\"egress_util_pct\":{v}}}}}}}]}}"
-            ))
-            .unwrap()
-        };
-        let a = with_util("94.0");
-        let b = with_util("94.1");
-        let rep = diff_docs(&a, &b, &DiffOptions::default()).unwrap();
-        assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
-        assert!(rep.findings[0].contains("egress_util_pct"));
+        let with_related = paper("0,1", "5.25", ",\"related\":{}");
+        let rep = diff_docs(&a, &with_related, &opts).unwrap();
+        assert_eq!(rep.warnings, ["related: not in baseline"]);
+        let rep = diff_docs(&with_related, &a, &opts).unwrap();
+        assert_eq!(rep.findings, ["related: missing from current"]);
+        // An array that is not a records array compares element by
+        // element, and a length change is one finding.
+        let rep = diff_docs(&a, &paper("0,1,2", "5.25", ""), &opts).unwrap();
+        assert_eq!(
+            rep.findings,
+            ["table1.long_latency_nodes: length 2 in baseline, 3 in current"]
+        );
     }
 }

@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn report_renders_blame_lines_and_paragraphs() {
         let doc = json::parse(&format!(
-            "{{\"runs\":[{{\"label\":\"acuerdo-n64\",\"system\":\"acuerdo\",\"nodes\":64,\
+            "{{\"records\":[{{\"label\":\"acuerdo-n64\",\"system\":\"acuerdo\",\"nodes\":64,\
              \"forensics\":{}}}]}}",
             summary_json(&snap())
         ))
@@ -357,7 +357,7 @@ mod tests {
         );
         // A document with no forensics members is rejected, not rendered
         // empty.
-        let old = json::parse("{\"runs\":[{\"label\":\"x\"}]}").unwrap();
+        let old = json::parse("{\"records\":[{\"label\":\"x\"}]}").unwrap();
         assert!(forensics_report(&old, None).is_err());
     }
 }

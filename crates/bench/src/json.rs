@@ -8,7 +8,7 @@
 //! `--forensics`, `--whatif`) read them strictly, through [`records`],
 //! `report` and the `*_at` accessors: a member the writer always emits is
 //! required, and its absence is an error naming the record and the path
-//! (`runs[etcd-n64].util.leader: missing`), never a default.
+//! (`scale.records[etcd-n64].util.leader: missing`), never a default.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,11 +143,10 @@ pub(crate) fn under<T>(member: &str, read: Result<T, String>) -> Result<T, Strin
     read.map_err(|e| format!("{member}.{e}"))
 }
 
-/// One record of a metrics document: a `runs` entry of a `BENCH_*.json`
-/// document, a `records` entry of a `--metrics-out` sidecar, or a `records`
-/// entry of one of a `paper` document's sections.
+/// One record of a metrics document: a `records` entry of a `--metrics-out`
+/// sidecar, or a `records` entry of one of a `paper` document's sections.
 pub struct Record<'a> {
-    /// Where the record sits, for errors: `runs[acuerdo-w1]`,
+    /// Where the record sits, for errors: `records[acuerdo-seed17]`,
     /// `fig9.records[acuerdo_n3]`.
     pub at: String,
     /// The record's `label`.
@@ -163,17 +162,15 @@ pub struct Record<'a> {
 }
 
 /// Every record of `doc` that carries `member`, with its required `label`,
-/// `system` and `nodes`. The records are the document's `runs` or `records`
-/// array or, failing both, the `records` arrays of its top-level sections
-/// in document order (a `paper` document's `fig8`, `fig9`, …). `Err` when
+/// `system` and `nodes`. The records are the document's `records` array
+/// or, failing that, the `records` arrays of its top-level sections in
+/// document order (a `paper` document's `fig8`, `fig9`, …). `Err` when
 /// the document has none of these, or a selected record lacks one of the
 /// three (naming the record and the member); `Ok` and empty when no record
 /// carries `member`. This is the only reader of a metrics document's record
 /// array.
 pub fn records<'a>(doc: &'a Value, member: &str) -> Result<Vec<Record<'a>>, String> {
-    let top = ["runs", "records"]
-        .into_iter()
-        .find_map(|k| Some((k.to_string(), doc.get(k)?)));
+    let top = doc.get("records").map(|r| ("records".to_string(), r));
     let sections = || match doc {
         Value::Obj(kv) => (kv.iter())
             .filter_map(|(k, v)| Some((format!("{k}.records"), v.get("records")?)))
@@ -182,7 +179,7 @@ pub fn records<'a>(doc: &'a Value, member: &str) -> Result<Vec<Record<'a>>, Stri
     };
     let arrays = top.map_or_else(sections, |top| vec![top]);
     if arrays.is_empty() {
-        return Err("no \"runs\" or \"records\" array".to_string());
+        return Err("no \"records\" array".to_string());
     }
     let mut out = Vec::new();
     for (key, arr) in arrays {
@@ -579,15 +576,15 @@ mod tests {
         assert!(records(&doc, "whatif").unwrap().is_empty());
         let refused = |doc: &str| records(&parse(doc).unwrap(), "util").err().unwrap();
         assert_eq!(
-            refused(r#"{"runs":[{"util":{}}]}"#),
-            "runs[0].label: missing"
+            refused(r#"{"records":[{"util":{}}]}"#),
+            "records[0].label: missing"
         );
         assert_eq!(
-            refused(r#"{"runs":[{"label":"x","nodes":3,"util":{}}]}"#),
-            "runs[x].system: missing"
+            refused(r#"{"records":[{"label":"x","nodes":3,"util":{}}]}"#),
+            "records[x].system: missing"
         );
-        assert_eq!(refused("{}"), "no \"runs\" or \"records\" array");
-        assert_eq!(refused(r#"{"runs":7}"#), "runs: not an array");
+        assert_eq!(refused("{}"), "no \"records\" array");
+        assert_eq!(refused(r#"{"records":7}"#), "records: not an array");
         // A sectioned document: each section's records, in document order.
         let doc = parse(
             r#"{"schema":"s","fig8":{"panels":[],"records":[{"label":"p","system":"a","nodes":3,"util":{}}]},
@@ -639,14 +636,15 @@ mod tests {
             ("forensics", |d| crate::forensics::forensics_report(d, None)),
             ("whatif", crate::whatif::whatif_report),
         ];
-        // The committed what-if baseline's first run carries all three
-        // members; alone in a document it renders under every report.
+        // The committed paper document's first scale record carries all
+        // three members; alone in a document it renders under every report.
         let baseline = concat!(
             env!("CARGO_MANIFEST_DIR"),
-            "/../../baselines/BENCH_whatif.json"
+            "/../../baselines/BENCH_paper.json"
         );
-        let run = read_doc(baseline).unwrap().array_at("runs").unwrap()[0].clone();
-        let valid = Value::Obj(vec![("runs".to_string(), Value::Arr(vec![run]))]);
+        let doc = read_doc(baseline).unwrap();
+        let run = doc.array_at("scale.records").unwrap()[0].clone();
+        let valid = Value::Obj(vec![("records".to_string(), Value::Arr(vec![run]))]);
         for (member, report) in reports {
             let rep = report(&valid).unwrap_or_else(|e| panic!("{member}: {e}"));
             assert!(
@@ -654,12 +652,12 @@ mod tests {
                 "{rep}"
             );
         }
-        let run = "runs[acuerdo-n3]";
+        let run = "records[acuerdo-n3]";
         // (path, replacement or None to delete, the report that reads it or
-        // "" for all three, the error without the `runs[acuerdo-n3].`
+        // "" for all three, the error without the `records[acuerdo-n3].`
         // prefix).
         let cases = [
-            ("label", None, "", "runs[0].label: missing"),
+            ("label", None, "", "records[0].label: missing"),
             ("system", None, "", "system: missing"),
             ("nodes", None, "", "nodes: missing"),
             (
@@ -707,8 +705,8 @@ mod tests {
         ];
         for (path, to, only, want) in cases {
             let mut doc = valid.clone();
-            edit(&mut doc, &format!("runs.0.{path}"), to);
-            let want = if want.starts_with("runs[") {
+            edit(&mut doc, &format!("records.0.{path}"), to);
+            let want = if want.starts_with("records[") {
                 want.to_string()
             } else {
                 format!("{run}.{want}")
@@ -720,7 +718,7 @@ mod tests {
             }
         }
         // A document no record of which carries the member predates it.
-        let old = parse(r#"{"runs":[{"label":"x"}]}"#).unwrap();
+        let old = parse(r#"{"records":[{"label":"x"}]}"#).unwrap();
         for (member, report) in reports {
             let err = report(&old).unwrap_err();
             let want = format!("no \"{member}\" members found — document predates ");

@@ -30,8 +30,6 @@ pub mod json;
 pub mod paper;
 pub mod plot;
 pub mod report;
-pub mod scale;
-pub mod suite;
 pub mod util;
 pub mod whatif;
 
@@ -84,8 +82,8 @@ pub enum System {
 impl System {
     /// The seven systems of the paper's figure legend, in legend order.
     /// `AcuerdoRing` and `Dare` are deliberately absent: they appear only
-    /// where a matrix asks for them (the scale study, the `--dissemination
-    /// ring` bench flags, the paper's §5 lineage).
+    /// where a matrix asks for them (the scale sweep, `chaos
+    /// --dissemination ring`, the paper's §5 lineage).
     pub fn all() -> [System; 7] {
         [
             System::Acuerdo,
@@ -228,9 +226,8 @@ impl RunSpec {
 /// Observability settings for a benchmark run. Tracing and gauge sampling
 /// are zero-perturbation: whatever combination is enabled, the measured
 /// point and counters are bit-identical to a bare run at the same seed.
-/// `interventions` are the opposite — deliberate physics changes, among
-/// them the leader CPU slowdown of the regression walkthrough (`suite
-/// --slow`).
+/// `interventions` are the opposite — deliberate physics changes, the
+/// what-if catalog's counterfactuals ([`whatif::price`]).
 #[derive(Clone, Debug, Default)]
 pub struct Observe {
     /// Record the full trace-event timeline.
@@ -249,7 +246,8 @@ pub struct Observe {
 }
 
 /// Gauge-series sampling cadence used by every traced surface (`--trace-out`
-/// bins and the `suite` matrix): one sample per node per 100 µs of sim time.
+/// and the `paper` run's quick and scale sections): one sample per node per
+/// 100 µs of sim time.
 pub const SAMPLE_EVERY: std::time::Duration = std::time::Duration::from_micros(100);
 
 impl Observe {
@@ -460,8 +458,8 @@ fn acuerdo_config(n: usize, dissemination: DisseminationMode) -> AcuerdoConfig {
     }
 }
 
-/// Run one point of Figure 8 or Figure 9 (or of the related-work and scale
-/// studies built from the same experiment).
+/// Run one point of Figure 8 or Figure 9 (or of the related-work lineage,
+/// the quick matrix and the scale sweep, built from the same experiment).
 pub fn run(run: &Run) -> Record {
     use DisseminationMode::{Ring, Star};
     fn bare<M>(_: &mut Sim<M>) {}

@@ -1,7 +1,11 @@
 //! The paper's evaluation as one run: Figure 8 (a–d), Table 1, Figure 9,
-//! the design-choice ablations (DESIGN.md §3) and the §5 lineage.
+//! the design-choice ablations (DESIGN.md §3) and the §5 lineage, then the
+//! repo's own two matrices: the quick matrix (five protocol classes at two
+//! client windows, traced and gauge-sampled) and the scale sweep (cluster
+//! sizes up to 64 at a dissemination-bound payload, with the what-if
+//! catalog priced on the sweep's own runs).
 //!
-//! Each section prints the paper's table and contributes one member to a
+//! Each section prints its table and contributes one member to a
 //! schema-tagged `BENCH_paper.json` document that holds every number the
 //! tables print (layout: docs/SIDECARS.md). A section's full run records
 //! ([`run_record_json`], [`crate::ElectionStats::to_json`]) sit in its
@@ -10,22 +14,23 @@
 //! [`render_figures`] draws from the document exactly what it would draw
 //! from the runs.
 
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::plot::{line_chart, Scale, Series};
+use crate::whatif::{self, CATALOG};
 use crate::{
     ablation_point, election_experiment, long_latency_count, record_path, run, run_record_json,
-    sweep, Ablation, Observe, Point, Run, RunSpec, Scenario, System, FIG9_SYSTEMS,
+    sweep, Ablation, Observe, Point, Run, RunSpec, Scenario, System, FIG9_SYSTEMS, SAMPLE_EVERY,
 };
 use abcast::{spans, StageHist};
-use simnet::{GaugeSample, TraceEvent};
+use simnet::{Gauge, GaugeSample, SchedKind, TraceEvent};
 use std::time::Duration;
 
 /// Document schema tag; bump when the document shape changes so `bench-diff`
 /// refuses to compare across shapes.
-pub const SCHEMA: &str = "acuerdo-bench-paper-v1";
+pub const SCHEMA: &str = "acuerdo-bench-paper-v2";
 
 /// The sections in run order; `--only` names one of them.
-pub const SECTIONS: &str = "fig8a|fig8b|fig8c|fig8d|table1|fig9|ablations|related";
+pub const SECTIONS: &str = "fig8a|fig8b|fig8c|fig8d|table1|fig9|ablations|related|quick|scale";
 
 /// Figure 8's panels: section name, replica count, payload bytes.
 const FIG8_PANELS: [(&str, usize, usize); 4] = [
@@ -38,6 +43,56 @@ const FIG8_PANELS: [(&str, usize, usize); 4] = [
 /// Elections measured per Table 1 row.
 const ELECTIONS: usize = 8;
 
+/// The quick matrix's systems: one representative per protocol class
+/// (Acuerdo, Derecho single-sender, Multi-Paxos, Zab, Raft).
+pub const QUICK_SYSTEMS: [System; 5] = [
+    System::Acuerdo,
+    System::DerechoLeader,
+    System::Libpaxos,
+    System::Zookeeper,
+    System::Etcd,
+];
+
+/// The scale sweep's systems: the quick matrix plus the ring-dissemination
+/// variant of Acuerdo, right after its star twin, so the star-vs-ring
+/// crossover sits in one section at every size the ring differs from the
+/// star ([`swept`]).
+pub const SCALE_SYSTEMS: [System; 6] = [
+    System::Acuerdo,
+    System::AcuerdoRing,
+    System::DerechoLeader,
+    System::Libpaxos,
+    System::Zookeeper,
+    System::Etcd,
+];
+
+/// Whether the scale sweep carries a `(system, n)` record. The ring variant
+/// is swept only above three nodes: up to there `acuerdo::ring_route` has
+/// no forwarding hop, so the run would be the star record's, byte for byte.
+pub fn swept(system: System, n: usize) -> bool {
+    !(system == System::AcuerdoRing && n <= 3)
+}
+
+/// The scale sweep's cluster sizes at `--full`, and by default: the floor,
+/// the knee and the top of the full sweep, still proving the 64-node
+/// configuration completes.
+const SCALE_SIZES: [usize; 7] = [3, 5, 7, 9, 16, 32, 64];
+const QUICK_SCALE_SIZES: [usize; 3] = [3, 16, 64];
+
+/// The sizes the what-if catalog is priced at: n = 3, where nothing
+/// saturates, and n = 64, where the leader NIC does; `--full` adds the knee.
+const WHATIF_SIZES: [usize; 3] = [3, 16, 64];
+const QUICK_WHATIF_SIZES: [usize; 2] = [3, 64];
+
+/// The scale sweep's operating point. 16 KiB payloads make the leader's
+/// (n-1)-way fan-out the dominant byte stream — serialization (bytes x 0.32
+/// ns) dwarfs the fixed ~1.1 us verb-post CPU per write — so the section
+/// shows how dissemination cost grows with cluster size and the bottleneck
+/// ranker can watch the leader NIC saturate at n = 64. One fixed window:
+/// the window sweep is Figure 8's axis, cluster size is this section's.
+const SCALE_PAYLOAD: usize = 16384;
+const SCALE_WINDOW: usize = 8;
+
 /// One `paper` run's settings.
 #[derive(Clone, Debug, Default)]
 pub struct PaperConfig {
@@ -47,9 +102,14 @@ pub struct PaperConfig {
     pub seed: u64,
     /// Run this one of the [`SECTIONS`] instead of all of them.
     pub only: Option<String>,
-    /// Re-run Figure 8's saturated points, Table 1 and Figure 9 traced and
-    /// write one Chrome trace per record under this base name.
+    /// Re-run Figure 8's saturated points, Table 1, Figure 9 and the scale
+    /// sweep's smallest size traced and write one Chrome trace per record
+    /// under this base name.
     pub trace_out: Option<String>,
+    /// Event queue of the quick and scale sections' runs. It can never
+    /// change the document (the schedulers share one total order), so it
+    /// is not part of it: the heap is the calendar queue's oracle.
+    pub scheduler: SchedKind,
 }
 
 /// Run the selected sections, printing each table as it completes. Returns
@@ -80,6 +140,12 @@ pub fn run_paper(cfg: &PaperConfig) -> (String, bool) {
     }
     if want("related") {
         members.push(format!("\"related\":{}", related(cfg)));
+    }
+    if want("quick") {
+        members.push(format!("\"quick\":{}", quick(cfg)));
+    }
+    if want("scale") {
+        members.push(format!("\"scale\":{}", scale(cfg)));
     }
     (format!("{{{}}}\n", members.join(",")), short)
 }
@@ -356,6 +422,166 @@ fn related(cfg: &PaperConfig) -> String {
     )
 }
 
+/// The quick matrix: the five protocol classes on three nodes at 64-byte
+/// messages and two client windows (three at `--full`), every run traced
+/// for its stage anatomy and gauge-sampled.
+fn quick(cfg: &PaperConfig) -> String {
+    let (n, payload) = (3usize, 64usize);
+    let windows: &[usize] = if cfg.full { &[1, 8, 64] } else { &[1, 16] };
+    println!("Quick matrix: {n} nodes, {payload}-byte messages, traced and gauge-sampled\n");
+    let (msgs, mean, p50, p99) = ("msg/s", "mean_us", "p50_us", "p99_us");
+    println!(
+        "  {:<20} {msgs:>10} {mean:>10} {p50:>10} {p99:>10}",
+        "label"
+    );
+    let mut records = Vec::new();
+    for system in QUICK_SYSTEMS {
+        let spec = RunSpec::of(system, cfg.full);
+        for &w in windows {
+            let label = format!("{}-w{w}", system.name());
+            let r = Run::new(system, n, payload, w, cfg.seed, spec).observe(Observe {
+                scheduler: cfg.scheduler,
+                ..Observe::traced()
+            });
+            let out = run(&r);
+            let hist = spans::stage_hist(&spans::collect(&out.events));
+            let tail = [
+                ("stages", hist.to_json()),
+                ("gauge_series", gauge_series_json(&out.gauges)),
+            ];
+            let p = &out.point;
+            records.push(run_record_json(&label, &r, p, &out.metrics, &tail));
+            println!(
+                "  {label:<20} {:>10.0} {:>10.2} {:>10.2} {:>10.2}",
+                p.msgs_per_sec, p.mean_us, p.p50_us, p.p99_us
+            );
+        }
+    }
+    format!(
+        "{{\"nodes\":{n},\"payload_bytes\":{payload},\"sample_every_us\":{},\
+         \"windows\":{},\"records\":[{}]}}",
+        SAMPLE_EVERY.as_micros(),
+        list(windows),
+        records.join(",")
+    )
+}
+
+/// The scale sweep: the [`SCALE_SYSTEMS`] across cluster sizes at one
+/// dissemination-bound operating point, gauge-sampled (64-node timelines
+/// are too large to trace; `--trace-out` traces the smallest size). At the
+/// what-if sizes each record also carries the what-if catalog priced
+/// against it ([`whatif::price`]); the section's stdout ends with each
+/// priced run's verdict and the `whatif-agree k/N` count.
+fn scale(cfg: &PaperConfig) -> String {
+    let (sizes, whatif_sizes): (&[usize], &[usize]) = if cfg.full {
+        (&SCALE_SIZES, &WHATIF_SIZES)
+    } else {
+        (&QUICK_SCALE_SIZES, &QUICK_WHATIF_SIZES)
+    };
+    println!(
+        "Scale sweep: {SCALE_PAYLOAD}-byte messages at window {SCALE_WINDOW}; \
+         what-if catalog priced at sizes {whatif_sizes:?}\n"
+    );
+    let (mbps, msgs, mean, p99) = ("MB/s", "msg/s", "mean_us", "p99_us");
+    println!(
+        "  {:<18} {mbps:>8} {msgs:>10} {mean:>10} {p99:>10}",
+        "label"
+    );
+    let mut records = Vec::new();
+    for system in SCALE_SYSTEMS {
+        let spec = RunSpec::of(system, cfg.full);
+        for &n in sizes.iter().filter(|&&n| swept(system, n)) {
+            let label = format!("{}-n{n}", system.name());
+            let traced = cfg.trace_out.is_some() && n == sizes[0];
+            let r =
+                Run::new(system, n, SCALE_PAYLOAD, SCALE_WINDOW, cfg.seed, spec).observe(Observe {
+                    traced,
+                    sample_every: Some(SAMPLE_EVERY),
+                    scheduler: cfg.scheduler,
+                    ..Observe::default()
+                });
+            let out = run(&r);
+            let mut tail = Vec::new();
+            if let (true, Some(base)) = (traced, &cfg.trace_out) {
+                let hist = write_trace(base, &label, &out.events, &out.gauges);
+                tail.push(("stages", hist.to_json()));
+            }
+            tail.push(("gauge_series", gauge_series_json(&out.gauges)));
+            if whatif_sizes.contains(&n) {
+                tail.push(("whatif", whatif::price(&r, &out, &CATALOG)));
+            }
+            let p = &out.point;
+            records.push(run_record_json(&label, &r, p, &out.metrics, &tail));
+            println!(
+                "  {label:<18} {:>8.2} {:>10.0} {:>10.2} {:>10.2}",
+                p.mbps, p.msgs_per_sec, p.mean_us, p.p99_us
+            );
+        }
+    }
+    let section = format!(
+        "{{\"payload_bytes\":{SCALE_PAYLOAD},\"sample_every_us\":{},\"window\":{SCALE_WINDOW},\
+         \"sizes\":{},\"whatif_sizes\":{},\"records\":[{}]}}",
+        SAMPLE_EVERY.as_micros(),
+        list(sizes),
+        list(whatif_sizes),
+        records.join(",")
+    );
+    // The verdicts are read back from the section, as `trace-report
+    // --whatif` reads them.
+    let doc = Value::Obj(vec![(
+        "scale".to_string(),
+        json::parse(&section).expect("the scale section parses"),
+    )]);
+    println!();
+    for r in json::records(&doc, "whatif").expect("scale records") {
+        let line = whatif::verdict_line(r.system, r.nodes, r.member).expect("a whatif member");
+        println!("{line}");
+    }
+    println!("{}", whatif::agree_line(&doc).expect("whatif members"));
+    section
+}
+
+/// A JSON array of sizes or windows.
+fn list(items: &[usize]) -> String {
+    let items: Vec<String> = items.iter().map(usize::to_string).collect();
+    format!("[{}]", items.join(","))
+}
+
+/// Summarize a sampled gauge series as one JSON object: per gauge (in
+/// registry order, only gauges that produced samples), the sample count and
+/// the min/mean/max/p99 of the sampled levels across all nodes.
+fn gauge_series_json(samples: &[GaugeSample]) -> String {
+    let mut out = String::from("{");
+    let mut first = true;
+    for g in Gauge::ALL {
+        let mut vals: Vec<u64> = samples
+            .iter()
+            .filter(|s| s.gauge == g)
+            .map(|s| s.value)
+            .collect();
+        if vals.is_empty() {
+            continue;
+        }
+        vals.sort_unstable();
+        let count = vals.len();
+        let sum: u128 = vals.iter().map(|&v| u128::from(v)).sum();
+        let mean = sum as f64 / count as f64;
+        let p99 = vals[(count * 99).div_ceil(100) - 1];
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        out.push_str(&format!(
+            "\"{}\":{{\"samples\":{count},\"min\":{},\"max\":{},\"mean\":{mean:.3},\"p99\":{p99}}}",
+            g.name(),
+            vals[0],
+            vals[count - 1],
+        ));
+    }
+    out.push('}');
+    out
+}
+
 /// The paper's figures drawn from a `paper` document: one
 /// `(file name, SVG)` per Figure 8 panel it holds, then `fig9.svg`. The
 /// document is read strictly; the error names the first member a figure
@@ -414,4 +640,62 @@ pub fn render_figures(doc: &Value) -> Result<Vec<(String, String)>, String> {
     );
     figures.push(("fig9.svg".to_string(), svg));
     Ok(figures)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::SimTime;
+
+    fn sample(at: u64, node: usize, g: Gauge, v: u64) -> GaugeSample {
+        GaugeSample {
+            at: SimTime::from_nanos(at),
+            node,
+            gauge: g,
+            value: v,
+        }
+    }
+
+    #[test]
+    fn gauge_series_summary_is_selective_and_ordered() {
+        let samples = vec![
+            sample(0, 0, Gauge::InflightMsgs, 4),
+            sample(100, 0, Gauge::InflightMsgs, 8),
+            sample(100, 1, Gauge::Epoch, 2),
+        ];
+        let j = gauge_series_json(&samples);
+        let v = crate::json::parse(&j).unwrap();
+        let inflight = v.get("inflight_msgs").unwrap();
+        assert_eq!(inflight.get("samples").unwrap().as_u64(), Some(2));
+        assert_eq!(inflight.get("min").unwrap().as_u64(), Some(4));
+        assert_eq!(inflight.get("max").unwrap().as_u64(), Some(8));
+        assert_eq!(inflight.get("p99").unwrap().as_u64(), Some(8));
+        assert_eq!(
+            v.get("epoch").unwrap().get("mean").unwrap().as_f64(),
+            Some(2.0)
+        );
+        // Gauges that never sampled are absent entirely.
+        assert!(v.get("ring_occupancy").is_none());
+    }
+
+    #[test]
+    fn scale_and_whatif_sizes_nest_and_end_at_the_ceiling() {
+        for (sizes, priced) in [
+            (&QUICK_SCALE_SIZES[..], &QUICK_WHATIF_SIZES[..]),
+            (&SCALE_SIZES[..], &WHATIF_SIZES[..]),
+        ] {
+            assert!(sizes.iter().all(|s| SCALE_SIZES.contains(s)));
+            assert!(priced.iter().all(|s| sizes.contains(s)));
+            assert_eq!(sizes.last(), Some(&64));
+            assert_eq!(priced.last(), Some(&64));
+            // The smallest size is the one `--trace-out` traces.
+            assert_eq!(sizes.iter().min(), Some(&sizes[0]));
+        }
+        // The scale sweep is the quick matrix plus acuerdo-ring after its
+        // star twin, which it only differs from above three nodes.
+        assert_eq!(SCALE_SYSTEMS[0], System::Acuerdo);
+        assert_eq!(SCALE_SYSTEMS[1], System::AcuerdoRing);
+        assert!(QUICK_SYSTEMS.iter().all(|s| SCALE_SYSTEMS.contains(s)));
+        assert!(!swept(System::AcuerdoRing, 3) && swept(System::AcuerdoRing, 16));
+    }
 }

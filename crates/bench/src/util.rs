@@ -6,8 +6,8 @@
 //!   `"util"` member every metrics record carries — fixed key order, fixed
 //!   float formatting, so byte-identical runs produce byte-identical
 //!   documents and `bench-diff` can gate on it exactly.
-//! * [`bottleneck_report`] ingests a previously written document (a
-//!   `BENCH_*.json` suite/scale file or a `--metrics-out` sidecar) through
+//! * [`bottleneck_report`] ingests a previously written document (the
+//!   `paper` run's `BENCH_paper.json` or a `--metrics-out` sidecar) through
 //!   [`crate::json`] and renders per-run utilization tables plus one ranked
 //!   verdict line per system×scale — the `trace-report --bottleneck` mode.
 //!
@@ -590,7 +590,7 @@ mod tests {
     #[test]
     fn report_renders_tables_and_verdicts() {
         let doc = json::parse(&format!(
-            "{{\"runs\":[{{\"label\":\"acuerdo-n3\",\"system\":\"acuerdo\",\"nodes\":3,\
+            "{{\"records\":[{{\"label\":\"acuerdo-n3\",\"system\":\"acuerdo\",\"nodes\":3,\
              \"window\":8,\"msgs_per_sec\":62789.1,\"p50_us\":130.265,\"util\":{}}}]}}",
             summary_json(&snap(), 2)
         ))
@@ -606,7 +606,7 @@ mod tests {
             "{rep}"
         );
         // A document with no util members is rejected, not rendered empty.
-        let old = json::parse("{\"runs\":[{\"label\":\"x\"}]}").unwrap();
+        let old = json::parse("{\"records\":[{\"label\":\"x\"}]}").unwrap();
         assert!(bottleneck_report(&old).is_err());
     }
 }

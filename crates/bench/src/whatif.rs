@@ -12,13 +12,13 @@
 //! change *parameters only* (see `simnet::Intervention`), every delta is
 //! causal by construction — same seed, same workload, different physics.
 //!
-//! The emitted document (`BENCH_whatif.json`, schema
-//! [`SCHEMA`]) carries, per system × cluster size, the baseline record in
-//! the shared sidecar shape plus a `"whatif"` member: one fixed-order row
-//! per counterfactual with the measured throughput/latency deltas, the
-//! gain ranking, and an agree/disagree cross-check against the blame
-//! vector's prediction. `bench-diff` holds the member exact
-//! (docs/SIDECARS.md).
+//! [`price`] runs the catalog against one measured baseline: the `paper`
+//! run's scale section prices every system at the what-if sizes against
+//! its own scale record, which carries the result as a `"whatif"` member —
+//! one fixed-order row per counterfactual with the measured
+//! throughput/latency deltas, the gain ranking, and an agree/disagree
+//! cross-check against the blame vector's prediction. `bench-diff` holds
+//! the member exact (docs/SIDECARS.md).
 //!
 //! The report grammar is deliberately greppable (CI anchors on the
 //! `whatif ` prefix): `whatif <system>@<nodes>: <intervention> → <gain>`,
@@ -27,19 +27,9 @@
 //! measurement agrees.
 
 use crate::json::{self, Value};
-use crate::scale::swept;
-use crate::{run, run_record_json, Observe, Point, Run, RunSpec, System};
+use crate::{run, Observe, Point, Record, Run};
 use abcast::{blame, BlameCause};
-use simnet::{Intervention, InterventionSet, LogDevParams, MetricsSnapshot, SchedKind};
-
-/// Document schema tag; bump when the document shape changes so `bench-diff`
-/// refuses to compare across shapes.
-pub const SCHEMA: &str = "acuerdo-bench-whatif-v1";
-
-/// The systems priced: the scale sweep's matrix — one representative per
-/// protocol class plus the acuerdo-ring variant, under the same
-/// [`swept`] rule (no ring row at three nodes or fewer).
-pub const WHATIF_SYSTEMS: [System; 6] = crate::scale::SCALE_SYSTEMS;
+use simnet::{Intervention, InterventionSet, LogDevParams, MetricsSnapshot};
 
 /// The fixed counterfactual catalog, in document order. Names are part of
 /// the document contract.
@@ -80,52 +70,6 @@ pub fn predicted_family(cause: BlameCause) -> &'static str {
         | BlameCause::BusyDefer
         | BlameCause::SchedHold
         | BlameCause::CpuExec => "straggler-cpu",
-    }
-}
-
-/// Pinned matrix parameters. Mirrors `ScaleConfig` — the whatif document
-/// prices interventions at the scale sweep's dissemination-bound operating
-/// point, where the committed forensics blame the leader NIC.
-#[derive(Clone, Debug)]
-pub struct WhatifConfig {
-    /// Down-sampled sizes (CI / committed baseline) vs the full matrix.
-    pub quick: bool,
-    /// Simulation seed shared by every run, baseline and counterfactual.
-    pub seed: u64,
-    /// Payload bytes.
-    pub payload: usize,
-    /// Client window of the baseline (the `window-x2` counterfactual doubles
-    /// it).
-    pub window: usize,
-    /// Cluster sizes priced per system.
-    pub sizes: Vec<usize>,
-    /// Systems priced (default: [`WHATIF_SYSTEMS`]).
-    pub systems: Vec<System>,
-    /// Counterfactuals run, a subset of [`CATALOG`] in catalog order.
-    pub interventions: Vec<&'static str>,
-    /// Event-queue implementation; can never change the document (the
-    /// schedulers share one total order), so it is not part of the emitted
-    /// JSON.
-    pub scheduler: SchedKind,
-}
-
-impl WhatifConfig {
-    /// The canonical matrix (this is the configuration the committed
-    /// baseline was produced with; change it and the baseline together).
-    pub fn new(quick: bool) -> WhatifConfig {
-        WhatifConfig {
-            quick,
-            seed: 42,
-            payload: 16384,
-            window: 8,
-            // The floor and the top of the scale sweep: n = 3 (where nothing
-            // saturates) and n = 64 (where the leader NIC does). The full
-            // matrix adds the knee.
-            sizes: if quick { vec![3, 64] } else { vec![3, 16, 64] },
-            systems: WHATIF_SYSTEMS.to_vec(),
-            interventions: CATALOG.to_vec(),
-            scheduler: SchedKind::default(),
-        }
     }
 }
 
@@ -242,126 +186,99 @@ fn delta_pct(cur: f64, base: f64) -> f64 {
     }
 }
 
-/// Run the whole matrix and emit the complete `BENCH_*.json` document
-/// (newline-terminated).
-pub fn run_whatif(cfg: &WhatifConfig) -> String {
-    let mut records = Vec::new();
-    for &system in &cfg.systems {
-        let spec = RunSpec::of(system, !cfg.quick);
-        for &n in cfg.sizes.iter().filter(|&&n| swept(system, n)) {
-            let label = format!("{}-n{}", system.name(), n);
-            let intervened = |window: usize, set: InterventionSet| {
-                Run::new(system, n, cfg.payload, window, cfg.seed, spec).observe(Observe {
-                    scheduler: cfg.scheduler,
-                    interventions: set,
-                    ..Observe::default()
-                })
-            };
-            // Baseline: the null intervention, byte-identical to the
-            // uninstrumented run (tests/whatif.rs holds the proof).
-            let base_run = intervened(cfg.window, InterventionSet::null());
-            let base_out = run(&base_run);
-            let (base, metrics) = (&base_out.point, &base_out.metrics);
-            let leader = leader_of(metrics, n);
-            let straggler = straggler_of(metrics, n);
-            let blame_top = tail_blame_top(metrics);
+/// Price the catalog entries `names` (in catalog order) against a measured
+/// baseline run: re-run `base` once per entry under its counterfactual, on
+/// the baseline's seed and event queue, and render the `"whatif"` member —
+/// the measured rows, the gain ranking and the blame cross-check. Only the
+/// baseline's point and counters are read, so a baseline sampled for gauges
+/// or traced prices exactly as a bare one.
+pub fn price(base: &Run, out: &Record, names: &[&'static str]) -> String {
+    let (n, base_point, metrics) = (base.n, &out.point, &out.metrics);
+    let leader = leader_of(metrics, n);
+    let straggler = straggler_of(metrics, n);
+    let blame_top = tail_blame_top(metrics);
 
-            let mut rows: Vec<Row> = Vec::new();
-            for &name in &cfg.interventions {
-                let (w, set) = build(name, leader, straggler, n, cfg.window);
-                let p = run(&intervened(w, set)).point;
-                rows.push(Row {
-                    name,
-                    gain_pct: delta_pct(p.mbps, base.mbps),
-                    p50_delta_pct: delta_pct(p.p50_us, base.p50_us),
-                    p99_delta_pct: delta_pct(p.p99_us, base.p99_us),
-                    point: p,
-                });
-            }
-
-            // Ranking by measured throughput gain, ties toward catalog order.
-            let mut order: Vec<usize> = (0..rows.len()).collect();
-            order.sort_by(|&a, &b| {
-                rows[b]
-                    .gain_pct
-                    .partial_cmp(&rows[a].gain_pct)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            let measured_top = order.first().map(|&i| rows[i].name).unwrap_or("none");
-            let predicted = blame_top
-                .map(|(c, _)| predicted_family(c))
-                .unwrap_or("none");
-            let agreement = family(measured_top) == predicted;
-
-            let mut w = format!("{{\"leader\":{leader},\"straggler\":{straggler}");
-            match blame_top {
-                Some((c, share)) => w.push_str(&format!(
-                    ",\"blame_top\":\"{}\",\"blame_top_share_pct\":{share:.1}",
-                    c.name()
-                )),
-                None => w.push_str(",\"blame_top\":null,\"blame_top_share_pct\":0.0"),
-            }
-            w.push_str(&format!(",\"predicted_family\":\"{predicted}\""));
-            w.push_str(",\"counterfactuals\":[");
-            for (i, r) in rows.iter().enumerate() {
-                if i > 0 {
-                    w.push(',');
-                }
-                w.push_str(&format!(
-                    "{{\"name\":\"{}\",\"family\":\"{}\",\"window\":{},\
-                     \"throughput_mbps\":{:.4},\"msgs_per_sec\":{:.1},\
-                     \"mean_us\":{:.3},\"p50_us\":{:.3},\"p99_us\":{:.3},\"p999_us\":{:.3},\
-                     \"throughput_gain_pct\":{:.2},\"p50_delta_pct\":{:.2},\"p99_delta_pct\":{:.2}}}",
-                    r.name,
-                    family(r.name),
-                    r.point.window,
-                    r.point.mbps,
-                    r.point.msgs_per_sec,
-                    r.point.mean_us,
-                    r.point.p50_us,
-                    r.point.p99_us,
-                    r.point.p999_us,
-                    r.gain_pct,
-                    r.p50_delta_pct,
-                    r.p99_delta_pct,
-                ));
-            }
-            w.push_str("],\"ranking\":[");
-            for (j, &i) in order.iter().enumerate() {
-                if j > 0 {
-                    w.push(',');
-                }
-                w.push_str(&format!("\"{}\"", rows[i].name));
-            }
-            w.push_str(&format!(
-                "],\"measured_top\":\"{measured_top}\",\"agreement\":{agreement}}}"
-            ));
-            let tail = [("whatif", w)];
-            records.push(run_record_json(&label, &base_run, base, metrics, &tail));
-        }
+    let mut rows: Vec<Row> = Vec::new();
+    for &name in names {
+        let (window, interventions) = build(name, leader, straggler, n, base.window);
+        let p = run(&Run {
+            window,
+            observe: Observe {
+                scheduler: base.observe.scheduler,
+                interventions,
+                ..Observe::default()
+            },
+            ..base.clone()
+        })
+        .point;
+        rows.push(Row {
+            name,
+            gain_pct: delta_pct(p.mbps, base_point.mbps),
+            p50_delta_pct: delta_pct(p.p50_us, base_point.p50_us),
+            p99_delta_pct: delta_pct(p.p99_us, base_point.p99_us),
+            point: p,
+        });
     }
-    format!(
-        "{{\"schema\":\"{SCHEMA}\",\"mode\":\"{}\",\"seed\":{},\"nodes\":{},\
-         \"payload_bytes\":{},\"sample_every_us\":0,\"window\":{},\
-         \"sizes\":[{}],\"interventions\":[{}],\"runs\":[{}]}}\n",
-        if cfg.quick { "quick" } else { "full" },
-        cfg.seed,
-        cfg.sizes.iter().copied().max().unwrap_or(0),
-        cfg.payload,
-        cfg.window,
-        cfg.sizes
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        cfg.interventions
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(","),
-        records.join(",")
-    )
+
+    // Ranking by measured throughput gain, ties toward catalog order.
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| {
+        rows[b]
+            .gain_pct
+            .partial_cmp(&rows[a].gain_pct)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    let measured_top = order.first().map(|&i| rows[i].name).unwrap_or("none");
+    let predicted = blame_top
+        .map(|(c, _)| predicted_family(c))
+        .unwrap_or("none");
+    let agreement = family(measured_top) == predicted;
+
+    let mut w = format!("{{\"leader\":{leader},\"straggler\":{straggler}");
+    match blame_top {
+        Some((c, share)) => w.push_str(&format!(
+            ",\"blame_top\":\"{}\",\"blame_top_share_pct\":{share:.1}",
+            c.name()
+        )),
+        None => w.push_str(",\"blame_top\":null,\"blame_top_share_pct\":0.0"),
+    }
+    w.push_str(&format!(",\"predicted_family\":\"{predicted}\""));
+    w.push_str(",\"counterfactuals\":[");
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            w.push(',');
+        }
+        w.push_str(&format!(
+            "{{\"name\":\"{}\",\"family\":\"{}\",\"window\":{},\
+             \"throughput_mbps\":{:.4},\"msgs_per_sec\":{:.1},\
+             \"mean_us\":{:.3},\"p50_us\":{:.3},\"p99_us\":{:.3},\"p999_us\":{:.3},\
+             \"throughput_gain_pct\":{:.2},\"p50_delta_pct\":{:.2},\"p99_delta_pct\":{:.2}}}",
+            r.name,
+            family(r.name),
+            r.point.window,
+            r.point.mbps,
+            r.point.msgs_per_sec,
+            r.point.mean_us,
+            r.point.p50_us,
+            r.point.p99_us,
+            r.point.p999_us,
+            r.gain_pct,
+            r.p50_delta_pct,
+            r.p99_delta_pct,
+        ));
+    }
+    w.push_str("],\"ranking\":[");
+    for (j, &i) in order.iter().enumerate() {
+        if j > 0 {
+            w.push(',');
+        }
+        w.push_str(&format!("\"{}\"", rows[i].name));
+    }
+    w.push_str(&format!(
+        "],\"measured_top\":\"{measured_top}\",\"agreement\":{agreement}}}"
+    ));
+    w
 }
 
 /// The greppable headline for one measured counterfactual.
@@ -476,6 +393,7 @@ pub fn whatif_report(doc: &Value) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RunSpec, System};
 
     #[test]
     fn catalog_families_are_consistent() {
@@ -511,21 +429,9 @@ mod tests {
     }
 
     #[test]
-    fn quick_matrix_is_pinned() {
-        let q = WhatifConfig::new(true);
-        assert_eq!(q.seed, 42);
-        assert_eq!(q.payload, 16384);
-        assert_eq!(q.window, 8);
-        assert_eq!(q.sizes, vec![3, 64]);
-        assert_eq!(q.interventions, CATALOG.to_vec());
-        let f = WhatifConfig::new(false);
-        assert_eq!(f.sizes, vec![3, 16, 64]);
-    }
-
-    #[test]
     fn report_renders_headlines_and_verdict() {
         let doc = json::parse(
-            "{\"runs\":[{\"label\":\"acuerdo-n64\",\"system\":\"acuerdo\",\"nodes\":64,\
+            "{\"records\":[{\"label\":\"acuerdo-n64\",\"system\":\"acuerdo\",\"nodes\":64,\
              \"whatif\":{\"leader\":0,\"straggler\":32,\
              \"blame_top\":\"leader_egress_queue\",\"blame_top_share_pct\":59.6,\
              \"predicted_family\":\"leader-egress\",\
@@ -549,7 +455,7 @@ mod tests {
         );
         assert!(rep.contains("AGREE"), "{rep}");
         // A document with no whatif members is rejected, not rendered empty.
-        let old = json::parse("{\"runs\":[{\"label\":\"x\"}]}").unwrap();
+        let old = json::parse("{\"records\":[{\"label\":\"x\"}]}").unwrap();
         assert!(whatif_report(&old).is_err());
     }
 
@@ -564,7 +470,7 @@ mod tests {
                  \"agreement\":{agreement}}}}}"
             )
         };
-        let doc = |runs: &[String]| json::parse(&format!("{{\"runs\":[{}]}}", runs.join(",")));
+        let doc = |runs: &[String]| json::parse(&format!("{{\"records\":[{}]}}", runs.join(",")));
         let two = doc(&[run("a", "true"), run("b", "false")]).unwrap();
         assert_eq!(agree_line(&two).unwrap(), "whatif-agree 1/2");
         let rep = whatif_report(&two).unwrap();
@@ -574,31 +480,24 @@ mod tests {
         let bad = doc(&[run("a", "true"), run("b", "1")]).unwrap();
         assert_eq!(
             agree_line(&bad).unwrap_err(),
-            "runs[b].whatif.agreement: not a boolean"
+            "records[b].whatif.agreement: not a boolean"
         );
     }
 
-    /// acuerdo@3 under `interventions` at one payload and seed: the parsed
-    /// document's only run, and its counterfactual rows.
-    fn acuerdo3(payload: usize, seed: u64, interventions: Vec<&'static str>) -> (Value, Value) {
-        let cfg = WhatifConfig {
-            sizes: vec![3],
-            systems: vec![System::Acuerdo],
-            interventions,
-            payload,
-            seed,
-            ..WhatifConfig::new(true)
-        };
-        let doc = run_whatif(&cfg);
-        // Determinism: the same config renders the same bytes.
-        assert_eq!(doc, run_whatif(&cfg));
-        let v = json::parse(&doc).expect("valid document");
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some(SCHEMA));
-        let runs = v.get("runs").and_then(Value::as_array).unwrap();
-        assert_eq!(runs.len(), 1);
-        let w = runs[0].get("whatif").expect("whatif member");
-        let cfs = w.get("counterfactuals").expect("counterfactuals");
-        (runs[0].clone(), cfs.clone())
+    /// acuerdo@3 at window 8 and one payload and seed, priced under
+    /// `interventions`: the baseline's point and the counterfactual rows.
+    fn acuerdo3(payload: usize, seed: u64, interventions: &[&'static str]) -> (Point, Value) {
+        let spec = RunSpec::quick(System::Acuerdo);
+        let base = Run::new(System::Acuerdo, 3, payload, 8, seed, spec);
+        let out = run(&base);
+        let member = price(&base, &out, interventions);
+        // Determinism: the same baseline prices to the same bytes.
+        assert_eq!(member, price(&base, &out, interventions));
+        let w = json::parse(&member).expect("valid member");
+        (
+            out.point,
+            w.at("counterfactuals").expect("counterfactuals").clone(),
+        )
     }
 
     #[test]
@@ -607,7 +506,7 @@ mod tests {
         // where the p50/p99 are 5%-bucketed and a small cut can vanish into
         // one bucket.
         let mean = |v: &Value| v.f64_at("mean_us").unwrap();
-        let little_us = |v: &Value| 8e6 / v.f64_at("msgs_per_sec").unwrap();
+        let little_us = |p: &Point| 8e6 / p.msgs_per_sec;
 
         // 1 KiB: a closed loop saturated on the leader's CPU, so the mean is
         // the window over the throughput (Little's law) and a faster leader
@@ -616,28 +515,28 @@ mod tests {
         // links-latency-half 23.67, straggler-cpu-x2 23.71, leader-egress-x2
         // 23.74, fsync-pmem unchanged, window-x2 46.92 (twice the window,
         // +1.4 % throughput).
-        let (base, cfs) = acuerdo3(1024, 42, vec!["leader-cpu-x2", "links-latency-half"]);
+        let (base, cfs) = acuerdo3(1024, 42, &["leader-cpu-x2", "links-latency-half"]);
         let cfs = cfs.as_array().unwrap();
         assert_eq!(cfs.len(), 2);
         assert_eq!(cfs[0].str_at("name"), Ok("leader-cpu-x2"));
         assert_eq!(cfs[1].str_at("name"), Ok("links-latency-half"));
         assert!(
-            (mean(&base) - little_us(&base)).abs() < 0.01 * mean(&base),
+            (base.mean_us - little_us(&base)).abs() < 0.01 * base.mean_us,
             "the 1 KiB mean {} should be the window over the throughput, {}",
-            mean(&base),
+            base.mean_us,
             little_us(&base)
         );
         assert!(
-            mean(&cfs[0]) < 0.7 * mean(&base),
+            mean(&cfs[0]) < 0.7 * base.mean_us,
             "doubling the leader's CPU should cut the 1 KiB mean: {} vs {}",
             mean(&cfs[0]),
-            mean(&base)
+            base.mean_us
         );
         assert!(
-            (mean(&cfs[1]) - mean(&base)).abs() < 0.01 * mean(&base),
+            (mean(&cfs[1]) - base.mean_us).abs() < 0.01 * base.mean_us,
             "halving the links should barely move the CPU-bound 1 KiB mean: {} vs {}",
             mean(&cfs[1]),
-            mean(&base)
+            base.mean_us
         );
 
         // 16 KiB, the matrix's payload: three nodes are bound by leader
@@ -652,23 +551,23 @@ mod tests {
         // show.
         let (mut base_sum, mut half_sum) = (0.0, 0.0);
         for seed in [42, 1, 2, 3, 4, 5, 6, 7, 8] {
-            let (base, cfs) = acuerdo3(16384, seed, vec!["links-latency-half"]);
+            let (base, cfs) = acuerdo3(16384, seed, &["links-latency-half"]);
             let half = &cfs.as_array().unwrap()[0];
             assert!(
-                (mean(&base) - little_us(&base)).abs() < 0.01 * mean(&base),
+                (base.mean_us - little_us(&base)).abs() < 0.01 * base.mean_us,
                 "seed {seed}: the 16 KiB mean {} should be the window over the throughput, {}",
-                mean(&base),
+                base.mean_us,
                 little_us(&base)
             );
             if seed == 42 {
                 assert!(
-                    (mean(half) - mean(&base)).abs() < 0.02 * mean(&base),
+                    (mean(half) - base.mean_us).abs() < 0.02 * base.mean_us,
                     "the published 16 KiB cell should stay near its base: {} vs {}",
                     mean(half),
-                    mean(&base)
+                    base.mean_us
                 );
             }
-            base_sum += mean(&base);
+            base_sum += base.mean_us;
             half_sum += mean(half);
         }
         assert!(

@@ -19,6 +19,7 @@ fn a_flag_missing_its_value_exits_2_naming_it() {
         (env!("CARGO_BIN_EXE_paper"), "--out"),
         (env!("CARGO_BIN_EXE_paper"), "--trace-out"),
         (env!("CARGO_BIN_EXE_paper"), "--only"),
+        (env!("CARGO_BIN_EXE_paper"), "--sched"),
         (env!("CARGO_BIN_EXE_chaos"), "--seeds"),
         (env!("CARGO_BIN_EXE_trace-report"), "--top"),
     ] {
@@ -33,7 +34,9 @@ fn an_unparsable_value_exits_2_naming_the_flag() {
     for (bin, flag, v) in [
         (env!("CARGO_BIN_EXE_paper"), "--seed", "x"),
         (env!("CARGO_BIN_EXE_paper"), "--only", "fig10"),
-        (env!("CARGO_BIN_EXE_suite"), "--seed", "x"),
+        (env!("CARGO_BIN_EXE_paper"), "--sched", "fifo"),
+        (env!("CARGO_BIN_EXE_chaos"), "--sched", "fifo"),
+        (env!("CARGO_BIN_EXE_chaos"), "--seed", "x"),
     ] {
         let (code, err) = stderr_of(bin, &[flag, v]);
         assert_eq!(code, Some(2), "{bin} {flag} {v}: {err}");
@@ -43,9 +46,22 @@ fn an_unparsable_value_exits_2_naming_the_flag() {
 
 #[test]
 fn the_flags_the_paper_run_dropped_are_unknown() {
-    // The document is the machine-readable output, and `--only` selects
-    // what `--nodes`/`--size` used to.
-    for flag in ["--csv", "--elections", "--metrics-out", "--nodes", "--size"] {
+    // The document is the machine-readable output, `--only` selects what
+    // `--nodes`/`--size` used to, and the quick and scale sections run the
+    // pinned matrices the folded bins' knobs used to vary.
+    for flag in [
+        "--csv",
+        "--elections",
+        "--metrics-out",
+        "--nodes",
+        "--size",
+        "--slow",
+        "--dissemination",
+        "--label",
+        "--sizes",
+        "--systems",
+        "--interventions",
+    ] {
         let (code, err) = stderr_of(env!("CARGO_BIN_EXE_paper"), &[flag, "1"]);
         assert_eq!(code, Some(2), "paper {flag}: {err}");
         assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
@@ -56,31 +72,28 @@ fn the_flags_the_paper_run_dropped_are_unknown() {
 }
 
 #[test]
-fn dissemination_is_parsed_the_same_way_by_every_bin() {
-    // (bin, value, accepted): `both` only where the bin has a row per
-    // topology. An accepted value is followed by `--help`, so nothing runs.
-    for (bin, v, accepted) in [
-        (env!("CARGO_BIN_EXE_suite"), "ring", true),
-        (env!("CARGO_BIN_EXE_suite"), "both", false),
-        (env!("CARGO_BIN_EXE_suite"), "mesh", false),
-        (env!("CARGO_BIN_EXE_scale"), "star", true),
-        (env!("CARGO_BIN_EXE_scale"), "both", true),
-        (env!("CARGO_BIN_EXE_scale"), "mesh", false),
-        (env!("CARGO_BIN_EXE_chaos"), "ring", true),
-        (env!("CARGO_BIN_EXE_chaos"), "both", false),
-        (env!("CARGO_BIN_EXE_chaos"), "mesh", false),
+fn chaos_takes_one_dissemination_mode() {
+    // An accepted value is followed by `--help`, so nothing runs.
+    for (v, accepted) in [
+        ("star", true),
+        ("ring", true),
+        ("both", false),
+        ("mesh", false),
     ] {
-        let (code, err) = stderr_of(bin, &["--dissemination", v, "--help"]);
+        let (code, err) = stderr_of(
+            env!("CARGO_BIN_EXE_chaos"),
+            &["--dissemination", v, "--help"],
+        );
         if accepted {
-            assert_eq!(code, Some(0), "{bin} --dissemination {v}: {err}");
+            assert_eq!(code, Some(0), "--dissemination {v}: {err}");
         } else {
-            assert_eq!(code, Some(2), "{bin} --dissemination {v}: {err}");
-            assert!(err.contains("--dissemination needs a mode (star"), "{err}");
+            assert_eq!(code, Some(2), "--dissemination {v}: {err}");
+            assert!(
+                err.contains("--dissemination needs a mode (star or ring)"),
+                "{err}"
+            );
         }
     }
-    let (code, err) = stderr_of(env!("CARGO_BIN_EXE_scale"), &["--dissemination"]);
-    assert_eq!(code, Some(2), "{err}");
-    assert!(err.contains("--dissemination needs a mode"), "{err}");
 }
 
 #[test]
@@ -138,10 +151,13 @@ fn trace_report_exits_2_on_a_damaged_record_and_1_on_an_older_document() {
         let file = path.to_str().unwrap();
         stderr_of(env!("CARGO_BIN_EXE_trace-report"), &["--bottleneck", file])
     };
-    let (code, err) = report(r#"{"runs":[{"label":"x","nodes":3,"util":{}}]}"#);
+    let (code, err) = report(r#"{"records":[{"label":"x","nodes":3,"util":{}}]}"#);
     assert_eq!(code, Some(2), "{err}");
-    assert!(err.contains("doc.json: runs[x].system: missing"), "{err}");
-    let (code, err) = report(r#"{"runs":[{"label":"x","forensics":{}}]}"#);
+    assert!(
+        err.contains("doc.json: records[x].system: missing"),
+        "{err}"
+    );
+    let (code, err) = report(r#"{"records":[{"label":"x","forensics":{}}]}"#);
     assert_eq!(code, Some(1), "{err}");
     assert!(
         err.contains("document predates the resource-utilization layer"),

@@ -8,13 +8,13 @@
 # temporary one by default), builds the bench bins and the examples there
 # and in the checkout, runs the commands below with each build in its own
 # directory, and compares byte for byte every file, stdout, stderr and exit
-# status the two runs left. The committed `suite`/`scale`/`whatif --quick`
-# baselines are gated by CI on their own and are not regenerated here; the
-# `trace-report` analyses of them are. The `paper` document is regenerated
-# (its run prints the paper's tables), and so are the SVGs `figures` draws
-# from the committed one. Exits 1 naming each command whose output
-# differs, 2 on a usage or build error. About ten minutes warm on
-# two cores; the build of <rev> dominates.
+# status the two runs left. The `paper` document is regenerated (its run
+# prints every section's table and ends with the what-if agree count), and
+# so are the SVGs `figures` draws from the committed one and the
+# `trace-report` analyses of it. Exits 1 naming each command whose output
+# differs, 2 on a usage or build error. About fifteen minutes warm on two
+# cores; the build of <rev> and the two `paper` runs over the scale sweep
+# dominate.
 set -euo pipefail
 
 rev=${1:?usage: scripts/same-bytes.sh <rev> [scratch-dir]}
@@ -33,7 +33,7 @@ commands=(
     "paper-table1|paper --only table1 --out . --trace-out table1.trace.json"
     "paper-fig9|paper --only fig9 --out . --trace-out fig9.trace.json"
     "figures|figures $root/baselines/BENCH_paper.json"
-    "scale|scale --quick --sizes 3 --out . --trace-out scale.trace.json"
+    "paper-scale|paper --only scale --out . --trace-out scale.trace.json"
     "chaos-seed-17|chaos --proto acuerdo --seed 17 --trace-out chaos.trace.json --metrics-out chaos.metrics.json"
     "chaos-sweep|chaos --proto acuerdo --seeds 25 --max-time-ms 50"
 )
@@ -42,13 +42,10 @@ commands=(
 for example in quickstart leader_failover traced_failover replicated_kv slow_follower; do
     commands+=("example-$example|examples/$example")
 done
-# The three metrics-document reports over the committed baselines (absolute
-# paths, so both builds read the same files). `--whatif` over the quick,
-# scale and paper documents takes the exit-1 "predates" path.
+# The three metrics-document reports over the committed document (an
+# absolute path, so both builds read the same file).
 for mode in bottleneck forensics whatif; do
-    for doc in quick scale whatif paper; do
-        commands+=("report-$mode-$doc|trace-report --$mode $root/baselines/BENCH_$doc.json")
-    done
+    commands+=("report-$mode-paper|trace-report --$mode $root/baselines/BENCH_paper.json")
 done
 
 build() {

@@ -99,14 +99,18 @@ fn calendar_and_heap_schedulers_replay_the_suite_bit_identically() {
     // The calendar queue is a pure scheduling-speed change: both event
     // queues drain the same (at, seq) total order, so swapping one for the
     // other can never move a message, a timer, or a counter. The strongest
-    // statement of that is byte equality of the whole benchmark document —
-    // every system, every window, every counter, every gauge sample.
-    use acuerdo_repro::bench::suite::{run_suite, SuiteConfig};
+    // statement of that is byte equality of the whole quick section — every
+    // system, every window, every counter, every gauge sample.
+    use acuerdo_repro::bench::paper::{run_paper, PaperConfig};
     use acuerdo_repro::simnet::SchedKind;
     let doc = |k: SchedKind| {
-        let mut cfg = SuiteConfig::new(true);
-        cfg.scheduler = k;
-        run_suite(&cfg)
+        let cfg = PaperConfig {
+            seed: 42,
+            only: Some("quick".to_string()),
+            scheduler: k,
+            ..PaperConfig::default()
+        };
+        run_paper(&cfg).0
     };
     let calendar = doc(SchedKind::Calendar);
     let heap = doc(SchedKind::Heap);
@@ -144,7 +148,7 @@ fn calendar_and_heap_schedulers_export_identical_traces() {
 
 #[test]
 fn calendar_and_heap_schedulers_agree_on_deep_deferral_runs() {
-    // The suite's and the scale sweep's windows (at most 8) never make a
+    // The quick matrix's and the scale sweep's windows (16 at most) never make a
     // leader's deferral run more than a few events long. Figure 9's window
     // of 256 keeps some 250 requests waiting on a saturated leader, and the
     // engine then peeks the scheduler (`next_at`) at every wake-up to decide

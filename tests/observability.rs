@@ -313,29 +313,33 @@ fn gauges_and_flight_recorder_do_not_perturb_the_run() {
 
 #[test]
 fn suite_documents_are_byte_identical_per_seed() {
-    // The perf-regression observatory's contract: same pinned config, same
-    // seed ⇒ the same BENCH_*.json document, byte for byte. That is what
-    // lets bench-diff hold counters to exact equality.
+    // The quick section's contract: same pinned matrix, same seed ⇒ the
+    // same document, byte for byte. That is what lets bench-diff hold
+    // counters to exact equality.
     use acuerdo_repro::bench::json;
-    use acuerdo_repro::bench::suite::{run_suite, SuiteConfig, SCHEMA};
+    use acuerdo_repro::bench::paper::{run_paper, PaperConfig, QUICK_SYSTEMS, SCHEMA};
 
-    let mut cfg = SuiteConfig::new(true);
-    cfg.windows = vec![1]; // one window keeps the debug-mode test quick
-    let a = run_suite(&cfg);
-    let b = run_suite(&cfg);
-    assert_eq!(a, b, "suite document differs between identical runs");
+    let cfg = PaperConfig {
+        seed: 42,
+        only: Some("quick".to_string()),
+        ..PaperConfig::default()
+    };
+    let (a, _) = run_paper(&cfg);
+    let (b, _) = run_paper(&cfg);
+    assert_eq!(a, b, "quick section differs between identical runs");
 
-    let doc = json::parse(&a).expect("suite document parses");
+    let doc = json::parse(&a).expect("quick section parses");
     assert_eq!(
         doc.get("schema").and_then(|v| v.as_str()),
         Some(SCHEMA),
         "schema tag missing"
     );
-    let runs = doc
-        .get("runs")
-        .and_then(|v| v.as_array())
-        .expect("runs array");
-    assert_eq!(runs.len(), 5, "one run per suite system");
+    let runs = doc.array_at("quick.records").expect("records array");
+    assert_eq!(
+        runs.len(),
+        2 * QUICK_SYSTEMS.len(),
+        "one record per quick system and window"
+    );
     for run in runs {
         assert!(
             run.get("gauge_series").is_some(),

@@ -92,7 +92,7 @@ fn link_utilization_is_exactly_bytes_times_byte_time_over_elapsed() {
     );
 }
 
-/// One full metrics record (the suite/sidecar JSON object) for an acuerdo
+/// One full metrics record (the run-record JSON object) for an acuerdo
 /// point at a fixed seed, traced or untraced.
 fn acuerdo_record(traced: bool) -> String {
     // Event recording on, gauge sampler off: the sampler writes the

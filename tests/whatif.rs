@@ -1,13 +1,13 @@
 //! The what-if engine's safety proof: applying the **null** intervention —
 //! or a set of explicit unit (×1.0) factors covering every intervention
 //! kind — reproduces the uninstrumented run byte-identically, for every
-//! system of the quick matrix. Interventions are parameters-only by design
+//! system the scale sweep prices. Interventions are parameters-only by design
 //! (`simnet::Intervention`): they never touch the RNG draw sequence or the
 //! event vocabulary, so a factor of exactly 1.0 must be invisible down to
 //! the last counter and forensic nanosecond. A real factor, by contrast,
 //! must move the measured point.
 
-use acuerdo_repro::bench::whatif::WHATIF_SYSTEMS;
+use acuerdo_repro::bench::paper::SCALE_SYSTEMS;
 use acuerdo_repro::bench::{run, run_record_json, Observe, Run, RunSpec, System};
 use acuerdo_repro::simnet::{Intervention, InterventionSet, SpanStage};
 
@@ -44,7 +44,7 @@ fn unit_set(n: usize) -> InterventionSet {
 
 #[test]
 fn null_and_unit_interventions_are_byte_identical_across_the_matrix() {
-    for system in WHATIF_SYSTEMS {
+    for system in SCALE_SYSTEMS {
         let null = record(system, InterventionSet::null());
         let unit = record(system, unit_set(3));
         assert!(
