@@ -49,3 +49,8 @@ pub use replica::{check_cluster, cluster_with_client, enable_restarts, histories
 pub use spans::{hdr_span, Lifecycle};
 pub use stats::{LatencyHist, RunResult, StageClass, StageHist};
 pub use types::{Epoch, MsgHdr, Vote};
+
+/// Client requests a leader holds unfinished (log entries, pending
+/// proposals, unstable frames) before it drops new ones. One bound for every
+/// protocol; the benchmarks stay far below it.
+pub const MAX_BACKLOG: usize = 1 << 20;

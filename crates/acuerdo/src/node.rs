@@ -143,8 +143,6 @@ const MAX_RESYNC_ATTEMPTS: u32 = 3;
 
 /// CPU cost of delivering one committed message to the application.
 const DELIVER_COST: Duration = Duration::from_nanos(100);
-/// Log entries a leader holds before it starts refusing client requests.
-const MAX_CLIENT_BACKLOG: usize = 1 << 20;
 
 // ---- journal records (durable mode, `abcast::wal`) --------------------------
 //
@@ -701,7 +699,7 @@ impl AcuerdoNode {
     // ---- broadcasting (Figure 4) -------------------------------------------
 
     fn on_client_request(&mut self, ctx: &mut Ctx<AcWire>, from: NodeId, req: ClientReq) {
-        if self.role() != Role::Leader || self.log.len() >= MAX_CLIENT_BACKLOG {
+        if self.role() != Role::Leader || self.log.len() >= abcast::MAX_BACKLOG {
             return;
         }
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);

@@ -26,7 +26,7 @@
 
 use abcast::{
     hdr_span, App, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
-    Replica,
+    Replica, MAX_BACKLOG,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rdma_prims::{RingMode, RingReceiver, RingSender, Sst};
@@ -41,37 +41,11 @@ use std::time::Duration;
 pub struct ApusConfig {
     /// Number of replicas.
     pub n: usize,
-    /// Bytes per ring buffer.
-    pub ring_bytes: usize,
-    /// Busy-poll interval.
-    pub poll_interval: Duration,
-    /// Maximum messages per batch (a batch holds at most one message per
-    /// logical client; the window acts as the client count).
-    pub max_batch: usize,
-    /// Followers acknowledge batches at most this often ("the remote
-    /// acceptor periodically acknowledges batches of messages", §5).
-    pub ack_interval: Duration,
-    /// Per-message CPU for the separate consensus instance APUS runs on
-    /// every message (§4.1 calls this its major bottleneck).
-    pub instance_cost: Duration,
-    /// Queue-pair settings.
-    pub qp: QpConfig,
-    /// Drop client requests beyond this backlog.
-    pub max_backlog: usize,
 }
 
 impl Default for ApusConfig {
     fn default() -> Self {
-        ApusConfig {
-            n: 3,
-            ring_bytes: 1 << 20,
-            poll_interval: cpu::POLL_INTERVAL,
-            max_batch: 1024,
-            ack_interval: Duration::from_micros(5),
-            instance_cost: Duration::from_nanos(1200),
-            qp: QpConfig::default(),
-            max_backlog: 1 << 20,
-        }
+        ApusConfig { n: 3 }
     }
 }
 
@@ -174,6 +148,17 @@ fn decode_frame(mut raw: Bytes) -> Option<Frame> {
 }
 
 const TOK_POLL: u64 = 1;
+/// Bytes per ring buffer.
+const RING_BYTES: usize = 1 << 20;
+/// Maximum messages per batch (a batch holds at most one message per
+/// logical client; the window acts as the client count).
+const MAX_BATCH: usize = 1024;
+/// Followers acknowledge batches at most this often ("the remote acceptor
+/// periodically acknowledges batches of messages", §5).
+const ACK_INTERVAL: Duration = Duration::from_micros(5);
+/// Per-message CPU for the separate consensus instance APUS runs on every
+/// message (§4.1 calls this its major bottleneck).
+const INSTANCE_COST: Duration = Duration::from_nanos(1200);
 const DELIVER_COST: Duration = Duration::from_nanos(100);
 
 /// One APUS replica. Replica 0 is the fixed leader.
@@ -219,11 +204,11 @@ impl ApusNode {
     pub fn new(cfg: ApusConfig, me: usize) -> Self {
         let n = cfg.n;
         assert!(me < n);
-        let mut ep = Endpoint::new(cfg.qp);
+        let mut ep = Endpoint::new(QpConfig::default());
         let mut in_rings = Vec::with_capacity(n);
         for _ in 0..n {
-            let r = ep.register_region(cfg.ring_bytes);
-            in_rings.push(RingReceiver::new(r, cfg.ring_bytes, RingMode::Coupled));
+            let r = ep.register_region(RING_BYTES);
+            in_rings.push(RingReceiver::new(r, RING_BYTES, RingMode::Coupled));
         }
         let ack_sst = Sst::<u64>::register(&mut ep, n, me);
         let commit_sst = Sst::<u64>::register(&mut ep, n, me);
@@ -231,12 +216,7 @@ impl ApusNode {
             ep.connect(p);
         }
         let peers: Vec<NodeId> = (0..n).collect();
-        let out_ring = RingSender::new(
-            RegionId(me as u32),
-            cfg.ring_bytes,
-            RingMode::Coupled,
-            &peers,
-        );
+        let out_ring = RingSender::new(RegionId(me as u32), RING_BYTES, RingMode::Coupled, &peers);
         ApusNode {
             me,
             ep,
@@ -277,7 +257,7 @@ impl ApusNode {
     // ---- leader ---------------------------------------------------------------
 
     fn on_client_request(&mut self, ctx: &mut Ctx<ApWire>, from: NodeId, req: ClientReq) {
-        if !self.is_leader() || self.pending.len() >= self.cfg.max_backlog {
+        if !self.is_leader() || self.pending.len() >= MAX_BACKLOG {
             return;
         }
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);
@@ -289,7 +269,7 @@ impl ApusNode {
             return;
         }
         let batch = self.next_batch;
-        let take = self.pending.len().min(self.cfg.max_batch);
+        let take = self.pending.len().min(MAX_BATCH);
         let mut last_idx = 0;
         for _ in 0..take {
             let (client, id, payload) = self.pending.pop_front().expect("nonempty");
@@ -299,7 +279,7 @@ impl ApusNode {
             self.instrument
                 .admit(ctx, idx, hdr_span(&Self::hdr(idx)), client, id);
             // One consensus instance per message (APUS's Paxos core).
-            ctx.use_cpu_at(SpanStage::RingWrite, self.cfg.instance_cost);
+            ctx.use_cpu_at(SpanStage::RingWrite, INSTANCE_COST);
             self.log.insert(idx, payload.clone());
             let frame = encode_frame(&Frame::Data {
                 idx,
@@ -396,7 +376,7 @@ impl ApusNode {
         // Batch-wise, *periodic* acknowledgment: one SST write per ack
         // interval, not per message.
         if let Some(batch) = self.pending_ack {
-            if ctx.now().saturating_since(self.last_ack_at) >= self.cfg.ack_interval {
+            if ctx.now().saturating_since(self.last_ack_at) >= ACK_INTERVAL {
                 self.ack_sst.write_mine(&mut self.ep, &batch);
                 let _ = self.ack_sst.push_mine_to(ctx, &mut self.ep, 0);
                 self.pending_ack = None;
@@ -432,7 +412,7 @@ impl ApusNode {
 
 impl Process<ApWire> for ApusNode {
     fn on_start(&mut self, ctx: &mut Ctx<ApWire>) {
-        ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+        ctx.set_timer(cpu::POLL_INTERVAL, TOK_POLL);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<ApWire>, from: NodeId, msg: ApWire) {
@@ -455,7 +435,7 @@ impl Process<ApWire> for ApusNode {
         } else {
             self.follower_commit(ctx);
         }
-        ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+        ctx.set_timer(cpu::POLL_INTERVAL, TOK_POLL);
     }
 }
 
@@ -574,10 +554,7 @@ mod tests {
 
     #[test]
     fn five_node_quorum_commits_without_slowest() {
-        let cfg = ApusConfig {
-            n: 5,
-            ..ApusConfig::default()
-        };
+        let cfg = ApusConfig { n: 5 };
         let (mut sim, ids, client) =
             cluster_with_client::<ApusNode>(15, &cfg, 8, 10, Duration::from_millis(1));
         // One permanently slow follower: quorum 3 of 5 still commits.

@@ -86,7 +86,14 @@ fn parse_args() -> Args {
                 };
             }
             "--seed" => out.seed = Some(parsed(&mut args, "--seed", "number")),
-            "--seeds" => out.seeds = parsed(&mut args, "--seeds", "number"),
+            "--seeds" => {
+                out.seeds = parsed(&mut args, "--seeds", "number");
+                if out.seeds == 0 {
+                    // No run, no verdict: "0 failed" would read as a pass.
+                    eprintln!("--seeds needs a count of at least 1");
+                    exit(2);
+                }
+            }
             "--nodes" => {
                 out.nodes = parsed(&mut args, "--nodes", "replica count");
                 if out.nodes < 3 {
@@ -94,7 +101,14 @@ fn parse_args() -> Args {
                     exit(2);
                 }
             }
-            "--max-time-ms" => out.max_time_ms = parsed(&mut args, "--max-time-ms", "number"),
+            "--max-time-ms" => {
+                out.max_time_ms = parsed(&mut args, "--max-time-ms", "number");
+                if out.max_time_ms == 0 {
+                    // The fault window is a share of the horizon: empty at 0.
+                    eprintln!("--max-time-ms needs a horizon of at least 1 ms");
+                    exit(2);
+                }
+            }
             "--tier" => {
                 let v = value(&mut args, "--tier", "tier name");
                 out.tier = Tier::from_name(&v).unwrap_or_else(|| {

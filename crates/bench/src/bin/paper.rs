@@ -12,7 +12,7 @@
 //! cargo run --release -p bench --bin paper -- --out baselines   # regenerate the baseline
 //! cargo run --release -p bench --bin paper -- --full            # paper-scale sweeps
 //! cargo run --release -p bench --bin paper -- --only fig8a --trace-out fig8.trace.json
-//! cargo run --release -p bench --bin paper -- --only scale --sched heap   # the queue oracle
+//! cargo run --release -p bench --bin paper -- --sched heap --out heap     # the queue oracle
 //! ```
 //!
 //! Exit status: 0 on a written document, 1 when a Table 1 row measured
@@ -33,8 +33,8 @@ fn usage() {
          \x20  --trace-out BASE  one Chrome trace per fig8/table1/fig9 record and per scale\n\
          \x20                    record at the smallest size (all: ~1.4 GB)\n\
          \x20  --only SECTION    one of {SECTIONS}\n\
-         \x20  --sched KIND      event queue of the quick and scale runs: calendar (default)\n\
-         \x20                    or heap; never changes the document"
+         \x20  --sched KIND      event queue of every run: calendar (default) or heap;\n\
+         \x20                    never changes the document"
     );
 }
 

@@ -824,26 +824,15 @@ pub fn run_chaos(opts: &ChaosOpts) -> ChaosRun {
             drive::<AcuerdoNode>(opts, &cfg, ms(1), true)
         }
         Proto::Raft => {
-            let cfg = RaftConfig {
-                n,
-                durability,
-                ..RaftConfig::default()
-            };
+            let cfg = RaftConfig { n, durability };
             drive::<RaftNode>(opts, &cfg, ms(2), correlated)
         }
         Proto::Zab => {
-            let cfg = ZabConfig {
-                n,
-                durability,
-                ..ZabConfig::default()
-            };
+            let cfg = ZabConfig { n, durability };
             drive::<ZabNode>(opts, &cfg, ms(2), correlated)
         }
         Proto::Paxos => {
-            let cfg = PaxosConfig {
-                n,
-                ..PaxosConfig::default()
-            };
+            let cfg = PaxosConfig { n };
             drive::<PaxosNode>(opts, &cfg, ms(2), false)
         }
         // `sized` keeps the n=5 chaos geometry bit-identical (1MiB rings

@@ -232,8 +232,8 @@ impl RunSpec {
 pub struct Observe {
     /// Record the full trace-event timeline.
     pub traced: bool,
-    /// Sample gauge time series at this sim-time cadence.
-    pub sample_every: Option<Duration>,
+    /// Sample the gauge time series every [`SAMPLE_EVERY`] of sim time.
+    pub gauges: bool,
     /// Event-queue implementation. Like tracing, this can never change
     /// results — the schedulers share one `(at, seq)` total order (see
     /// `simnet::sched`) — so it defaults to the fast calendar queue and is
@@ -245,9 +245,9 @@ pub struct Observe {
     pub interventions: InterventionSet,
 }
 
-/// Gauge-series sampling cadence used by every traced surface (`--trace-out`
-/// and the `paper` run's quick and scale sections): one sample per node per
-/// 100 µs of sim time.
+/// Gauge-series sampling cadence of every run whose [`Observe`] samples
+/// gauges (`--trace-out`, and the `paper` run's quick and scale sections):
+/// one sample per node per 100 µs of sim time.
 pub const SAMPLE_EVERY: std::time::Duration = std::time::Duration::from_micros(100);
 
 impl Observe {
@@ -256,7 +256,7 @@ impl Observe {
     pub fn traced() -> Observe {
         Observe {
             traced: true,
-            sample_every: Some(SAMPLE_EVERY),
+            gauges: true,
             ..Observe::default()
         }
     }
@@ -264,8 +264,8 @@ impl Observe {
     fn apply<M: 'static>(&self, sim: &mut Sim<M>) {
         sim.set_scheduler(self.scheduler);
         sim.set_tracing(self.traced);
-        if let Some(every) = self.sample_every {
-            sim.set_gauge_sampling(every);
+        if self.gauges {
+            sim.set_gauge_sampling(SAMPLE_EVERY);
         }
         sim.apply_interventions(&self.interventions);
     }
@@ -473,22 +473,8 @@ pub fn run(run: &Run) -> Record {
         System::DerechoAll => {
             drive::<DerechoNode>(&DerechoConfig::sized(n, Mode::AllSender), run, bare)
         }
-        System::Apus => drive::<ApusNode>(
-            &ApusConfig {
-                n,
-                ..Default::default()
-            },
-            run,
-            bare,
-        ),
-        System::Libpaxos => drive::<PaxosNode>(
-            &PaxosConfig {
-                n,
-                ..Default::default()
-            },
-            run,
-            bare,
-        ),
+        System::Apus => drive::<ApusNode>(&ApusConfig { n }, run, bare),
+        System::Libpaxos => drive::<PaxosNode>(&PaxosConfig { n }, run, bare),
         System::Zookeeper => drive::<ZabNode>(
             &ZabConfig {
                 n,
@@ -519,7 +505,7 @@ pub fn run(run: &Run) -> Record {
 
 /// Sweep the window by powers of two "until reaching the saturation of the
 /// system" (§4.1): stop once throughput stops improving meaningfully. The
-/// last record is the saturated point.
+/// last record is the saturated point. Every point runs under `observe`.
 pub fn sweep(
     system: System,
     n: usize,
@@ -527,11 +513,12 @@ pub fn sweep(
     max_window_log2: u32,
     seed: u64,
     spec: RunSpec,
+    observe: &Observe,
 ) -> Vec<Record> {
     let mut out: Vec<Record> = Vec::new();
     let mut flat = 0;
     for w in (0..=max_window_log2).map(|e| 1usize << e) {
-        let r = run(&Run::new(system, n, payload, w, seed, spec));
+        let r = run(&Run::new(system, n, payload, w, seed, spec).observe(observe.clone()));
         let p = &r.point;
         if p.msgs_per_sec < 1.0 {
             // Deep windows can spend the whole (finite) measurement interval
@@ -565,10 +552,16 @@ pub fn sweep(
 /// (detection time excluded, diff transfer included — the paper's metric).
 ///
 /// The failover path shows up in the returned counter snapshot (elections,
-/// heartbeat misses, diff applies); `traced` also records its timeline. The
-/// run gives up after `40 * elections` settle attempts without a leader, so
-/// callers that need all `elections` compare `stats.count` against it.
-pub fn election_experiment(n: usize, elections: usize, seed: u64, traced: bool) -> ElectionRun {
+/// heartbeat misses, diff applies); the run is observed as `observe` says
+/// (a traced one also records its timeline). The run gives up after
+/// `40 * elections` settle attempts without a leader, so callers that need
+/// all `elections` compare `stats.count` against it.
+pub fn election_experiment(
+    n: usize,
+    elections: usize,
+    seed: u64,
+    observe: &Observe,
+) -> ElectionRun {
     use abcast::OpenLoopClient;
     let cfg = AcuerdoConfig {
         n,
@@ -581,7 +574,6 @@ pub fn election_experiment(n: usize, elections: usize, seed: u64, traced: bool) 
         ..AcuerdoConfig::default()
     };
     let mut sim: Sim<AcWire> = Sim::new(seed, AcuerdoNode::net());
-    sim.set_tracing(traced);
     let ids = acuerdo::build_cluster(&mut sim, &cfg);
     let client = sim.add_node(Box::new(OpenLoopClient::<AcWire>::new(
         0,
@@ -604,6 +596,7 @@ pub fn election_experiment(n: usize, elections: usize, seed: u64, traced: bool) 
     for &id in &ids[..n - long] {
         sim.set_timer_jitter(id, Duration::from_micros(150));
     }
+    observe.apply(&mut sim);
 
     let mut completed = 0usize;
     let mut guard = 0;
@@ -977,6 +970,7 @@ mod tests {
             13,
             5,
             RunSpec::quick(System::Acuerdo),
+            &Observe::default(),
         );
         assert!(pts.len() >= 4, "sweep too short: {}", pts.len());
         let peak = pts.iter().map(|r| r.point.mbps).fold(0.0, f64::max);
@@ -986,7 +980,7 @@ mod tests {
 
     #[test]
     fn election_experiment_small_cluster_is_sub_ms() {
-        let st = election_experiment(3, 3, 11, false).stats;
+        let st = election_experiment(3, 3, 11, &Observe::default()).stats;
         assert!(st.count >= 3, "only {} elections measured", st.count);
         assert!(st.mean_ms < 1.5, "3-node elections took {} ms", st.mean_ms);
     }

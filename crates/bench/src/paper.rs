@@ -106,9 +106,9 @@ pub struct PaperConfig {
     /// sweep's smallest size traced and write one Chrome trace per record
     /// under this base name.
     pub trace_out: Option<String>,
-    /// Event queue of the quick and scale sections' runs. It can never
-    /// change the document (the schedulers share one total order), so it
-    /// is not part of it: the heap is the calendar queue's oracle.
+    /// Event queue of every run. It can never change the document (the
+    /// schedulers share one total order), so it is not part of it: the heap
+    /// is the calendar queue's oracle.
     pub scheduler: SchedKind,
 }
 
@@ -173,12 +173,17 @@ fn column_json(spec: RunSpec, p: &Point) -> String {
     format!("{{{},{}}}", point_members(p), interval_members(spec))
 }
 
-/// The Observe a `--trace-out` run re-runs a record under.
-fn observe(cfg: &PaperConfig) -> Observe {
-    if cfg.trace_out.is_some() {
+/// The Observe every run of the document is built from: the run's event
+/// queue, plus the event timeline and the gauge series when `traced`.
+fn observe(cfg: &PaperConfig, traced: bool) -> Observe {
+    let base = if traced {
         Observe::traced()
     } else {
         Observe::default()
+    };
+    Observe {
+        scheduler: cfg.scheduler,
+        ..base
     }
 }
 
@@ -201,6 +206,7 @@ fn write_trace(
 /// seven systems, on each selected panel.
 fn fig8(cfg: &PaperConfig, panels: &[(&str, usize, usize)]) -> String {
     let max_log2 = if cfg.full { 14 } else { 12 };
+    let (dark, lit) = (observe(cfg, false), observe(cfg, cfg.trace_out.is_some()));
     let mut panel_docs = Vec::new();
     let mut records = Vec::new();
     for &(name, n, size) in panels {
@@ -209,9 +215,9 @@ fn fig8(cfg: &PaperConfig, panels: &[(&str, usize, usize)]) -> String {
         let mut sweeps = Vec::new();
         for system in System::all() {
             let (sys, spec) = (system.name(), RunSpec::of(system, cfg.full));
-            let runs = sweep(system, n, size, max_log2, cfg.seed, spec);
+            let runs = sweep(system, n, size, max_log2, cfg.seed, spec, &dark);
             let w = runs.last().map_or(1, |r| r.point.window);
-            let r = Run::new(system, n, size, w, cfg.seed, spec).observe(observe(cfg));
+            let r = Run::new(system, n, size, w, cfg.seed, spec).observe(lit.clone());
             // The sweep's last run is the saturated point; a traced re-run
             // at the same seed is bit-identical to it (tracing never
             // perturbs scheduling).
@@ -267,7 +273,12 @@ fn table1(cfg: &PaperConfig) -> (String, bool) {
     let mut stage_tables = String::new();
     let mut short = false;
     for n in [3usize, 5, 7, 9] {
-        let out = election_experiment(n, ELECTIONS, cfg.seed, cfg.trace_out.is_some());
+        // Traced without the gauge series: the trace carries no gauges.
+        let observe = Observe {
+            traced: cfg.trace_out.is_some(),
+            ..observe(cfg, false)
+        };
+        let out = election_experiment(n, ELECTIONS, cfg.seed, &observe);
         let st = &out.stats;
         let long = long_latency_count(n);
         // Splice the counters (and stage anatomy) into the stats object.
@@ -313,7 +324,7 @@ fn fig9(cfg: &PaperConfig) -> String {
             let label = format!("{}_n{n}", s.name());
             let r = Run::ycsb(s, n, cfg.seed, RunSpec::fig9(s, cfg.full))
                 .expect("a figure 9 system")
-                .observe(observe(cfg));
+                .observe(observe(cfg, cfg.trace_out.is_some()));
             let out = run(&r);
             let stages = cfg.trace_out.as_ref().map(|base| {
                 let hist = write_trace(base, &label, &out.events, &out.gauges);
@@ -352,7 +363,9 @@ fn ablations(cfg: &PaperConfig) -> String {
     let mut rows = Vec::new();
     let mut records = Vec::new();
     for ab in Ablation::all() {
-        let at = |window, spec| Run::new(System::Acuerdo, n, size, window, cfg.seed, spec);
+        let at = |window, spec| {
+            Run::new(System::Acuerdo, n, size, window, cfg.seed, spec).observe(observe(cfg, false))
+        };
         let (low, _) = ablation_point(ab, &at(1, spec), Scenario::Stable);
         let sat_run = at(256, spec);
         let (sat, sat_metrics) = ablation_point(ab, &sat_run, Scenario::Stable);
@@ -405,7 +418,10 @@ fn related(cfg: &PaperConfig) -> String {
     ];
     let mut rows = Vec::new();
     for (system, note) in lineage {
-        let point = |window| run(&Run::new(system, n, size, window, cfg.seed, spec)).point;
+        let point = |window| {
+            let r = Run::new(system, n, size, window, cfg.seed, spec);
+            run(&r.observe(observe(cfg, false))).point
+        };
         let (low, sat) = (point(1), point(512));
         let (name, lat, ops) = (system.name(), low.mean_us, sat.msgs_per_sec);
         println!("{name:<16} {lat:>12.2} {ops:>14.0}   {note}");
@@ -439,10 +455,7 @@ fn quick(cfg: &PaperConfig) -> String {
         let spec = RunSpec::of(system, cfg.full);
         for &w in windows {
             let label = format!("{}-w{w}", system.name());
-            let r = Run::new(system, n, payload, w, cfg.seed, spec).observe(Observe {
-                scheduler: cfg.scheduler,
-                ..Observe::traced()
-            });
+            let r = Run::new(system, n, payload, w, cfg.seed, spec).observe(observe(cfg, true));
             let out = run(&r);
             let hist = spans::stage_hist(&spans::collect(&out.events));
             let tail = [
@@ -496,9 +509,8 @@ fn scale(cfg: &PaperConfig) -> String {
             let r =
                 Run::new(system, n, SCALE_PAYLOAD, SCALE_WINDOW, cfg.seed, spec).observe(Observe {
                     traced,
-                    sample_every: Some(SAMPLE_EVERY),
-                    scheduler: cfg.scheduler,
-                    ..Observe::default()
+                    gauges: true,
+                    ..observe(cfg, false)
                 });
             let out = run(&r);
             let mut tail = Vec::new();

@@ -72,6 +72,20 @@ fn the_flags_the_paper_run_dropped_are_unknown() {
 }
 
 #[test]
+fn chaos_refuses_a_run_that_cannot_support_a_verdict() {
+    // Each value would run nothing, panic, or print a verdict over no runs.
+    for (flag, v, why) in [
+        ("--nodes", "2", "a cluster of at least 3"),
+        ("--seeds", "0", "a count of at least 1"),
+        ("--max-time-ms", "0", "a horizon of at least 1 ms"),
+    ] {
+        let (code, err) = stderr_of(env!("CARGO_BIN_EXE_chaos"), &[flag, v]);
+        assert_eq!(code, Some(2), "chaos {flag} {v}: {err}");
+        assert!(err.contains(&format!("{flag} needs {why}")), "{err}");
+    }
+}
+
+#[test]
 fn chaos_takes_one_dissemination_mode() {
     // An accepted value is followed by `--help`, so nothing runs.
     for (v, accepted) in [

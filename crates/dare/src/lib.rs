@@ -26,7 +26,7 @@
 
 use abcast::{
     hdr_span, App, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
-    Replica,
+    Replica, MAX_BACKLOG,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::Rng;
@@ -41,27 +41,15 @@ use std::time::Duration;
 pub struct DareConfig {
     /// Group size.
     pub n: usize,
-    /// Bytes per replicated log region (no wrap: sized for the run).
-    pub log_bytes: usize,
-    /// Busy-poll interval.
-    pub poll_interval: Duration,
-    /// Leader heartbeat (commit-pointer refresh) interval.
-    pub hb_interval: Duration,
     /// Election timeout range (randomized — DARE's split-vote mitigation).
     pub election_timeout: (Duration, Duration),
-    /// Drop client requests beyond this backlog.
-    pub max_backlog: usize,
 }
 
 impl Default for DareConfig {
     fn default() -> Self {
         DareConfig {
             n: 3,
-            log_bytes: 8 << 20,
-            poll_interval: cpu::POLL_INTERVAL,
-            hb_interval: Duration::from_micros(20),
             election_timeout: (Duration::from_millis(1), Duration::from_millis(3)),
-            max_backlog: 1 << 20,
         }
     }
 }
@@ -135,9 +123,13 @@ pub enum DareRole {
 /// Region plan: region 0 = the replicated log, region 1 = the control block
 /// `(commit offset u64, entry count u64, heartbeat u64)`.
 const CTRL_LEN: usize = 24;
+/// Bytes of the replicated log region (no wrap: sized for the run).
+const LOG_BYTES: usize = 8 << 20;
 
 const TOK_POLL: u64 = 1;
 const TOK_ELECT: u64 = 2;
+/// Leader heartbeat (commit-pointer refresh) interval.
+const HB_INTERVAL: Duration = Duration::from_micros(20);
 const DELIVER_COST: Duration = Duration::from_nanos(100);
 
 /// Entry layout: `[len u32][term u32][client u32][id u64][payload]`. The
@@ -233,7 +225,7 @@ impl DareNode {
             signal_interval: 1,
             ..QpConfig::default()
         });
-        let log_region = ep.register_region(cfg.log_bytes);
+        let log_region = ep.register_region(LOG_BYTES);
         let ctrl_region = ep.register_region(CTRL_LEN);
         for p in 0..n {
             ep.connect(p);
@@ -314,7 +306,7 @@ impl DareNode {
     // ---- leader pipeline -----------------------------------------------------
 
     fn on_request(&mut self, ctx: &mut Ctx<DareWire>, from: NodeId, req: ClientReq) {
-        if self.role != DareRole::Leader || self.pending.len() >= self.cfg.max_backlog {
+        if self.role != DareRole::Leader || self.pending.len() >= MAX_BACKLOG {
             return;
         }
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);
@@ -331,7 +323,7 @@ impl DareNode {
                     return;
                 };
                 let entry = encode_entry(self.term, client as u32, id, &payload);
-                if self.log_end as usize + entry.len() > self.cfg.log_bytes {
+                if self.log_end as usize + entry.len() > LOG_BYTES {
                     // Log region exhausted (no wrap in this baseline):
                     // refuse further proposals.
                     return;
@@ -418,7 +410,7 @@ impl DareNode {
             let raw = Bytes::copy_from_slice(self.ep.read(
                 self.log_region,
                 self.applied_off as u32,
-                remaining.min(self.cfg.log_bytes - self.applied_off as usize),
+                remaining.min(LOG_BYTES - self.applied_off as usize),
             ));
             let Some((term, _, _, payload)) = decode_entry(raw) else {
                 break; // torn prefix: wait for the rest
@@ -582,8 +574,8 @@ impl DareNode {
 impl Process<DareWire> for DareNode {
     fn on_start(&mut self, ctx: &mut Ctx<DareWire>) {
         self.last_hb_seen = (0, ctx.now());
-        ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
-        ctx.set_timer(self.cfg.hb_interval, TOK_ELECT << 16); // heartbeat tick
+        ctx.set_timer(cpu::POLL_INTERVAL, TOK_POLL);
+        ctx.set_timer(HB_INTERVAL, TOK_ELECT << 16); // heartbeat tick
         if self.role != DareRole::Leader {
             self.arm_election_timer(ctx);
         }
@@ -605,10 +597,10 @@ impl Process<DareWire> for DareNode {
             ctx.use_cpu_idle(cpu::POLL_IDLE);
             self.apply(ctx);
             self.pump(ctx);
-            ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+            ctx.set_timer(cpu::POLL_INTERVAL, TOK_POLL);
         } else if token == TOK_ELECT << 16 {
             self.heartbeat(ctx);
-            ctx.set_timer(self.cfg.hb_interval, TOK_ELECT << 16);
+            ctx.set_timer(HB_INTERVAL, TOK_ELECT << 16);
         } else if token >> 32 == TOK_ELECT {
             if (token & 0xFFFF_FFFF) != self.election_gen {
                 return;

@@ -2,6 +2,7 @@
 
 use abcast::{
     App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
+    MAX_BACKLOG,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rdma_prims::{RingMode, RingReceiver, RingSender};
@@ -33,20 +34,8 @@ pub struct DerechoConfig {
     pub mode: Mode,
     /// Bytes per ring buffer.
     pub ring_bytes: usize,
-    /// Busy-poll interval.
-    pub poll_interval: Duration,
-    /// How often each member publishes its SST row (`nReceived` counters +
-    /// heartbeat). Derecho's stability is discovered in these rounds rather
-    /// than per message.
-    pub row_push_interval: Duration,
     /// Suspect a member after this much heartbeat silence.
     pub view_timeout: Duration,
-    /// Queue-pair settings.
-    pub qp: QpConfig,
-    /// Max null messages manufactured per poll (all-sender mode).
-    pub max_nulls_per_poll: usize,
-    /// Drop client requests beyond this many unstable frames.
-    pub max_backlog: usize,
 }
 
 impl Default for DerechoConfig {
@@ -55,15 +44,10 @@ impl Default for DerechoConfig {
             n: 3,
             mode: Mode::Leader,
             ring_bytes: 1 << 20,
-            poll_interval: cpu::POLL_INTERVAL,
-            row_push_interval: Duration::from_micros(10),
             // Generous by default: a saturated member must not be mistaken
             // for a dead one (suspicion evicts permanently in virtual
             // synchrony). Failover tests shorten this.
             view_timeout: Duration::from_millis(100),
-            qp: QpConfig::default(),
-            max_nulls_per_poll: 64,
-            max_backlog: 1 << 20,
         }
     }
 }
@@ -191,6 +175,12 @@ fn decode_body(mut raw: Bytes) -> Option<Body> {
 
 const TOK_POLL: u64 = 1;
 const TOK_ROW: u64 = 2;
+/// How often each member publishes its SST row (`nReceived` counters +
+/// heartbeat). Derecho's stability is discovered in these rounds rather than
+/// per message.
+const ROW_PUSH_INTERVAL: Duration = Duration::from_micros(10);
+/// Max null messages manufactured per poll (all-sender mode).
+const MAX_NULLS_PER_POLL: usize = 64;
 const DELIVER_COST: Duration = Duration::from_nanos(100);
 
 /// One Derecho member.
@@ -250,7 +240,7 @@ impl DerechoNode {
     pub fn new(cfg: DerechoConfig, me: usize) -> Self {
         let n = cfg.n;
         assert!(me < n);
-        let mut ep = Endpoint::new(cfg.qp);
+        let mut ep = Endpoint::new(QpConfig::default());
         // Region plan: n rings, then the state-table rows.
         let mut in_rings = Vec::with_capacity(n);
         for _ in 0..n {
@@ -416,7 +406,7 @@ impl DerechoNode {
     }
 
     fn on_client_request(&mut self, ctx: &mut Ctx<DcWire>, from: NodeId, req: ClientReq) {
-        if self.evicted || !self.is_sender() || self.sent_frames.len() >= self.cfg.max_backlog {
+        if self.evicted || !self.is_sender() || self.sent_frames.len() >= MAX_BACKLOG {
             return;
         }
         ctx.use_cpu_at(SpanStage::LeaderRecv, cpu::CLIENT_INGEST);
@@ -547,7 +537,7 @@ impl DerechoNode {
             .max()
             .unwrap_or(0);
         let mut made = 0;
-        while self.my_sent < maxc && made < self.cfg.max_nulls_per_poll {
+        while self.my_sent < maxc && made < MAX_NULLS_PER_POLL {
             self.send_null();
             made += 1;
         }
@@ -831,8 +821,8 @@ impl Process<DcWire> for DerechoNode {
         for m in 0..self.cfg.n {
             self.hb_seen[m] = (0, now);
         }
-        ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
-        ctx.set_timer(self.cfg.row_push_interval, TOK_ROW);
+        ctx.set_timer(cpu::POLL_INTERVAL, TOK_POLL);
+        ctx.set_timer(ROW_PUSH_INTERVAL, TOK_ROW);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<DcWire>, from: NodeId, msg: DcWire) {
@@ -869,11 +859,11 @@ impl Process<DcWire> for DerechoNode {
                     self.committed_hdr,
                 );
                 self.publish_gauges(ctx);
-                ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+                ctx.set_timer(cpu::POLL_INTERVAL, TOK_POLL);
             }
             TOK_ROW => {
                 self.push_row(ctx);
-                ctx.set_timer(self.cfg.row_push_interval, TOK_ROW);
+                ctx.set_timer(ROW_PUSH_INTERVAL, TOK_ROW);
             }
             _ => {}
         }

@@ -17,7 +17,8 @@
 //! failover is modeled; see DESIGN.md).
 
 use abcast::{
-    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr, Replica,
+    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
+    Replica, MAX_BACKLOG,
 };
 use bytes::Bytes;
 use simnet::params::cpu;
@@ -33,16 +34,11 @@ use std::time::Duration;
 pub struct PaxosConfig {
     /// Number of replicas (acceptor + learner each; node 0 proposes).
     pub n: usize,
-    /// Drop client requests beyond this backlog of unfinished instances.
-    pub max_backlog: usize,
 }
 
 impl Default for PaxosConfig {
     fn default() -> Self {
-        PaxosConfig {
-            n: 3,
-            max_backlog: 1 << 20,
-        }
+        PaxosConfig { n: 3 }
     }
 }
 
@@ -177,7 +173,7 @@ impl PaxosNode {
     }
 
     fn on_request(&mut self, ctx: &mut Ctx<PxWire>, from: NodeId, req: ClientReq) {
-        if self.me != 0 || self.proposals.len() >= self.cfg.max_backlog {
+        if self.me != 0 || self.proposals.len() >= MAX_BACKLOG {
             return;
         }
         let inst = self.next_inst;

@@ -16,7 +16,8 @@
 
 use abcast::wal;
 use abcast::{
-    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr, Replica,
+    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
+    Replica, MAX_BACKLOG,
 };
 use bytes::Bytes;
 use rand::Rng;
@@ -32,14 +33,6 @@ use std::time::Duration;
 pub struct RaftConfig {
     /// Group size.
     pub n: usize,
-    /// Leader heartbeat (empty AppendEntries) interval.
-    pub heartbeat: Duration,
-    /// Election timeout is drawn uniformly from this range.
-    pub election_timeout: (Duration, Duration),
-    /// Max entries per AppendEntries RPC.
-    pub max_batch: usize,
-    /// Drop client requests beyond this backlog.
-    pub max_backlog: usize,
     /// Volatile (default) charges the WAL fsync barrier but keeps no
     /// recoverable state; Durable additionally writes entry and hard-state
     /// records so a restarted node rebuilds its log from disk.
@@ -50,13 +43,6 @@ impl Default for RaftConfig {
     fn default() -> Self {
         RaftConfig {
             n: 3,
-            // etcd defaults are 100 ms heartbeats and a 1 s election
-            // timeout; scaled to a tenth so failover tests stay fast while
-            // keeping the same margin over commit latency.
-            heartbeat: Duration::from_millis(10),
-            election_timeout: (Duration::from_millis(100), Duration::from_millis(200)),
-            max_batch: 64,
-            max_backlog: 1 << 20,
             durability: DurabilityMode::Volatile,
         }
     }
@@ -161,6 +147,16 @@ pub enum RaftRole {
 
 const TOK_ELECTION: u64 = 1;
 const TOK_HEARTBEAT: u64 = 2;
+// etcd's defaults are 100 ms heartbeats and a 1 s election timeout; both are
+// scaled to a tenth so failover tests stay fast while keeping the same margin
+// over commit latency.
+/// Leader heartbeat (empty AppendEntries) interval.
+const HEARTBEAT: Duration = Duration::from_millis(10);
+/// The election timeout is drawn uniformly from `[lo, hi]`.
+const ELECTION_TIMEOUT: (Duration, Duration) =
+    (Duration::from_millis(100), Duration::from_millis(200));
+/// Max entries per AppendEntries RPC.
+const MAX_BATCH: u64 = 64;
 const DELIVER_COST: Duration = Duration::from_micros(1);
 
 /// One Raft group member.
@@ -304,13 +300,8 @@ impl RaftNode {
 
     fn arm_election_timer(&mut self, ctx: &mut Ctx<RfWire>) {
         self.election_gen += 1;
-        let (lo, hi) = self.cfg.election_timeout;
-        let span = (hi - lo).as_nanos() as u64;
-        let jitter = if span == 0 {
-            0
-        } else {
-            ctx.rng().random_range(0..=span)
-        };
+        let (lo, hi) = ELECTION_TIMEOUT;
+        let jitter = ctx.rng().random_range(0..=(hi - lo).as_nanos() as u64);
         ctx.set_timer(
             lo + Duration::from_nanos(jitter),
             TOK_ELECTION << 32 | self.election_gen,
@@ -338,7 +329,7 @@ impl RaftNode {
     // ---- client path -------------------------------------------------------
 
     fn on_request(&mut self, ctx: &mut Ctx<RfWire>, from: NodeId, req: ClientReq) {
-        if self.role != RaftRole::Leader || self.log.len() >= self.cfg.max_backlog {
+        if self.role != RaftRole::Leader || self.log.len() >= MAX_BACKLOG {
             return;
         }
         // gRPC + Raft bookkeeping + WAL fsync for the new entry. The fsync
@@ -375,7 +366,7 @@ impl RaftNode {
             return;
         }
         let from = self.next_index[j];
-        let to = (from + self.cfg.max_batch as u64 - 1).min(self.last_idx());
+        let to = (from + MAX_BATCH - 1).min(self.last_idx());
         let entries: Vec<Entry> = self.log[from as usize - 1..to as usize].to_vec();
         for (k, e) in entries.iter().enumerate() {
             ctx.span(
@@ -528,7 +519,7 @@ impl RaftNode {
         }
         self.match_index[self.me] = self.last_idx();
         self.heartbeat(ctx);
-        ctx.set_timer(self.cfg.heartbeat, TOK_HEARTBEAT);
+        ctx.set_timer(HEARTBEAT, TOK_HEARTBEAT);
     }
 
     fn heartbeat(&mut self, ctx: &mut Ctx<RfWire>) {
@@ -720,7 +711,7 @@ impl Process<RfWire> for RaftNode {
         wal::recover(self, ctx, mode);
         self.last_heard = ctx.now();
         if self.role == RaftRole::Leader {
-            ctx.set_timer(self.cfg.heartbeat, TOK_HEARTBEAT);
+            ctx.set_timer(HEARTBEAT, TOK_HEARTBEAT);
         } else {
             self.arm_election_timer(ctx);
         }
@@ -763,7 +754,7 @@ impl Process<RfWire> for RaftNode {
                 // makes appends idempotent.
                 self.in_flight.fill(false);
                 self.heartbeat(ctx);
-                ctx.set_timer(self.cfg.heartbeat, TOK_HEARTBEAT);
+                ctx.set_timer(HEARTBEAT, TOK_HEARTBEAT);
             }
             g if g == TOK_ELECTION => {
                 if token & 0xFFFF_FFFF != self.election_gen {

@@ -43,22 +43,13 @@ pub(crate) enum Effect<M> {
     },
 }
 
-/// What a charge of `d` to attribution `slot` costs on a node with these
-/// scale factors. One function, so the idle polls the engine answers
-/// without a handler ([`Process::idle_poll`](crate::Process::idle_poll))
-/// round exactly as a handler's [`Ctx::use_cpu_idle`] does.
+/// What a charge of `d` costs on a node with this CPU scale. One function,
+/// so the idle polls the engine answers without a handler
+/// ([`Process::idle_poll`](crate::Process::idle_poll)) round exactly as a
+/// handler's [`Ctx::use_cpu_idle`] does.
 #[inline]
-pub(crate) fn scaled_charge(
-    cpu_scale: f64,
-    stage_scale: Option<&[f64]>,
-    slot: usize,
-    d: Duration,
-) -> Duration {
-    let mut ns = d.as_nanos() as f64 * cpu_scale;
-    if let Some(s) = stage_scale {
-        ns *= s.get(slot).copied().unwrap_or(1.0);
-    }
-    Duration::from_nanos(ns as u64)
+pub(crate) fn scaled_charge(cpu_scale: f64, d: Duration) -> Duration {
+    Duration::from_nanos((d.as_nanos() as f64 * cpu_scale) as u64)
 }
 
 /// Handler context: the only channel through which a [`Process`](crate::Process)
@@ -71,11 +62,6 @@ pub struct Ctx<'a, M> {
     self_id: NodeId,
     cpu: Duration,
     cpu_scale: f64,
-    /// What-if intervention: per-attribution-slot CPU-cost factors (indexed
-    /// like the resource observatory's CPU table — one slot per
-    /// [`SpanStage`], then `other`, then `idle_poll`). `None` on every
-    /// uninstrumented run.
-    stage_scale: Option<&'a [f64]>,
     rng: &'a mut SmallRng,
     probe: &'a mut Probe,
     disk: &'a mut DurableLog,
@@ -89,12 +75,10 @@ impl<'a, M> Ctx<'a, M> {
     /// `effects` is the (empty) recycled buffer effects accumulate into; the
     /// engine hands each dispatch the previous dispatch's drained buffer so
     /// the hot path allocates nothing per event.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         now: SimTime,
         self_id: NodeId,
         cpu_scale: f64,
-        stage_scale: Option<&'a [f64]>,
         rng: &'a mut SmallRng,
         probe: &'a mut Probe,
         disk: &'a mut DurableLog,
@@ -106,7 +90,6 @@ impl<'a, M> Ctx<'a, M> {
             self_id,
             cpu: Duration::ZERO,
             cpu_scale,
-            stage_scale,
             rng,
             probe,
             disk,
@@ -168,13 +151,16 @@ impl<'a, M> Ctx<'a, M> {
         self.charge(crate::trace::CPU_SLOT_IDLE, d);
     }
 
+    /// Charge `d`, scaled by the node's CPU scale, to attribution `slot`;
+    /// returns the scaled duration.
     #[inline]
-    fn charge(&mut self, slot: usize, d: Duration) {
-        let scaled = scaled_charge(self.cpu_scale, self.stage_scale, slot, d);
+    fn charge(&mut self, slot: usize, d: Duration) -> Duration {
+        let scaled = scaled_charge(self.cpu_scale, d);
         self.cpu += scaled;
         self.worked |= slot != crate::trace::CPU_SLOT_IDLE && scaled > Duration::ZERO;
         self.probe
             .cpu_charge(self.self_id, slot, scaled.as_nanos() as u64);
+        scaled
     }
 
     /// Whether this handler charged CPU to a slot other than `idle_poll`.
@@ -212,18 +198,16 @@ impl<'a, M> Ctx<'a, M> {
     /// parameters as the durable-mode protocols.
     pub fn log_fsync(&mut self) {
         let cost = self.disk.fsync();
-        self.charge(SpanStage::Commit as usize, cost);
+        let stall = self.charge(SpanStage::Commit as usize, cost);
         self.probe.count(self.self_id, Counter::WalFsyncs, 1);
         self.probe
             .count(self.self_id, Counter::WalDeviceNs, cost.as_nanos() as u64);
-        // Forensics: the handler stalls for the scaled barrier time — the
-        // same duration `charge` just added to this dispatch's CPU.
-        let mut ns = cost.as_nanos() as f64 * self.cpu_scale;
-        if let Some(s) = self.stage_scale {
-            ns *= s.get(SpanStage::Commit as usize).copied().unwrap_or(1.0);
-        }
-        self.probe
-            .wait(self.self_id, WaitReason::FsyncBarrier, ns as u64);
+        // Forensics: the handler stalls for the scaled barrier time.
+        self.probe.wait(
+            self.self_id,
+            WaitReason::FsyncBarrier,
+            stall.as_nanos() as u64,
+        );
     }
 
     /// The persisted records of this node's log — what survived the last
@@ -367,7 +351,6 @@ mod tests {
             SimTime::from_micros(10),
             3,
             2.0,
-            None,
             &mut rng,
             &mut probe,
             &mut disk,
@@ -389,7 +372,6 @@ mod tests {
             SimTime::ZERO,
             0,
             1.0,
-            None,
             &mut rng,
             &mut probe,
             &mut disk,
@@ -423,7 +405,6 @@ mod tests {
             SimTime::ZERO,
             0,
             1.0,
-            None,
             &mut rng,
             &mut probe,
             &mut disk,
@@ -446,7 +427,6 @@ mod tests {
             SimTime::ZERO,
             0,
             1.0,
-            None,
             &mut rng,
             &mut probe,
             &mut disk,

@@ -130,11 +130,6 @@ impl DurableLog {
         }
     }
 
-    /// The device's cost parameters.
-    pub fn dev(&self) -> LogDevParams {
-        self.dev
-    }
-
     /// Replace the device's cost parameters (records are untouched).
     pub fn set_dev(&mut self, dev: LogDevParams) {
         self.dev = dev;

@@ -93,8 +93,8 @@ pub struct EngineStats {
     /// endpoint restarted before they fired (the RC connection was torn down
     /// and re-established with a fresh incarnation).
     pub restart_drops: u64,
-    /// Sends dropped at the source because a partition or link flap cut the
-    /// connection: the [`Counter::PartitionDrops`] total.
+    /// Sends dropped at the source because a partition cut the connection:
+    /// the [`Counter::PartitionDrops`] total.
     pub partition_drops: u64,
 }
 
@@ -126,11 +126,6 @@ enum EventKind<M> {
     RestartAt(NodeId),
     PartitionAt(Vec<Vec<NodeId>>),
     HealAt,
-    FlapAt {
-        src: NodeId,
-        dst: NodeId,
-        until: SimTime,
-    },
     /// Correlated fail-stop of a whole set of nodes at one instant (power
     /// failure): every listed node crashes, and each persistent log is
     /// truncated to its last fsync'd barrier.
@@ -160,10 +155,7 @@ impl<M> EventKind<M> {
             | EventKind::RestartAt(node)
             | EventKind::DeschedTick { node, .. }
             | EventKind::Wake { node } => Some(node),
-            EventKind::PartitionAt(_)
-            | EventKind::HealAt
-            | EventKind::FlapAt { .. }
-            | EventKind::PowerFailAt(_) => None,
+            EventKind::PartitionAt(_) | EventKind::HealAt | EventKind::PowerFailAt(_) => None,
         }
     }
 }
@@ -351,10 +343,6 @@ struct NodeSlot<M> {
     inc: u64,
     factory: Option<RestartFactory<M>>,
     cpu_scale: f64,
-    /// What-if intervention: per-attribution-slot CPU-cost factors (one per
-    /// [`SpanStage`](crate::trace::SpanStage), then `other`, then
-    /// `idle_poll`). `None` — the common case — is the identity fast path.
-    stage_scale: Option<Box<[f64]>>,
     timer_jitter: Duration,
     desched: Option<DeschedProfile>,
     /// The node's persistent log. Lives here — not in the process — so it
@@ -480,7 +468,6 @@ impl<M: 'static> Sim<M> {
             inc: 0,
             factory: None,
             cpu_scale: 1.0,
-            stage_scale: None,
             timer_jitter: Duration::ZERO,
             desched: None,
             disk: DurableLog::default(),
@@ -546,11 +533,6 @@ impl<M: 'static> Sim<M> {
     /// produce bit-identical results (`tests/observability.rs`).
     pub fn set_tracing(&mut self, on: bool) {
         self.probe.set_enabled(on);
-    }
-
-    /// Whether trace-event recording is on.
-    pub fn tracing(&self) -> bool {
-        self.probe.enabled()
     }
 
     /// The recorded timeline so far (empty unless tracing was enabled).
@@ -768,19 +750,6 @@ impl<M: 'static> Sim<M> {
         self.push(at, EventKind::HealAt);
     }
 
-    /// Open a directed drop window on the (src, dst) link: every message
-    /// posted on it in `[at, at + dur)` is dropped (link flap / drop burst).
-    pub fn flap_link(&mut self, src: NodeId, dst: NodeId, at: SimTime, dur: Duration) {
-        self.push(
-            at,
-            EventKind::FlapAt {
-                src,
-                dst,
-                until: at + dur,
-            },
-        );
-    }
-
     /// Deschedule `node`'s process for `dur` starting at `at`. DMA deliveries
     /// still land; timers and CPU deliveries wait (the §4.2 election
     /// experiment repeatedly puts the leader to sleep for five seconds).
@@ -794,27 +763,6 @@ impl<M: 'static> Sim<M> {
         self.nodes[node].cpu_scale = scale;
     }
 
-    /// Scale CPU charges of `node` attributed to lifecycle `stage` by
-    /// `factor` (>1 = slower; composes multiplicatively with
-    /// [`Sim::set_cpu_scale`]). A what-if intervention knob — see
-    /// [`Sim::apply_interventions`].
-    pub fn set_stage_cpu_scale(&mut self, node: NodeId, stage: crate::SpanStage, factor: f64) {
-        self.unpark(node);
-        let slots = crate::CPU_SLOTS;
-        let s = self.nodes[node]
-            .stage_scale
-            .get_or_insert_with(|| vec![1.0; slots].into_boxed_slice());
-        s[stage as usize] = factor;
-    }
-
-    /// Scale the fsync-barrier cost of `node`'s log device by `factor`
-    /// (records untouched; append cost untouched).
-    pub fn scale_fsync_cost(&mut self, node: NodeId, factor: f64) {
-        let mut dev = self.nodes[node].disk.dev();
-        dev.fsync = Duration::from_nanos((dev.fsync.as_nanos() as f64 * factor) as u64);
-        self.nodes[node].disk.set_dev(dev);
-    }
-
     /// Apply a deterministic what-if [`InterventionSet`](crate::InterventionSet)
     /// to the constructed fabric. Called once, between cluster construction
     /// and the run; the null (empty) set touches nothing, so an intervened
@@ -826,23 +774,12 @@ impl<M: 'static> Sim<M> {
                 crate::Intervention::EgressTimeScale { node, factor } => {
                     self.net.set_egress_time_scale(node, factor)
                 }
-                crate::Intervention::IngressTimeScale { node, factor } => {
-                    self.net.set_ingress_time_scale(node, factor)
-                }
                 crate::Intervention::LinkLatencyScale { factor } => {
                     self.net.set_latency_scale(factor)
                 }
                 crate::Intervention::CpuScale { node, factor } => {
                     let scale = self.nodes[node].cpu_scale * factor;
                     self.set_cpu_scale(node, scale);
-                }
-                crate::Intervention::StageCpuScale {
-                    node,
-                    stage,
-                    factor,
-                } => self.set_stage_cpu_scale(node, stage, factor),
-                crate::Intervention::FsyncScale { node, factor } => {
-                    self.scale_fsync_cost(node, factor)
                 }
                 crate::Intervention::LogDevice { node, dev } => self.set_log_device(node, dev),
             }
@@ -868,11 +805,6 @@ impl<M: 'static> Sim<M> {
     /// `until`.
     pub fn add_link_latency(&mut self, src: NodeId, dst: NodeId, extra: Duration, until: SimTime) {
         self.net.add_link_latency(src, dst, extra, until);
-    }
-
-    /// Override the parameters of one directed link.
-    pub fn set_link(&mut self, src: NodeId, dst: NodeId, params: crate::LinkParams) {
-        self.net.set_link(src, dst, params);
     }
 
     /// Deliver `msg` to `dst` as if sent by `from`, after `delay` (test
@@ -1109,9 +1041,6 @@ impl<M: 'static> Sim<M> {
             EventKind::HealAt => {
                 self.net.heal_partition();
             }
-            EventKind::FlapAt { src, dst, until } => {
-                self.net.flap_link(src, dst, until);
-            }
             EventKind::Wake { node } => {
                 let Some(p) = self.nodes[node].park.as_mut() else {
                     return true;
@@ -1318,12 +1247,7 @@ impl<M: 'static> Sim<M> {
         if idle.until.is_some_and(|u| self.now > u) {
             return false;
         }
-        let cpu = scaled_charge(
-            slot.cpu_scale,
-            slot.stage_scale.as_deref(),
-            CPU_SLOT_IDLE,
-            idle.cpu,
-        );
+        let cpu = scaled_charge(slot.cpu_scale, idle.cpu);
         self.probe
             .cpu_charge(node, CPU_SLOT_IDLE, cpu.as_nanos() as u64);
         slot.busy_until = slot.busy_until.max(self.now) + cpu;
@@ -1402,12 +1326,7 @@ impl<M: 'static> Sim<M> {
         let proc = slot.proc.as_ref().expect("re-entrant dispatch");
         match proc.idle_poll(p.token).filter(|_| free) {
             Some(idle) if idle.until.is_none_or(|u| p.at <= u) => {
-                let cpu = scaled_charge(
-                    slot.cpu_scale,
-                    slot.stage_scale.as_deref(),
-                    CPU_SLOT_IDLE,
-                    idle.cpu,
-                );
+                let cpu = scaled_charge(slot.cpu_scale, idle.cpu);
                 p.cpu = cpu;
                 p.every = cpu + idle.rearm;
                 p.until = idle.until;
@@ -1495,13 +1414,11 @@ impl<M: 'static> Sim<M> {
         // the handler's exclusive use, moved back after (a default DurableLog
         // is two empty vecs — nothing is cloned).
         let mut disk = std::mem::take(&mut self.nodes[node].disk);
-        let stage_scale = self.nodes[node].stage_scale.take();
         let buf = std::mem::take(&mut self.effect_pool);
         let mut ctx = Ctx::new(
             self.now,
             node,
             cpu_scale,
-            stage_scale.as_deref(),
             &mut self.rng,
             &mut self.probe,
             &mut disk,
@@ -1515,7 +1432,6 @@ impl<M: 'static> Sim<M> {
         drop(ctx);
         self.nodes[node].proc = Some(proc);
         self.nodes[node].disk = disk;
-        self.nodes[node].stage_scale = stage_scale;
         if cpu > Duration::ZERO {
             let slot = &mut self.nodes[node];
             let start = slot.busy_until.max(self.now);
@@ -1551,7 +1467,7 @@ impl<M: 'static> Sim<M> {
                         continue;
                     }
                     let post = self.now + *at_cpu;
-                    if self.net.is_cut(node, *dst, post) {
+                    if self.net.is_cut(node, *dst) {
                         // The RC connection is severed: the post is lost at
                         // the source, nothing reaches the wire.
                         self.probe.count(node, Counter::PartitionDrops, 1);
@@ -2423,9 +2339,7 @@ mod tests {
                 s.set_restart_factory(n, mk);
             }
             s.set_cpu_scale(0, 1.37);
-            let mut idle_x3 = vec![1.0; crate::CPU_SLOTS];
-            idle_x3[CPU_SLOT_IDLE] = 3.0;
-            s.nodes[1].stage_scale = Some(idle_x3.into_boxed_slice());
+            s.set_cpu_scale(1, 3.0);
             s.set_timer_jitter(1, Duration::from_nanos(30));
             s.set_desched(
                 2,
@@ -2715,36 +2629,6 @@ mod tests {
         assert!(got.iter().any(|&t| t > SimTime::from_micros(210)));
         assert_eq!(s.counter(0, Counter::PartitionDrops), 11); // 100..200us
         assert_eq!(s.stats().partition_drops, 11);
-    }
-
-    #[test]
-    fn flap_window_drops_one_direction_only() {
-        struct Pair {
-            peer: NodeId,
-            got: u32,
-        }
-        impl Process<u32> for Pair {
-            fn on_start(&mut self, ctx: &mut Ctx<u32>) {
-                ctx.set_timer(Duration::from_micros(10), 0);
-            }
-            fn on_message(&mut self, _: &mut Ctx<u32>, _: NodeId, _: u32) {
-                self.got += 1;
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<u32>, _: u64) {
-                ctx.send(self.peer, DeliveryClass::Dma, 64, 1);
-                ctx.set_timer(Duration::from_micros(10), 0);
-            }
-        }
-        let mut s = sim();
-        let a = s.add_node(Box::new(Pair { peer: 1, got: 0 }));
-        let b = s.add_node(Box::new(Pair { peer: 0, got: 0 }));
-        s.flap_link(0, 1, SimTime::from_micros(5), Duration::from_micros(1_000));
-        s.run_until(SimTime::from_millis(1));
-        // 0→1 fully flapped out; 1→0 untouched.
-        assert_eq!(s.node::<Pair>(b).got, 0);
-        assert!(s.node::<Pair>(a).got > 50);
-        assert!(s.counter(0, Counter::PartitionDrops) > 50);
-        assert_eq!(s.counter(1, Counter::PartitionDrops), 0);
     }
 
     #[test]

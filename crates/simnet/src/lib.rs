@@ -22,11 +22,10 @@
 //!   incarnation so pre-crash in-flight deliveries are dropped), pause (the
 //!   election experiment puts a leader to sleep for five seconds),
 //!   descheduling profiles for "long-latency" nodes, per-link extra latency
-//!   for transient network hiccups, directed partitions
-//!   ([`Sim::partition`] / [`Sim::heal`]) that model RC connection breakage,
-//!   and per-link flap/drop-burst windows ([`Sim::flap_link`]). Every fault
-//!   flows through the ordinary event queue, so traced and replayed runs
-//!   stay bit-identical.
+//!   for transient network hiccups, and directed partitions
+//!   ([`Sim::partition`] / [`Sim::heal`]) that model RC connection breakage.
+//!   Every fault flows through the ordinary event queue, so traced and
+//!   replayed runs stay bit-identical.
 //!
 //! Protocol nodes are sans-IO state machines implementing [`Process`]; all
 //! effects flow through [`Ctx`], so protocol logic contains no wall-clock

@@ -72,21 +72,11 @@ struct NicState {
     ingress_free: SimTime,
 }
 
-#[derive(Copy, Clone, Debug)]
+/// Transient extra one-way latency on one directed link.
+#[derive(Copy, Clone, Debug, Default)]
 struct LinkOverride {
-    params: Option<LinkParams>,
     extra_latency: Duration,
     extra_until: SimTime,
-}
-
-impl Default for LinkOverride {
-    fn default() -> Self {
-        LinkOverride {
-            params: None,
-            extra_latency: Duration::ZERO,
-            extra_until: SimTime::ZERO,
-        }
-    }
 }
 
 /// One send of a batched egress dequeue (see [`Network::route_batch`]): the
@@ -116,14 +106,9 @@ pub(crate) struct Network {
     /// are in the same group; nodes with no assigned group (e.g. a client
     /// outside the partitioned fabric) can reach everyone.
     partition: HashMap<NodeId, u32>,
-    /// Directed per-link drop windows (flap / drop-burst injection): sends on
-    /// (src, dst) are dropped while `post < until`.
-    flaps: HashMap<(NodeId, NodeId), SimTime>,
     /// Per-node egress serialization-time factors (>1 = slower NIC). Empty
     /// means no intervention anywhere — the identity fast path.
     egress_scale: Vec<f64>,
-    /// Per-node ingress serialization-time factors, same convention.
-    ingress_scale: Vec<f64>,
     /// Whole-fabric propagation-latency factor (applied to the base latency
     /// of every link, loopback included; jitter and transient extras are
     /// untouched so the RNG draw sequence is preserved).
@@ -147,9 +132,7 @@ impl Network {
             overrides: HashMap::new(),
             fifo_clamp: Vec::new(),
             partition: HashMap::new(),
-            flaps: HashMap::new(),
             egress_scale: Vec::new(),
-            ingress_scale: Vec::new(),
             latency_scale: None,
         }
     }
@@ -163,14 +146,6 @@ impl Network {
         self.egress_scale[node] = factor;
     }
 
-    /// Scale `node`'s ingress serialization time by `factor`.
-    pub fn set_ingress_time_scale(&mut self, node: NodeId, factor: f64) {
-        if self.ingress_scale.is_empty() {
-            self.ingress_scale = vec![1.0; self.nics.len()];
-        }
-        self.ingress_scale[node] = factor;
-    }
-
     /// Scale every link's base propagation latency by `factor` (jitter and
     /// transient fault-injected extras are deliberately untouched).
     pub fn set_latency_scale(&mut self, factor: f64) {
@@ -182,9 +157,6 @@ impl Network {
         self.nics.push(NicState::default());
         if !self.egress_scale.is_empty() {
             self.egress_scale.push(1.0);
-        }
-        if !self.ingress_scale.is_empty() {
-            self.ingress_scale.push(1.0);
         }
         let n = old_n + 1;
         let mut clamp = vec![SimTime::ZERO; n * n];
@@ -203,10 +175,6 @@ impl Network {
         self.nics
             .get(node)
             .map_or(0, |n| n.egress_free.saturating_since(at).as_nanos() as u64)
-    }
-
-    pub fn set_link(&mut self, src: NodeId, dst: NodeId, params: LinkParams) {
-        self.overrides.entry((src, dst)).or_default().params = Some(params);
     }
 
     /// Inject transient extra one-way latency on (src, dst) until `until`.
@@ -232,29 +200,15 @@ impl Network {
         self.partition.clear();
     }
 
-    /// Open a directed drop window on (src, dst) until `until`.
-    pub fn flap_link(&mut self, src: NodeId, dst: NodeId, until: SimTime) {
-        let u = self.flaps.entry((src, dst)).or_insert(SimTime::ZERO);
-        *u = (*u).max(until);
-    }
-
-    /// Whether a send posted at `post` on (src, dst) is cut by a partition or
-    /// an active flap window. Loopback is never cut.
-    pub fn is_cut(&self, src: NodeId, dst: NodeId, post: SimTime) -> bool {
-        if src == dst {
+    /// Whether a partition cuts (src, dst). Loopback is never cut.
+    pub fn is_cut(&self, src: NodeId, dst: NodeId) -> bool {
+        if src == dst || self.partition.is_empty() {
             return false;
         }
-        // Fault-free hot path: no partition, no flap windows — nothing to
-        // look up.
-        if self.partition.is_empty() && self.flaps.is_empty() {
-            return false;
-        }
-        if let (Some(&gs), Some(&gd)) = (self.partition.get(&src), self.partition.get(&dst)) {
-            if gs != gd {
-                return true;
-            }
-        }
-        matches!(self.flaps.get(&(src, dst)), Some(&until) if post < until)
+        matches!(
+            (self.partition.get(&src), self.partition.get(&dst)),
+            (Some(gs), Some(gd)) if gs != gd
+        )
     }
 
     /// Forget all per-node NIC and connection state for `node` (its NIC
@@ -283,16 +237,8 @@ impl Network {
             return (base, Duration::ZERO);
         }
         match self.overrides.get(&(src, dst)) {
-            Some(o) => {
-                let p = o.params.unwrap_or(base);
-                let extra = if at < o.extra_until {
-                    o.extra_latency
-                } else {
-                    Duration::ZERO
-                };
-                (p, extra)
-            }
-            None => (base, Duration::ZERO),
+            Some(o) if at < o.extra_until => (base, o.extra_latency),
+            _ => (base, Duration::ZERO),
         }
     }
 
@@ -347,12 +293,8 @@ impl Network {
             let (ingress_start, delivered) = if src == dst {
                 (arrive, arrive)
             } else {
-                let ingress_ser = match self.ingress_scale.get(dst) {
-                    None => ser,
-                    Some(&f) => scale_dur(ser, f),
-                };
                 let start = arrive.max(self.nics[dst].ingress_free);
-                let done = start + ingress_ser;
+                let done = start + ser;
                 self.nics[dst].ingress_free = done;
                 (start, done)
             };
@@ -515,18 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn per_link_override() {
-        let mut n = net();
-        let mut r = rng();
-        n.set_link(0, 1, LinkParams::fixed(Duration::from_micros(25)));
-        let d = n.route(&mut r, 0, 1, SimTime::ZERO, 10).delivered;
-        assert_eq!(d.as_nanos(), 26 + 25_000 + 26);
-        // Other links unaffected.
-        let d2 = n.route(&mut r, 0, 2, SimTime::ZERO, 10).delivered;
-        assert!(d2 < d);
-    }
-
-    #[test]
     fn jitter_is_bounded() {
         let mut n = Network::new(
             LinkParams {
@@ -554,25 +484,16 @@ mod tests {
     fn partition_cuts_only_cross_group_links() {
         let mut n = net();
         n.set_partition(&[vec![0, 1], vec![2]]);
-        assert!(!n.is_cut(0, 1, SimTime::ZERO));
-        assert!(n.is_cut(0, 2, SimTime::ZERO));
-        assert!(n.is_cut(2, 1, SimTime::ZERO));
+        assert!(!n.is_cut(0, 1));
+        assert!(n.is_cut(0, 2));
+        assert!(n.is_cut(2, 1));
         // Node 3 is outside the partitioned fabric: reachable both ways.
-        assert!(!n.is_cut(3, 2, SimTime::ZERO));
-        assert!(!n.is_cut(0, 3, SimTime::ZERO));
+        assert!(!n.is_cut(3, 2));
+        assert!(!n.is_cut(0, 3));
         // Loopback survives any cut.
-        assert!(!n.is_cut(2, 2, SimTime::ZERO));
+        assert!(!n.is_cut(2, 2));
         n.heal_partition();
-        assert!(!n.is_cut(0, 2, SimTime::ZERO));
-    }
-
-    #[test]
-    fn flap_window_is_directed_and_expires() {
-        let mut n = net();
-        n.flap_link(0, 1, SimTime::from_micros(10));
-        assert!(n.is_cut(0, 1, SimTime::from_micros(5)));
-        assert!(!n.is_cut(1, 0, SimTime::from_micros(5)));
-        assert!(!n.is_cut(0, 1, SimTime::from_micros(10)));
+        assert!(!n.is_cut(0, 2));
     }
 
     #[test]
@@ -601,17 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn ingress_scale_slows_only_that_receiver() {
-        let mut n = net();
-        let mut r = rng();
-        n.set_ingress_time_scale(1, 0.5);
-        let d = n.route(&mut r, 0, 1, SimTime::ZERO, 10).delivered;
-        assert_eq!(d.as_nanos(), 26 + 1_500 + 13);
-        let d2 = n.route(&mut r, 0, 2, SimTime::ZERO, 10).delivered;
-        assert_eq!(d2.as_nanos() - 26, 26 + 1_500 + 26); // queued behind first egress
-    }
-
-    #[test]
     fn latency_scale_halves_every_link_but_not_jitter() {
         let mut n = net();
         let mut r = rng();
@@ -629,7 +539,6 @@ mod tests {
         let mut b = net();
         for node in 0..4 {
             b.set_egress_time_scale(node, 1.0);
-            b.set_ingress_time_scale(node, 1.0);
         }
         b.set_latency_scale(1.0);
         let mut ra = rng();

@@ -8,7 +8,6 @@
 
 use crate::disk::LogDevParams;
 use crate::net::{LinkParams, NicParams};
-use crate::trace::SpanStage;
 use crate::NodeId;
 use std::time::Duration;
 
@@ -85,13 +84,6 @@ pub enum Intervention {
         /// Time multiplier.
         factor: f64,
     },
-    /// Scale one node's NIC ingress serialization time.
-    IngressTimeScale {
-        /// Target node.
-        node: NodeId,
-        /// Time multiplier.
-        factor: f64,
-    },
     /// Scale the base propagation latency of *every* link (loopback
     /// included). Jitter and fault-injected transient extras are untouched,
     /// which preserves the RNG draw sequence.
@@ -102,23 +94,6 @@ pub enum Intervention {
     /// Scale every CPU charge of one node (composes multiplicatively with
     /// any fault-layer [`Sim::set_cpu_scale`](crate::Sim::set_cpu_scale)).
     CpuScale {
-        /// Target node.
-        node: NodeId,
-        /// Time multiplier.
-        factor: f64,
-    },
-    /// Scale the CPU charges of one node that are attributed to one
-    /// lifecycle stage (the resource observatory's attribution axis).
-    StageCpuScale {
-        /// Target node.
-        node: NodeId,
-        /// Attribution stage whose charges are scaled.
-        stage: SpanStage,
-        /// Time multiplier.
-        factor: f64,
-    },
-    /// Scale the fsync-barrier cost of one node's log device.
-    FsyncScale {
         /// Target node.
         node: NodeId,
         /// Time multiplier.

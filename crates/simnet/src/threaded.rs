@@ -157,7 +157,6 @@ fn run_node<M: Send + 'static>(
             now_sim(epoch),
             id,
             1.0,
-            None,
             &mut rng,
             &mut probe,
             &mut disk,
@@ -176,7 +175,6 @@ fn run_node<M: Send + 'static>(
                 now_sim(epoch),
                 id,
                 1.0,
-                None,
                 &mut rng,
                 &mut probe,
                 &mut disk,
@@ -197,7 +195,6 @@ fn run_node<M: Send + 'static>(
                 now_sim(epoch),
                 id,
                 1.0,
-                None,
                 &mut rng,
                 &mut probe,
                 &mut disk,
@@ -211,7 +208,6 @@ fn run_node<M: Send + 'static>(
                     now_sim(epoch),
                     id,
                     1.0,
-                    None,
                     &mut rng,
                     &mut probe,
                     &mut disk,

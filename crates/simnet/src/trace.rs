@@ -80,8 +80,8 @@ crate::registry! {
         HeartbeatMisses = "heartbeat_misses",
         /// Client-side retransmissions.
         Retransmits = "retransmits",
-        /// Messages dropped at the sender because a partition or link flap cut
-        /// the (src, dst) connection.
+        /// Messages dropped at the sender because a partition cut the
+        /// (src, dst) connection.
         PartitionDrops = "partition_drops",
         /// Times this node rebooted via [`Sim::restart_at`](crate::Sim::restart_at).
         Restarts = "restarts",

@@ -21,7 +21,8 @@
 
 use abcast::wal;
 use abcast::{
-    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr, Replica,
+    App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument, MsgHdr,
+    Replica, MAX_BACKLOG,
 };
 use bytes::Bytes;
 use simnet::params::cpu;
@@ -41,16 +42,6 @@ pub type Zxid = (u32, u32);
 pub struct ZabConfig {
     /// Ensemble size.
     pub n: usize,
-    /// Leader heartbeat interval.
-    pub hb_interval: Duration,
-    /// Follower suspects the leader after this much silence.
-    pub fail_timeout: Duration,
-    /// Looking nodes rebroadcast votes at this interval.
-    pub election_tick: Duration,
-    /// Restart a stuck election after this long without progress.
-    pub election_patience: Duration,
-    /// Drop client requests beyond this backlog.
-    pub max_backlog: usize,
     /// Volatile (default) models the paper's in-memory ZooKeeper deployment:
     /// no transaction log at all. Durable appends and fsyncs every proposal
     /// before acknowledging it, and a restarted node replays the fsync'd
@@ -62,11 +53,6 @@ impl Default for ZabConfig {
     fn default() -> Self {
         ZabConfig {
             n: 3,
-            hb_interval: Duration::from_micros(500),
-            fail_timeout: Duration::from_millis(3),
-            election_tick: Duration::from_micros(200),
-            election_patience: Duration::from_millis(2),
-            max_backlog: 1 << 20,
             durability: DurabilityMode::Volatile,
         }
     }
@@ -161,6 +147,13 @@ pub enum ZabRole {
 }
 
 const TOK_TICK: u64 = 1;
+/// The tick: a leader pings its followers, a follower checks the leader's
+/// silence, a looking node rebroadcasts its vote.
+const HB_INTERVAL: Duration = Duration::from_micros(500);
+/// A follower suspects the leader after this much silence.
+const FAIL_TIMEOUT: Duration = Duration::from_millis(3);
+/// A looking node restarts an election that made no progress for this long.
+const ELECTION_PATIENCE: Duration = Duration::from_millis(2);
 const DELIVER_COST: Duration = Duration::from_micros(1);
 
 /// One Zab ensemble member.
@@ -283,10 +276,7 @@ impl ZabNode {
     // ---- broadcast ------------------------------------------------------------
 
     fn on_request(&mut self, ctx: &mut Ctx<ZkWire>, from: NodeId, req: ClientReq) {
-        if self.role != ZabRole::Leading
-            || !self.epoch_ready
-            || self.log.len() >= self.cfg.max_backlog
-        {
+        if self.role != ZabRole::Leading || !self.epoch_ready || self.log.len() >= MAX_BACKLOG {
             return;
         }
         // ZooKeeper's request pipeline (serialization, txn processing).
@@ -615,12 +605,12 @@ impl ZabNode {
                 }
             }
             ZabRole::Following => {
-                if ctx.now().saturating_since(self.last_leader_seen) > self.cfg.fail_timeout {
+                if ctx.now().saturating_since(self.last_leader_seen) > FAIL_TIMEOUT {
                     self.go_looking(ctx);
                 }
             }
             ZabRole::Looking => {
-                if ctx.now().saturating_since(self.looking_since) > self.cfg.election_patience {
+                if ctx.now().saturating_since(self.looking_since) > ELECTION_PATIENCE {
                     // Restart the round (e.g. the candidate died mid-election).
                     self.go_looking(ctx);
                 } else {
@@ -659,7 +649,7 @@ impl Process<ZkWire> for ZabNode {
         if self.role == ZabRole::Looking {
             self.go_looking(ctx);
         }
-        ctx.set_timer(self.cfg.hb_interval, TOK_TICK);
+        ctx.set_timer(HB_INTERVAL, TOK_TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<ZkWire>, from: NodeId, msg: ZkWire) {
@@ -695,7 +685,7 @@ impl Process<ZkWire> for ZabNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<ZkWire>, _token: u64) {
         self.tick(ctx);
-        ctx.set_timer(self.cfg.hb_interval, TOK_TICK);
+        ctx.set_timer(HB_INTERVAL, TOK_TICK);
     }
 }
 

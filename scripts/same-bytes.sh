@@ -36,6 +36,10 @@ commands=(
     "paper-scale|paper --only scale --out . --trace-out scale.trace.json"
     "chaos-seed-17|chaos --proto acuerdo --seed 17 --trace-out chaos.trace.json --metrics-out chaos.metrics.json"
     "chaos-sweep|chaos --proto acuerdo --seeds 25 --max-time-ms 50"
+    # Every protocol, so a baseline's timer or batch constant that moved
+    # shows here and not only through the paper document.
+    "chaos-all|chaos --proto all --seeds 10 --max-time-ms 50"
+    "chaos-all-correlated|chaos --proto all --tier correlated --durability durable --seeds 10 --max-time-ms 50"
 )
 # The deterministic examples (`traced_failover` also writes
 # traced_failover.json). `live_cluster` runs on real threads and is left out.

@@ -47,10 +47,7 @@ fn zab_five_nodes_totally_order_under_load() {
 fn libpaxos_scales_down_gracefully_to_single_node() {
     use acuerdo_repro::paxos::{self, PaxosConfig, PxWire};
     // n = 1: the degenerate quorum of one must self-choose instantly.
-    let cfg = PaxosConfig {
-        n: 1,
-        ..PaxosConfig::default()
-    };
+    let cfg = PaxosConfig { n: 1 };
     let (mut sim, ids, client) =
         cluster_with_client::<paxos::PaxosNode>(303, &cfg, 4, 10, Duration::from_millis(2));
     sim.run_until(SimTime::from_millis(30));
@@ -63,10 +60,7 @@ fn libpaxos_scales_down_gracefully_to_single_node() {
 #[test]
 fn libpaxos_seven_acceptors_tolerate_three_slow() {
     use acuerdo_repro::paxos::{self, PaxosConfig, PxWire};
-    let cfg = PaxosConfig {
-        n: 7,
-        ..PaxosConfig::default()
-    };
+    let cfg = PaxosConfig { n: 7 };
     let (mut sim, ids, client) =
         cluster_with_client::<paxos::PaxosNode>(304, &cfg, 8, 10, Duration::from_millis(5));
     for slow in [4usize, 5, 6] {

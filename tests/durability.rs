@@ -194,16 +194,8 @@ fn corrupted_log_tail_is_reported_as_committed_entry_loss() {
     // frame heads, so its Commit_SST row goes to each follower on its
     // heartbeat turn only and leaves the leader's CPU to ingest requests.
     tampered_log_is_caught::<AcuerdoNode>(&acuerdo, (1, false), [15, 50], 2629);
-    let raft = RaftConfig {
-        n,
-        durability,
-        ..RaftConfig::default()
-    };
+    let raft = RaftConfig { n, durability };
     tampered_log_is_caught::<RaftNode>(&raft, (2, true), [100, 1200], 292);
-    let zab = ZabConfig {
-        n,
-        durability,
-        ..ZabConfig::default()
-    };
+    let zab = ZabConfig { n, durability };
     tampered_log_is_caught::<ZabNode>(&zab, (2, true), [30, 300], 392);
 }

@@ -1,6 +1,7 @@
 //! The what-if engine's safety proof: applying the **null** intervention —
-//! or a set of explicit unit (×1.0) factors covering every intervention
-//! kind — reproduces the uninstrumented run byte-identically, for every
+//! or a set covering every intervention kind at identity (×1.0 factors, the
+//! log device already installed) — reproduces the uninstrumented run
+//! byte-identically, for every
 //! system the scale sweep prices. Interventions are parameters-only by design
 //! (`simnet::Intervention`): they never touch the RNG draw sequence or the
 //! event vocabulary, so a factor of exactly 1.0 must be invisible down to
@@ -9,7 +10,7 @@
 
 use acuerdo_repro::bench::paper::SCALE_SYSTEMS;
 use acuerdo_repro::bench::{run, run_record_json, Observe, Run, RunSpec, System};
-use acuerdo_repro::simnet::{Intervention, InterventionSet, SpanStage};
+use acuerdo_repro::simnet::{Intervention, InterventionSet, LogDevParams};
 
 /// One run rendered as the full sidecar record: point, counters, util, and
 /// forensics — integer-exact members included, so string equality is byte
@@ -23,21 +24,19 @@ fn record(system: System, set: InterventionSet) -> String {
     run_record_json("whatif-proof", &r, &out.point, &out.metrics, &[])
 }
 
-/// Every intervention kind, all at identity factors, on every replica.
-fn unit_set(n: usize) -> InterventionSet {
+/// Every intervention kind, all at identity, on every replica of `system`:
+/// unit factors, and the log device the system already runs on.
+fn unit_set(system: System, n: usize) -> InterventionSet {
+    let dev = match system {
+        System::Etcd => LogDevParams::etcd_wal(),
+        System::Zookeeper => LogDevParams::nvme(),
+        _ => LogDevParams::pmem(),
+    };
     let mut set = InterventionSet::null().with(Intervention::LinkLatencyScale { factor: 1.0 });
     for node in 0..n {
         set.push(Intervention::EgressTimeScale { node, factor: 1.0 });
-        set.push(Intervention::IngressTimeScale { node, factor: 1.0 });
         set.push(Intervention::CpuScale { node, factor: 1.0 });
-        set.push(Intervention::FsyncScale { node, factor: 1.0 });
-        for stage in SpanStage::ALL {
-            set.push(Intervention::StageCpuScale {
-                node,
-                stage,
-                factor: 1.0,
-            });
-        }
+        set.push(Intervention::LogDevice { node, dev });
     }
     set
 }
@@ -46,7 +45,7 @@ fn unit_set(n: usize) -> InterventionSet {
 fn null_and_unit_interventions_are_byte_identical_across_the_matrix() {
     for system in SCALE_SYSTEMS {
         let null = record(system, InterventionSet::null());
-        let unit = record(system, unit_set(3));
+        let unit = record(system, unit_set(system, 3));
         assert!(
             null == unit,
             "{}: unit-factor interventions perturbed the run",
