@@ -80,8 +80,6 @@ pub struct WindowClient<M: ClientPort> {
     /// leader the client has no other way to route around (the retransmit
     /// livelock). Empty (the default) disables the fallback.
     pub replicas: Vec<NodeId>,
-    /// Halt the simulation once this many measured completions arrived.
-    pub halt_after: Option<u64>,
     /// Custom payload generator (e.g. YCSB key-value operations); defaults
     /// to the deterministic filler of [`crate::workload::payload`]. Must be
     /// deterministic per id so retransmits carry identical bytes.
@@ -114,7 +112,6 @@ impl<M: ClientPort> WindowClient<M> {
             warmup,
             retransmit: None,
             replicas: Vec::new(),
-            halt_after: None,
             payload_fn: None,
             next_id: 0,
             outstanding: HashMap::new(),
@@ -193,12 +190,6 @@ impl<M: ClientPort> Process<M> for WindowClient<M> {
             self.payload_bytes += body.len() as u64;
             self.last_completion = ctx.now();
             self.latency.record(ctx.now().saturating_since(sent_at));
-            if let Some(stop) = self.halt_after {
-                if self.completed >= stop {
-                    ctx.halt();
-                    return;
-                }
-            }
         }
         while self.outstanding.len() < self.window {
             self.send_one(ctx);
@@ -417,22 +408,6 @@ mod tests {
         let c = sim.node::<WindowClient<EchoWire>>(client);
         assert!(c.total_completed > c.result().completed);
         assert!(c.result().window_start >= SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn halt_after_stops_simulation() {
-        let mut sim: Sim<EchoWire> = Sim::new(2, NetParams::rdma());
-        let server = sim.add_node(Box::new(EchoServer {
-            served: 0,
-            drop_until: 0,
-        }));
-        let mut wc = WindowClient::<EchoWire>::new(server, 4, 10, Duration::from_micros(100));
-        wc.halt_after = Some(50);
-        let client = sim.add_node(Box::new(wc));
-        sim.run_until(SimTime::from_secs(10));
-        assert!(sim.halted());
-        let c = sim.node::<WindowClient<EchoWire>>(client);
-        assert_eq!(c.result().completed, 50);
     }
 
     #[test]

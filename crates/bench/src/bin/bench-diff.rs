@@ -19,11 +19,11 @@
 //! gate), 1 on any regression (each offending metric is printed), 2 on
 //! usage, parse, or comparability errors.
 
-use bench::diff::{diff_files, DiffOptions};
+use bench::diff::diff_files;
 use std::process::exit;
 
 fn usage() {
-    eprintln!("usage: bench-diff [--eps REL] [--json] BASELINE.json CURRENT.json");
+    eprintln!("usage: bench-diff [--json] BASELINE.json CURRENT.json");
 }
 
 /// One string-array member of the machine-readable report.
@@ -36,13 +36,10 @@ fn json_list(items: &[String]) -> String {
 }
 
 fn main() {
-    let mut opts = DiffOptions::default();
     let mut json_out = false;
     let mut files: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--eps" => opts.rel_eps = bench::cli::parsed(&mut args, "--eps", "number"),
             "--json" => json_out = true,
             "--help" | "-h" => {
                 usage();
@@ -60,7 +57,7 @@ fn main() {
         usage();
         exit(2);
     };
-    let report = diff_files(baseline, current, &opts).unwrap_or_else(|e| {
+    let report = diff_files(baseline, current).unwrap_or_else(|e| {
         if json_out {
             println!(
                 "{{\"ok\":false,\"comparable\":false,\"error\":\"{}\"}}",

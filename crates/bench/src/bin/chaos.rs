@@ -10,15 +10,20 @@
 //! cargo run --release -p bench --bin chaos -- --dissemination ring --nodes 16 --payload 8192 --seeds 12
 //! ```
 //!
+//! A fatal seed also leaves `flightrec-<seed>.json`: the last events of
+//! every node, cut from the run's own trace (`--trace-out`) or from a
+//! traced replay of the seed.
+//!
 //! Exit status: 0 when every run passed, 1 on any safety violation (all
 //! protocols) or convergence failure (Acuerdo only — baselines without a
-//! rejoin path may safely stall and are merely reported).
+//! rejoin path may safely stall and are merely reported), 2 on a usage
+//! error or a traced replay that judged differently from its run.
 
 use acuerdo::DisseminationMode;
-use bench::chaos::{run_chaos, ChaosOpts, ChaosRun, Proto, Tier, CHAOS_N, PAYLOAD};
+use bench::chaos::{run_chaos, ChaosOpts, ChaosReport, ChaosRun, Proto, Tier, CHAOS_N, PAYLOAD};
 use bench::cli::{dissemination, parsed, scheduler, value};
-use bench::{write_flightrec, write_metrics_file};
-use simnet::{DurabilityMode, SchedKind, SimTime};
+use bench::{flight_tail, write_flightrec, write_metrics_file};
+use simnet::{DurabilityMode, SchedKind, SimTime, TraceEvent};
 use std::process::exit;
 
 struct Args {
@@ -144,6 +149,27 @@ fn parse_args() -> Args {
     out
 }
 
+/// The timeline a fatal seed's flight-recorder dump is cut from: the run's
+/// own when it was traced, else a traced replay's. Tracing never moves a
+/// run, so the replay must judge exactly as the run did; exits 2 if not.
+fn timeline(opts: &ChaosOpts, r: &ChaosReport, events: Vec<TraceEvent>) -> Vec<TraceEvent> {
+    if opts.traced {
+        return events;
+    }
+    let replay = run_chaos(&ChaosOpts {
+        traced: true,
+        ..opts.clone()
+    });
+    if replay.report.to_json() != r.to_json() {
+        eprintln!(
+            "  traced replay of seed {} diverged from the run it repeats",
+            opts.seed
+        );
+        exit(2);
+    }
+    replay.trace
+}
+
 fn main() {
     let mut args = parse_args();
     let horizon = SimTime::from_millis(args.max_time_ms);
@@ -188,7 +214,6 @@ fn main() {
             let ChaosRun {
                 report: r,
                 trace: events,
-                flight,
             } = run_chaos(&opts);
             if let Some(path) = &args.trace_out {
                 bench::cli::write(path, bench::chrome::write(&events, &[]));
@@ -214,8 +239,7 @@ fn main() {
                     eprintln!("  durability violation: {v:?}");
                 }
                 eprintln!("  repro: {}", r.repro());
-                // The flight recorder is always on: the last-N events per
-                // node are available even though this run was not traced.
+                let flight = flight_tail(&timeline(&opts, &r, events));
                 match write_flightrec(".", seed, &flight) {
                     Ok(p) => eprintln!("  flight recorder: {p} ({} events)", flight.len()),
                     Err(e) => eprintln!("  flight recorder dump failed: {e}"),

@@ -48,8 +48,8 @@ use bench::json::{self, Value};
 use bench::{chrome, forensics, report, util, whatif};
 use std::process::exit;
 
-const USAGE: &str = "usage: trace-report [--top N] FILE.json\n       \
-     trace-report [--top N] --bottleneck|--forensics|--whatif METRICS.json";
+const USAGE: &str = "usage: trace-report FILE.json\n       \
+     trace-report --bottleneck|--forensics|--whatif METRICS.json";
 
 /// Which analysis sections a metrics document's records carry, by member
 /// name, read as the reports read them (a record without `label`, `system`
@@ -79,13 +79,13 @@ enum DocMode {
 /// which carries the analysed member exits 1 naming what the document
 /// supports instead; a record that does but lacks a member the writer
 /// always emits exits 2.
-fn metrics_doc_report(file: &str, mode: DocMode, top: usize) -> ! {
+fn metrics_doc_report(file: &str, mode: DocMode) -> ! {
     let doc = json::read_doc(file).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2);
     });
     let (member, rendered) = match mode {
-        DocMode::Forensics => ("forensics", forensics::forensics_report(&doc, Some(top))),
+        DocMode::Forensics => ("forensics", forensics::forensics_report(&doc)),
         DocMode::Bottleneck => ("util", util::bottleneck_report(&doc)),
         DocMode::Whatif => ("whatif", whatif::whatif_report(&doc)),
     };
@@ -112,12 +112,9 @@ fn metrics_doc_report(file: &str, mode: DocMode, top: usize) -> ! {
 
 fn main() {
     let mut file: Option<String> = None;
-    let mut top = 8usize;
     let mut modes: Vec<DocMode> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--top" => top = bench::cli::parsed(&mut args, "--top", "number"),
             "--bottleneck" => modes.push(DocMode::Bottleneck),
             "--forensics" => modes.push(DocMode::Forensics),
             "--whatif" => modes.push(DocMode::Whatif),
@@ -147,7 +144,7 @@ fn main() {
         exit(2);
     }
     if let Some(&mode) = modes.first() {
-        metrics_doc_report(&file, mode, top);
+        metrics_doc_report(&file, mode);
     }
     let (events, gauges) = chrome::load(&file).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -169,7 +166,7 @@ fn main() {
         }
         exit(1);
     }
-    print!("{}", report::render(&r, top));
+    print!("{}", report::render(&r));
     if !gauges.is_empty() {
         println!();
         print!("{}", report::render_gauge_series(&gauges));

@@ -37,7 +37,10 @@
 //! seed, so a failing run reproduces bit-identically from its printed repro
 //! command (`chaos --proto acuerdo --seed N --sched calendar ...`, which
 //! echoes every knob the run was judged under, including the event-queue
-//! scheduler).
+//! scheduler). The `chaos` bin leans on that for its post-mortem dump: a
+//! fatal seed is re-run with [`ChaosOpts::traced`] set, and the last events
+//! of every node in that timeline ([`crate::flight_tail`]) are written as
+//! `flightrec-<seed>.json`.
 
 use abcast::{cluster_with_client, histories, DurabilityAuditor, Replica, Violation, WindowClient};
 use acuerdo::{AcuerdoConfig, AcuerdoNode, DisseminationMode};
@@ -697,12 +700,10 @@ pub struct ChaosRun {
     pub report: ChaosReport,
     /// The full fault timeline (empty unless [`ChaosOpts::traced`]).
     /// Tracing only toggles recording, so the report is bit-identical to
-    /// the untraced run at the same seed.
+    /// the untraced run at the same seed: a failing seed's post-mortem dump
+    /// (`flightrec-<seed>.json`, [`crate::flight_tail`]) is the tail of a
+    /// traced replay.
     pub trace: Vec<TraceEvent>,
-    /// The flight recorder's contents — the always-on bounded ring of
-    /// last-N events per node — so a failing seed can be dumped to
-    /// `flightrec-<seed>.json` without re-running traced.
-    pub flight: Vec<TraceEvent>,
 }
 
 /// The one chaos body: build `R`'s cluster, arm the client's retransmit
@@ -780,7 +781,6 @@ fn drive<R: Replica>(opts: &ChaosOpts, cfg: &R::Config, rto: Duration, restarts:
     };
     ChaosRun {
         report,
-        flight: sim.flight_events(),
         trace: sim.take_trace(),
     }
 }

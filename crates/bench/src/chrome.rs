@@ -1,7 +1,7 @@
 //! The Chrome trace-event format, both ways: [`write`](fn@write) renders a
 //! recorded timeline and gauge series as the JSON document Perfetto and
-//! `chrome://tracing` open directly (every `--trace-out` flag, the flight
-//! recorder dump), and [`read`] / [`load`] re-ingest such a document for
+//! `chrome://tracing` open directly (every `--trace-out` flag, the
+//! flight-recorder dump), and [`read`] / [`load`] re-ingest such a document for
 //! `trace-report` and the tests.
 
 use crate::json::{self, Value};

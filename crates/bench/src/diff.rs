@@ -14,21 +14,11 @@
 
 use crate::json::{self, Value};
 
-/// Comparison thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct DiffOptions {
-    /// Relative epsilon for non-exact numeric members (latencies, rates).
-    pub rel_eps: f64,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        // Points are serialized with 3-4 fractional digits; 0.2% relative
-        // covers rounding at the smallest values we print while staying far
-        // below any real perf change worth catching.
-        DiffOptions { rel_eps: 2e-3 }
-    }
-}
+/// Relative epsilon for non-exact numeric members (latencies, rates).
+/// Points are serialized with 3-4 fractional digits; 0.2% relative covers
+/// rounding at the smallest values we print while staying far below any
+/// real perf change worth catching.
+const REL_EPS: f64 = 2e-3;
 
 /// Members whose value (and, for objects, whole subtree) must match
 /// exactly: deterministic counts, integer gauge extremes, the
@@ -88,7 +78,7 @@ impl DiffReport {
 /// within thresholds. `Err` means the documents are not comparable at all
 /// (a different `schema`, `mode` or `seed`) — that is an operator error,
 /// not a regression.
-pub fn diff_docs(base: &Value, cur: &Value, opts: &DiffOptions) -> Result<DiffReport, String> {
+pub fn diff_docs(base: &Value, cur: &Value) -> Result<DiffReport, String> {
     for key in ["schema", "mode", "seed"] {
         let b = base
             .get(key)
@@ -103,15 +93,15 @@ pub fn diff_docs(base: &Value, cur: &Value, opts: &DiffOptions) -> Result<DiffRe
         }
     }
     let mut out = DiffReport::default();
-    diff_value("", false, base, cur, opts, &mut out);
+    diff_value("", false, base, cur, &mut out);
     Ok(out)
 }
 
 /// Read, parse, and compare two document files.
-pub fn diff_files(baseline: &str, current: &str, opts: &DiffOptions) -> Result<DiffReport, String> {
+pub fn diff_files(baseline: &str, current: &str) -> Result<DiffReport, String> {
     let b = json::read_doc(baseline)?;
     let c = json::read_doc(current)?;
-    diff_docs(&b, &c, opts)
+    diff_docs(&b, &c)
 }
 
 /// A run record's identity within its `records` array: `label/system`
@@ -148,21 +138,14 @@ fn record_keys(items: &[Value]) -> Vec<String> {
 /// Match two `records` arrays by key: a baseline record the current array
 /// lacks is a finding, a current record the baseline lacks a warning, and
 /// every matched pair is compared member by member.
-fn diff_records(
-    path: &str,
-    exact: bool,
-    ba: &[Value],
-    ca: &[Value],
-    opts: &DiffOptions,
-    out: &mut DiffReport,
-) {
+fn diff_records(path: &str, exact: bool, ba: &[Value], ca: &[Value], out: &mut DiffReport) {
     let (bkeys, ckeys) = (record_keys(ba), record_keys(ca));
     for (key, bv) in bkeys.iter().zip(ba) {
         match ckeys.iter().position(|k| k == key) {
             None => out
                 .findings
                 .push(format!("{path}[{key}]: missing from current")),
-            Some(i) => diff_value(&format!("{path}[{key}]"), exact, bv, &ca[i], opts, out),
+            Some(i) => diff_value(&format!("{path}[{key}]"), exact, bv, &ca[i], out),
         }
     }
     for key in ckeys.iter().filter(|k| !bkeys.contains(k)) {
@@ -170,14 +153,7 @@ fn diff_records(
     }
 }
 
-fn diff_value(
-    path: &str,
-    exact: bool,
-    b: &Value,
-    c: &Value,
-    opts: &DiffOptions,
-    out: &mut DiffReport,
-) {
+fn diff_value(path: &str, exact: bool, b: &Value, c: &Value, out: &mut DiffReport) {
     match (b, c) {
         (Value::Obj(bkv), Value::Obj(ckv)) => {
             // The document's own top level is the empty path.
@@ -192,7 +168,7 @@ fn diff_value(
                         .push(format!("{}: missing from current", at(k))),
                     Some(cv) => {
                         let exact = exact || EXACT_KEYS.contains(&k.as_str());
-                        diff_value(&at(k), exact, bv, cv, opts, out)
+                        diff_value(&at(k), exact, bv, cv, out)
                     }
                 }
             }
@@ -203,7 +179,7 @@ fn diff_value(
             }
         }
         (Value::Arr(ba), Value::Arr(ca)) if path.rsplit('.').next() == Some("records") => {
-            diff_records(path, exact, ba, ca, opts, out)
+            diff_records(path, exact, ba, ca, out)
         }
         (Value::Arr(ba), Value::Arr(ca)) => {
             if ba.len() != ca.len() {
@@ -215,7 +191,7 @@ fn diff_value(
                 return;
             }
             for (i, (bv, cv)) in ba.iter().zip(ca).enumerate() {
-                diff_value(&format!("{path}[{i}]"), exact, bv, cv, opts, out);
+                diff_value(&format!("{path}[{i}]"), exact, bv, cv, out);
             }
         }
         (Value::Num(bn), Value::Num(cn)) => {
@@ -224,7 +200,7 @@ fn diff_value(
             let ok = if must_be_exact {
                 bn == cn
             } else {
-                rel_close(*bn, *cn, opts.rel_eps)
+                rel_close(*bn, *cn, REL_EPS)
             };
             if !ok {
                 out.findings
@@ -269,22 +245,16 @@ mod tests {
     #[test]
     fn identical_documents_pass() {
         let a = doc(5.25, 1000);
-        assert!(diff_docs(&a, &a, &DiffOptions::default())
-            .unwrap()
-            .is_clean());
+        assert!(diff_docs(&a, &a).unwrap().is_clean());
     }
 
     #[test]
     fn latency_epsilon_absorbs_formatting_noise_only() {
         let a = doc(5.25, 1000);
         let close = doc(5.2501, 1000);
-        assert!(diff_docs(&a, &close, &DiffOptions::default())
-            .unwrap()
-            .is_clean());
+        assert!(diff_docs(&a, &close).unwrap().is_clean());
         let slow = doc(7.9, 1000);
-        let findings = diff_docs(&a, &slow, &DiffOptions::default())
-            .unwrap()
-            .findings;
+        let findings = diff_docs(&a, &slow).unwrap().findings;
         assert_eq!(
             findings,
             [format!("{AT}.mean_us: baseline 5.25, current 7.9")]
@@ -295,9 +265,7 @@ mod tests {
     fn counters_are_exact() {
         let a = doc(5.25, 1000);
         let off_by_one = doc(5.25, 999);
-        let findings = diff_docs(&a, &off_by_one, &DiffOptions::default())
-            .unwrap()
-            .findings;
+        let findings = diff_docs(&a, &off_by_one).unwrap().findings;
         assert_eq!(
             findings,
             [format!(
@@ -318,12 +286,12 @@ mod tests {
             if let Value::Obj(kv) = &mut b {
                 kv.iter_mut().find(|(k, _)| k == key).unwrap().1 = to;
             }
-            let err = diff_docs(&a, &b, &DiffOptions::default()).unwrap_err();
+            let err = diff_docs(&a, &b).unwrap_err();
             assert!(err.contains(&format!("\"{key}\" is")), "{err}");
         }
         // A truncated top level names the first missing comparability key.
         let bare = json::parse("{\"schema\":\"acuerdo-bench-paper-v2\"}").unwrap();
-        let err = diff_docs(&a, &bare, &DiffOptions::default()).unwrap_err();
+        let err = diff_docs(&a, &bare).unwrap_err();
         assert_eq!(err, "current: missing \"mode\"");
     }
 
@@ -354,8 +322,7 @@ mod tests {
             ))
             .unwrap()
         };
-        let opts = DiffOptions::default();
-        let rep = diff_docs(&fig9(None, 99), &fig9(Some(2), 4), &opts).unwrap();
+        let rep = diff_docs(&fig9(None, 99), &fig9(Some(2), 4)).unwrap();
         assert_eq!(
             rep.findings,
             [
@@ -365,7 +332,7 @@ mod tests {
         );
         assert!(rep.warnings.is_empty(), "{:?}", rep.warnings);
         // The other way round the record is an addition: a warning.
-        let rep = diff_docs(&fig9(Some(2), 99), &fig9(None, 99), &opts).unwrap();
+        let rep = diff_docs(&fig9(Some(2), 99), &fig9(None, 99)).unwrap();
         assert!(rep.findings.is_empty(), "{:?}", rep.findings);
         assert_eq!(
             rep.warnings,
@@ -402,12 +369,12 @@ mod tests {
         // still compared exactly.
         let a = doc(5.25, 1000);
         let b = doc_with(5.25, 1000, ",\"util\":{\"elapsed_ns\":1}");
-        let rep = diff_docs(&a, &b, &DiffOptions::default()).unwrap();
+        let rep = diff_docs(&a, &b).unwrap();
         assert!(rep.findings.is_empty(), "{:?}", rep.findings);
         assert_eq!(rep.warnings, [format!("{AT}.util: not in baseline")]);
         // The reverse direction (baseline has it, current lost it) is a
         // regression finding.
-        let rep = diff_docs(&b, &a, &DiffOptions::default()).unwrap();
+        let rep = diff_docs(&b, &a).unwrap();
         assert_eq!(rep.findings, [format!("{AT}.util: missing from current")]);
     }
 
@@ -425,12 +392,7 @@ mod tests {
         };
         // The forensics subtree is integer-exact: a 1 ns outlier-latency
         // drift is a finding, not formatting noise.
-        let rep = diff_docs(
-            &with_forensics(400_000),
-            &with_forensics(400_001),
-            &DiffOptions::default(),
-        )
-        .unwrap();
+        let rep = diff_docs(&with_forensics(400_000), &with_forensics(400_001)).unwrap();
         assert_eq!(
             rep.findings,
             [format!(
@@ -448,12 +410,7 @@ mod tests {
                 &format!(",\"util\":{{\"egress_util_pct\":{v}}}"),
             )
         };
-        let rep = diff_docs(
-            &with_util("94.0"),
-            &with_util("94.1"),
-            &DiffOptions::default(),
-        )
-        .unwrap();
+        let rep = diff_docs(&with_util("94.0"), &with_util("94.1")).unwrap();
         assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
         assert!(rep.findings[0].contains("egress_util_pct"));
     }
@@ -469,22 +426,21 @@ mod tests {
             ))
             .unwrap()
         };
-        let opts = DiffOptions::default();
         let a = paper("0,1", "5.25", "");
-        assert!(diff_docs(&a, &a, &opts).unwrap().is_clean());
-        let rep = diff_docs(&a, &paper("0,1", "7.9", ""), &opts).unwrap();
+        assert!(diff_docs(&a, &a).unwrap().is_clean());
+        let rep = diff_docs(&a, &paper("0,1", "7.9", "")).unwrap();
         assert_eq!(
             rep.findings,
             ["fig9.records[a].mean_us: baseline 5.25, current 7.9"]
         );
         let with_related = paper("0,1", "5.25", ",\"related\":{}");
-        let rep = diff_docs(&a, &with_related, &opts).unwrap();
+        let rep = diff_docs(&a, &with_related).unwrap();
         assert_eq!(rep.warnings, ["related: not in baseline"]);
-        let rep = diff_docs(&with_related, &a, &opts).unwrap();
+        let rep = diff_docs(&with_related, &a).unwrap();
         assert_eq!(rep.findings, ["related: missing from current"]);
         // An array that is not a records array compares element by
         // element, and a length change is one finding.
-        let rep = diff_docs(&a, &paper("0,1,2", "5.25", ""), &opts).unwrap();
+        let rep = diff_docs(&a, &paper("0,1,2", "5.25", "")).unwrap();
         assert_eq!(
             rep.findings,
             ["table1.long_latency_nodes: length 2 in baseline, 3 in current"]

@@ -20,7 +20,7 @@ use simnet::{ForensicsSnapshot, SpanStage, WaitReason};
 use crate::json::{self, Value};
 use crate::util::share;
 
-/// Outlier paragraphs rendered per run by default (`--top` overrides).
+/// Outlier paragraphs rendered per run.
 const TOP_OUTLIERS: usize = 8;
 
 /// Render the fixed-order `"forensics"` JSON member for one run: finalized
@@ -207,9 +207,9 @@ fn outlier_paragraph(o: &Value) -> Result<String, String> {
 }
 
 /// One run's block: finalized-commit count, cluster wait totals, the tail
-/// blame histogram, the straggler leaderboard, and `top` outlier
-/// paragraphs.
-fn forensics_block(f: &Value, top: usize) -> Result<String, String> {
+/// blame histogram, the straggler leaderboard, and [`TOP_OUTLIERS`]
+/// outlier paragraphs.
+fn forensics_block(f: &Value) -> Result<String, String> {
     let paragraphs = f.map_at("outliers", outlier_paragraph)?;
     let mut out = format!(
         "commits finalized: {}   outliers kept: {}\n",
@@ -254,7 +254,7 @@ fn forensics_block(f: &Value, top: usize) -> Result<String, String> {
         out.push_str(&board[..board.len().min(6)].concat());
         out.push('\n');
     }
-    for p in paragraphs.iter().take(top) {
+    for p in paragraphs.iter().take(TOP_OUTLIERS) {
         out.push_str(&format!("{p}\n"));
     }
     Ok(out)
@@ -265,14 +265,13 @@ fn forensics_block(f: &Value, top: usize) -> Result<String, String> {
 /// the greppable `blame ` headline lines. Returns `Err` when the document
 /// carries no forensics members at all (a pre-feature export) or a run
 /// lacks a member the writer always emits.
-pub fn forensics_report(doc: &Value, top: Option<usize>) -> Result<String, String> {
-    let top = top.unwrap_or(TOP_OUTLIERS);
+pub fn forensics_report(doc: &Value) -> Result<String, String> {
     json::report(
         doc,
         "forensics",
         "the tail-latency forensics layer",
         "headlines",
-        |r| json::under("forensics", forensics_block(r.member, top)),
+        |r| json::under("forensics", forensics_block(r.member)),
         |r| {
             let line = blame_line(r.system, r.nodes, r.member);
             Ok(format!("{}\n", json::under("forensics", line)?))
@@ -344,7 +343,7 @@ mod tests {
             summary_json(&snap())
         ))
         .unwrap();
-        let rep = forensics_report(&doc, None).unwrap();
+        let rep = forensics_report(&doc).unwrap();
         assert!(rep.contains("== acuerdo-n64 (acuerdo, n=64) =="), "{rep}");
         assert!(
             rep.contains("blame acuerdo@64: leader_egress_queue"),
@@ -358,6 +357,6 @@ mod tests {
         // A document with no forensics members is rejected, not rendered
         // empty.
         let old = json::parse("{\"records\":[{\"label\":\"x\"}]}").unwrap();
-        assert!(forensics_report(&old, None).is_err());
+        assert!(forensics_report(&old).is_err());
     }
 }

@@ -633,7 +633,7 @@ mod tests {
         type Report = fn(&Value) -> Result<String, String>;
         let reports: [(&str, Report); 3] = [
             ("util", crate::util::bottleneck_report),
-            ("forensics", |d| crate::forensics::forensics_report(d, None)),
+            ("forensics", crate::forensics::forensics_report),
             ("whatif", crate::whatif::whatif_report),
         ];
         // The committed paper document's first scale record carries all

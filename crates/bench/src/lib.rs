@@ -864,9 +864,36 @@ pub fn audit_fired(m: &MetricsSnapshot) -> bool {
         || m.total(Counter::AuditCommitLost) > 0
 }
 
-/// Dump flight-recorder contents (the always-on last-N events per node) as
-/// a loadable Chrome trace document named `flightrec-<seed>.json` under
-/// `dir`. Returns the written path.
+/// Per-node depth of a flight-recorder dump (events): a few poll ticks of
+/// fabric and protocol activity around a failure.
+pub const FLIGHT_RECORDER_DEPTH: usize = 256;
+
+/// The flight recorder over a recorded timeline: the last
+/// [`FLIGHT_RECORDER_DEPTH`] events of every node, in record order. A
+/// failing run is replayed traced from its seed (tracing never moves a
+/// run) and its timeline cut down to this tail for [`write_flightrec`].
+pub fn flight_tail(events: &[TraceEvent]) -> Vec<TraceEvent> {
+    let mut kept: Vec<usize> = Vec::new();
+    let mut tail: Vec<TraceEvent> = events
+        .iter()
+        .rev()
+        .filter(|ev| {
+            let node = ev.node();
+            if node >= kept.len() {
+                kept.resize(node + 1, 0);
+            }
+            kept[node] += 1;
+            kept[node] <= FLIGHT_RECORDER_DEPTH
+        })
+        .copied()
+        .collect();
+    tail.reverse();
+    tail
+}
+
+/// Dump a flight-recorder tail ([`flight_tail`]) as a loadable Chrome trace
+/// document named `flightrec-<seed>.json` under `dir`. Returns the written
+/// path.
 pub fn write_flightrec(dir: &str, seed: u64, events: &[TraceEvent]) -> std::io::Result<String> {
     let name = format!("flightrec-{seed}.json");
     let path = if dir.is_empty() || dir == "." {
@@ -913,6 +940,29 @@ pub fn write_metrics_file(path: &str, bench: &str, seed: u64, records: &[String]
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flight_recorder_keeps_last_n_per_node_in_record_order() {
+        let ev = |node, n| TraceEvent::Proto {
+            at: SimTime::from_nanos(n),
+            node,
+            ev: simnet::Event::new("e"),
+        };
+        // Node 0 records two events more than its tail holds; node 1 records
+        // twice, once before and once inside node 0's run.
+        let depth = FLIGHT_RECORDER_DEPTH as u64;
+        let node_of = |n| if n == 1 || n == depth { 1 } else { 0 };
+        let total = depth + 4;
+        let timeline: Vec<TraceEvent> = (0..total).map(|n| ev(node_of(n), n)).collect();
+        // Node 0 shed its two oldest entries (0 and 2); the rest keep
+        // global record order across the nodes.
+        let want: Vec<TraceEvent> = (0..total)
+            .filter(|&n| n != 0 && n != 2)
+            .map(|n| ev(node_of(n), n))
+            .collect();
+        assert_eq!(want.len(), FLIGHT_RECORDER_DEPTH + 2);
+        assert_eq!(flight_tail(&timeline), want);
+    }
 
     #[test]
     fn every_system_produces_a_sane_point() {

@@ -220,8 +220,11 @@ fn render_sample(out: &mut String, label: &str, l: &Lifecycle) {
     }
 }
 
+/// Links listed under "top talkers", heaviest first.
+const TOP_TALKERS: usize = 8;
+
 /// Render the whole report as the text `trace-report` prints.
-pub fn render(r: &TraceReport, top: usize) -> String {
+pub fn render(r: &TraceReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{} stage marks over {} lifecycles ({} complete)\n\nmark counts:\n",
@@ -246,7 +249,7 @@ pub fn render(r: &TraceReport, top: usize) -> String {
             "  {:>4} {:>4} {:>10} {:>12}\n",
             "src", "dst", "packets", "wire_bytes"
         ));
-        for t in r.talkers.iter().take(top) {
+        for t in r.talkers.iter().take(TOP_TALKERS) {
             out.push_str(&format!(
                 "  {:>4} {:>4} {:>10} {:>12}\n",
                 t.src, t.dst, t.packets, t.bytes
@@ -306,7 +309,7 @@ mod tests {
         assert_eq!(r.talkers.len(), 1);
         assert_eq!(r.talkers[0].bytes, 200);
         assert!(!r.is_empty());
-        let text = render(&r, 8);
+        let text = render(&r);
         assert!(text.contains("stage anatomy"));
         assert!(text.contains("critical path [p50]"));
         assert!(text.contains("top talkers"));
@@ -332,7 +335,7 @@ mod tests {
         let r = build(&[]);
         assert!(r.is_empty());
         assert_eq!(r.lifecycles.len(), 0);
-        let text = render(&r, 8);
+        let text = render(&r);
         assert!(text.contains("0 stage marks"));
     }
 }

@@ -21,7 +21,6 @@ fn a_flag_missing_its_value_exits_2_naming_it() {
         (env!("CARGO_BIN_EXE_paper"), "--only"),
         (env!("CARGO_BIN_EXE_paper"), "--sched"),
         (env!("CARGO_BIN_EXE_chaos"), "--seeds"),
-        (env!("CARGO_BIN_EXE_trace-report"), "--top"),
     ] {
         let (code, err) = stderr_of(bin, &[flag]);
         assert_eq!(code, Some(2), "{bin} {flag}: {err}");

@@ -66,7 +66,6 @@ pub struct Ctx<'a, M> {
     probe: &'a mut Probe,
     disk: &'a mut DurableLog,
     pub(crate) effects: Vec<Effect<M>>,
-    pub(crate) halt: bool,
     /// Some charge went to a slot other than `idle_poll`.
     worked: bool,
 }
@@ -94,7 +93,6 @@ impl<'a, M> Ctx<'a, M> {
             probe,
             disk,
             effects,
-            halt: false,
             worked: false,
         }
     }
@@ -265,12 +263,6 @@ impl<'a, M> Ctx<'a, M> {
         });
     }
 
-    /// Stop the whole simulation after this handler returns (used by harness
-    /// clients once they have collected enough samples).
-    pub fn halt(&mut self) {
-        self.halt = true;
-    }
-
     /// Deterministic per-simulation randomness.
     #[inline]
     pub fn rng(&mut self) -> &mut SmallRng {
@@ -281,9 +273,9 @@ impl<'a, M> Ctx<'a, M> {
     /// [`Ctx::now_cpu`].
     ///
     /// Zero-perturbation: recording charges no CPU, draws no randomness, and
-    /// schedules nothing. With tracing off the event still enters this
-    /// node's bounded flight-recorder ring (a ring push, never a growing
-    /// buffer). Traced and untraced runs of the same seed are bit-identical.
+    /// schedules nothing; with tracing off it is one untaken branch. Traced
+    /// and untraced runs of the same seed are bit-identical, which is what
+    /// lets a failed run be dumped post-mortem from a traced replay.
     #[inline]
     pub fn trace(&mut self, ev: Event) {
         self.probe.record(TraceEvent::Proto {
@@ -317,8 +309,8 @@ impl<'a, M> Ctx<'a, M> {
     ///
     /// The [`Counter::SpanMarks`] bump is unconditional (counters must match
     /// between traced and untraced runs), and the record goes where
-    /// [`Ctx::trace`]'s does: the timeline when tracing is on, the flight
-    /// ring otherwise. Nothing here could perturb the run.
+    /// [`Ctx::trace`]'s does: the timeline when tracing is on, nowhere
+    /// otherwise. Nothing here could perturb the run.
     #[inline]
     pub fn span(&mut self, id: u64, stage: SpanStage, arg: u64) {
         self.probe.count(self.self_id, Counter::SpanMarks, 1);
@@ -394,25 +386,6 @@ mod tests {
             }
             _ => panic!("unexpected effects"),
         }
-    }
-
-    #[test]
-    fn halt_flag() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut probe = Probe::new();
-        let mut disk = DurableLog::default();
-        let mut ctx: Ctx<'_, ()> = Ctx::new(
-            SimTime::ZERO,
-            0,
-            1.0,
-            &mut rng,
-            &mut probe,
-            &mut disk,
-            Vec::new(),
-        );
-        assert!(!ctx.halt);
-        ctx.halt();
-        assert!(ctx.halt);
     }
 
     #[test]

@@ -390,7 +390,6 @@ pub struct Sim<M> {
     nodes: Vec<NodeSlot<M>>,
     net: Network,
     rng: SmallRng,
-    halted: bool,
     stats: EngineStats,
     probe: Probe,
     /// Gauge-sampling cadence; `None` disables the sampler.
@@ -425,7 +424,6 @@ impl<M: 'static> Sim<M> {
             nodes: Vec::new(),
             net: Network::new(params.default_link, params.loopback, params.nic),
             rng: SmallRng::seed_from_u64(seed),
-            halted: false,
             stats: EngineStats::default(),
             probe: Probe::new(),
             sample_every: None,
@@ -489,11 +487,6 @@ impl<M: 'static> Sim<M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Whether some handler called [`Ctx::halt`].
-    pub fn halted(&self) -> bool {
-        self.halted
     }
 
     /// Run counters. The wire and partition members are the counter
@@ -603,13 +596,6 @@ impl<M: 'static> Sim<M> {
     /// Read one node's current gauge level.
     pub fn gauge(&self, node: NodeId, g: Gauge) -> u64 {
         self.probe.gauge(node, g)
-    }
-
-    /// The flight-recorder contents: the last-N trace events of every node,
-    /// merged into global record order. Available even when tracing was off
-    /// for the run — this is the post-mortem channel.
-    pub fn flight_events(&self) -> Vec<TraceEvent> {
-        self.probe.flight_events()
     }
 
     /// Immutable access to a node's state, downcast to its concrete type.
@@ -834,24 +820,20 @@ impl<M: 'static> Sim<M> {
 
     // ---- run loop ----------------------------------------------------------
 
-    /// Run until the queue drains, `deadline` passes, or a handler halts.
-    /// The clock ends at exactly `deadline` unless halted earlier.
+    /// Run until the queue drains or `deadline` passes. The clock ends at
+    /// exactly `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while !self.halted {
-            match self.sched.next_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => break,
+        while let Some(at) = self.sched.next_at() {
+            if at > deadline {
+                break;
             }
+            self.step();
         }
-        if !self.halted {
-            // Everything up to `deadline` has fired, parked polls included.
-            self.cur = (deadline, u64::MAX);
-            if self.now < deadline {
-                self.advance_samples(deadline);
-                self.now = deadline;
-            }
+        // Everything up to `deadline` has fired, parked polls included.
+        self.cur = (deadline, u64::MAX);
+        if self.now < deadline {
+            self.advance_samples(deadline);
+            self.now = deadline;
         }
     }
 
@@ -861,12 +843,8 @@ impl<M: 'static> Sim<M> {
         self.run_until(deadline);
     }
 
-    /// Dispatch the next event; returns `false` when the queue is empty or
-    /// the simulation halted.
+    /// Dispatch the next event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        if self.halted {
-            return false;
-        }
         let Some(key) = self.sched.pop() else {
             return false;
         };
@@ -1427,7 +1405,6 @@ impl<M: 'static> Sim<M> {
         f(proc.as_mut(), &mut ctx);
         let cpu = ctx.cpu_used();
         let worked = ctx.worked();
-        let halt = ctx.halt;
         let mut effects = std::mem::take(&mut ctx.effects);
         drop(ctx);
         self.nodes[node].proc = Some(proc);
@@ -1603,9 +1580,6 @@ impl<M: 'static> Sim<M> {
         }
         // Hand the drained buffer back for the next dispatch.
         self.effect_pool = effects;
-        if halt {
-            self.halted = true;
-        }
     }
 }
 
@@ -2421,25 +2395,6 @@ mod tests {
     }
 
     #[test]
-    fn halt_stops_run() {
-        struct Stopper;
-        impl Process<u32> for Stopper {
-            fn on_start(&mut self, ctx: &mut Ctx<u32>) {
-                ctx.set_timer(Duration::from_micros(5), 0);
-            }
-            fn on_message(&mut self, _: &mut Ctx<u32>, _: NodeId, _: u32) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<u32>, _: u64) {
-                ctx.halt();
-            }
-        }
-        let mut s = sim();
-        s.add_node(Box::new(Stopper));
-        s.run_until(SimTime::from_secs(10));
-        assert!(s.halted());
-        assert!(s.now() < SimTime::from_millis(1));
-    }
-
-    #[test]
     fn run_until_advances_clock_to_deadline_when_idle() {
         let mut s = sim();
         s.run_until(SimTime::from_millis(5));
@@ -2645,7 +2600,7 @@ mod tests {
     }
 
     #[test]
-    fn gauge_sampler_and_flight_recorder_do_not_perturb() {
+    fn gauge_sampler_does_not_perturb() {
         let run = |sampled: bool| {
             let mut s = sim();
             let a = s.add_node(Box::new(Pinger {
@@ -2661,20 +2616,13 @@ mod tests {
             }
             s.run_until(SimTime::from_millis(1));
             let series = s.gauge_samples().len();
-            (
-                s.node::<Pinger>(a).replies.clone(),
-                series,
-                s.flight_events(),
-            )
+            (s.node::<Pinger>(a).replies.clone(), series)
         };
-        let (replies_on, series_on, flight_on) = run(true);
-        let (replies_off, series_off, flight_off) = run(false);
+        let (replies_on, series_on) = run(true);
+        let (replies_off, series_off) = run(false);
         assert_eq!(replies_on, replies_off, "observability perturbed the run");
         assert!(series_on > 0, "sampler produced no series");
         assert_eq!(series_off, 0);
-        // The ring is always on, and sampling leaves it as it found it.
-        assert!(!flight_on.is_empty(), "flight recorder stayed empty");
-        assert_eq!(flight_on, flight_off);
     }
 
     #[test]

@@ -56,8 +56,7 @@ pub use trace::{
     client_span, cpu_slot_name, json_escape, msg_span, msg_span_parts, CommitForensics, Counter,
     CounterSet, DirStats, Event, ForensicMark, ForensicsSnapshot, Gauge, GaugeSample, GaugeSet,
     LinkRes, MetricsSnapshot, MsgKind, NodeRes, Probe, ResourceSnapshot, SpanStage, TraceEvent,
-    WaitReason, WaitStats, CPU_SLOTS, CPU_SLOT_IDLE, CPU_SLOT_OTHER, FLIGHT_RECORDER_DEPTH,
-    OUTLIER_RING_DEPTH,
+    WaitReason, WaitStats, CPU_SLOTS, CPU_SLOT_IDLE, CPU_SLOT_OTHER, OUTLIER_RING_DEPTH,
 };
 
 /// Identifier of a node (process) inside one simulation.

@@ -140,8 +140,8 @@ fn run_node<M: Send + 'static>(
 ) {
     let mut rng = SmallRng::seed_from_u64(seed);
     // Each thread owns a probe with tracing off: protocol count()/trace()
-    // calls stay valid on real threads and fill its counters and bounded
-    // flight ring, which nothing reads (non-goal: see above).
+    // calls stay valid on real threads and fill its counters, which nothing
+    // reads (non-goal: see above).
     let mut probe = crate::trace::Probe::new();
     // Likewise a thread-local scratch log: durable-mode protocols can append
     // and fsync, but there is no crash model on real threads.
@@ -227,7 +227,6 @@ fn apply_effects<M: Send>(
     timers: &mut BinaryHeap<TimerEntry>,
     _epoch: Instant,
 ) {
-    let halt = ctx.halt;
     for eff in ctx.effects {
         match eff {
             crate::ctx::Effect::Send { dst, msg, .. } => {
@@ -243,9 +242,6 @@ fn apply_effects<M: Send>(
             }
         }
     }
-    // `halt` is a simulation-wide stop request; the threaded runner is
-    // stopped from outside (ThreadedRunner::stop), so it is ignored here.
-    let _ = halt;
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Zero-perturbation tracing and metrics for the simulated fabric.
 //!
-//! Four observability channels thread through the engine and every protocol
+//! Three observability channels thread through the engine and every protocol
 //! crate:
 //!
 //! * **Counters** ([`Counter`]) — per-node `u64` registers bumped through
@@ -22,11 +22,9 @@
 //!   tracing is enabled ([`Sim::set_tracing`](crate::Sim::set_tracing)).
 //!   Recording appends to a buffer and nothing else — traced and untraced
 //!   runs of the same seed are bit-identical (`tests/observability.rs` proves
-//!   this).
-//! * **Flight recorder** — an always-on bounded ring of the last-N trace
-//!   events per node, kept even while tracing is off, so a failed run can be
-//!   dumped post-mortem ([`Probe::flight_events`]) without paying full-trace
-//!   memory on every run.
+//!   this). Because they are, a failed run needs no recorder of its own:
+//!   its post-mortem dump is the tail of a traced replay of the same seed
+//!   (`bench::flight_tail`).
 //!
 //! Every named slot ([`Counter`], [`Gauge`], [`MsgKind`], [`SpanStage`],
 //! [`WaitReason`]) is declared through [`registry!`](crate::registry).
@@ -773,20 +771,12 @@ impl TraceEvent {
     }
 }
 
-/// Per-node flight-recorder depth (events). Deep enough to hold a
-/// few poll ticks of fabric+protocol activity around a failure, small enough
-/// that every run can afford it.
-pub const FLIGHT_RECORDER_DEPTH: usize = 256;
-
 /// The recording side of the observability layer, owned by the engine (or by
 /// a thread in the threaded runner).
 ///
 /// Counters and gauges are always on. Event recording is gated by
 /// [`Probe::set_enabled`] and is append-only: it charges no CPU, draws no
-/// randomness, and never touches the event schedule. Independently of full
-/// tracing, an always-on **flight recorder** keeps the last-N events per node
-/// in bounded rings ([`Probe::flight_events`]), so a failed run can be dumped
-/// post-mortem even when tracing was off.
+/// randomness, and never touches the event schedule.
 #[derive(Debug)]
 pub struct Probe {
     enabled: bool,
@@ -799,15 +789,6 @@ pub struct Probe {
     /// sampler skips never-written gauges so the series stays relevant.
     touched: [bool; Gauge::COUNT],
     samples: Vec<GaugeSample>,
-    /// Global record order across all flight rings: merging per-node rings
-    /// by this tag reproduces the original timeline order deterministically.
-    flight_seq: u64,
-    flight: Vec<std::collections::VecDeque<(u64, TraceEvent)>>,
-    /// While full tracing is on, ring pushes are deferred: `events` already
-    /// holds every record, so the rings are caught up lazily ([`Probe::sync_flight`])
-    /// from `events[flight_synced..]` only when tracing stops or the
-    /// timeline is taken. This keeps the traced hot path to one `Vec` push.
-    flight_synced: usize,
     /// Per-node NIC/CPU resource tallies (always on), parallel to `counters`.
     res_nodes: Vec<NodeRes>,
     /// Per-directed-link tallies; sparse because most protocols use O(n) of
@@ -829,9 +810,6 @@ impl Default for Probe {
             gauges: Vec::new(),
             touched: [false; Gauge::COUNT],
             samples: Vec::new(),
-            flight_seq: 0,
-            flight: Vec::new(),
-            flight_synced: 0,
             res_nodes: Vec::new(),
             res_links: std::collections::HashMap::new(),
             waits: Vec::new(),
@@ -841,8 +819,7 @@ impl Default for Probe {
 }
 
 impl Probe {
-    /// A probe with tracing disabled and no nodes registered (the flight
-    /// recorder is always on).
+    /// A probe with tracing disabled and no nodes registered.
     pub fn new() -> Self {
         Probe::default()
     }
@@ -850,7 +827,7 @@ impl Probe {
     /// Grow the per-node tables so row `node` exists.
     ///
     /// This is the **single** growth path for per-node rows — `add_node`,
-    /// `count`, gauge writes, and flight-recorder appends all route through
+    /// `count` and gauge writes all route through
     /// it. Invariant: after `ensure_node(n)`, every table has more than `n`
     /// rows and every row in `0..=n` is zero-initialized exactly once
     /// (existing rows are never touched), so probes outside an engine — e.g.
@@ -873,9 +850,6 @@ impl Probe {
         if node >= self.gauges.len() {
             self.gauges.resize(node + 1, GaugeSet::default());
         }
-        if node >= self.flight.len() {
-            self.flight.resize_with(node + 1, Default::default);
-        }
         if node >= self.res_nodes.len() {
             self.res_nodes.resize(node + 1, NodeRes::default());
         }
@@ -896,11 +870,6 @@ impl Probe {
 
     /// Turn event recording on or off (counters are unaffected).
     pub fn set_enabled(&mut self, on: bool) {
-        if self.enabled && !on {
-            // Deferred ring pushes become direct again; catch up first so
-            // subsequent direct pushes land in order.
-            self.sync_flight();
-        }
         self.enabled = on;
     }
 
@@ -910,70 +879,12 @@ impl Probe {
         self.enabled
     }
 
-    /// Append `ev` to the timeline (if tracing is on) and to its node's
-    /// flight-recorder ring.
-    ///
-    /// While full tracing is on the ring push is deferred: `events` is a
-    /// superset of what the rings would hold, so they are reconstructed
-    /// lazily when read ([`Probe::sync_flight`]) instead of paying a ring
-    /// update on every record.
+    /// Append `ev` to the timeline if tracing is on.
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
         if self.enabled {
             self.events.push(ev);
-        } else {
-            self.push_flight(ev);
         }
-    }
-
-    /// Push one event into its node's ring (the direct, tracing-off path).
-    #[inline]
-    fn push_flight(&mut self, ev: TraceEvent) {
-        let node = ev.node();
-        self.ensure_node(node);
-        let ring = &mut self.flight[node];
-        if ring.len() >= FLIGHT_RECORDER_DEPTH {
-            ring.pop_front();
-        }
-        ring.push_back((self.flight_seq, ev));
-        self.flight_seq += 1;
-    }
-
-    /// Catch the flight rings up with records deferred while tracing was on:
-    /// replay `events[flight_synced..]` as ring pushes. O(deferred records),
-    /// run only when tracing stops or the timeline is taken.
-    fn sync_flight(&mut self) {
-        let mut i = self.flight_synced;
-        while i < self.events.len() {
-            let ev = self.events[i];
-            self.push_flight(ev);
-            i += 1;
-        }
-        self.flight_synced = i;
-    }
-
-    /// The flight-recorder contents: the last-N events of every node, merged
-    /// back into global record order.
-    pub fn flight_events(&self) -> Vec<TraceEvent> {
-        // Start from the materialized rings and replay any records deferred
-        // while tracing was on (same push rule as `push_flight`, applied to
-        // a scratch copy so `&self` suffices).
-        let mut rings = self.flight.clone();
-        let deferred = self.events[self.flight_synced..].iter();
-        for (seq, &ev) in (self.flight_seq..).zip(deferred) {
-            let node = ev.node();
-            if node >= rings.len() {
-                rings.resize_with(node + 1, Default::default);
-            }
-            let ring = &mut rings[node];
-            if ring.len() >= FLIGHT_RECORDER_DEPTH {
-                ring.pop_front();
-            }
-            ring.push_back((seq, ev));
-        }
-        let mut tagged: Vec<(u64, TraceEvent)> = rings.iter().flatten().copied().collect();
-        tagged.sort_unstable_by_key(|&(seq, _)| seq);
-        tagged.into_iter().map(|(_, ev)| ev).collect()
     }
 
     /// Set a node's gauge level (always on; a plain array store).
@@ -1115,7 +1026,7 @@ impl Probe {
     /// Feed one lifecycle stage mark to the always-on forensics collector.
     ///
     /// Called unconditionally from [`Ctx::span`](crate::Ctx::span) —
-    /// independent of tracing and of the flight recorder, so untraced runs
+    /// independent of tracing, so untraced runs
     /// (the 64-node scale study) still capture their tail. All bookkeeping
     /// is deterministic map/array work keyed on the span id; no RNG, no CPU
     /// charge, no queue touch.
@@ -1312,9 +1223,6 @@ impl Probe {
 
     /// Take the recorded timeline, leaving the buffer empty.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        // Materialize deferred ring pushes before their source disappears.
-        self.sync_flight();
-        self.flight_synced = 0;
         std::mem::take(&mut self.events)
     }
 
@@ -1536,34 +1444,6 @@ mod tests {
             .all(|s| matches!(s.gauge, Gauge::Epoch | Gauge::InflightMsgs)));
         assert_eq!(p.take_gauge_samples().len(), 4);
         assert!(p.gauge_samples().is_empty());
-    }
-
-    #[test]
-    fn flight_recorder_keeps_last_n_per_node_in_record_order() {
-        let mut p = Probe::new();
-        let ev = |node, n| TraceEvent::Proto {
-            at: SimTime::from_nanos(n),
-            node,
-            ev: Event::new("e"),
-        };
-        // Node 0 records two events more than its ring holds; node 1 records
-        // twice, once before and once inside node 0's run.
-        let depth = FLIGHT_RECORDER_DEPTH as u64;
-        let node_of = |n| if n == 1 || n == depth { 1 } else { 0 };
-        let total = depth + 4;
-        for n in 0..total {
-            p.record(ev(node_of(n), n));
-        }
-        // Node 0 shed its two oldest entries (0 and 2); the merge restores
-        // global record order across the rings.
-        let want: Vec<TraceEvent> = (0..total)
-            .filter(|&n| n != 0 && n != 2)
-            .map(|n| ev(node_of(n), n))
-            .collect();
-        assert_eq!(want.len(), FLIGHT_RECORDER_DEPTH + 2);
-        assert_eq!(p.flight_events(), want);
-        // Tracing stayed off: the full-timeline buffer is untouched.
-        assert!(p.events().is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use acuerdo_repro::abcast::{check_cluster, cluster_with_client, WindowClient};
 use acuerdo_repro::acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode};
-use acuerdo_repro::simnet::{Counter, SimTime};
+use acuerdo_repro::simnet::Counter;
 use std::time::Duration;
 
 fn main() {
@@ -26,8 +26,7 @@ fn main() {
     );
 
     // Stop after 500 committed-and-acknowledged messages.
-    sim.node_mut::<WindowClient<AcWire>>(client).halt_after = Some(500);
-    sim.run_until(SimTime::from_secs(1));
+    while sim.node::<WindowClient<AcWire>>(client).result().completed < 500 && sim.step() {}
 
     let leader = current_leader(&sim, &replicas).expect("a unique leader");
     println!(

@@ -40,6 +40,9 @@ commands=(
     # shows here and not only through the paper document.
     "chaos-all|chaos --proto all --seeds 10 --max-time-ms 50"
     "chaos-all-correlated|chaos --proto all --tier correlated --durability durable --seeds 10 --max-time-ms 50"
+    # Seed 2 fails, so its flightrec-2.json dump (an Acuerdo ring run with
+    # entries cut into segments) is compared too.
+    "chaos-ring-8k|chaos --proto acuerdo --dissemination ring --nodes 16 --payload 8192 --seeds 2 --max-time-ms 50"
 )
 # The deterministic examples (`traced_failover` also writes
 # traced_failover.json). `live_cluster` runs on real threads and is left out.

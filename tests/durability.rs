@@ -11,7 +11,7 @@ use acuerdo_repro::abcast::{
     Violation, WindowClient,
 };
 use acuerdo_repro::acuerdo::{AcuerdoConfig, AcuerdoNode, DisseminationMode};
-use acuerdo_repro::raft::{RaftConfig, RaftNode};
+use acuerdo_repro::raft::{RaftConfig, RaftNode, RfWire};
 use acuerdo_repro::simnet::{Counter, DurabilityMode, SimTime};
 use acuerdo_repro::zab::{ZabConfig, ZabNode};
 use bytes::Bytes;
@@ -198,4 +198,100 @@ fn corrupted_log_tail_is_reported_as_committed_entry_loss() {
     tampered_log_is_caught::<RaftNode>(&raft, (2, true), [100, 1200], 292);
     let zab = ZabConfig { n, durability };
     tampered_log_is_caught::<ZabNode>(&zab, (2, true), [30, 300], 392);
+}
+
+/// Raft's correlated-durable seed 3 at a 50 ms horizon prints `final=[0..0]
+/// FAIL CommittedEntryLost { position: 0, committed_len: 26 }`. The entries
+/// are not lost: all five replicas reboot by about 16 ms, none starts an
+/// election before the horizon (Raft's election timeout is 100–200 ms), so
+/// no rebooted replica has re-delivered anything yet — while every
+/// replica's fsync'd journal still holds all 26 committed entries, in
+/// order. The horizon verdict reads an unfinished election as a loss; the
+/// same seed at 600 ms elects a leader and ends `ok`.
+#[test]
+fn raft_seed_3_keeps_its_committed_entries_in_every_journal_at_50ms() {
+    use acuerdo_repro::abcast::wal;
+    use acuerdo_repro::bench::chaos::{run_chaos, ChaosOpts, Proto, Schedule};
+
+    let (seed, n) = (3, 5);
+    let horizon = SimTime::from_millis(50);
+    let opts = ChaosOpts::correlated_durable(Proto::Raft, seed, horizon);
+    let report = run_chaos(&opts).report;
+    assert_eq!(report.verdict(), "FAIL CommittedEntryLost");
+    assert_eq!((report.final_min, report.final_max), (0, 0));
+
+    // The same run, driven here as `bench::chaos` drives it (window 8,
+    // 32 B, 100 µs warm-up, 2 ms retransmit with broadcast fallback,
+    // restarts), so the replicas' journals can be read at the horizon.
+    let cfg = RaftConfig {
+        n,
+        durability: DurabilityMode::Durable,
+    };
+    let (mut sim, ids, client) =
+        cluster_with_client::<RaftNode>(seed, &cfg, 8, 32, Duration::from_micros(100));
+    let c = sim.node_mut::<WindowClient<RfWire>>(client);
+    c.retransmit = Some(Duration::from_millis(2));
+    c.replicas = ids.clone();
+    abcast::enable_restarts::<RaftNode>(&mut sim, &cfg, &ids);
+    let schedule = Schedule::generate_correlated(seed, n, horizon);
+    let mut auditor = DurabilityAuditor::new();
+    let mut committed: Vec<(MsgHdr, Bytes)> = Vec::new();
+    sim.run_until(schedule.first_fault_at());
+    for tf in &schedule.faults {
+        if tf.at > sim.now() {
+            sim.run_until(tf.at);
+        }
+        let hs = histories::<RaftNode>(&sim, &ids);
+        let _ = auditor.observe(&hs);
+        if let Some(longest) = hs.iter().max_by_key(|h| h.len()) {
+            if longest.len() > committed.len() {
+                committed = longest.clone();
+            }
+        }
+        tf.apply(&mut sim, n);
+    }
+    sim.run_until(horizon);
+    let lost = auditor.observe(&histories::<RaftNode>(&sim, &ids));
+    assert!(matches!(
+        lost,
+        Err(Violation::CommittedEntryLost {
+            position: 0,
+            committed_len: 26
+        })
+    ));
+    sim.bump_counter(0, Counter::AuditCommitLost, 1);
+    assert_eq!(
+        sim.metrics().to_json(),
+        report.metrics.to_json(),
+        "the re-driven run is not the chaos run"
+    );
+    assert_eq!(committed.len(), 26);
+    let m = sim.metrics();
+    assert_eq!(m.total(Counter::Elections), 0, "an election started");
+    assert_eq!(m.total(Counter::WalRecoveredRecords), 198);
+
+    // Raft's journal entry record `(index, (term, (client, id)))` + payload
+    // (`WAL_ENTRY`, tag 1), replayed as Raft's recovery does: a record at a
+    // covered index truncates the conflicting suffix. Delivery `i` carries
+    // header `(term, 0) / i` and the entry's payload.
+    let entry = wal::Kind::<(u64, (u32, (u32, u64)))>::new(1);
+    for &id in &ids {
+        let mut log: Vec<(MsgHdr, Bytes)> = Vec::new();
+        for rec in sim.disk(id).synced_records() {
+            if let Some(((idx, (term, _)), payload)) = entry.read(rec) {
+                log.truncate(idx as usize - 1);
+                let hdr = MsgHdr::new(abcast::Epoch::new(term, 0), idx as u32);
+                log.push((hdr, Bytes::copy_from_slice(payload)));
+            }
+        }
+        assert!(
+            log.len() >= committed.len() && log[..committed.len()] == committed[..],
+            "replica {id}'s journal lost a committed entry ({} entries)",
+            log.len()
+        );
+    }
+
+    let later = ChaosOpts::correlated_durable(Proto::Raft, seed, SimTime::from_millis(600));
+    let report = run_chaos(&later).report;
+    assert_eq!(report.verdict(), "ok", "{report:?}");
 }

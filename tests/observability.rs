@@ -264,10 +264,12 @@ fn observing_a_benchmark_run_never_changes_it_for_any_system() {
 #[test]
 fn gauges_and_flight_recorder_do_not_perturb_the_run() {
     // The full observability stack — gauge sampler ticking every 100µs plus
-    // the always-on flight recorder — must be as invisible to the schedule
-    // as tracing is: a sampled run and an unsampled run of the same seed are
-    // bit-identical and leave the same flight ring. The ring has no off
-    // switch; every run, the unsampled one included, records into it.
+    // the timeline a failed run's flight-recorder dump is cut from — must be
+    // as invisible to the schedule as tracing is: a sampled run and an
+    // unsampled run of the same seed are bit-identical and leave the same
+    // flight-recorder tail.
+    use acuerdo_repro::bench::flight_tail;
+
     fn run_observed(seed: u64, observed: bool) -> (Outcome, usize, Vec<TraceEvent>) {
         let cfg = AcuerdoConfig {
             fail_timeout: Duration::from_micros(400),
@@ -278,6 +280,7 @@ fn gauges_and_flight_recorder_do_not_perturb_the_run() {
         if observed {
             sim.set_gauge_sampling(Duration::from_micros(100));
         }
+        sim.set_tracing(true);
         sim.node_mut::<WindowClient<AcWire>>(client).retransmit = Some(Duration::from_millis(2));
         sim.run_until(SimTime::from_millis(10));
         let r = sim.node::<WindowClient<AcWire>>(client).result();
@@ -299,7 +302,7 @@ fn gauges_and_flight_recorder_do_not_perturb_the_run() {
             timeline: None,
         };
         let gauge_samples = sim.gauge_samples().len();
-        (outcome, gauge_samples, sim.flight_events())
+        (outcome, gauge_samples, flight_tail(sim.trace_events()))
     }
 
     let (on, samples_on, flight_on) = run_observed(42, true);
@@ -308,7 +311,7 @@ fn gauges_and_flight_recorder_do_not_perturb_the_run() {
     assert!(samples_on > 0, "sampler produced no gauge samples");
     assert_eq!(samples_off, 0, "dark run produced gauge samples");
     assert!(!flight_on.is_empty(), "flight recorder stayed empty");
-    assert!(flight_on == flight_off, "the sampler moved the flight ring");
+    assert!(flight_on == flight_off, "the sampler moved the flight tail");
 }
 
 #[test]
@@ -351,11 +354,11 @@ fn suite_documents_are_byte_identical_per_seed() {
 
 #[test]
 fn auditor_firing_produces_a_loadable_flight_recorder_dump() {
-    // When the online auditor fires, the flight recorder's last-N ring is
-    // dumped as flightrec-<seed>.json; the dump must round-trip through the
-    // same loader trace-report uses.
+    // When the online auditor fires, the last-N events per node of the
+    // run's traced timeline are dumped as flightrec-<seed>.json; the dump
+    // must round-trip through the same loader trace-report uses.
     use acuerdo_repro::abcast::{check::Auditor, Epoch};
-    use acuerdo_repro::bench::{audit_fired, write_flightrec};
+    use acuerdo_repro::bench::{audit_fired, flight_tail, write_flightrec};
     use acuerdo_repro::simnet::{Ctx, NetParams, NodeId, Process, Sim};
 
     // A deliberately misbehaving process: its second audit observation
@@ -382,6 +385,7 @@ fn auditor_firing_produces_a_loadable_flight_recorder_dump() {
 
     let seed = 4242;
     let mut sim: Sim<()> = Sim::new(seed, NetParams::rdma());
+    sim.set_tracing(true);
     sim.add_node(Box::new(Regressor {
         audit: Auditor::new(),
         step: 0,
@@ -392,7 +396,7 @@ fn auditor_firing_produces_a_loadable_flight_recorder_dump() {
         audit_fired(&sim.metrics()),
         "regressing commits did not fire the auditor"
     );
-    let flight = sim.flight_events();
+    let flight = flight_tail(sim.trace_events());
     assert!(!flight.is_empty(), "flight recorder captured nothing");
 
     let dir = std::env::temp_dir().join(format!("flightrec-test-{}", std::process::id()));
