@@ -6,17 +6,23 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// Deterministic payload for request `id`: the id in the first eight bytes
-/// (little-endian), then a repeating fill. Lets checkers reconstruct the
-/// broadcast set without storing it.
+/// (little-endian), then a fill whose byte `i` is `31 i + id[i mod 8]`
+/// (mod 256). Lets checkers reconstruct the broadcast set without storing
+/// it.
 pub fn payload(id: u64, size: usize) -> Bytes {
-    let mut v = vec![0u8; size];
+    // The fill repeats every 256 bytes, so one period is computed and the
+    // rest copied from it, in doubling runs.
+    const PERIOD: usize = 256;
     let idb = id.to_le_bytes();
-    for (i, b) in v.iter_mut().enumerate() {
-        *b = if i < 8 {
-            idb[i]
-        } else {
-            (i as u8).wrapping_mul(31).wrapping_add(idb[i % 8])
-        };
+    let mut v = Vec::with_capacity(size);
+    v.extend(idb.iter().take(size));
+    v.extend(
+        (8..size.min(8 + PERIOD)).map(|i| (i as u8).wrapping_mul(31).wrapping_add(idb[i % 8])),
+    );
+    while v.len() < size {
+        // `v[8..]` is a whole number of periods here.
+        let run = (v.len() - 8).min(size - v.len());
+        v.extend_from_within(8..8 + run);
     }
     Bytes::from(v)
 }
@@ -113,6 +119,35 @@ mod tests {
         assert_eq!(payload_id(&p), 0x0102);
         let p1 = payload(7, 1);
         assert_eq!(payload_id(&p1), 7);
+    }
+
+    /// The definition, one byte at a time.
+    fn payload_bytewise(id: u64, size: usize) -> Vec<u8> {
+        let idb = id.to_le_bytes();
+        (0..size)
+            .map(|i| {
+                if i < 8 {
+                    idb[i]
+                } else {
+                    (i as u8).wrapping_mul(31).wrapping_add(idb[i % 8])
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn payload_matches_its_bytewise_definition() {
+        let ids = [0, 1, 0xff, 0x0102_0304_0506_0708, 1 << 40, u64::MAX];
+        let sizes = (0..=600).chain([8191, 8192, 8193, 1 << 20]);
+        for size in sizes {
+            for id in ids {
+                assert_eq!(
+                    payload(id, size)[..],
+                    payload_bytewise(id, size)[..],
+                    "id {id:#x} size {size}"
+                );
+            }
+        }
     }
 
     #[test]

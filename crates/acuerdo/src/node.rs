@@ -507,6 +507,11 @@ pub struct AcuerdoNode {
     /// the commit rule and `reuse_slots` can find anything they did not
     /// find last time.
     acks_touched: bool,
+    /// `e_new` when `detect_desync` last scanned Commit_SST as a leader and
+    /// found no cell above it. Until a peer's push lands in the table or
+    /// `e_new` falls below this, the scan would find none again (DESIGN §4,
+    /// "The idle poll"); `None` until a scan comes up empty.
+    outbid_clear: Option<Epoch>,
     /// Test oracle: every poll leaves the node stirred (so none is ever
     /// answered in place) and looks at every Accept_SST cell.
     #[cfg(test)]
@@ -615,6 +620,7 @@ impl AcuerdoNode {
             fruitless: false,
             send_blocked: false,
             acks_touched: true,
+            outbid_clear: None,
             #[cfg(test)]
             naive: false,
             #[cfg(test)]
@@ -1149,6 +1155,11 @@ impl AcuerdoNode {
 
     fn accept_frames(&mut self, ctx: &mut Ctx<AcWire>) {
         for j in 0..self.cfg.n {
+            // A lane nothing landed in since its last poll would read
+            // nothing: test its bit here, and pay no call for it.
+            if !self.ep.is_dirty(self.in_rings[j].region()) {
+                continue;
+            }
             let frames = self.in_rings[j].poll(&mut self.ep);
             for RingFrame { head, body, .. } in frames {
                 ctx.use_cpu_at(SpanStage::FollowerAccept, cpu::FRAME_PROC);
@@ -1614,14 +1625,14 @@ impl AcuerdoNode {
         let horizon = self
             .committed
             .min(self.commit_cell(self.e_cur.ldr as usize).horizon);
-        if horizon == MsgHdr::ZERO {
-            return;
-        }
         // Keep the boundary entry itself: diffs include it (Figure 7 line
-        // 123 is an inclusive range).
-        let prune: Vec<MsgHdr> = self.log.range(..horizon).map(|(h, _)| *h).collect();
-        for h in prune {
-            self.log.remove(&h);
+        // 123 is an inclusive range). Mostly the oldest entry is already at
+        // or above the horizon, and nothing below is visited.
+        while let Some(oldest) = self.log.first_entry() {
+            if *oldest.key() >= horizon {
+                break;
+            }
+            let (h, _) = oldest.remove_entry();
             self.instrument.forget(&h);
         }
     }
@@ -2117,9 +2128,21 @@ impl AcuerdoNode {
             }
             // A deposed leader that slept through an election: some peer
             // committed in an epoch this leader has never heard of (the
-            // new leader's row reaches everyone).
+            // new leader's row reaches everyone). Only a peer's push can
+            // bring such a cell, so the scan runs when one has landed
+            // since an empty scan, or when `e_new` fell below that scan's.
             Phase::Leader(_) => {
-                (0..self.cfg.n).any(|k| self.commit_cell(k).committed.epoch > self.e_new)
+                let landed = self.commit_sst.take_dirty(&mut self.ep);
+                let outbid =
+                    |me: &Self| (0..me.cfg.n).any(|k| me.commit_cell(k).committed.epoch > me.e_new);
+                if landed || self.outbid_clear.is_none_or(|e| self.e_new < e) {
+                    let found = outbid(self);
+                    self.outbid_clear = (!found).then_some(self.e_new);
+                    found
+                } else {
+                    debug_assert!(!outbid(self), "a cell above e_new with no push landed");
+                    false
+                }
             }
             // A stuck elector watching a live epoch advance without being
             // let in: its vote pushes are going nowhere (severed stream)

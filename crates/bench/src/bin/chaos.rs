@@ -20,7 +20,9 @@
 //! error or a traced replay that judged differently from its run.
 
 use acuerdo::DisseminationMode;
-use bench::chaos::{run_chaos, ChaosOpts, ChaosReport, ChaosRun, Proto, Tier, CHAOS_N, PAYLOAD};
+use bench::chaos::{
+    run_chaos, ChaosOpts, ChaosReport, ChaosRun, Proto, Tier, Trace, CHAOS_N, PAYLOAD,
+};
 use bench::cli::{dissemination, parsed, scheduler, value};
 use bench::{flight_tail, write_flightrec, write_metrics_file};
 use simnet::{DurabilityMode, SchedKind, SimTime, TraceEvent};
@@ -149,15 +151,16 @@ fn parse_args() -> Args {
     out
 }
 
-/// The timeline a fatal seed's flight-recorder dump is cut from: the run's
-/// own when it was traced, else a traced replay's. Tracing never moves a
-/// run, so the replay must judge exactly as the run did; exits 2 if not.
-fn timeline(opts: &ChaosOpts, r: &ChaosReport, events: Vec<TraceEvent>) -> Vec<TraceEvent> {
-    if opts.traced {
-        return events;
+/// A fatal seed's flight-recorder dump: cut from the run's own timeline
+/// when it was traced, else from a traced replay that keeps only the tail.
+/// Tracing never moves a run, so the replay must judge exactly as the run
+/// did; exits 2 if not.
+fn flight(opts: &ChaosOpts, r: &ChaosReport, events: &[TraceEvent]) -> Vec<TraceEvent> {
+    if opts.trace == Trace::Timeline {
+        return flight_tail(events);
     }
     let replay = run_chaos(&ChaosOpts {
-        traced: true,
+        trace: Trace::Tail,
         ..opts.clone()
     });
     if replay.report.to_json() != r.to_json() {
@@ -208,7 +211,11 @@ fn main() {
                 sched: args.sched,
                 dissemination: args.dissemination,
                 payload: args.payload,
-                traced: args.trace_out.is_some(),
+                trace: if args.trace_out.is_some() {
+                    Trace::Timeline
+                } else {
+                    Trace::Off
+                },
                 ..ChaosOpts::new(proto, seed, horizon)
             };
             let ChaosRun {
@@ -239,7 +246,7 @@ fn main() {
                     eprintln!("  durability violation: {v:?}");
                 }
                 eprintln!("  repro: {}", r.repro());
-                let flight = flight_tail(&timeline(&opts, &r, events));
+                let flight = flight(&opts, &r, &events);
                 match write_flightrec(".", seed, &flight) {
                     Ok(p) => eprintln!("  flight recorder: {p} ({} events)", flight.len()),
                     Err(e) => eprintln!("  flight recorder dump failed: {e}"),

@@ -38,8 +38,8 @@
 //! command (`chaos --proto acuerdo --seed N --sched calendar ...`, which
 //! echoes every knob the run was judged under, including the event-queue
 //! scheduler). The `chaos` bin leans on that for its post-mortem dump: a
-//! fatal seed is re-run with [`ChaosOpts::traced`] set, and the last events
-//! of every node in that timeline ([`crate::flight_tail`]) are written as
+//! fatal seed is re-run keeping its trace's [`Trace::Tail`], the last
+//! events of every node ([`crate::flight_tail`]), which are written as
 //! `flightrec-<seed>.json`.
 
 use abcast::{cluster_with_client, histories, DurabilityAuditor, Replica, Violation, WindowClient};
@@ -660,8 +660,21 @@ pub struct ChaosOpts {
     pub dissemination: DisseminationMode,
     /// Client payload bytes per request ([`PAYLOAD`] by default).
     pub payload: usize,
-    /// Whether to record the full trace timeline.
-    pub traced: bool,
+    /// What to record of the trace timeline.
+    pub trace: Trace,
+}
+
+/// What a chaos run keeps of its trace timeline ([`ChaosRun::trace`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Trace {
+    /// Nothing: counters only.
+    Off,
+    /// The whole timeline.
+    Timeline,
+    /// Its flight-recorder tail ([`crate::flight_tail`]), folded in every
+    /// millisecond of virtual time: what `flight_tail` cuts from the whole
+    /// timeline, held in the memory of a tail and one slice.
+    Tail,
 }
 
 impl ChaosOpts {
@@ -678,7 +691,7 @@ impl ChaosOpts {
             sched: SchedKind::default(),
             dissemination: DisseminationMode::Star,
             payload: PAYLOAD,
-            traced: false,
+            trace: Trace::Off,
         }
     }
 
@@ -698,12 +711,36 @@ impl ChaosOpts {
 pub struct ChaosRun {
     /// The judged outcome.
     pub report: ChaosReport,
-    /// The full fault timeline (empty unless [`ChaosOpts::traced`]).
+    /// What [`ChaosOpts::trace`] asked to keep of the fault timeline.
     /// Tracing only toggles recording, so the report is bit-identical to
     /// the untraced run at the same seed: a failing seed's post-mortem dump
     /// (`flightrec-<seed>.json`, [`crate::flight_tail`]) is the tail of a
     /// traced replay.
     pub trace: Vec<TraceEvent>,
+}
+
+/// Virtual time between two folds of a [`Trace::Tail`] timeline.
+const FOLD_EVERY: Duration = Duration::from_millis(1);
+
+/// Run `sim` up to `to`. With `tail`, take the timeline every
+/// [`FOLD_EVERY`] and fold it into the flight-recorder tail: the run then
+/// holds one slice of timeline beyond the tail, not the whole of it. A
+/// deadline splits no event, so the slices run exactly the events one
+/// `run_until(to)` would.
+fn advance<M: 'static>(sim: &mut Sim<M>, to: SimTime, tail: &mut Option<Vec<TraceEvent>>) {
+    let Some(tail) = tail else {
+        sim.run_until(to);
+        return;
+    };
+    loop {
+        let at = to.min(sim.now() + FOLD_EVERY);
+        sim.run_until(at);
+        tail.append(&mut sim.take_trace());
+        *tail = crate::flight_tail(tail);
+        if at >= to {
+            return;
+        }
+    }
 }
 
 /// The one chaos body: build `R`'s cluster, arm the client's retransmit
@@ -727,7 +764,8 @@ fn drive<R: Replica>(opts: &ChaosOpts, cfg: &R::Config, rto: Duration, restarts:
     let (mut sim, ids, client) =
         cluster_with_client::<R>(opts.seed, cfg, WINDOW, opts.payload, warmup);
     sim.set_scheduler(opts.sched);
-    sim.set_tracing(opts.traced);
+    sim.set_tracing(opts.trace != Trace::Off);
+    let mut tail = (opts.trace == Trace::Tail).then(Vec::new);
     let c = sim.node_mut::<WindowClient<R::Wire>>(client);
     c.retransmit = Some(rto);
     if restarts {
@@ -738,7 +776,7 @@ fn drive<R: Replica>(opts: &ChaosOpts, cfg: &R::Config, rto: Duration, restarts:
     }
 
     let mut auditor = DurabilityAuditor::new();
-    sim.run_until(schedule.first_fault_at());
+    advance(&mut sim, schedule.first_fault_at(), &mut tail);
     let pre = histories::<R>(&sim, &ids)
         .iter()
         .map(Vec::len)
@@ -746,12 +784,12 @@ fn drive<R: Replica>(opts: &ChaosOpts, cfg: &R::Config, rto: Duration, restarts:
         .unwrap_or(0);
     for tf in &schedule.faults {
         if tf.at > sim.now() {
-            sim.run_until(tf.at);
+            advance(&mut sim, tf.at, &mut tail);
         }
         let _ = auditor.observe(&histories::<R>(&sim, &ids));
         apply(&mut sim, schedule.n, tf);
     }
-    sim.run_until(schedule.horizon);
+    advance(&mut sim, schedule.horizon, &mut tail);
     let hs = histories::<R>(&sim, &ids);
     let durability_violation = auditor.observe(&hs).err();
     if durability_violation.is_some() {
@@ -781,7 +819,7 @@ fn drive<R: Replica>(opts: &ChaosOpts, cfg: &R::Config, rto: Duration, restarts:
     };
     ChaosRun {
         report,
-        trace: sim.take_trace(),
+        trace: tail.unwrap_or_else(|| sim.take_trace()),
     }
 }
 
@@ -879,6 +917,26 @@ mod tests {
                 .count();
             assert_eq!(restarts, crashes, "seed {seed}: unpaired crash");
         }
+    }
+
+    #[test]
+    fn a_replay_folding_its_tail_dumps_what_the_whole_timeline_would() {
+        let opts = ChaosOpts::new(Proto::Acuerdo, 1, SimTime::from_millis(10));
+        let traced = |trace| {
+            run_chaos(&ChaosOpts {
+                trace,
+                ..opts.clone()
+            })
+        };
+        let (whole, replay) = (traced(Trace::Timeline), traced(Trace::Tail));
+        assert_eq!(replay.report.to_json(), whole.report.to_json());
+        assert!(
+            whole.trace.len() > 4 * replay.trace.len(),
+            "{} of {} kept",
+            replay.trace.len(),
+            whole.trace.len()
+        );
+        assert_eq!(replay.trace, crate::flight_tail(&whole.trace));
     }
 
     #[test]

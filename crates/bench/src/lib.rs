@@ -965,6 +965,39 @@ mod tests {
     }
 
     #[test]
+    fn folding_the_flight_tail_in_slices_keeps_the_whole_timelines_tail() {
+        let depth = FLIGHT_RECORDER_DEPTH as u64;
+        // Four nodes at uneven rates; node 3 records only late.
+        let node_of = |n: u64| match n % 7 {
+            0 | 3 | 5 => 0,
+            1 | 4 => 1,
+            2 => 2,
+            _ if n > 3 * depth => 3,
+            _ => 2,
+        };
+        let timeline: Vec<TraceEvent> = (0..5 * depth)
+            .map(|n| TraceEvent::Proto {
+                at: SimTime::from_nanos(n),
+                node: node_of(n),
+                ev: simnet::Event::new("e"),
+            })
+            .collect();
+        let whole = flight_tail(&timeline);
+        for cut in [0, 1, depth - 1, depth, 2 * depth + 3, 4 * depth, 5 * depth] {
+            let (a, b) = timeline.split_at(cut as usize);
+            let folded = flight_tail(&[flight_tail(a), b.to_vec()].concat());
+            assert_eq!(folded, whole, "cut at {cut}");
+        }
+        // Folding every few events, as a replay does every slice.
+        let mut acc = Vec::new();
+        for slice in timeline.chunks(37) {
+            acc.extend_from_slice(slice);
+            acc = flight_tail(&acc);
+        }
+        assert_eq!(acc, whole);
+    }
+
+    #[test]
     fn every_system_produces_a_sane_point() {
         for s in System::all() {
             let spec = RunSpec::quick(s);

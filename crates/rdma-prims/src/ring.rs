@@ -343,6 +343,12 @@ impl RingReceiver {
         self.next_seq
     }
 
+    /// The polled region. A caller that tests its flag first
+    /// ([`Endpoint::is_dirty`]) skips a poll that would read nothing.
+    pub fn region(&self) -> RegionId {
+        self.region
+    }
+
     /// Drain every complete frame currently visible (one receiver-side
     /// batch), in order. Consumed bytes are zeroed so the next lap of the
     /// ring starts clean; a landed body is handed over as it is

@@ -24,11 +24,13 @@
 //!   earlier ones, so only every `signal_interval`-th write requests a
 //!   completion (the paper signals every 1000 messages). A full send queue
 //!   makes [`Endpoint::post_write`] fail with [`PostError::QueueFull`].
-//! * **Dirty regions**: the endpoint remembers which regions a remote write
-//!   landed in since their reader last looked ([`Endpoint::take_dirty`]), so
-//!   a busy-poll loop over many regions pays for the ones that changed, not
-//!   for the table's width. Host-side bookkeeping only: what a reader finds
-//!   in memory, and when, is unchanged.
+//! * **Dirty regions**: the endpoint keeps one bit per region, set when a
+//!   remote write lands there and cleared when its reader looks
+//!   ([`Endpoint::take_dirty`]; [`Endpoint::is_dirty`] tests it without
+//!   clearing), so a busy-poll loop over many regions pays for the ones that
+//!   changed, not for the table's width. The bits sit beside the region
+//!   table, so testing one touches no region. Host-side bookkeeping only:
+//!   what a reader finds in memory, and when, is unchanged.
 //!
 //! ## Memory model
 //!
@@ -195,11 +197,6 @@ struct Region {
     /// Gathered writes held as views, by start offset. They never overlap,
     /// and `mem` is zero under each.
     views: BTreeMap<usize, View>,
-    /// A remote write landed since [`Endpoint::take_dirty`] last cleared
-    /// the flag. A fresh region starts dirty (its reader has never looked);
-    /// the owner's own `write_local`/`zero_local` do not mark it, the owner
-    /// knows what it wrote.
-    dirty: bool,
 }
 
 impl Region {
@@ -211,7 +208,6 @@ impl Region {
             mem,
             skew,
             views: BTreeMap::new(),
-            dirty: true,
         }
     }
 
@@ -444,6 +440,12 @@ impl View {
 /// One node's RDMA endpoint: registered memory plus queue pairs to peers.
 pub struct Endpoint {
     regions: Vec<Region>,
+    /// Bit `r` set: a remote write landed in region `r` since
+    /// [`Endpoint::take_dirty`] last cleared it. A fresh region starts dirty
+    /// (its reader has never looked); the owner's own
+    /// `write_local`/`zero_local` do not mark it, the owner knows what it
+    /// wrote.
+    dirty: Vec<u64>,
     /// Queue pairs indexed by peer id (node ids are dense, so a flat table
     /// beats hashing on the per-post hot path).
     qps: Vec<Option<Qp>>,
@@ -468,6 +470,7 @@ impl Endpoint {
     pub fn new(config: QpConfig) -> Self {
         Endpoint {
             regions: Vec::new(),
+            dirty: Vec::new(),
             qps: Vec::new(),
             config,
             reads_done: Vec::new(),
@@ -483,14 +486,41 @@ impl Endpoint {
     pub fn register_region(&mut self, len: usize) -> RegionId {
         let id = RegionId(self.regions.len() as u32);
         self.regions.push(Region::new(len));
+        if id.0.is_multiple_of(64) {
+            self.dirty.push(0);
+        }
+        self.mark_dirty(id);
         id
+    }
+
+    fn mark_dirty(&mut self, region: RegionId) {
+        let r = region.0 as usize;
+        self.dirty[r / 64] |= 1 << (r % 64);
+    }
+
+    /// Whether a remote write landed in `region` since the last
+    /// [`Endpoint::take_dirty`] (or since registration), leaving the flag
+    /// as it is.
+    ///
+    /// # Panics
+    /// On a region this endpoint never registered.
+    pub fn is_dirty(&self, region: RegionId) -> bool {
+        let r = region.0 as usize;
+        assert!(r < self.regions.len(), "unregistered region {r}");
+        self.dirty[r / 64] & (1 << (r % 64)) != 0
     }
 
     /// Whether a remote write landed in `region` since the last call (or
     /// since registration), clearing the flag. One reader per region: a
     /// poller that finds `false` would read the bytes it read last time.
+    ///
+    /// # Panics
+    /// On a region this endpoint never registered.
     pub fn take_dirty(&mut self, region: RegionId) -> bool {
-        std::mem::take(&mut self.regions[region.0 as usize].dirty)
+        let dirty = self.is_dirty(region);
+        let r = region.0 as usize;
+        self.dirty[r / 64] &= !(1 << (r % 64));
+        dirty
     }
 
     /// Establish a reliable connection toward `peer` (exchange of rkeys in
@@ -784,7 +814,7 @@ impl Endpoint {
                 self.body_bytes_copied += r.store(at, &body) + len;
             }
         }
-        r.dirty = true;
+        self.mark_dirty(region);
         if let Some(wr) = signal {
             // Generated by the NIC: no CPU charge.
             ctx.send_kind(
@@ -937,27 +967,51 @@ mod tests {
 
     #[test]
     fn remote_writes_mark_their_region_dirty_and_nothing_else_does() {
+        // 70 regions, so the bits span two words.
+        const REGIONS: u32 = 70;
+        let landed = [0, 63, 64, 69];
         let (mut sim, a, b) = two_nodes(QpConfig::default());
         {
-            let n = sim.node_mut::<TestNode>(b);
-            let second = n.ep.register_region(64);
-            assert!(n.ep.take_dirty(RegionId(0)), "a fresh region starts dirty");
-            assert!(!n.ep.take_dirty(RegionId(0)), "taking clears the flag");
-            assert!(n.ep.take_dirty(second));
-            n.ep.write_local(RegionId(0), 0, &[1]);
-            n.ep.zero_local(RegionId(0), 0, 1);
-            assert!(!n.ep.take_dirty(RegionId(0)), "the owner's own writes mark");
+            let ep = &mut sim.node_mut::<TestNode>(b).ep;
+            for _ in 1..REGIONS {
+                ep.register_region(64);
+            }
+            for r in (0..REGIONS).map(RegionId) {
+                assert!(ep.is_dirty(r), "fresh region {r:?} starts dirty");
+                assert!(ep.is_dirty(r), "testing leaves the flag");
+                assert!(ep.take_dirty(r));
+                assert!(!ep.take_dirty(r), "taking clears the flag");
+            }
+            for r in (0..REGIONS).map(RegionId) {
+                ep.write_local(r, 0, &[1]);
+                ep.zero_local(r, 0, 1);
+                assert!(!ep.is_dirty(r), "the owner's own writes mark {r:?}");
+            }
         }
-        // One applied write into region 0, one the rkey check drops.
+        // One applied write into each landed region, and two the rkey check
+        // drops: one past a registered region's end, one into a region
+        // never registered.
         let script = &mut sim.node_mut::<TestNode>(a).script;
-        script.push((b, RegionId(0), 16, vec![7]));
-        script.push((b, RegionId(9), 0, vec![7]));
+        for &r in &landed {
+            script.push((b, RegionId(r), 16, vec![7]));
+        }
+        script.push((b, RegionId(5), 64, vec![7]));
+        script.push((b, RegionId(REGIONS), 0, vec![7]));
         sim.run_until(SimTime::from_millis(1));
-        let n = sim.node_mut::<TestNode>(b);
-        assert_eq!(n.ep.writes_applied, 1);
-        assert!(n.ep.take_dirty(RegionId(0)));
-        assert!(!n.ep.take_dirty(RegionId(1)), "a write elsewhere marked");
-        assert!(!n.ep.take_dirty(RegionId(0)));
+        let ep = &mut sim.node_mut::<TestNode>(b).ep;
+        assert_eq!(ep.writes_applied, landed.len() as u64);
+        for r in 0..REGIONS {
+            let want = landed.contains(&r);
+            assert_eq!(ep.is_dirty(RegionId(r)), want, "region {r}");
+            assert_eq!(ep.take_dirty(RegionId(r)), want, "region {r}");
+            assert!(!ep.is_dirty(RegionId(r)), "region {r} still dirty");
+        }
+        // A registration after writes have landed starts dirty too, and
+        // marks nothing else.
+        let fresh = ep.register_region(64);
+        assert_eq!(fresh, RegionId(REGIONS));
+        assert!(ep.is_dirty(fresh));
+        assert!((0..REGIONS).all(|r| !ep.is_dirty(RegionId(r))));
     }
 
     #[test]

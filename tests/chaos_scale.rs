@@ -10,7 +10,7 @@
 use acuerdo_repro::acuerdo::DisseminationMode;
 use acuerdo_repro::bench::audit_fired;
 use acuerdo_repro::bench::chaos::{
-    run_chaos, ChaosOpts, ChaosReport, ChaosRun, Fault, Proto, Tier,
+    run_chaos, ChaosOpts, ChaosReport, ChaosRun, Fault, Proto, Tier, Trace,
 };
 use acuerdo_repro::simnet::{DurabilityMode, SimTime, TraceEvent};
 
@@ -232,7 +232,7 @@ fn chaos_winner_behind_a_peers_commit_point_does_not_panic() {
     // or this test no longer reaches it.
     let opts = ChaosOpts {
         n: 3,
-        traced: true,
+        trace: Trace::Timeline,
         ..ChaosOpts::new(Proto::Acuerdo, 288, SimTime::from_millis(SWEEP_HORIZON_MS))
     };
     let ahead: Vec<_> = assert_verdict(&opts)
