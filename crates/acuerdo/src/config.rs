@@ -140,9 +140,11 @@ pub struct AcuerdoConfig {
     /// into parts. A part is also kept to what one ring frame can carry
     /// (half of `ring_bytes`, less framing).
     pub max_diff_part: usize,
-    /// Disable log GC so a node that crash-restarts (losing its whole log)
-    /// can be re-seeded with the complete history by a recovery diff. The
-    /// fault-injection harness sets this; steady-state benchmarks keep GC on.
+    /// Disable log GC on a volatile node, so a peer that crash-restarts
+    /// (losing its whole log) can be re-seeded with the complete history by
+    /// a recovery diff, until a volatile rejoiner can take a snapshot
+    /// instead (ROADMAP item 9 step 4). A durable node collects its log
+    /// regardless ([`AcuerdoConfig::keeps_whole_log`]).
     pub retain_log: bool,
     /// Volatile (default, the paper's configuration) keeps the log in
     /// registered memory only. Durable appends every accepted entry to the
@@ -211,6 +213,17 @@ impl AcuerdoConfig {
     /// Quorum size: majority of n.
     pub fn quorum(&self) -> usize {
         self.n / 2 + 1
+    }
+
+    /// Whether log GC is off. Only a volatile reboot needs the whole history
+    /// from a peer. A durable peer's last pushed commit point is at or below
+    /// its fsync'd frontier (append-before-ack), and the leader's horizon is
+    /// the minimum of those cells (a Hello wipes the rebooted peer's to
+    /// `MsgHdr::ZERO`), so the oldest retained entry is never above what a
+    /// rebooting durable peer recovers from its own journal (DESIGN §7,
+    /// deviation 8).
+    pub fn keeps_whole_log(&self) -> bool {
+        self.retain_log && !self.durability.is_durable()
     }
 }
 

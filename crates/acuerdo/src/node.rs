@@ -1619,7 +1619,7 @@ impl AcuerdoNode {
     /// its epoch's leader — at the leader its own row, which the push tick
     /// has just written.
     fn gc(&mut self) {
-        if self.cfg.retain_log {
+        if self.cfg.keeps_whole_log() {
             return;
         }
         let horizon = self

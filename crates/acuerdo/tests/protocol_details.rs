@@ -534,13 +534,15 @@ fn requests_ingested_before_the_leaders_own_diff_ride_its_loopback_lane_in_order
 
 #[test]
 fn election_diffs_start_at_each_peers_commit_point() {
-    // `retain_log` keeps the whole history, so an election diff is exactly
-    // the log from the winner's mirror of a peer's commit cell to the
-    // winner's frontier. Followers push their cells to the leader alone;
-    // a node entering an election pushes its cell to everyone at once, so
-    // the winner's mirrors are fresh and each diff carries the entries in
-    // flight when the leader died (8, the client window), not the history
-    // (1,297 without that push, for every peer but the winner itself).
+    // A durable cluster collects its logs even with `retain_log` set, but
+    // the GC horizon is at or below every mirrored commit cell, so an
+    // election diff is still exactly the log from the winner's mirror of a
+    // peer's commit cell to the winner's frontier. Followers push their
+    // cells to the leader alone; a node entering an election pushes its
+    // cell to everyone at once, so the winner's mirrors are fresh and each
+    // diff carries the entries in flight when the leader died (8, the
+    // client window), not the history (1,297 without that push, for every
+    // peer but the winner itself, when this run kept its whole log).
     let cfg = AcuerdoConfig {
         retain_log: true,
         durability: simnet::DurabilityMode::Durable,

@@ -854,7 +854,7 @@ pub fn run_chaos(opts: &ChaosOpts) -> ChaosRun {
     match proto {
         Proto::Acuerdo => {
             let cfg = AcuerdoConfig {
-                retain_log: true,
+                retain_log: durability == DurabilityMode::Volatile,
                 durability,
                 dissemination,
                 ..AcuerdoConfig::stable(n)
