@@ -42,7 +42,8 @@ simnet::registry! {
 pub struct RingRoute {
     /// The node whose lane carries the origin's frames to this node: the
     /// origin itself for the two arm heads, the previous node of the arm
-    /// otherwise (and for the origin, which receives by loopback).
+    /// otherwise (and the origin itself at the origin, which makes its
+    /// frames and receives none).
     pub upstream: usize,
     /// The node this one forwards accepted frames to; `None` at the origin
     /// (it streams to the arm heads, it does not forward) and at the last

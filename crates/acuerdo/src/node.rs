@@ -36,10 +36,10 @@
 //!   every peer on that peer's heartbeat turn once per push period; a
 //!   follower's cell to its leader; an elector's cell to everyone, from the
 //!   instant the election starts (`push_commit`).
-//! * The leader accepts its own proposal where it makes it
-//!   (`accept_in_place`) instead of through a ring write to itself, a poll
-//!   and an Accept_SST update; only the frames ingested before its own
-//!   epoch diff landed go round its loopback lane.
+//! * The leader's own log is local state, not a replication target: a
+//!   winner adopts its epoch in place (`become_leader`, the epoch entry of
+//!   `enter_epoch` over no entries) and accepts each proposal where it
+//!   makes it (`accept_in_place`). No node writes a ring frame to itself.
 //!
 //! ## Rejoin and stream resynchronization
 //!
@@ -61,8 +61,8 @@
 //! ## Phases
 //!
 //! The election, rejoin and leadership state lives in one `Phase`: a
-//! follower's leader watch, an elector's election record (plus the rejoin
-//! it may be waiting out), a leader's won election and outbid clock. Only
+//! follower's leader watch, an elector's election record, a rejoiner's
+//! attempt clock, a leader's election start and outbid clock. Only
 //! `enter` writes it; DESIGN §9 tabulates the edges, and a test census pins
 //! the ones the oracle sweep takes.
 
@@ -303,9 +303,10 @@ type PendingDiff = (MsgHdr, u16, Vec<(MsgHdr, Bytes)>);
 enum Phase {
     /// Accepting and committing `e_cur.ldr`'s stream.
     Follower(Watch),
-    /// Contesting an election or, with a [`Rejoin`], waiting for a recovery
-    /// diff and abstaining from it.
-    Electing(Election, Option<Rejoin>),
+    /// Contesting an election.
+    Electing(Election),
+    /// Waiting for a recovery diff, and abstaining from elections.
+    Rejoining(Rejoin),
     /// Sole proposer of `e_new`.
     Leader(Lead),
 }
@@ -316,8 +317,8 @@ impl Phase {
     fn kind(&self) -> &'static str {
         match self {
             Phase::Follower(_) => "follower",
-            Phase::Electing(_, None) => "electing",
-            Phase::Electing(_, Some(_)) => "rejoining",
+            Phase::Electing(_) => "electing",
+            Phase::Rejoining(_) => "rejoining",
             Phase::Leader(_) => "leader",
         }
     }
@@ -364,10 +365,8 @@ struct Rejoin {
 /// A leader's own state.
 #[derive(Default)]
 struct Lead {
-    /// The election this node won. Its start stamps the Table 1 span, and
-    /// a resync before the leader's own epoch diff lands returns to it
-    /// (`apply_diff`).
-    won: Election,
+    /// When the election this node won started: the Table 1 span's start.
+    started: SimTime,
     /// `epoch_ready` is not stamped yet: diffs are still queued.
     ready_pending: bool,
     /// Since when a quorum-blocking share of the peers has been promised
@@ -551,16 +550,19 @@ impl AcuerdoNode {
         let vote_sst = Sst::<Vote>::register(&mut ep, n, me);
         let commit_sst = Sst::<CommitCell>::register(&mut ep, n, me);
         let peers: Vec<NodeId> = (0..n).collect();
-        for &p in &peers {
+        // A lane and a QP to every other node; none to itself (region `me`
+        // stays in the plan, and nothing writes it).
+        let others: Vec<NodeId> = peers.iter().copied().filter(|&p| p != me).collect();
+        for &p in &others {
             ep.connect(p);
         }
-        let out_ring = RingSender::new(RegionId(me as u32), cfg.ring_bytes, cfg.ring_mode, &peers);
+        let out_ring = RingSender::new(RegionId(me as u32), cfg.ring_bytes, cfg.ring_mode, &others);
 
         let e_cur = cfg.initial_epoch.unwrap_or(Epoch::ZERO);
         let phase = match cfg.initial_epoch {
             Some(e) if e.ldr as usize == me => Phase::Leader(Lead::default()),
             Some(_) => Phase::Follower(Watch::default()),
-            None => Phase::Electing(Election::default(), None),
+            None => Phase::Electing(Election::default()),
         };
         let boot_hdr = MsgHdr::new(e_cur, 0);
         let arm_head: Vec<bool> = (0..n)
@@ -639,7 +641,7 @@ impl AcuerdoNode {
             ..cfg
         };
         AcuerdoNode {
-            phase: Phase::Electing(Election::default(), Some(Rejoin::default())),
+            phase: Phase::Rejoining(Rejoin::default()),
             ..AcuerdoNode::new(cfg, me)
         }
     }
@@ -650,14 +652,14 @@ impl AcuerdoNode {
     pub fn role(&self) -> Role {
         match self.phase {
             Phase::Follower(_) => Role::Follower,
-            Phase::Electing(..) => Role::Electing,
+            Phase::Electing(_) | Phase::Rejoining(_) => Role::Electing,
             Phase::Leader(_) => Role::Leader,
         }
     }
 
     /// True while waiting for a recovery diff after a Hello broadcast.
     pub fn is_resyncing(&self) -> bool {
-        matches!(self.phase, Phase::Electing(_, Some(_)))
+        matches!(self.phase, Phase::Rejoining(_))
     }
 
     /// Current epoch.
@@ -718,24 +720,17 @@ impl AcuerdoNode {
         WAL_ENTRY.append(ctx, self.cfg.durability, &hdr, &req.payload);
         wal::fsync(ctx, self.cfg.durability);
         self.log.insert(hdr, req.payload);
-        // Nothing ahead of it on the loopback lane: every earlier count was
-        // accepted and its own epoch diff has landed (frames written to the
-        // lane but not yet polled, or still queued, leave `accepted` below
-        // them).
-        if hdr == self.accepted.next() {
-            self.accept_in_place(ctx, hdr);
-        }
+        self.accept_in_place(ctx, hdr);
         self.flush_all(ctx);
     }
 
     /// The leader's acceptance of its own proposal, after the durable
     /// append and fsync `on_client_request` already did: its Accept_SST
-    /// cell is in its own memory, so nothing rides the loopback lane. It
-    /// leaves no `FollowerAccept` mark: it precedes the ring writes that
-    /// carry the entry out, and that stage times the followers.
+    /// cell is in its own memory. It leaves no `FollowerAccept` mark: it
+    /// precedes the ring writes that carry the entry out, and that stage
+    /// times the followers.
     fn accept_in_place(&mut self, ctx: &mut Ctx<AcWire>, hdr: MsgHdr) {
-        debug_assert_eq!(self.out[self.me].next_cnt, hdr.cnt, "loopback lane behind");
-        self.out[self.me].next_cnt = hdr.cnt + 1;
+        debug_assert_eq!(hdr, self.accepted.next(), "a gap in the leader's log");
         self.accepted = hdr;
         note_accept(ctx, hdr);
         self.accept_sst.write_mine(&mut self.ep, &self.accepted);
@@ -743,7 +738,8 @@ impl AcuerdoNode {
     }
 
     /// Push backlog (diff parts first, then log entries) into every peer's
-    /// ring, as far as flow control allows.
+    /// ring, as far as flow control allows. This node's own slot of `out`
+    /// never holds a diff, and it heads no arm: it sends nothing.
     fn flush_all(&mut self, ctx: &mut Ctx<AcWire>) {
         if self.role() != Role::Leader {
             return;
@@ -783,10 +779,10 @@ impl AcuerdoNode {
             }
         }
         // Then any log entries of the current epoch this peer hasn't got.
-        // Payloads stream only to the loopback lane, the arm heads and
-        // peers under star fallback; everyone else receives frames
-        // forwarded hop by hop along its arm.
-        let direct = j == self.me || self.arm_head[j];
+        // Payloads stream only to the arm heads and peers under star
+        // fallback; everyone else receives frames forwarded hop by hop
+        // along its arm.
+        let direct = self.arm_head[j];
         if !direct && !self.fallback[j] {
             return;
         }
@@ -1294,11 +1290,21 @@ impl AcuerdoNode {
         }
     }
 
-    /// Apply the diff fully reassembled on `lane`: the epoch-entry protocol
-    /// of §3.4 (Figure 5 lines 54–66).
-    fn apply_diff(&mut self, ctx: &mut Ctx<AcWire>, lane: usize) {
-        let (hdr, _, entries) = self.diff_buf[lane].take().expect("no diff buffered");
-        let e = hdr.epoch;
+    /// Enter epoch `e` over `entries` (§3.4, Figure 5 lines 54–66): drop
+    /// the log's uncommitted suffix from `cut` up to `(e, 0)`, splice the
+    /// entries in, and raise `accepted` over them and `next` to `(e, 0)`.
+    /// A follower runs it on its leader's diff (`apply_diff`), a winner on
+    /// no entries the instant it wins (`become_leader`). The journal gets
+    /// the cut and the entries, so replay after a crash reproduces the
+    /// splice and the epoch floor; the fsync barrier is the caller's
+    /// `push_accept`.
+    fn enter_epoch(
+        &mut self,
+        ctx: &mut Ctx<AcWire>,
+        e: Epoch,
+        cut: MsgHdr,
+        entries: Vec<(MsgHdr, Bytes)>,
+    ) {
         ctx.count(Counter::DiffApplies, 1);
         ctx.trace(
             Event::new("diff_apply")
@@ -1308,27 +1314,34 @@ impl AcuerdoNode {
         self.e_new = e;
         self.e_cur = e;
         self.acks_touched = true;
-        let ours = e.ldr as usize == self.me;
-        match &mut self.phase {
-            // The diff of an epoch this node leads leaves its role alone: a
-            // leader's own epoch diff, or a stale one that a resyncing
-            // ex-leader polls from its loopback lane. That one ends the
-            // rejoin, and the node goes on watching the election it had.
-            Phase::Electing(el, Some(_)) if ours => {
-                let el = std::mem::take(el);
-                self.enter(Phase::Electing(el, None));
-            }
-            Phase::Electing(_, None) | Phase::Leader(_) if ours => {}
-            _ => {
-                let hb = self.commit_cell(e.ldr as usize).hb;
-                self.enter(Phase::Follower(Watch {
-                    activity: ctx.now(),
-                    hb,
-                    frame_stall: None,
-                }));
-            }
+        self.cut_log(cut, e);
+        WAL_CUT.append(ctx, self.cfg.durability, &(cut, e), &[]);
+        let mut top = MsgHdr::new(e, 0);
+        for (h, p) in entries {
+            WAL_ENTRY.append(ctx, self.cfg.durability, &h, &p);
+            self.log.insert(h, p);
+            top = top.max(h);
         }
-        // Truncate uncommitted suffix, then splice in the leader's entries.
+        // The Accept_SST cell then says what this node durably holds (a
+        // mid-epoch rejoin diff carries entries of the current epoch the
+        // leader is waiting to count), and the contiguity gate expects
+        // exactly the next stream frame. `max`: a re-applied diff must
+        // never regress progress an intact node already made (regression
+        // would re-deliver).
+        self.accepted = self.accepted.max(top);
+        self.pending.retain(|h, _| *h > self.accepted);
+        // The gate may expect another entry now; a cut in progress goes on
+        // as a plain reassembly.
+        self.cut = None;
+        self.next = self.next.max(MsgHdr::new(e, 0));
+    }
+
+    /// Apply the diff fully reassembled on `lane`: enter its epoch as the
+    /// follower of its leader.
+    fn apply_diff(&mut self, ctx: &mut Ctx<AcWire>, lane: usize) {
+        let (hdr, _, entries) = self.diff_buf[lane].take().expect("no diff buffered");
+        let e = hdr.epoch;
+        debug_assert_ne!(e.ldr as usize, self.me, "a diff of this node's own epoch");
         // A mid-epoch rejoin diff can start above its own header `(e, 0)`
         // (its entries belong to the *current* epoch); there is nothing to
         // truncate then.
@@ -1336,41 +1349,22 @@ impl AcuerdoNode {
             .first()
             .map(|(h, _)| *h)
             .unwrap_or_else(|| self.committed.next());
-        self.cut_log(cut, e);
-        // Journal the truncation and the adopted entries so replay after a
-        // crash reproduces this splice (the fsync barrier lands in the
-        // push_accept this diff application triggers).
-        WAL_CUT.append(ctx, self.cfg.durability, &(cut, e), &[]);
-        let top = entries.iter().map(|(h, _)| *h).fold(hdr, MsgHdr::max);
-        for (h, p) in entries {
-            WAL_ENTRY.append(ctx, self.cfg.durability, &h, &p);
-            self.log.insert(h, p);
+        self.enter_epoch(ctx, e, cut, entries);
+        let hb = self.commit_cell(e.ldr as usize).hb;
+        self.enter(Phase::Follower(Watch {
+            activity: ctx.now(),
+            hb,
+            frame_stall: None,
+        }));
+        // Frames this node forwarded (or, as a deposed leader, streamed) in
+        // superseded epochs may never be acked here: the new origin can
+        // reverse the arm, and their receivers then report to another
+        // upstream. Stop counting them against `ring_pipeline_depth`. Their
+        // ring space stays reserved until the lane's next cumulative ack —
+        // nothing here proves the receiver consumed them.
+        for o in &mut self.out {
+            o.drop_while(|h| h.epoch < e);
         }
-        // Advance the accept frontier to the diff header and over the
-        // spliced entries: the Accept_SST cell then says what this node
-        // durably holds (a mid-epoch rejoin diff carries entries of the
-        // current epoch the leader is waiting to count), and the contiguity
-        // gate expects exactly the next stream frame. `max`: a re-applied
-        // diff must never regress progress an intact node already made
-        // (regression would re-deliver).
-        self.accepted = self.accepted.max(top);
-        self.pending.retain(|h, _| *h > self.accepted);
-        // The gate may expect another entry now; a cut in progress goes on
-        // as a plain reassembly.
-        self.cut = None;
-        if e.ldr as usize != self.me {
-            // Frames this node forwarded (or, as a deposed leader,
-            // streamed) in superseded epochs may never be acked here: the
-            // new origin can reverse the arm, and their receivers then
-            // report to another upstream. Stop counting them against
-            // `ring_pipeline_depth`. Their ring space stays reserved until
-            // the lane's next cumulative ack — nothing here proves the
-            // receiver consumed them.
-            for o in &mut self.out {
-                o.drop_while(|h| h.epoch < e);
-            }
-        }
-        self.next = self.next.max(MsgHdr::new(e, 0));
     }
 
     // ---- committing (Figure 6) ----------------------------------------------
@@ -1443,15 +1437,12 @@ impl AcuerdoNode {
     }
 
     fn commit_ready(&self) -> bool {
-        // Pre-first-epoch there is nothing to commit, and the zeroed SST
-        // cells of a fresh boot would trivially satisfy both arms below
-        // (`ZERO >= next` when `next` is still `MsgHdr::ZERO`). The window
-        // is real for an elected leader whose multi-part self-diff is still
-        // in flight through the loopback ring — e.g. a node that recovered
-        // a long log from its WAL after a whole-cluster power failure.
-        if self.e_cur == Epoch::ZERO {
-            return false;
-        }
+        // Only an elector can be without an epoch: a winner enters its own
+        // the instant it wins, and a follower is made by a diff or boots
+        // into an epoch. Without one the zeroed SST cells of a fresh boot
+        // would trivially satisfy both arms below (`ZERO >= next` when
+        // `next` is still `MsgHdr::ZERO`).
+        debug_assert!(self.e_cur != Epoch::ZERO || self.role() == Role::Electing);
         match self.role() {
             Role::Leader => {
                 let mut cnt = 0;
@@ -1680,7 +1671,7 @@ impl AcuerdoNode {
                 .map(|k| (self.commit_cell(k).hb, now))
                 .collect(),
         };
-        self.enter(Phase::Electing(election, None));
+        self.enter(Phase::Electing(election));
         // The winner seeds each peer from its mirror of that peer's commit
         // cell (`seed_peer`), and a follower pushed its own to the leader
         // alone: publish this node's commit point to everyone now, not at
@@ -1693,7 +1684,7 @@ impl AcuerdoNode {
     fn election_step(&mut self, ctx: &mut Ctx<AcWire>) {
         // A resyncing node abstains: its reset state must not outbid the
         // live epoch it is about to be re-seeded into.
-        let Phase::Electing(el, None) = &mut self.phase else {
+        let Phase::Electing(el) = &mut self.phase else {
             return;
         };
         let votes = self.vote_sst.snapshot(&self.ep);
@@ -1772,12 +1763,12 @@ impl AcuerdoNode {
     }
 
     fn become_leader(&mut self, ctx: &mut Ctx<AcWire>) {
-        let Phase::Electing(el, _) = &mut self.phase else {
+        let Phase::Electing(el) = &self.phase else {
             unreachable!("only an elector wins");
         };
-        let won = std::mem::take(el);
+        let started = el.started;
         self.enter(Phase::Leader(Lead {
-            won,
+            started,
             ready_pending: true,
             outbid_since: None,
         }));
@@ -1793,12 +1784,19 @@ impl AcuerdoNode {
         // is stale.
         self.push_gen += 1;
         self.arm_push(ctx);
-        for j in 0..self.cfg.n {
+        let me = self.me;
+        for j in (0..self.cfg.n).filter(|&j| j != me) {
             // A peer that Hello'd since the last diff is being re-seeded
             // from scratch: account its diff as rejoin traffic.
             let rejoin = std::mem::take(&mut self.hello_from[j]);
             self.seed_peer(ctx, j, 1, rejoin);
         }
+        // Its own log is local state: the winner enters `e_new` in place,
+        // over no entries and a cut above its log that only records the
+        // epoch floor for replay, and acknowledges it as a follower
+        // acknowledges a diff.
+        self.enter_epoch(ctx, self.e_new, self.accepted.next(), Vec::new());
+        self.push_accept(ctx);
         self.flush_all(ctx);
         self.check_ready(ctx);
     }
@@ -1841,7 +1839,7 @@ impl AcuerdoNode {
         if lead.ready_pending && self.out.iter().all(|o| o.diff_backlog.is_empty()) {
             lead.ready_pending = false;
             ctx.trace(Event::new("epoch_ready").a(u64::from(self.e_new.round)));
-            self.election_spans.push((lead.won.started, ctx.now_cpu()));
+            self.election_spans.push((lead.started, ctx.now_cpu()));
         }
     }
 
@@ -1983,16 +1981,9 @@ impl AcuerdoNode {
     /// broadcast carrying the new region ids. The node then waits for the
     /// current leader's recovery diff.
     fn initiate_resync(&mut self, ctx: &mut Ctx<AcWire>) {
-        // The election record survives the rejoin for an ex-leader's own
-        // stale diff (`apply_diff`). A follower's rejoin ends in another
-        // leader's diff or in a fresh election, so it needs none.
-        let (el, attempts) = match &mut self.phase {
-            Phase::Electing(el, rejoin) => (
-                std::mem::take(el),
-                rejoin.as_ref().map_or(1, |r| r.attempts + 1),
-            ),
-            Phase::Leader(lead) => (std::mem::take(&mut lead.won), 1),
-            Phase::Follower(_) => (Election::default(), 1),
+        let attempts = match &self.phase {
+            Phase::Rejoining(r) => r.attempts + 1,
+            _ => 1,
         };
         // Abandon any election this node was running: diffs are only
         // accepted for epochs at or above `e_new`, so a candidacy raised
@@ -2002,13 +1993,11 @@ impl AcuerdoNode {
         // (on_hello re-pushes it).
         self.e_new = self.e_cur;
         let started = ctx.now();
-        self.enter(Phase::Electing(el, Some(Rejoin { started, attempts })));
+        self.enter(Phase::Rejoining(Rejoin { started, attempts }));
         // Dissemination state dies with the torn-down lanes: parked frames will
         // be re-covered by the recovery diff, in-flight forwards by their
         // receivers' own repair, and partial entries (with any cut through
-        // them) and partial diffs by `refresh_inbound` below. The loopback
-        // lane is not torn down: the rest of an ex-leader's own diff still
-        // lands there (`apply_diff`).
+        // them) and partial diffs by `refresh_inbound` below.
         self.pending.clear();
         self.fwd_backlog.clear();
         let v = Vote::new(self.e_cur, self.accepted);
@@ -2116,7 +2105,7 @@ impl AcuerdoNode {
             // raced a dying leader or a still-partitioned link; after a few
             // attempts give up and contest a normal election (there may be
             // no leader left to answer).
-            Phase::Electing(_, Some(r)) => {
+            Phase::Rejoining(r) => {
                 if now.saturating_since(r.started) > self.cfg.fail_timeout * 2 {
                     if r.attempts >= MAX_RESYNC_ATTEMPTS {
                         self.start_election(ctx);
@@ -2151,7 +2140,7 @@ impl AcuerdoNode {
             // start snapshot (the leader died mid-election) doesn't count.
             // Zero-epoch cells are excluded or boot-time electors would
             // trip on node 0's initial cell.
-            Phase::Electing(el, None) => {
+            Phase::Electing(el) => {
                 let mut advancing = false;
                 for (k, (base, seen)) in el.hb.iter_mut().enumerate() {
                     let CommitCell {
@@ -2246,7 +2235,7 @@ impl AcuerdoNode {
             return None;
         }
         match &self.phase {
-            Phase::Electing(..) => None,
+            Phase::Electing(_) | Phase::Rejoining(_) => None,
             Phase::Leader(lead) => (!lead.ready_pending && self.all_direct).then_some(None),
             Phase::Follower(w) => w
                 .frame_stall
@@ -2302,8 +2291,8 @@ impl Process<AcWire> for AcuerdoNode {
             Phase::Follower(w) => w.activity = ctx.now(),
             // Crash-restarted rejoiner: handshake for a recovery diff
             // instead of contesting an election with an empty log.
-            Phase::Electing(_, Some(_)) => self.initiate_resync(ctx),
-            Phase::Electing(_, None) => self.start_election(ctx),
+            Phase::Rejoining(_) => self.initiate_resync(ctx),
+            Phase::Electing(_) => self.start_election(ctx),
             Phase::Leader(_) => {}
         }
         ctx.set_timer(self.cfg.poll_interval, TOK_POLL);

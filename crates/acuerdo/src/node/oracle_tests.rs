@@ -223,12 +223,12 @@ fn sweep() -> [(&'static str, AcuerdoConfig, bool, Vec<u64>); 5] {
     let star5 = chaos_cfg(5);
     [
         ("star n=5", star5, false, (0..12).collect()),
-        // Seed 391 abdicates (`EDGES`).
+        // Seed 759 abdicates (`EDGES`).
         (
             "star n=5 correlated-durable",
             durable5,
             true,
-            (0..12).chain([391]).collect(),
+            (0..12).chain([759]).collect(),
         ),
         // Seed 19 takes follower -> follower (`EDGES`).
         ("ring n=8", ring8, false, (0..12).chain([19]).collect()),
@@ -287,17 +287,17 @@ const EDGES: [(&str, &str); 12] = [
     // The recovery diff (`apply_diff`).
     ("rejoining", "follower"),
     // Give up after `MAX_RESYNC_ATTEMPTS` (`detect_desync` →
-    // `start_election`), or its own stale epoch diff (`apply_diff`).
+    // `start_election`).
     ("rejoining", "electing"),
     // Another leader's epoch diff (`apply_diff`).
     ("leader", "follower"),
     // A peer committed in a newer epoch (`detect_desync`).
     ("leader", "rejoining"),
     // Outbid past `fail_timeout`: abdication (`detect_outbid` →
-    // `start_election`). Correlated-durable seed 391: after the power
-    // failure node 3 wins round 1 at 4.29 ms and node 0 round 2 at 4.33 ms;
-    // nodes 0, 1 and 2 apply node 0's diff, which leaves leader 3 no
-    // quorum, and it abdicates at 4.91 ms.
+    // `start_election`). Correlated-durable seed 759: after the power
+    // failure node 3 wins round 1 at 3.65 ms, and only node 2 applies its
+    // diff; node 1 wins round 2 at 3.96 ms, nodes 0 and 4 apply its diff,
+    // which leaves leader 3 no quorum, and it abdicates at 4.38 ms.
     ("leader", "electing"),
 ];
 
@@ -504,54 +504,6 @@ fn quiet_followers_crossing_the_fail_timeout() {
         finish(sim, &ids)
     };
     assert_same("quiet followers", &run(false), &run(true));
-}
-
-#[test]
-fn requests_ingested_before_the_new_leaders_own_diff() {
-    // Leader 0 dies under a retransmitting client that falls back to
-    // broadcasting, and the survivors' loopback lanes run 20 us slow, so
-    // the winner's own epoch diff lands there well after it won. Five
-    // requests that reach it in between go round its lane behind the diff;
-    // once they are in, it accepts the client's traffic in place.
-    let cfg = chaos_cfg(3);
-    let run = |naive: bool| {
-        let (mut sim, ids) = cluster(11, &cfg, naive, 8, 64);
-        let client = ids.len();
-        for k in [1, 2] {
-            sim.add_link_latency(k, k, Duration::from_micros(20), SimTime::from_millis(5));
-        }
-        sim.crash_at(0, SimTime::from_millis(1));
-        let leader = loop {
-            assert!(sim.step(), "nobody won");
-            if let Some(&k) = ids[1..]
-                .iter()
-                .find(|&&k| sim.node::<AcuerdoNode>(k).role() == Role::Leader)
-            {
-                break k;
-            }
-        };
-        for i in 0..5 {
-            let id = 1_000_000 + i;
-            let req = ClientReq {
-                id,
-                payload: abcast::workload::payload(id, 64),
-            };
-            let delay = Duration::from_micros(1 + i);
-            sim.inject(client, leader, DeliveryClass::Cpu, delay, AcWire::Req(req));
-        }
-        sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![leader];
-        sim.run_until(SimTime::from_millis(4));
-        let via_lane = sim
-            .trace_events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Send { src, dst, .. } if *src == leader && *dst == leader))
-            .count();
-        assert_eq!(via_lane, 1 + 5, "the diff and the five early frames");
-        let n = sim.node::<AcuerdoNode>(leader);
-        assert!(n.accepted().cnt > 100, "nothing accepted in place");
-        finish(sim, &ids)
-    };
-    assert_same("early requests", &run(false), &run(true));
 }
 
 #[test]

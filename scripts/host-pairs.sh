@@ -14,11 +14,13 @@
 #
 # Every run must read `"correct": true` and the same virtual-time members
 # (`commit_p50_us`, `commit_p99_us`, `throughput_msgs_s`, `attempted`,
-# `failed`) as every other run of its workload, on either side; the script
-# exits 1 naming the first run that differs. Otherwise it prints, per
-# workload and host metric, each side's median and quartiles, the median's
-# change, the pairs the change won and the parent's interquartile range,
-# and writes the `pairs` member of `baselines/BENCHMARK_<pr>.json`
+# `failed`) as the first run of its workload on its own side; the script
+# exits 1 naming the first run that differs. The two sides may differ: a
+# change that moves virtual time on purpose moves it in every run. The
+# script then prints, per workload, each virtual-time member on both sides
+# and its move, and per host metric each side's median and quartiles, the
+# median's change, the pairs the change won and the parent's interquartile
+# range, and writes the `pairs` member of `baselines/BENCHMARK_<pr>.json`
 # (docs/SIDECARS.md) to <scratch-dir>/pairs.json. Exits 2 on a usage or
 # build error.
 set -euo pipefail
@@ -97,12 +99,15 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
+def move(a, b):
+    return f"{(b - a) / a * 100:+.3f} %" if a else ("+0.000 %" if a == b else "new")
+
 runs = {}
 for w in names:
     sides = {}
-    first = None
     for side in ("parent", "change"):
         results = []
+        first = None
         for i in range(1, pairs + 1):
             path = f"{scratch}/runs/{w}.{side}.{i}.json"
             r = json.load(open(path))
@@ -113,7 +118,7 @@ for w in names:
             if first is None:
                 first = pinned
             elif pinned != first:
-                sys.exit(f"host-pairs: {path} moved virtual time: {pinned} against {first}")
+                sys.exit(f"host-pairs: {path} moved virtual time: {pinned} against {side} run 1: {first}")
             results.append(r)
         r0 = results[0]
         out = {m: r0["metrics"][m]["value"] for m in VIRTUAL}
@@ -122,6 +127,9 @@ for w in names:
             out[m] = [r["metrics"][m]["value"] for r in results]
         sides[side] = out
     runs[w] = sides
+    for m in VIRTUAL + ["attempted", "failed"]:
+        p, c = sides["parent"][m], sides["change"][m]
+        print(f"{w} {m}: parent {p:.8g}  change {c:.8g}  move {move(p, c)}")
     for m in HOST:
         p, c = sides["parent"][m], sides["change"][m]
         pq, cq = quartiles(p), quartiles(c)

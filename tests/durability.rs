@@ -13,6 +13,7 @@ use acuerdo_repro::abcast::{
 use acuerdo_repro::acuerdo::{
     current_leader, AcWire, AcuerdoConfig, AcuerdoNode, DisseminationMode,
 };
+use acuerdo_repro::bench::chaos::ChaosReport;
 use acuerdo_repro::raft::{RaftConfig, RaftNode, RfWire};
 use acuerdo_repro::simnet::{Counter, DurabilityMode, Sim, SimTime};
 use acuerdo_repro::zab::{ZabConfig, ZabNode};
@@ -275,29 +276,17 @@ fn corrupted_log_tail_is_reported_as_committed_entry_loss() {
     tampered_log_is_caught::<ZabNode>(&zab, (2, true), [30, 300], 392);
 }
 
-/// Raft's correlated-durable seed 3 at a 50 ms horizon prints `final=[0..0]
-/// FAIL CommittedEntryLost { position: 0, committed_len: 26 }`. The entries
-/// are not lost: all five replicas reboot by about 16 ms, none starts an
-/// election before the horizon (Raft's election timeout is 100–200 ms), so
-/// no rebooted replica has re-delivered anything yet — while every
-/// replica's fsync'd journal still holds all 26 committed entries, in
-/// order. The horizon verdict reads an unfinished election as a loss; the
-/// same seed at 600 ms elects a leader and ends `ok`.
-#[test]
-fn raft_seed_3_keeps_its_committed_entries_in_every_journal_at_50ms() {
-    use acuerdo_repro::abcast::wal;
+/// Raft's correlated-durable chaos run of `seed` to `horizon`, re-driven
+/// here as `bench::chaos` drives it (window 8, 32 B, 100 µs warm-up, 2 ms
+/// retransmit with broadcast fallback, restarts) so the replicas' journals
+/// can be read at the horizon, and checked to be that run: the chaos
+/// report, the simulation, the longest history seen before any fault, and
+/// the durability auditor's verdict at the horizon.
+fn raft_correlated_at(seed: u64, horizon: SimTime) -> RaftRedriven {
     use acuerdo_repro::bench::chaos::{run_chaos, ChaosOpts, Proto, Schedule};
 
-    let (seed, n) = (3, 5);
-    let horizon = SimTime::from_millis(50);
-    let opts = ChaosOpts::correlated_durable(Proto::Raft, seed, horizon);
-    let report = run_chaos(&opts).report;
-    assert_eq!(report.verdict(), "FAIL CommittedEntryLost");
-    assert_eq!((report.final_min, report.final_max), (0, 0));
-
-    // The same run, driven here as `bench::chaos` drives it (window 8,
-    // 32 B, 100 µs warm-up, 2 ms retransmit with broadcast fallback,
-    // restarts), so the replicas' journals can be read at the horizon.
+    let n = 5;
+    let report = run_chaos(&ChaosOpts::correlated_durable(Proto::Raft, seed, horizon)).report;
     let cfg = RaftConfig {
         n,
         durability: DurabilityMode::Durable,
@@ -326,39 +315,72 @@ fn raft_seed_3_keeps_its_committed_entries_in_every_journal_at_50ms() {
         tf.apply(&mut sim, n);
     }
     sim.run_until(horizon);
-    let lost = auditor.observe(&histories::<RaftNode>(&sim, &ids));
-    assert!(matches!(
-        lost,
-        Err(Violation::CommittedEntryLost {
-            position: 0,
-            committed_len: 26
-        })
-    ));
-    sim.bump_counter(0, Counter::AuditCommitLost, 1);
+    let verdict = auditor.observe(&histories::<RaftNode>(&sim, &ids));
+    if verdict.is_err() {
+        sim.bump_counter(0, Counter::AuditCommitLost, 1);
+    }
     assert_eq!(
         sim.metrics().to_json(),
         report.metrics.to_json(),
         "the re-driven run is not the chaos run"
     );
+    (report, sim, committed, verdict)
+}
+
+type RaftRedriven = (
+    ChaosReport,
+    Sim<RfWire>,
+    Vec<(MsgHdr, Bytes)>,
+    Result<(), Violation>,
+);
+
+/// Replica `id`'s fsync'd journal, replayed as Raft's recovery does: its
+/// entry record `(index, (term, (client, id)))` + payload (`WAL_ENTRY`,
+/// tag 1) at a covered index truncates the conflicting suffix. Entry `i`
+/// reads as header `(term, 0) / i` and its payload, as delivered.
+fn raft_journal(sim: &Sim<RfWire>, id: usize) -> Vec<(MsgHdr, Bytes)> {
+    use acuerdo_repro::abcast::wal;
+    let entry = wal::Kind::<(u64, (u32, (u32, u64)))>::new(1);
+    let mut log = Vec::new();
+    for rec in sim.disk(id).synced_records() {
+        if let Some(((idx, (term, _)), payload)) = entry.read(rec) {
+            log.truncate(idx as usize - 1);
+            let hdr = MsgHdr::new(abcast::Epoch::new(term, 0), idx as u32);
+            log.push((hdr, Bytes::copy_from_slice(payload)));
+        }
+    }
+    log
+}
+
+/// Raft's correlated-durable seed 3 at a 50 ms horizon prints `final=[0..0]
+/// FAIL CommittedEntryLost { position: 0, committed_len: 26 }`. The entries
+/// are not lost: all five replicas reboot by about 16 ms, none starts an
+/// election before the horizon (Raft's election timeout is 100–200 ms), so
+/// no rebooted replica has re-delivered anything yet — while every
+/// replica's fsync'd journal still holds all 26 committed entries, in
+/// order. The horizon verdict reads an unfinished election as a loss; the
+/// same seed at 600 ms elects a leader and ends `ok`.
+#[test]
+fn raft_seed_3_keeps_its_committed_entries_in_every_journal_at_50ms() {
+    use acuerdo_repro::bench::chaos::{run_chaos, ChaosOpts, Proto};
+
+    let seed = 3;
+    let (report, sim, committed, verdict) = raft_correlated_at(seed, SimTime::from_millis(50));
+    assert_eq!(report.verdict(), "FAIL CommittedEntryLost");
+    assert_eq!((report.final_min, report.final_max), (0, 0));
+    assert!(matches!(
+        verdict,
+        Err(Violation::CommittedEntryLost {
+            position: 0,
+            committed_len: 26
+        })
+    ));
     assert_eq!(committed.len(), 26);
     let m = sim.metrics();
     assert_eq!(m.total(Counter::Elections), 0, "an election started");
     assert_eq!(m.total(Counter::WalRecoveredRecords), 198);
-
-    // Raft's journal entry record `(index, (term, (client, id)))` + payload
-    // (`WAL_ENTRY`, tag 1), replayed as Raft's recovery does: a record at a
-    // covered index truncates the conflicting suffix. Delivery `i` carries
-    // header `(term, 0) / i` and the entry's payload.
-    let entry = wal::Kind::<(u64, (u32, (u32, u64)))>::new(1);
-    for &id in &ids {
-        let mut log: Vec<(MsgHdr, Bytes)> = Vec::new();
-        for rec in sim.disk(id).synced_records() {
-            if let Some(((idx, (term, _)), payload)) = entry.read(rec) {
-                log.truncate(idx as usize - 1);
-                let hdr = MsgHdr::new(abcast::Epoch::new(term, 0), idx as u32);
-                log.push((hdr, Bytes::copy_from_slice(payload)));
-            }
-        }
+    for id in 0..5 {
+        let log = raft_journal(&sim, id);
         assert!(
             log.len() >= committed.len() && log[..committed.len()] == committed[..],
             "replica {id}'s journal lost a committed entry ({} entries)",
@@ -367,6 +389,61 @@ fn raft_seed_3_keeps_its_committed_entries_in_every_journal_at_50ms() {
     }
 
     let later = ChaosOpts::correlated_durable(Proto::Raft, seed, SimTime::from_millis(600));
+    let report = run_chaos(&later).report;
+    assert_eq!(report.verdict(), "ok", "{report:?}");
+}
+
+/// Raft's correlated-durable seed 10 at a 300 ms horizon prints `pre=314
+/// final=[0..298] FAIL CommittedEntryLost { position: 298, committed_len:
+/// 314 }`. The entries are not lost either. At 108 ms nodes 0, 2 and 4
+/// crash, a majority, with 314 entries committed; they reboot at 119.4,
+/// 121.5 and 126.6 ms and deliver nothing, because no leader is elected
+/// before the horizon. Survivors 1 and 3 had delivered 298. At 300 ms
+/// node 3 is a candidate in term 2 with 353 journalled entries, which
+/// Raft's up-to-date rule cannot let nodes 0, 2 and 4 vote for: their
+/// journals hold 375, 361 and 369 entries of the same last term. Every
+/// replica's fsync'd journal holds all 314 committed entries, in order,
+/// and the same seed at 400 ms elects a leader and ends `ok`. As for seed
+/// 3, the horizon verdict reads an unfinished election as a loss.
+#[test]
+fn raft_seed_10_keeps_its_committed_entries_in_every_journal_at_300ms() {
+    use acuerdo_repro::bench::chaos::{run_chaos, ChaosOpts, Proto};
+    use acuerdo_repro::raft::RaftRole;
+
+    let seed = 10;
+    let (report, sim, committed, verdict) = raft_correlated_at(seed, SimTime::from_millis(300));
+    assert_eq!(report.verdict(), "FAIL CommittedEntryLost");
+    assert_eq!(
+        (report.pre_fault_commits, report.final_min, report.final_max),
+        (314, 0, 298)
+    );
+    assert!(matches!(
+        verdict,
+        Err(Violation::CommittedEntryLost {
+            position: 298,
+            committed_len: 314
+        })
+    ));
+    assert_eq!(committed.len(), 314);
+    let roles: Vec<RaftRole> = (0..5).map(|id| sim.node::<RaftNode>(id).role()).collect();
+    assert!(
+        !roles.contains(&RaftRole::Leader),
+        "a leader at the horizon"
+    );
+    assert_eq!(roles[3], RaftRole::Candidate);
+    let mut journals = Vec::new();
+    for id in 0..5 {
+        let log = raft_journal(&sim, id);
+        assert!(
+            log.len() >= committed.len() && log[..committed.len()] == committed[..],
+            "replica {id}'s journal lost a committed entry ({} entries)",
+            log.len()
+        );
+        journals.push(log.len());
+    }
+    assert_eq!(journals, [375, 345, 361, 353, 369]);
+
+    let later = ChaosOpts::correlated_durable(Proto::Raft, seed, SimTime::from_millis(400));
     let report = run_chaos(&later).report;
     assert_eq!(report.verdict(), "ok", "{report:?}");
 }
