@@ -12,10 +12,9 @@ use crate::stats::{LatencyHist, RunResult};
 use crate::workload::payload;
 use bytes::Bytes;
 use simnet::{
-    client_span, Counter, Ctx, DeliveryClass, Event, Gauge, MsgKind, NodeId, Process, SimTime,
-    SpanStage,
+    client_span, Counter, Ctx, DeliveryClass, Event, FastMap, Gauge, MsgKind, NodeId, Process,
+    SimTime, SpanStage,
 };
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::time::Duration;
 
@@ -86,7 +85,7 @@ pub struct WindowClient<M: ClientPort> {
     pub payload_fn: Option<Box<dyn FnMut(u64) -> Bytes + Send>>,
 
     next_id: u64,
-    outstanding: HashMap<u64, (SimTime, Bytes)>,
+    outstanding: FastMap<u64, (SimTime, Bytes)>,
     /// Consecutive retry rounds that resent something without any
     /// completion arriving in between.
     stuck_rounds: u32,
@@ -114,7 +113,7 @@ impl<M: ClientPort> WindowClient<M> {
             replicas: Vec::new(),
             payload_fn: None,
             next_id: 0,
-            outstanding: HashMap::new(),
+            outstanding: FastMap::default(),
             stuck_rounds: 0,
             completed_at_last_retry: 0,
             measuring: false,
@@ -212,9 +211,9 @@ impl<M: ClientPort> Process<M> for WindowClient<M> {
                     .filter(|(_, (t, _))| now.saturating_since(*t) >= rto)
                     .map(|(id, (_, b))| (*id, b.clone()))
                     .collect();
-                // HashMap iteration order varies between instances; the send
-                // order decides how a recovering leader orders these, so it
-                // must not leak into the delivery history.
+                // The map iterates in hash order, not id order; the send
+                // order decides how a recovering leader orders these, so
+                // retransmit in id order.
                 stale.sort_unstable_by_key(|(id, _)| *id);
                 if stale.is_empty() || self.total_completed != self.completed_at_last_retry {
                     self.stuck_rounds = 0;

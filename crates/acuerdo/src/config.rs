@@ -2,7 +2,7 @@
 //! [`DisseminationMode::route`] is the only place that knows the topology.
 
 use abcast::Epoch;
-use rdma_prims::RingMode;
+use rdma_prims::{ring_bytes_for, RingMode};
 use rdma_sim::QpConfig;
 use std::time::Duration;
 
@@ -188,26 +188,14 @@ impl Default for AcuerdoConfig {
 
 impl AcuerdoConfig {
     /// Convenience: default configuration for `n` replicas booted directly
-    /// into a stable epoch led by replica 0 (the benchmark setup).
+    /// into a stable epoch led by replica 0 (the benchmark setup), with
+    /// rings sized by [`ring_bytes_for`].
     pub fn stable(n: usize) -> Self {
         AcuerdoConfig {
             n,
-            ring_bytes: Self::ring_bytes_for(n),
+            ring_bytes: ring_bytes_for(n),
             initial_epoch: Some(Epoch::new(1, 0)),
             ..AcuerdoConfig::default()
-        }
-    }
-
-    /// Per-sender ring size for an `n`-replica cluster. Every node mirrors a
-    /// ring per remote sender, so registered memory grows as `n * (n-1) *
-    /// ring_bytes`; the scalability sweep shrinks the rings at large `n` to
-    /// keep that product bounded (n=64: 64KiB rings, ~250MiB total) while
-    /// leaving the small-cluster benchmark geometry untouched.
-    pub fn ring_bytes_for(n: usize) -> usize {
-        match n {
-            0..=16 => 1 << 20,
-            17..=32 => 1 << 18,
-            _ => 1 << 16,
         }
     }
 

@@ -5,7 +5,7 @@
 
 use abcast::{check_cluster, cluster_with_client, ClientReq, MsgHdr, WindowClient};
 use acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role};
-use rdma_prims::FixedCodec;
+use rdma_prims::{ring_bytes_for, FixedCodec};
 use simnet::{Counter, DeliveryClass, SimTime, TraceEvent};
 use std::time::Duration;
 
@@ -574,7 +574,7 @@ fn multi_part_diff_recovers_a_far_behind_follower() {
     // Rows: ring bytes, part cap, payload bytes, when the follower sleeps.
     let rows = [
         // Small parts on the benchmark ring: many of them.
-        (AcuerdoConfig::ring_bytes_for(3), 2 << 10, 100, 1_000),
+        (ring_bytes_for(3), 2 << 10, 100, 1_000),
         // The 64 KiB rings of n ≥ 33 under the default 32 KiB cap. A
         // 240-byte payload makes a 256-byte entry, so a full part holds
         // exactly 32 KiB of entries, and with its framing more than the

@@ -53,21 +53,16 @@ impl Default for DerechoConfig {
 }
 
 impl DerechoConfig {
-    /// Configuration for an `n`-member group in `mode`, with rings sized so
-    /// the `n * (n-1) * ring_bytes` of mirrored registered memory stays
-    /// bounded at scalability-sweep sizes (same schedule as
-    /// `AcuerdoConfig::ring_bytes_for`); small groups keep the benchmark
+    /// Configuration for an `n`-member group in `mode`, with rings sized by
+    /// [`rdma_prims::ring_bytes_for`], the schedule Acuerdo uses: the
+    /// `n * (n-1) * ring_bytes` of mirrored registered memory stays bounded
+    /// at scalability-sweep sizes, and small groups keep the benchmark
     /// geometry unchanged.
     pub fn sized(n: usize, mode: Mode) -> Self {
-        let ring_bytes = match n {
-            0..=16 => 1 << 20,
-            17..=32 => 1 << 18,
-            _ => 1 << 16,
-        };
         DerechoConfig {
             n,
             mode,
-            ring_bytes,
+            ring_bytes: rdma_prims::ring_bytes_for(n),
             ..DerechoConfig::default()
         }
     }

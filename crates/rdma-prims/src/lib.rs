@@ -26,5 +26,5 @@ pub mod ring;
 pub mod sst;
 
 pub use codec::FixedCodec;
-pub use ring::{RingError, RingFrame, RingMode, RingReceiver, RingSender};
+pub use ring::{ring_bytes_for, RingError, RingFrame, RingMode, RingReceiver, RingSender};
 pub use sst::Sst;

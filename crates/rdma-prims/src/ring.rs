@@ -32,6 +32,20 @@ use std::collections::VecDeque;
 
 /// Bytes of framing prepended to every payload: 4-byte length + 8-byte seq.
 pub const FRAME_HDR: u64 = 12;
+
+/// Per-sender ring size for an `n`-node cluster. Every node mirrors a ring
+/// per remote sender, so registered memory grows as `n * (n-1) *
+/// ring_bytes`; the schedule shrinks the rings at large `n` to keep that
+/// product bounded (n=64: 64KiB rings, ~250MiB total) while leaving the
+/// small-cluster benchmark geometry untouched.
+pub fn ring_bytes_for(n: usize) -> usize {
+    match n {
+        0..=16 => 1 << 20,
+        17..=32 => 1 << 18,
+        _ => 1 << 16,
+    }
+}
+
 /// Length-field sentinel marking "skip to the start of the ring".
 const WRAP: u32 = u32::MAX;
 /// Size of the split-mode message counter stored past the data area.

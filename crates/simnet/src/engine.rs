@@ -2,7 +2,7 @@
 
 use crate::ctx::{scaled_charge, Ctx, DeliveryClass, Effect};
 use crate::disk::{DurableLog, LogDevParams};
-use crate::net::{BatchPost, Network, RouteInfo};
+use crate::net::{draw_jitter, Network};
 use crate::params::NetParams;
 use crate::sched::{EventKey, SchedKind, Scheduler};
 use crate::time::SimTime;
@@ -272,20 +272,6 @@ impl<M> Slab<M> {
     }
 }
 
-/// Per-effect result of dispatch phase 1 (routing and RNG draws), consumed by
-/// phase 2 (counters, trace records, queue pushes) in the same effect order.
-#[derive(Copy, Clone)]
-enum Prep {
-    /// Send dropped (crashed source or severed connection) — nothing queued.
-    Skip,
-    /// Send awaiting its batched route result.
-    Pending,
-    /// Send routed: the hop timeline plus the post instant.
-    Routed { info: RouteInfo, post: SimTime },
-    /// Timer with its (possibly zero) jitter already drawn.
-    Timer(Duration),
-}
-
 /// A member of a deferral run that is not filed in the scheduler: the `seq`
 /// half of its key (the `at` half is the run's) and its slab slot.
 #[derive(Copy, Clone)]
@@ -317,16 +303,6 @@ struct Run {
     /// Non-empty only while `head` is filed (or, inside [`Sim::step`], has
     /// just been popped and the run is about to be settled).
     tail: VecDeque<Deferred>,
-}
-
-/// The jitter added to a timer armed on a node whose bound is `max`: one
-/// draw, and none at all when the node has no jitter configured.
-fn draw_jitter(rng: &mut SmallRng, max: Duration) -> Duration {
-    if max.is_zero() {
-        Duration::ZERO
-    } else {
-        Duration::from_nanos(rng.random_range(0..=max.as_nanos() as u64))
-    }
 }
 
 /// Builds a fresh process when a node reboots (see
@@ -396,10 +372,6 @@ pub struct Sim<M> {
     sample_every: Option<Duration>,
     /// Next sample instant when sampling is enabled.
     next_sample: SimTime,
-    /// Dispatch scratch (reused across dispatches — no per-hop allocation).
-    prep: Vec<Prep>,
-    batch: Vec<BatchPost>,
-    infos: Vec<RouteInfo>,
     /// Recycled effects buffer handed to each [`Ctx`].
     effect_pool: Vec<Effect<M>>,
     /// Test oracle: file every deferral on its own, so no run ever forms.
@@ -428,9 +400,6 @@ impl<M: 'static> Sim<M> {
             probe: Probe::new(),
             sample_every: None,
             next_sample: SimTime::ZERO,
-            prep: Vec::new(),
-            batch: Vec::new(),
-            infos: Vec::new(),
             effect_pool: Vec::new(),
             #[cfg(test)]
             per_event_only: false,
@@ -1363,25 +1332,6 @@ impl<M: 'static> Sim<M> {
         self.sched.push(EventKey { at, seq, slot });
     }
 
-    /// Route the accumulated run of same-source sends in one batched network
-    /// call and file the results into the pending `prep` slots, in order.
-    fn flush_batch(&mut self, src: NodeId) {
-        if self.batch.is_empty() {
-            return;
-        }
-        self.infos.clear();
-        self.net
-            .route_batch(&mut self.rng, src, &self.batch, &mut self.infos);
-        for (p, info) in self.batch.iter().zip(self.infos.iter()) {
-            debug_assert!(matches!(self.prep[p.idx as usize], Prep::Pending));
-            self.prep[p.idx as usize] = Prep::Routed {
-                info: *info,
-                post: p.post,
-            };
-        }
-        self.batch.clear();
-    }
-
     fn dispatch<F>(&mut self, node: NodeId, f: F)
     where
         F: FnOnce(&mut dyn Process<M>, &mut Ctx<M>),
@@ -1426,65 +1376,31 @@ impl<M: 'static> Sim<M> {
         let timer_jitter = self.nodes[node].timer_jitter;
         let crashed = self.nodes[node].crashed;
 
-        // Phase 1 — routing and randomness, in effect order. Consecutive
-        // sends (which all share this node's egress NIC) are routed as one
-        // batch; the batch is flushed at every timer so the RNG draw order
-        // stays exactly the effect order.
-        self.prep.clear();
-        for (i, eff) in effects.iter().enumerate() {
+        // One pass, in effect order: each send is routed (its link jitter
+        // drawn) and filed before the next effect is looked at, so RNG draws
+        // and event sequence numbers follow the order the handler emitted.
+        let inc = self.nodes[node].inc;
+        for eff in effects.drain(..) {
             match eff {
                 Effect::Send {
                     dst,
+                    class,
+                    kind,
                     wire_bytes,
                     at_cpu,
-                    ..
+                    msg,
                 } => {
                     if crashed {
-                        self.prep.push(Prep::Skip);
                         continue;
                     }
-                    let post = self.now + *at_cpu;
-                    if self.net.is_cut(node, *dst) {
+                    if self.net.is_cut(node, dst) {
                         // The RC connection is severed: the post is lost at
                         // the source, nothing reaches the wire.
                         self.probe.count(node, Counter::PartitionDrops, 1);
-                        self.prep.push(Prep::Skip);
-                    } else {
-                        self.prep.push(Prep::Pending);
-                        self.batch.push(BatchPost {
-                            idx: i as u32,
-                            dst: *dst,
-                            post,
-                            wire_bytes: *wire_bytes,
-                        });
+                        continue;
                     }
-                }
-                Effect::Timer { .. } => {
-                    self.flush_batch(node);
-                    let jitter = draw_jitter(&mut self.rng, timer_jitter);
-                    self.prep.push(Prep::Timer(jitter));
-                }
-            }
-        }
-        self.flush_batch(node);
-
-        // Phase 2 — counters, trace records, and queue pushes, in effect
-        // order (identical ordering to a per-effect loop, so event sequence
-        // numbers and trace bytes are unchanged by the batching).
-        let inc = self.nodes[node].inc;
-        for (i, eff) in effects.drain(..).enumerate() {
-            match (eff, self.prep[i]) {
-                (Effect::Send { .. }, Prep::Skip) => {}
-                (
-                    Effect::Send {
-                        dst,
-                        class,
-                        kind,
-                        msg,
-                        ..
-                    },
-                    Prep::Routed { info, post },
-                ) => {
+                    let post = self.now + at_cpu;
+                    let info = self.net.route(&mut self.rng, node, dst, post, wire_bytes);
                     self.probe
                         .count(node, Counter::WireBytes, u64::from(info.wire_bytes));
                     self.probe.count(node, Counter::Packets, 1);
@@ -1562,20 +1478,17 @@ impl<M: 'static> Sim<M> {
                         },
                     );
                 }
-                (
-                    Effect::Timer {
-                        delay,
-                        at_cpu,
-                        token,
-                    },
-                    Prep::Timer(jitter),
-                ) => {
+                Effect::Timer {
+                    delay,
+                    at_cpu,
+                    token,
+                } => {
+                    let jitter = draw_jitter(&mut self.rng, timer_jitter);
                     self.push(
                         self.now + at_cpu + delay + jitter,
                         EventKind::Timer { node, token, inc },
                     );
                 }
-                _ => unreachable!("dispatch prep out of sync with effects"),
             }
         }
         // Hand the drained buffer back for the next dispatch.
@@ -2584,6 +2497,67 @@ mod tests {
         assert!(got.iter().any(|&t| t > SimTime::from_micros(210)));
         assert_eq!(s.counter(0, Counter::PartitionDrops), 11); // 100..200us
         assert_eq!(s.stats().partition_drops, 11);
+    }
+
+    #[test]
+    fn dispatch_draws_and_files_effects_in_emission_order() {
+        // One handler emits a send, a timer on a jittered node, a send across
+        // a partition cut, and a second send. The RNG must be drawn link,
+        // timer, link, in that order, and the cut send must draw nothing.
+        struct Emitter {
+            fired: Option<SimTime>,
+        }
+        impl Process<u32> for Emitter {
+            fn on_message(&mut self, ctx: &mut Ctx<u32>, _: NodeId, _: u32) {
+                ctx.send(1, DeliveryClass::Dma, 64, 1);
+                ctx.set_timer(Duration::from_micros(5), 0);
+                ctx.send(3, DeliveryClass::Dma, 64, 3);
+                ctx.send(2, DeliveryClass::Dma, 64, 2);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<u32>, _: u64) {
+                self.fired = Some(ctx.now());
+            }
+        }
+        struct Sink {
+            got: Vec<SimTime>,
+        }
+        impl Process<u32> for Sink {
+            fn on_message(&mut self, ctx: &mut Ctx<u32>, _: NodeId, _: u32) {
+                self.got.push(ctx.now());
+            }
+        }
+        let timer_jitter = Duration::from_micros(2);
+        let mut s = sim();
+        s.add_node(Box::new(Emitter { fired: None }));
+        for _ in 1..4 {
+            s.add_node(Box::new(Sink { got: vec![] }));
+        }
+        s.set_timer_jitter(0, timer_jitter);
+        s.partition(vec![vec![0, 1, 2], vec![3]], SimTime::ZERO);
+        // Injected deliveries bypass the network: no draw before the handler.
+        s.inject(1, 0, DeliveryClass::Cpu, Duration::from_micros(10), 0);
+        s.run_until(SimTime::from_millis(1));
+
+        let params = NetParams::rdma();
+        let link = params.default_link;
+        let ser = params.nic.serialize_time(64).as_nanos() as u64;
+        let mut replay = SmallRng::seed_from_u64(42);
+        let link_jitter = link.jitter.as_nanos() as u64;
+        let j1 = replay.random_range(0..=link_jitter);
+        let j2 = replay.random_range(0..=timer_jitter.as_nanos() as u64);
+        let j3 = replay.random_range(0..=link_jitter);
+        let post = SimTime::from_micros(10).as_nanos();
+        let latency = link.latency.as_nanos() as u64;
+        // Egress, propagation plus jitter, ingress; the second send waits
+        // behind the first on the emitter's egress NIC.
+        let first = post + ser + latency + j1 + ser;
+        let second = post + 2 * ser + latency + j3 + ser;
+        assert_eq!(s.node::<Sink>(1).got, [SimTime::from_nanos(first)]);
+        assert_eq!(s.node::<Sink>(2).got, [SimTime::from_nanos(second)]);
+        assert!(s.node::<Sink>(3).got.is_empty());
+        let fired = post + Duration::from_micros(5).as_nanos() as u64 + j2;
+        assert_eq!(s.node::<Emitter>(0).fired, Some(SimTime::from_nanos(fired)));
+        assert_eq!(s.counter(0, Counter::PartitionDrops), 1);
     }
 
     #[test]

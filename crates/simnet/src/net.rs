@@ -13,11 +13,11 @@
 //!    reliable-connection guarantee both the paper and this reproduction rely
 //!    on.
 
+use crate::hash::FastMap;
 use crate::time::SimTime;
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Per-link propagation parameters.
@@ -79,33 +79,20 @@ struct LinkOverride {
     extra_until: SimTime,
 }
 
-/// One send of a batched egress dequeue (see [`Network::route_batch`]): the
-/// engine accumulates a dispatch's consecutive sends — which all share the
-/// source NIC — and routes them in one call. `idx` is the engine's effect
-/// index, carried through so results can be re-associated; the network model
-/// ignores it.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct BatchPost {
-    pub idx: u32,
-    pub dst: NodeId,
-    pub post: SimTime,
-    pub wire_bytes: u32,
-}
-
 /// Mutable network state: NIC queues, link overrides, FIFO clamps, cuts.
 pub(crate) struct Network {
     default_link: LinkParams,
     loopback: LinkParams,
     nic: NicParams,
     nics: Vec<NicState>,
-    overrides: HashMap<(NodeId, NodeId), LinkOverride>,
+    overrides: FastMap<(NodeId, NodeId), LinkOverride>,
     /// Per-(src, dst) FIFO delivery frontier, stored dense: index
     /// `src * nodes + dst`. Rebuilt (cheaply, at setup time) on `add_node`.
     fifo_clamp: Vec<SimTime>,
     /// Active partition: group index per node. Two nodes can talk iff they
     /// are in the same group; nodes with no assigned group (e.g. a client
     /// outside the partitioned fabric) can reach everyone.
-    partition: HashMap<NodeId, u32>,
+    partition: FastMap<NodeId, u32>,
     /// Per-node egress serialization-time factors (>1 = slower NIC). Empty
     /// means no intervention anywhere — the identity fast path.
     egress_scale: Vec<f64>,
@@ -122,6 +109,17 @@ fn scale_dur(d: Duration, factor: f64) -> Duration {
     Duration::from_nanos((d.as_nanos() as f64 * factor) as u64)
 }
 
+/// A uniform draw from `0..=max` (a link's or a node's timer jitter): one
+/// draw from the engine's stream, and none at all when `max` is zero.
+#[inline]
+pub(crate) fn draw_jitter(rng: &mut SmallRng, max: Duration) -> Duration {
+    if max.is_zero() {
+        Duration::ZERO
+    } else {
+        Duration::from_nanos(rng.random_range(0..=max.as_nanos() as u64))
+    }
+}
+
 impl Network {
     pub fn new(default_link: LinkParams, loopback: LinkParams, nic: NicParams) -> Self {
         Network {
@@ -129,9 +127,9 @@ impl Network {
             loopback,
             nic,
             nics: Vec::new(),
-            overrides: HashMap::new(),
+            overrides: FastMap::default(),
             fifo_clamp: Vec::new(),
-            partition: HashMap::new(),
+            partition: FastMap::default(),
             egress_scale: Vec::new(),
             latency_scale: None,
         }
@@ -242,83 +240,11 @@ impl Network {
         }
     }
 
-    /// Route a run of packets that share a source, appending one
-    /// [`RouteInfo`] per post (in order) to `out`. This is the batched NIC
-    /// egress dequeue: the sender's egress serialization frontier — touched
-    /// by every packet of the run — is kept in a local across the whole
-    /// batch and written back once. Every computed instant, RNG draw, and
-    /// byte charge is identical to routing the packets one at a time.
-    pub fn route_batch(
-        &mut self,
-        rng: &mut SmallRng,
-        src: NodeId,
-        posts: &[BatchPost],
-        out: &mut Vec<RouteInfo>,
-    ) {
-        let mut egress_free = self.nics[src].egress_free;
-        // What-if intervention factor for this source's egress NIC; the
-        // empty-vec fast path keeps the unmodified fabric bit-identical.
-        let egress_factor = self.egress_scale.get(src).copied();
-        for p in posts {
-            let (dst, wire_bytes) = (p.dst, p.wire_bytes);
-            let ser = self.nic.serialize_time(wire_bytes);
-            let clamped_bytes = wire_bytes.max(self.nic.min_wire_bytes);
-
-            // Sender NIC egress serialization (shared across that node's
-            // links).
-            let egress_ser = match egress_factor {
-                None => ser,
-                Some(f) => scale_dur(ser, f),
-            };
-            let depart_start = p.post.max(egress_free);
-            let depart = depart_start + egress_ser;
-            egress_free = depart;
-
-            // Propagation.
-            let (link, extra) = self.link_for(src, dst, depart);
-            let jitter = if link.jitter.is_zero() {
-                Duration::ZERO
-            } else {
-                Duration::from_nanos(rng.random_range(0..=link.jitter.as_nanos() as u64))
-            };
-            let latency = match self.latency_scale {
-                None => link.latency,
-                Some(f) => scale_dur(link.latency, f),
-            };
-            let arrive = depart + latency + jitter + extra;
-
-            // Receiver NIC ingress serialization (shared across inbound
-            // links); skipped for loopback, which never touches the receive
-            // pipeline.
-            let (ingress_start, delivered) = if src == dst {
-                (arrive, arrive)
-            } else {
-                let start = arrive.max(self.nics[dst].ingress_free);
-                let done = start + ser;
-                self.nics[dst].ingress_free = done;
-                (start, done)
-            };
-
-            // Reliable connections deliver FIFO per ordered pair.
-            let clamp = &mut self.fifo_clamp[src * self.nics.len() + dst];
-            let delivered = delivered.max(*clamp);
-            *clamp = delivered;
-            out.push(RouteInfo {
-                depart_start,
-                depart,
-                ingress_start,
-                delivered,
-                wire_bytes: clamped_bytes,
-            });
-        }
-        self.nics[src].egress_free = egress_free;
-    }
-
-    /// Compute the delivery instant of a single packet posted at `post` from
-    /// `src` to `dst` (a one-element [`Network::route_batch`]). The engine
-    /// routes through the batch path; this wrapper serves the model's unit
-    /// tests.
-    #[cfg(test)]
+    /// Route one packet posted at `post` from `src` to `dst`: serialize it
+    /// through the sender's egress NIC, propagate it (drawing the link's
+    /// jitter, if any), clock it through the receiver's ingress NIC, and
+    /// clamp its delivery FIFO per ordered pair.
+    #[inline]
     pub fn route(
         &mut self,
         rng: &mut SmallRng,
@@ -327,19 +253,50 @@ impl Network {
         post: SimTime,
         wire_bytes: u32,
     ) -> RouteInfo {
-        let mut out = Vec::with_capacity(1);
-        self.route_batch(
-            rng,
-            src,
-            &[BatchPost {
-                idx: 0,
-                dst,
-                post,
-                wire_bytes,
-            }],
-            &mut out,
-        );
-        out[0]
+        let ser = self.nic.serialize_time(wire_bytes);
+
+        // Sender NIC egress serialization (shared across that node's links),
+        // scaled by a what-if intervention factor if one is set; the
+        // empty-vec fast path keeps the unmodified fabric bit-identical.
+        let egress_ser = match self.egress_scale.get(src) {
+            None => ser,
+            Some(&f) => scale_dur(ser, f),
+        };
+        let depart_start = post.max(self.nics[src].egress_free);
+        let depart = depart_start + egress_ser;
+        self.nics[src].egress_free = depart;
+
+        // Propagation.
+        let (link, extra) = self.link_for(src, dst, depart);
+        let jitter = draw_jitter(rng, link.jitter);
+        let latency = match self.latency_scale {
+            None => link.latency,
+            Some(f) => scale_dur(link.latency, f),
+        };
+        let arrive = depart + latency + jitter + extra;
+
+        // Receiver NIC ingress serialization (shared across inbound links);
+        // skipped for loopback, which never touches the receive pipeline.
+        let (ingress_start, delivered) = if src == dst {
+            (arrive, arrive)
+        } else {
+            let start = arrive.max(self.nics[dst].ingress_free);
+            let done = start + ser;
+            self.nics[dst].ingress_free = done;
+            (start, done)
+        };
+
+        // Reliable connections deliver FIFO per ordered pair.
+        let clamp = &mut self.fifo_clamp[src * self.nics.len() + dst];
+        let delivered = delivered.max(*clamp);
+        *clamp = delivered;
+        RouteInfo {
+            depart_start,
+            depart,
+            ingress_start,
+            delivered,
+            wire_bytes: wire_bytes.max(self.nic.min_wire_bytes),
+        }
     }
 }
 

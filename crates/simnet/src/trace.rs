@@ -35,6 +35,7 @@
 //! `bench::chrome`.
 
 use crate::ctx::DeliveryClass;
+use crate::hash::FastMap;
 use crate::time::SimTime;
 use crate::NodeId;
 
@@ -793,7 +794,7 @@ pub struct Probe {
     res_nodes: Vec<NodeRes>,
     /// Per-directed-link tallies; sparse because most protocols use O(n) of
     /// the n² possible links. Sorted into determinism at snapshot time.
-    res_links: std::collections::HashMap<(NodeId, NodeId), DirStats>,
+    res_links: FastMap<(NodeId, NodeId), DirStats>,
     /// Per-node wait-reason integrals (always on), parallel to `counters`.
     waits: Vec<WaitStats>,
     /// Always-on per-commit forensics collector fed by [`Probe::span_mark`].
@@ -811,7 +812,7 @@ impl Default for Probe {
             touched: [false; Gauge::COUNT],
             samples: Vec::new(),
             res_nodes: Vec::new(),
-            res_links: std::collections::HashMap::new(),
+            res_links: FastMap::default(),
             waits: Vec::new(),
             forensics: ForensicsCollector::default(),
         }

@@ -20,7 +20,10 @@
 # script then prints, per workload, each virtual-time member on both sides
 # and its move, and per host metric each side's median and quartiles, the
 # median's change, the pairs the change won and the parent's interquartile
-# range, and writes the `pairs` member of `baselines/BENCHMARK_<pr>.json`
+# range, and beside `peak_rss_mb` each side's `acuerdo-benchmark` binary
+# size in bytes (VmHWM counts the binary's touched text pages, so an RSS
+# move of the order of the size change may be code, not heap), and writes
+# the `pairs` member of `baselines/BENCHMARK_<pr>.json`
 # (docs/SIDECARS.md) to <scratch-dir>/pairs.json. Exits 2 on a usage or
 # build error.
 set -euo pipefail
@@ -62,6 +65,10 @@ build() {
 }
 build "$scratch/parent" "$scratch/target-parent" "$rev"
 build "$root" "$scratch/target-change" "the checkout"
+sizes=()
+for side in parent change; do
+    sizes+=("$(stat -c %s "$scratch/target-$side/release/acuerdo-benchmark")")
+done
 
 # run <side> <tree> <workload> <pair>: the result line goes to runs/.
 run() {
@@ -88,10 +95,12 @@ for ((i = 1; i <= pairs; i++)); do
     done
 done
 
-python3 - "$scratch" "$pairs" "$seconds" "$seed" "${names[@]}" <<'EOF'
+python3 - "$scratch" "$pairs" "$seconds" "$seed" "${sizes[@]}" "${names[@]}" <<'EOF'
 import json, statistics, sys
 
-scratch, pairs, seconds, seed, names = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]), sys.argv[5:]
+scratch, pairs, seconds, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+binary = {"parent": int(sys.argv[5]), "change": int(sys.argv[6])}
+names = sys.argv[7:]
 VIRTUAL = ["commit_p50_us", "commit_p99_us", "throughput_msgs_s"]
 HOST = ["host_us_per_commit", "setup_s", "peak_rss_mb"]
 
@@ -139,6 +148,9 @@ for w in names:
               f"  change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]"
               f"  median {delta:+.1f} %  change won {won}/{pairs}"
               f"  parent IQR {pq[2] - pq[0]:.4g}")
+        if m == "peak_rss_mb":
+            p, c = binary["parent"], binary["change"]
+            print(f"{w} binary_bytes: parent {p}  change {c}  move {c - p:+d} B ({move(p, c)})")
 
 doc = {
     "seed": seed,
