@@ -177,7 +177,7 @@ mod tests {
         let (sim, _) = run(false);
         let r = sim.node::<Replica>(0);
         assert!(r.ins.origin.is_empty());
-        assert_eq!(r.app.entries.len(), 2);
+        assert_eq!(r.app.len(), 2);
         assert_eq!(sim.counter(0, Counter::Commits), 2);
         assert_eq!(sim.counter(0, Counter::Packets), 0, "a reply went out");
         assert!(sim.node::<Client>(1).replies.is_empty());

@@ -40,7 +40,7 @@ pub mod types;
 pub mod wal;
 pub mod workload;
 
-pub use app::{App, DeliveryLog};
+pub use app::{snapshot_as, App, DeliveryLog, Snapshot};
 pub use check::{check_histories, AuditReport, Auditor, DurabilityAuditor, Violation};
 pub use client::{ClientPort, ClientReq, ClientResp, OpenLoopClient, WindowClient};
 pub use forensics::{blame, Blame, BlameCause};

@@ -89,7 +89,7 @@ pub fn histories<R: Replica>(sim: &Sim<R::Wire>, ids: &[NodeId]) -> Vec<Vec<(Msg
         .filter(|&&id| !sim.is_crashed(id))
         .map(|&id| sim.node::<R>(id))
         .filter(|r| r.in_group())
-        .map(|r| r.delivery_log().expect("DeliveryLog app").entries.clone())
+        .map(|r| r.delivery_log().expect("DeliveryLog app").to_vec())
         .collect()
 }
 

@@ -3,17 +3,31 @@
 //! [`FixedCodec`] value (the little-endian codec of the SST cells). A
 //! protocol declares each record kind once, as a [`Kind`] tying a tag to a
 //! head type, and writes and reads through it: no protocol computes an
-//! offset. [`recover`] hands the fsync'd records to the protocol's
-//! [`Journaled::replay`] in order, then calls its
+//! offset.
+//!
+//! [`recover`] is the one recovery path. It restores the log's checkpoint,
+//! if one was written, through [`Journaled::restore`], hands the fsync'd
+//! records that follow it to [`Journaled::replay`] in order, then calls
 //! [`Journaled::restore_floor`], which has no default: replayed entries
 //! imply a promise the node must keep (Acuerdo's epoch, Raft's term), and a
 //! replay that forgot the epoch floor once let a rebooted Acuerdo cluster
 //! reuse a committed epoch, so every protocol must state its floor, even
 //! when it is "nothing to do".
+//!
+//! A checkpoint ([`checkpoint`]) stands for a prefix of the journal: the
+//! protocol writes what those records amounted to, and the device drops
+//! them in the same step, so a reboot replays only what lies above it. Its
+//! type is the protocol's ([`Journaled::Checkpoint`]); one that never
+//! checkpoints (Raft, ZAB) names [`Infallible`](std::convert::Infallible),
+//! and recovery for it is the replay of the whole journal. [`Tops`] tells
+//! a protocol how long a prefix its checkpoint may drop.
 
 pub use rdma_prims::FixedCodec;
 use simnet::{Counter, Ctx, DurabilityMode, Event};
+use std::any::Any;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// One record kind: its tag, and the type of the head that follows it.
 pub struct Kind<H>(u8, PhantomData<fn() -> H>);
@@ -38,7 +52,7 @@ impl<H: FixedCodec> Kind<H> {
     /// record survives a crash only after the next [`fsync`].
     pub fn append<M>(&self, ctx: &mut Ctx<M>, mode: DurabilityMode, head: &H, payload: &[u8]) {
         if mode.is_durable() {
-            ctx.log_append(&self.encode(head, payload));
+            ctx.log_append(self.encode(head, payload));
         }
     }
 
@@ -60,6 +74,15 @@ pub fn fsync<M>(ctx: &mut Ctx<M>, mode: DurabilityMode) {
 
 /// A protocol node that rebuilds its state from its journal.
 pub trait Journaled {
+    /// What this protocol's checkpoints hold;
+    /// [`Infallible`](std::convert::Infallible) for one that never writes
+    /// one.
+    type Checkpoint: Any + Send + Sync;
+
+    /// Become the state `ckpt` holds, before the records that follow it
+    /// are replayed.
+    fn restore(&mut self, ckpt: &Self::Checkpoint);
+
     /// Apply one persisted record, in journal order. Records of no known
     /// kind, or too short for their kind, are ignored.
     fn replay(&mut self, rec: &[u8]);
@@ -69,9 +92,16 @@ pub trait Journaled {
     fn restore_floor(&mut self);
 }
 
-/// Replay `records` in order into `node`, then restore its floor. Returns
-/// how many records were walked.
-pub fn replay<J: Journaled>(node: &mut J, records: &[Vec<u8>]) -> u64 {
+/// Restore `ckpt` when there is one, replay `records` in order into
+/// `node`, then restore its floor. Returns how many records were walked.
+pub fn replay<J: Journaled>(
+    node: &mut J,
+    ckpt: Option<&J::Checkpoint>,
+    records: &[Vec<u8>],
+) -> u64 {
+    if let Some(ckpt) = ckpt {
+        node.restore(ckpt);
+    }
     for rec in records {
         node.replay(rec);
     }
@@ -79,16 +109,74 @@ pub fn replay<J: Journaled>(node: &mut J, records: &[Vec<u8>]) -> u64 {
     records.len() as u64
 }
 
-/// Rebuild `node` in place from the fsync'd prefix of its log, when it
-/// boots in durable mode on a log that holds anything; count the records
-/// (`wal_recovered_records`) and leave a `wal_recover` trace instant.
+/// Rebuild `node` in place from the fsync'd part of its log, checkpoint
+/// first, when it boots in durable mode on a log that holds anything;
+/// count the records walked (`wal_recovered_records`) and leave a
+/// `wal_recover` trace instant.
 pub fn recover<M, J: Journaled>(node: &mut J, ctx: &mut Ctx<M>, mode: DurabilityMode) {
-    if !mode.is_durable() || ctx.log_len() == 0 {
+    if !mode.is_durable() || ctx.log_is_empty() {
         return;
     }
-    let records = replay(node, ctx.log_synced());
+    let ckpt = ctx.log_synced_checkpoint();
+    let ckpt = ckpt.as_ref().map(|c| {
+        c.downcast_ref::<J::Checkpoint>()
+            .expect("a checkpoint another protocol wrote")
+    });
+    let records = replay(node, ckpt, ctx.log_synced());
     ctx.count(Counter::WalRecoveredRecords, records);
     ctx.trace(Event::new("wal_recover").a(records));
+}
+
+/// Write `ckpt` as this node's checkpoint and drop the first `trim`
+/// persisted records, which it stands for, in one step priced as one fsync
+/// barrier; leave a `wal_checkpoint` trace instant. Durable mode only: the
+/// caller has a journal to trim.
+pub fn checkpoint<M, C: Any + Send + Sync>(ctx: &mut Ctx<M>, ckpt: C, trim: usize) {
+    ctx.log_checkpoint(Arc::new(ckpt), trim);
+    ctx.trace(Event::new("wal_checkpoint").a(trim as u64));
+}
+
+/// The running top key of each record on a journal, in journal order: a
+/// record with a key (an entry's header) raises it, one without (a cut)
+/// carries it. A checkpoint at key `h` may drop the records whose top is
+/// at most `h` ([`Tops::covered`]): the longest prefix holding no key above
+/// it. A protocol notes every record it appends or replays, so the tops
+/// line up with the device's records one for one.
+#[derive(Debug)]
+pub struct Tops<K>(VecDeque<Option<K>>);
+
+impl<K> Default for Tops<K> {
+    fn default() -> Self {
+        Tops(VecDeque::new())
+    }
+}
+
+impl<K: Ord + Copy> Tops<K> {
+    /// Note the next record, keyed or not.
+    pub fn note(&mut self, key: Option<K>) {
+        let prev = self.0.back().copied().flatten();
+        self.0.push_back(prev.max(key));
+    }
+
+    /// How many of the first `synced` records hold no key above `h`.
+    pub fn covered(&self, h: K, synced: usize) -> usize {
+        self.0.partition_point(|&top| top <= Some(h)).min(synced)
+    }
+
+    /// Forget the first `n` records: a checkpoint dropped them.
+    pub fn trim(&mut self, n: usize) {
+        self.0.drain(..n);
+    }
+
+    /// Records noted and not trimmed.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no record is noted.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -113,5 +201,66 @@ mod tests {
             assert_eq!(PAIR.read(&rec[..len]), None, "{len} bytes");
         }
         assert_eq!(PAIR.read(&rec), Some(((1, 2), &[][..])));
+    }
+
+    /// The covered prefix ends at the first record holding a key above the
+    /// horizon, even when a lower key follows it, and never passes the
+    /// persisted records; unkeyed records ride with what precedes them.
+    #[test]
+    fn tops_cover_the_longest_prefix_without_a_key_above_the_horizon() {
+        let mut tops = Tops::default();
+        for key in [None, Some(1), Some(3), None, Some(2), Some(5), None] {
+            tops.note(key);
+        }
+        assert_eq!(tops.covered(0, 7), 1, "a leading cut has no key");
+        assert_eq!(tops.covered(2, 7), 2, "3 precedes the lower 2");
+        assert_eq!(tops.covered(3, 7), 5);
+        assert_eq!(tops.covered(3, 4), 4, "only persisted records");
+        assert_eq!(tops.covered(9, 7), 7);
+        tops.trim(5);
+        assert_eq!(tops.len(), 2);
+        assert_eq!(tops.covered(4, 2), 0);
+        assert_eq!(tops.covered(5, 2), 2);
+        tops.note(Some(4));
+        assert_eq!(tops.covered(5, 3), 3, "a lower key after a higher one");
+    }
+
+    struct Counted {
+        restored: Option<u32>,
+        replayed: Vec<u8>,
+        floor: bool,
+    }
+
+    impl Journaled for Counted {
+        type Checkpoint = u32;
+        fn restore(&mut self, ckpt: &u32) {
+            assert!(
+                self.replayed.is_empty() && !self.floor,
+                "restore runs first"
+            );
+            self.restored = Some(*ckpt);
+        }
+        fn replay(&mut self, rec: &[u8]) {
+            self.replayed.extend_from_slice(rec);
+        }
+        fn restore_floor(&mut self) {
+            self.floor = true;
+        }
+    }
+
+    /// Checkpoint, then the records after it, then the floor; the count is
+    /// of records walked.
+    #[test]
+    fn replay_restores_the_checkpoint_before_the_records() {
+        let mut node = Counted {
+            restored: None,
+            replayed: Vec::new(),
+            floor: false,
+        };
+        assert_eq!(replay(&mut node, Some(&7), &[vec![1], vec![2]]), 2);
+        assert_eq!(
+            (node.restored, &node.replayed[..], node.floor),
+            (Some(7), &[1, 2][..], true)
+        );
     }
 }

@@ -25,8 +25,8 @@ pub fn build_cluster(sim: &mut Sim<AcWire>, cfg: &AcuerdoConfig) -> Vec<NodeId> 
 /// Register restart factories so `Sim::restart_at` brings a crashed replica
 /// back as a rejoiner ([`AcuerdoNode::rejoining`]; `abcast::enable_restarts`).
 /// Volatile configs should set `retain_log` so the survivors can re-seed the
-/// full history; a durable replica recovers its own prefix from its journal,
-/// so durable configs collect their logs either way.
+/// full history; a durable replica recovers its own prefix from its
+/// checkpoint and journal, so durable configs collect their logs either way.
 pub fn enable_restarts(sim: &mut Sim<AcWire>, cfg: &AcuerdoConfig, ids: &[NodeId]) {
     abcast::enable_restarts::<AcuerdoNode>(sim, cfg, ids);
 }

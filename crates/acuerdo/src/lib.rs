@@ -95,7 +95,7 @@ mod tests {
         let rejoined = sim.node::<AcuerdoNode>(2);
         assert!(!rejoined.is_resyncing(), "node 2 still resyncing");
         assert!(
-            !rejoined.delivery_log().unwrap().entries.is_empty(),
+            !rejoined.delivery_log().unwrap().is_empty(),
             "rejoined node delivered nothing"
         );
         assert_eq!(rejoined.epoch(), survivor.epoch());
@@ -134,7 +134,7 @@ mod tests {
         let rejoined = sim.node::<AcuerdoNode>(0);
         assert!(!rejoined.is_resyncing(), "node 0 still resyncing");
         assert_eq!(rejoined.epoch(), sim.node::<AcuerdoNode>(leader).epoch());
-        assert!(!rejoined.delivery_log().unwrap().entries.is_empty());
+        assert!(!rejoined.delivery_log().unwrap().is_empty());
         check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
     }
 

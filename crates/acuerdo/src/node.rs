@@ -71,7 +71,7 @@ use crate::msg::{self, Frame};
 use abcast::wal;
 use abcast::{
     hdr_span, App, Auditor, ClientReq, ClientResp, Committed, DeliveryLog, Epoch, Instrument,
-    MsgHdr, Vote,
+    MsgHdr, Snapshot, Vote,
 };
 use bytes::Bytes;
 use rdma_prims::{FixedCodec, RingError, RingFrame, RingReceiver, RingSender, Sst};
@@ -144,18 +144,41 @@ const MAX_RESYNC_ATTEMPTS: u32 = 3;
 /// CPU cost of delivering one committed message to the application.
 const DELIVER_COST: Duration = Duration::from_nanos(100);
 
+/// Journal records a checkpoint drops at the least (`checkpoint`): a
+/// durable replica's journal holds at most this many records below its
+/// log's oldest entry, and the app snapshot is taken at most once per this
+/// many.
+const CHECKPOINT_RECORDS: usize = 1024;
+
 // ---- journal records (durable mode, `abcast::wal`) --------------------------
 //
 // Durable mode journals the log so a restarted replica recovers its accepted
 // state instead of rejoining empty. Replay is order-sensitive: entry records
 // re-insert by header, and a cut record replays the uncommitted-suffix
-// truncation `apply_diff` performs.
+// truncation `apply_diff` performs. Log GC checkpoints the journal's
+// collected prefix (`checkpoint`), so replay starts from a `Checkpoint`.
 
 /// An accepted entry: its header, then its payload.
 const WAL_ENTRY: wal::Kind<MsgHdr> = wal::Kind::new(1);
 /// A truncation, `(cut, e)`: replay removes the log entries in
 /// `[cut, (e, 0))`, as the diff of epoch `e` did.
 const WAL_CUT: wal::Kind<(MsgHdr, Epoch)> = wal::Kind::new(2);
+
+/// What a durable replica's journal amounts to below its log's oldest entry
+/// (DESIGN §13): the state a reboot restores before it replays the records
+/// that remain.
+pub struct Checkpoint {
+    /// The log's oldest entry, with its payload: GC keeps it (diffs start
+    /// with it), and the journal records at or below it are gone.
+    boundary: (MsgHdr, Bytes),
+    /// The commit point, which `app` has delivered up to.
+    committed: MsgHdr,
+    /// The epoch floor: the epoch this node was in, which every cut in the
+    /// dropped records entered or preceded.
+    floor: Epoch,
+    /// The application's state at `committed`.
+    app: Snapshot,
+}
 
 /// Count and trace an acceptance (a frame's, or the leader's own in place).
 fn note_accept(ctx: &mut Ctx<AcWire>, hdr: MsgHdr) {
@@ -411,6 +434,9 @@ pub struct AcuerdoNode {
     /// `e_cur` at the last `enter`, which asserts it never moves down.
     entered_at: Epoch,
     log: BTreeMap<MsgHdr, Bytes>,
+    /// The running top header of each journal record (durable mode), for
+    /// the prefix a checkpoint drops.
+    journal: wal::Tops<MsgHdr>,
 
     // Leader-side bookkeeping.
     out: Vec<PeerOut>,
@@ -600,6 +626,7 @@ impl AcuerdoNode {
             phase,
             entered_at: e_cur,
             log: BTreeMap::new(),
+            journal: wal::Tops::default(),
             instrument: Instrument::new(DELIVER_COST, Duration::ZERO),
             commit_push_seq: 0,
             push_ticks: 0,
@@ -717,7 +744,7 @@ impl AcuerdoNode {
             .admit(ctx, hdr, hdr_span(&hdr), from, req.id);
         // Append-before-ack on the leader's own hot path: the entry hits the
         // persistent log before the ring writes that solicit follower acks.
-        WAL_ENTRY.append(ctx, self.cfg.durability, &hdr, &req.payload);
+        self.journal_entry(ctx, hdr, &req.payload);
         wal::fsync(ctx, self.cfg.durability);
         self.log.insert(hdr, req.payload);
         self.accept_in_place(ctx, hdr);
@@ -1009,7 +1036,7 @@ impl AcuerdoNode {
         payload: Bytes,
         forwarded: bool,
     ) {
-        WAL_ENTRY.append(ctx, self.cfg.durability, &hdr, &payload);
+        self.journal_entry(ctx, hdr, &payload);
         self.accepted = hdr;
         if let Phase::Follower(w) = &mut self.phase {
             w.activity = ctx.now();
@@ -1315,10 +1342,13 @@ impl AcuerdoNode {
         self.e_cur = e;
         self.acks_touched = true;
         self.cut_log(cut, e);
-        WAL_CUT.append(ctx, self.cfg.durability, &(cut, e), &[]);
+        if self.cfg.durability.is_durable() {
+            WAL_CUT.append(ctx, self.cfg.durability, &(cut, e), &[]);
+            self.journal.note(None);
+        }
         let mut top = MsgHdr::new(e, 0);
         for (h, p) in entries {
-            WAL_ENTRY.append(ctx, self.cfg.durability, &h, &p);
+            self.journal_entry(ctx, h, &p);
             self.log.insert(h, p);
             top = top.max(h);
         }
@@ -1606,10 +1636,19 @@ impl AcuerdoNode {
 
     // ---- log GC ----------------------------------------------------------------
 
+    /// Journal entry `hdr` (durable mode; nothing otherwise).
+    fn journal_entry(&mut self, ctx: &mut Ctx<AcWire>, hdr: MsgHdr, payload: &[u8]) {
+        if self.cfg.durability.is_durable() {
+            WAL_ENTRY.append(ctx, self.cfg.durability, &hdr, payload);
+            self.journal.note(Some(hdr));
+        }
+    }
+
     /// Prune below this node's commit point and the GC horizon in the row of
     /// its epoch's leader — at the leader its own row, which the push tick
-    /// has just written.
-    fn gc(&mut self) {
+    /// has just written — and, durable, checkpoint what the journal holds
+    /// below the log's oldest entry.
+    fn gc(&mut self, ctx: &mut Ctx<AcWire>) {
         if self.cfg.keeps_whole_log() {
             return;
         }
@@ -1626,6 +1665,37 @@ impl AcuerdoNode {
             let (h, _) = oldest.remove_entry();
             self.instrument.forget(&h);
         }
+        if self.cfg.durability.is_durable() {
+            self.checkpoint(ctx);
+        }
+    }
+
+    /// Once the synced journal records holding no entry above the log's
+    /// oldest, committed entry number `CHECKPOINT_RECORDS`, replace them by
+    /// a [`Checkpoint`] at that entry. An app that takes no snapshot leaves
+    /// the journal whole.
+    fn checkpoint(&mut self, ctx: &mut Ctx<AcWire>) {
+        let Some((&b, payload)) = self.log.first_key_value() else {
+            return;
+        };
+        if b > self.committed {
+            return;
+        }
+        let trim = self.journal.covered(b, ctx.log_synced_len());
+        if trim < CHECKPOINT_RECORDS {
+            return;
+        }
+        let Some(app) = self.app.snapshot() else {
+            return;
+        };
+        let ckpt = Checkpoint {
+            boundary: (b, payload.clone()),
+            committed: self.committed,
+            floor: self.e_cur,
+            app,
+        };
+        wal::checkpoint(ctx, ckpt, trim);
+        self.journal.trim(trim);
     }
 
     // ---- failure detection / election (Figure 7) ---------------------------------
@@ -2245,23 +2315,46 @@ impl AcuerdoNode {
     }
 }
 
-/// Durable recovery: the log comes back from the journal, `accepted` to its
-/// tip, and the epoch floor (`e_cur`/`e_new`) to the highest epoch the
-/// journal ever saw. The node then runs the normal resync/election flow: if
-/// a leader survives, its recovery diff splices the node back in; if the
-/// whole cluster lost power, the recovered `accepted` value is the node's
-/// election bid, so the vote-by-max-accepted rule picks a winner whose log
-/// holds every committed entry.
+/// Durable recovery: the checkpoint brings back the app, the commit point
+/// and the log's oldest entry; the records above it bring back the rest of
+/// the log, `accepted` to its tip, and the epoch floor (`e_cur`/`e_new`)
+/// to the highest epoch the checkpoint or the journal saw. The node then
+/// runs the normal resync/election flow: if a leader survives, its recovery
+/// diff splices the node back in and it delivers what committed above its
+/// checkpoint; if the whole cluster lost power, the recovered `accepted`
+/// value is the node's election bid, so the vote-by-max-accepted rule picks
+/// a winner whose log holds every committed entry.
 impl wal::Journaled for AcuerdoNode {
+    type Checkpoint = Checkpoint;
+
+    /// The log's oldest entry matters as much as the floor: without it a
+    /// diff this node seeds as a leader, from a peer whose commit cell sits
+    /// at that entry, would leave it out.
+    fn restore(&mut self, ckpt: &Checkpoint) {
+        self.app.restore(&ckpt.app);
+        // `next` just past the commit point: a rejoin diff of the same
+        // epoch raises it only to the diff's own header `(e, 0)`, and the
+        // node would then wait for an entry below its checkpoint.
+        self.committed = ckpt.committed;
+        self.next = ckpt.committed.next();
+        let (b, payload) = &ckpt.boundary;
+        self.log.insert(*b, payload.clone());
+        self.e_new = self.e_new.max(ckpt.floor);
+    }
+
     fn replay(&mut self, rec: &[u8]) {
         if let Some((hdr, payload)) = WAL_ENTRY.read(rec) {
             self.log.insert(hdr, Bytes::copy_from_slice(payload));
-        } else if let Some(((cut, e), _)) = WAL_CUT.read(rec) {
+            self.journal.note(Some(hdr));
+            return;
+        }
+        if let Some(((cut, e), _)) = WAL_CUT.read(rec) {
             // A cut names the epoch of the diff that caused it, which may be
             // newer than any entry that survived to the tip.
             self.e_new = self.e_new.max(e);
             self.cut_log(cut, e);
         }
+        self.journal.note(None);
     }
 
     /// The epoch floor matters as much as the entries: a recovered node that
@@ -2406,7 +2499,7 @@ impl Process<AcWire> for AcuerdoNode {
                     self.detect_outbid(ctx);
                     self.stirred |= self.role() != role;
                 }
-                self.gc();
+                self.gc(ctx);
                 self.arm_push(ctx);
             }
             _ => {}
@@ -2446,10 +2539,44 @@ mod wal_tests {
             vec![1, 2, 0, 0],
             cut(hdr(2, 2, 2), 3, 0),
         ];
-        assert_eq!(wal::replay(&mut node, &records), 7);
+        assert_eq!(wal::replay(&mut node, None, &records), 7);
         let log: Vec<(MsgHdr, &[u8])> = node.log.iter().map(|(h, p)| (*h, p.as_ref())).collect();
         assert_eq!(log, [(hdr(1, 0, 1), &b"a"[..]), (hdr(2, 2, 1), &b"d"[..])]);
         assert_eq!(node.accepted, hdr(2, 2, 1));
         assert_eq!([node.e_cur, node.e_new], [Epoch::new(3, 0); 2]);
+    }
+
+    /// A checkpoint brings back the app, the commit point, the log's oldest
+    /// entry and the epoch floor before the records above it replay. Here
+    /// the cut that entered the newest epoch lay in the dropped prefix, so
+    /// only the checkpoint still names that epoch; and the oldest entry is
+    /// where a diff this node seeds for a peer committed just below it
+    /// starts.
+    #[test]
+    fn wal_restore_brings_back_the_boundary_entry_and_the_epoch_floor() {
+        let hdr = |round, ldr, cnt| MsgHdr::new(Epoch::new(round, ldr), cnt);
+        let mut app = DeliveryLog::default();
+        app.deliver(hdr(1, 0, 1), &Bytes::from_static(b"a"));
+        app.deliver(hdr(1, 0, 2), &Bytes::from_static(b"b"));
+        let ckpt = Checkpoint {
+            boundary: (hdr(1, 0, 2), Bytes::from_static(b"b")),
+            committed: hdr(1, 0, 2),
+            floor: Epoch::new(3, 1),
+            app: app.snapshot().expect("a DeliveryLog snapshots"),
+        };
+        let records = [WAL_ENTRY.encode(&hdr(1, 0, 3), b"c")];
+        let mut node = AcuerdoNode::rejoining(AcuerdoConfig::stable(3), 1);
+        assert_eq!(wal::replay(&mut node, Some(&ckpt), &records), 1);
+        let log: Vec<(MsgHdr, &[u8])> = node.log.iter().map(|(h, p)| (*h, p.as_ref())).collect();
+        assert_eq!(log, [(hdr(1, 0, 2), &b"b"[..]), (hdr(1, 0, 3), &b"c"[..])]);
+        assert_eq!(
+            (node.committed, node.accepted),
+            (hdr(1, 0, 2), hdr(1, 0, 3))
+        );
+        assert_eq!(node.next, hdr(1, 0, 3));
+        assert_eq!([node.e_cur, node.e_new], [Epoch::new(3, 1); 2]);
+        let delivered = node.app.delivery_log().expect("the default app").headers();
+        assert_eq!(delivered, [hdr(1, 0, 1), hdr(1, 0, 2)]);
+        assert_eq!(node.journal.len(), 1, "one top per record replayed");
     }
 }

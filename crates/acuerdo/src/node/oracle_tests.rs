@@ -521,7 +521,7 @@ fn frame_landing_in_a_ring_re_registered_by_refresh_inbound() {
         // counter, which also holds node 2's deliveries before its reboot.
         let delivered = |sim: &Sim<AcWire>, id| {
             let log = sim.node::<AcuerdoNode>(id).app.delivery_log();
-            log.expect("DeliveryLog app").entries.len()
+            log.expect("DeliveryLog app").len()
         };
         sim.run_until(SimTime::from_millis(2));
         let rejoined_at = delivered(&sim, 2);

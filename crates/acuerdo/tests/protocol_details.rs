@@ -995,7 +995,7 @@ fn large_payloads_reach_the_followers_as_views_and_small_ones_flat() {
         }
         let delivered = |id| {
             let log = sim.node::<AcuerdoNode>(id).app.delivery_log();
-            log.expect("the default app logs").entries.clone()
+            log.expect("the default app logs").to_vec()
         };
         let leader = delivered(ids[0]);
         for &id in &ids[1..] {

@@ -35,7 +35,8 @@ pub mod whatif;
 
 use abcast::app::app_as;
 use abcast::{
-    check_cluster, cluster_with_client, App, DeliveryLog, MsgHdr, Replica, RunResult, WindowClient,
+    check_cluster, cluster_with_client, snapshot_as, App, DeliveryLog, MsgHdr, Replica, RunResult,
+    Snapshot, WindowClient,
 };
 use acuerdo::{AcWire, AcuerdoConfig, AcuerdoNode, DisseminationMode};
 use apus::{ApusConfig, ApusNode};
@@ -48,6 +49,7 @@ use raft::{RaftConfig, RaftNode};
 use simnet::{
     Counter, GaugeSample, InterventionSet, MetricsSnapshot, SchedKind, Sim, SimTime, TraceEvent,
 };
+use std::sync::Arc;
 use std::time::Duration;
 use zab::{ZabConfig, ZabNode};
 
@@ -379,7 +381,7 @@ pub struct Record {
 
 /// The Figure 9 application: the replicated table, plus the delivery record
 /// the §2.2 checkers read.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct CheckedMap {
     map: ReplicatedMap,
     log: DeliveryLog,
@@ -393,6 +395,14 @@ impl App for CheckedMap {
 
     fn delivery_log(&self) -> Option<&DeliveryLog> {
         Some(&self.log)
+    }
+
+    fn snapshot(&self) -> Option<Snapshot> {
+        Some(Arc::new(self.clone()))
+    }
+
+    fn restore(&mut self, snap: &Snapshot) {
+        *self = snapshot_as::<CheckedMap>(snap).clone();
     }
 }
 

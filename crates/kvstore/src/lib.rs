@@ -14,11 +14,12 @@
 //!   [`abcast::WindowClient`].
 
 use abcast::workload::Zipfian;
-use abcast::{App, MsgHdr};
+use abcast::{snapshot_as, App, MsgHdr, Snapshot};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use simnet::FastMap;
+use std::sync::Arc;
 
 /// A key-value update command.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,7 +93,7 @@ impl Op {
 }
 
 /// The replicated hash table: one full copy per broadcast replica.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ReplicatedMap {
     /// The table.
     pub map: FastMap<Bytes, Bytes>,
@@ -126,6 +127,16 @@ impl App for ReplicatedMap {
             }
             None => self.malformed += 1,
         }
+    }
+
+    /// A copy of the table: a checkpoint of a durable replica costs the
+    /// table, not the history that built it.
+    fn snapshot(&self) -> Option<Snapshot> {
+        Some(Arc::new(self.clone()))
+    }
+
+    fn restore(&mut self, snap: &Snapshot) {
+        *self = snapshot_as::<ReplicatedMap>(snap).clone();
     }
 }
 

@@ -374,7 +374,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(60));
         check_cluster::<PaxosNode>(&sim, &ids).unwrap();
         let log = sim.node::<PaxosNode>(ids[1]).delivery_log().unwrap();
-        let hdrs: Vec<u32> = log.entries.iter().map(|(h, _)| h.cnt).collect();
+        let hdrs: Vec<u32> = log.iter().map(|(h, _)| h.cnt).collect();
         assert!(hdrs.windows(2).all(|w| w[0] + 1 == w[1]), "gap in delivery");
     }
 }

@@ -26,6 +26,7 @@ use simnet::{
     msg_span, Ctx, DeliveryClass, DurabilityMode, Gauge, LogDevParams, MsgKind, NetParams, NodeId,
     Process, Sim, SimTime, SpanStage,
 };
+use std::convert::Infallible;
 use std::time::Duration;
 
 /// Configuration of one Raft group.
@@ -679,6 +680,13 @@ impl RaftNode {
 /// Durable recovery: term, vote, and log come back from the WAL, and replay
 /// order resolves conflicting suffixes.
 impl wal::Journaled for RaftNode {
+    /// No checkpoint: recovery replays the whole journal.
+    type Checkpoint = Infallible;
+
+    fn restore(&mut self, never: &Infallible) {
+        match *never {}
+    }
+
     fn replay(&mut self, rec: &[u8]) {
         if let Some(((idx, (term, (client, id))), payload)) = WAL_ENTRY.read(rec) {
             // A record at an already-covered index supersedes the suffix it
@@ -915,7 +923,7 @@ mod tests {
             entry(2, 3, 13),
             vec![2, 7],
         ];
-        assert_eq!(wal::replay(&mut node, &records), 6);
+        assert_eq!(wal::replay(&mut node, None, &records), 6);
         let log: Vec<(u32, u64)> = node.log.iter().map(|e| (e.term, e.id)).collect();
         assert_eq!(log, [(1, 10), (3, 13)]);
         assert_eq!((node.term, node.voted_for), (3, Some(1)));

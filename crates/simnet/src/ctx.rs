@@ -1,6 +1,6 @@
 //! The effect context handed to [`Process`](crate::Process) handlers.
 
-use crate::disk::DurableLog;
+use crate::disk::{Checkpoint, DurableLog};
 use crate::time::SimTime;
 use crate::trace::{Counter, Event, Gauge, MsgKind, Probe, SpanStage, TraceEvent, WaitReason};
 use crate::NodeId;
@@ -177,12 +177,13 @@ impl<'a, M> Ctx<'a, M> {
     /// device's append cost (attributed to [`SpanStage::Commit`], scaled by
     /// the node's CPU scale exactly like any other charge). The record is
     /// *not* persisted until [`Ctx::log_fsync`] — a crash in between loses
-    /// it.
-    pub fn log_append(&mut self, rec: &[u8]) {
+    /// it. The log keeps `rec` itself.
+    pub fn log_append(&mut self, rec: Vec<u8>) {
+        let bytes = rec.len() as u64;
         let cost = self.disk.append(rec);
         self.charge(SpanStage::Commit as usize, cost);
         self.probe
-            .count(self.self_id, Counter::WalAppendBytes, rec.len() as u64);
+            .count(self.self_id, Counter::WalAppendBytes, bytes);
         self.probe
             .count(self.self_id, Counter::WalDeviceNs, cost.as_nanos() as u64);
     }
@@ -196,6 +197,21 @@ impl<'a, M> Ctx<'a, M> {
     /// parameters as the durable-mode protocols.
     pub fn log_fsync(&mut self) {
         let cost = self.disk.fsync();
+        self.charge_barrier(cost);
+    }
+
+    /// Replace this node's checkpoint with `ckpt` and drop the first `trim`
+    /// persisted records of its log, atomically
+    /// ([`DurableLog::checkpoint`]). Priced and counted as one
+    /// [`Ctx::log_fsync`] barrier; the staged suffix stays staged.
+    pub fn log_checkpoint(&mut self, ckpt: Checkpoint, trim: usize) {
+        let cost = self.disk.checkpoint(ckpt, trim);
+        self.charge_barrier(cost);
+    }
+
+    /// Charge one barrier of `cost` at the commit stage, on the `Wal*`
+    /// counters and as an fsync wait.
+    fn charge_barrier(&mut self, cost: Duration) {
         let stall = self.charge(SpanStage::Commit as usize, cost);
         self.probe.count(self.self_id, Counter::WalFsyncs, 1);
         self.probe
@@ -215,9 +231,25 @@ impl<'a, M> Ctx<'a, M> {
         self.disk.synced_records()
     }
 
+    /// How many records of this node's log are persisted.
+    pub fn log_synced_len(&self) -> usize {
+        self.disk.synced_len()
+    }
+
+    /// The checkpoint the persisted records continue, shared, if one was
+    /// written ([`Ctx::log_checkpoint`]).
+    pub fn log_synced_checkpoint(&self) -> Option<Checkpoint> {
+        self.disk.synced_checkpoint().cloned()
+    }
+
     /// Total records on this node's log, staged included.
     pub fn log_len(&self) -> usize {
         self.disk.len()
+    }
+
+    /// Whether this node's log holds neither a record nor a checkpoint.
+    pub fn log_is_empty(&self) -> bool {
+        self.disk.is_empty()
     }
 
     /// Send `msg` to `dst`. `wire_bytes` is the logical size on the wire
@@ -405,7 +437,7 @@ mod tests {
             &mut disk,
             Vec::new(),
         );
-        ctx.log_append(&[0u8; 512]);
+        ctx.log_append(vec![0u8; 512]);
         assert_eq!(ctx.cpu_used(), Duration::from_nanos(512));
         assert!(ctx.log_synced().is_empty());
         ctx.log_fsync();
@@ -418,5 +450,40 @@ mod tests {
         assert_eq!(snap.nodes[0].get(Counter::WalDeviceNs), 2512);
         // Attribution landed on the commit slot of the CPU table.
         assert_eq!(snap.res.nodes[0].cpu_ns[SpanStage::Commit as usize], 2512);
+    }
+
+    /// A checkpoint costs what a barrier costs, counted as one.
+    #[test]
+    fn log_checkpoint_is_priced_as_one_barrier() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut probe = Probe::new();
+        let mut disk = DurableLog::new(crate::disk::LogDevParams {
+            append_per_kib: Duration::ZERO,
+            fsync: Duration::from_micros(2),
+        });
+        let mut ctx: Ctx<'_, ()> = Ctx::new(
+            SimTime::ZERO,
+            0,
+            1.0,
+            &mut rng,
+            &mut probe,
+            &mut disk,
+            Vec::new(),
+        );
+        ctx.log_append(vec![1]);
+        ctx.log_append(vec![2]);
+        ctx.log_fsync();
+        assert!(ctx.log_synced_checkpoint().is_none());
+        ctx.log_checkpoint(std::sync::Arc::new(()), 1);
+        assert_eq!(ctx.cpu_used(), Duration::from_micros(4));
+        assert_eq!(ctx.log_synced(), &[vec![2]]);
+        assert_eq!(ctx.log_synced_len(), 1);
+        assert!(ctx.log_synced_checkpoint().is_some());
+        ctx.log_checkpoint(std::sync::Arc::new(()), 1);
+        assert_eq!(ctx.log_len(), 0);
+        assert!(!ctx.log_is_empty(), "the checkpoint is still there");
+        let snap = probe.snapshot();
+        assert_eq!(snap.nodes[0].get(Counter::WalFsyncs), 3);
+        assert_eq!(snap.nodes[0].get(Counter::WalDeviceNs), 6000);
     }
 }

@@ -12,8 +12,13 @@
 //!   the device's per-KiB append cost;
 //! * [`Ctx::log_fsync`](crate::Ctx::log_fsync) — charge the fsync barrier and
 //!   mark everything staged so far as persisted;
-//! * [`Ctx::log_synced`](crate::Ctx::log_synced) — read back the persisted
-//!   records during recovery.
+//! * [`Ctx::log_checkpoint`](crate::Ctx::log_checkpoint) — replace the
+//!   log's one [`Checkpoint`] and drop a prefix of its persisted records,
+//!   in one atomic step priced as one barrier;
+//! * [`Ctx::log_synced`](crate::Ctx::log_synced) and
+//!   [`Ctx::log_synced_checkpoint`](crate::Ctx::log_synced_checkpoint) —
+//!   read back the persisted records, and the checkpoint they continue,
+//!   during recovery.
 //!
 //! Both costs are charged as CPU time attributed to
 //! [`SpanStage::Commit`](crate::SpanStage) (the node blocks on the barrier,
@@ -25,7 +30,17 @@
 //! device model is a cost + truncation model, not a filesystem: there is one
 //! log per node, appends are ordered, and a crash drops exactly the suffix
 //! after the last barrier.
+//!
+//! A checkpoint is as opaque as a record: whatever state the protocol says
+//! its trimmed records amounted to. It is written whole and never
+//! modified, so the device keeps it as a shared immutable value and a
+//! restart reads it without a copy. It lives beside the records, not among
+//! them: a crash never touches it (it was written under its own barrier),
+//! and the staged suffix is left as it was, still waiting for the next
+//! [`Ctx::log_fsync`](crate::Ctx::log_fsync).
 
+use std::any::Any;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cost parameters of one log device.
@@ -104,14 +119,20 @@ impl DurabilityMode {
     }
 }
 
+/// The state a log's trimmed records amounted to, as the protocol that
+/// wrote them snapshots it (module docs).
+pub type Checkpoint = Arc<dyn Any + Send + Sync>;
+
 /// One node's persistent log: ordered opaque records plus the fsync barrier
-/// position. Everything at index `< synced` survives a crash; the staged
+/// position, and the checkpoint the records continue. Everything at index
+/// `< synced` survives a crash, and so does the checkpoint; the staged
 /// suffix does not.
 #[derive(Clone, Debug)]
 pub struct DurableLog {
     dev: LogDevParams,
     records: Vec<Vec<u8>>,
     synced: usize,
+    checkpoint: Option<Checkpoint>,
 }
 
 impl Default for DurableLog {
@@ -127,6 +148,7 @@ impl DurableLog {
             dev,
             records: Vec::new(),
             synced: 0,
+            checkpoint: None,
         }
     }
 
@@ -135,11 +157,14 @@ impl DurableLog {
         self.dev = dev;
     }
 
-    /// Stage one record (not yet persisted). Returns the append cost the
+    /// Stage one record (not yet persisted); the log keeps a `Vec` it is
+    /// handed, and copies a borrowed record. Returns the append cost the
     /// caller must charge.
-    pub fn append(&mut self, rec: &[u8]) -> Duration {
-        self.records.push(rec.to_vec());
-        self.dev.append_cost(rec.len())
+    pub fn append(&mut self, rec: impl Into<Vec<u8>>) -> Duration {
+        let rec = rec.into();
+        let cost = self.dev.append_cost(rec.len());
+        self.records.push(rec);
+        cost
     }
 
     /// Persist everything staged so far. Returns the barrier cost the caller
@@ -149,14 +174,37 @@ impl DurableLog {
         self.dev.fsync
     }
 
-    /// Total records (persisted + staged).
+    /// Persist `ckpt` in place of the previous checkpoint and drop the
+    /// first `trim` records, in one atomic step: a crash sees either the old
+    /// checkpoint and every record or the new one and the rest. Only
+    /// persisted records can be trimmed (panics otherwise); the staged
+    /// suffix stays staged. Returns the barrier cost the caller must charge.
+    pub fn checkpoint(&mut self, ckpt: Checkpoint, trim: usize) -> Duration {
+        assert!(
+            trim <= self.synced,
+            "trimming {trim} records of which only {} are persisted",
+            self.synced
+        );
+        self.checkpoint = Some(ckpt);
+        self.records.drain(..trim);
+        self.synced -= trim;
+        self.dev.fsync
+    }
+
+    /// The checkpoint the persisted records continue, if one was written.
+    pub fn synced_checkpoint(&self) -> Option<&Checkpoint> {
+        self.checkpoint.as_ref()
+    }
+
+    /// Total records (persisted + staged), the checkpoint not counted.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// Whether the log holds no records at all.
+    /// Whether the log holds neither a record nor a checkpoint: a boot on
+    /// it has nothing to recover.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records.is_empty() && self.checkpoint.is_none()
     }
 
     /// How many records are persisted.
@@ -181,8 +229,8 @@ impl DurableLog {
 
     /// Test-only tampering: silently discard the last `k` *persisted*
     /// records, modelling a device that lied about its barrier. The
-    /// durability auditor's negative test uses this to prove that a lost
-    /// committed entry is caught.
+    /// checkpoint is untouched. The durability auditor's negative test uses
+    /// this to prove that a lost committed entry is caught.
     pub fn corrupt_drop_tail(&mut self, k: usize) {
         let keep = self.records.len().saturating_sub(k);
         self.records.truncate(keep);
@@ -206,6 +254,24 @@ mod tests {
         assert_eq!(LogDevParams::etcd_wal().append_cost(4096), Duration::ZERO);
     }
 
+    /// `records` appended one by one.
+    fn log_of(records: &[&[u8]]) -> DurableLog {
+        let mut log = DurableLog::default();
+        for rec in records {
+            log.append(*rec);
+        }
+        log
+    }
+
+    fn ckpt(tag: u32) -> Checkpoint {
+        Arc::new(tag)
+    }
+
+    fn ckpt_tag(log: &DurableLog) -> Option<u32> {
+        log.synced_checkpoint()
+            .map(|c| *c.downcast_ref::<u32>().expect("a u32 checkpoint"))
+    }
+
     #[test]
     fn crash_truncates_to_last_barrier() {
         let mut log = DurableLog::new(LogDevParams::pmem());
@@ -224,8 +290,7 @@ mod tests {
 
     #[test]
     fn staged_records_are_invisible_to_recovery() {
-        let mut log = DurableLog::default();
-        log.append(b"a");
+        let mut log = log_of(&[b"a"]);
         assert!(log.synced_records().is_empty());
         log.fsync();
         assert_eq!(log.synced_records().len(), 1);
@@ -233,13 +298,63 @@ mod tests {
 
     #[test]
     fn corrupt_drop_tail_eats_persisted_records() {
-        let mut log = DurableLog::default();
-        log.append(b"a");
-        log.append(b"b");
+        let mut log = log_of(&[b"a", b"b"]);
         log.fsync();
         log.corrupt_drop_tail(1);
         assert_eq!(log.synced_records(), &[b"a".to_vec()]);
         assert_eq!(log.crash_truncate(), 0);
+    }
+
+    /// A checkpoint replaces its predecessor and trims a persisted prefix;
+    /// a crash then loses the staged suffix and nothing else: not the
+    /// checkpoint, not the records it left.
+    #[test]
+    fn checkpoint_trims_a_persisted_prefix_and_survives_a_crash() {
+        let mut log = log_of(&[b"a", b"b", b"c"]);
+        log.fsync();
+        log.append(b"d");
+        assert!(ckpt_tag(&log).is_none());
+        assert_eq!(log.checkpoint(ckpt(1), 2), LogDevParams::default().fsync);
+        assert_eq!(ckpt_tag(&log), Some(1));
+        assert_eq!((log.len(), log.synced_len()), (2, 1));
+        assert_eq!(log.synced_records(), &[b"c".to_vec()]);
+        log.checkpoint(ckpt(2), 0);
+        assert_eq!(
+            ckpt_tag(&log),
+            Some(2),
+            "the newer checkpoint replaces the old"
+        );
+        assert_eq!(log.crash_truncate(), 1, "the staged record is lost");
+        assert_eq!(log.synced_records(), &[b"c".to_vec()]);
+        assert_eq!(ckpt_tag(&log), Some(2));
+        // A checkpoint over every record leaves a log that is not empty.
+        log.checkpoint(ckpt(3), 1);
+        assert_eq!(log.len(), 0);
+        assert!(!log.is_empty());
+        assert_eq!(log.crash_truncate(), 0);
+        assert_eq!(ckpt_tag(&log), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "only 1 are persisted")]
+    fn checkpoint_trims_only_persisted_records() {
+        let mut log = log_of(&[b"a"]);
+        log.fsync();
+        log.append(b"staged");
+        log.checkpoint(ckpt(1), 2);
+    }
+
+    /// The tampering the auditor's negative test relies on eats the records
+    /// a checkpoint left, never the checkpoint.
+    #[test]
+    fn corrupt_drop_tail_keeps_the_checkpoint() {
+        let mut log = log_of(&[b"a", b"b", b"c"]);
+        log.fsync();
+        log.checkpoint(ckpt(7), 1);
+        log.corrupt_drop_tail(5);
+        assert!(log.synced_records().is_empty());
+        assert_eq!(log.synced_len(), 0);
+        assert_eq!(ckpt_tag(&log), Some(7));
     }
 
     #[test]

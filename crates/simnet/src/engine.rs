@@ -2681,10 +2681,10 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Ctx<u32>, _: u64) {
                 if !self.wrote {
                     self.wrote = true;
-                    ctx.log_append(b"a");
-                    ctx.log_append(b"b");
+                    ctx.log_append(b"a".to_vec());
+                    ctx.log_append(b"b".to_vec());
                     ctx.log_fsync();
-                    ctx.log_append(b"staged");
+                    ctx.log_append(b"staged".to_vec());
                 }
             }
         }

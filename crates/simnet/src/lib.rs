@@ -44,7 +44,7 @@ mod time;
 pub mod trace;
 
 pub use ctx::{Ctx, DeliveryClass};
-pub use disk::{DurabilityMode, DurableLog, LogDevParams};
+pub use disk::{Checkpoint, DurabilityMode, DurableLog, LogDevParams};
 pub use engine::{DeschedProfile, EngineStats, IdlePoll, Process, Sim};
 pub use hash::{FastMap, FastSet};
 pub use net::{LinkParams, NicParams};

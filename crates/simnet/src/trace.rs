@@ -633,6 +633,16 @@ struct ForensicsCollector {
     commits: u64,
     /// Bounded slowest-commit ring (unsorted; sorted at snapshot time).
     outliers: Vec<CommitForensics>,
+    /// Per stage slot, how far covering marks have reached: every open
+    /// record from the epoch base of `covered[slot]` up to it, exclusive,
+    /// holds that stage's mark, so the next covering mark of the epoch
+    /// scans only from there (`span_mark`).
+    covered: [u64; SpanStage::COUNT],
+}
+
+/// The epoch base of a message-space span id: its count bits cleared.
+fn epoch_base(id: u64) -> u64 {
+    id & !0xFFFF_FFFFu64
 }
 
 impl ForensicsCollector {
@@ -1124,6 +1134,13 @@ impl Probe {
                 rec.id = arg;
                 rec.msg_id = id;
                 f.msgs.insert(id, rec);
+                // A record opened below a covering watermark does not hold
+                // that stage yet: the next covering mark must reach it.
+                for w in &mut f.covered {
+                    if id < *w && epoch_base(id) == epoch_base(*w) {
+                        *w = id;
+                    }
+                }
                 f.alias.insert(arg, id);
                 if f.msgs.len() > FORENSICS_OPEN_CAP {
                     if let Some((_, dead)) = f.msgs.pop_first() {
@@ -1155,10 +1172,17 @@ impl Probe {
         if stage.covering() {
             // Inherit into every open lower count of the same (round, ldr)
             // epoch: the msg-span packing keeps the count in the low 32
-            // bits, so the epoch's ids form one contiguous key range.
-            let lo = id & !0xFFFF_FFFFu64;
+            // bits, so the epoch's ids form one contiguous key range. Below
+            // the stage's watermark in the same epoch every open record
+            // already holds the stage, so the scan starts there.
             let slot = stage as usize;
-            for (_, rec) in f.msgs.range_mut(lo..id) {
+            let (lo, w) = (epoch_base(id), f.covered[slot]);
+            let from = if epoch_base(w) == lo { w } else { lo };
+            if from >= id {
+                return;
+            }
+            f.covered[slot] = id;
+            for (_, rec) in f.msgs.range_mut(from..id) {
                 if rec.marks[slot].is_none() {
                     rec.marks[slot] = Some(mark);
                     if let Some(s) = straggler {
@@ -1325,6 +1349,63 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The marks of `stage` the open message-space records hold, by count.
+    fn stage_marks(p: &Probe, stage: SpanStage) -> Vec<(u32, Option<u64>)> {
+        p.forensics
+            .msgs
+            .iter()
+            .map(|(&id, r)| (id as u32, r.marks[stage as usize].map(|m| m.at_ns)))
+            .collect()
+    }
+
+    /// A record opened after a higher covering mark of its epoch (the
+    /// watermark passed it before it existed) still inherits the next
+    /// covering mark above it, as a scan of the whole epoch gives it; a
+    /// covering mark at or below the watermark changes nothing, and one in
+    /// another epoch scans that epoch from its base.
+    #[test]
+    fn a_record_opened_below_the_covering_watermark_still_inherits() {
+        let mut p = Probe::new();
+        let t = SimTime::from_nanos;
+        let open = |p: &mut Probe, cnt: u32| {
+            p.span_mark(
+                t(1),
+                0,
+                msg_span(1, 0, cnt),
+                SpanStage::LeaderRecv,
+                100 + cnt as u64,
+            );
+        };
+        let commit = |p: &mut Probe, at: u64, round: u32, cnt: u32| {
+            p.span_mark(t(at), 1, msg_span(round, 0, cnt), SpanStage::Commit, 0);
+        };
+        open(&mut p, 1);
+        open(&mut p, 5);
+        commit(&mut p, 10, 1, 5);
+        open(&mut p, 3);
+        open(&mut p, 8);
+        commit(&mut p, 20, 1, 4);
+        assert_eq!(
+            stage_marks(&p, SpanStage::Commit),
+            [(1, Some(10)), (3, Some(20)), (5, Some(10)), (8, None)]
+        );
+        commit(&mut p, 30, 1, 9);
+        commit(&mut p, 40, 1, 7);
+        open(&mut p, 2);
+        commit(&mut p, 50, 2, 1);
+        commit(&mut p, 60, 1, 6);
+        assert_eq!(
+            stage_marks(&p, SpanStage::Commit),
+            [
+                (1, Some(10)),
+                (2, Some(60)),
+                (3, Some(20)),
+                (5, Some(10)),
+                (8, Some(30))
+            ]
+        );
+    }
 
     #[test]
     fn counters_accumulate_per_node() {

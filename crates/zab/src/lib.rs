@@ -32,6 +32,7 @@ use simnet::{
     Process, Sim, SimTime, SpanStage,
 };
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::time::Duration;
 
 /// A ZooKeeper transaction id: `(epoch, counter)`, totally ordered.
@@ -626,6 +627,13 @@ impl ZabNode {
 /// with a positive epoch) is accepted, while the recovered `last_zxid` gives
 /// the node its true weight in fast leader election.
 impl wal::Journaled for ZabNode {
+    /// No checkpoint: recovery replays the whole journal.
+    type Checkpoint = Infallible;
+
+    fn restore(&mut self, never: &Infallible) {
+        match *never {}
+    }
+
     fn replay(&mut self, rec: &[u8]) {
         if let Some(((zxid, (client, id)), value)) = WAL_ENTRY.read(rec) {
             self.log
@@ -796,7 +804,7 @@ mod tests {
             entry((1, 1)),
             entry((2, 1)),
         ];
-        assert_eq!(wal::replay(&mut node, &records), 5);
+        assert_eq!(wal::replay(&mut node, None, &records), 5);
         assert_eq!(
             node.log.keys().copied().collect::<Vec<_>>(),
             [(1, 1), (2, 1)]

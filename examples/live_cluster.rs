@@ -61,8 +61,7 @@ fn main() {
                 .expect("replica")
                 .delivery_log()
                 .expect("DeliveryLog app")
-                .entries
-                .clone()
+                .to_vec()
         })
         .collect();
     for (id, h) in histories.iter().enumerate() {

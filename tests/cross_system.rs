@@ -105,7 +105,7 @@ fn commits_match_the_delivery_log<R: Replica>(name: &str, cfg: &R::Config, end_m
     }
     for id in ids.into_iter().filter(|&id| !sim.is_crashed(id)) {
         let log = sim.node::<R>(id).delivery_log().expect("DeliveryLog app");
-        let delivered = log.entries.len() as u64;
+        let delivered = log.len() as u64;
         assert!(delivered > 0, "{name}: replica {id} delivered nothing");
         let commits = sim.counter(id, Counter::Commits);
         assert_eq!(commits, delivered, "{name}: replica {id}");

@@ -47,7 +47,7 @@ fn recovery_equivalence<R: Replica>(
             sim.crash_at(2, ms(at[0]));
             sim.restart_at(2, ms(at[1]));
             sim.run_until(ms(at[0]));
-            let before = sim.node::<R>(2).delivery_log().expect("log").entries.len();
+            let before = sim.node::<R>(2).delivery_log().expect("log").len();
             sim.run_until(ms(at[2]));
             check_cluster::<R>(&sim, &ids).expect("abcast safety");
             let hs = histories::<R>(&sim, &ids);
@@ -144,13 +144,13 @@ fn zab_recovery_equivalence_durable_vs_fresh_rejoin() {
 /// `failover_5n` in small: five durable replicas with `retain_log` set, as
 /// the benchmark sets it, and the leader power-failed in each of four
 /// rounds (re-aiming the client at its successor, as the harness does). A
-/// durable replica recovers its own prefix from its journal, so log GC
-/// stays on: the leader's log holds what some live cell has not yet
-/// committed, not the history, and a rejoin diff carries at most what
-/// committed since its replica failed (the horizon waits on the dead
-/// node's stale cell), about 48 B an entry here, not everything before.
-/// The rebooted replicas' histories still start at the first entry: they
-/// replayed it from their journals.
+/// durable replica recovers its own prefix from its checkpoint and
+/// journal, so log GC stays on: the leader's log holds what some live
+/// cell has not yet committed, not the history, and a rejoin diff carries
+/// at most what committed since its replica failed (the horizon waits on
+/// the dead node's stale cell), about 48 B an entry here, not everything
+/// before. The rebooted replicas' histories still start at the first
+/// entry: they restored it from their checkpoints' app snapshots.
 #[test]
 fn durable_gc_keeps_logs_and_rejoin_diffs_to_what_a_reboot_missed() {
     let ms = Duration::from_millis;
@@ -211,6 +211,144 @@ fn durable_gc_keeps_logs_and_rejoin_diffs_to_what_a_reboot_missed() {
     assert!(
         sim.metrics().total(Counter::WalRecoveredRecords) > 0,
         "no replay"
+    );
+}
+
+/// Journal records an Acuerdo checkpoint drops at the least (the node's
+/// `CHECKPOINT_RECORDS`).
+const CHECKPOINT_RECORDS: u64 = 1024;
+
+/// Five durable replicas under a window client that follows the leader.
+fn durable_five(seed: u64) -> (Sim<AcWire>, Vec<usize>, usize) {
+    let cfg = AcuerdoConfig {
+        retain_log: true,
+        durability: DurabilityMode::Durable,
+        ..AcuerdoConfig::stable(5)
+    };
+    let (mut sim, ids, client) =
+        cluster_with_client::<AcuerdoNode>(seed, &cfg, 8, 32, Duration::ZERO);
+    abcast::enable_restarts::<AcuerdoNode>(&mut sim, &cfg, &ids);
+    let c = sim.node_mut::<WindowClient<AcWire>>(client);
+    c.retransmit = Some(Duration::from_millis(1));
+    c.replicas = ids.clone();
+    (sim, ids, client)
+}
+
+/// The identity of replica `id`'s checkpoint, if it wrote one.
+fn checkpoint_id(sim: &Sim<AcWire>, id: usize) -> Option<usize> {
+    let c = sim.disk(id).synced_checkpoint()?;
+    Some(std::sync::Arc::as_ptr(c) as *const () as usize)
+}
+
+/// The leader of a durable five-node cluster is power-failed after it has
+/// written at least two checkpoints. Its reboot restores the last one and
+/// replays only the records above it: at most `CHECKPOINT_RECORDS` that
+/// no checkpoint dropped yet, plus those of the entries its log held above
+/// its GC horizon. Its history, restored whole from the app snapshot and
+/// then extended, is a prefix of the survivors'; its `Commits` counter
+/// grows by what it delivers after the reboot, not by its history again.
+#[test]
+fn a_rebooted_replica_replays_only_what_lies_above_its_checkpoint() {
+    let ms = Duration::from_millis;
+    let (mut sim, ids, client) = durable_five(52);
+    let mut seen = Vec::new();
+    let mut t = SimTime::ZERO;
+    while t < SimTime::ZERO + ms(20) {
+        t += ms(1);
+        sim.run_until(t);
+        if let Some(c) = checkpoint_id(&sim, 0) {
+            if seen.last() != Some(&c) {
+                seen.push(c);
+            }
+        }
+    }
+    assert_eq!(current_leader(&sim, &ids), Some(0));
+    assert!(seen.len() >= 2, "{} checkpoints by 20 ms", seen.len());
+    let (log, commits) = (
+        sim.node::<AcuerdoNode>(0).log_len() as u64,
+        sim.counter(0, Counter::Commits),
+    );
+    sim.power_failure(&[0]);
+    let back = t + ms(2);
+    sim.restart_at(0, back);
+    sim.run_until(back + Duration::from_nanos(1));
+    let recovered = sim.counter(0, Counter::WalRecoveredRecords);
+    assert!(
+        recovered <= CHECKPOINT_RECORDS + log,
+        "{recovered} records replayed; the log held {log} entries"
+    );
+    let restored = sim
+        .node::<AcuerdoNode>(0)
+        .delivery_log()
+        .expect("log")
+        .len() as u64;
+    assert!(
+        restored > commits / 2 && restored <= commits,
+        "restored {restored} of {commits} delivered"
+    );
+    assert_eq!(
+        sim.counter(0, Counter::Commits),
+        commits,
+        "the restore delivered"
+    );
+    sim.run_until(back + ms(1));
+    let next = current_leader(&sim, &ids).expect("a leader after the election");
+    sim.node_mut::<WindowClient<AcWire>>(client).targets = vec![next];
+    sim.run_until(back + ms(8));
+    check_cluster::<AcuerdoNode>(&sim, &ids).expect("abcast safety");
+    let hs = histories::<AcuerdoNode>(&sim, &ids);
+    let longest = hs.iter().max_by_key(|h| h.len()).unwrap();
+    let mine = &hs[0];
+    assert!(
+        mine.len() as u64 > commits,
+        "the rebooted replica caught up"
+    );
+    assert_eq!(mine[..], longest[..mine.len()], "not the survivors' prefix");
+    assert_eq!(
+        sim.counter(0, Counter::Commits) - commits,
+        mine.len() as u64 - restored,
+        "Commits after the reboot"
+    );
+}
+
+/// The whole cluster loses power after every replica has checkpointed:
+/// each reboot restores its checkpoint and the records above it, the
+/// cluster elects a leader whose log holds every committed entry, and the
+/// durability auditor and the §2.2 oracle find nothing lost, duplicated
+/// or reordered.
+#[test]
+fn whole_cluster_power_failure_after_checkpoints_loses_nothing() {
+    let ms = SimTime::from_millis;
+    let (mut sim, ids, _) = durable_five(53);
+    sim.run_until(ms(20));
+    for &id in &ids {
+        assert!(
+            checkpoint_id(&sim, id).is_some(),
+            "replica {id} never checkpointed"
+        );
+    }
+    let mut auditor = DurabilityAuditor::new();
+    let pre = histories::<AcuerdoNode>(&sim, &ids);
+    auditor.observe(&pre).expect("clean before the fault");
+    let committed = pre.iter().map(Vec::len).max().unwrap();
+    sim.power_failure(&ids);
+    for (k, &id) in ids.iter().enumerate() {
+        sim.restart_at(id, ms(21) + Duration::from_micros(300 * k as u64));
+    }
+    sim.run_until(ms(60));
+    let recovered = sim.metrics().total(Counter::WalRecoveredRecords);
+    assert!(
+        recovered < 5 * 2 * CHECKPOINT_RECORDS,
+        "{recovered} records replayed after {committed} commits"
+    );
+    let post = histories::<AcuerdoNode>(&sim, &ids);
+    auditor
+        .observe(&post)
+        .expect("a checkpointed cluster loses nothing");
+    check_cluster::<AcuerdoNode>(&sim, &ids).expect("abcast safety");
+    assert!(
+        post.iter().all(|h| h.len() > committed),
+        "the cluster did not commit past the failure"
     );
 }
 

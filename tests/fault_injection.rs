@@ -317,7 +317,7 @@ fn crashed_leader_restarts_and_rejoins_via_multipart_diff() {
     let old_leader = current_leader(&sim, &ids).expect("initial leader");
     // This incarnation's DeliveryLog, on both sides of the reboot: the
     // Commits counter would carry the pre-crash deliveries across it.
-    let delivered = |r: &AcuerdoNode| r.delivery_log().expect("DeliveryLog app").entries.len();
+    let delivered = |r: &AcuerdoNode| r.delivery_log().expect("DeliveryLog app").len();
     let committed_before_crash = delivered(sim.node::<AcuerdoNode>(old_leader));
     assert!(committed_before_crash > 100, "no load before the crash");
     sim.crash(old_leader);
