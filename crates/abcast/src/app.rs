@@ -13,8 +13,7 @@ use std::sync::Arc;
 pub type Snapshot = Arc<dyn Any + Send + Sync>;
 
 /// A replicated application: receives committed messages in total order.
-/// `Send` so protocol nodes can run on the threaded fabric.
-pub trait App: Any + Send {
+pub trait App: Any {
     /// Deliver one committed message. Called exactly once per header, in
     /// header order.
     fn deliver(&mut self, hdr: MsgHdr, payload: &Bytes);

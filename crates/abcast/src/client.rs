@@ -82,7 +82,7 @@ pub struct WindowClient<M: ClientPort> {
     /// Custom payload generator (e.g. YCSB key-value operations); defaults
     /// to the deterministic filler of [`crate::workload::payload`]. Must be
     /// deterministic per id so retransmits carry identical bytes.
-    pub payload_fn: Option<Box<dyn FnMut(u64) -> Bytes + Send>>,
+    pub payload_fn: Option<Box<dyn FnMut(u64) -> Bytes>>,
 
     next_id: u64,
     outstanding: FastMap<u64, (SimTime, Bytes)>,

@@ -114,10 +114,6 @@ pub struct AcuerdoConfig {
     pub n: usize,
     /// Bytes per incoming ring buffer (one ring per remote sender).
     pub ring_bytes: usize,
-    /// Busy-poll loop interval.
-    pub poll_interval: Duration,
-    /// How often Commit_SST (and the leader heartbeat it carries) is pushed.
-    pub commit_push_interval: Duration,
     /// A follower suspects the leader after this much silence.
     pub fail_timeout: Duration,
     /// During an election, self-nominate if the best vote has not grown for
@@ -137,10 +133,6 @@ pub struct AcuerdoConfig {
     /// Skip the start-up election and boot every node directly into this
     /// epoch (round, leader). Used by the stable-network benchmarks.
     pub initial_epoch: Option<Epoch>,
-    /// Maximum payload bytes per recovery-diff frame; larger diffs are split
-    /// into parts. A part is also kept to what one ring frame can carry
-    /// (half of `ring_bytes`, less framing).
-    pub max_diff_part: usize,
     /// Disable log GC on a volatile node, so a peer that crash-restarts
     /// (losing its whole log) can be re-seeded with the complete history by
     /// a recovery diff, until a volatile rejoiner can take a snapshot
@@ -168,8 +160,6 @@ impl Default for AcuerdoConfig {
         AcuerdoConfig {
             n: 3,
             ring_bytes: 1 << 20,
-            poll_interval: simnet::params::cpu::POLL_INTERVAL,
-            commit_push_interval: Duration::from_micros(5),
             fail_timeout: Duration::from_millis(1),
             candidate_patience: Duration::from_micros(200),
             qp: QpConfig::default(),
@@ -177,7 +167,6 @@ impl Default for AcuerdoConfig {
             slot_reuse_on_commit: false,
             per_message_acks: false,
             initial_epoch: None,
-            max_diff_part: 32 << 10,
             retain_log: false,
             durability: simnet::DurabilityMode::Volatile,
             dissemination: DisseminationMode::Star,

@@ -30,7 +30,7 @@ mod node;
 
 pub use cluster::{build_cluster, current_leader, enable_restarts, histories};
 pub use config::{ring_route, AcuerdoConfig, DisseminationMode, RingRoute};
-pub use node::{AcWire, AcuerdoNode, Role};
+pub use node::{AcWire, AcuerdoNode, Role, MAX_DIFF_PART};
 
 #[cfg(test)]
 mod tests {

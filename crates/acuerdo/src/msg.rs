@@ -12,8 +12,8 @@
 //!   receiver treats a Normal frame as segment 0 of 1;
 //! * **Diff** messages (§3.4): header with count 0 plus the log entries the
 //!   receiving follower may be missing. Diffs larger than
-//!   [`AcuerdoConfig::max_diff_part`](crate::AcuerdoConfig::max_diff_part)
-//!   are split into consecutively-sent parts; a follower processes the diff
+//!   [`MAX_DIFF_PART`](crate::MAX_DIFF_PART) are split into
+//!   consecutively-sent parts; a follower processes the diff
 //!   once all parts arrived (parts travel back-to-back on their FIFO lane,
 //!   so no other frame of that lane can interleave; each lane reassembles
 //!   its own).

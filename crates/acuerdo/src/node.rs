@@ -140,6 +140,10 @@ const TOK_PUSH: u64 = 2;
 const HELLO_WIRE: u32 = 24;
 /// Resync attempts before giving up and contesting a normal election.
 const MAX_RESYNC_ATTEMPTS: u32 = 3;
+/// Payload bytes per recovery-diff part (`seed_peer`): a larger diff is
+/// split into parts, each also kept to what one ring frame can carry (half
+/// the ring, less framing).
+pub const MAX_DIFF_PART: usize = 32 << 10;
 
 /// CPU cost of delivering one committed message to the application.
 const DELIVER_COST: Duration = Duration::from_nanos(100);
@@ -201,6 +205,11 @@ fn seg_post(hdr: MsgHdr, part: u16) -> Event {
 /// GC horizon) every this many push ticks, and a leader posts its row to
 /// each peer at least this often.
 const FOLLOWER_PUSH_PERIOD: u64 = 10;
+
+/// A push tick's period at a leader (`arm_push`), and the CPU a leader's
+/// catch-up stream may spend in one handler before it yields to the tick
+/// (`flush_peer`).
+const COMMIT_PUSH_INTERVAL: Duration = Duration::from_micros(5);
 
 /// Extra star-fallback patience the leader grants per arm hop. One hop
 /// costs an egress plus an ingress serialization, a link flight, and a
@@ -826,7 +835,7 @@ impl AcuerdoNode {
             // push interval of CPU in this handler the rest waits for the
             // next poll, so `TOK_PUSH` (the heartbeat) runs in between. A
             // leader with a peer off the arm heads never skips a poll.
-            if !direct && ctx.cpu_used() >= self.cfg.commit_push_interval {
+            if !direct && ctx.cpu_used() >= COMMIT_PUSH_INTERVAL {
                 return;
             }
             // An arm head that forwards gets a large entry as segments, so
@@ -1893,9 +1902,9 @@ impl AcuerdoNode {
         };
         let hdr = MsgHdr::new(self.e_new, 0);
         // A part must fit the ring: at n ≥ 33 the rings shrink to 64 KiB and
-        // a full 32 KiB default part plus its framing no longer does.
+        // a full `MAX_DIFF_PART` part plus its framing no longer does.
         let fits = self.out_ring.max_payload().saturating_sub(msg::DIFF_HEAD);
-        let parts = msg::encode_diff_parts(hdr, &entries, self.cfg.max_diff_part.min(fits));
+        let parts = msg::encode_diff_parts(hdr, &entries, MAX_DIFF_PART.min(fits));
         self.out[j].diff_backlog = parts.into();
         self.out[j].next_cnt = next_cnt;
         self.out[j].next_part = 0;
@@ -1991,7 +2000,7 @@ impl AcuerdoNode {
         }
     }
 
-    /// Arm the next push tick: one `commit_push_interval` away at a leader,
+    /// Arm the next push tick: one `COMMIT_PUSH_INTERVAL` away at a leader,
     /// at the next multiple of `FOLLOWER_PUSH_PERIOD` ticks elsewhere.
     fn arm_push(&mut self, ctx: &mut Ctx<AcWire>) {
         self.push_stride = if self.role() == Role::Leader {
@@ -2000,7 +2009,7 @@ impl AcuerdoNode {
             FOLLOWER_PUSH_PERIOD - self.push_ticks % FOLLOWER_PUSH_PERIOD
         };
         ctx.set_timer(
-            self.cfg.commit_push_interval * self.push_stride as u32,
+            COMMIT_PUSH_INTERVAL * self.push_stride as u32,
             TOK_PUSH | self.push_gen << 8,
         );
     }
@@ -2388,7 +2397,7 @@ impl Process<AcWire> for AcuerdoNode {
             Phase::Electing(_) => self.start_election(ctx),
             Phase::Leader(_) => {}
         }
-        ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+        ctx.set_timer(cpu::POLL_INTERVAL, TOK_POLL);
         self.arm_push(ctx);
     }
 
@@ -2412,7 +2421,7 @@ impl Process<AcWire> for AcuerdoNode {
         }
         Some(IdlePoll {
             cpu: cpu::POLL_IDLE,
-            rearm: self.cfg.poll_interval,
+            rearm: cpu::POLL_INTERVAL,
             until: self.inert_until()?,
         })
     }
@@ -2484,7 +2493,7 @@ impl Process<AcWire> for AcuerdoNode {
                 {
                     self.stirred |= self.naive;
                 }
-                ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+                ctx.set_timer(cpu::POLL_INTERVAL, TOK_POLL);
             }
             t if t & 0xff == TOK_PUSH => {
                 if t >> 8 != self.push_gen {

@@ -210,7 +210,6 @@ fn sweep() -> [(&'static str, AcuerdoConfig, bool, Vec<u64>); 5] {
     let reuse_on_commit = AcuerdoConfig {
         slot_reuse_on_commit: true,
         ring_bytes: 4 << 10,
-        max_diff_part: 1 << 10,
         ..chaos_cfg(5)
     };
     let split = AcuerdoConfig {
@@ -426,7 +425,6 @@ fn push_tick_under_slot_reuse_on_commit() {
     let cfg = AcuerdoConfig {
         slot_reuse_on_commit: true,
         ring_bytes: 4 << 10,
-        max_diff_part: 1 << 10,
         ..AcuerdoConfig::stable(3)
     };
     let run = |naive: bool| {

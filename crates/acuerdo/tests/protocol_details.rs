@@ -4,7 +4,7 @@
 //! accept, and the order of a ring forwarder's posts.
 
 use abcast::{check_cluster, cluster_with_client, ClientReq, MsgHdr, WindowClient};
-use acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role};
+use acuerdo::{current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role, MAX_DIFF_PART};
 use rdma_prims::{ring_bytes_for, FixedCodec};
 use simnet::{Counter, DeliveryClass, SimTime, TraceEvent};
 use std::time::Duration;
@@ -571,22 +571,24 @@ fn election_diffs_start_at_each_peers_commit_point() {
 fn multi_part_diff_recovers_a_far_behind_follower() {
     // A follower descheduled long enough to miss more than one diff part of
     // messages must be brought back by a chunked diff at the next election.
-    // Rows: ring bytes, part cap, payload bytes, when the follower sleeps.
+    // Rows: ring bytes, payload bytes, when the follower sleeps.
     let rows = [
-        // Small parts on the benchmark ring: many of them.
-        (ring_bytes_for(3), 2 << 10, 100, 1_000),
-        // The 64 KiB rings of n ≥ 33 under the default 32 KiB cap. A
-        // 240-byte payload makes a 256-byte entry, so a full part holds
-        // exactly 32 KiB of entries, and with its framing more than the
-        // half ring a frame may take: the winner has to size its parts to
-        // the ring. The ~190-entry diff takes two of them.
-        (64 << 10, AcuerdoConfig::default().max_diff_part, 240, 2_900),
+        // The benchmark ring: a sleeping follower's backlog lands in its
+        // ring, and the election diff is short (20 entries of 100-byte
+        // payloads, under one `MAX_DIFF_PART` part). With 1 KB payloads
+        // the ~56-entry diff takes two parts.
+        (ring_bytes_for(3), 1_000, 1_000),
+        // The 64 KiB rings of n ≥ 33. A 240-byte payload makes a 256-byte
+        // entry, so a full part holds exactly 32 KiB of entries, and with
+        // its framing more than the half ring a frame may take: the winner
+        // has to size its parts to the ring. The ~230-entry diff takes two
+        // of them.
+        (64 << 10, 240, 2_900),
     ];
-    for (ring_bytes, max_diff_part, payload, sleep_at) in rows {
+    for (ring_bytes, payload, sleep_at) in rows {
         let cfg = AcuerdoConfig {
             fail_timeout: Duration::from_micros(400),
             ring_bytes,
-            max_diff_part,
             ..AcuerdoConfig::stable(3)
         };
         let (mut sim, ids, client) =
@@ -609,7 +611,7 @@ fn multi_part_diff_recovers_a_far_behind_follower() {
             _ => None,
         });
         let entry_bytes = (MsgHdr::SIZE + 4 + payload) as u64;
-        let part_entries = max_diff_part as u64 / entry_bytes;
+        let part_entries = MAX_DIFF_PART as u64 / entry_bytes;
         assert!(
             entries.is_some_and(|k| k > part_entries),
             "ring {ring_bytes}: diff of {entries:?} entries, {part_entries} to a part"
@@ -828,37 +830,21 @@ fn idle_cluster_skips_most_of_its_polls() {
     // (`observe_acks` and `reuse_slots` are free, and `publish_gauges` runs
     // before `reuse_slots`), and skipping after it left `ring_occupancy`
     // stale in the quick matrix (`acuerdo-w1` mean 10.489 -> 18.436). So the
-    // share depends on the push cadence: one push per 50 us leaves about
-    // ninety polls between pushes, the default 5 us about nine.
-    let shares = |push: Duration| {
-        let cfg = AcuerdoConfig {
-            commit_push_interval: push,
-            ..AcuerdoConfig::stable(3)
-        };
-        let mut sim = simnet::Sim::new(106, simnet::NetParams::rdma());
-        let ids = acuerdo::build_cluster(&mut sim, &cfg);
-        sim.run_until(SimTime::from_millis(20));
-        for &id in &ids {
-            assert_eq!(
-                sim.node::<AcuerdoNode>(id).epoch(),
-                abcast::Epoch::new(1, 0)
-            );
-        }
-        (
-            skipped_share(&sim, &ids[..1]),
-            skipped_share(&sim, &ids[1..]),
-        )
-    };
-    // Measured: 99.8 % / 99.9 % sparse, 97.6 % / 98.9 % at the default
-    // cadence.
-    let (leader, followers) = shares(Duration::from_micros(50));
-    assert!(leader >= 0.995, "leader skipped {:.1} %", leader * 100.0);
-    assert!(
-        followers >= 0.985,
-        "followers skipped {:.1} %",
-        followers * 100.0
-    );
-    let (leader, followers) = shares(AcuerdoConfig::default().commit_push_interval);
+    // share depends on the push cadence: a push every 5 us leaves about nine
+    // polls between pushes.
+    let cfg = AcuerdoConfig::stable(3);
+    let mut sim = simnet::Sim::new(106, simnet::NetParams::rdma());
+    let ids = acuerdo::build_cluster(&mut sim, &cfg);
+    sim.run_until(SimTime::from_millis(20));
+    for &id in &ids {
+        assert_eq!(
+            sim.node::<AcuerdoNode>(id).epoch(),
+            abcast::Epoch::new(1, 0)
+        );
+    }
+    // Measured: 97.6 % / 98.9 %.
+    let leader = skipped_share(&sim, &ids[..1]);
+    let followers = skipped_share(&sim, &ids[1..]);
     assert!(leader >= 0.96, "leader skipped {:.1} %", leader * 100.0);
     assert!(
         followers >= 0.98,

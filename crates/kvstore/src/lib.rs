@@ -182,7 +182,7 @@ impl YcsbLoad {
     }
 
     /// Boxed payload generator for [`abcast::WindowClient::payload_fn`].
-    pub fn into_payload_fn(mut self) -> Box<dyn FnMut(u64) -> Bytes + Send> {
+    pub fn into_payload_fn(mut self) -> Box<dyn FnMut(u64) -> Bytes> {
         Box::new(move |id| self.op(id).encode())
     }
 }

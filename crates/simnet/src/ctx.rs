@@ -366,10 +366,19 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// A probe with a row for each node up to `id`.
+    fn probe_through(id: NodeId) -> Probe {
+        let mut probe = Probe::new();
+        for _ in 0..=id {
+            probe.add_node();
+        }
+        probe
+    }
+
     #[test]
     fn cpu_accrues_and_scales() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut probe = Probe::new();
+        let mut probe = probe_through(3);
         let mut disk = DurableLog::default();
         let mut ctx: Ctx<'_, ()> = Ctx::new(
             SimTime::from_micros(10),
@@ -390,7 +399,7 @@ mod tests {
     #[test]
     fn effects_capture_cpu_offset() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut probe = Probe::new();
+        let mut probe = probe_through(0);
         let mut disk = DurableLog::default();
         let mut ctx: Ctx<'_, u32> = Ctx::new(
             SimTime::ZERO,
@@ -423,7 +432,7 @@ mod tests {
     #[test]
     fn log_api_charges_device_time_at_commit() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut probe = Probe::new();
+        let mut probe = probe_through(0);
         let mut disk = DurableLog::new(crate::disk::LogDevParams {
             append_per_kib: Duration::from_nanos(1024),
             fsync: Duration::from_micros(2),
@@ -456,7 +465,7 @@ mod tests {
     #[test]
     fn log_checkpoint_is_priced_as_one_barrier() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut probe = Probe::new();
+        let mut probe = probe_through(0);
         let mut disk = DurableLog::new(crate::disk::LogDevParams {
             append_per_kib: Duration::ZERO,
             fsync: Duration::from_micros(2),

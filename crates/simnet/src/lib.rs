@@ -29,7 +29,8 @@
 //!
 //! Protocol nodes are sans-IO state machines implementing [`Process`]; all
 //! effects flow through [`Ctx`], so protocol logic contains no wall-clock
-//! time, no real I/O, and no hidden nondeterminism.
+//! time, no real I/O, and no hidden nondeterminism. [`Sim`] is the only
+//! runtime that drives them: every run replays bit for bit from its seed.
 
 mod ctx;
 pub mod disk;
@@ -39,7 +40,6 @@ mod net;
 pub mod params;
 mod registry;
 pub mod sched;
-pub mod threaded;
 mod time;
 pub mod trace;
 
@@ -50,7 +50,6 @@ pub use hash::{FastMap, FastSet};
 pub use net::{LinkParams, NicParams};
 pub use params::{Intervention, InterventionSet, NetParams};
 pub use sched::SchedKind;
-pub use threaded::ThreadedRunner;
 pub use time::SimTime;
 pub use trace::{
     client_span, cpu_slot_name, json_escape, msg_span, msg_span_parts, CommitForensics, Counter,

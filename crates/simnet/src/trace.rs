@@ -782,17 +782,16 @@ impl TraceEvent {
     }
 }
 
-/// The recording side of the observability layer, owned by the engine (or by
-/// a thread in the threaded runner).
+/// The recording side of the observability layer, owned by the engine.
 ///
-/// Counters and gauges are always on. Event recording is gated by
-/// [`Probe::set_enabled`] and is append-only: it charges no CPU, draws no
-/// randomness, and never touches the event schedule.
+/// Counters and gauges are always on, one row per node registered with
+/// [`Probe::add_node`]; recording against any other node id panics. Event
+/// recording is gated by [`Probe::set_enabled`] and is append-only: it
+/// charges no CPU, draws no randomness, and never touches the event
+/// schedule.
 #[derive(Debug)]
 pub struct Probe {
     enabled: bool,
-    /// Rows every per-node table holds: `ensure_node`'s one comparison.
-    rows: usize,
     events: Vec<TraceEvent>,
     counters: Vec<CounterSet>,
     gauges: Vec<GaugeSet>,
@@ -815,7 +814,6 @@ impl Default for Probe {
     fn default() -> Self {
         Probe {
             enabled: false,
-            rows: 0,
             events: Vec::new(),
             counters: Vec::new(),
             gauges: Vec::new(),
@@ -835,48 +833,14 @@ impl Probe {
         Probe::default()
     }
 
-    /// Grow the per-node tables so row `node` exists.
-    ///
-    /// This is the **single** growth path for per-node rows — `add_node`,
-    /// `count` and gauge writes all route through
-    /// it. Invariant: after `ensure_node(n)`, every table has more than `n`
-    /// rows and every row in `0..=n` is zero-initialized exactly once
-    /// (existing rows are never touched), so probes outside an engine — e.g.
-    /// the threaded runner — can count against any node id without panicking
-    /// and without resetting earlier tallies.
-    #[inline]
-    fn ensure_node(&mut self, node: NodeId) {
-        if node >= self.rows {
-            self.grow_rows(node);
-        }
-    }
-
-    /// The growth half of [`Probe::ensure_node`], off the hot path.
-    #[cold]
-    #[inline(never)]
-    fn grow_rows(&mut self, node: NodeId) {
-        if node >= self.counters.len() {
-            self.counters.resize(node + 1, CounterSet::default());
-        }
-        if node >= self.gauges.len() {
-            self.gauges.resize(node + 1, GaugeSet::default());
-        }
-        if node >= self.res_nodes.len() {
-            self.res_nodes.resize(node + 1, NodeRes::default());
-        }
-        if node >= self.waits.len() {
-            self.waits.resize(node + 1, WaitStats::default());
-        }
-        if node >= self.forensics.straggler_quorums.len() {
-            self.forensics.straggler_quorums.resize(node + 1, 0);
-        }
-        self.rows = node + 1;
-    }
-
-    /// Register a counter row for a newly spawned node.
+    /// Register a zeroed row in every per-node table for a newly spawned
+    /// node: the only place the tables grow.
     pub fn add_node(&mut self) {
-        let next = self.counters.len();
-        self.ensure_node(next);
+        self.counters.push(CounterSet::default());
+        self.gauges.push(GaugeSet::default());
+        self.res_nodes.push(NodeRes::default());
+        self.waits.push(WaitStats::default());
+        self.forensics.straggler_quorums.push(0);
     }
 
     /// Turn event recording on or off (counters are unaffected).
@@ -901,7 +865,6 @@ impl Probe {
     /// Set a node's gauge level (always on; a plain array store).
     #[inline]
     pub fn gauge_set(&mut self, node: NodeId, g: Gauge, v: u64) {
-        self.ensure_node(node);
         self.gauges[node].vals[g as usize] = v;
         self.touched[g as usize] = true;
     }
@@ -909,7 +872,6 @@ impl Probe {
     /// Adjust a node's gauge level by a signed delta (saturating).
     #[inline]
     pub fn gauge_add(&mut self, node: NodeId, g: Gauge, delta: i64) {
-        self.ensure_node(node);
         let v = &mut self.gauges[node].vals[g as usize];
         *v = if delta >= 0 {
             v.saturating_add(delta as u64)
@@ -953,11 +915,9 @@ impl Probe {
         std::mem::take(&mut self.samples)
     }
 
-    /// Bump a per-node counter (always on; rows grow on demand through
-    /// [`ensure_node`](Probe::ensure_node)).
+    /// Bump a per-node counter (always on).
     #[inline]
     pub fn count(&mut self, node: NodeId, c: Counter, n: u64) {
-        self.ensure_node(node);
         self.counters[node].vals[c as usize] += n;
     }
 
@@ -979,7 +939,6 @@ impl Probe {
         bytes: u64,
         busy_ns: u64,
     ) {
-        self.ensure_node(src);
         self.res_nodes[src].tx.add(kind, bytes, busy_ns);
         self.res_links
             .entry((src, dst))
@@ -993,7 +952,6 @@ impl Probe {
     /// [`TraceEvent::NicIngress`] rule.
     #[inline]
     pub fn account_rx(&mut self, dst: NodeId, kind: MsgKind, bytes: u64, busy_ns: u64) {
-        self.ensure_node(dst);
         self.res_nodes[dst].rx.add(kind, bytes, busy_ns);
     }
 
@@ -1004,7 +962,6 @@ impl Probe {
     /// [`Ctx::use_cpu_at`](crate::Ctx::use_cpu_at) on every charge.
     #[inline]
     pub fn cpu_charge(&mut self, node: NodeId, slot: usize, ns: u64) {
-        self.ensure_node(node);
         self.res_nodes[node].cpu_ns[slot] += ns;
     }
 
@@ -1023,7 +980,6 @@ impl Probe {
         if ns == 0 {
             return;
         }
-        self.ensure_node(node);
         let w = &mut self.waits[node];
         w.ns[reason as usize] += ns * n;
         w.events[reason as usize] += n;
@@ -1058,7 +1014,6 @@ impl Probe {
     /// * `ClientResp` finalizes (latency = resp − first submit) into the
     ///   commit tallies and the bounded outlier ring.
     pub fn span_mark(&mut self, at: SimTime, node: NodeId, id: u64, stage: SpanStage, arg: u64) {
-        self.ensure_node(node);
         let mark = ForensicMark {
             at_ns: at.as_nanos(),
             node,
@@ -1155,14 +1110,8 @@ impl Probe {
             None
         };
         if let Some(s) = straggler {
-            self.ensure_node(s);
-            // ensure_node may have reallocated the collector's tally row —
-            // reborrow (the closure-free way to keep the borrow checker
-            // happy after &mut self use).
-            let f = &mut self.forensics;
             f.straggler_quorums[s] += 1;
         }
-        let f = &mut self.forensics;
         if let Some(rec) = f.msgs.get_mut(&id) {
             ForensicsCollector::merge_mark(rec, stage as usize, mark);
             if let Some(s) = straggler {
@@ -1204,11 +1153,6 @@ impl Probe {
     /// straggler tallies, and the outlier ring sorted slowest-first (ties
     /// toward the smaller span id).
     pub fn forensics_snapshot(&self) -> ForensicsSnapshot {
-        let rows = self.counters.len();
-        let mut waits = self.waits.clone();
-        waits.resize(rows.max(waits.len()), WaitStats::default());
-        let mut straggler_quorums = self.forensics.straggler_quorums.clone();
-        straggler_quorums.resize(rows.max(straggler_quorums.len()), 0);
         let mut outliers = self.forensics.outliers.clone();
         outliers.sort_by(|a, b| {
             b.latency_ns
@@ -1216,8 +1160,8 @@ impl Probe {
                 .then_with(|| a.id.cmp(&b.id))
         });
         ForensicsSnapshot {
-            waits,
-            straggler_quorums,
+            waits: self.waits.clone(),
+            straggler_quorums: self.forensics.straggler_quorums.clone(),
             commits: self.forensics.commits,
             outliers,
         }
@@ -1226,8 +1170,6 @@ impl Probe {
     /// Copy out the resource tallies. `elapsed_ns` is left at zero — the
     /// engine's [`Sim::metrics`](crate::Sim::metrics) fills in its clock.
     pub fn resource_snapshot(&self) -> ResourceSnapshot {
-        let mut nodes = self.res_nodes.clone();
-        nodes.resize(self.counters.len().max(nodes.len()), NodeRes::default());
         let mut links: Vec<LinkRes> = self
             .res_links
             .iter()
@@ -1236,7 +1178,7 @@ impl Probe {
         links.sort_unstable_by_key(|l| (l.src, l.dst));
         ResourceSnapshot {
             elapsed_ns: 0,
-            nodes,
+            nodes: self.res_nodes.clone(),
             links,
         }
     }
@@ -1253,11 +1195,9 @@ impl Probe {
 
     /// Copy out the counter registry and final gauge levels.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut gauges = self.gauges.clone();
-        gauges.resize(self.counters.len(), GaugeSet::default());
         MetricsSnapshot {
             nodes: self.counters.clone(),
-            gauges,
+            gauges: self.gauges.clone(),
             res: self.resource_snapshot(),
             forensics: self.forensics_snapshot(),
         }
@@ -1367,6 +1307,8 @@ mod tests {
     #[test]
     fn a_record_opened_below_the_covering_watermark_still_inherits() {
         let mut p = Probe::new();
+        p.add_node();
+        p.add_node();
         let t = SimTime::from_nanos;
         let open = |p: &mut Probe, cnt: u32| {
             p.span_mark(
@@ -1423,14 +1365,6 @@ mod tests {
     }
 
     #[test]
-    fn count_grows_rows_on_demand() {
-        let mut p = Probe::new();
-        p.count(5, Counter::RingStalls, 1);
-        assert_eq!(p.snapshot().nodes.len(), 6);
-        assert_eq!(p.snapshot().nodes[5].get(Counter::RingStalls), 1);
-    }
-
-    #[test]
     fn recording_gated_by_enabled() {
         let mut p = Probe::new();
         let ev = TraceEvent::CpuBusy {
@@ -1472,20 +1406,6 @@ mod tests {
         // Order-preserving within an epoch: higher cnt, higher id.
         assert!(msg_span(7, 2, 42) > m);
         assert!(msg_span(8, 0, 0) > msg_span(7, 0xFFFF, u32::MAX));
-    }
-
-    #[test]
-    fn add_node_and_count_share_one_growth_path() {
-        let mut p = Probe::new();
-        p.add_node(); // row 0
-        p.count(0, Counter::Commits, 2);
-        p.count(3, Counter::Commits, 1); // grows 1..=3 on demand
-        p.add_node(); // row 4 — must not disturb rows 0..=3
-        let snap = p.snapshot();
-        assert_eq!(snap.nodes.len(), 5);
-        assert_eq!(snap.nodes[0].get(Counter::Commits), 2);
-        assert_eq!(snap.nodes[3].get(Counter::Commits), 1);
-        assert_eq!(snap.nodes[4].get(Counter::Commits), 0);
     }
 
     #[test]

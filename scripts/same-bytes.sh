@@ -44,9 +44,10 @@ commands=(
     # entries cut into segments) is compared too.
     "chaos-ring-8k|chaos --proto acuerdo --dissemination ring --nodes 16 --payload 8192 --seeds 2 --max-time-ms 50"
 )
-# The deterministic examples (`traced_failover` also writes
-# traced_failover.json). `live_cluster` runs on real threads and is left out.
-for example in quickstart leader_failover traced_failover replicated_kv slow_follower; do
+# Every example of the checkout (all run on the engine, so all are
+# deterministic; `traced_failover` also writes traced_failover.json).
+for example in "$root"/examples/*.rs; do
+    example=$(basename "$example" .rs)
     commands+=("example-$example|examples/$example")
 done
 # The three metrics-document reports over the committed document (an

@@ -3,7 +3,9 @@
 //! catch-up path (§3's "efficient catch-up").
 
 use acuerdo_repro::abcast::{check_cluster, cluster_with_client, Replica, WindowClient};
-use acuerdo_repro::acuerdo::{self, current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role};
+use acuerdo_repro::acuerdo::{
+    self, current_leader, AcWire, AcuerdoConfig, AcuerdoNode, Role, MAX_DIFF_PART,
+};
 use acuerdo_repro::simnet::{Counter, DeschedProfile, SimTime};
 use std::time::Duration;
 
@@ -298,15 +300,15 @@ fn minority_partition_then_heal_keeps_total_order_raft() {
 #[test]
 fn crashed_leader_restarts_and_rejoins_via_multipart_diff() {
     // The rebooted ex-leader comes back with an empty log and must be
-    // re-seeded from the first entry via the rejoin diff — forced here to
-    // span several parts by shrinking `max_diff_part` far below the log size.
+    // re-seeded from the first entry via the rejoin diff. At 100 bytes a
+    // payload, its ~1,000-entry history is about 115 KiB of diff: four
+    // `MAX_DIFF_PART` parts.
     let cfg = AcuerdoConfig {
         retain_log: true,
-        max_diff_part: 256,
         ..fast_failover_cfg(3)
     };
     let (mut sim, ids, client) =
-        cluster_with_client::<AcuerdoNode>(92, &cfg, 8, 10, Duration::ZERO);
+        cluster_with_client::<AcuerdoNode>(92, &cfg, 8, 100, Duration::ZERO);
     acuerdo::enable_restarts(&mut sim, &cfg, &ids);
     {
         let c = sim.node_mut::<WindowClient<AcWire>>(client);
@@ -341,10 +343,9 @@ fn crashed_leader_restarts_and_rejoins_via_multipart_diff() {
     let snap = sim.metrics();
     assert_eq!(snap.total(Counter::Restarts), 1);
     assert!(
-        snap.total(Counter::RejoinDiffBytes) > cfg.max_diff_part as u64,
-        "rejoin diff was not multi-part: {} bytes <= {} per part",
+        snap.total(Counter::RejoinDiffBytes) > MAX_DIFF_PART as u64,
+        "rejoin diff was not multi-part: {} bytes <= {MAX_DIFF_PART} per part",
         snap.total(Counter::RejoinDiffBytes),
-        cfg.max_diff_part
     );
     check_cluster::<AcuerdoNode>(&sim, &ids).unwrap();
 }
